@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedError,
 )
 from .geometry import (
-    ConeGeometry,
     ConePoint,
     CrossSection,
     SeparationCrossSection,
@@ -86,7 +85,6 @@ __all__ = [
     "BOUNDARY_FACES",
     "BesselEval",
     "CheckResult",
-    "ConeGeometry",
     "ConePoint",
     "ConekitError",
     "CrossSection",

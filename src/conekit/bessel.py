@@ -8,16 +8,19 @@ zero) long before their product does.  Every evaluation therefore carries
 an explicit binary exponent: the result is ``value * 2**exp2``, with
 ``exp2 == 0`` whenever the plain float is comfortably representable.
 
-Algorithm selection (cutovers in :mod:`conekit.config`):
+Algorithm selection (the order cutover is ``DEFAULTS.olver_nu_min`` = 30):
 
-* ``I``: ascending power series for r <= max(10, nu/2); Olver's uniform
-  large-order asymptotics for nu >= 30; otherwise a Lentz continued
-  fraction for the ratio I_{nu+1}/I_nu closed through the Wronskian
-  ``I_nu K_{nu+1} + I_{nu+1} K_nu = 1/r``.
-* ``K``: Olver for nu >= 30; otherwise Temme's series (r <= 2) or Steed's
-  continued fraction (r > 2) at the fractional base order in [-1/2, 1/2),
-  walked up in order by the stable forward recurrence.
+* nu < 30: scipy's exponentially scaled ``ive`` / ``kve``, with the
+  e^{+-r} factor folded into the binary exponent.  Their scaled value
+  leaves the normal doubles only at tiny r (at nu = 29.9, below about
+  r = 1e-9); there ``I`` falls back to the ascending power series and
+  ``K`` to its leading term Gamma(nu) (2/r)^nu / 2 (DLMF 10.30.2), whose
+  relative correction (r/2)^2 / (nu - 1) is then far below rounding.
+* nu >= 30: ``I`` by the ascending power series for r <= nu/2 and by
+  Olver's uniform large-order asymptotics above; ``K`` by Olver.
 
+Each order is dispatched on its own, so the order-(nu+1) partners used
+by the derivatives may take a different branch from order nu.
 Derivatives use ``I'_nu = I_{nu+1} + (nu/r) I_nu`` and
 ``K'_nu = -(K_{nu-1} + K_{nu+1})/2``, arranged so no cancellation-prone
 downward step is ever taken.
@@ -34,6 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from scipy.special import ive, kve
+
 from ._scaled import add2 as _add
 from ._scaled import from_log as _from_log
 from ._scaled import log_of as _log_of
@@ -46,22 +51,18 @@ __all__ = [
     "BesselEval",
     "bessel_i",
     "bessel_k",
-    "bessel_i_dr",
-    "bessel_k_dr",
     "bessel_i_with_dr",
     "bessel_k_with_dr",
     "wronskian_residual",
     "log_ik_bound",
-    "log_i_dr_k_bound",
-    "log_i_k_dr_bound",
     "BoundFit",
     "BoundReport",
     "check_uniform_bounds",
-    "bound_report_csv",
 ]
 
 _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
+_TINY = 2.2250738585072014e-308  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -146,190 +147,6 @@ def _i_series(nu: float, r: float) -> tuple[tuple[float, int], float]:
 
 
 # ----------------------------------------------------------------------
-# K_nu at base order |h| <= 1/2: Temme's series (r <= 2), Steed CF2 (r > 2).
-# ----------------------------------------------------------------------
-
-# Taylor coefficients of 1/Gamma(1+x) = 1 + b1 x + b2 x^2 + ...
-_INV_GAMMA1 = (
-    0.5772156649015329,
-    -0.6558780715202538,
-    -0.0420026350340952,
-    0.1665386113822915,
-    -0.0421977345555443,
-    -0.0096219715278770,
-    0.0072189432466630,
-    -0.0011651675918591,
-)
-
-
-def _temme_gammas(h: float) -> tuple[float, float, float, float]:
-    """(gam1, gam2, 1/Gamma(1+h), 1/Gamma(1-h)) for |h| <= 1/2.
-
-    gam1 = (1/Gamma(1-h) - 1/Gamma(1+h)) / (2h), gam2 the even average;
-    a short Taylor form takes over near h = 0 where the quotient cancels.
-    """
-    b = _INV_GAMMA1
-    if abs(h) < 0.01:
-        h2 = h * h
-        gam1 = -(b[0] + h2 * (b[2] + h2 * (b[4] + h2 * b[6])))
-        gam2 = 1.0 + h2 * (b[1] + h2 * (b[3] + h2 * b[5]))
-        gampl = gam2 - h * gam1
-        gammi = gam2 + h * gam1
-    else:
-        gampl = 1.0 / math.gamma(1.0 + h)
-        gammi = 1.0 / math.gamma(1.0 - h)
-        gam1 = (gammi - gampl) / (2.0 * h)
-        gam2 = 0.5 * (gammi + gampl)
-    return gam1, gam2, gampl, gammi
-
-
-def _k_temme(h: float, x: float) -> tuple[tuple[float, int], tuple[float, int], float]:
-    """K_h(x) and K_{h+1}(x) for |h| <= 1/2, 0 < x <= 2 (scaled pairs)."""
-    pimu = math.pi * h
-    fact = pimu / math.sin(pimu) if pimu != 0.0 else 1.0
-    dlx = -math.log(0.5 * x)
-    e = h * dlx
-    fact2 = math.sinh(e) / e if e != 0.0 else 1.0
-    gam1, gam2, gampl, gammi = _temme_gammas(h)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * dlx)
-    ee = math.exp(e)
-    p = 0.5 * ee / gampl
-    q = 0.5 / (ee * gammi)
-    c = 1.0
-    d2 = 0.25 * x * x
-    total = ff
-    total1 = p
-    k = 0
-    for i in range(1, 1000):
-        k = i
-        ff = (i * ff + p + q) / (i * i - h * h)
-        c *= d2 / i
-        p /= (i - h)
-        q /= (i + h)
-        dl = c * ff
-        total += dl
-        total1 += c * (p - i * ff)
-        if abs(dl) < abs(total) * 0.5 * _EPS:
-            break
-    rel = (k + 6) * _EPS
-    k_h = _norm(total, 0)
-    # K_{h+1} = (2/x) * total1; go through logs so x ~ 1e-300 cannot overflow.
-    sign = 1.0 if total1 >= 0.0 else -1.0
-    if total1 == 0.0:
-        k_h1: tuple[float, int] = (0.0, 0)
-    else:
-        m, ex = _from_log(math.log(abs(total1)) + math.log(2.0 / x))
-        k_h1 = (sign * m, ex)
-    return k_h, k_h1, rel
-
-
-def _k_cf2(h: float, x: float) -> tuple[tuple[float, int], tuple[float, int], float]:
-    """K_h(x) and K_{h+1}(x) for |h| <= 1/2, x > 2, via Steed's CF2."""
-    mu2 = h * h
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    hcf = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25 - mu2
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    k = 1
-    for i in range(2, 10000):
-        k = i
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        hcf += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) <= _EPS:
-            break
-    hcf = a1 * hcf
-    ln_kh = 0.5 * math.log(math.pi / (2.0 * x)) - x - math.log(s)
-    k_h = _from_log(ln_kh)
-    k_h1 = _mul(k_h, _norm((h + x + 0.5 - hcf) / x, 0))
-    rel = (k + 8) * _EPS + 2.0 * x * _EPS
-    return k_h, k_h1, rel
-
-
-def _k_base(h: float, x: float):
-    if x <= DEFAULTS.temme_r_max:
-        pair = _k_temme(h, x)
-        return pair, "power-series"
-    pair = _k_cf2(h, x)
-    return pair, "continued-fraction"
-
-
-def _k_pair(nu: float, x: float) -> tuple[tuple[float, int], tuple[float, int], float, str]:
-    """(K_nu, K_{nu+1}) scaled, with rel error estimate and method tag."""
-    if nu >= DEFAULTS.olver_nu_min:
-        k0, r0 = _olver_k(nu, x)
-        k1, r1 = _olver_k(nu + 1.0, x)
-        return k0, k1, max(r0, r1), "uniform-asymptotic"
-    n = int(math.floor(nu + 0.5))
-    h = nu - n  # in [-1/2, 1/2)
-    (km, km1, rel), method = _k_base(h, x)
-    if n == 0:
-        return km, km1, rel, method
-    # Forward recurrence K_{j+1} = K_{j-1} + (2j/x) K_j, all terms positive:
-    # stable, no cancellation.
-    for j in range(1, n + 1):
-        km, km1 = km1, _add(km, _mul(_norm(2.0 * (h + j) / x, 0), km1))
-    return km, km1, rel + (n + 2) * _EPS, "recurrence"
-
-
-# ----------------------------------------------------------------------
-# I_nu via CF1 ratio + Wronskian closure (moderate order, large argument).
-# ----------------------------------------------------------------------
-
-def _i_ratio_cf1(nu: float, x: float) -> tuple[float, int]:
-    """I_{nu+1}(x)/I_nu(x) by modified Lentz; returns (ratio, iterations)."""
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    k = 0
-    for j in range(1, 200000):
-        k = j
-        b = 2.0 * (nu + j) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 0.5 * _EPS:
-            break
-    else:  # pragma: no cover
-        raise ArithmeticError("CF1 failed to converge")
-    return f, k
-
-
-def _i_pair_cf(nu: float, x: float):
-    """(I_nu, I_{nu+1}) scaled via CF1 + Wronskian I K1 + I1 K = 1/x."""
-    f, k = _i_ratio_cf1(nu, x)
-    k0, k1, relk, _ = _k_pair(nu, x)
-    denom = _add(k1, _mul(_norm(f, 0), k0))
-    # I_nu = 1 / (x * denom)
-    ln_i = -(math.log(x) + _log_of(denom))
-    i0 = _from_log(ln_i)
-    i1 = _mul(i0, _norm(f, 0))
-    rel = relk + (k + 8) * _EPS
-    return i0, i1, rel
-
-
-# ----------------------------------------------------------------------
 # Olver's uniform large-order asymptotics.
 # ----------------------------------------------------------------------
 
@@ -404,35 +221,58 @@ def _olver_k(nu: float, x: float) -> tuple[tuple[float, int], float]:
 
 
 # ----------------------------------------------------------------------
-# Public evaluations.
+# One order at a time.
 # ----------------------------------------------------------------------
 
-def _i_pair_any(nu: float, x: float):
-    """(I_nu, I_{nu+1}) scaled, rel error, method."""
-    if x <= max(DEFAULTS.series_r_max, 0.5 * nu):
-        v0, r0 = _i_series(nu, x)
-        v1, r1 = _i_series(nu + 1.0, x)
-        return v0, v1, max(r0, r1), "power-series"
-    if nu >= DEFAULTS.olver_nu_min:
-        v0, r0 = _olver_i(nu, x)
-        v1, r1 = _olver_i(nu + 1.0, x)
-        return v0, v1, max(r0, r1), "uniform-asymptotic"
-    v0, v1, rel = _i_pair_cf(nu, x)
-    return v0, v1, rel, "continued-fraction"
+def _from_scipy(scaled: float, ln_factor: float, nu: float) -> tuple[tuple[float, int], float]:
+    """Scaled pair for ``scaled * e^ln_factor`` and its relative error estimate.
 
+    The estimate models scipy's measured error, which grows with the order
+    and with the log of the value (power-series prefactors at small r).
+    """
+    pair = _mul(_norm(scaled, 0), _from_log(ln_factor))
+    return pair, 16.0 * _EPS * (1.0 + nu + abs(_log_of(pair)))
+
+
+def _i_one(nu: float, x: float) -> tuple[tuple[float, int], float, str]:
+    """I_nu(x) as (scaled pair, rel error, method)."""
+    if nu < DEFAULTS.olver_nu_min:
+        v = float(ive(nu, x))
+        if v >= _TINY:  # 0 or subnormal at tiny x
+            return (*_from_scipy(v, x, nu), "scipy")
+    elif x > 0.5 * nu:
+        return (*_olver_i(nu, x), "uniform-asymptotic")
+    return (*_i_series(nu, x), "power-series")
+
+
+def _k_one(nu: float, x: float) -> tuple[tuple[float, int], float, str]:
+    """K_nu(x) as (scaled pair, rel error, method)."""
+    if nu >= DEFAULTS.olver_nu_min:
+        return (*_olver_k(nu, x), "uniform-asymptotic")
+    v = float(kve(nu, x))
+    if math.isfinite(v):  # inf at tiny x
+        return (*_from_scipy(v, -x, nu), "scipy")
+    # Leading term; kve overflows only where nu > 0.95, and (x/2)^2/(nu-1)
+    # bounds the next term for nu > 1 (for nu <= 1, x is subnormal).
+    ln_val = math.lgamma(nu) + (nu - 1.0) * _LN2 - nu * math.log(x)
+    trunc = 0.25 * x * x / (nu - 1.0) if nu > 1.0 else 0.0
+    return _from_log(ln_val), (4.0 + 2.0 * abs(ln_val)) * _EPS + trunc, "small-argument"
+
+
+# ----------------------------------------------------------------------
+# Public evaluations.
+# ----------------------------------------------------------------------
 
 def bessel_i(nu: float, r: float) -> BesselEval:
     """Modified Bessel function of the first kind, scaled on overflow."""
     nu, r = _validate(nu, r)
-    v0, _v1, rel, method = _i_pair_any(nu, r)
-    return _pack(v0, rel, method)
+    return _pack(*_i_one(nu, r))
 
 
 def bessel_k(nu: float, r: float) -> BesselEval:
     """Modified Bessel function of the second kind, scaled on overflow."""
     nu, r = _validate(nu, r)
-    k0, _k1, rel, method = _k_pair(nu, r)
-    return _pack(k0, rel, method)
+    return _pack(*_k_one(nu, r))
 
 
 def bessel_i_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
@@ -442,41 +282,31 @@ def bessel_i_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
     nonnegative terms (no cancellation) and is valid for every nu >= 0.
     """
     nu, r = _validate(nu, r)
-    v0, v1, rel, method = _i_pair_any(nu, r)
+    v0, r0, method = _i_one(nu, r)
+    v1, r1, _ = _i_one(nu + 1.0, r)
+    rel = max(r0, r1)
     deriv = _add(v1, _mul(_norm(nu / r, 0), v0))
-    return _pack(v0, rel, method), _pack(deriv, rel + 4.0 * _EPS, "recurrence")
-
-
-def bessel_i_dr(nu: float, r: float) -> BesselEval:
-    """d/dr I_nu(r)."""
-    return bessel_i_with_dr(nu, r)[1]
+    return _pack(v0, rel, method), _pack(deriv, rel + 4.0 * _EPS, method)
 
 
 def bessel_k_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
     """(K_nu(r), d/dr K_nu(r)) sharing intermediate work.
 
     K'_nu = -(K_{nu-1} + K_{nu+1})/2 with K_{nu-1} = K_{|nu-1|}.  For
-    nu >= 1 the pair (K_{nu-1}, K_nu) is computed first and K_{nu+1}
-    recovered by one *forward* step, so no subtractive recurrence occurs.
+    nu >= 1, K_{nu+1} is recovered from (K_{nu-1}, K_nu) by one *forward*
+    step, so no subtractive recurrence occurs.
     """
     nu, r = _validate(nu, r)
+    kc, rel, method = _k_one(nu, r)
+    km, rel_m, _ = _k_one(abs(nu - 1.0), r)
+    rel = max(rel, rel_m)
     if nu >= 1.0:
-        km, kc, rel, method = _k_pair(nu - 1.0, r)  # (K_{nu-1}, K_nu)
-        kp = _add(km, _mul(_norm(2.0 * nu / r, 0), kc))  # K_{nu+1}
-        value = kc
+        kp = _add(km, _mul(_norm(2.0 * nu / r, 0), kc))
     else:
-        kc, kp, rel, method = _k_pair(nu, r)  # (K_nu, K_{nu+1})
-        other = _k_pair(abs(nu - 1.0), r)  # K_{|nu-1|} = K_{nu-1}
-        km = other[0]
-        rel = max(rel, other[2])
-        value = kc
+        kp, rel_p, _ = _k_one(nu + 1.0, r)
+        rel = max(rel, rel_p)
     deriv = _mul(_norm(-0.5, 0), _add(km, kp))
-    return _pack(value, rel, method), _pack(deriv, rel + 4.0 * _EPS, "recurrence")
-
-
-def bessel_k_dr(nu: float, r: float) -> BesselEval:
-    """d/dr K_nu(r) (always negative)."""
-    return bessel_k_with_dr(nu, r)[1]
+    return _pack(kc, rel, method), _pack(deriv, rel + 4.0 * _EPS, method)
 
 
 def wronskian_residual(nu: float, r: float) -> float:
@@ -508,31 +338,6 @@ def log_ik_bound(mu: float, a: float, b: float) -> float:
     if not 0.0 < a <= b or mu <= 0.0:
         raise DomainError("log_ik_bound needs 0 < a <= b and mu > 0")
     return mu * math.log(a / b) - math.log(2.0 * mu)
-
-
-def log_i_dr_k_bound(mu: float, a: float, b: float) -> float:
-    """log of a proven bound: I'_mu(a) K_mu(b) <= (a/b)^mu (1/(2a) + a/b^2).
-
-    From I'_mu = I_{mu+1} + (mu/a) I_mu: the second piece is bounded via
-    log_ik_bound; the first via order-(mu+1) monotonicity plus the
-    Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/b, whose terms are all
-    positive, so I_{mu+1}(b) K_mu(b) <= 1/b.
-    """
-    if not 0.0 < a <= b or mu <= 0.0:
-        raise DomainError("log_i_dr_k_bound needs 0 < a <= b and mu > 0")
-    return mu * math.log(a / b) + math.log(0.5 / a + a / (b * b))
-
-
-def log_i_k_dr_bound(mu: float, a: float, b: float) -> float:
-    """log of a proven bound: I_mu(a) |K'_mu(b)| <= (a/b)^mu / b.
-
-    |K'_mu| = (K_{mu-1} + K_{mu+1})/2 <= K_{mu+1} since K is increasing in
-    |order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the
-    Wronskian as above.
-    """
-    if not 0.0 < a <= b or mu <= 0.0:
-        raise DomainError("log_i_k_dr_bound needs 0 < a <= b and mu > 0")
-    return mu * math.log(a / b) - math.log(b)
 
 
 # ----------------------------------------------------------------------
@@ -673,10 +478,3 @@ def check_uniform_bounds(mu_grid=None, r_grid=None) -> BoundReport:
                          1.0 if resid < 1e-12 else math.inf,
                          f"mu[{mus[0]:g},{mus[-1]:g}]x{len(mus)}"))
     return BoundReport(tuple(fits))
-
-
-def bound_report_csv(report: BoundReport) -> str:
-    lines = ["# conekit-schema v1", "bound_id,c_fit,max_violation_ratio,grid"]
-    for f in report.fits:
-        lines.append(f"{f.bound_id},{f.c_fit:.12g},{f.max_violation_ratio:.12g},{f.grid}")
-    return "\n".join(lines) + "\n"

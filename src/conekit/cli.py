@@ -12,18 +12,14 @@ Subcommands:
 Numeric output is deterministic: floats print with 12 significant digits
 and CSV bodies follow the ``# conekit-schema v1`` header.  Exit codes:
 0 success, 1 configuration or domain error, 2 verification failure.
-Sweeps honor the CONEKIT_THREADS environment variable; results are
-collected in input order, so the output never depends on thread count.
+Sweeps run in input order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import ConekitError, DomainError
@@ -31,6 +27,7 @@ from .geometry import ConePoint
 from .lpcheck import HomogeneousKernelSpec, lp_norm_probe, riesz_probe_kernel
 from .resolvent import ResolventRequest, resolvent_kernel
 from .riesz import (
+    offdiag_envelope,
     riesz_kernel,
     threshold_interval,
     threshold_interval_constant,
@@ -95,15 +92,6 @@ def _broadcast(columns):
                 f"{[len(c) for c in columns]})"
             )
     return list(zip(*out))
-
-
-def _map_ordered(fn, items):
-    """Map preserving order, parallel when CONEKIT_THREADS > 1."""
-    n = int(os.environ.get("CONEKIT_THREADS", "1") or "1")
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 def _emit(args, text: str) -> None:
@@ -228,7 +216,7 @@ def _cmd_kernel(args) -> int:
         )
         return row, kv
 
-    results = _map_ordered(one, rows)
+    results = [one(row) for row in rows]
     if args.format == "csv" or len(rows) > 1:
         lines = [SCHEMA_HEADER, "r,r_prime,gamma,lambda,value,tail_bound,modes_used,gauge"]
         for (r, rp, gamma, lam), kv in results:
@@ -263,15 +251,6 @@ def _riesz_region(r, rp):
     return "mid"
 
 
-def _riesz_model(spec, region, r, rp):
-    d, mu0 = spec.d, spec.mu0
-    if region == "far-right":
-        return (r / rp) ** (mu0 - 0.5 * d) * rp ** (-float(d))
-    if region == "far-left":
-        return (rp / r) ** (mu0 - 0.5 * d + 1.0) * r ** (-float(d))
-    return None
-
-
 def _cmd_riesz(args) -> int:
     spec = _spectrum_from(args)
     cs = spec.cross_section
@@ -282,10 +261,10 @@ def _cmd_riesz(args) -> int:
         y, yp = cs.points_at_separation(gamma)
         kv = riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp), rel_tol=args.rel_tol)
         region = _riesz_region(r, rp)
-        model = _riesz_model(spec, region, r, rp)
+        model = None if region == "mid" else offdiag_envelope(spec.d, spec.mu0, region, r, rp)
         return row, kv, region, model
 
-    results = _map_ordered(one, rows)
+    results = [one(row) for row in rows]
     if args.format == "csv" or len(rows) > 1:
         lines = [SCHEMA_HEADER,
                  "region,r,r_prime,gamma,d_r_component,angular_component,model_bound,ratio"]

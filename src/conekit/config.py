@@ -10,19 +10,11 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Defaults:
     # --- Bessel engine -------------------------------------------------
-    # Target relative accuracy of single evaluations inside the validated
-    # region (order <= 200, argument in [1e-6, 500]).
-    bessel_target_rel: float = 1e-12
-    # Power series for I_nu(r) is used for r <= max(series_r_max, nu/2).
-    series_r_max: float = 10.0
-    # Uniform (large-order) asymptotics take over at this order.
+    # Below this order scipy's ive/kve are used; from it on, the power
+    # series (I, r <= nu/2) and Olver's uniform asymptotics.
     olver_nu_min: float = 30.0
-    # Temme's series for K is used for r <= this, continued fractions above.
-    temme_r_max: float = 2.0
     # Scaled values are folded into a plain float when |log2 value| <= this.
     fold_exp2: int = 600
-    # Wronskian residual considered acceptable in self-checks.
-    wronskian_tol: float = 1e-10
 
     # --- Resolvent series ----------------------------------------------
     # Default relative tolerance for kernel values.

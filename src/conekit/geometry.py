@@ -32,10 +32,7 @@ __all__ = [
     "SphereCrossSection",
     "TorusCrossSection",
     "SeparationCrossSection",
-    "ConeGeometry",
     "cone_distance",
-    "diag_defining",
-    "log_radial_grid",
 ]
 
 
@@ -210,30 +207,6 @@ class SeparationCrossSection(CrossSection):
         return "separation"
 
 
-@dataclass(frozen=True)
-class ConeGeometry:
-    """The cone over a given cross-section, of total dimension d >= 3."""
-
-    d: int
-    cross_section: CrossSection
-
-    def __post_init__(self):
-        if int(self.d) != self.d or self.d < 3:
-            raise DomainError(f"cone dimension d must be an integer >= 3, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        n = self.cross_section.dim
-        if n is not None and n != self.d - 1:
-            raise DomainError(
-                f"cross-section dimension {n} inconsistent with cone dimension {self.d}"
-            )
-
-    def separation(self, y, yp) -> float:
-        return self.cross_section.distance(y, yp)
-
-    def distance(self, z: ConePoint, zp: ConePoint) -> float:
-        return cone_distance(z.r, zp.r, self.cross_section.distance(z.y, zp.y))
-
-
 def cone_distance(r: float, rp: float, d_y: float) -> float:
     """Metric distance on the cone between (r, y) and (r', y').
 
@@ -253,42 +226,3 @@ def cone_distance(r: float, rp: float, d_y: float) -> float:
     # result stays accurate when r ~ r' and d_y ~ 0.
     s2 = (r - rp) ** 2 + 4.0 * r * rp * math.sin(0.5 * d_y) ** 2
     return math.sqrt(s2)
-
-
-def _phi(x: float) -> float:
-    """Smooth increasing cutoff: phi(x) = x for x <= 1/2, 1 for x >= 1.
-
-    On [1/2, 1] a quintic bridge g(u) = u + 4u^3 - 7u^4 + 3u^5 in
-    u = 2x - 1 joins the two branches with matching value, slope and
-    curvature at both ends; g' = (1-u)(1 + u + 13u^2 - 15u^3) is strictly
-    positive on [0, 1), so phi is strictly increasing below 1.
-    """
-    if x <= 0.5:
-        return x
-    if x >= 1.0:
-        return 1.0
-    u = 2.0 * x - 1.0
-    g = u + u**3 * (4.0 - 7.0 * u + 3.0 * u * u)
-    return 0.5 + 0.5 * g
-
-
-def diag_defining(z: ConePoint, zp: ConePoint, geometry: ConeGeometry) -> float:
-    """Diagonal-region defining function a(z, z') = d(z, z')^2 / phi(r')^2.
-
-    Small values mean z is deep in the near-diagonal regime relative to the
-    scale of z'; the gluing scale phi freezes at 1 once r' >= 1 so that far
-    from the tip the plain squared distance rules.
-    """
-    dist = geometry.distance(z, zp)
-    scale = _phi(zp.r)
-    return (dist / scale) ** 2
-
-
-def log_radial_grid(r_min: float, r_max: float, n: int) -> np.ndarray:
-    """Logarithmically equispaced radii from r_min to r_max inclusive."""
-    r_min, r_max = float(r_min), float(r_max)
-    if not (0.0 < r_min < r_max) or not math.isfinite(r_max):
-        raise DomainError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-    if int(n) != n or n < 2:
-        raise DomainError(f"grid size must be an integer >= 2, got {n!r}")
-    return np.geomspace(r_min, r_max, int(n))

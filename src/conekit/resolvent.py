@@ -25,12 +25,23 @@ Density gauges
 
 Truncation control
 ------------------
-Let s = r_</r_> < 1.  Three elementary inequalities (proved in
-:mod:`conekit.bessel`) bound every discarded term:
+Let s = r_</r_> = a/b < 1.  Three elementary inequalities bound every
+discarded term:
 
     I_mu(a) K_mu(b)      <= s^mu / (2 mu),
     I'_mu(a) K_mu(b)     <= s^mu (1/(2a) + a/b^2),
     I_mu(a) |K'_mu(b)|   <= s^mu / b.
+
+The first is :func:`conekit.bessel.log_ik_bound`: I_mu(x)/x^mu increases,
+so I_mu(a) <= s^mu I_mu(b), and Nicholson's formula gives
+I_mu(b) K_mu(b) <= 1/(2 mu).  The other two are written inline below.
+For the second, I'_mu = I_{mu+1} + (mu/a) I_mu; the (mu/a) I_mu piece is
+bounded by the first inequality, and the I_{mu+1} piece by order-(mu+1)
+monotonicity plus the Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/b,
+whose terms are all positive, so I_{mu+1}(b) K_mu(b) <= 1/b.  For the
+third, |K'_mu| = (K_{mu-1} + K_{mu+1})/2 <= K_{mu+1}, since K increases
+in |order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the
+same Wronskian.
 
 Summed against the mode-norm bounds ``pair_sup`` / ``grad_sup`` and the
 spectrum's beyond-cutoff tail profile, they give a rigorous remainder

@@ -54,6 +54,7 @@ __all__ = [
     "RieszKernelValue",
     "riesz_kernel",
     "OffdiagReport",
+    "offdiag_envelope",
     "offdiag_bound_check",
 ]
 
@@ -207,12 +208,10 @@ class L2Bound:
     mu0: float
 
 
-def l2_bound_constant(spectrum: CrossSectionSpectrum, epsilon_search: bool = False) -> L2Bound:
+def l2_bound_constant(spectrum: CrossSectionSpectrum) -> L2Bound:
     """L^2 norm bound of the Riesz transform for a constant potential.
 
-    With ``epsilon_search`` the feasibility condition is solved by
-    bisection instead of the closed form (the two agree to roundoff);
-    spectra without a recorded constant potential are rejected.
+    Spectra without a recorded constant potential are rejected.
     """
     if spectrum.v0_constant is None:
         raise UnsupportedError(
@@ -220,25 +219,13 @@ def l2_bound_constant(spectrum: CrossSectionSpectrum, epsilon_search: bool = Fal
         )
     c = float(spectrum.v0_constant)
     d = spectrum.d
-    q = 0.25 * (d - 2) ** 2
-    mu0_sq = q + c
+    mu0_sq = 0.25 * (d - 2) ** 2 + c
     if mu0_sq <= 0.0:
         raise PositivityError(f"c + (d-2)^2/4 = {mu0_sq} must be > 0")
     mu0 = math.sqrt(mu0_sq)
     if c >= 0.0:
         return L2Bound(epsilon=1.0, bound=1.0, c=c, mu0=mu0)
-    if epsilon_search:
-        # Largest eps in (0, 1) with c/(1-eps) + q >= 0, by bisection.
-        lo, hi = 0.0, 1.0 - 1e-15
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if c / (1.0 - mid) + q >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        eps = lo
-    else:
-        eps = mu0_sq / (mu0_sq - c)
+    eps = mu0_sq / (mu0_sq - c)
     return L2Bound(epsilon=eps, bound=eps ** -0.5, c=c, mu0=mu0)
 
 
@@ -341,6 +328,21 @@ _REGIONS = ("far-right", "far-left")
 _MODELS = ("general", "zero-v-leading")
 
 
+def offdiag_envelope(d: int, mu0: float, region: str, r: float, rp: float,
+                     model: str = "general") -> float:
+    """Model envelope of |T(z, z')| in one off-diagonal region.
+
+    The ``general`` envelopes are the two model bounds in the module
+    docstring; ``zero-v-leading`` is the far-right envelope r * r'^{-1-d}
+    of a zero-potential cone's bottom-mode subkernel.
+    """
+    if model == "zero-v-leading":
+        return r * rp ** (-1.0 - d)
+    if region == "far-right":
+        return (r / rp) ** (mu0 - 0.5 * d) * rp ** (-float(d))
+    return (rp / r) ** (mu0 - 0.5 * d + 1.0) * r ** (-float(d))
+
+
 @dataclass(frozen=True)
 class OffdiagReport:
     """Riesz kernel magnitudes against an off-diagonal model bound.
@@ -412,17 +414,9 @@ def offdiag_bound_check(
     y, yp = cs.points_at_separation(separation)
     r_values, mags, models = [], [], []
     for rp_val in rprimes:
-        if region == "far-right":
-            r_val = ratio * rp_val
-            z, zp_ = ConePoint(r_val, y), ConePoint(rp_val, yp)
-            if model == "zero-v-leading":
-                env = r_val * rp_val ** (-1.0 - d)
-            else:
-                env = (r_val / rp_val) ** (mu0 - 0.5 * d) * rp_val ** (-float(d))
-        else:
-            r_val = rp_val / ratio
-            z, zp_ = ConePoint(r_val, y), ConePoint(rp_val, yp)
-            env = (rp_val / r_val) ** (mu0 - 0.5 * d + 1.0) * r_val ** (-float(d))
+        r_val = ratio * rp_val if region == "far-right" else rp_val / ratio
+        z, zp_ = ConePoint(r_val, y), ConePoint(rp_val, yp)
+        env = offdiag_envelope(d, mu0, region, r_val, rp_val, model)
         kv = riesz_kernel(spectrum, z, zp_, rel_tol=rel_tol)
         r_values.append(r_val)
         mags.append(kv.magnitude)

@@ -55,8 +55,6 @@ __all__ = [
     "torus_spectrum",
     "load_spectrum",
     "save_spectrum",
-    "mu0",
-    "mu1",
     "weyl_fit",
     "WeylFit",
     "leading_modes",
@@ -280,10 +278,12 @@ class CrossSectionSpectrum:
 
     @property
     def mu0(self) -> float:
+        """Smallest mu (square root of the bottom eigenvalue of L_Y)."""
         return self.modes[0].mu
 
     @property
     def mu1(self) -> float:
+        """Smallest mu strictly greater than mu0."""
         if len(self.modes) < 2:
             raise InsufficientSpectrumError(
                 "second distinct eigenvalue requested but the table has one mode; "
@@ -312,16 +312,6 @@ class CrossSectionSpectrum:
             f"d={self.d} cross_section={cs} v0={self.v0_descriptor} "
             f"modes={len(self.modes)} mu0={self.mu0:.6g}"
         )
-
-
-def mu0(s: CrossSectionSpectrum) -> float:
-    """Smallest mu (square root of the bottom eigenvalue of L_Y)."""
-    return s.mu0
-
-
-def mu1(s: CrossSectionSpectrum) -> float:
-    """Smallest mu strictly greater than mu0."""
-    return s.mu1
 
 
 def _default_cutoff(mu_bottom: float) -> float:

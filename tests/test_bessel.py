@@ -93,6 +93,16 @@ class TestScaledRange:
         np.testing.assert_allclose(ev.float_value(), oracles.bessel_i_ref(1.0, 2.0),
                                    rtol=1e-13)
 
+    @pytest.mark.parametrize("nu", [0.3, 1.5, 5.0, 15.0, 29.9])
+    def test_tiny_argument_below_order_30(self, nu):
+        # Here scipy's scaled ive/kve underflow or overflow for most nu.
+        for r in (1e-10, 1e-100, 1e-250):
+            np.testing.assert_allclose(bessel_i(nu, r).log_abs,
+                                       oracles.log_bessel_i_ref(nu, r), rtol=1e-13)
+            np.testing.assert_allclose(bessel_k(nu, r).log_abs,
+                                       oracles.log_bessel_k_ref(nu, r), rtol=1e-13)
+            assert wronskian_residual(nu, r) < 1e-10, (nu, r)
+
     def test_large_argument_decay(self):
         ev = bessel_k(0.5, 500.0)
         ref = math.sqrt(math.pi / 1000.0) * math.exp(-500.0)
@@ -122,10 +132,13 @@ class TestIdentities:
             np.testing.assert_allclose(k32.log_abs, math.log(ref32), rtol=1e-12)
 
     def test_method_dispatch_regions(self):
-        assert bessel_i(1.0, 0.5).method == "power-series"
+        assert bessel_i(1.0, 0.5).method == "scipy"
+        assert bessel_k(0.3, 10.0).method == "scipy"
+        assert bessel_i(29.9, 1e-10).method == "power-series"
+        assert bessel_k(29.9, 1e-10).method == "small-argument"
+        assert bessel_i(50.0, 10.0).method == "power-series"
         assert bessel_i(50.0, 100.0).method == "uniform-asymptotic"
-        assert bessel_k(0.3, 1.0).method == "power-series"
-        assert bessel_k(0.3, 10.0).method == "continued-fraction"
+        assert bessel_k(50.0, 1e-3).method == "uniform-asymptotic"
 
 
 class TestOlverPolynomials:
@@ -157,15 +170,20 @@ class TestUniformBounds:
             assert fit.max_violation_ratio <= 1.25
 
     def test_tail_product_bound_is_provable(self):
-        # log_ik_bound must dominate the true product I_mu(a) K_mu(b).
+        # The resolvent's tail bounds must dominate the true products, with
+        # s = a/b: I K <= s^mu/(2 mu) (log_ik_bound), I' K <= s^mu (1/(2a) + a/b^2)
+        # and I |K'| <= s^mu / b.
         rng = np.random.default_rng(8)
         for _ in range(200):
             mu = float(rng.uniform(0.1, 80.0))
             b = float(10.0 ** rng.uniform(-3, 2))
             a = b * float(rng.uniform(0.01, 1.0))
-            bound = log_ik_bound(mu, a, b)
-            truth = bessel_i(mu, a).log_abs + bessel_k(mu, b).log_abs
-            assert truth <= bound + 1e-12, (mu, a, b)
+            log_s = mu * math.log(a / b)
+            i, di = bessel_i_with_dr(mu, a)
+            k, dk = bessel_k_with_dr(mu, b)
+            assert i.log_abs + k.log_abs <= log_ik_bound(mu, a, b) + 1e-12, (mu, a, b)
+            assert di.log_abs + k.log_abs <= log_s + math.log(0.5 / a + a / (b * b)) + 1e-12, (mu, a, b)
+            assert i.log_abs + dk.log_abs <= log_s - math.log(b) + 1e-12, (mu, a, b)
 
 
 class TestValidation:

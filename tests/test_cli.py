@@ -109,15 +109,6 @@ class TestKernel:
             ref = oracles.yukawa_kernel(float(r), float(rp), float(gamma), float(lam))
             assert float(value) == pytest.approx(ref, rel=1e-6)
 
-    def test_threaded_sweep_is_byte_identical(self, capsys, monkeypatch):
-        argv = ["kernel", "--d", "3", "--c", "0.4", "--r", "0.05,0.1,0.2,0.25",
-                "--rp", "1.0", "--gamma", "0.3,0.9,1.5,2.1", "--format", "csv"]
-        monkeypatch.delenv("CONEKIT_THREADS", raising=False)
-        _, serial, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("CONEKIT_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *argv)
-        assert serial == threaded
-
     def test_mismatched_sweep_lengths(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--d", "3", "--c", "0",
                                "--r", "0.1,0.2", "--rp", "1,2,3", "--gamma", "1")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conekit import (
-    ConeGeometry,
     ConePoint,
     DomainError,
     SeparationCrossSection,
@@ -14,7 +13,6 @@ from conekit import (
     TorusCrossSection,
     cone_distance,
 )
-from conekit.geometry import _phi, diag_defining, log_radial_grid
 
 from oracles import euclid_distance
 
@@ -124,31 +122,17 @@ class TestSeparationCrossSection:
         assert cs.dim is None and cs.volume is None
 
 
-class TestConeGeometry:
-    def test_dimension_consistency(self):
-        ConeGeometry(3, SphereCrossSection(2))  # fine
-        with pytest.raises(DomainError):
-            ConeGeometry(4, SphereCrossSection(2))
-        with pytest.raises(DomainError):
-            ConeGeometry(2, SphereCrossSection(1))
-
-    def test_separation_cross_section_fits_any_d(self):
-        ConeGeometry(3, SeparationCrossSection())
-        ConeGeometry(7, SeparationCrossSection())
-
+class TestConeDistance:
     def test_distance_matches_r3_embedding(self):
-        geom = ConeGeometry(3, SphereCrossSection(2))
-        cs = geom.cross_section
+        cs = SphereCrossSection(2)
         rng = np.random.default_rng(11)
         for _ in range(50):
             r, rp = rng.uniform(0.1, 5.0, size=2)
             gamma = rng.uniform(0.0, math.pi)
             y, yp = cs.points_at_separation(gamma)
-            got = geom.distance(ConePoint(r, y), ConePoint(rp, yp))
+            got = cone_distance(r, rp, cs.distance(y, yp))
             np.testing.assert_allclose(got, euclid_distance(r, rp, gamma), rtol=1e-12)
 
-
-class TestConeDistance:
     def test_law_of_cosines_region(self):
         np.testing.assert_allclose(
             cone_distance(1.0, 2.0, 1.0), euclid_distance(1.0, 2.0, 1.0), rtol=1e-14
@@ -176,37 +160,3 @@ class TestConeDistance:
             cone_distance(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             cone_distance(1.0, 1.0, -0.1)
-
-
-class TestDiagDefining:
-    def test_phi_branches_and_monotonicity(self):
-        assert _phi(0.3) == 0.3
-        assert _phi(2.0) == 1.0
-        xs = np.linspace(0.01, 1.2, 200)
-        vals = [_phi(float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        # C^1 junctions: finite-difference slopes approach 1 and 0.
-        h = 1e-6
-        assert (_phi(0.5 + h) - _phi(0.5 - h)) / (2 * h) == pytest.approx(1.0, abs=1e-5)
-        assert (_phi(1.0 + h) - _phi(1.0 - h)) / (2 * h) == pytest.approx(0.0, abs=1e-5)
-
-    def test_diag_defining_scales(self):
-        geom = ConeGeometry(3, SphereCrossSection(2))
-        y, yp = geom.cross_section.points_at_separation(0.01)
-        near = diag_defining(ConePoint(1.0, y), ConePoint(1.0, yp), geom)
-        far = diag_defining(ConePoint(5.0, y), ConePoint(1.0, yp), geom)
-        assert near < 1e-3 < far
-
-
-class TestLogRadialGrid:
-    def test_endpoints_and_ratios(self):
-        g = log_radial_grid(1e-3, 1e3, 7)
-        np.testing.assert_allclose(g[0], 1e-3, rtol=1e-14)
-        np.testing.assert_allclose(g[-1], 1e3, rtol=1e-14)
-        np.testing.assert_allclose(np.diff(np.log(g)), math.log(10), rtol=1e-12)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(DomainError):
-            log_radial_grid(1.0, 0.5, 5)
-        with pytest.raises(DomainError):
-            log_radial_grid(1.0, 2.0, 1)

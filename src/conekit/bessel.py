@@ -4,26 +4,30 @@ The resolvent series multiplies I_mu(a) by K_mu(b) for orders mu up to a
 few hundred and arguments from 1e-6 to several hundred.  In that range the
 factors individually overflow or underflow double precision
 (I_mu(r) ~ (r/2)^mu / Gamma(mu+1), K_mu(r) ~ Gamma(mu) (2/r)^mu / 2 near
-zero) long before their product does.  Every evaluation therefore carries
-an explicit binary exponent: the result is ``value * 2**exp2``, with
-``exp2 == 0`` whenever the plain float is comfortably representable.
+zero) long before their product does.  The engine therefore works in log
+space: :func:`log_scaled` returns log(I_nu(x) e^{-x}) or log(K_nu(x) e^{x})
+for a whole array of orders at once.  The public scalar evaluations wrap
+it and carry an explicit binary exponent: the result is
+``value * 2**exp2``, with ``exp2 == 0`` whenever the plain float is
+comfortably representable (see :func:`split_log`).
 
-Algorithm selection (the order cutover is ``DEFAULTS.olver_nu_min`` = 30):
+Algorithm, the same rule at every order:
 
-* nu < 30: scipy's exponentially scaled ``ive`` / ``kve``, with the
-  e^{+-r} factor folded into the binary exponent.  Their scaled value
-  leaves the normal doubles only at tiny r (at nu = 29.9, below about
-  r = 1e-9); there ``I`` falls back to the ascending power series and
-  ``K`` to its leading term Gamma(nu) (2/r)^nu / 2 (DLMF 10.30.2), whose
-  relative correction (r/2)^2 / (nu - 1) is then far below rounding.
-* nu >= 30: ``I`` by the ascending power series for r <= nu/2 and by
-  Olver's uniform large-order asymptotics above; ``K`` by Olver.
+* scipy's exponentially scaled ``ive`` / ``kve`` wherever the scaled value
+  is a normal finite double.
+* The other entries fall back one at a time.  ``ive`` underflows only at
+  x << nu (at nu = 30 below about x = 2e-9, at nu = 200 below x = 4.6);
+  there ``I`` comes from the ascending power series, which converges in a
+  few terms.  ``kve`` overflows at small x; there ``K`` comes from its
+  leading term Gamma(nu) (2/x)^nu / 2 (DLMF 10.30.2) below order
+  ``DEFAULTS.olver_nu_min`` = 30, whose relative correction
+  (x/2)^2 / (nu - 1) is then far below rounding, and from Olver's uniform
+  large-order expansion (DLMF 10.41.4) at and above it.
 
-Each order is dispatched on its own, so the order-(nu+1) partners used
-by the derivatives may take a different branch from order nu.
-Derivatives use ``I'_nu = I_{nu+1} + (nu/r) I_nu`` and
-``K'_nu = -(K_{nu-1} + K_{nu+1})/2``, arranged so no cancellation-prone
-downward step is ever taken.
+Derivatives use ``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
+``K'_nu = -(K_{|nu-1|} + K_{nu+1})/2``.  Both are sums of positive terms,
+combined with ``logaddexp``, so no cancellation occurs; each partner order
+is dispatched by the rule above on its own.
 
 Accuracy: validated against 40-digit reference values at 1e-12 relative
 over nu <= 200, r in [1e-6, 500] (see the test suite).  ``abs_error_est``
@@ -37,13 +41,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from scipy.special import ive, kve
 
-from ._scaled import add2 as _add
-from ._scaled import from_log as _from_log
-from ._scaled import log_of as _log_of
-from ._scaled import mul2 as _mul
-from ._scaled import norm2 as _norm
 from .config import DEFAULTS
 from .errors import DomainError
 
@@ -53,6 +53,8 @@ __all__ = [
     "bessel_k",
     "bessel_i_with_dr",
     "bessel_k_with_dr",
+    "log_scaled",
+    "split_log",
     "wronskian_residual",
     "log_ik_bound",
     "BoundFit",
@@ -62,6 +64,8 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
+_LN2_HI = 6.93147180369123816490e-01  # Cody-Waite split of log 2
+_LN2_LO = 1.90821492927058770002e-10
 _TINY = 2.2250738585072014e-308  # smallest normal double
 
 
@@ -96,15 +100,21 @@ class BesselEval:
         return abs(self.abs_error_est / self.value)
 
 
-def _pack(pair: tuple[float, int], rel_err: float, method: str) -> BesselEval:
-    m, e = _norm(*pair)
-    if m == 0.0:
-        return BesselEval(0.0, 0.0, method, 0)
-    log2_total = math.log2(abs(m)) + e
-    if abs(log2_total) <= DEFAULTS.fold_exp2:
-        v = math.ldexp(m, e)
-        return BesselEval(v, abs(v) * rel_err, method, 0)
-    return BesselEval(m, abs(m) * rel_err, method, e)
+def split_log(ln_x: float) -> tuple[float, int]:
+    """(m, e) with m * 2**e = exp(ln_x), for any ln_x including far outside float range.
+
+    ``e`` is zero while the plain float is comfortably representable
+    (|log2| <= ``DEFAULTS.fold_exp2``); otherwise m lies in [1, 2).  The
+    log 2 is split (Cody-Waite), so the folding stays accurate to about an
+    ulp even for |ln_x| in the thousands.
+    """
+    if ln_x == -math.inf:
+        return 0.0, 0
+    e = math.floor(ln_x / _LN2)
+    if abs(e) <= DEFAULTS.fold_exp2:
+        return math.exp(ln_x), 0
+    m, shift = math.frexp(math.exp((ln_x - e * _LN2_HI) - e * _LN2_LO))
+    return 2.0 * m, e + shift - 1
 
 
 def _validate(nu: float, r: float) -> tuple[float, float]:
@@ -117,11 +127,11 @@ def _validate(nu: float, r: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# I_nu: ascending power series.
+# Fallbacks, one order at a time: each returns (log value, rel error).
 # ----------------------------------------------------------------------
 
-def _i_series(nu: float, r: float) -> tuple[tuple[float, int], float]:
-    """All-positive ascending series; returns (scaled value, rel error)."""
+def _i_series(nu: float, r: float) -> tuple[float, float]:
+    """log I_nu(r) by the all-positive ascending series."""
     q = 0.25 * r * r
     term = 1.0
     total = 1.0
@@ -141,14 +151,9 @@ def _i_series(nu: float, r: float) -> tuple[tuple[float, int], float]:
         if k > 100000:  # pragma: no cover - unreachable for finite inputs
             raise ArithmeticError("I series failed to converge")
     ln_pref = nu * math.log(0.5 * r) - math.lgamma(nu + 1.0)
-    m, e = _from_log(ln_pref)
     rel = (k + 4) * _EPS + 2.0 * abs(ln_pref) * _EPS
-    return _norm(m * total, e + shift), rel
+    return ln_pref + math.log(total) + shift * _LN2, rel
 
-
-# ----------------------------------------------------------------------
-# Olver's uniform large-order asymptotics.
-# ----------------------------------------------------------------------
 
 def _gen_olver_polys(kmax: int) -> list[list[float]]:
     """U_k polynomials (ascending coefficients in p), exact recurrence.
@@ -184,143 +189,140 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _olver_series(nu: float, p: float, alternate: bool) -> tuple[float, float]:
-    total = 0.0
-    last = 0.0
-    for k, poly in enumerate(_U_POLYS):
-        term = _horner(poly, p) / nu**k
-        if alternate and k % 2 == 1:
-            term = -term
-        total += term
-        last = term
-    return total, abs(last / total) if total != 0.0 else 0.0
-
-
-def _olver_frame(nu: float, x: float) -> tuple[float, float]:
+def _olver_k(nu: float, x: float) -> tuple[float, float]:
+    """log K_nu(x) by Olver's uniform large-order expansion."""
     z = x / nu
     w = math.hypot(1.0, z)
     p = 1.0 / w
     eta = w + math.log(z / (1.0 + w))
-    return p, eta
+    total = 0.0
+    for k, poly in enumerate(_U_POLYS):
+        last = (-1) ** k * _horner(poly, p) / nu**k
+        total += last
+    ln_val = -nu * eta + 0.5 * math.log(math.pi / (2.0 * nu)) - 0.5 * math.log(1.0 / p) + math.log(total)
+    return ln_val, abs(last / total) + (abs(nu * eta) + 16.0) * _EPS
 
 
-def _olver_i(nu: float, x: float) -> tuple[tuple[float, int], float]:
-    p, eta = _olver_frame(nu, x)
-    s, trunc = _olver_series(nu, p, alternate=False)
-    ln_val = nu * eta - 0.5 * math.log(2.0 * math.pi * nu) - 0.5 * math.log(1.0 / p) + math.log(s)
-    rel = trunc + (abs(nu * eta) + 16.0) * _EPS
-    return _from_log(ln_val), rel
+def _k_leading(nu: float, x: float) -> tuple[float, float]:
+    """log K_nu(x) by its small-argument leading term (nu < olver_nu_min).
 
-
-def _olver_k(nu: float, x: float) -> tuple[tuple[float, int], float]:
-    p, eta = _olver_frame(nu, x)
-    s, trunc = _olver_series(nu, p, alternate=True)
-    ln_val = -nu * eta + 0.5 * math.log(math.pi / (2.0 * nu)) - 0.5 * math.log(1.0 / p) + math.log(s)
-    rel = trunc + (abs(nu * eta) + 16.0) * _EPS
-    return _from_log(ln_val), rel
-
-
-# ----------------------------------------------------------------------
-# One order at a time.
-# ----------------------------------------------------------------------
-
-def _from_scipy(scaled: float, ln_factor: float, nu: float) -> tuple[tuple[float, int], float]:
-    """Scaled pair for ``scaled * e^ln_factor`` and its relative error estimate.
-
-    The estimate models scipy's measured error, which grows with the order
-    and with the log of the value (power-series prefactors at small r).
+    kve overflows only where nu > 0.95, and (x/2)^2/(nu-1) bounds the next
+    term for nu > 1 (for nu <= 1, x is subnormal).
     """
-    pair = _mul(_norm(scaled, 0), _from_log(ln_factor))
-    return pair, 16.0 * _EPS * (1.0 + nu + abs(_log_of(pair)))
-
-
-def _i_one(nu: float, x: float) -> tuple[tuple[float, int], float, str]:
-    """I_nu(x) as (scaled pair, rel error, method)."""
-    if nu < DEFAULTS.olver_nu_min:
-        v = float(ive(nu, x))
-        if v >= _TINY:  # 0 or subnormal at tiny x
-            return (*_from_scipy(v, x, nu), "scipy")
-    elif x > 0.5 * nu:
-        return (*_olver_i(nu, x), "uniform-asymptotic")
-    return (*_i_series(nu, x), "power-series")
-
-
-def _k_one(nu: float, x: float) -> tuple[tuple[float, int], float, str]:
-    """K_nu(x) as (scaled pair, rel error, method)."""
-    if nu >= DEFAULTS.olver_nu_min:
-        return (*_olver_k(nu, x), "uniform-asymptotic")
-    v = float(kve(nu, x))
-    if math.isfinite(v):  # inf at tiny x
-        return (*_from_scipy(v, -x, nu), "scipy")
-    # Leading term; kve overflows only where nu > 0.95, and (x/2)^2/(nu-1)
-    # bounds the next term for nu > 1 (for nu <= 1, x is subnormal).
     ln_val = math.lgamma(nu) + (nu - 1.0) * _LN2 - nu * math.log(x)
     trunc = 0.25 * x * x / (nu - 1.0) if nu > 1.0 else 0.0
-    return _from_log(ln_val), (4.0 + 2.0 * abs(ln_val)) * _EPS + trunc, "small-argument"
+    return ln_val, (4.0 + 2.0 * abs(ln_val)) * _EPS + trunc
 
 
 # ----------------------------------------------------------------------
-# Public evaluations.
+# Whole arrays of orders.
 # ----------------------------------------------------------------------
+
+def _log_scaled_values(kind: str, nu: np.ndarray, x: float):
+    """(log scaled value, rel error, fell-back mask) for one kind, no derivative."""
+    shift = x if kind == "i" else -x  # log of the unscaled value = ln + shift
+    scaled = ive(nu, x) if kind == "i" else kve(nu, x)
+    fell = ~(np.isfinite(scaled) & (scaled >= _TINY))
+    ln = np.log(np.maximum(scaled, _TINY))  # fallen-back entries are replaced below
+    # Models scipy's measured error, which grows with the order and with
+    # the log of the value (power-series prefactors at small x).
+    rel = 16.0 * _EPS * (1.0 + nu + np.abs(ln + shift))
+    for j in np.flatnonzero(fell):
+        nu_j = float(nu[j])
+        if kind == "i":
+            ln_j, rel[j] = _i_series(nu_j, x)
+        elif nu_j >= DEFAULTS.olver_nu_min:
+            ln_j, rel[j] = _olver_k(nu_j, x)
+        else:
+            ln_j, rel[j] = _k_leading(nu_j, x)
+        ln[j] = ln_j - shift
+    return ln, rel, fell
+
+
+def log_scaled(kind: str, nu, x: float, with_dr: bool = False):
+    """Logs of I_nu(x) e^{-x} (``kind="i"``) or K_nu(x) e^{x} (``"k"``) over an array of orders.
+
+    Returns ``(ln, ln_dr, rel, fell)``, arrays aligned with ``nu``:
+
+    * ``ln`` -- the log of the scaled function;
+    * ``ln_dr`` -- with ``with_dr``, the log of |d/dx| of the function on
+      the same e^{-+x} scale (I' > 0 and K' < 0 throughout), else None;
+    * ``rel`` -- relative error estimate, covering the derivative
+      partners' too;
+    * ``fell`` -- True where the order did not come from scipy.
+    """
+    nu = np.asarray(nu, dtype=float)
+    if not with_dr:
+        ln, rel, fell = _log_scaled_values(kind, nu, x)
+        return ln, None, rel, fell
+    n = nu.size
+    if kind == "i":
+        ln, rel, fell = _log_scaled_values("i", np.concatenate((nu, nu + 1.0)), x)
+        with np.errstate(divide="ignore"):  # nu = 0 drops the second term
+            ln_dr = np.logaddexp(ln[n:], np.log(nu / x) + ln[:n])
+    else:
+        orders = np.concatenate((nu, np.abs(nu - 1.0), nu + 1.0))
+        ln, rel, fell = _log_scaled_values("k", orders, x)
+        ln_dr = np.logaddexp(ln[n:2 * n], ln[2 * n:]) - _LN2
+    rel = rel.reshape(-1, n).max(axis=0)
+    return ln[:n], ln_dr, rel, fell[:n]
+
+
+# ----------------------------------------------------------------------
+# Public scalar evaluations.
+# ----------------------------------------------------------------------
+
+def _scalar(kind: str, nu: float, r: float, with_dr: bool):
+    nu, r = _validate(nu, r)
+    ln, ln_dr, rel, fell = log_scaled(kind, [nu], r, with_dr)
+    if not fell[0]:
+        method = "scipy"
+    elif kind == "i":
+        method = "power-series"
+    else:
+        method = "uniform-asymptotic" if nu >= DEFAULTS.olver_nu_min else "small-argument"
+    shift = r if kind == "i" else -r
+    m, e = split_log(float(ln[0]) + shift)
+    value = BesselEval(m, m * float(rel[0]), method, e)
+    if not with_dr:
+        return value
+    m, e = split_log(float(ln_dr[0]) + shift)
+    sign = 1.0 if kind == "i" else -1.0
+    return value, BesselEval(sign * m, m * (float(rel[0]) + 4.0 * _EPS), method, e)
+
 
 def bessel_i(nu: float, r: float) -> BesselEval:
     """Modified Bessel function of the first kind, scaled on overflow."""
-    nu, r = _validate(nu, r)
-    return _pack(*_i_one(nu, r))
+    return _scalar("i", nu, r, False)
 
 
 def bessel_k(nu: float, r: float) -> BesselEval:
     """Modified Bessel function of the second kind, scaled on overflow."""
-    nu, r = _validate(nu, r)
-    return _pack(*_k_one(nu, r))
+    return _scalar("k", nu, r, False)
 
 
 def bessel_i_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
-    """(I_nu(r), d/dr I_nu(r)) sharing intermediate work.
-
-    The derivative uses I'_nu = I_{nu+1} + (nu/r) I_nu, which involves only
-    nonnegative terms (no cancellation) and is valid for every nu >= 0.
-    """
-    nu, r = _validate(nu, r)
-    v0, r0, method = _i_one(nu, r)
-    v1, r1, _ = _i_one(nu + 1.0, r)
-    rel = max(r0, r1)
-    deriv = _add(v1, _mul(_norm(nu / r, 0), v0))
-    return _pack(v0, rel, method), _pack(deriv, rel + 4.0 * _EPS, method)
+    """(I_nu(r), d/dr I_nu(r)); the derivative is I_{nu+1} + (nu/r) I_nu."""
+    return _scalar("i", nu, r, True)
 
 
 def bessel_k_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
-    """(K_nu(r), d/dr K_nu(r)) sharing intermediate work.
-
-    K'_nu = -(K_{nu-1} + K_{nu+1})/2 with K_{nu-1} = K_{|nu-1|}.  For
-    nu >= 1, K_{nu+1} is recovered from (K_{nu-1}, K_nu) by one *forward*
-    step, so no subtractive recurrence occurs.
-    """
-    nu, r = _validate(nu, r)
-    kc, rel, method = _k_one(nu, r)
-    km, rel_m, _ = _k_one(abs(nu - 1.0), r)
-    rel = max(rel, rel_m)
-    if nu >= 1.0:
-        kp = _add(km, _mul(_norm(2.0 * nu / r, 0), kc))
-    else:
-        kp, rel_p, _ = _k_one(nu + 1.0, r)
-        rel = max(rel, rel_p)
-    deriv = _mul(_norm(-0.5, 0), _add(km, kp))
-    return _pack(kc, rel, method), _pack(deriv, rel + 4.0 * _EPS, method)
+    """(K_nu(r), d/dr K_nu(r)); the derivative is -(K_{|nu-1|} + K_{nu+1})/2."""
+    return _scalar("k", nu, r, True)
 
 
 def wronskian_residual(nu: float, r: float) -> float:
     """r * |I_nu(r) K'_nu(r) - I'_nu(r) K_nu(r) + 1/r| (should be ~0).
 
     The exact Wronskian is I K' - I' K = -1/r; the residual is scaled by r
-    so it is a relative-size quantity across the whole range.
+    so it is a relative-size quantity across the whole range.  On the
+    scaled logs the e^{-+r} factors cancel in both products.
     """
-    i0, i1 = bessel_i_with_dr(nu, r)
-    k0, k1 = bessel_k_with_dr(nu, r)
-    ik = _mul((i0.value, i0.exp2), (k1.value, k1.exp2))
-    ki = _mul((i1.value, i1.exp2), (k0.value, k0.exp2))
-    total = _add(_add(ik, (-ki[0], ki[1])), _norm(1.0 / r, 0))
-    return abs(math.ldexp(total[0], total[1])) * r
+    nu, r = _validate(nu, r)
+    li, ldi, _, _ = log_scaled("i", [nu], r, True)
+    lk, ldk, _, _ = log_scaled("k", [nu], r, True)
+    log_r = math.log(r)
+    return abs(1.0 - math.exp(li[0] + ldk[0] + log_r) - math.exp(ldi[0] + lk[0] + log_r))
 
 
 # ----------------------------------------------------------------------
@@ -395,27 +397,28 @@ def _geom(lo: float, hi: float, n: int) -> list[float]:
     return [lo * ratio**i for i in range(n)]
 
 
+def _log_values(kind: str, mus, r: float) -> np.ndarray:
+    """log I_mu(r) (``kind="i"``) or log K_mu(r) (``"k"``) over a list of orders."""
+    return log_scaled(kind, mus, r)[0] + (r if kind == "i" else -r)
+
+
 def _fit_single(bound_id: str, mus, rs) -> float:
     """Largest log-space ratio observed / model over the grid, exponentiated."""
     worst = -math.inf
-    for mu in mus:
-        for r in rs:
-            if bound_id.startswith("i-"):
-                val = bessel_i(mu, r)
-            else:
-                val = bessel_k(mu, r)
-            worst = max(worst, val.log_abs - _log_model(bound_id, mu, r))
+    for r in rs:
+        got = _log_values(bound_id[0], mus, r)
+        worst = max(worst, *(g - _log_model(bound_id, mu, r) for g, mu in zip(got, mus)))
     return math.exp(worst)
 
 
 def _fit_product(mus, rps) -> float:
     worst = -math.inf
-    for mu in mus:
-        for rp in rps:
-            for ratio in (4.0, 8.0, 16.0):
-                r = rp / ratio
-                lhs = bessel_i(mu, r).log_abs + bessel_k(mu, rp).log_abs
-                worst = max(worst, lhs - _log_model("ik-far-product", mu, r, rp))
+    for rp in rps:
+        log_k = _log_values("k", mus, rp)
+        for ratio in (4.0, 8.0, 16.0):
+            r = rp / ratio
+            lhs = _log_values("i", mus, r) + log_k
+            worst = max(worst, *(v - _log_model("ik-far-product", mu, r, rp) for v, mu in zip(lhs, mus)))
     return math.exp(worst)
 
 

@@ -22,6 +22,7 @@ import json
 import sys
 
 from . import __version__
+from .config import DEFAULTS
 from .errors import ConekitError, DomainError
 from .geometry import ConePoint
 from .lpcheck import HomogeneousKernelSpec, lp_norm_probe, riesz_probe_kernel
@@ -373,7 +374,7 @@ def _build_parser() -> _Parser:
     _add_source_args(ke, need_point=True)
     ke.add_argument("--lambda", dest="lam_list", type=str, default="1",
                     help="spectral parameter (or comma list)")
-    ke.add_argument("--rel-tol", type=float, default=1e-8)
+    ke.add_argument("--rel-tol", type=float, default=DEFAULTS.kernel_rel_tol)
     ke.add_argument("--gauge", choices=("riemannian", "b-half"), default="riemannian")
     ke.add_argument("--format", choices=("text", "csv"), default="text")
     ke.add_argument("--out", type=str, default=None)
@@ -381,7 +382,7 @@ def _build_parser() -> _Parser:
 
     ri = sub.add_parser("riesz", help="Riesz transform kernel values")
     _add_source_args(ri, need_point=True)
-    ri.add_argument("--rel-tol", type=float, default=1e-6)
+    ri.add_argument("--rel-tol", type=float, default=DEFAULTS.riesz_rel_tol)
     ri.add_argument("--format", choices=("text", "csv"), default="text")
     ri.add_argument("--out", type=str, default=None)
     ri.set_defaults(handler=_cmd_riesz)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Defaults:
     # --- Bessel engine -------------------------------------------------
-    # Below this order scipy's ive/kve are used; from it on, the power
-    # series (I, r <= nu/2) and Olver's uniform asymptotics.
+    # Where scipy's kve overflows, K comes from its small-argument leading
+    # term below this order and from Olver's uniform asymptotics from it on.
     olver_nu_min: float = 30.0
     # Scaled values are folded into a plain float when |log2 value| <= this.
     fold_exp2: int = 600

@@ -45,7 +45,8 @@ same Wronskian.
 
 Summed against the mode-norm bounds ``pair_sup`` / ``grad_sup`` and the
 spectrum's beyond-cutoff tail profile, they give a rigorous remainder
-after any number of terms.  A result is *certified* when s <= 1/4 (so
+after any number of terms: a reversed ``np.logaddexp.accumulate`` of the
+log weights, seeded with ``tail_profile.sum_beyond``.  A result is *certified* when s <= 1/4 (so
 the cutoff margin built into the mode table guarantees the target is
 reachable) and the remainder fell below ``rel_tol * |value|``; the
 ``tail_bound`` field then satisfies that inequality by construction.
@@ -57,6 +58,22 @@ not a guarantee (``tail_kind == "cauchy"``).
 ``tail_bound`` covers series truncation only; the floating-point error
 of the summed terms (~1e-13 relative, see the Bessel module) is not
 included.
+
+Evaluation
+----------
+One numpy pass covers the whole mode table.  The spectrum's
+``pair_values`` gives every pair_j (and its derivative) from one
+cross-section distance; :func:`conekit.bessel.log_scaled` gives
+L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}) for every order.  Each
+term is pair_j * exp(L_j - max L), a signed log-sum-exp whose common
+factor e^{max L + a - b} and gauge factor are applied once, when the
+result is packed.  Partial sums are one ``np.cumsum``.  The stop index is
+the first at which the remainder is below ``rel_tol`` times the partial
+sum in every component (rigorous), or which ends ``heuristic_run``
+consecutive terms below ``rel_tol/10`` of their partial sums (Cauchy);
+the value is the partial sum there.  The radial derivative with z inner
+uses beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu,
+so the two 1/r parts cancel in closed form, not in rounding at tiny r.
 """
 
 from __future__ import annotations
@@ -66,10 +83,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scaled import add2, from_log, log_of, mul2, norm2, to_float
-from .bessel import bessel_i, bessel_i_with_dr, bessel_k, bessel_k_with_dr
+from .bessel import log_scaled, split_log
 from .config import DEFAULTS
-from .errors import DomainError, NormsOnlyError
+from .errors import DomainError
 from .geometry import ConePoint
 from .spectrum import CrossSectionSpectrum
 
@@ -88,7 +104,7 @@ __all__ = [
 ]
 
 _GAUGES = ("riemannian", "b-half")
-_ZERO = (0.0, 0)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -192,71 +208,45 @@ def gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
     raise DomainError(f"unknown density gauge {density_gauge!r}")
 
 
-def _suffix_tables(spectrum, s, kinds):
-    """Scaled-pair suffix sums of per-mode tail bounds, one list per kind.
+def _suffix_logs(spectrum, s, kind):
+    """log of the suffix sums of per-mode tail bounds, one entry per mode plus one.
 
-    ``table[kind][j]`` bounds the contribution of modes j, j+1, ... plus
-    everything beyond the table cutoff.  Kind weights:
+    Entry j bounds the contribution of modes j, j+1, ... plus everything
+    beyond the table cutoff (the last entry is that beyond-cutoff sum
+    alone).  Kind weights:
 
     * ``pair_over_2mu``: pair_sup * s^mu / (2 mu)   (kernel terms)
     * ``pair``:          pair_sup * s^mu            (radial-derivative terms)
     * ``grad_over_2mu``: grad_sup * s^mu / (2 mu)   (angular terms)
     """
-    modes = spectrum.modes
-    n = len(modes)
-    log_s = math.log(s)
-    out = {}
-    for kind in kinds:
-        suf = [_ZERO] * (n + 1)
-        beyond = spectrum.tail_profile.sum_beyond(s, modes[-1].mu, kind)
-        suf[n] = norm2(beyond, 0)
-        for j in range(n - 1, -1, -1):
-            m = modes[j]
-            sup = m.pair_sup if kind != "grad_over_2mu" else m.grad_sup
-            if sup is not None and sup > 0.0:
-                lt = math.log(sup) + m.mu * log_s
-                if kind != "pair":
-                    lt -= math.log(2.0 * m.mu)
-                suf[j] = add2(suf[j + 1], from_log(lt))
-            else:
-                suf[j] = suf[j + 1]
-        out[kind] = suf
-    return out
+    mu, pair_sup, grad_sup = spectrum.mode_table
+    beyond = spectrum.tail_profile.sum_beyond(s, spectrum.modes[-1].mu, kind)
+    with np.errstate(divide="ignore"):  # zero weights are log 0 = -inf
+        log_w = np.log(grad_sup if kind == "grad_over_2mu" else pair_sup) + mu * math.log(s)
+        if kind != "pair":
+            log_w -= np.log(2.0 * mu)
+        log_w = np.append(log_w, np.log(beyond))
+    return np.logaddexp.accumulate(log_w[::-1])[::-1]
 
 
-def _below(tail, acc, log_rel_tol) -> bool:
-    """tail <= rel_tol * |acc| in scaled arithmetic (0 <= 0 counts)."""
-    return log_of(tail) <= log_rel_tol + log_of(acc)
-
-
-def _pack(acc, tail, modes_used, certified, gauge, tail_kind) -> KernelValue:
-    """Fold a scaled accumulator and its tail into a KernelValue."""
-    m, e = acc
-    tm, te = tail
-    if m == 0.0:
-        tail_f = to_float((tm, te)) if tm != 0.0 else 0.0
-        return KernelValue(0.0, tail_f, modes_used, 0, certified, gauge, tail_kind)
-    if abs(e) <= DEFAULTS.fold_exp2:
-        val = math.ldexp(m, e)
-        tail_f = math.ldexp(tm, te) if tm != 0.0 else 0.0
-        return KernelValue(val, tail_f, modes_used, 0, certified, gauge, tail_kind)
-    tail_f = math.ldexp(tm, te - e) if tm != 0.0 else 0.0
-    return KernelValue(m, tail_f, modes_used, e, certified, gauge, tail_kind)
+def _pack(total, log_scale, log_tail, modes_used, certified, gauge, tail_kind) -> KernelValue:
+    """KernelValue for the sum ``total * e^log_scale`` with the tail e^log_tail."""
+    if total == 0.0:
+        return KernelValue(0.0, math.exp(log_tail), modes_used, 0, certified, gauge, tail_kind)
+    m, e = split_log(math.log(abs(total)) + log_scale)
+    return KernelValue(math.copysign(m, total), math.exp(log_tail - e * _LN2), modes_used, e,
+                       certified, gauge, tail_kind)
 
 
 def _eval_series(request: ResolventRequest, need_grad: bool):
     """Shared evaluation core for the kernel and its gradient."""
     spec = request.spectrum
-    if spec.norms_only:
-        raise NormsOnlyError(
-            "spectrum carries mode norms only (no pair functions); "
-            "kernel evaluation is impossible"
-        )
     cs = spec.cross_section
     if cs is None:
         raise DomainError("spectrum carries no cross-section; kernel evaluation needs one")
     z, zp, lam, rel_tol = request.z, request.zp, request.lam, request.rel_tol
     gamma = cs.distance(z.y, zp.y)
+    pair, grad = spec.pair_values(z.y, zp.y, gamma)
     r, rp = z.r, zp.r
     z_small = r <= rp  # at r == r' the radial derivative is one-sided (z inner)
     a_r, b_r = (r, rp) if z_small else (rp, r)
@@ -264,138 +254,94 @@ def _eval_series(request: ResolventRequest, need_grad: bool):
     if s == 1.0 and gamma == 0.0:
         raise DomainError("resolvent kernel is singular on the diagonal z = z'")
     a, b = lam * a_r, lam * b_r
+    ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
+    beta_r = (1.0 - 0.5 * spec.d) / r
+
+    # Each component is (terms, log scale): term j times e^scale is the
+    # j-th series term.  The scale is the max shift plus the factor e^{a-b}
+    # that the exponentially scaled Bessel logs leave out.
+    mu = spec.mode_table[0]
+    log_i = log_scaled("i", mu, a)[0]
+    log_k, log_dk, _, _ = log_scaled("k", mu, b, need_grad and not z_small)
+    log_ik = log_i + log_k
+    shift = log_ik.max()
+    ik = np.exp(log_ik - shift)
+    comps = [(pair * ik, shift + a - b)]
+    if need_grad:
+        # Radial factor coef_ik * I K + coef_1 * e^{log_1}.  With z inner,
+        # beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu: the two
+        # 1/r parts cancel in closed form instead of in rounding.  With z
+        # outer, beta_r K and lam K' have the same sign.
+        if z_small:
+            log_1 = log_scaled("i", mu + 1.0, a)[0] + log_k
+            coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2)) / r, lam
+        else:
+            log_1 = log_i + log_dk
+            coef_ik, coef_1 = beta_r, -lam
+        shift_r = max(shift, log_1.max())
+        d_terms = coef_ik * np.exp(log_ik - shift_r) + coef_1 * np.exp(log_1 - shift_r)
+        comps.append((pair * d_terms, shift_r + a - b))
+        if not ang_exact_zero:
+            comps.append((grad / r * ik, shift + a - b))
+    sums = [np.cumsum(terms) for terms, _ in comps]
+    n = len(mu)
+    log_rel_tol = math.log(rel_tol)
 
     rigorous = (
         s < 1.0
         and spec.certifiable
         and (spec.grad_certifiable if need_grad else True)
     )
-    ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
-
     if rigorous:
-        kinds = ["pair_over_2mu"]
+        tails = [_suffix_logs(spec, s, "pair_over_2mu")]
         if need_grad:
-            kinds.append("pair")
+            # radial tail = |1-d/2|/r * suf_k + lam * deriv_factor * suf_p
+            deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+            tails.append(np.logaddexp(math.log(abs(beta_r)) + tails[0],
+                                      math.log(lam * deriv_factor) + _suffix_logs(spec, s, "pair")))
             if not ang_exact_zero:
-                kinds.append("grad_over_2mu")
-        suf = _suffix_tables(spec, s, kinds)
-        suf_k = suf["pair_over_2mu"]
-        suf_p = suf.get("pair")
-        suf_g = suf.get("grad_over_2mu")
-        # radial tail = |1-d/2|/r * suf_k + lam * deriv_factor * suf_p
-        deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+                tails.append(_suffix_logs(spec, s, "grad_over_2mu") - math.log(r))
+        # Stop at the first j whose remainder is below rel_tol * |partial sum|
+        # in every component (0 <= 0 counts).
+        with np.errstate(divide="ignore"):
+            ok = np.logical_and.reduce([
+                tail[1:] <= log_rel_tol + np.log(np.abs(total)) + scale
+                for tail, total, (_, scale) in zip(tails, sums, comps)
+            ])
+        stopped = bool(ok.any())
+        used = int(ok.argmax()) + 1 if stopped else n
+        log_tails = [tail[used] for tail in tails]
+    else:
+        # Cauchy heuristic: stop after heuristic_run consecutive terms below
+        # rel_tol/10 of their partial sums, in every component, and after at
+        # least two terms.
+        run = DEFAULTS.heuristic_run
+        small = np.logical_and.reduce([
+            np.abs(terms) <= 0.1 * rel_tol * np.abs(total)
+            for (terms, _), total in zip(comps, sums)
+        ])
+        hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:n] >= run
+        hit[0] = False
+        stopped = bool(hit.any())
+        used = int(hit.argmax()) + 1 if stopped else n
+        # Extrapolation: three times the sum of the last few |terms|.
+        with np.errstate(divide="ignore"):
+            log_tails = [float(np.log(3.0 * np.abs(terms[max(0, used - run):used]).sum())) + scale
+                         for terms, scale in comps]
 
-    log_rel_tol = math.log(rel_tol)
-    beta_r = (1.0 - 0.5 * spec.d) / z.r
-    acc_k = acc_r = acc_a = _ZERO
-    tail_k = tail_r = tail_a = None
-    recent: list[tuple] = []  # |term| pairs for the Cauchy heuristic
-    small_run = 0
-    used = 0
-    stopped = False
-
-    for j, mode in enumerate(spec.modes):
-        pe = mode.pair_eval(z.y, zp.y)
-        if need_grad:
-            ie, ide = bessel_i_with_dr(mode.mu, a)
-            ke, kde = bessel_k_with_dr(mode.mu, b)
-        else:
-            ie, ke = bessel_i(mode.mu, a), bessel_k(mode.mu, b)
-        ik = mul2((ie.value, ie.exp2), (ke.value, ke.exp2))
-        t_k = mul2(norm2(pe, 0), ik)
-        acc_k = add2(acc_k, t_k)
-        mags = [norm2(abs(t_k[0]), t_k[1])]
-        if need_grad:
-            if z_small:
-                d_core = mul2((ide.value, ide.exp2), (ke.value, ke.exp2))
-            else:
-                d_core = mul2((ie.value, ie.exp2), (kde.value, kde.exp2))
-            t_r = add2(mul2(norm2(beta_r * pe, 0), ik), mul2(norm2(lam * pe, 0), d_core))
-            acc_r = add2(acc_r, t_r)
-            mags.append(norm2(abs(t_r[0]), t_r[1]))
-            if not ang_exact_zero:
-                ge = (
-                    mode.grad_pair_eval(z.y, zp.y)
-                    if mode.grad_pair_eval is not None
-                    else 0.0
-                )
-                t_a = mul2(norm2(ge / z.r, 0), ik)
-                acc_a = add2(acc_a, t_a)
-                mags.append(norm2(abs(t_a[0]), t_a[1]))
-        used = j + 1
-
-        if rigorous:
-            tail_k = suf_k[used]
-            ok = _below(tail_k, acc_k, log_rel_tol)
-            if need_grad:
-                tail_r = add2(
-                    mul2(norm2(abs(beta_r), 0), suf_k[used]),
-                    mul2(norm2(lam * deriv_factor, 0), suf_p[used]),
-                )
-                ok = ok and _below(tail_r, acc_r, log_rel_tol)
-                if not ang_exact_zero:
-                    tail_a = mul2(norm2(1.0 / z.r, 0), suf_g[used])
-                    ok = ok and _below(tail_a, acc_a, log_rel_tol)
-            if ok:
-                stopped = True
-                break
-        else:
-            recent.append(mags)
-            if len(recent) > DEFAULTS.heuristic_run:
-                recent.pop(0)
-            gate = log_rel_tol - math.log(10.0)
-            term_small = all(
-                log_of(mg) <= gate + log_of(acc)
-                for mg, acc in zip(mags, (acc_k, acc_r, acc_a))
-            )
-            small_run = small_run + 1 if term_small else 0
-            if small_run >= DEFAULTS.heuristic_run and used >= 2:
-                stopped = True
-                break
-
-    if not rigorous:
-        # Cauchy extrapolation: three times the sum of the last few |terms|.
-        by_comp = list(zip(*recent)) if recent else []
-
-        def _cauchy(idx):
-            t = _ZERO
-            for mg in by_comp[idx] if idx < len(by_comp) else ():
-                t = add2(t, mg)
-            return mul2(norm2(3.0, 0), t)
-
-        tail_k = _cauchy(0)
-        if need_grad:
-            tail_r = _cauchy(1)
-            tail_a = _cauchy(2)
-
-    certified = (
-        rigorous
-        and stopped
-        and s <= DEFAULTS.certified_ratio
-    )
+    certified = rigorous and stopped and s <= DEFAULTS.certified_ratio
     tail_kind = "rigorous" if rigorous else "cauchy"
     log_gauge = gauge_log_factor(spec.d, r, rp, request.density_gauge)
-    gfac = from_log(log_gauge)
-
-    out_k = _pack(
-        mul2(gfac, acc_k), mul2(gfac, tail_k), used, certified,
-        request.density_gauge, tail_kind,
-    )
+    outs = [
+        _pack(float(total[used - 1]), scale + log_gauge, float(log_tail) + log_gauge, used,
+              certified, request.density_gauge, tail_kind)
+        for total, (_, scale), log_tail in zip(sums, comps, log_tails)
+    ]
     if not need_grad:
-        return out_k
-
-    out_r = _pack(
-        mul2(gfac, acc_r), mul2(gfac, tail_r), used, certified,
-        request.density_gauge, tail_kind,
-    )
+        return outs[0]
     if ang_exact_zero:
-        out_a = KernelValue(0.0, 0.0, used, 0, True, request.density_gauge, "exact")
-    else:
-        out_a = _pack(
-            mul2(gfac, acc_a), mul2(gfac, tail_a), used, certified,
-            request.density_gauge, tail_kind,
-        )
-    return out_k, out_r, out_a
+        outs.append(KernelValue(0.0, 0.0, used, 0, True, request.density_gauge, "exact"))
+    return outs
 
 
 def resolvent_kernel(request: ResolventRequest) -> KernelValue:
@@ -431,19 +377,14 @@ def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
     t^{mu_cutoff}, negligible for t <= 1/4 and degrading as t -> 1
     (build the spectrum with a larger ``mu_cutoff`` if needed there).
     """
-    if spectrum.norms_only:
-        raise NormsOnlyError("indicial kernel needs pair functions, not just norms")
+    pair, _ = spectrum.pair_values(y, yp)
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"radial ratio s must be finite and > 0, got {s!r}")
     if s == 1.0:
         raise DomainError("indicial kernel is singular at s = 1")
-    t = min(s, 1.0 / s)
-    log_t = math.log(t)
-    total = 0.0
-    for m in spectrum.modes:
-        total += m.pair_eval(y, yp) * math.exp(m.mu * log_t) / (2.0 * m.mu)
-    return total
+    mu = spectrum.mode_table[0]
+    return float(np.sum(pair * np.exp(mu * math.log(min(s, 1.0 / s))) / (2.0 * mu)))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ eigenfunctions u_j of
     L_Y = Delta_Y + V0 + ((d-2)/2)^2,
 
 which must be strictly positive (mu_j > 0).  A spectrum here is the table
-of modes (mu_j, multiplicity, pair evaluator), where the pair evaluator
-returns the eigenspace sum  sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and, when
-available, its derivative along the cross-section together with exact sup
-bounds.  The sup bounds plus a tail profile (closed-form control of all
-modes beyond the table) are what make certified kernel truncation possible.
+of modes (mu_j, multiplicity, exact sup bounds) plus one vector evaluator,
+:meth:`CrossSectionSpectrum.pair_values`, which returns for every mode at
+once the eigenspace sum  sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and its
+derivative along the cross-section.  The sup bounds plus a tail profile
+(closed-form control of all modes beyond the table) are what make
+certified kernel truncation possible.
 
 Providers: round spheres (Gegenbauer addition theorem, exact
 multiplicities), flat tori (lattice enumeration), and JSON files carrying
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product as _iter_product
 from typing import Callable
 
@@ -34,6 +36,7 @@ from .config import DEFAULTS
 from .errors import (
     DomainError,
     InsufficientSpectrumError,
+    NormsOnlyError,
     PositivityError,
     SpectrumFormatError,
 )
@@ -67,20 +70,19 @@ _TAIL_KINDS = ("pair_over_2mu", "pair", "grad_over_2mu")
 class Mode:
     """One eigenvalue cluster of the shifted cross-section operator.
 
-    ``pair_eval(y, y')`` is the eigenspace kernel; ``grad_pair_eval`` its
-    derivative at y per unit cross-section arc length, taken along the
-    direction of increasing separation from y'.  ``pair_sup`` and
-    ``grad_sup`` are exact sup-norm bounds used by certified tails; they
-    are None for norms-only spectra.
+    ``pair_sup`` and ``grad_sup`` are exact sup-norm bounds of the
+    eigenspace kernel and of its derivative, used by certified tails; they
+    are None for norms-only spectra.  ``addition_coeffs`` are the cosine
+    coefficients a spectrum file gave the kernel (None for built-in
+    providers).
     """
 
     mu: float
     multiplicity: int
-    pair_eval: Callable | None = None
-    grad_pair_eval: Callable | None = None
     pair_sup: float | None = None
     grad_sup: float | None = None
     label: str = ""
+    addition_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -256,7 +258,9 @@ class CrossSectionSpectrum:
     The provider promises completeness: every eigenvalue with mu at or
     below ``mu_cutoff`` appears (equal-mu clusters merged).  When all modes
     carry sup bounds and a tail profile is attached, kernel evaluations on
-    this spectrum can certify their truncation error.
+    this spectrum can certify their truncation error.  ``pair_evaluator``
+    is the provider's vector evaluator behind :meth:`pair_values`; without
+    one the spectrum is norms-only.
     """
 
     d: int
@@ -266,6 +270,7 @@ class CrossSectionSpectrum:
     v0_constant: float | None = None
     tail_profile: TailProfile | None = None
     mu_cutoff: float | None = None
+    pair_evaluator: Callable | None = None
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 3:
@@ -293,7 +298,30 @@ class CrossSectionSpectrum:
 
     @property
     def norms_only(self) -> bool:
-        return any(m.pair_eval is None for m in self.modes)
+        return self.pair_evaluator is None
+
+    @cached_property
+    def mode_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, pair_sup, grad_sup) as arrays aligned with ``modes`` (NaN for a missing sup)."""
+        return tuple(np.array([getattr(m, f) for m in self.modes], dtype=float)
+                     for f in ("mu", "pair_sup", "grad_sup"))
+
+    def pair_values(self, y, yp, gamma: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
+
+        Both arrays are aligned with ``modes``.  The derivative is per unit
+        cross-section arc length, along the direction of increasing
+        separation from y'.  ``gamma`` is the cross-section distance
+        d_Y(y, y') when the caller already has it.
+        """
+        if self.pair_evaluator is None:
+            raise NormsOnlyError(
+                "spectrum carries mode norms only (no pair functions); "
+                "kernel evaluation is impossible"
+            )
+        if gamma is None:
+            gamma = self.cross_section.distance(y, yp)
+        return self.pair_evaluator(y, yp, gamma)
 
     @property
     def certifiable(self) -> bool:
@@ -336,9 +364,9 @@ def sphere_spectrum(
     """Spectrum for the round sphere of the given radius with constant V0 = c.
 
     Modes: mu_l = sqrt(l(l+d-2)/radius^2 + c + ((d-2)/2)^2), multiplicity
-    the dimension of spherical harmonics of degree l; pair evaluators via
+    the dimension of spherical harmonics of degree l; pair functions via
     the Gegenbauer addition theorem (functions of the separation angle
-    alone, maximal at coincidence).
+    alone, maximal at coincidence), evaluated over every l at once.
     """
     if int(d) != d or d < 3:
         raise DomainError(f"cone dimension must be an integer >= 3, got {d!r}")
@@ -356,37 +384,30 @@ def sphere_spectrum(
         return math.exp(math.lgamma(l + 2.0 * nu) - math.lgamma(2.0 * nu) - math.lgamma(l + 1.0))
 
     modes = []
+    norms = []
     l = 0
     while True:
         mu_l = tail._mu(l)
         if mu_l > cutoff:
             break
         mult = tail._mult(l)
-        norm = mult / (vol * gegenbauer_at_one(l))
-
-        def pair(y, yp, *, _l=l, _norm=norm):
-            u = cs.distance(y, yp) / a
-            return _norm * float(eval_gegenbauer(_l, nu, math.cos(u)))
-
-        if l == 0:
-            grad = None
-            grad_sup = 0.0
-        else:
-            def grad(y, yp, *, _l=l, _norm=norm):
-                u = cs.distance(y, yp) / a
-                return (
-                    -_norm * 2.0 * nu / a
-                    * math.sin(u)
-                    * float(eval_gegenbauer(_l - 1, nu + 1.0, math.cos(u)))
-                )
-
-            grad_sup = mult / (vol * a) * l * (l + 2.0 * nu) / (2.0 * nu + 1.0)
-        modes.append(Mode(mu_l, mult, pair, grad, mult / vol, grad_sup, label=f"l={l}"))
+        norms.append(mult / (vol * gegenbauer_at_one(l)))
+        grad_sup = mult / (vol * a) * l * (l + 2.0 * nu) / (2.0 * nu + 1.0)
+        modes.append(Mode(mu_l, mult, mult / vol, grad_sup, label=f"l={l}"))
         l += 1
     if not modes:
         raise InsufficientSpectrumError(
             f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {tail._mu(0)}"
         )
+    ls = np.arange(len(modes))
+    norms = np.asarray(norms)
+
+    def pairs(y, yp, gamma):
+        x = math.cos(gamma / a)
+        grad = np.zeros(len(ls))
+        grad[1:] = (-2.0 * nu / a * math.sin(gamma / a)) * norms[1:] \
+            * eval_gegenbauer(ls[1:] - 1, nu + 1.0, x)
+        return norms * eval_gegenbauer(ls, nu, x), grad
     return CrossSectionSpectrum(
         d=d,
         modes=tuple(modes),
@@ -395,6 +416,7 @@ def sphere_spectrum(
         v0_constant=float(c),
         tail_profile=tail,
         mu_cutoff=cutoff,
+        pair_evaluator=pairs,
     )
 
 
@@ -407,8 +429,10 @@ def torus_spectrum(
     """Spectrum for a flat torus cross-section with constant V0 = c.
 
     Eigenvalues are lattice sums sum (k_i/a_i)^2; equal values (within
-    1e-9 relative) are merged into one mode whose pair evaluator sums the
-    cluster's cosines.
+    1e-9 relative) are merged into one mode whose pair function sums the
+    cluster's cosines.  The evaluator takes one product of every lattice
+    frequency with the angle difference and sums each cluster with
+    ``np.add.reduceat``.
     """
     if int(d) != d or d < 3:
         raise DomainError(f"cone dimension must be an integer >= 3, got {d!r}")
@@ -442,30 +466,23 @@ def torus_spectrum(
         else:
             groups.append([lam, [k]])
 
-    radii_arr = np.asarray(cs.radii)
     modes = []
     for lam, ks in groups:
-        karr = np.asarray(ks, dtype=float)  # each row k, frequencies k_i/a_i
-        freqs = karr / radii_arr
         mult = len(ks)
-        mu_val = math.sqrt(lam + c0)
-
-        def pair(y, yp, *, _f=freqs):
-            delta = TorusCrossSection._wrap(np.asarray(y, float) - np.asarray(yp, float))
-            return float(np.cos(_f @ delta).sum()) / vol
-
-        def grad(y, yp, *, _f=freqs):
-            ya, ypa = np.asarray(y, float), np.asarray(yp, float)
-            delta = TorusCrossSection._wrap(ya - ypa)
-            length = float(np.linalg.norm(radii_arr * delta))
-            if length == 0.0:
-                return 0.0
-            speed = _f @ (delta / length)  # d(k.delta)/d arclength
-            return -float((np.sin(_f @ delta) * speed).sum()) / vol
-
-        grad_sup = mult * math.sqrt(lam) / vol
-        modes.append(Mode(mu_val, mult, pair, grad, mult / vol, grad_sup,
+        modes.append(Mode(math.sqrt(lam + c0), mult, mult / vol, mult * math.sqrt(lam) / vol,
                           label=f"lambda={lam:.6g}"))
+    # One row per lattice vector, frequencies k_i/a_i, clusters contiguous.
+    freqs = np.asarray([k for _, ks in groups for k in ks], dtype=float) / np.asarray(cs.radii)
+    starts = np.cumsum([0] + [m.multiplicity for m in modes[:-1]])  # first row of each cluster
+
+    def pairs(y, yp, gamma):
+        delta = TorusCrossSection._wrap(cs._angles(y) - cs._angles(yp))
+        phase = freqs @ delta
+        pair = np.add.reduceat(np.cos(phase), starts) / vol
+        if gamma == 0.0:
+            return pair, np.zeros(len(starts))
+        speed = freqs @ (delta / gamma)  # d(k.delta)/d arclength
+        return pair, -np.add.reduceat(np.sin(phase) * speed, starts) / vol
     return CrossSectionSpectrum(
         d=d,
         modes=tuple(modes),
@@ -474,6 +491,7 @@ def torus_spectrum(
         v0_constant=float(c),
         tail_profile=TorusTail(cs.radii, float(c), d),
         mu_cutoff=cutoff,
+        pair_evaluator=pairs,
     )
 
 
@@ -490,19 +508,22 @@ def _file_mode(mu_val: float, mult: int, coeffs) -> Mode:
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise SpectrumFormatError("addition_coeffs must be a nonempty list of finite numbers")
-    ks = np.arange(arr.size, dtype=float)
-
-    def pair(y, yp, *, _c=arr, _k=ks):
-        gamma = abs(float(y) - float(yp))
-        return float((_c * np.cos(_k * gamma)).sum())
-
-    def grad(y, yp, *, _c=arr, _k=ks):
-        gamma = abs(float(y) - float(yp))
-        return -float((_c * _k * np.sin(_k * gamma)).sum())
-
     pair_sup = float(np.abs(arr).sum())
-    grad_sup = float((np.abs(arr) * ks).sum())
-    return Mode(mu_val, mult, pair, grad, pair_sup, grad_sup)
+    grad_sup = float((np.abs(arr) * np.arange(arr.size)).sum())
+    return Mode(mu_val, mult, pair_sup, grad_sup, addition_coeffs=tuple(arr.tolist()))
+
+
+def _cosine_series(modes):
+    """Pair evaluator of file modes: pair_j(gamma) = sum_k c_jk cos(k gamma)."""
+    coeffs = np.zeros((len(modes), max(len(m.addition_coeffs) for m in modes)))
+    for j, m in enumerate(modes):
+        coeffs[j, :len(m.addition_coeffs)] = m.addition_coeffs
+    ks = np.arange(coeffs.shape[1], dtype=float)
+
+    def pairs(y, yp, gamma):
+        return coeffs @ np.cos(ks * gamma), -(coeffs @ (ks * np.sin(ks * gamma)))
+
+    return pairs
 
 
 def load_spectrum(path) -> CrossSectionSpectrum:
@@ -584,6 +605,7 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         v0_constant=v0_constant,
         tail_profile=CompleteTail() if complete else None,
         mu_cutoff=modes[-1].mu,
+        pair_evaluator=_cosine_series(modes) if complete else None,
     )
 
 
@@ -592,7 +614,8 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
 
     Sphere modes are saved with exact addition coefficients (Chebyshev
     interpolation of the degree-l Gegenbauer pair function is exact at
-    degree l).  Pair functions that are not functions of the scalar
+    degree l); modes loaded from a file write their coefficients back
+    unchanged.  Pair functions that are not functions of the scalar
     separation alone (tori) are saved norms-only.
     """
     out_modes = []
@@ -609,38 +632,23 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
 
 
 def _separation_coeffs(spectrum: CrossSectionSpectrum, mode: Mode):
-    """Chebyshev coefficients of pair(gamma) in cos(gamma), when exact."""
+    """Cosine coefficients of pair(gamma), when exact: a file's own, or a unit sphere's."""
+    if mode.addition_coeffs is not None:
+        return list(mode.addition_coeffs)
     cs = spectrum.cross_section
-    if isinstance(cs, SphereCrossSection) and mode.label.startswith("l="):
+    # The file's separation coordinate gamma feeds cos(gamma) directly; for
+    # radius != 1 the pair depends on cos(gamma/a), which is not a
+    # polynomial in cos(gamma), so such spheres are saved norms-only.
+    if isinstance(cs, SphereCrossSection) and cs.radius == 1.0 and mode.label.startswith("l="):
         l = int(mode.label[2:])
-        a = cs.radius
         nu = (spectrum.d - 2) / 2.0
         norm = mode.pair_sup / float(eval_gegenbauer(l, nu, 1.0))
 
-        # pair as a function of x = cos(d_Y / a); polynomial of degree l.
+        # pair as a function of x = cos(d_Y); polynomial of degree l.
         def f(x):
             return norm * eval_gegenbauer(l, nu, x)
 
-        if a != 1.0:
-            # The file's separation coordinate gamma feeds cos(gamma)
-            # directly; for radius != 1 the pair depends on cos(gamma/a),
-            # which is not a polynomial in cos(gamma). Save norms only.
-            return None
         return [float(c) for c in _cheb.chebinterpolate(f, max(l, 1))]
-    if isinstance(cs, SeparationCrossSection) and mode.pair_eval is not None:
-        # Round-trip of a file spectrum: recover coefficients by sampling.
-        # pair(gamma) = sum c_k cos(k gamma) is itself a Chebyshev series.
-        probe = mode.pair_eval
-
-        def f(x):
-            return np.vectorize(lambda t: probe(0.0, math.acos(min(1.0, max(-1.0, t)))))(x)
-
-        # Degree is unknown; use a generous cap and trim.
-        deg = 64
-        coeffs = _cheb.chebinterpolate(f, deg)
-        tol = 1e-12 * max(1.0, float(np.abs(coeffs).max()))
-        last = max((i for i, c in enumerate(coeffs) if abs(c) > tol), default=0)
-        return [float(c) for c in coeffs[: last + 1]]
     return None
 
 
@@ -675,10 +683,17 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
     """
     if not 1 <= count <= len(spectrum.modes):
         raise DomainError(f"count must be in [1, {len(spectrum.modes)}], got {count}")
+    full = spectrum.pair_evaluator
+
+    def pairs(y, yp, gamma):
+        pair, grad = full(y, yp, gamma)
+        return pair[:count], grad[:count]
+
     return replace(
         spectrum,
         modes=spectrum.modes[:count],
         tail_profile=CompleteTail(),
         v0_descriptor=f"{spectrum.v0_descriptor}|leading:{count}",
         mu_cutoff=spectrum.modes[count - 1].mu,
+        pair_evaluator=pairs if full is not None else None,
     )

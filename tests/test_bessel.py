@@ -136,9 +136,13 @@ class TestIdentities:
         assert bessel_k(0.3, 10.0).method == "scipy"
         assert bessel_i(29.9, 1e-10).method == "power-series"
         assert bessel_k(29.9, 1e-10).method == "small-argument"
-        assert bessel_i(50.0, 10.0).method == "power-series"
-        assert bessel_i(50.0, 100.0).method == "uniform-asymptotic"
-        assert bessel_k(50.0, 1e-3).method == "uniform-asymptotic"
+        # Every order takes scipy wherever the scaled value is a normal
+        # double; only the out-of-range entries fall back.
+        assert bessel_i(50.0, 10.0).method == "scipy"
+        assert bessel_i(50.0, 100.0).method == "scipy"
+        assert bessel_k(50.0, 1e-3).method == "scipy"
+        assert bessel_i(200.0, 1e-6).method == "power-series"
+        assert bessel_k(200.0, 1e-6).method == "uniform-asymptotic"
 
 
 class TestOlverPolynomials:

@@ -1,11 +1,16 @@
 """Resolvent kernel: oracles, symmetries, certified tails, boundary behavior."""
 
+import functools
+import json
 import math
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conekit import (
+    DEFAULTS,
     ConePoint,
     DomainError,
     NormsOnlyError,
@@ -14,11 +19,13 @@ from conekit import (
     resolvent_gradient,
     resolvent_kernel,
     indicial_kernel,
+    load_spectrum,
     sphere_spectrum,
     torus_spectrum,
     zf_compatibility_check,
     boundary_order_probe,
 )
+from conekit.bessel import bessel_i, bessel_k_with_dr
 
 import oracles
 
@@ -357,3 +364,193 @@ class TestTorusCone:
             math.sqrt(2.0 / (math.pi * 0.2)) * math.sinh(0.2)
         ) * (math.sqrt(math.pi / 2.0) * math.exp(-1.0))
         np.testing.assert_allclose(kv.float_value(), ref, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Term-by-term reference: the scalar Bessel API and closed-form pair
+# functions, summed one mode at a time with the documented stop rules.
+# ----------------------------------------------------------------------
+
+def _sphere_pairs(spec):
+    """Closed-form addition theorem on the unit S^{d-1}, at 40 digits."""
+    d = spec.d
+    nu = mp.mpf(d - 2) / 2
+    vol = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+    norms = []
+    for l, m in enumerate(spec.modes):
+        mult = mp.binomial(l + d - 1, d - 1) - mp.binomial(l + d - 3, d - 1)
+        assert int(mult) == m.multiplicity
+        norms.append(mult / (vol * mp.gegenbauer(l, nu, 1)))
+
+    @functools.cache
+    def pairs(gamma):
+        x = mp.cos(gamma)
+        return [(float(norm * mp.gegenbauer(l, nu, x)),
+                 float(-norm * 2 * nu * mp.sin(gamma) * mp.gegenbauer(l - 1, nu + 1, x)) if l else 0.0)
+                for l, norm in enumerate(norms)]
+
+    return pairs
+
+
+def _torus_pairs(spec, radii):
+    """Cosines of every lattice vector, summed over each eigenvalue cluster."""
+    radii = np.asarray(radii)
+    vol = float(np.prod(2 * np.pi * radii))
+    c0 = spec.mu0 ** 2
+    kmax = int(spec.modes[-1].mu * radii.max()) + 1
+    ks = np.array([(i, j) for i in range(-kmax, kmax + 1) for j in range(-kmax, kmax + 1)])
+    freqs = ks / radii
+    lams = (freqs ** 2).sum(axis=1)
+    members = [np.abs(lams - (m.mu ** 2 - c0)) <= 1e-9 * (1 + m.mu ** 2) for m in spec.modes]
+    assert [int(mask.sum()) for mask in members] == [m.multiplicity for m in spec.modes]
+
+    @functools.cache
+    def pairs(gamma):
+        delta = np.array([-gamma / radii[0], 0.0])  # y - y' for points_at_separation
+        phase = freqs @ delta
+        out = []
+        for mask in members:
+            grad = 0.0 if gamma == 0.0 else -float(
+                (np.sin(phase[mask]) * (freqs[mask] @ (delta / gamma))).sum()) / vol
+            out.append((float(np.cos(phase[mask]).sum()) / vol, grad))
+        return out
+
+    return pairs
+
+
+_FILE_COEFFS = [[0.08], [0.05, 0.03], [0.02, -0.04, 0.01], [0.01, 0.0, 0.02, -0.005]]
+
+
+def _file_spectrum(tmp_path):
+    modes = [{"mu": 0.6 + 0.9 * j, "multiplicity": 1 + j,
+              "addition_coeffs": _FILE_COEFFS[j % 4]} for j in range(12)]
+    path = tmp_path / "modes.json"
+    path.write_text(json.dumps({"d": 3, "v0": "file", "modes": modes}))
+    spec = load_spectrum(path)
+
+    def pairs(gamma):
+        return [(sum(c * math.cos(k * gamma) for k, c in enumerate(_FILE_COEFFS[j % 4])),
+                 -sum(k * c * math.sin(k * gamma) for k, c in enumerate(_FILE_COEFFS[j % 4])))
+                for j in range(12)]
+
+    return spec, pairs
+
+
+def _loop_reference(spec, pairs, r, rp, gamma, lam, rel_tol, need_grad):
+    """(values, sums of |terms|, tails, modes_used, certified, tail_kind).
+
+    The first three hold one entry per component: kernel, or radial and
+    (unless gamma = 0) angular.
+    """
+    z_small = r <= rp
+    a_r, b_r = (r, rp) if z_small else (rp, r)
+    s = a_r / b_r
+    a, b = lam * a_r, lam * b_r
+    beta = (1 - spec.d / 2) / r
+    gauge = (r * rp) ** (1 - spec.d / 2)
+    ang = need_grad and gamma != 0.0
+    n_comp = 1 + need_grad + ang
+    rigorous = s < 1.0 and spec.certifiable
+    if rigorous:
+        def suffix(kind):
+            out = [spec.tail_profile.sum_beyond(s, spec.modes[-1].mu, kind)]
+            for m in reversed(spec.modes):
+                sup = m.grad_sup if kind == "grad_over_2mu" else m.pair_sup
+                out.append(out[-1] + sup * s ** m.mu / (1.0 if kind == "pair" else 2 * m.mu))
+            return out[::-1]
+
+        suf_k, suf_p, suf_g = suffix("pair_over_2mu"), suffix("pair"), suffix("grad_over_2mu")
+        deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
+    acc = [0.0] * n_comp
+    mags = [0.0] * n_comp
+    history = []
+    run, stopped = 0, False
+    for j, (m, (p, g)) in enumerate(zip(spec.modes, pairs(gamma))):
+        i = bessel_i(m.mu, a)
+        k, dk = bessel_k_with_dr(m.mu, b)
+        ik = math.exp(i.log_abs + k.log_abs)
+        terms = [p * ik]
+        if need_grad and z_small:
+            # beta I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I: without
+            # this rearrangement the two 1/r parts cancel in rounding at tiny r.
+            i1 = bessel_i(m.mu + 1.0, a)
+            terms.append(p * (lam * math.exp(i1.log_abs + k.log_abs)
+                              + (m.mu - (spec.d - 2) / 2) / r * ik))
+        elif need_grad:
+            terms.append(beta * p * ik - lam * p * math.exp(i.log_abs + dk.log_abs))
+        if ang:
+            terms.append(g / r * ik)
+        for c, t in enumerate(terms):
+            acc[c] += t
+            mags[c] += abs(t)
+        history.append(terms)
+        used = j + 1
+        if rigorous:
+            tails = [suf_k[used], abs(beta) * suf_k[used] + lam * deriv * suf_p[used],
+                     suf_g[used] / r][:n_comp]
+            if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc)):
+                stopped = True
+                break
+        else:
+            small = all(abs(t) <= rel_tol / 10 * abs(v) for t, v in zip(terms, acc))
+            run = run + 1 if small else 0
+            if run >= DEFAULTS.heuristic_run and used >= 2:
+                stopped = True
+                break
+    if not rigorous:  # three times the sum of the last few |terms|
+        recent = history[-DEFAULTS.heuristic_run:]
+        tails = [3.0 * sum(abs(t[c]) for t in recent) for c in range(n_comp)]
+    certified = rigorous and stopped and s <= DEFAULTS.certified_ratio
+    kind = "rigorous" if rigorous else "cauchy"
+    return ([gauge * v for v in acc], [gauge * v for v in mags], [gauge * t for t in tails],
+            used, certified, kind)
+
+
+_REFERENCE_POINTS = [
+    # (r, r', gamma, lambda): s <= 1/4, 1/4 < s < 1 and s = 1, each also at
+    # r_< = 1e-7, where high-order I (and at s > 0 also K) leave double range.
+    (0.2, 1.0, 1.1, 1.0), (1.0, 0.15, 2.5, 2.5), (0.6, 1.0, 0.0, 1.0),
+    (1.0, 0.7, 1.1, 1.0), (1.0, 1.0, 1.1, 1.0), (1.0, 1.0, 2.5, 2.5),
+    (1e-7, 5e-7, 1.1, 1.0), (1e-7, 1.0, 2.5, 1.0), (1e-7 / 0.6, 1e-7, 1.1, 1.0),
+    (1e-7, 1e-7, 2.5, 1.0),
+]
+
+
+def _reference_spectra(tmp_path):
+    cases = []
+    for d in (3, 5):
+        for c in (0.0, -0.24, 1.0):
+            spec = sphere_spectrum(d, c=c)
+            cases.append((f"sphere d={d} c={c}", spec, _sphere_pairs(spec)))
+    # Without a tail profile nothing is rigorous: the Cauchy rule stops
+    # the geometrically decaying series at s < 1.
+    cases.append(("sphere d=3 no tail", replace(cases[0][1], tail_profile=None), cases[0][2]))
+    torus = torus_spectrum(3, [1.0, 1.3])
+    cases.append(("torus (1, 1.3)", torus, _torus_pairs(torus, [1.0, 1.3])))
+    cases.append(("file", *_file_spectrum(tmp_path)))
+    return cases
+
+
+class TestLoopReference:
+    """The one-pass vector evaluation agrees with a term-by-term loop."""
+
+    def test_every_band_and_spectrum(self, tmp_path):
+        for name, spec, pairs in _reference_spectra(tmp_path):
+            for r, rp, gamma, lam in _REFERENCE_POINTS:
+                z, zp = _point_pair(spec, r, rp, gamma)
+                req = ResolventRequest(spec, z, zp, lam=lam)
+                g = resolvent_gradient(req)
+                for need_grad, got in ((False, [resolvent_kernel(req)]),
+                                       (True, [g.d_r, g.angular])):
+                    vals, mags, tails, used, certified, kind = _loop_reference(
+                        spec, pairs, r, rp, gamma, lam, req.rel_tol, need_grad)
+                    if need_grad:  # radial, and angular unless it is exactly zero
+                        vals, mags, tails = vals[1:], mags[1:], tails[1:]
+                    where = (name, r, rp, gamma, lam, need_grad)
+                    for kv, want, mag, tail in zip(got, vals, mags, tails):
+                        assert (kv.modes_used, kv.certified, kv.tail_kind) == (
+                            used, certified, kind), where
+                        assert abs(kv.float_value() - want) <= 1e-12 * mag, where
+                        assert abs(kv.float_tail_bound() - tail) <= 1e-12 * tail, where
+                    if need_grad and gamma == 0.0:
+                        assert g.angular.float_value() == 0.0 and g.angular.tail_kind == "exact"

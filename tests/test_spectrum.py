@@ -77,9 +77,10 @@ class TestSphereEigendata:
             spec = sphere_spectrum(d, mu_cutoff=8.0)
             vol = spec.cross_section.volume
             y, _ = spec.cross_section.points_at_separation(0.0)
-            for m in spec.modes:
+            pair, _ = spec.pair_values(y, y)
+            for j, m in enumerate(spec.modes):
                 np.testing.assert_allclose(
-                    m.pair_eval(y, y) * vol, m.multiplicity, rtol=1e-12
+                    pair[j] * vol, m.multiplicity, rtol=1e-12
                 )
 
     def test_pair_matches_legendre_oracle(self):
@@ -88,9 +89,11 @@ class TestSphereEigendata:
         cs = spec.cross_section
         for gamma in [0.0, 0.3, 1.1, 2.6, math.pi]:
             y, yp = cs.points_at_separation(gamma)
-            for l, m in enumerate(spec.modes):
+            pair, _ = spec.pair_values(y, yp)
+            assert len(pair) == len(spec.modes)
+            for l in range(len(spec.modes)):
                 ref = (2 * l + 1) / (4 * math.pi) * float(mp.legendre(l, math.cos(gamma)))
-                np.testing.assert_allclose(m.pair_eval(y, yp), ref,
+                np.testing.assert_allclose(pair[l], ref,
                                            rtol=1e-10, atol=1e-15)
 
     def test_grad_pair_by_finite_differences(self):
@@ -98,27 +101,23 @@ class TestSphereEigendata:
         cs = spec.cross_section
         h = 1e-6
         for gamma in [0.4, 1.3, 2.2]:
-            for m in spec.modes:
-                if m.grad_pair_eval is None:
-                    continue
-                got = m.grad_pair_eval(*cs.points_at_separation(gamma))
-                lo = m.pair_eval(*cs.points_at_separation(gamma - h))
-                hi = m.pair_eval(*cs.points_at_separation(gamma + h))
-                np.testing.assert_allclose(got, (hi - lo) / (2 * h),
+            _, got = spec.pair_values(*cs.points_at_separation(gamma))
+            lo, _ = spec.pair_values(*cs.points_at_separation(gamma - h))
+            hi, _ = spec.pair_values(*cs.points_at_separation(gamma + h))
+            for j in range(len(spec.modes)):
+                np.testing.assert_allclose(got[j], (hi[j] - lo[j]) / (2 * h),
                                            rtol=1e-7, atol=1e-9)
 
     def test_sup_bounds_hold_on_grid(self):
         spec = sphere_spectrum(4, c=-0.2, mu_cutoff=9.0)
         cs = spec.cross_section
         gammas = np.linspace(0.0, math.pi, 181)
-        for m in spec.modes:
-            worst_pair = max(abs(m.pair_eval(*cs.points_at_separation(g)))
-                             for g in gammas)
-            assert worst_pair <= m.pair_sup * (1 + 1e-12)
-            if m.grad_pair_eval is not None:
-                worst_grad = max(abs(m.grad_pair_eval(*cs.points_at_separation(g)))
-                                 for g in gammas)
-                assert worst_grad <= m.grad_sup * (1 + 1e-12)
+        values = [spec.pair_values(*cs.points_at_separation(g)) for g in gammas]
+        worst_pair = np.max([np.abs(pair) for pair, _ in values], axis=0)
+        worst_grad = np.max([np.abs(grad) for _, grad in values], axis=0)
+        for j, m in enumerate(spec.modes):
+            assert worst_pair[j] <= m.pair_sup * (1 + 1e-12)
+            assert worst_grad[j] <= m.grad_sup * (1 + 1e-12)
 
     def test_modes_sorted_and_cutoff_respected(self):
         spec = sphere_spectrum(3, mu_cutoff=25.0)
@@ -158,8 +157,9 @@ class TestTorusEigendata:
         spec = torus_spectrum(4, [1.0, 1.3, 0.7], c=0.3, mu_cutoff=4.0)
         vol = spec.cross_section.volume
         y, _ = spec.cross_section.points_at_separation(0.0)
-        for m in spec.modes:
-            np.testing.assert_allclose(m.pair_eval(y, y) * vol, m.multiplicity,
+        pair, _ = spec.pair_values(y, y)
+        for j, m in enumerate(spec.modes):
+            np.testing.assert_allclose(pair[j] * vol, m.multiplicity,
                                        rtol=1e-12)
 
     def test_dimension_consistency(self):
@@ -223,12 +223,10 @@ class TestFileRoundTrip:
         # Pair functions agree as functions of the separation.
         cs, lcs = spec.cross_section, loaded.cross_section
         for gamma in [0.0, 0.5, 1.7, 3.0]:
-            for a, b in zip(spec.modes, loaded.modes):
-                np.testing.assert_allclose(
-                    b.pair_eval(*lcs.points_at_separation(gamma)),
-                    a.pair_eval(*cs.points_at_separation(gamma)),
-                    rtol=1e-10, atol=1e-14,
-                )
+            want, _ = spec.pair_values(*cs.points_at_separation(gamma))
+            got, _ = loaded.pair_values(*lcs.points_at_separation(gamma))
+            for j in range(len(spec.modes)):
+                np.testing.assert_allclose(got[j], want[j], rtol=1e-10, atol=1e-14)
 
     def test_save_load_save_is_stable(self, tmp_path):
         spec = sphere_spectrum(4, c=-0.1, mu_cutoff=7.0)
@@ -240,11 +238,8 @@ class TestFileRoundTrip:
         for ma, mb in zip(a["modes"], b["modes"]):
             assert mb["mu"] == ma["mu"]  # exact: mu is copied, not recomputed
             assert mb["multiplicity"] == ma["multiplicity"]
-            ca, cb = ma["addition_coeffs"], mb["addition_coeffs"]
-            n = max(len(ca), len(cb))
-            ca = ca + [0.0] * (n - len(ca))
-            cb = cb + [0.0] * (n - len(cb))
-            np.testing.assert_allclose(cb, ca, atol=1e-12)
+            # exact: a loaded spectrum writes its coefficients back unchanged
+            assert mb["addition_coeffs"] == ma["addition_coeffs"]
 
     def test_torus_saves_norms_only(self, tmp_path):
         spec = torus_spectrum(3, [1.0, 0.9], mu_cutoff=4.0)

@@ -238,13 +238,16 @@ def _pack(total, log_scale, log_tail, modes_used, certified, gauge, tail_kind) -
                        certified, gauge, tail_kind)
 
 
-def _eval_series(request: ResolventRequest, need_grad: bool):
-    """Shared evaluation core for the kernel and its gradient."""
-    spec = request.spectrum
+def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, need_grad: bool):
+    """Do the lambda-independent half of the series at (z, z') once; return its evaluator.
+
+    That half is the cross-section distance, the pair values, s and the
+    rigorous tail tables.  ``evaluate(lam, rel_tol, gauge)`` returns the
+    kernel's KernelValue, or with ``need_grad`` the list [kernel, d_r, angular].
+    """
     cs = spec.cross_section
     if cs is None:
         raise DomainError("spectrum carries no cross-section; kernel evaluation needs one")
-    z, zp, lam, rel_tol = request.z, request.zp, request.lam, request.rel_tol
     gamma = cs.distance(z.y, zp.y)
     pair, grad = spec.pair_values(z.y, zp.y, gamma)
     r, rp = z.r, zp.r
@@ -253,95 +256,100 @@ def _eval_series(request: ResolventRequest, need_grad: bool):
     s = a_r / b_r
     if s == 1.0 and gamma == 0.0:
         raise DomainError("resolvent kernel is singular on the diagonal z = z'")
-    a, b = lam * a_r, lam * b_r
     ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
     beta_r = (1.0 - 0.5 * spec.d) / r
-
-    # Each component is (terms, log scale): term j times e^scale is the
-    # j-th series term.  The scale is the max shift plus the factor e^{a-b}
-    # that the exponentially scaled Bessel logs leave out.
     mu = spec.mode_table[0]
-    log_i = log_scaled("i", mu, a)[0]
-    log_k, log_dk, _, _ = log_scaled("k", mu, b, need_grad and not z_small)
-    log_ik = log_i + log_k
-    shift = log_ik.max()
-    ik = np.exp(log_ik - shift)
-    comps = [(pair * ik, shift + a - b)]
-    if need_grad:
-        # Radial factor coef_ik * I K + coef_1 * e^{log_1}.  With z inner,
-        # beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu: the two
-        # 1/r parts cancel in closed form instead of in rounding.  With z
-        # outer, beta_r K and lam K' have the same sign.
-        if z_small:
-            log_1 = log_scaled("i", mu + 1.0, a)[0] + log_k
-            coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2)) / r, lam
-        else:
-            log_1 = log_i + log_dk
-            coef_ik, coef_1 = beta_r, -lam
-        shift_r = max(shift, log_1.max())
-        d_terms = coef_ik * np.exp(log_ik - shift_r) + coef_1 * np.exp(log_1 - shift_r)
-        comps.append((pair * d_terms, shift_r + a - b))
-        if not ang_exact_zero:
-            comps.append((grad / r * ik, shift + a - b))
-    sums = [np.cumsum(terms) for terms, _ in comps]
     n = len(mu)
-    log_rel_tol = math.log(rel_tol)
 
-    rigorous = (
-        s < 1.0
-        and spec.certifiable
-        and (spec.grad_certifiable if need_grad else True)
-    )
-    if rigorous:
-        tails = [_suffix_logs(spec, s, "pair_over_2mu")]
+    rigorous = s < 1.0 and (spec.grad_certifiable if need_grad else spec.certifiable)
+    if rigorous:  # the suffix tables of each tail kind in use
+        suf_k = _suffix_logs(spec, s, "pair_over_2mu")
+        suf_p = _suffix_logs(spec, s, "pair") if need_grad else None
+        suf_g = (_suffix_logs(spec, s, "grad_over_2mu") - math.log(r)
+                 if need_grad and not ang_exact_zero else None)
+
+    def evaluate(lam: float, rel_tol: float, gauge: str):
+        a, b = lam * a_r, lam * b_r
+        # Each component is (terms, log scale): term j times e^scale is the
+        # j-th series term.  The scale is the max shift plus the factor e^{a-b}
+        # that the exponentially scaled Bessel logs leave out.
+        log_i = log_scaled("i", mu, a)[0]
+        log_k, log_dk, _, _ = log_scaled("k", mu, b, need_grad and not z_small)
+        log_ik = log_i + log_k
+        shift = log_ik.max()
+        ik = np.exp(log_ik - shift)
+        comps = [(pair * ik, shift + a - b)]
         if need_grad:
-            # radial tail = |1-d/2|/r * suf_k + lam * deriv_factor * suf_p
-            deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
-            tails.append(np.logaddexp(math.log(abs(beta_r)) + tails[0],
-                                      math.log(lam * deriv_factor) + _suffix_logs(spec, s, "pair")))
+            # Radial factor coef_ik * I K + coef_1 * e^{log_1}.  With z inner,
+            # beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu: the two
+            # 1/r parts cancel in closed form instead of in rounding.  With z
+            # outer, beta_r K and lam K' have the same sign.
+            if z_small:
+                log_1 = log_scaled("i", mu + 1.0, a)[0] + log_k
+                coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2)) / r, lam
+            else:
+                log_1 = log_i + log_dk
+                coef_ik, coef_1 = beta_r, -lam
+            shift_r = max(shift, log_1.max())
+            d_terms = coef_ik * np.exp(log_ik - shift_r) + coef_1 * np.exp(log_1 - shift_r)
+            comps.append((pair * d_terms, shift_r + a - b))
             if not ang_exact_zero:
-                tails.append(_suffix_logs(spec, s, "grad_over_2mu") - math.log(r))
-        # Stop at the first j whose remainder is below rel_tol * |partial sum|
-        # in every component (0 <= 0 counts).
-        with np.errstate(divide="ignore"):
-            ok = np.logical_and.reduce([
-                tail[1:] <= log_rel_tol + np.log(np.abs(total)) + scale
-                for tail, total, (_, scale) in zip(tails, sums, comps)
-            ])
-        stopped = bool(ok.any())
-        used = int(ok.argmax()) + 1 if stopped else n
-        log_tails = [tail[used] for tail in tails]
-    else:
-        # Cauchy heuristic: stop after heuristic_run consecutive terms below
-        # rel_tol/10 of their partial sums, in every component, and after at
-        # least two terms.
-        run = DEFAULTS.heuristic_run
-        small = np.logical_and.reduce([
-            np.abs(terms) <= 0.1 * rel_tol * np.abs(total)
-            for (terms, _), total in zip(comps, sums)
-        ])
-        hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:n] >= run
-        hit[0] = False
-        stopped = bool(hit.any())
-        used = int(hit.argmax()) + 1 if stopped else n
-        # Extrapolation: three times the sum of the last few |terms|.
-        with np.errstate(divide="ignore"):
-            log_tails = [float(np.log(3.0 * np.abs(terms[max(0, used - run):used]).sum())) + scale
-                         for terms, scale in comps]
+                comps.append((grad / r * ik, shift + a - b))
+        sums = [np.cumsum(terms) for terms, _ in comps]
 
-    certified = rigorous and stopped and s <= DEFAULTS.certified_ratio
-    tail_kind = "rigorous" if rigorous else "cauchy"
-    log_gauge = gauge_log_factor(spec.d, r, rp, request.density_gauge)
-    outs = [
-        _pack(float(total[used - 1]), scale + log_gauge, float(log_tail) + log_gauge, used,
-              certified, request.density_gauge, tail_kind)
-        for total, (_, scale), log_tail in zip(sums, comps, log_tails)
-    ]
-    if not need_grad:
-        return outs[0]
-    if ang_exact_zero:
-        outs.append(KernelValue(0.0, 0.0, used, 0, True, request.density_gauge, "exact"))
-    return outs
+        if rigorous:
+            tails = [suf_k]
+            if need_grad:
+                # radial tail = |1-d/2|/r * suf_k + lam * deriv_factor * suf_p
+                deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+                tails.append(np.logaddexp(math.log(abs(beta_r)) + suf_k,
+                                          math.log(lam * deriv_factor) + suf_p))
+                if not ang_exact_zero:
+                    tails.append(suf_g)
+            # Stop at the first j whose remainder is below rel_tol * |partial sum|
+            # in every component (0 <= 0 counts).
+            log_rel_tol = math.log(rel_tol)
+            with np.errstate(divide="ignore"):
+                ok = np.logical_and.reduce([
+                    tail[1:] <= log_rel_tol + np.log(np.abs(total)) + scale
+                    for tail, total, (_, scale) in zip(tails, sums, comps)
+                ])
+            stopped = bool(ok.any())
+            used = int(ok.argmax()) + 1 if stopped else n
+            log_tails = [tail[used] for tail in tails]
+        else:
+            # Cauchy heuristic: stop after heuristic_run consecutive terms below
+            # rel_tol/10 of their partial sums, in every component, and after at
+            # least two terms.
+            run = DEFAULTS.heuristic_run
+            small = np.logical_and.reduce([
+                np.abs(terms) <= 0.1 * rel_tol * np.abs(total)
+                for (terms, _), total in zip(comps, sums)
+            ])
+            hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:n] >= run
+            hit[0] = False
+            stopped = bool(hit.any())
+            used = int(hit.argmax()) + 1 if stopped else n
+            # Extrapolation: three times the sum of the last few |terms|.
+            with np.errstate(divide="ignore"):
+                log_tails = [float(np.log(3.0 * np.abs(terms[max(0, used - run):used]).sum())) + scale
+                             for terms, scale in comps]
+
+        certified = rigorous and stopped and s <= DEFAULTS.certified_ratio
+        tail_kind = "rigorous" if rigorous else "cauchy"
+        log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
+        outs = [
+            _pack(float(total[used - 1]), scale + log_gauge, float(log_tail) + log_gauge, used,
+                  certified, gauge, tail_kind)
+            for total, (_, scale), log_tail in zip(sums, comps, log_tails)
+        ]
+        if not need_grad:
+            return outs[0]
+        if ang_exact_zero:
+            outs.append(KernelValue(0.0, 0.0, used, 0, True, gauge, "exact"))
+        return outs
+
+    return evaluate
 
 
 def resolvent_kernel(request: ResolventRequest) -> KernelValue:
@@ -350,7 +358,8 @@ def resolvent_kernel(request: ResolventRequest) -> KernelValue:
     Certified results satisfy tail_bound <= rel_tol * |value| with a
     rigorous bound; see the module docstring for the regime map.
     """
-    return _eval_series(request, need_grad=False)
+    return _prepare_series(request.spectrum, request.z, request.zp, need_grad=False)(
+        request.lam, request.rel_tol, request.density_gauge)
 
 
 def resolvent_gradient(request: ResolventRequest) -> GradientValue:
@@ -364,7 +373,8 @@ def resolvent_gradient(request: ResolventRequest) -> GradientValue:
         raise DomainError(
             "resolvent_gradient is defined for density_gauge='riemannian' only"
         )
-    _, out_r, out_a = _eval_series(request, need_grad=True)
+    _, out_r, out_a = _prepare_series(request.spectrum, request.z, request.zp, need_grad=True)(
+        request.lam, request.rel_tol, request.density_gauge)
     return GradientValue(d_r=out_r, angular=out_a)
 
 

@@ -41,7 +41,7 @@ from scipy.integrate import quad
 from .config import DEFAULTS
 from .errors import DomainError, PositivityError, UnsupportedError
 from .geometry import ConePoint, cone_distance
-from .resolvent import ResolventRequest, resolvent_gradient
+from .resolvent import _prepare_series
 from .spectrum import CrossSectionSpectrum, leading_modes
 
 __all__ = [
@@ -92,22 +92,21 @@ class PInterval:
         return self.p_lo < p < self.p_hi
 
 
+def _endpoints(d: int, mu):
+    """(d / min(d/2 + 1 + mu, d), d / (d/2 - mu)) in mu's number type, Fraction or float.
+
+    The upper endpoint is None when d/2 - mu <= 0, where it is infinite.
+    """
+    d = Fraction(d) if isinstance(mu, Fraction) else float(d)
+    half = d / 2
+    return d / min(half + 1 + mu, d), (d / (half - mu) if half - mu > 0 else None)
+
+
 def _interval_from_mu(d: int, mu: float, basis: str, mu_exact: Fraction | None = None):
-    """Endpoints from one bottom-mode exponent; exact path when mu is rational."""
-    if mu_exact is not None:
-        half = Fraction(d, 2)
-        lo_den = min(half + 1 + mu_exact, Fraction(d))
-        p_lo = Fraction(d) / lo_den
-        hi_den = half - mu_exact
-        if hi_den <= 0:
-            return PInterval(float(p_lo), math.inf, basis, p_lo, None)
-        p_hi = Fraction(d) / hi_den
-        return PInterval(float(p_lo), float(p_hi), basis, p_lo, p_hi)
-    lo_den = min(0.5 * d + 1.0 + mu, float(d))
-    p_lo = d / lo_den
-    hi_den = 0.5 * d - mu
-    p_hi = math.inf if hi_den <= 0.0 else d / hi_den
-    return PInterval(p_lo, p_hi, basis)
+    """Endpoints from one bottom-mode exponent; exact fractions too when mu is rational."""
+    p_lo, p_hi = _endpoints(d, mu if mu_exact is None else mu_exact)
+    exact = (None, None) if mu_exact is None else (p_lo, p_hi)
+    return PInterval(float(p_lo), math.inf if p_hi is None else float(p_hi), basis, *exact)
 
 
 def _validate_d(d) -> int:
@@ -144,9 +143,8 @@ def threshold_interval_zero_v(d: int, mu1: float) -> PInterval:
         raise DomainError(
             f"second exponent mu1 must exceed d/2 - 1 = {0.5 * d - 1.0}, got {mu1!r}"
         )
-    hi_den = 0.5 * d - mu1
-    p_hi = math.inf if hi_den <= 0.0 else d / hi_den
-    return PInterval(1.0, p_hi, "zero-V", Fraction(1), None)
+    p_hi = _endpoints(d, mu1)[1]
+    return PInterval(1.0, math.inf if p_hi is None else p_hi, "zero-V", Fraction(1), None)
 
 
 def _exact_mu(d: int, c) -> Fraction | None:
@@ -235,9 +233,11 @@ class RieszKernelValue:
 
     ``d_r`` and ``angular`` are the two gradient components (see
     :class:`conekit.resolvent.GradientValue`); ``quad_error_est`` sums
-    the quadrature error estimates of both components plus the
-    truncation estimate at lambda_max; ``lambda_splits`` records the
-    panel boundaries actually used; ``n_evals`` counts integrand calls.
+    the quadrature error estimates of both components, the truncation
+    estimate at lambda_max, and the series truncation (the worst relative
+    tail of any node times |d_r| + |angular|); ``lambda_splits`` records
+    the panel boundaries actually used; ``n_evals`` counts the distinct
+    lambda nodes at which the gradient series was evaluated.
     """
 
     d_r: float
@@ -262,57 +262,48 @@ def riesz_kernel(
     The lambda integral is truncated where the integrand's guaranteed
     exponential decay e^{-lambda dist(z,z')} reaches rel_tol, padded by
     :data:`conekit.config.DEFAULTS.lambda_max_pad`; the neglected tail
-    is estimated by |integrand(lambda_max)| / dist and included in
+    is estimated by 2 |integrand(lambda_max)| / dist and included in
     ``quad_error_est``.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
-    cs = spectrum.cross_section
-    if cs is None:
-        raise DomainError("spectrum carries no cross-section; riesz kernel needs one")
-    gamma = cs.distance(z.y, zp.y)
-    dist = cone_distance(z.r, zp.r, gamma)
-    if dist == 0.0:
-        raise DomainError("riesz kernel is singular on the diagonal z = z'")
+    series = _prepare_series(spectrum, z, zp, need_grad=True)
+    dist = cone_distance(z.r, zp.r, spectrum.cross_section.distance(z.y, zp.y))
+    if dist == 0.0:  # off the diagonal too, where the distance underflows
+        raise DomainError("riesz kernel is singular at zero cone distance")
 
     lam_max = DEFAULTS.lambda_max_pad * math.log(1.0 / rel_tol) / dist
     grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)
     b_hi, b_lo = 1.0 / min(z.r, zp.r), 1.0 / max(z.r, zp.r)
     edges = [0.0] + sorted(b for b in {b_lo, b_hi} if 0.0 < b < lam_max) + [lam_max]
 
-    counter = [0]
-    worst_rel_tail = [0.0]
+    # One series evaluation per distinct lambda: the radial and angular
+    # passes visit the same quadrature nodes.
+    nodes = {}
 
     def grad_at(lam: float):
-        counter[0] += 1
-        req = ResolventRequest(spectrum, z, zp, lam=lam, rel_tol=grad_tol)
-        g = resolvent_gradient(req)
-        # Track the truncation the series actually achieved, not the one
-        # requested: shallow mode tables near the diagonal may fall short.
-        for comp in (g.d_r, g.angular):
-            if comp.value != 0.0 and comp.rel_tail > worst_rel_tail[0]:
-                worst_rel_tail[0] = comp.rel_tail
-        return g.d_r.float_value(), g.angular.float_value()
+        if lam not in nodes:
+            nodes[lam] = series(lam, grad_tol, "riemannian")[1:]
+        return nodes[lam]
 
     total = [0.0, 0.0]
     err = 0.0
     for comp in (0, 1):
-        if comp == 1 and gamma == 0.0:
-            continue  # angular component vanishes identically on the axis
-        f = lambda lam, _c=comp: grad_at(lam)[_c]
         for a, b in zip(edges, edges[1:]):
-            res = quad(f, a, b, epsabs=0.0, epsrel=0.3 * rel_tol, limit=100,
-                       full_output=1)
+            res = quad(lambda lam: grad_at(lam)[comp].float_value(), a, b, epsabs=0.0,
+                       epsrel=0.3 * rel_tol, limit=100, full_output=1)
             total[comp] += res[0]
             err += abs(res[1])
     # Truncation beyond lambda_max: the integrand decays like a low-degree
     # polynomial times e^{-lambda dist}, so twice the pure-exponential tail
     # integral |f(lambda_max)| / dist covers it.  The series truncation of
     # the integrand itself enters proportionally to the accumulated value,
-    # at the worst relative tail any evaluation actually reported.
-    tail_r, tail_a = grad_at(lam_max)
-    err += 2.0 * (abs(tail_r) + abs(tail_a)) / dist
-    err += worst_rel_tail[0] * (abs(total[0]) + abs(total[1]))
+    # at the worst relative tail any evaluation actually reported (shallow
+    # mode tables near the diagonal may fall short of the requested one).
+    err += 2.0 * sum(abs(kv.float_value()) for kv in grad_at(lam_max)) / dist
+    worst_rel_tail = max([0.0] + [kv.rel_tail for pair in nodes.values() for kv in pair
+                                  if kv.value != 0.0])
+    err += worst_rel_tail * (abs(total[0]) + abs(total[1]))
 
     scale = 2.0 / math.pi
     return RieszKernelValue(
@@ -320,7 +311,7 @@ def riesz_kernel(
         angular=scale * total[1],
         quad_error_est=scale * err,
         lambda_splits=tuple(edges),
-        n_evals=counter[0],
+        n_evals=len(nodes),
     )
 
 

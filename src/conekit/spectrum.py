@@ -134,14 +134,13 @@ class SphereTail(TailProfile):
     so rho(l) caps every later ratio.
     """
 
-    def __init__(self, d: int, radius: float, c: float):
-        self.d = int(d)
-        self.radius = float(radius)
-        self.c = float(c)
+    def __init__(self, cross_section: SphereCrossSection, c: float):
+        d = cross_section.dim + 1
+        self.d = d
+        self.radius = cross_section.radius
         self.c0 = c + ((d - 2) / 2.0) ** 2
         self.nu = (d - 2) / 2.0
-        n = d - 1
-        self.volume = radius**n * 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        self.volume = cross_section.volume
 
     def _mu(self, l: int) -> float:
         return math.sqrt(l * (l + self.d - 2) / self.radius**2 + self.c0)
@@ -212,11 +211,9 @@ class TorusTail(TailProfile):
     past any default cutoff.
     """
 
-    def __init__(self, radii, c: float, d: int):
-        self.radii = tuple(float(a) for a in radii)
-        self.volume = math.prod(2.0 * math.pi * a for a in self.radii)
-        self.c = float(c)
-        self.d = int(d)
+    def __init__(self, cross_section: TorusCrossSection):
+        self.radii = cross_section.radii
+        self.volume = cross_section.volume
 
     def _box(self, x: float) -> float:
         return math.prod(2.0 * a * x + 3.0 for a in self.radii)
@@ -378,7 +375,7 @@ def sphere_spectrum(
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
     if cutoff <= 0.0:
         raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
-    tail = SphereTail(d, a, float(c))
+    tail = SphereTail(cs, float(c))
 
     def gegenbauer_at_one(l: int) -> float:
         return math.exp(math.lgamma(l + 2.0 * nu) - math.lgamma(2.0 * nu) - math.lgamma(l + 1.0))
@@ -489,7 +486,7 @@ def torus_spectrum(
         v0_descriptor=f"constant:{float(c)!r}",
         cross_section=cs,
         v0_constant=float(c),
-        tail_profile=TorusTail(cs.radii, float(c), d),
+        tail_profile=TorusTail(cs),
         mu_cutoff=cutoff,
         pair_evaluator=pairs,
     )

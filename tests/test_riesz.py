@@ -1,19 +1,28 @@
 """Riesz transform: thresholds, L2 bound, kernel quadrature, off-diagonal models."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conekit import (
+    DEFAULTS,
     ConePoint,
     DomainError,
+    NormsOnlyError,
     PInterval,
     PositivityError,
+    ResolventRequest,
     UnsupportedError,
+    cone_distance,
     l2_bound_constant,
+    load_spectrum,
     offdiag_bound_check,
+    resolvent_gradient,
     riesz_kernel,
     sphere_spectrum,
     threshold_interval,
@@ -149,13 +158,11 @@ class TestL2Bound:
         assert b2.bound > 10 * b1.bound
 
     def test_requires_constant_potential(self, tmp_path):
-        import json
         p = tmp_path / "s.json"
         p.write_text(json.dumps({"d": 3, "v0": "file", "modes": [
             {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.08]},
             {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.12]},
         ]}))
-        from conekit import load_spectrum
         with pytest.raises(UnsupportedError):
             l2_bound_constant(load_spectrum(p))
 
@@ -178,7 +185,9 @@ class TestRieszKernel:
         assert worst < 1e-4
 
     def test_error_estimate_is_honest(self):
-        for r, rp, gamma in self.POINTS:
+        # Near the diagonal the estimate is carried by the worst series tail.
+        near_diagonal = [(0.8, 1.0, 1.0), (0.95, 1.0, 0.2), (1.0, 1.0, 0.5)]
+        for r, rp, gamma in self.POINTS + near_diagonal:
             kv = self._eval(S3, r, rp, gamma)
             ref_r, ref_a = oracles.riesz_r3(r, rp, gamma)
             actual = abs(kv.d_r - ref_r) + abs(kv.angular - ref_a)
@@ -209,6 +218,94 @@ class TestRieszKernel:
         loose = self._eval(S3, 0.2, 1.0, 1.0, rel_tol=1e-4)
         tight = self._eval(S3, 0.2, 1.0, 1.0, rel_tol=1e-7)
         assert tight.quad_error_est < loose.quad_error_est
+
+
+def _reference_riesz(spec, z, zp, rel_tol=DEFAULTS.riesz_rel_tol):
+    """The lambda-integral rebuilt node by node from the public resolvent API.
+
+    One ``resolvent_gradient`` request per integrand call, one ``quad`` run
+    per component and panel (the angular one skipped at zero separation),
+    plus the lambda_max and worst-tail terms.  Returns the Riesz value's
+    fields and the number of distinct lambda it evaluated.
+    """
+    gamma = spec.cross_section.distance(z.y, zp.y)
+    dist = cone_distance(z.r, zp.r, gamma)
+    lam_max = DEFAULTS.lambda_max_pad * math.log(1.0 / rel_tol) / dist
+    grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)
+    b_hi, b_lo = 1.0 / min(z.r, zp.r), 1.0 / max(z.r, zp.r)
+    edges = [0.0] + sorted(b for b in {b_lo, b_hi} if 0.0 < b < lam_max) + [lam_max]
+    seen, worst = set(), [0.0]
+
+    def grad_at(lam):
+        seen.add(lam)
+        g = resolvent_gradient(ResolventRequest(spec, z, zp, lam=lam, rel_tol=grad_tol))
+        for kv in (g.d_r, g.angular):
+            if kv.value != 0.0 and kv.rel_tail > worst[0]:
+                worst[0] = kv.rel_tail
+        return g.d_r.float_value(), g.angular.float_value()
+
+    total, err = [0.0, 0.0], 0.0
+    for comp in (0, 1):
+        if comp == 1 and gamma == 0.0:
+            continue
+        for a, b in zip(edges, edges[1:]):
+            res = quad(lambda lam: grad_at(lam)[comp], a, b, epsabs=0.0,
+                       epsrel=0.3 * rel_tol, limit=100, full_output=1)
+            total[comp] += res[0]
+            err += abs(res[1])
+    tail_r, tail_a = grad_at(lam_max)
+    err += 2.0 * (abs(tail_r) + abs(tail_a)) / dist
+    err += worst[0] * (abs(total[0]) + abs(total[1]))
+    scale = 2.0 / math.pi
+    return (scale * total[0], scale * total[1], scale * err, tuple(edges)), len(seen)
+
+
+class TestSharedNodes:
+    """Each Riesz value evaluates its mode series once per distinct lambda node."""
+
+    # certified, rigorous (s = 0.8), far-left, r = r', zero separation
+    POINTS = [(0.2, 1.0, 1.0), (0.8, 1.0, 0.9), (3.0, 0.4, 1.3), (1.0, 1.0, 0.5),
+              (0.3, 1.0, 0.0)]
+
+    @pytest.mark.parametrize("spec", [S3, S3_NEG], ids=["S3", "S3_NEG"])
+    def test_matches_the_per_node_reference(self, spec):
+        for r, rp, gamma in self.POINTS:
+            y, yp = spec.cross_section.points_at_separation(gamma)
+            z, zp = ConePoint(r, y), ConePoint(rp, yp)
+            kv = riesz_kernel(spec, z, zp)
+            want, distinct = _reference_riesz(spec, z, zp)
+            assert (kv.d_r, kv.angular, kv.quad_error_est, kv.lambda_splits) == want
+            assert kv.n_evals == distinct
+
+
+class TestRieszErrors:
+    """Bad inputs are refused before any quadrature runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature ran before the input was refused")
+        monkeypatch.setattr("conekit.riesz.quad", fail)
+
+    def test_diagonal(self):
+        y, _ = S3.cross_section.points_at_separation(0.5)
+        with pytest.raises(DomainError):
+            riesz_kernel(S3, ConePoint(0.7, y), ConePoint(0.7, y))
+
+    def test_no_cross_section(self):
+        y, yp = S3.cross_section.points_at_separation(0.5)
+        spec = dataclasses.replace(S3, cross_section=None)
+        with pytest.raises(DomainError):
+            riesz_kernel(spec, ConePoint(0.2, y), ConePoint(1.0, yp))
+
+    def test_norms_only_file_spectrum(self, tmp_path):
+        p = tmp_path / "norms.json"
+        p.write_text(json.dumps({"d": 3, "modes": [
+            {"mu": 0.5, "multiplicity": 1}, {"mu": 1.5, "multiplicity": 3},
+        ]}))
+        spec = load_spectrum(p)
+        with pytest.raises(NormsOnlyError):
+            riesz_kernel(spec, ConePoint(0.2, 0.0), ConePoint(1.0, 0.7))
 
 
 class TestOffdiagModels:

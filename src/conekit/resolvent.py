@@ -46,7 +46,8 @@ same Wronskian.
 Summed against the mode-norm bounds ``pair_sup`` / ``grad_sup`` and the
 spectrum's beyond-cutoff tail profile, they give a rigorous remainder
 after any number of terms: a reversed ``np.logaddexp.accumulate`` of the
-log weights, seeded with ``tail_profile.sum_beyond``.  A result is *certified* when s <= 1/4 (so
+log weights, seeded with ``tail_profile.sum_beyond``, one row per tail
+kind in use.  A result is *certified* when s <= 1/4 (so
 the cutoff margin built into the mode table guarantees the target is
 reachable) and the remainder fell below ``rel_tol * |value|``; the
 ``tail_bound`` field then satisfies that inequality by construction.
@@ -208,25 +209,22 @@ def gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
     raise DomainError(f"unknown density gauge {density_gauge!r}")
 
 
-def _suffix_logs(spectrum, s, kind):
-    """log of the suffix sums of per-mode tail bounds, one entry per mode plus one.
+def _suffix_logs(spectrum, s, n_kinds):
+    """log of the suffix sums of per-mode tail bounds, one row per tail kind.
 
-    Entry j bounds the contribution of modes j, j+1, ... plus everything
-    beyond the table cutoff (the last entry is that beyond-cutoff sum
-    alone).  Kind weights:
-
-    * ``pair_over_2mu``: pair_sup * s^mu / (2 mu)   (kernel terms)
-    * ``pair``:          pair_sup * s^mu            (radial-derivative terms)
-    * ``grad_over_2mu``: grad_sup * s^mu / (2 mu)   (angular terms)
+    Rows are the first ``n_kinds`` kinds in ``_TAIL_KINDS`` order (kernel,
+    radial-derivative and angular terms), each weight
+    :meth:`TailProfile.weights` times s^mu.  Entry j of a row bounds the
+    contribution of modes j, j+1, ... plus everything beyond the table
+    cutoff (the last entry is that beyond-cutoff sum alone, from one
+    ``sum_beyond`` call for every kind).
     """
-    mu, pair_sup, grad_sup = spectrum.mode_table
-    beyond = spectrum.tail_profile.sum_beyond(s, spectrum.modes[-1].mu, kind)
-    with np.errstate(divide="ignore"):  # zero weights are log 0 = -inf
-        log_w = np.log(grad_sup if kind == "grad_over_2mu" else pair_sup) + mu * math.log(s)
-        if kind != "pair":
-            log_w -= np.log(2.0 * mu)
-        log_w = np.append(log_w, np.log(beyond))
-    return np.logaddexp.accumulate(log_w[::-1])[::-1]
+    mu, log_weights = spectrum.mode_table
+    log_w = np.empty((n_kinds, mu.size + 1))
+    log_w[:, :-1] = log_weights[:n_kinds] + mu * math.log(s)
+    log_w[:, -1] = [math.log(b) if b > 0.0 else -math.inf
+                    for b in spectrum.tail_profile.sum_beyond(s, mu[-1])[:n_kinds]]
+    return np.logaddexp.accumulate(log_w[:, ::-1], axis=1)[:, ::-1]
 
 
 def _pack(total, log_scale, log_tail, modes_used, certified, gauge, tail_kind) -> KernelValue:
@@ -262,11 +260,11 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     n = len(mu)
 
     rigorous = s < 1.0 and (spec.grad_certifiable if need_grad else spec.certifiable)
-    if rigorous:  # the suffix tables of each tail kind in use
-        suf_k = _suffix_logs(spec, s, "pair_over_2mu")
-        suf_p = _suffix_logs(spec, s, "pair") if need_grad else None
-        suf_g = (_suffix_logs(spec, s, "grad_over_2mu") - math.log(r)
-                 if need_grad and not ang_exact_zero else None)
+    if rigorous:  # the suffix tables of the tail kinds in use: kernel, radial, angular
+        suf = _suffix_logs(spec, s, 3 if need_grad else 1)
+        suf_k = suf[0]
+        if need_grad:
+            suf_p, suf_g = suf[1], suf[2] - math.log(r)
 
     def evaluate(lam: float, rel_tol: float, gauge: str):
         a, b = lam * a_r, lam * b_r

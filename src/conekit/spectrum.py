@@ -17,6 +17,13 @@ certified kernel truncation possible.
 Providers: round spheres (Gegenbauer addition theorem, exact
 multiplicities), flat tori (lattice enumeration), and JSON files carrying
 precomputed mode tables for abstract cross-sections.
+
+Each mode quantity has one vector formula: :func:`_sphere_modes` maps an
+array of degrees to mu, multiplicity, sup bounds and Gegenbauer norms,
+for the sphere's table and for its tail alike; the torus table is one
+numpy enumeration of the lattice box, sorted and split into clusters;
+:meth:`TailProfile.weights` defines the per-mode weight of each tail
+kind, and ``sum_beyond`` sums every kind beyond the table in one pass.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product as _iter_product
 from typing import Callable
 
 import numpy as np
@@ -91,161 +97,169 @@ class Mode:
             )
         if int(self.multiplicity) != self.multiplicity or self.multiplicity < 1:
             raise DomainError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
+        object.__setattr__(self, "multiplicity", int(self.multiplicity))
 
 
 class TailProfile:
     """Rigorous control of every mode beyond the tabulated range.
 
-    ``sum_beyond(s, mu_from, kind)`` returns a proven upper bound for the
-    sum over all modes with mu > mu_from of coef(mode) * s**mu, where the
-    coefficient depends on ``kind``:
+    ``sum_beyond(s, mu_from)`` returns, for each tail kind in
+    ``_TAIL_KINDS`` order, a proven upper bound for the sum over all modes
+    with mu > mu_from of weight(mode) * s**mu, where :meth:`weights` gives
+    the weight of each kind:
 
     * ``"pair_over_2mu"``: sup|pair| / (2 mu)   (kernel tails),
     * ``"pair"``:          sup|pair|            (radial-derivative tails),
     * ``"grad_over_2mu"``: sup|grad pair|/(2 mu) (angular-derivative tails).
     """
 
-    def sum_beyond(self, s: float, mu_from: float, kind: str) -> float:
+    @staticmethod
+    def weights(mu, pair_sup, grad_sup) -> np.ndarray:
+        """The weights of the three tail kinds, stacked in ``_TAIL_KINDS`` order."""
+        return np.array([pair_sup / (2.0 * mu), pair_sup, grad_sup / (2.0 * mu)])
+
+    def sum_beyond(self, s: float, mu_from: float) -> tuple[float, float, float]:
         raise NotImplementedError
 
 
 class CompleteTail(TailProfile):
     """A table that IS the whole spectrum (file-based operators)."""
 
-    def sum_beyond(self, s, mu_from, kind):
-        if kind not in _TAIL_KINDS:
-            raise DomainError(f"unknown tail kind {kind!r}")
-        return 0.0
+    def sum_beyond(self, s, mu_from):
+        return (0.0,) * len(_TAIL_KINDS)
 
 
-class SphereTail(TailProfile):
-    """Exact lazy enumeration of sphere modes past the table.
+class _MajorantTail(TailProfile):
+    """Term-by-term tail sums, stopped by a geometric majorant.
 
-    Multiplicities and eigenvalues have closed forms for every l, so the
-    tail is summed term by term; the loop stops once the remaining sum is
-    provably below 1e-6 of the accumulated value, using the geometric
-    majorant term(l+1) <= term(l) * rho(l) with
+    A subclass gives, for a block of n terms from index ``start`` past
+    mu_from, each kind's weights, the exponents log(s**mu), and ratio caps
+    rho with term(i+1) <= term(i) * rho(i) for every later i too.  A
+    kind's sum stops at the first term with a positive weight whose
+    majorant term * rho/(1 - rho) of all later terms is below 1e-6 of the
+    running total (and is added to the bound), or which underflows to 0
+    (the rest is then below float resolution).  Blocks double in length
+    up to 2**15 terms, so memory stays bounded as s approaches 1.
+    """
+
+    def _terms(self, s, mu_from, start, n):
+        """(weights, log s**mu, ratio caps) of terms start .. start+n-1, a row per tail kind."""
+        raise NotImplementedError
+
+    def sum_beyond(self, s, mu_from):
+        if not 0.0 < s < 1.0:
+            raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
+        bounds, carry, start, n = {}, 0.0, 0, 64
+        while start < 10_000_000:
+            coef, log_term, rho = self._terms(s, mu_from, start, n)
+            term = coef * np.exp(log_term)
+            total = np.cumsum(term, axis=-1) + carry
+            # term * rho <= 1e-6 * total * (1 - rho) with term > 0 implies rho < 1.
+            stop = (coef > 0.0) & ((term == 0.0) | (term * rho <= 1e-6 * total * (1.0 - rho)))
+            for k, i in enumerate(stop.argmax(axis=-1).tolist()):
+                if k not in bounds and stop[k, i]:  # total, plus the majorant unless it underflowed
+                    t, r = term[k, i], rho[k, i]
+                    bounds[k] = float(total[k, i] + (t * r / (1.0 - r) if t > 0.0 else 0.0))
+            if len(bounds) == len(term):
+                return tuple(bounds[k] for k in range(len(term)))
+            carry, start, n = total[:, -1:], start + n, min(2 * n, 1 << 15)
+        raise ArithmeticError("tail failed to converge")  # pragma: no cover
+
+
+def _sphere_modes(cross_section: SphereCrossSection, c0: float, l: np.ndarray):
+    """Eigendata of the degree-l harmonics, for an array of degrees l.
+
+    Returns (mu_l, N_l, pair_sup, grad_sup, norm) with
+    mu_l = sqrt(l(l+d-2)/a^2 + c0); N_l the dimension of the degree-l
+    harmonics, as floats (exact while (2l+d-2) C(l+d-3, d-3) < 2^53);
+    pair_sup = N_l/vol, the pair function at coincidence; grad_sup its
+    derivative bound pair_sup * l(l+d-2)/((d-1) a); and the Gegenbauer
+    norm N_l/(vol C_l^{(d-2)/2}(1)) = (2l+d-2)/((d-2) vol).
+    """
+    d, a, vol = cross_section.dim + 1, cross_section.radius, cross_section.volume
+    l = np.asarray(l, dtype=float)
+    mu = np.sqrt(l * (l + d - 2) / a**2 + c0)
+    binom = np.ones_like(l)  # C(l+k, k) = C(l+k-1, k-1) (l+k)/k, exact integers
+    for k in range(1, d - 2):
+        binom = binom * (l + k) / k
+    mult = (2 * l + d - 2) * binom / (d - 2)
+    pair_sup = mult / vol
+    return mu, mult, pair_sup, pair_sup * l * (l + d - 2) / ((d - 1) * a), (2 * l + d - 2) / ((d - 2) * vol)
+
+
+def _degree_count(cross_section: SphereCrossSection, c0: float, mu: float) -> int:
+    """A count of degrees from 0 that covers every l with mu_l <= mu (as mu_l^2 >= l^2/a^2 + c0)."""
+    return int(cross_section.radius * math.sqrt(max(mu * mu - c0, 0.0))) + 1
+
+
+class SphereTail(_MajorantTail):
+    """Exact enumeration of sphere modes past the table.
+
+    Multiplicities and eigenvalues have closed forms for every l
+    (:func:`_sphere_modes`), so the tail is summed term by term with
+    ratio caps
 
         rho(l) = (coefficient growth cap at l) * s**min(gap(l), 1/a).
 
-    The multiplicity ratio N_{l+1}/N_l and the gradient-weight ratio are
-    both decreasing in l, and the eigenvalue gap mu_{l+1}-mu_l is monotone
-    toward its limit 1/a from one side (the side depends only on sign(c)),
-    so rho(l) caps every later ratio.
+    The cap is N_{l+1}/N_l, and for the gradient kind the growth of
+    grad_sup.  Both ratios are decreasing in l, and the eigenvalue gap
+    mu_{l+1}-mu_l is monotone toward its limit 1/a from one side (the side
+    depends only on sign(c)), so rho(l) caps every later ratio.  The
+    s-independent arrays are built once and extended on demand.
     """
 
     def __init__(self, cross_section: SphereCrossSection, c: float):
-        d = cross_section.dim + 1
-        self.d = d
-        self.radius = cross_section.radius
-        self.c0 = c + ((d - 2) / 2.0) ** 2
-        self.nu = (d - 2) / 2.0
-        self.volume = cross_section.volume
+        self.cross_section = cross_section
+        self.c0 = c + ((cross_section.dim - 1) / 2.0) ** 2
+        self._table = None  # _build(0, n) for the lowest n <= 2**16 degrees asked for so far
 
-    def _mu(self, l: int) -> float:
-        return math.sqrt(l * (l + self.d - 2) / self.radius**2 + self.c0)
+    def _build(self, lo: int, hi: int) -> np.ndarray:
+        """Rows mu, the 3 weights, the 3 ratio caps and the gap, for the degrees lo .. hi-1."""
+        mu, mult, pair_sup, grad_sup, _ = _sphere_modes(self.cross_section, self.c0, np.arange(lo, hi + 1))
+        growth = mult[1:] / mult[:-1]
+        # Degree 0 has grad_sup = 0, so it never stops the gradient sum and needs no cap.
+        grad_growth = np.divide(grad_sup[1:], grad_sup[:-1], out=growth.copy(), where=grad_sup[:-1] > 0.0)
+        return np.vstack([mu[:-1], self.weights(mu, pair_sup, grad_sup)[:, :-1], growth, growth, grad_growth,
+                          np.minimum(np.diff(mu), 1.0 / self.cross_section.radius)])
 
-    def _mult(self, l: int) -> int:
-        d = self.d
-        if l == 0:
-            return 1
-        return (2 * l + d - 2) * math.comb(l + d - 3, d - 3) // (d - 2)
+    def _degrees(self, lo: int, hi: int) -> np.ndarray:
+        """_build(lo, hi), sliced from the kept table below 2**16 degrees."""
+        if hi > 1 << 16:
+            return self._build(lo, hi)
+        if self._table is None or self._table.shape[1] < hi:
+            self._table = self._build(0, 1 << (hi - 1).bit_length())  # each extension at least doubles
+        return self._table[:, lo:hi]
 
-    def _coef(self, l: int, kind: str) -> float:
-        mu_l = self._mu(l)
-        p = self._mult(l) / self.volume
-        if kind == "pair":
-            return p
-        if kind == "pair_over_2mu":
-            return p / (2.0 * mu_l)
-        if kind == "grad_over_2mu":
-            q = p * l * (l + 2.0 * self.nu) / ((2.0 * self.nu + 1.0) * self.radius)
-            return q / (2.0 * mu_l)
-        raise DomainError(f"unknown tail kind {kind!r}")
-
-    def _ratio_cap(self, l: int, kind: str) -> float:
-        d = self.d
-        cap = (2 * l + d) / (2 * l + d - 2) * (l + d - 2) / (l + 1)  # N_{l+1}/N_l
-        if kind == "grad_over_2mu" and l >= 1:
-            cap *= (l + 1) * (l + 1 + 2.0 * self.nu) / (l * (l + 2.0 * self.nu))
-        return cap
-
-    def sum_beyond(self, s, mu_from, kind):
-        if kind not in _TAIL_KINDS:
-            raise DomainError(f"unknown tail kind {kind!r}")
-        if not 0.0 < s < 1.0:
-            raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
-        l = 0
-        while self._mu(l) <= mu_from * (1.0 + 1e-15):
-            l += 1
-        total = 0.0
-        log_s = math.log(s)
-        while True:
-            coef = self._coef(l, kind)
-            lt = self._mu(l) * log_s
-            term = coef * math.exp(lt) if lt > -745.0 else 0.0
-            total += term
-            gap = self._mu(l + 1) - self._mu(l)
-            rho = self._ratio_cap(l, kind) * s ** min(gap, 1.0 / self.radius)
-            if term == 0.0 and coef > 0.0:
-                # Underflowed terms: remaining sum is below float resolution
-                # relative to anything the caller can represent.
-                return total
-            if rho < 1.0:
-                rem = term * rho / (1.0 - rho)
-                if rem <= 1e-6 * total or rem == 0.0:
-                    return total + rem
-            l += 1
-            if l > 10_000_000:  # pragma: no cover
-                raise ArithmeticError("sphere tail failed to converge")
+    def _terms(self, s, mu_from, start, n):
+        top = mu_from * (1.0 + 1e-15)
+        mu = self._degrees(0, _degree_count(self.cross_section, self.c0, top) + 1)[0]
+        l0 = int(np.searchsorted(mu, top, side="right")) + start  # the first degree past mu_from
+        table = self._degrees(l0, l0 + n)
+        return table[1:4], table[0] * math.log(s), table[4:7] * s ** table[7]
 
 
-class TorusTail(TailProfile):
+class TorusTail(_MajorantTail):
     """Counting bound for torus modes past the table.
 
     Modes with mu in (M+m-1, M+m] are overcounted by the lattice box bound
     count(mu <= x) <= prod_i (2 a_i x + 3), each contributing at most
-    s**(M+m-1); per-mode coefficient caps are 1/vol (pair), 1/(2 M vol)
-    (pair/2mu) and 1/(2 vol) (grad/2mu, since sup|grad| <= sqrt(lambda)/vol
-    <= mu/vol per mode).  Crude but rigorous, and negligible for s <= 1/4
-    past any default cutoff.
+    s**(M+m-1).  Per mode, pair_sup <= 1/vol and grad_sup <= sqrt(lambda)/vol
+    <= mu/vol, and mu > M, so the kinds' weights are at most those of a
+    mode with mu = M, pair_sup = 1/vol and grad_sup = M/vol; the shell
+    ratio cap s * box(M+m+1)/box(M+m) is the same for every kind.  Crude
+    but rigorous, and negligible for s <= 1/4 past any default cutoff.
     """
 
     def __init__(self, cross_section: TorusCrossSection):
-        self.radii = cross_section.radii
+        self.radii = np.asarray(cross_section.radii)[:, None]
         self.volume = cross_section.volume
 
-    def _box(self, x: float) -> float:
-        return math.prod(2.0 * a * x + 3.0 for a in self.radii)
-
-    def sum_beyond(self, s, mu_from, kind):
-        if kind not in _TAIL_KINDS:
-            raise DomainError(f"unknown tail kind {kind!r}")
-        if not 0.0 < s < 1.0:
-            raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
-        if kind == "pair":
-            per_mode = 1.0 / self.volume
-        elif kind == "pair_over_2mu":
-            per_mode = 1.0 / (2.0 * mu_from * self.volume)
-        else:
-            per_mode = 1.0 / (2.0 * self.volume)
-        total = 0.0
-        log_s = math.log(s)
-        m = 1
-        while True:
-            lt = (mu_from + m - 1.0) * log_s
-            term = per_mode * self._box(mu_from + m) * math.exp(lt) if lt > -745.0 else 0.0
-            total += term
-            rho = s * self._box(mu_from + m + 1.0) / self._box(mu_from + m)
-            if term == 0.0:
-                return total
-            if rho < 1.0:
-                rem = term * rho / (1.0 - rho)
-                if rem <= 1e-6 * total or rem == 0.0:
-                    return total + rem
-            m += 1
-            if m > 10_000_000:  # pragma: no cover
-                raise ArithmeticError("torus tail failed to converge")
+    def _terms(self, s, mu_from, start, n):
+        x = mu_from + np.arange(start + 1.0, start + n + 2.0)  # shell tops, one more for the last ratio
+        box = np.prod(2.0 * self.radii * x + 3.0, axis=0)
+        weights = self.weights(mu_from, 1.0 / self.volume, mu_from / self.volume)[:, None]
+        rho = s * box[1:] / box[:-1]
+        return weights * box[:-1], (x[:-1] - 1.0) * math.log(s), np.broadcast_to(rho, (len(weights), n))
 
 
 @dataclass(frozen=True)
@@ -298,10 +312,16 @@ class CrossSectionSpectrum:
         return self.pair_evaluator is None
 
     @cached_property
-    def mode_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, pair_sup, grad_sup) as arrays aligned with ``modes`` (NaN for a missing sup)."""
-        return tuple(np.array([getattr(m, f) for m in self.modes], dtype=float)
-                     for f in ("mu", "pair_sup", "grad_sup"))
+    def mode_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """mu, and the log of every mode's tail weights (:meth:`TailProfile.weights`).
+
+        Both are aligned with ``modes``; the weights have one row per tail
+        kind, NaN where a sup bound is missing and -inf where it is 0.
+        """
+        mu, pair_sup, grad_sup = (np.array([getattr(m, f) for m in self.modes], dtype=float)
+                                  for f in ("mu", "pair_sup", "grad_sup"))
+        with np.errstate(divide="ignore"):
+            return mu, np.log(TailProfile.weights(mu, pair_sup, grad_sup))
 
     def pair_values(self, y, yp, gamma: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
@@ -370,48 +390,34 @@ def sphere_spectrum(
     d = int(d)
     c0 = _check_positivity(d, float(c))
     cs = SphereCrossSection(d - 1, radius)
-    a, vol = cs.radius, cs.volume
-    nu = (d - 2) / 2.0
+    a, nu = cs.radius, (d - 2) / 2.0
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
     if cutoff <= 0.0:
         raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
-    tail = SphereTail(cs, float(c))
-
-    def gegenbauer_at_one(l: int) -> float:
-        return math.exp(math.lgamma(l + 2.0 * nu) - math.lgamma(2.0 * nu) - math.lgamma(l + 1.0))
-
-    modes = []
-    norms = []
-    l = 0
-    while True:
-        mu_l = tail._mu(l)
-        if mu_l > cutoff:
-            break
-        mult = tail._mult(l)
-        norms.append(mult / (vol * gegenbauer_at_one(l)))
-        grad_sup = mult / (vol * a) * l * (l + 2.0 * nu) / (2.0 * nu + 1.0)
-        modes.append(Mode(mu_l, mult, mult / vol, grad_sup, label=f"l={l}"))
-        l += 1
-    if not modes:
+    table = _sphere_modes(cs, c0, np.arange(_degree_count(cs, c0, cutoff)))
+    count = int(np.searchsorted(table[0], cutoff, side="right"))
+    if count == 0:
         raise InsufficientSpectrumError(
-            f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {tail._mu(0)}"
+            f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
         )
-    ls = np.arange(len(modes))
-    norms = np.asarray(norms)
+    mu, mult, pair_sup, grad_sup, norms = (v[:count] for v in table)
+    modes = tuple(Mode(m, n, p, g, label=f"l={l}") for l, (m, n, p, g) in enumerate(zip(
+        mu.tolist(), mult.tolist(), pair_sup.tolist(), grad_sup.tolist())))
+    ls = np.arange(count)
 
     def pairs(y, yp, gamma):
         x = math.cos(gamma / a)
-        grad = np.zeros(len(ls))
+        grad = np.zeros(count)
         grad[1:] = (-2.0 * nu / a * math.sin(gamma / a)) * norms[1:] \
             * eval_gegenbauer(ls[1:] - 1, nu + 1.0, x)
         return norms * eval_gegenbauer(ls, nu, x), grad
     return CrossSectionSpectrum(
         d=d,
-        modes=tuple(modes),
+        modes=modes,
         v0_descriptor=f"constant:{float(c)!r}",
         cross_section=cs,
         v0_constant=float(c),
-        tail_profile=tail,
+        tail_profile=SphereTail(cs, float(c)),
         mu_cutoff=cutoff,
         pair_evaluator=pairs,
     )
@@ -443,34 +449,27 @@ def torus_spectrum(
         raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
     lam_max = cutoff**2 - c0
     vol = cs.volume
-    entries = []  # (lambda, k vector)
-    if lam_max >= 0.0:
-        ranges = [range(-int(a * math.sqrt(lam_max)), int(a * math.sqrt(lam_max)) + 1)
-                  for a in cs.radii]
-        for k in _iter_product(*ranges):
-            lam = sum((ki / ai) ** 2 for ki, ai in zip(k, cs.radii))
-            if lam <= lam_max * (1.0 + 1e-12):
-                entries.append((lam, k))
-    entries.sort(key=lambda t: t[0])
-    if not entries:
+    radii = np.asarray(cs.radii)
+    # The lattice box, rows in itertools.product order, then stably sorted by lambda.
+    kmax = (radii * math.sqrt(max(lam_max, 0.0))).astype(int)
+    ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
+    ks = ks.reshape(-1, len(radii))
+    lam = sum((ks[:, i] / a) ** 2 for i, a in enumerate(cs.radii))
+    keep = np.flatnonzero(lam <= lam_max * (1.0 + 1e-12))
+    keep = keep[np.argsort(lam[keep], kind="stable")]
+    ks, lam = ks[keep], lam[keep]
+    if not lam.size:
         raise InsufficientSpectrumError(
             f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
         )
-    groups: list[list] = []
-    for lam, k in entries:
-        if groups and abs(lam - groups[-1][0]) <= 1e-9 * (1.0 + lam):
-            groups[-1][1].append(k)
-        else:
-            groups.append([lam, [k]])
-
-    modes = []
-    for lam, ks in groups:
-        mult = len(ks)
-        modes.append(Mode(math.sqrt(lam + c0), mult, mult / vol, mult * math.sqrt(lam) / vol,
-                          label=f"lambda={lam:.6g}"))
-    # One row per lattice vector, frequencies k_i/a_i, clusters contiguous.
-    freqs = np.asarray([k for _, ks in groups for k in ks], dtype=float) / np.asarray(cs.radii)
-    starts = np.cumsum([0] + [m.multiplicity for m in modes[:-1]])  # first row of each cluster
+    # A new cluster starts where lambda jumps by more than 1e-9 (1 + lambda);
+    # its rows are contiguous, from starts[j] on.
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e-9 * (1.0 + lam))
+    mult, lam = np.diff(starts, append=lam.size), lam[starts]
+    mu, pair_sup, grad_sup = np.sqrt(lam + c0), mult / vol, mult * np.sqrt(lam) / vol
+    modes = tuple(Mode(m, n, p, g, label=f"lambda={l:.6g}") for l, m, n, p, g in zip(
+        lam.tolist(), mu.tolist(), mult.tolist(), pair_sup.tolist(), grad_sup.tolist()))
+    freqs = ks / radii  # one row per lattice vector: its frequencies k_i/a_i
 
     def pairs(y, yp, gamma):
         delta = TorusCrossSection._wrap(cs._angles(y) - cs._angles(yp))
@@ -482,7 +481,7 @@ def torus_spectrum(
         return pair, -np.add.reduceat(np.sin(phase) * speed, starts) / vol
     return CrossSectionSpectrum(
         d=d,
-        modes=tuple(modes),
+        modes=modes,
         v0_descriptor=f"constant:{float(c)!r}",
         cross_section=cs,
         v0_constant=float(c),
@@ -639,7 +638,7 @@ def _separation_coeffs(spectrum: CrossSectionSpectrum, mode: Mode):
     if isinstance(cs, SphereCrossSection) and cs.radius == 1.0 and mode.label.startswith("l="):
         l = int(mode.label[2:])
         nu = (spectrum.d - 2) / 2.0
-        norm = mode.pair_sup / float(eval_gegenbauer(l, nu, 1.0))
+        norm = float(_sphere_modes(cs, 0.0, l)[4])
 
         # pair as a function of x = cos(d_Y); polynomial of degree l.
         def f(x):
@@ -678,8 +677,9 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
     The result is exact for that sub-kernel (its tail is empty), which is
     what refined single-mode estimates evaluate.
     """
-    if not 1 <= count <= len(spectrum.modes):
-        raise DomainError(f"count must be in [1, {len(spectrum.modes)}], got {count}")
+    if not 1 <= count <= len(spectrum.modes) or int(count) != count:
+        raise DomainError(f"count must be an integer in [1, {len(spectrum.modes)}], got {count!r}")
+    count = int(count)
     full = spectrum.pair_evaluator
 
     def pairs(y, yp, gamma):

@@ -452,8 +452,11 @@ def _loop_reference(spec, pairs, r, rp, gamma, lam, rel_tol, need_grad):
     n_comp = 1 + need_grad + ang
     rigorous = s < 1.0 and spec.certifiable
     if rigorous:
+        beyond = dict(zip(("pair_over_2mu", "pair", "grad_over_2mu"),
+                          spec.tail_profile.sum_beyond(s, spec.modes[-1].mu)))
+
         def suffix(kind):
-            out = [spec.tail_profile.sum_beyond(s, spec.modes[-1].mu, kind)]
+            out = [beyond[kind]]
             for m in reversed(spec.modes):
                 sup = m.grad_sup if kind == "grad_over_2mu" else m.pair_sup
                 out.append(out[-1] + sup * s ** m.mu / (1.0 if kind == "pair" else 2 * m.mu))

@@ -1,11 +1,14 @@
 """Cross-section spectra: exact eigendata, tails, file round-trips."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer
 
 from conekit import (
     DomainError,
@@ -35,6 +38,11 @@ class TestModeValidation:
     def test_rejects_bad_multiplicity(self, mult):
         with pytest.raises(DomainError):
             Mode(1.0, mult)
+
+    @pytest.mark.parametrize("mult", [3.0, np.int64(3), np.float64(3.0)], ids=["float", "np.int64", "np.float64"])
+    def test_multiplicity_is_stored_as_int(self, mult):
+        mode = Mode(1.0, mult)
+        assert mode.multiplicity == 3 and type(mode.multiplicity) is int
 
 
 class TestSphereEigendata:
@@ -167,43 +175,249 @@ class TestTorusEigendata:
             torus_spectrum(3, [1.0, 1.0, 1.0])  # 3-torus needs d = 4
 
 
+_KINDS = ("pair_over_2mu", "pair", "grad_over_2mu")
+
+
 class TestTails:
-    @pytest.mark.parametrize("kind", ["pair_over_2mu", "pair", "grad_over_2mu"])
+    @pytest.mark.parametrize("kind", _KINDS)
     def test_sphere_tail_dominates_brute_force(self, kind):
-        spec = sphere_spectrum(3, mu_cutoff=200.0)
-        shallow = sphere_spectrum(3, mu_cutoff=20.0)
-        s = 0.3
-        mu_from = shallow.modes[-1].mu
-        brute = 0.0
-        for m in spec.modes:
-            if m.mu <= mu_from:
-                continue
-            if kind == "pair_over_2mu":
-                coef = m.multiplicity / spec.cross_section.volume / (2 * m.mu)
-            elif kind == "pair":
-                coef = m.multiplicity / spec.cross_section.volume
-            else:
-                coef = m.grad_sup / (2 * m.mu)
-            brute += coef * s ** m.mu
-        bound = shallow.tail_profile.sum_beyond(s, mu_from, kind)
-        assert brute <= bound <= max(100.0 * brute, 1e-300)
+        # Brute force from the exact per-degree formulas, summed to
+        # convergence; the 1e-6 stop rule keeps the bound within 1e-6 of it.
+        # mu_from runs at the table top, between the last two modes and below mu0.
+        row = _KINDS.index(kind)
+        for d, s, start in itertools.product((3, 5, 6), (0.3, 0.9, 0.99), range(3)):
+            shallow = sphere_spectrum(d, mu_cutoff=20.0)
+            vol, nu = shallow.cross_section.volume, (d - 2) / 2
+            top, below = shallow.modes[-1].mu, shallow.modes[-2].mu
+            mu_from = (top, (below + top) / 2, shallow.mu0 / 2)[start]
+            brute, l, last = 0.0, 0, math.inf
+            while True:
+                mu = math.sqrt(l * (l + d - 2) + nu ** 2)
+                if mu > mu_from:
+                    p = (math.comb(l + d - 1, d - 1) - math.comb(l + d - 3, d - 1)) / vol
+                    term = (p / (2 * mu), p, p * l * (l + 2 * nu) / (2 * nu + 1) / (2 * mu))[row] * s ** mu
+                    brute += term
+                    if l > 10 and 0 < term < min(last, 1e-18 * brute):
+                        break
+                    last = term
+                l += 1
+            bound = shallow.tail_profile.sum_beyond(s, mu_from)[row]
+            assert brute <= bound <= (1 + 2e-6) * brute, (d, s, start)
+
+    @pytest.mark.parametrize("s", [0.9999, 0.99999])
+    def test_sphere_tail_near_one_matches_closed_form(self, s):
+        # On R^3 (mu_l = l + 1/2, N_l = 2l + 1, vol = 4 pi) the three tails
+        # past degree L are closed-form series in s.  Near s = 1 they run to
+        # millions of degrees, past the 2**16 the tail keeps, in bounded memory.
+        spec = sphere_spectrum(3)
+        L, c = len(spec.modes), 1 - s
+        s0 = s ** L / c  # sum_{l >= L} s^l, then with weights l and l(l+1)
+        s1 = s ** L * (L * c + s) / c ** 2
+        s2 = s ** L * (L * (L + 1) * c ** 2 + 2 * (L + 1) * s * c + 2 * s ** 2) / c ** 3
+        exact = np.array([s0, 2 * s1 + s0, s2 / 2]) * math.sqrt(s) / (4 * math.pi)
+        tracemalloc.start()
+        try:
+            bound = np.array(spec.tail_profile.sum_beyond(s, spec.modes[-1].mu))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1e-12: rounding over millions of summed terms
+        assert np.all(exact * (1 - 1e-12) <= bound) and np.all(bound <= (1 + 2e-6) * exact)
+        assert peak < 50e6
 
     def test_torus_tail_dominates_brute_force(self):
         spec = torus_spectrum(3, [1.0, 0.8], mu_cutoff=40.0)
         shallow = torus_spectrum(3, [1.0, 0.8], mu_cutoff=8.0)
-        s = 0.2
         mu_from = shallow.modes[-1].mu
-        brute = sum(
-            m.multiplicity / spec.cross_section.volume / (2 * m.mu) * s ** m.mu
-            for m in spec.modes if m.mu > mu_from
-        )
-        bound = shallow.tail_profile.sum_beyond(s, mu_from, "pair_over_2mu")
-        assert brute <= bound
+        for s in (0.2, 0.9):
+            brute = sum(
+                m.multiplicity / spec.cross_section.volume / (2 * m.mu) * s ** m.mu
+                for m in spec.modes if m.mu > mu_from
+            )
+            bound = shallow.tail_profile.sum_beyond(s, mu_from)[0]
+            assert brute <= bound
 
     def test_tail_rejects_s_at_one(self):
         spec = sphere_spectrum(3)
         with pytest.raises(DomainError):
-            spec.tail_profile.sum_beyond(1.0, 40.0, "pair_over_2mu")
+            spec.tail_profile.sum_beyond(1.0, 40.0)
+
+
+# ----------------------------------------------------------------------
+# Reference algorithms: the per-degree and per-lattice-vector table
+# builds and the term-by-term tail loops that the vector code replaced.
+# ----------------------------------------------------------------------
+
+def _ref_sphere_table(d, radius, c, cutoff, gamma):
+    """Modes (mu, mult, pair_sup, grad_sup, label) and pair values, one degree at a time."""
+    vol = sphere_spectrum(d, radius=radius, c=c).cross_section.volume
+    nu = (d - 2) / 2
+    c0 = c + nu ** 2
+    modes, pairs, grads = [], [], []
+    x, l = math.cos(gamma / radius), 0
+    while (mu := math.sqrt(l * (l + d - 2) / radius ** 2 + c0)) <= cutoff:
+        mult = 1 if l == 0 else (2 * l + d - 2) * math.comb(l + d - 3, d - 3) // (d - 2)
+        norm = mult / (vol * math.exp(math.lgamma(l + 2 * nu) - math.lgamma(2 * nu) - math.lgamma(l + 1)))
+        modes.append((mu, mult, mult / vol, mult / (vol * radius) * l * (l + 2 * nu) / (2 * nu + 1), f"l={l}"))
+        pairs.append(norm * eval_gegenbauer(l, nu, x))
+        grads.append(-2 * nu / radius * math.sin(gamma / radius) * norm * eval_gegenbauer(l - 1, nu + 1, x)
+                     if l else 0.0)
+        l += 1
+    return modes, pairs, grads
+
+
+def _ref_torus_table(radii, c, cutoff, gamma):
+    """Modes and pair values from itertools.product and sequential grouping."""
+    d = len(radii) + 1
+    c0 = c + ((d - 2) / 2) ** 2
+    vol = math.prod(2 * math.pi * a for a in radii)
+    lam_max = cutoff ** 2 - c0
+    ranges = [range(-int(a * math.sqrt(lam_max)), int(a * math.sqrt(lam_max)) + 1) for a in radii]
+    entries = []
+    for k in itertools.product(*ranges):
+        lam = sum((ki / ai) ** 2 for ki, ai in zip(k, radii))
+        if lam <= lam_max * (1 + 1e-12):
+            entries.append((lam, k))
+    entries.sort(key=lambda t: t[0])
+    groups = []
+    for lam, k in entries:
+        if groups and abs(lam - groups[-1][0]) <= 1e-9 * (1 + lam):
+            groups[-1][1].append(k)
+        else:
+            groups.append([lam, [k]])
+    delta = [-gamma / radii[0]] + [0.0] * (len(radii) - 1)  # y - y' for points_at_separation
+    modes, pairs, grads = [], [], []
+    for lam, ks in groups:
+        n = len(ks)
+        modes.append((math.sqrt(lam + c0), n, n / vol, n * math.sqrt(lam) / vol, f"lambda={lam:.6g}"))
+        phases = [sum(ki / ai * di for ki, ai, di in zip(k, radii, delta)) for k in ks]
+        speeds = [sum(ki / ai * di / gamma for ki, ai, di in zip(k, radii, delta)) for k in ks]
+        pairs.append(sum(math.cos(p) for p in phases) / vol)
+        grads.append(-sum(math.sin(p) * v for p, v in zip(phases, speeds)) / vol)
+    return modes, pairs, grads
+
+
+def _ref_majorant(terms):
+    """Sum (coef, log term, rho) triples until the geometric majorant stops it."""
+    total = 0.0
+    for coef, lt, rho in terms:
+        term = coef * math.exp(lt) if lt > -745.0 else 0.0
+        total += term
+        if term == 0.0 and coef > 0.0:
+            return total
+        if rho < 1.0:
+            rem = term * rho / (1.0 - rho)
+            if rem <= 1e-6 * total or rem == 0.0:
+                return total + rem
+
+
+def _ref_sphere_tail(d, radius, c, s, mu_from, kind):
+    vol = sphere_spectrum(d, radius=radius, c=c).cross_section.volume
+    nu = (d - 2) / 2
+    c0 = c + nu ** 2
+
+    def mu(l):
+        return math.sqrt(l * (l + d - 2) / radius ** 2 + c0)
+
+    def terms(l):
+        mu_l = mu(l)
+        while True:
+            mu_next = mu(l + 1)
+            coef = (2 * l + d - 2) * math.comb(l + d - 3, d - 3) // (d - 2) / vol
+            cap = (2 * l + d) / (2 * l + d - 2) * (l + d - 2) / (l + 1)
+            if kind == "grad_over_2mu":
+                coef *= l * (l + 2 * nu) / ((2 * nu + 1) * radius)
+                cap *= (l + 1) * (l + 1 + 2 * nu) / (l * (l + 2 * nu))
+            if kind != "pair":
+                coef /= 2 * mu_l
+            yield coef, mu_l * math.log(s), cap * s ** min(mu_next - mu_l, 1 / radius)
+            l, mu_l = l + 1, mu_next
+
+    l = 0
+    while mu(l) <= mu_from * (1 + 1e-15):
+        l += 1
+    return _ref_majorant(terms(l))
+
+
+def _ref_torus_tail(radii, s, mu_from, kind):
+    vol = math.prod(2 * math.pi * a for a in radii)
+    per_mode = {"pair": 1 / vol, "pair_over_2mu": 1 / (2 * mu_from * vol), "grad_over_2mu": 1 / (2 * vol)}[kind]
+
+    def box(x):
+        return math.prod(2 * a * x + 3 for a in radii)
+
+    def terms(m):
+        while True:
+            yield (per_mode * box(mu_from + m), (mu_from + m - 1) * math.log(s),
+                   s * box(mu_from + m + 1) / box(mu_from + m))
+            m += 1
+
+    return _ref_majorant(terms(1))
+
+
+_SPHERES = [(d, c, radius) for d, c_neg in ((3, -0.15), (4, -0.6), (5, -1.2), (6, -2.4))
+            for c in (0.0, c_neg, 1.0) for radius in (0.7, 1.0, 2.0)]
+_TORI = [(1.0, 1.3), (1.0, 1.0), (1.0, math.sqrt(2)), (1.0, 0.8, 1.2)]
+_TAIL_S = (0.01, 0.3, 0.6, 0.9, 0.99, 0.999)
+
+
+def _sphere_tail_s(cutoff, c, radius):
+    """The s grid of one sphere table's tail check.
+
+    Near s = 1 the scalar reference runs thousands of terms (about 0.2 s
+    per table at s = 0.999), so s = 0.99 is checked at the default cutoff
+    only, and s = 0.999 only there on the unit sphere with c = 0.
+    """
+    grid = list(_TAIL_S[:4])
+    if cutoff is None:
+        grid.append(0.99)
+        if radius == 1.0 and c == 0.0:
+            grid.append(0.999)
+    return grid
+
+
+def _assert_table(spec, modes, pairs, grads, gamma):
+    got_pair, got_grad = spec.pair_values(*spec.cross_section.points_at_separation(gamma))
+    assert len(spec.modes) == len(modes)
+    for m, (mu, mult, pair_sup, grad_sup, label) in zip(spec.modes, modes):
+        assert (m.mu, m.multiplicity, m.label) == (mu, mult, label)
+        assert type(m.multiplicity) is int
+        np.testing.assert_allclose([m.pair_sup, m.grad_sup], [pair_sup, grad_sup], rtol=1e-12, atol=0)
+    scale = np.max(np.abs(pairs))
+    np.testing.assert_allclose(got_pair, pairs, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got_grad, grads, rtol=1e-12, atol=1e-12 * np.max(np.abs(grads)))
+
+
+class TestReferenceAlgorithms:
+    @pytest.mark.parametrize("d,c,radius", _SPHERES)
+    def test_sphere_tables(self, d, c, radius):
+        for cutoff in (None, 9.0, 100.0):
+            spec = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=cutoff)
+            _assert_table(spec, *_ref_sphere_table(d, radius, c, spec.mu_cutoff, 1.1), 1.1)
+
+    @pytest.mark.parametrize("radii", _TORI)
+    def test_torus_tables(self, radii):
+        spec = torus_spectrum(len(radii) + 1, radii, c=0.3, mu_cutoff=12.0)
+        _assert_table(spec, *_ref_torus_table(radii, 0.3, 12.0, 0.9), 0.9)
+
+    @pytest.mark.parametrize("d,c,radius", _SPHERES)
+    def test_sphere_tails(self, d, c, radius):
+        for cutoff in (None, 9.0, 100.0):
+            spec = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=cutoff)
+            mu_from = spec.modes[-1].mu
+            for s in _sphere_tail_s(cutoff, c, radius):
+                got = spec.tail_profile.sum_beyond(s, mu_from)
+                want = [_ref_sphere_tail(d, radius, c, s, mu_from, kind) for kind in _KINDS]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"cutoff {cutoff}, s {s}")
+
+    @pytest.mark.parametrize("radii", _TORI)
+    def test_torus_tails(self, radii):
+        spec = torus_spectrum(len(radii) + 1, radii, c=0.3, mu_cutoff=12.0)
+        mu_from = spec.modes[-1].mu
+        for s in _TAIL_S:
+            got = spec.tail_profile.sum_beyond(s, mu_from)
+            want = [_ref_torus_tail(radii, s, mu_from, kind) for kind in _KINDS]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"s {s}")
 
 
 class TestFileRoundTrip:
@@ -330,10 +544,12 @@ class TestDerivedTables:
         lead = leading_modes(spec, 2)
         assert len(lead.modes) == 2
         assert lead.certifiable  # complete by construction
-        assert lead.tail_profile.sum_beyond(0.3, lead.modes[-1].mu,
-                                            "pair_over_2mu") == 0.0
+        assert lead.tail_profile.sum_beyond(0.3, lead.modes[-1].mu) == (0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             leading_modes(spec, 0)
+        for count in (1.5, math.nan):
+            with pytest.raises(DomainError):
+                leading_modes(spec, count)
 
     def test_mu1_requires_two_modes(self):
         lead = leading_modes(sphere_spectrum(3), 1)

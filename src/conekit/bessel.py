@@ -1,8 +1,8 @@
 """Modified Bessel functions I_nu, K_nu of real order nu >= 0.
 
-The resolvent series multiplies I_mu(a) by K_mu(b) for orders mu up to a
-few hundred and arguments from 1e-6 to several hundred.  In that range the
-factors individually overflow or underflow double precision
+The resolvent series multiplies I_mu(a) by K_mu(b) for orders mu up to
+tens of thousands and arguments from 1e-6 to several hundred.  In that
+range the factors individually overflow or underflow double precision
 (I_mu(r) ~ (r/2)^mu / Gamma(mu+1), K_mu(r) ~ Gamma(mu) (2/r)^mu / 2 near
 zero) long before their product does.  The engine therefore works in log
 space: :func:`log_scaled` returns log(I_nu(x) e^{-x}) or log(K_nu(x) e^{x})
@@ -11,18 +11,23 @@ it and carry an explicit binary exponent: the result is
 ``value * 2**exp2``, with ``exp2 == 0`` whenever the plain float is
 comfortably representable (see :func:`split_log`).
 
-Algorithm, the same rule at every order:
+Algorithm, the same rule at every order, one vector pass per kind:
 
 * scipy's exponentially scaled ``ive`` / ``kve`` wherever the scaled value
-  is a normal finite double.
-* The other entries fall back one at a time.  ``ive`` underflows only at
-  x << nu (at nu = 30 below about x = 2e-9, at nu = 200 below x = 4.6);
-  there ``I`` comes from the ascending power series, which converges in a
-  few terms.  ``kve`` overflows at small x; there ``K`` comes from its
-  leading term Gamma(nu) (2/x)^nu / 2 (DLMF 10.30.2) below order
-  ``DEFAULTS.olver_nu_min`` = 30, whose relative correction
-  (x/2)^2 / (nu - 1) is then far below rounding, and from Olver's uniform
-  large-order expansion (DLMF 10.41.4) at and above it.
+  is a normal finite double.  From order ``DEFAULTS.olver_nu_min`` = 30
+  on, Olver's leading term predicts each log to within 0.01, and in
+  arrays with at least 64 such orders the ones it puts beyond double
+  range by a factor e or more skip scipy, whose large-order path is slow.
+* The other entries fall back, all of a kind at once.  ``ive`` underflows
+  only at x << nu (at nu = 30 below about x = 2e-9, at nu = 200 below
+  x = 4.6); there ``I`` comes from the ascending power series, an array
+  sum of at most 20 terms, where q = (x/2)^2 <= nu + 1, and from Olver's
+  uniform expansion (DLMF 10.41.3) past that.  ``kve`` overflows at small x;
+  there ``K`` comes from its leading term Gamma(nu) (2/x)^nu / 2 (DLMF
+  10.30.2) below order 30, whose relative correction (x/2)^2 / (nu - 1)
+  is then far below rounding, and from Olver's expansion (DLMF 10.41.4)
+  from it on.  Olver's sums run over the order array as one
+  ``np.polynomial`` evaluation, keeping the terms above rounding.
 
 Derivatives use ``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
 ``K'_nu = -(K_{|nu-1|} + K_{nu+1})/2``.  Both are sums of positive terms,
@@ -30,9 +35,10 @@ combined with ``logaddexp``, so no cancellation occurs; each partner order
 is dispatched by the rule above on its own.
 
 Accuracy: validated against 40-digit reference values at 1e-12 relative
-over nu <= 200, r in [1e-6, 500] (see the test suite).  ``abs_error_est``
-is a running estimate of rounding plus truncation, not a certified
-enclosure.
+over nu <= 200, r in [1e-6, 500], and up to order 60000 with x from
+1e-6 to 2 nu at 1e-12 times the size of the log (see the test suite).
+``abs_error_est`` is a running estimate of rounding plus truncation, not a
+certified enclosure.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ive, kve
+from numpy.polynomial import polynomial as _poly
+from scipy.special import gammaln, ive, kve
 
 from .config import DEFAULTS
 from .errors import DomainError
@@ -127,33 +134,9 @@ def _validate(nu: float, r: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# Fallbacks, one order at a time: each returns (log value, rel error).
+# Fallbacks, vector over the entries scipy could not give: each returns
+# (log of the unscaled value, rel error).
 # ----------------------------------------------------------------------
-
-def _i_series(nu: float, r: float) -> tuple[float, float]:
-    """log I_nu(r) by the all-positive ascending series."""
-    q = 0.25 * r * r
-    term = 1.0
-    total = 1.0
-    shift = 0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (nu + k))
-        total += term
-        if total > 8.98846567431158e307 * 0.5:  # 2**1023 / 2: renormalize
-            total = math.ldexp(total, -512)
-            term = math.ldexp(term, -512)
-            shift += 512
-        ratio = q / ((k + 1) * (nu + k + 1))
-        if ratio < 0.5 and term <= 0.25 * _EPS * total:
-            break
-        if k > 100000:  # pragma: no cover - unreachable for finite inputs
-            raise ArithmeticError("I series failed to converge")
-    ln_pref = nu * math.log(0.5 * r) - math.lgamma(nu + 1.0)
-    rel = (k + 4) * _EPS + 2.0 * abs(ln_pref) * _EPS
-    return ln_pref + math.log(total) + shift * _LN2, rel
-
 
 def _gen_olver_polys(kmax: int) -> list[list[float]]:
     """U_k polynomials (ascending coefficients in p), exact recurrence.
@@ -180,92 +163,152 @@ def _gen_olver_polys(kmax: int) -> list[list[float]]:
 
 
 _U_POLYS = _gen_olver_polys(12)
+# U_k(p) = p^k V_k(p^2): row k holds V_k's coefficients, so that
+# sum_{k<n} (+-1)^k U_k(p) / nu^k = polyval2d(+-p/nu, p^2, _U_GRID[:n, :n]).
+_U_GRID = np.array([[poly[k + 2 * j] if k + 2 * j < len(poly) else 0.0 for j in range(len(_U_POLYS))]
+                    for k, poly in enumerate(_U_POLYS)])
+# max |U_k(p)| over 0 <= p <= 1 (sampled), which bounds term k by _U_SUP[k] / nu^k.
+_U_SUP = np.array([np.abs(_poly.polyval(np.linspace(0.0, 1.0, 1001), poly)).max() for poly in _U_POLYS])
+_SERIES_TERMS = 20  # the I series runs where q = (x/2)^2 <= nu + 1: term k is then at most 1/k!
+_LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(1.7976931348623157e308)
+_SKIP_MIN = 64
 
 
-def _horner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _i_series(nu, x):
+    """log I_nu(x) by the all-positive ascending series, where q = (x/2)^2 <= nu + 1.
+
+    Term k is q^k / (k! (nu+1)_k) <= t^k / k! with t the largest q/(nu+1),
+    so the sum keeps the terms before the first whose bound is below
+    rounding (at most _SERIES_TERMS).
+    """
+    q = 0.25 * x * x
+    t = float((q / (nu + 1.0)).max())
+    n = next(k for k in range(_SERIES_TERMS) if t ** (k + 1) / math.factorial(k + 1) <= 0.25 * _EPS)
+    k = np.arange(1.0, n + 1.0)[:, None]
+    total = 1.0 + np.cumprod(q / (k * (nu + k)), axis=0).sum(axis=0)
+    ln_pref = nu * np.log(0.5 * x) - gammaln(nu + 1.0)
+    return ln_pref + np.log(total), (n + 4) * _EPS + 2.0 * np.abs(ln_pref) * _EPS
 
 
-def _olver_k(nu: float, x: float) -> tuple[float, float]:
-    """log K_nu(x) by Olver's uniform large-order expansion."""
+def _olver_leading(kind: str, nu, x):
+    """(log of the leading term of Olver's expansion, w, eta) at z = x/nu.
+
+    With w = sqrt(1 + z^2) and eta = w + log(z/(1+w)), the leading terms
+    are e^{nu eta} / sqrt(2 pi nu w) for I and pi e^{-nu eta} / sqrt(2 pi nu w)
+    for K (DLMF 10.41.3, 10.41.4).
+    """
     z = x / nu
-    w = math.hypot(1.0, z)
+    w = np.hypot(1.0, z)
+    eta = w + np.log(z / (1.0 + w))
+    ln = (nu * eta if kind == "i" else -nu * eta) - 0.5 * np.log(2.0 * np.pi * nu) - 0.5 * np.log(w)
+    return (ln if kind == "i" else ln + math.log(math.pi)), w, eta
+
+
+def _olver(kind: str, nu, x):
+    """log I_nu(x) or log K_nu(x) by Olver's uniform large-order expansions.
+
+    The leading term times sum_k (+-1)^k U_k(p)/nu^k, p = 1/w, keeping
+    the terms k < n, n the first index whose bound _U_SUP[n] / nu^n is
+    below rounding at the smallest order (at most 13 terms).
+    """
+    ln_lead, w, eta = _olver_leading(kind, nu, x)
     p = 1.0 / w
-    eta = w + math.log(z / (1.0 + w))
-    total = 0.0
-    for k, poly in enumerate(_U_POLYS):
-        last = (-1) ** k * _horner(poly, p) / nu**k
-        total += last
-    ln_val = -nu * eta + 0.5 * math.log(math.pi / (2.0 * nu)) - 0.5 * math.log(1.0 / p) + math.log(total)
-    return ln_val, abs(last / total) + (abs(nu * eta) + 16.0) * _EPS
+    bound = _U_SUP / nu.min() ** np.arange(len(_U_SUP))
+    n = next((k for k in range(1, len(bound)) if bound[k] <= 0.25 * _EPS), len(bound))
+    total = _poly.polyval2d((p if kind == "i" else -p) / nu, p * p, _U_GRID[:n, :n])
+    last = min(n, len(_U_SUP) - 1)  # the first term left out, or the last one kept
+    return ln_lead + np.log(total), _U_SUP[last] / nu ** last / total + (np.abs(nu * eta) + 16.0) * _EPS
 
 
-def _k_leading(nu: float, x: float) -> tuple[float, float]:
+def _k_leading(nu, x):
     """log K_nu(x) by its small-argument leading term (nu < olver_nu_min).
 
     kve overflows only where nu > 0.95, and (x/2)^2/(nu-1) bounds the next
     term for nu > 1 (for nu <= 1, x is subnormal).
     """
-    ln_val = math.lgamma(nu) + (nu - 1.0) * _LN2 - nu * math.log(x)
-    trunc = 0.25 * x * x / (nu - 1.0) if nu > 1.0 else 0.0
-    return ln_val, (4.0 + 2.0 * abs(ln_val)) * _EPS + trunc
+    ln_val = gammaln(nu) + (nu - 1.0) * _LN2 - nu * np.log(x)
+    trunc = np.where(nu > 1.0, 0.25 * x * x / np.maximum(nu - 1.0, _EPS), 0.0)
+    return ln_val, (4.0 + 2.0 * np.abs(ln_val)) * _EPS + trunc
 
 
 # ----------------------------------------------------------------------
 # Whole arrays of orders.
 # ----------------------------------------------------------------------
 
-def _log_scaled_values(kind: str, nu: np.ndarray, x: float):
-    """(log scaled value, rel error, fell-back mask) for one kind, no derivative."""
+METHODS = ("scipy", "power-series", "small-argument", "uniform-asymptotic")
+_SERIES, _LEADING, _OLVER = 1, 2, 3  # indices into METHODS
+
+
+def _log_scaled_values(kind: str, nu: np.ndarray, x):
+    """(log scaled value, rel error, method index) for one kind, no derivative."""
     shift = x if kind == "i" else -x  # log of the unscaled value = ln + shift
-    scaled = ive(nu, x) if kind == "i" else kve(nu, x)
+    scipy_fn = ive if kind == "i" else kve
+    # From olver_nu_min on, Olver's leading term gives each log to within
+    # 0.01; the orders it puts beyond double range by a factor e or more
+    # cannot come out of scipy as normal doubles, so they skip it and fall
+    # back below, through the inf that marks them.  That spares scipy's
+    # slow large-order path in grown tables; below _SKIP_MIN such orders
+    # (a base table) the check costs more than it saves.
+    skip = nu >= DEFAULTS.olver_nu_min if nu.size >= _SKIP_MIN else None
+    if skip is not None and np.count_nonzero(skip) >= _SKIP_MIN:
+        x_b, shift_b = np.broadcast_to(x, nu.shape), np.broadcast_to(shift, nu.shape)
+        lead = _olver_leading(kind, nu[skip], x_b[skip])[0] - shift_b[skip]
+        skip[skip] = (lead < _LOG_TINY - 1.0) if kind == "i" else (lead > _LOG_HUGE + 1.0)
+        scaled = np.full(nu.shape, np.inf)
+        scaled[~skip] = scipy_fn(nu[~skip], x_b[~skip])
+    else:
+        scaled = scipy_fn(nu, x)
     fell = ~(np.isfinite(scaled) & (scaled >= _TINY))
     ln = np.log(np.maximum(scaled, _TINY))  # fallen-back entries are replaced below
     # Models scipy's measured error, which grows with the order and with
     # the log of the value (power-series prefactors at small x).
     rel = 16.0 * _EPS * (1.0 + nu + np.abs(ln + shift))
-    for j in np.flatnonzero(fell):
-        nu_j = float(nu[j])
-        if kind == "i":
-            ln_j, rel[j] = _i_series(nu_j, x)
-        elif nu_j >= DEFAULTS.olver_nu_min:
-            ln_j, rel[j] = _olver_k(nu_j, x)
-        else:
-            ln_j, rel[j] = _k_leading(nu_j, x)
-        ln[j] = ln_j - shift
-    return ln, rel, fell
+    method = fell.view(np.int8)  # 0 where scipy gave the value; the others are set below
+    if fell.any():
+        nu_f, x_f = nu[fell], np.broadcast_to(x, nu.shape)[fell]
+        # I: the series where q = (x/2)^2 <= nu + 1, else Olver.  K: the
+        # leading term below olver_nu_min, else Olver.
+        cheap = (0.25 * x_f * x_f <= nu_f + 1.0) if kind == "i" else (nu_f < DEFAULTS.olver_nu_min)
+        ln_f, rel_f = np.empty((2,) + nu_f.shape)
+        if cheap.any():
+            ln_f[cheap], rel_f[cheap] = (_i_series if kind == "i" else _k_leading)(nu_f[cheap], x_f[cheap])
+        if not cheap.all():
+            ln_f[~cheap], rel_f[~cheap] = _olver(kind, nu_f[~cheap], x_f[~cheap])
+        ln[fell] = ln_f - np.broadcast_to(shift, nu.shape)[fell]
+        rel[fell] = rel_f
+        method[fell] = np.where(cheap, _SERIES if kind == "i" else _LEADING, _OLVER)
+    return ln, rel, method
 
 
-def log_scaled(kind: str, nu, x: float, with_dr: bool = False):
-    """Logs of I_nu(x) e^{-x} (``kind="i"``) or K_nu(x) e^{x} (``"k"``) over an array of orders.
+def log_scaled(kind: str, nu, x, with_dr: bool = False):
+    """Logs of I_nu(x) e^{-x} (``kind="i"``) or K_nu(x) e^{x} (``"k"``) over arrays of orders.
 
-    Returns ``(ln, ln_dr, rel, fell)``, arrays aligned with ``nu``:
+    ``x`` is a float or an array that broadcasts against ``nu``.  Returns
+    ``(ln, ln_dr, rel, method)``, arrays of the broadcast shape:
 
     * ``ln`` -- the log of the scaled function;
     * ``ln_dr`` -- with ``with_dr``, the log of |d/dx| of the function on
       the same e^{-+x} scale (I' > 0 and K' < 0 throughout), else None;
     * ``rel`` -- relative error estimate, covering the derivative
       partners' too;
-    * ``fell`` -- True where the order did not come from scipy.
+    * ``method`` -- each entry's index into :data:`METHODS` (0 where the
+      order came from scipy).
     """
     nu = np.asarray(nu, dtype=float)
+    if not isinstance(x, float) and np.ndim(x):
+        x = np.asarray(x, dtype=float)
+        nu = np.broadcast_to(nu, np.broadcast_shapes(nu.shape, x.shape))
     if not with_dr:
-        ln, rel, fell = _log_scaled_values(kind, nu, x)
-        return ln, None, rel, fell
-    n = nu.size
+        ln, rel, method = _log_scaled_values(kind, nu, x)
+        return ln, None, rel, method
     if kind == "i":
-        ln, rel, fell = _log_scaled_values("i", np.concatenate((nu, nu + 1.0)), x)
+        ln, rel, method = _log_scaled_values("i", np.stack((nu, nu + 1.0)), x)
         with np.errstate(divide="ignore"):  # nu = 0 drops the second term
-            ln_dr = np.logaddexp(ln[n:], np.log(nu / x) + ln[:n])
+            ln_dr = np.logaddexp(ln[1], np.log(nu / x) + ln[0])
     else:
-        orders = np.concatenate((nu, np.abs(nu - 1.0), nu + 1.0))
-        ln, rel, fell = _log_scaled_values("k", orders, x)
-        ln_dr = np.logaddexp(ln[n:2 * n], ln[2 * n:]) - _LN2
-    rel = rel.reshape(-1, n).max(axis=0)
-    return ln[:n], ln_dr, rel, fell[:n]
+        ln, rel, method = _log_scaled_values("k", np.stack((nu, np.abs(nu - 1.0), nu + 1.0)), x)
+        ln_dr = np.logaddexp(ln[1], ln[2]) - _LN2
+    return ln[0], ln_dr, rel.max(axis=0), method[0]
 
 
 # ----------------------------------------------------------------------
@@ -274,13 +317,8 @@ def log_scaled(kind: str, nu, x: float, with_dr: bool = False):
 
 def _scalar(kind: str, nu: float, r: float, with_dr: bool):
     nu, r = _validate(nu, r)
-    ln, ln_dr, rel, fell = log_scaled(kind, [nu], r, with_dr)
-    if not fell[0]:
-        method = "scipy"
-    elif kind == "i":
-        method = "power-series"
-    else:
-        method = "uniform-asymptotic" if nu >= DEFAULTS.olver_nu_min else "small-argument"
+    ln, ln_dr, rel, method = log_scaled(kind, [nu], r, with_dr)
+    method = METHODS[method[0]]
     shift = r if kind == "i" else -r
     m, e = split_log(float(ln[0]) + shift)
     value = BesselEval(m, m * float(rel[0]), method, e)
@@ -311,18 +349,24 @@ def bessel_k_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
     return _scalar("k", nu, r, True)
 
 
-def wronskian_residual(nu: float, r: float) -> float:
+def wronskian_residual(nu, r):
     """r * |I_nu(r) K'_nu(r) - I'_nu(r) K_nu(r) + 1/r| (should be ~0).
 
     The exact Wronskian is I K' - I' K = -1/r; the residual is scaled by r
     so it is a relative-size quantity across the whole range.  On the
-    scaled logs the e^{-+r} factors cancel in both products.
+    scaled logs the e^{-+r} factors cancel in both products.  ``nu`` and
+    ``r`` may be arrays that broadcast together, for one vector pass; the
+    result is then an array.
     """
-    nu, r = _validate(nu, r)
-    li, ldi, _, _ = log_scaled("i", [nu], r, True)
-    lk, ldk, _, _ = log_scaled("k", [nu], r, True)
-    log_r = math.log(r)
-    return abs(1.0 - math.exp(li[0] + ldk[0] + log_r) - math.exp(ldi[0] + lk[0] + log_r))
+    nu, r = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(r, dtype=float))
+    bad = ~(np.isfinite(nu) & (nu >= 0.0) & np.isfinite(r) & (r > 0.0))
+    if bad.any():
+        _validate(nu[bad][0], r[bad][0])  # raises, naming the first bad entry
+    li, ldi, _, _ = log_scaled("i", nu, r, True)
+    lk, ldk, _, _ = log_scaled("k", nu, r, True)
+    log_r = np.log(r)
+    res = np.abs(1.0 - np.exp(li + ldk + log_r) - np.exp(ldi + lk + log_r))
+    return float(res) if res.ndim == 0 else res
 
 
 # ----------------------------------------------------------------------

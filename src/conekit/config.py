@@ -19,13 +19,13 @@ class Defaults:
     # --- Resolvent series ----------------------------------------------
     # Default relative tolerance for kernel values.
     kernel_rel_tol: float = 1e-8
-    # Tail certification requires r< / r> at or below this ratio.
-    certified_ratio: float = 0.25
     # Heuristic stop: this many consecutive terms below the target.
     heuristic_run: int = 3
 
     # --- Mode-table sizing ----------------------------------------------
-    # mu_cutoff defaults to max(mu_cutoff_floor, mu0 + mu_cutoff_margin).
+    # The base table's mu_cutoff defaults to max(mu_cutoff_floor,
+    # mu0 + mu_cutoff_margin).  Sphere and torus tables grow past it on
+    # demand, in chunks (see conekit.resolvent).
     mu_cutoff_floor: float = 40.0
     mu_cutoff_margin: float = 30.0
 

@@ -100,7 +100,7 @@ class SphereCrossSection(CrossSection):
             raise DomainError(
                 f"sphere point must be a vector of length {self.dim + 1}, got shape {v.shape}"
             )
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's formula, without its overhead
         if norm == 0.0 or abs(norm - self.radius) > 1e-9 * self.radius:
             raise DomainError(
                 f"sphere point must have length {self.radius} (got {norm})"
@@ -112,7 +112,7 @@ class SphereCrossSection(CrossSection):
         c = float(np.dot(u, v))
         # Stable at both ends: use the rejection norm rather than arccos.
         perp = v - c * u
-        angle = math.atan2(float(np.linalg.norm(perp)), c)
+        angle = math.atan2(math.sqrt(perp.dot(perp)), c)
         return self.radius * angle
 
     def points_at_separation(self, s: float):
@@ -162,7 +162,8 @@ class TorusCrossSection(CrossSection):
 
     def distance(self, y, yp) -> float:
         delta = self._wrap(self._angles(y) - self._angles(yp))
-        return float(np.linalg.norm(np.asarray(self.radii) * delta))
+        arc = np.asarray(self.radii) * delta
+        return math.sqrt(arc.dot(arc))
 
     def points_at_separation(self, s: float):
         s = float(s)

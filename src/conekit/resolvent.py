@@ -44,37 +44,55 @@ in |order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the
 same Wronskian.
 
 Summed against the mode-norm bounds ``pair_sup`` / ``grad_sup`` and the
-spectrum's beyond-cutoff tail profile, they give a rigorous remainder
-after any number of terms: a reversed ``np.logaddexp.accumulate`` of the
-log weights, seeded with ``tail_profile.sum_beyond``, one row per tail
-kind in use.  A result is *certified* when s <= 1/4 (so
-the cutoff margin built into the mode table guarantees the target is
-reachable) and the remainder fell below ``rel_tol * |value|``; the
-``tail_bound`` field then satisfies that inequality by construction.
-For 1/4 < s < 1 the same rigorous remainder is reported but the result
-is not certified; at s = 1, or when the spectrum carries no sup bounds,
-a Cauchy heuristic stops the sum and ``tail_bound`` is an extrapolation,
-not a guarantee (``tail_kind == "cauchy"``).
+spectrum's tail profile, they give a rigorous remainder after any number
+of terms: a reversed ``np.logaddexp.accumulate`` of the log weights,
+seeded with ``tail_profile.sum_beyond`` at the top of the table summed so
+far, one row per tail kind in use.  The sum stops at the first term after
+which that remainder is below ``rel_tol * |partial sum|``.  Where the
+base table runs out first, sphere and torus tables grow (see Evaluation),
+up to ``spectrum.TABLE_CEILING`` entries.
 
-``tail_bound`` covers series truncation only; the floating-point error
-of the summed terms (~1e-13 relative, see the Bessel module) is not
-included.
+A result is *certified* when s < 1 and the rigorous stop rule fired; the
+``tail_bound`` field then satisfies ``tail_bound <= rel_tol * |value|``
+by construction.  A rigorous result is not certified when the table
+(a spectrum file's, or a grown table at the ceiling) ran out first; its
+``tail_bound`` is the rigorous remainder there.  At s = 1, or when the
+spectrum carries no sup bounds, a Cauchy heuristic stops the sum over the
+base table and ``tail_bound`` is an extrapolation, not a guarantee
+(``tail_kind == "cauchy"``).
+
+``tail_bound`` covers series truncation, and rounding where it matters:
+each term carries its Bessel factors' relative error estimate
+(:func:`conekit.bessel.log_scaled`) and the sum about one rounding per
+term.  For a sum that cancels heavily (points far apart at large
+lam r', where the terms outgrow the value by up to e^{2a}), that estimate
+joins the remainder from a tenth of ``rel_tol * |value|`` on, in the stop
+rule too; a value whose rounding keeps the target out of reach stops
+where the truncation alone would, uncertified.  Below that share the
+floating-point error (~1e-13 relative) is not included.
 
 Evaluation
 ----------
-One numpy pass covers the whole mode table.  The spectrum's
-``pair_values`` gives every pair_j (and its derivative) from one
-cross-section distance; :func:`conekit.bessel.log_scaled` gives
-L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}) for every order.  Each
-term is pair_j * exp(L_j - max L), a signed log-sum-exp whose common
-factor e^{max L + a - b} and gauge factor are applied once, when the
-result is packed.  Partial sums are one ``np.cumsum``.  The stop index is
-the first at which the remainder is below ``rel_tol`` times the partial
-sum in every component (rigorous), or which ends ``heuristic_run``
-consecutive terms below ``rel_tol/10`` of their partial sums (Cauchy);
-the value is the partial sum there.  The radial derivative with z inner
-uses beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu,
-so the two 1/r parts cancel in closed form, not in rounding at tiny r.
+The series is summed in chunks, one numpy pass each.  Chunk 0 is the
+base table (``modes``); chunk k >= 1 holds the grown table's modes past
+chunk k-1 up to ``mu_cutoff * _GROWTH**k``, built only when the sum has
+not stopped in the chunks before.  The spectrum's ``pair_values`` gives
+every pair_j (and its derivative) of the base table from one
+cross-section distance, and a grown table's ``pairs`` continues them
+chunk by chunk; :func:`conekit.bessel.log_scaled` gives
+L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}) for the chunk's orders.
+Each term is pair_j * exp(L_j - max L), max L taken over chunk 0, a
+signed log-sum-exp whose common factor e^{max L + a - b} and gauge factor
+are applied once, when the result is packed.  Partial sums are one
+``np.cumsum`` per chunk, carried into the next; each chunk's suffix
+tables are seeded by one ``sum_beyond`` call at its top, for the tail
+kinds in use.  The value is the partial sum at the stop.  The Cauchy
+rule stops at the first term that ends ``heuristic_run`` consecutive
+terms below ``rel_tol/10`` of their partial sums.  Pair values and tail
+tables are kept per chunk across lambda, so a Riesz value prepares each
+depth once.  The radial derivative with z inner uses
+beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
+two 1/r parts cancel in closed form, not in rounding at tiny r.
 """
 
 from __future__ import annotations
@@ -106,6 +124,11 @@ __all__ = [
 
 _GAUGES = ("riemannian", "b-half")
 _LN2 = math.log(2.0)
+# Each chunk past the base table ends at this many times the cutoff of the one before.
+_GROWTH = 4
+_EPS = 2.220446049250313e-16
+# A rigorous value's rounding estimate joins its tail bound from a tenth of rel_tol * |value| on.
+_LOG_FP_SHARE = math.log(1e-1)
 
 
 @dataclass(frozen=True)
@@ -209,22 +232,24 @@ def gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
     raise DomainError(f"unknown density gauge {density_gauge!r}")
 
 
-def _suffix_logs(spectrum, s, n_kinds):
-    """log of the suffix sums of per-mode tail bounds, one row per tail kind.
+def _suffix_logs(s, mu, log_weights, beyond):
+    """log of the suffix sums of per-mode tail bounds over one chunk, one row per tail kind.
 
-    Rows are the first ``n_kinds`` kinds in ``_TAIL_KINDS`` order (kernel,
+    Rows are the kinds of ``beyond`` in ``_TAIL_KINDS`` order (kernel,
     radial-derivative and angular terms), each weight
     :meth:`TailProfile.weights` times s^mu.  Entry j of a row bounds the
-    contribution of modes j, j+1, ... plus everything beyond the table
-    cutoff (the last entry is that beyond-cutoff sum alone, from one
-    ``sum_beyond`` call for every kind).
+    contribution of the chunk's modes j, j+1, ... plus every mode past the
+    chunk, whose sum ``beyond`` gives for each kind (the last entry is that
+    sum alone).
     """
-    mu, log_weights = spectrum.mode_table
-    log_w = np.empty((n_kinds, mu.size + 1))
-    log_w[:, :-1] = log_weights[:n_kinds] + mu * math.log(s)
-    log_w[:, -1] = [math.log(b) if b > 0.0 else -math.inf
-                    for b in spectrum.tail_profile.sum_beyond(s, mu[-1])[:n_kinds]]
+    log_w = np.empty((len(beyond), mu.size + 1))
+    log_w[:, :-1] = log_weights[:len(beyond)] + mu * math.log(s)
+    log_w[:, -1] = [math.log(b) if b > 0.0 else -math.inf for b in beyond]
     return np.logaddexp.accumulate(log_w[:, ::-1], axis=1)[:, ::-1]
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _pack(total, log_scale, log_tail, modes_used, certified, gauge, tail_kind) -> KernelValue:
@@ -240,14 +265,15 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     """Do the lambda-independent half of the series at (z, z') once; return its evaluator.
 
     That half is the cross-section distance, the pair values, s and the
-    rigorous tail tables.  ``evaluate(lam, rel_tol, gauge)`` returns the
-    kernel's KernelValue, or with ``need_grad`` the list [kernel, d_r, angular].
+    rigorous tail tables, chunk by chunk.  ``evaluate(lam, rel_tol, gauge)``
+    returns the kernel's KernelValue, or with ``need_grad`` the list
+    [kernel, d_r, angular].
     """
     cs = spec.cross_section
     if cs is None:
         raise DomainError("spectrum carries no cross-section; kernel evaluation needs one")
     gamma = cs.distance(z.y, zp.y)
-    pair, grad = spec.pair_values(z.y, zp.y, gamma)
+    pair, grad, pair_state = spec.pair_values(z.y, zp.y, gamma, need_grad, with_state=True)
     r, rp = z.r, zp.r
     z_small = r <= rp  # at r == r' the radial derivative is one-sided (z inner)
     a_r, b_r = (r, rp) if z_small else (rp, r)
@@ -256,90 +282,195 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         raise DomainError("resolvent kernel is singular on the diagonal z = z'")
     ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
     beta_r = (1.0 - 0.5 * spec.d) / r
-    mu = spec.mode_table[0]
-    n = len(mu)
-
+    n_kinds = 3 if need_grad else 1
     rigorous = s < 1.0 and (spec.grad_certifiable if need_grad else spec.certifiable)
-    if rigorous:  # the suffix tables of the tail kinds in use: kernel, radial, angular
-        suf = _suffix_logs(spec, s, 3 if need_grad else 1)
-        suf_k = suf[0]
-        if need_grad:
-            suf_p, suf_g = suf[1], suf[2] - math.log(r)
+
+    # Chunk k is (mu, pair, grad, log tail weights, [suffix tables]).  Chunk
+    # 0 is the base table; chunk k >= 1 holds the grown table's modes past
+    # chunk k-1 up to mu_cutoff * _GROWTH**k (the base table's top mu in
+    # place of a missing cutoff).  Each is built on first use and kept for
+    # every later lambda.
+    mu0, log_weights0 = spec.mode_table
+    chunks = [(mu0, pair, grad, log_weights0, [None])]
+    end, level = mu0.size, 0
+
+    def chunk(k: int):
+        """The k-th chunk, or None once the table cannot grow further."""
+        nonlocal end, level, pair_state
+        while len(chunks) <= k:
+            if spec.grow is None:
+                return None
+            level += 1
+            cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(mu0[-1])) * _GROWTH**level
+            table = spec.grown(cutoff)
+            if table is None:
+                return None
+            hi = int(np.searchsorted(table.mu, cutoff, side="right"))
+            if hi > end:
+                p, g, pair_state = table.pairs(z.y, zp.y, gamma, end, hi, pair_state, need_grad)
+                chunks.append((table.mu[end:hi], p, g, table.log_weights[:, end:hi], [None]))
+                end = hi
+        return chunks[k]
+
+    def tail_rows(k: int):
+        """Chunk k's kernel, radial and angular suffix tables (kinds in use only).
+
+        Seeded with ``sum_beyond`` at the chunk's top.
+        """
+        mu, _, _, log_weights, rows = chunks[k]
+        if rows[0] is None:
+            suf = _suffix_logs(s, mu, log_weights, spec.tail_profile.sum_beyond(s, mu[-1], n_kinds))
+            rows[0] = (suf[0], suf[1], suf[2] - math.log(r)) if need_grad else (suf[0],)
+        return rows[0]
 
     def evaluate(lam: float, rel_tol: float, gauge: str):
         a, b = lam * a_r, lam * b_r
-        # Each component is (terms, log scale): term j times e^scale is the
-        # j-th series term.  The scale is the max shift plus the factor e^{a-b}
-        # that the exponentially scaled Bessel logs leave out.
-        log_i = log_scaled("i", mu, a)[0]
-        log_k, log_dk, _, _ = log_scaled("k", mu, b, need_grad and not z_small)
-        log_ik = log_i + log_k
-        shift = log_ik.max()
-        ik = np.exp(log_ik - shift)
-        comps = [(pair * ik, shift + a - b)]
-        if need_grad:
-            # Radial factor coef_ik * I K + coef_1 * e^{log_1}.  With z inner,
-            # beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu: the two
-            # 1/r parts cancel in closed form instead of in rounding.  With z
-            # outer, beta_r K and lam K' have the same sign.
-            if z_small:
-                log_1 = log_scaled("i", mu + 1.0, a)[0] + log_k
-                coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2)) / r, lam
-            else:
-                log_1 = log_i + log_dk
-                coef_ik, coef_1 = beta_r, -lam
-            shift_r = max(shift, log_1.max())
-            d_terms = coef_ik * np.exp(log_ik - shift_r) + coef_1 * np.exp(log_1 - shift_r)
-            comps.append((pair * d_terms, shift_r + a - b))
-            if not ang_exact_zero:
-                comps.append((grad / r * ik, shift + a - b))
-        sums = [np.cumsum(terms) for terms, _ in comps]
+        shifts = []
+
+        def terms(mu, pair, grad):
+            """This chunk's terms per component, and each term's relative error from its Bessel factors.
+
+            Term j times e^scale is a series term; the scale is chunk 0's max
+            shift plus the factor e^{a-b} that the exponentially scaled Bessel
+            logs leave out.
+            """
+            log_i, _, rel_i, _ = log_scaled("i", mu, a)
+            log_k, log_dk, rel_k, _ = log_scaled("k", mu, b, need_grad and not z_small)
+            rel = rel_i + rel_k
+            log_ik = log_i + log_k
+            if not shifts:
+                shifts.append(log_ik.max())
+            ik = np.exp(log_ik - shifts[0])
+            out = [pair * ik]
+            if need_grad:
+                # Radial factor coef_ik * I K + coef_1 * e^{log_1}.  With z inner,
+                # beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu: the two
+                # 1/r parts cancel in closed form instead of in rounding.  With z
+                # outer, beta_r K and lam K' have the same sign.
+                if z_small:
+                    log_1, _, rel_1, _ = log_scaled("i", mu + 1.0, a)
+                    log_1, rel = log_1 + log_k, np.maximum(rel, rel_1 + rel_k)
+                    coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2)) / r, lam
+                else:
+                    log_1 = log_i + log_dk
+                    coef_ik, coef_1 = beta_r, -lam
+                if len(shifts) == 1:
+                    shifts.append(max(shifts[0], log_1.max()))
+                out.append(pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1])))
+                if not ang_exact_zero:
+                    out.append(grad / r * ik)
+            return out, rel
 
         if rigorous:
-            tails = [suf_k]
-            if need_grad:
-                # radial tail = |1-d/2|/r * suf_k + lam * deriv_factor * suf_p
-                deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
-                tails.append(np.logaddexp(math.log(abs(beta_r)) + suf_k,
-                                          math.log(lam * deriv_factor) + suf_p))
-                if not ang_exact_zero:
-                    tails.append(suf_g)
-            # Stop at the first j whose remainder is below rel_tol * |partial sum|
-            # in every component (0 <= 0 counts).
+            # Sum chunk after chunk; stop at the first j whose remainder is below
+            # rel_tol * |partial sum| in every component (0 <= 0 counts).
             log_rel_tol = math.log(rel_tol)
-            with np.errstate(divide="ignore"):
-                ok = np.logical_and.reduce([
-                    tail[1:] <= log_rel_tol + np.log(np.abs(total)) + scale
-                    for tail, total, (_, scale) in zip(tails, sums, comps)
-                ])
-            stopped = bool(ok.any())
-            used = int(ok.argmax()) + 1 if stopped else n
-            log_tails = [tail[used] for tail in tails]
+            if need_grad:
+                # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
+                deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+                log_coefs = (math.log(abs(beta_r)), math.log(lam * deriv_factor))
+
+            def tails(k):
+                rows = tail_rows(k)
+                if not need_grad:
+                    return rows
+                out = [rows[0], np.logaddexp(log_coefs[0] + rows[0], log_coefs[1] + rows[1])]
+                return out if ang_exact_zero else out + [rows[2]]
+
+            def passes(tail_list, targets):
+                return np.logical_and.reduce([tail[1:] <= target for tail, target in zip(tail_list, targets)])
+
+            def with_rounding(tail_list, targets, comps, rel, mags, scales, first):
+                """The tails with the rounding estimate joined where it reaches a tenth of the target.
+
+                The estimate after term j sums each term's |term| times its
+                Bessel factors' relative error, plus about one rounding per
+                summed term times the sum of |terms|.
+                """
+                out = []
+                for tail, target, t, (mag, wmag), scale in zip(tail_list, targets, comps, mags, scales):
+                    with np.errstate(divide="ignore"):
+                        log_fp = np.log(wmag + np.cumsum(np.abs(t) * rel) + (first + np.arange(9.0, t.size + 9.0))
+                                        * _EPS * (mag + np.cumsum(np.abs(t)))) + scale
+                    joined = log_fp >= _LOG_FP_SHARE + target
+                    out.append(np.concatenate((tail[:1], np.where(joined, np.logaddexp(tail[1:], log_fp),
+                                                                   tail[1:]))))
+                return out
+
+            used, carry, mags, k, stopped, certified = 0, None, None, 0, False, False
+            while not stopped and (c := chunk(k)) is not None:
+                comps, rel = terms(*c[:3])
+                sums = [np.cumsum(t) for t in comps]
+                if carry is None:
+                    scales = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])][:len(comps)]
+                    mags = [(0.0, 0.0)] * len(comps)  # per component: sum |term|, sum |term| * rel
+                else:
+                    sums = [total + last for total, last in zip(sums, carry)]
+                with np.errstate(divide="ignore"):
+                    targets = [log_rel_tol + np.log(np.abs(total)) + scale for total, scale in zip(sums, scales)]
+                tail_list = tails(k)
+                ok = passes(tail_list, targets)
+                # Rounding joins the remainder where its estimate reaches a
+                # tenth of the target (a sum that cancels heavily, as for
+                # points far apart at large lam r').  It is bounded first at
+                # the truncation's stop: every term of the chunk at the
+                # largest relative error, the sum of their sizes bounded by
+                # the tail table's first entry.  More modes cannot make up
+                # for rounding, so where it keeps the target out of reach in
+                # this chunk, the sum stops there, uncertified.
+                j = int(ok.argmax())
+                stopped = certified = bool(ok[j])
+                if not stopped:
+                    j = c[0].size - 1
+                rel_max = float(rel.max()) + (used + c[0].size + 8) * _EPS
+                log_rel_max = math.log(rel_max)
+                if any(max(_log(wmag + rel_max * mag) + scale, log_rel_max + tail[0]) + _LN2
+                       >= _LOG_FP_SHARE + target[j]
+                       for tail, (mag, wmag), scale, target in zip(tail_list, mags, scales, targets)):
+                    tail_list = with_rounding(tail_list, targets, comps, rel, mags, scales, used)
+                    ok = passes(tail_list, targets)
+                    certified = bool(ok.any())
+                    j = int(ok.argmax()) if certified else j
+                n = j + 1
+                used, carry, k = used + n, [total[n - 1] for total in sums], k + 1
+                if not stopped:
+                    mags = [(mag + np.abs(t).sum(), wmag + (np.abs(t) * rel).sum())
+                            for t, (mag, wmag) in zip(comps, mags)]
+            if stopped:
+                log_tails = [tail[n] for tail in tail_list]
+            else:  # the table ran out: rounding joins the last remainder as it would a stop's
+                log_tails = [np.logaddexp(tail[-1], fp) if fp >= _LOG_FP_SHARE + target[-1] else tail[-1]
+                             for tail, fp, target in zip(tails(k - 1), (
+                                 _log(wmag + (used + 8) * _EPS * mag) + scale
+                                 for (mag, wmag), scale in zip(mags, scales)), targets)]
         else:
-            # Cauchy heuristic: stop after heuristic_run consecutive terms below
-            # rel_tol/10 of their partial sums, in every component, and after at
-            # least two terms.
-            run = DEFAULTS.heuristic_run
+            # Cauchy heuristic over the base table: stop after heuristic_run
+            # consecutive terms below rel_tol/10 of their partial sums, in every
+            # component, and after at least two terms.
+            comps, _ = terms(*chunks[0][:3])
+            scales = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])][:len(comps)]
+            sums = [np.cumsum(t) for t in comps]
+            run, n = DEFAULTS.heuristic_run, mu0.size
             small = np.logical_and.reduce([
-                np.abs(terms) <= 0.1 * rel_tol * np.abs(total)
-                for (terms, _), total in zip(comps, sums)
+                np.abs(t) <= 0.1 * rel_tol * np.abs(total) for t, total in zip(comps, sums)
             ])
             hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:n] >= run
             hit[0] = False
-            stopped = bool(hit.any())
+            stopped, certified = bool(hit.any()), False
             used = int(hit.argmax()) + 1 if stopped else n
+            carry = [total[used - 1] for total in sums]
             # Extrapolation: three times the sum of the last few |terms|.
             with np.errstate(divide="ignore"):
-                log_tails = [float(np.log(3.0 * np.abs(terms[max(0, used - run):used]).sum())) + scale
-                             for terms, scale in comps]
+                log_tails = [float(np.log(3.0 * np.abs(t[max(0, used - run):used]).sum())) + scale
+                             for t, scale in zip(comps, scales)]
 
-        certified = rigorous and stopped and s <= DEFAULTS.certified_ratio
+        certified = rigorous and certified
         tail_kind = "rigorous" if rigorous else "cauchy"
         log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
         outs = [
-            _pack(float(total[used - 1]), scale + log_gauge, float(log_tail) + log_gauge, used,
+            _pack(float(total), scale + log_gauge, float(log_tail) + log_gauge, used,
                   certified, gauge, tail_kind)
-            for total, (_, scale), log_tail in zip(sums, comps, log_tails)
+            for total, scale, log_tail in zip(carry, scales, log_tails)
         ]
         if not need_grad:
             return outs[0]
@@ -380,12 +511,13 @@ def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
     """Zero-front limit kernel: (1/2) sum_j pair_j(y,y') t^{mu_j} / mu_j.
 
     ``t = min(s, 1/s)`` makes the expression symmetric under s -> 1/s,
-    matching the two zero-boundary faces.  Singular at s = 1.  Accuracy
-    is set by the mode-table cutoff: the neglected remainder is of order
-    t^{mu_cutoff}, negligible for t <= 1/4 and degrading as t -> 1
-    (build the spectrum with a larger ``mu_cutoff`` if needed there).
+    matching the two zero-boundary faces.  Singular at s = 1.  The sum runs
+    over the base table only (it does not grow), so accuracy is set by the
+    base cutoff: the neglected remainder is of order t^{mu_cutoff},
+    negligible for t <= 1/4 and degrading as t -> 1 (build the spectrum
+    with a larger ``mu_cutoff`` if needed there).
     """
-    pair, _ = spectrum.pair_values(y, yp)
+    pair, _ = spectrum.pair_values(y, yp, with_grad=False)
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"radial ratio s must be finite and > 0, got {s!r}")
@@ -393,6 +525,12 @@ def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
         raise DomainError("indicial kernel is singular at s = 1")
     mu = spectrum.mode_table[0]
     return float(np.sum(pair * np.exp(mu * math.log(min(s, 1.0 / s))) / (2.0 * mu)))
+
+
+# The indicial kernel sums the base table alone, so its neglected remainder
+# is of order t^{mu_cutoff}; the cutoff margin of 30 above mu0 makes that
+# negligible (below 4^{-30} ~ 1e-18 relative) for t <= 1/4 only.
+_ZF_MAX_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -427,10 +565,9 @@ def zf_compatibility_check(
 ) -> ZfCompatibilityReport:
     """Check that the kernel's zero-front limit matches the indicial kernel."""
     s = float(s)
-    if not (0.0 < s <= DEFAULTS.certified_ratio):
+    if not (0.0 < s <= _ZF_MAX_RATIO):
         raise DomainError(
-            f"compatibility check runs in the certified region 0 < s <= "
-            f"{DEFAULTS.certified_ratio}, got {s!r}"
+            f"compatibility check runs at radii ratios 0 < s <= {_ZF_MAX_RATIO}, got {s!r}"
         )
     if rprimes is None:
         rprimes = np.geomspace(1e-1, 1e-3, 9)

@@ -23,11 +23,20 @@ array of degrees to mu, multiplicity, sup bounds and Gegenbauer norms,
 for the sphere's table and for its tail alike; the torus table is one
 numpy enumeration of the lattice box, sorted and split into clusters;
 :meth:`TailProfile.weights` defines the per-mode weight of each tail
-kind, and ``sum_beyond`` sums every kind beyond the table in one pass.
+kind, and ``sum_beyond`` sums every kind in use beyond the table in one
+pass.
+
+Sphere and torus tables grow: the provider's table closure, which built
+the base table, is kept as ``CrossSectionSpectrum.grow``, and
+:meth:`CrossSectionSpectrum.grown` builds a deeper table on demand (kept
+on the spectrum, up to ``TABLE_CEILING`` entries) whose ``pairs``
+continue the base table's chunk by chunk.  ``modes`` and everything read
+from it stay the base table.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,7 +45,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.special import eval_gegenbauer
 
 from .config import DEFAULTS
 from .errors import (
@@ -70,6 +78,10 @@ __all__ = [
 ]
 
 _TAIL_KINDS = ("pair_over_2mu", "pair", "grad_over_2mu")
+# The most entries a table grown past the base table enumerates: sphere
+# degrees or torus lattice vectors.  SphereTail keeps its degree table up
+# to the same size.
+TABLE_CEILING = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,8 @@ class Mode:
             raise PositivityError(
                 f"mode has mu = {self.mu!r}; the shifted operator must be positive"
             )
-        if int(self.multiplicity) != self.multiplicity or self.multiplicity < 1:
+        if (not math.isfinite(self.multiplicity) or int(self.multiplicity) != self.multiplicity
+                or self.multiplicity < 1):
             raise DomainError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
         object.__setattr__(self, "multiplicity", int(self.multiplicity))
 
@@ -103,10 +116,10 @@ class Mode:
 class TailProfile:
     """Rigorous control of every mode beyond the tabulated range.
 
-    ``sum_beyond(s, mu_from)`` returns, for each tail kind in
-    ``_TAIL_KINDS`` order, a proven upper bound for the sum over all modes
-    with mu > mu_from of weight(mode) * s**mu, where :meth:`weights` gives
-    the weight of each kind:
+    ``sum_beyond(s, mu_from, kinds=3)`` returns, for each of the first
+    ``kinds`` tail kinds in ``_TAIL_KINDS`` order, a proven upper bound for
+    the sum over all modes with mu > mu_from of weight(mode) * s**mu, where
+    :meth:`weights` gives the weight of each kind:
 
     * ``"pair_over_2mu"``: sup|pair| / (2 mu)   (kernel tails),
     * ``"pair"``:          sup|pair|            (radial-derivative tails),
@@ -118,15 +131,15 @@ class TailProfile:
         """The weights of the three tail kinds, stacked in ``_TAIL_KINDS`` order."""
         return np.array([pair_sup / (2.0 * mu), pair_sup, grad_sup / (2.0 * mu)])
 
-    def sum_beyond(self, s: float, mu_from: float) -> tuple[float, float, float]:
+    def sum_beyond(self, s: float, mu_from: float, kinds: int = len(_TAIL_KINDS)) -> tuple[float, ...]:
         raise NotImplementedError
 
 
 class CompleteTail(TailProfile):
     """A table that IS the whole spectrum (file-based operators)."""
 
-    def sum_beyond(self, s, mu_from):
-        return (0.0,) * len(_TAIL_KINDS)
+    def sum_beyond(self, s, mu_from, kinds=len(_TAIL_KINDS)):
+        return (0.0,) * kinds
 
 
 class _MajorantTail(TailProfile):
@@ -146,12 +159,13 @@ class _MajorantTail(TailProfile):
         """(weights, log s**mu, ratio caps) of terms start .. start+n-1, a row per tail kind."""
         raise NotImplementedError
 
-    def sum_beyond(self, s, mu_from):
+    def sum_beyond(self, s, mu_from, kinds=len(_TAIL_KINDS)):
         if not 0.0 < s < 1.0:
             raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
         bounds, carry, start, n = {}, 0.0, 0, 64
         while start < 10_000_000:
             coef, log_term, rho = self._terms(s, mu_from, start, n)
+            coef, rho = coef[:kinds], rho[:kinds]
             term = coef * np.exp(log_term)
             total = np.cumsum(term, axis=-1) + carry
             # term * rho <= 1e-6 * total * (1 - rho) with term > 0 implies rho < 1.
@@ -169,12 +183,13 @@ class _MajorantTail(TailProfile):
 def _sphere_modes(cross_section: SphereCrossSection, c0: float, l: np.ndarray):
     """Eigendata of the degree-l harmonics, for an array of degrees l.
 
-    Returns (mu_l, N_l, pair_sup, grad_sup, norm) with
+    Returns (mu_l, N_l, pair_sup, grad_sup, norm, C_l(1)) with
     mu_l = sqrt(l(l+d-2)/a^2 + c0); N_l the dimension of the degree-l
     harmonics, as floats (exact while (2l+d-2) C(l+d-3, d-3) < 2^53);
     pair_sup = N_l/vol, the pair function at coincidence; grad_sup its
-    derivative bound pair_sup * l(l+d-2)/((d-1) a); and the Gegenbauer
-    norm N_l/(vol C_l^{(d-2)/2}(1)) = (2l+d-2)/((d-2) vol).
+    derivative bound pair_sup * l(l+d-2)/((d-1) a); the Gegenbauer norm
+    N_l/(vol C_l(1)) = (2l+d-2)/((d-2) vol); and C_l(1) = C(l+d-3, d-3),
+    the Gegenbauer polynomial C_l^{(d-2)/2} at 1.
     """
     d, a, vol = cross_section.dim + 1, cross_section.radius, cross_section.volume
     l = np.asarray(l, dtype=float)
@@ -184,7 +199,8 @@ def _sphere_modes(cross_section: SphereCrossSection, c0: float, l: np.ndarray):
         binom = binom * (l + k) / k
     mult = (2 * l + d - 2) * binom / (d - 2)
     pair_sup = mult / vol
-    return mu, mult, pair_sup, pair_sup * l * (l + d - 2) / ((d - 1) * a), (2 * l + d - 2) / ((d - 2) * vol)
+    return (mu, mult, pair_sup, pair_sup * l * (l + d - 2) / ((d - 1) * a), (2 * l + d - 2) / ((d - 2) * vol),
+            binom)
 
 
 def _degree_count(cross_section: SphereCrossSection, c0: float, mu: float) -> int:
@@ -205,26 +221,29 @@ class SphereTail(_MajorantTail):
     grad_sup.  Both ratios are decreasing in l, and the eigenvalue gap
     mu_{l+1}-mu_l is monotone toward its limit 1/a from one side (the side
     depends only on sign(c)), so rho(l) caps every later ratio.  The
-    s-independent arrays are built once and extended on demand.
+    s-independent arrays are built once and extended on demand; the
+    sphere's mode table (:func:`_sphere_table`) is sliced from the same
+    kept table, so each degree is built and stored once.
     """
 
     def __init__(self, cross_section: SphereCrossSection, c: float):
         self.cross_section = cross_section
         self.c0 = c + ((cross_section.dim - 1) / 2.0) ** 2
-        self._table = None  # _build(0, n) for the lowest n <= 2**16 degrees asked for so far
+        self._table = None  # _build(0, n) for the lowest n <= TABLE_CEILING degrees asked for so far
 
     def _build(self, lo: int, hi: int) -> np.ndarray:
-        """Rows mu, the 3 weights, the 3 ratio caps and the gap, for the degrees lo .. hi-1."""
-        mu, mult, pair_sup, grad_sup, _ = _sphere_modes(self.cross_section, self.c0, np.arange(lo, hi + 1))
+        """Rows of the degrees lo .. hi-1: the 6 of :func:`_sphere_modes`, the 3 weights, the 3 ratio caps, the gap."""
+        rows = _sphere_modes(self.cross_section, self.c0, np.arange(lo, hi + 1))
+        mu, mult, pair_sup, grad_sup = rows[:4]
         growth = mult[1:] / mult[:-1]
         # Degree 0 has grad_sup = 0, so it never stops the gradient sum and needs no cap.
         grad_growth = np.divide(grad_sup[1:], grad_sup[:-1], out=growth.copy(), where=grad_sup[:-1] > 0.0)
-        return np.vstack([mu[:-1], self.weights(mu, pair_sup, grad_sup)[:, :-1], growth, growth, grad_growth,
-                          np.minimum(np.diff(mu), 1.0 / self.cross_section.radius)])
+        return np.vstack([np.array(rows)[:, :-1], self.weights(mu, pair_sup, grad_sup)[:, :-1], growth, growth,
+                          grad_growth, np.minimum(np.diff(mu), 1.0 / self.cross_section.radius)])
 
     def _degrees(self, lo: int, hi: int) -> np.ndarray:
-        """_build(lo, hi), sliced from the kept table below 2**16 degrees."""
-        if hi > 1 << 16:
+        """_build(lo, hi), sliced from the kept table below TABLE_CEILING degrees."""
+        if hi > TABLE_CEILING:
             return self._build(lo, hi)
         if self._table is None or self._table.shape[1] < hi:
             self._table = self._build(0, 1 << (hi - 1).bit_length())  # each extension at least doubles
@@ -235,7 +254,7 @@ class SphereTail(_MajorantTail):
         mu = self._degrees(0, _degree_count(self.cross_section, self.c0, top) + 1)[0]
         l0 = int(np.searchsorted(mu, top, side="right")) + start  # the first degree past mu_from
         table = self._degrees(l0, l0 + n)
-        return table[1:4], table[0] * math.log(s), table[4:7] * s ** table[7]
+        return table[6:9], table[0] * math.log(s), table[9:12] * s ** table[12]
 
 
 class TorusTail(_MajorantTail):
@@ -263,6 +282,31 @@ class TorusTail(_MajorantTail):
 
 
 @dataclass(frozen=True)
+class ModeArrays:
+    """A provider's table of every mode up to some mu, as arrays sorted by mu.
+
+    ``tag`` is each mode's label value (sphere degree, torus lattice
+    eigenvalue).  ``pairs(y, y', gamma, lo, hi, state, with_grad=True)``
+    returns the pair values of modes lo .. hi-1, their derivatives (None
+    without ``with_grad``), and a state from which the next call, from hi
+    on, continues (``state`` is None for lo = 0).
+    """
+
+    mu: np.ndarray
+    mult: np.ndarray
+    pair_sup: np.ndarray
+    grad_sup: np.ndarray
+    tag: np.ndarray
+    pairs: Callable
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """The log of every mode's tail weights (:meth:`TailProfile.weights`)."""
+        with np.errstate(divide="ignore"):
+            return np.log(TailProfile.weights(self.mu, self.pair_sup, self.grad_sup))
+
+
+@dataclass(frozen=True)
 class CrossSectionSpectrum:
     """Mode table of L_Y for one cone, sorted by mu ascending.
 
@@ -270,8 +314,12 @@ class CrossSectionSpectrum:
     below ``mu_cutoff`` appears (equal-mu clusters merged).  When all modes
     carry sup bounds and a tail profile is attached, kernel evaluations on
     this spectrum can certify their truncation error.  ``pair_evaluator``
-    is the provider's vector evaluator behind :meth:`pair_values`; without
-    one the spectrum is norms-only.
+    is the provider's vector evaluator behind :meth:`pair_values`,
+    (y, y', gamma, with_grad) -> (pair, grad, state); without one the
+    spectrum is norms-only.  ``grow`` is the provider's table
+    closure, mu_max -> :class:`ModeArrays` (None past ``TABLE_CEILING``),
+    which built ``modes`` too; spectra without one (files, sub-spectra)
+    never grow.
     """
 
     d: int
@@ -282,6 +330,7 @@ class CrossSectionSpectrum:
     tail_profile: TailProfile | None = None
     mu_cutoff: float | None = None
     pair_evaluator: Callable | None = None
+    grow: Callable | None = None
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 3:
@@ -323,13 +372,37 @@ class CrossSectionSpectrum:
         with np.errstate(divide="ignore"):
             return mu, np.log(TailProfile.weights(mu, pair_sup, grad_sup))
 
-    def pair_values(self, y, yp, gamma: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _grown(self) -> list:
+        return []  # [mu_max, table] of the largest table grown so far, once there is one
+
+    def grown(self, mu_max: float) -> ModeArrays | None:
+        """A table of every mode with mu <= mu_max, past ``modes`` too.
+
+        The table may run further; its first ``len(modes)`` entries are
+        ``modes``.  The largest table built so far is kept and serves every
+        smaller mu_max.  None when the spectrum does not grow or the table
+        would pass ``TABLE_CEILING`` entries.
+        """
+        kept = self._grown
+        if not kept or kept[0] < mu_max:
+            table = self.grow(mu_max, TABLE_CEILING) if self.grow is not None else None
+            if table is None:
+                return None
+            kept[:] = [mu_max, table]
+        return kept[1]
+
+    def pair_values(self, y, yp, gamma: float | None = None, with_grad: bool = True,
+                    with_state: bool = False):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
 
         Both arrays are aligned with ``modes``.  The derivative is per unit
         cross-section arc length, along the direction of increasing
-        separation from y'.  ``gamma`` is the cross-section distance
-        d_Y(y, y') when the caller already has it.
+        separation from y' (None without ``with_grad``).  ``gamma`` is the
+        cross-section distance d_Y(y, y') when the caller already has it.
+        ``with_state`` adds a third item: the state from which the ``pairs``
+        of a :meth:`grown` table continue past ``modes`` (see
+        :class:`ModeArrays`).
         """
         if self.pair_evaluator is None:
             raise NormsOnlyError(
@@ -338,7 +411,8 @@ class CrossSectionSpectrum:
             )
         if gamma is None:
             gamma = self.cross_section.distance(y, yp)
-        return self.pair_evaluator(y, yp, gamma)
+        out = self.pair_evaluator(y, yp, gamma, with_grad)
+        return out if with_state else out[:2]
 
     @property
     def certifiable(self) -> bool:
@@ -372,6 +446,146 @@ def _check_positivity(d: int, c: float) -> float:
     return c + threshold
 
 
+def _gegenbauer_steps(alpha: float, count: int) -> tuple[list, list]:
+    """The coefficients 2(k+alpha)/(k+2 alpha) and k/(k+2 alpha), k = 0 .. count-1, of :func:`_gegenbauer_ratios`."""
+    k = np.arange(float(count))
+    return (2.0 * (k + alpha) / (k + 2.0 * alpha)).tolist(), (k / (k + 2.0 * alpha)).tolist()
+
+
+def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
+    """C_l^alpha(x) / C_l^alpha(1) for the degrees l = lo .. hi-1, and the state at hi-1.
+
+    The normalized three-term recurrence p_l = p_{l-1} + d_l with
+    d_l = 2(k+alpha)/(k+2 alpha) (x-1) p_{l-1} + k/(k+2 alpha) d_{l-1},
+    k = l-1, from p_0 = 1, p_1 = x and d_1 = x-1; ``steps`` are
+    :func:`_gegenbauer_steps` for at least hi-1 values of k.  It is the
+    form scipy's ``eval_gegenbauer`` runs at integer degree, so the two
+    agree to the last bit (except within 1e-5 of x = 0, where scipy sums a
+    series).  ``state`` is (d, p) at degree lo-1, needed for lo >= 2; x
+    may be an array.
+    """
+    if lo <= 1:
+        out, (d, p), lo = [1.0 + 0.0 * x, x][lo:hi], (x - 1.0, x), 2
+    else:
+        out, (d, p) = [], state
+    xm1, append = x - 1.0, out.append
+    for a, b in zip(steps[0][lo - 1:hi - 1], steps[1][lo - 1:hi - 1]):
+        d = a * xm1 * p + b * d
+        p = d + p
+        append(p)
+    return np.array(out), (d, p)
+
+
+def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
+    """ModeArrays of every degree with mu_l <= mu_max (None past ``limit`` degrees).
+
+    The arrays are views of the tail's kept degree table.  Pair functions
+    come from the Gegenbauer addition theorem,
+    pair_l = norm_l C_l^nu(cos(gamma/a)) with nu = (d-2)/2, and
+    d/d(arc) pair_l = -(2 nu/a) sin(gamma/a) norm_l C_{l-1}^{nu+1}(cos(gamma/a)),
+    both by :func:`_gegenbauer_ratios` times C_l^nu(1) = C(l+d-3, d-3) and
+    C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).
+    """
+    cs = tail.cross_section
+    count = _degree_count(cs, tail.c0, mu_max)
+    if limit is not None and count > limit:
+        return None
+    rows = tail._degrees(0, count)
+    count = int(np.searchsorted(rows[0], mu_max, side="right"))
+    mu, mult, pair_sup, grad_sup, norms, c_one = rows[:6, :count]
+    d, a = cs.dim + 1, cs.radius
+    nu = (d - 2) / 2.0
+    l = np.arange(count)
+    c_one_grad = c_one * (l + d - 2) * l / ((d - 2) * (d - 1))
+    steps, steps_grad = _gegenbauer_steps(nu, count), _gegenbauer_steps(nu + 1.0, count)
+
+    def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
+        x = math.cos(gamma / a)
+        pair, state_pair = _gegenbauer_ratios(steps, x, lo, hi, state and state[0])
+        if not with_grad:
+            return norms[lo:hi] * (c_one[lo:hi] * pair), None, (state_pair, None)
+        g_lo = max(lo, 1)  # degree 0 has no gradient
+        grad_ratio, state_grad = _gegenbauer_ratios(steps_grad, x, g_lo - 1, hi - 1, state and state[1])
+        grad = np.zeros(hi - lo)
+        grad[g_lo - lo:] = (-2.0 * nu / a * math.sin(gamma / a)) * norms[g_lo:hi] \
+            * (c_one_grad[g_lo:hi] * grad_ratio)
+        return norms[lo:hi] * (c_one[lo:hi] * pair), grad, (state_pair, state_grad)
+
+    return ModeArrays(mu, mult, pair_sup, grad_sup, l, pairs)
+
+
+def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | None = None):
+    """ModeArrays of every lattice cluster with mu <= mu_max (None past ``limit`` lattice vectors).
+
+    The lattice box, rows in itertools.product order, stably sorted by
+    lambda; a new cluster starts where lambda jumps by more than
+    1e-9 (1 + lambda), and its rows are contiguous.  A cluster's pair
+    function sums the cosines of its lattice frequencies against the
+    angle difference (one product, then ``np.add.reduceat``).
+    """
+    lam_max = mu_max**2 - c0
+    radii = np.asarray(cs.radii)
+    kmax = (radii * math.sqrt(max(lam_max, 0.0))).astype(int)
+    if limit is not None and np.prod(2 * kmax + 1) > limit:
+        return None
+    ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
+    ks = ks.reshape(-1, len(radii))
+    lam = sum((ks[:, i] / a) ** 2 for i, a in enumerate(cs.radii))
+    keep = np.flatnonzero(lam <= lam_max * (1.0 + 1e-12))
+    keep = keep[np.argsort(lam[keep], kind="stable")]
+    ks, lam = ks[keep], lam[keep]
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e-9 * (1.0 + lam))
+    mult, lam = np.diff(starts, append=lam.size), lam[starts]
+    vol = cs.volume
+    freqs = ks / radii  # one row per lattice vector: its frequencies k_i/a_i
+
+    def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
+        rows = freqs[starts[lo]:starts[hi] if hi < len(starts) else len(freqs)]
+        at = starts[lo:hi] - starts[lo]
+        delta = TorusCrossSection._wrap(cs._angles(y) - cs._angles(yp))
+        phase = rows @ delta
+        pair = np.add.reduceat(np.cos(phase), at) / vol
+        if not with_grad:
+            return pair, None, None
+        if gamma == 0.0:
+            return pair, np.zeros(hi - lo), None
+        speed = rows @ (delta / gamma)  # d(k.delta)/d arclength
+        return pair, -np.add.reduceat(np.sin(phase) * speed, at) / vol, None
+
+    return ModeArrays(np.sqrt(lam + c0), mult, mult / vol, mult * np.sqrt(lam) / vol, lam, pairs)
+
+
+def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff, build, tail, label):
+    """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth."""
+    cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
+    if cutoff <= 0.0:
+        raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
+    table = build(cutoff)
+    if not table.mu.size:
+        raise InsufficientSpectrumError(
+            f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
+        )
+    count = table.mu.size
+    modes = tuple(Mode(m, n, p, g, label=label(t)) for m, n, p, g, t in zip(
+        table.mu.tolist(), table.mult.tolist(), table.pair_sup.tolist(), table.grad_sup.tolist(),
+        table.tag.tolist()))
+
+    def pairs(y, yp, gamma, with_grad):
+        return table.pairs(y, yp, gamma, 0, count, None, with_grad)
+
+    return CrossSectionSpectrum(
+        d=d,
+        modes=modes,
+        v0_descriptor=f"constant:{float(c)!r}",
+        cross_section=cs,
+        v0_constant=float(c),
+        tail_profile=tail,
+        mu_cutoff=cutoff,
+        pair_evaluator=pairs,
+        grow=build,
+    )
+
+
 def sphere_spectrum(
     d: int,
     radius: float = 1.0,
@@ -383,44 +597,15 @@ def sphere_spectrum(
     Modes: mu_l = sqrt(l(l+d-2)/radius^2 + c + ((d-2)/2)^2), multiplicity
     the dimension of spherical harmonics of degree l; pair functions via
     the Gegenbauer addition theorem (functions of the separation angle
-    alone, maximal at coincidence), evaluated over every l at once.
+    alone, maximal at coincidence), by one recurrence over the degrees.
     """
     if int(d) != d or d < 3:
         raise DomainError(f"cone dimension must be an integer >= 3, got {d!r}")
     d = int(d)
     c0 = _check_positivity(d, float(c))
     cs = SphereCrossSection(d - 1, radius)
-    a, nu = cs.radius, (d - 2) / 2.0
-    cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
-    if cutoff <= 0.0:
-        raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
-    table = _sphere_modes(cs, c0, np.arange(_degree_count(cs, c0, cutoff)))
-    count = int(np.searchsorted(table[0], cutoff, side="right"))
-    if count == 0:
-        raise InsufficientSpectrumError(
-            f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
-        )
-    mu, mult, pair_sup, grad_sup, norms = (v[:count] for v in table)
-    modes = tuple(Mode(m, n, p, g, label=f"l={l}") for l, (m, n, p, g) in enumerate(zip(
-        mu.tolist(), mult.tolist(), pair_sup.tolist(), grad_sup.tolist())))
-    ls = np.arange(count)
-
-    def pairs(y, yp, gamma):
-        x = math.cos(gamma / a)
-        grad = np.zeros(count)
-        grad[1:] = (-2.0 * nu / a * math.sin(gamma / a)) * norms[1:] \
-            * eval_gegenbauer(ls[1:] - 1, nu + 1.0, x)
-        return norms * eval_gegenbauer(ls, nu, x), grad
-    return CrossSectionSpectrum(
-        d=d,
-        modes=modes,
-        v0_descriptor=f"constant:{float(c)!r}",
-        cross_section=cs,
-        v0_constant=float(c),
-        tail_profile=SphereTail(cs, float(c)),
-        mu_cutoff=cutoff,
-        pair_evaluator=pairs,
-    )
+    tail = SphereTail(cs, float(c))
+    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_sphere_table, tail), tail, "l={}".format)
 
 
 def torus_spectrum(
@@ -433,9 +618,7 @@ def torus_spectrum(
 
     Eigenvalues are lattice sums sum (k_i/a_i)^2; equal values (within
     1e-9 relative) are merged into one mode whose pair function sums the
-    cluster's cosines.  The evaluator takes one product of every lattice
-    frequency with the angle difference and sums each cluster with
-    ``np.add.reduceat``.
+    cluster's cosines.
     """
     if int(d) != d or d < 3:
         raise DomainError(f"cone dimension must be an integer >= 3, got {d!r}")
@@ -444,51 +627,8 @@ def torus_spectrum(
     if cs.dim != d - 1:
         raise DomainError(f"{cs.dim} radii inconsistent with cone dimension {d}")
     c0 = _check_positivity(d, float(c))
-    cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
-    if cutoff <= 0.0:
-        raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
-    lam_max = cutoff**2 - c0
-    vol = cs.volume
-    radii = np.asarray(cs.radii)
-    # The lattice box, rows in itertools.product order, then stably sorted by lambda.
-    kmax = (radii * math.sqrt(max(lam_max, 0.0))).astype(int)
-    ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
-    ks = ks.reshape(-1, len(radii))
-    lam = sum((ks[:, i] / a) ** 2 for i, a in enumerate(cs.radii))
-    keep = np.flatnonzero(lam <= lam_max * (1.0 + 1e-12))
-    keep = keep[np.argsort(lam[keep], kind="stable")]
-    ks, lam = ks[keep], lam[keep]
-    if not lam.size:
-        raise InsufficientSpectrumError(
-            f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
-        )
-    # A new cluster starts where lambda jumps by more than 1e-9 (1 + lambda);
-    # its rows are contiguous, from starts[j] on.
-    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e-9 * (1.0 + lam))
-    mult, lam = np.diff(starts, append=lam.size), lam[starts]
-    mu, pair_sup, grad_sup = np.sqrt(lam + c0), mult / vol, mult * np.sqrt(lam) / vol
-    modes = tuple(Mode(m, n, p, g, label=f"lambda={l:.6g}") for l, m, n, p, g in zip(
-        lam.tolist(), mu.tolist(), mult.tolist(), pair_sup.tolist(), grad_sup.tolist()))
-    freqs = ks / radii  # one row per lattice vector: its frequencies k_i/a_i
-
-    def pairs(y, yp, gamma):
-        delta = TorusCrossSection._wrap(cs._angles(y) - cs._angles(yp))
-        phase = freqs @ delta
-        pair = np.add.reduceat(np.cos(phase), starts) / vol
-        if gamma == 0.0:
-            return pair, np.zeros(len(starts))
-        speed = freqs @ (delta / gamma)  # d(k.delta)/d arclength
-        return pair, -np.add.reduceat(np.sin(phase) * speed, starts) / vol
-    return CrossSectionSpectrum(
-        d=d,
-        modes=modes,
-        v0_descriptor=f"constant:{float(c)!r}",
-        cross_section=cs,
-        v0_constant=float(c),
-        tail_profile=TorusTail(cs),
-        mu_cutoff=cutoff,
-        pair_evaluator=pairs,
-    )
+    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_torus_table, cs, c0),
+                              TorusTail(cs), "lambda={:.6g}".format)
 
 
 # ----------------------------------------------------------------------
@@ -516,8 +656,8 @@ def _cosine_series(modes):
         coeffs[j, :len(m.addition_coeffs)] = m.addition_coeffs
     ks = np.arange(coeffs.shape[1], dtype=float)
 
-    def pairs(y, yp, gamma):
-        return coeffs @ np.cos(ks * gamma), -(coeffs @ (ks * np.sin(ks * gamma)))
+    def pairs(y, yp, gamma, with_grad):
+        return coeffs @ np.cos(ks * gamma), -(coeffs @ (ks * np.sin(ks * gamma))) if with_grad else None, None
 
     return pairs
 
@@ -638,11 +778,11 @@ def _separation_coeffs(spectrum: CrossSectionSpectrum, mode: Mode):
     if isinstance(cs, SphereCrossSection) and cs.radius == 1.0 and mode.label.startswith("l="):
         l = int(mode.label[2:])
         nu = (spectrum.d - 2) / 2.0
-        norm = float(_sphere_modes(cs, 0.0, l)[4])
+        _, _, _, _, norm, c_one = (float(v) for v in _sphere_modes(cs, 0.0, l))
 
         # pair as a function of x = cos(d_Y); polynomial of degree l.
         def f(x):
-            return norm * eval_gegenbauer(l, nu, x)
+            return norm * (c_one * _gegenbauer_ratios(_gegenbauer_steps(nu, l + 1), x, 0, l + 1)[0][l])
 
         return [float(c) for c in _cheb.chebinterpolate(f, max(l, 1))]
     return None
@@ -682,9 +822,9 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
     count = int(count)
     full = spectrum.pair_evaluator
 
-    def pairs(y, yp, gamma):
-        pair, grad = full(y, yp, gamma)
-        return pair[:count], grad[:count]
+    def pairs(y, yp, gamma, with_grad):
+        pair, grad, _ = full(y, yp, gamma, with_grad)
+        return pair[:count], grad[:count] if with_grad else None, None
 
     return replace(
         spectrum,
@@ -693,4 +833,5 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
         v0_descriptor=f"{spectrum.v0_descriptor}|leading:{count}",
         mu_cutoff=spectrum.modes[count - 1].mu,
         pair_evaluator=pairs if full is not None else None,
+        grow=None,
     )

@@ -59,6 +59,51 @@ def log_abs_bessel_k_dr_ref(nu: float, r: float) -> float:
     return float(mp.log((mp.besselk(nu - 1, r) + mp.besselk(nu + 1, r)) / 2))
 
 
+def _laplace_quad(f, t0, sigma, lo, hi, width=30):
+    """Integral of a positive integrand peaked at t0 with width ~sigma, over [lo, hi].
+
+    The interval is cut to t0 -+ width*sigma and split at the peak, where
+    tanh-sinh quadrature puts its nodes most densely.
+    """
+    a = max(lo, t0 - width * sigma)
+    b = t0 + width * sigma if hi is None else min(hi, t0 + width * sigma)
+    return mp.quad(f, [a, t0, b])
+
+
+def log_bessel_ik_quad(nu: float, x: float) -> tuple[float, float]:
+    """(log I_nu(x), log K_nu(x)) from integral representations, for large orders.
+
+    mpmath's series and asymptotic paths fail to converge at orders in the
+    thousands with x near nu.  Both integrands here are positive (DLMF
+    10.32.2 and 10.32.9):
+    I_nu(x) = (x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) Int_0^pi e^{x cos t} sin^{2 nu} t dt,
+    K_nu(x) = Int_0^inf e^{-x cosh t} cosh(nu t) dt,
+    each integrated around its peak at 50 digits.
+    """
+    with mp.workdps(50):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        c = x / (nu + mp.sqrt(nu * nu + x * x))  # cos of the peak: x sin^2 = 2 nu cos
+        t0 = mp.acos(c)
+
+        def phi(t):
+            return x * mp.cos(t) + 2 * nu * mp.log(mp.sin(t))
+
+        p0 = phi(t0)
+        sigma = 1 / mp.sqrt(x * c + 2 * nu / (1 - c * c))
+        integral = _laplace_quad(lambda t: mp.exp(phi(t) - p0), t0, sigma, mp.mpf(0), mp.pi)
+        log_i = nu * mp.log(x / 2) - mp.log(mp.pi) / 2 - mp.loggamma(nu + mp.mpf(1) / 2) + p0 + mp.log(integral)
+
+        def psi(t):
+            return -x * mp.cosh(t) + nu * t
+
+        t0 = mp.asinh(nu / x)
+        p0 = psi(t0)
+        sigma = (x * x + nu * nu) ** mp.mpf(-0.25)
+        integral = _laplace_quad(lambda t: mp.exp(psi(t) - p0) * (1 + mp.exp(-2 * nu * t)) / 2,
+                                 t0, sigma, mp.mpf(0), None)
+        return float(log_i), float(p0 + mp.log(integral))
+
+
 # ----------------------------------------------------------------------
 # Euclidean cone (d = 3, V0 = 0): closed forms
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Modified Bessel engine: accuracy, scaling, identities, bound families."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from conekit import (
     bessel_k_with_dr,
     check_uniform_bounds,
 )
-from conekit.bessel import _U_POLYS, log_ik_bound, wronskian_residual
+from conekit.bessel import _U_POLYS, METHODS, log_ik_bound, log_scaled, wronskian_residual
 
 import oracles
 
@@ -143,6 +144,9 @@ class TestIdentities:
         assert bessel_k(50.0, 1e-3).method == "scipy"
         assert bessel_i(200.0, 1e-6).method == "power-series"
         assert bessel_k(200.0, 1e-6).method == "uniform-asymptotic"
+        # Where ive underflows with (x/2)^2 > nu + 1, I comes from Olver's expansion.
+        assert bessel_i(5000.0, 2000.0).method == "uniform-asymptotic"
+        assert bessel_i(5000.0, 2.0).method == "power-series"
 
 
 class TestOlverPolynomials:
@@ -198,3 +202,40 @@ class TestValidation:
             bessel_i(nu, r)
         with pytest.raises(DomainError):
             bessel_k(nu, r)
+
+
+# Orders the growing mode tables reach, with x from 1e-6 to 2 nu: the
+# references come from integral representations (oracles.log_bessel_ik_quad),
+# which stay independent of Olver's expansions and converge where mpmath's
+# series do not.
+_HIGH_ORDERS = [250.0, 1000.0, 5000.0, 20000.0, 60000.0]
+
+
+@functools.cache
+def _high_order_refs(nu):
+    """(x, [log I, log I', log K, log |K'|]) at x = 1e-6, nu/8 and 2 nu, by the recurrences
+    I' = I_{nu+1} + (nu/x) I and |K'| = K_{nu+1} - (nu/x) K."""
+    out = []
+    for x in (1e-6, nu / 8.0, 2.0 * nu):
+        (li, lk), (li1, lk1) = oracles.log_bessel_ik_quad(nu, x), oracles.log_bessel_ik_quad(nu + 1.0, x)
+        ratio = math.log(nu / x)
+        out.append((x, [li, li1 + math.log1p(math.exp(ratio + li - li1)),
+                        lk, lk1 + math.log1p(-math.exp(ratio + lk - lk1))]))
+    return out
+
+
+class TestHighOrders:
+    @pytest.mark.parametrize("nu", _HIGH_ORDERS)
+    def test_log_scaled_against_integrals(self, nu):
+        # In log space a value's relative error is the log's absolute error, and
+        # the logs reach 1.5e6 here, where one ulp is 2e-10: the bound is 1e-12
+        # times max(1, |log|), the relative bound of the tests up to order 200.
+        methods = set()
+        for x, (li, ldi, lk, ldk) in _high_order_refs(nu):
+            for kind, shift, want in (("i", x, (li, ldi)), ("k", -x, (lk, ldk))):
+                ln, ln_dr, _, method = log_scaled(kind, [nu], x, with_dr=True)
+                methods.add((kind, METHODS[method[0]]))
+                for got, ref in zip((ln[0] + shift, ln_dr[0] + shift), want):
+                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (kind, nu, x, got, ref)
+        if nu >= 1000.0:  # every fallback runs: the I series, Olver's I and K
+            assert {("i", "power-series"), ("i", "uniform-asymptotic"), ("k", "uniform-asymptotic")} <= methods

@@ -12,6 +12,7 @@ import pytest
 from conekit import (
     DEFAULTS,
     ConePoint,
+    CrossSectionSpectrum,
     DomainError,
     NormsOnlyError,
     ResolventRequest,
@@ -26,6 +27,8 @@ from conekit import (
     boundary_order_probe,
 )
 from conekit.bessel import bessel_i, bessel_k_with_dr
+from conekit.resolvent import _GROWTH
+from conekit.spectrum import TABLE_CEILING
 
 import oracles
 
@@ -111,9 +114,11 @@ class TestSymmetries:
 
 class TestCertification:
     def test_certified_only_in_quarter_region(self):
+        # Certified means the rigorous stop rule fired: inside the base table
+        # at s <= 1/4, and for 1/4 < s < 1 once the table has grown far enough.
         assert _value(S3, 0.24, 1.0, 0.5).certified
         kv = _value(S3, 0.6, 1.0, 0.5)
-        assert not kv.certified
+        assert kv.certified
         assert kv.tail_kind == "rigorous"
 
     def test_tail_honesty_against_deep_table(self):
@@ -369,31 +374,54 @@ class TestTorusCone:
 # ----------------------------------------------------------------------
 # Term-by-term reference: the scalar Bessel API and closed-form pair
 # functions, summed one mode at a time with the documented stop rules.
+# Past the base table the sum runs on in chunks, each up to _GROWTH times
+# the previous chunk's cutoff (_GROWTH**level times the base's), with each
+# chunk's remainder seeded by sum_beyond at its top.
 # ----------------------------------------------------------------------
 
-def _sphere_pairs(spec):
-    """Closed-form addition theorem on the unit S^{d-1}, at 40 digits."""
+def _sphere_reference(spec, levels=2):
+    """Closed-form modes and 40-digit pair functions on the unit S^{d-1}, up to ``levels`` growth chunks."""
     d = spec.d
     nu = mp.mpf(d - 2) / 2
+    c0 = spec.v0_constant + ((d - 2) / 2) ** 2
     vol = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
-    norms = []
-    for l, m in enumerate(spec.modes):
-        mult = mp.binomial(l + d - 1, d - 1) - mp.binomial(l + d - 3, d - 1)
-        assert int(mult) == m.multiplicity
-        norms.append(mult / (vol * mp.gegenbauer(l, nu, 1)))
+
+    def degree(l):  # (mu, multiplicity) of the degree-l harmonics
+        return math.sqrt(l * (l + d - 2) + c0), math.comb(l + d - 1, d - 1) - math.comb(l + d - 3, d - 1)
+
+    assert [m.multiplicity for m in spec.modes] == [degree(l)[1] for l in range(len(spec.modes))]
+    count = int(spec.mu_cutoff * _GROWTH ** levels) + 1
+    degrees = [degree(l) for l in range(count)]
+
+    def chunk(level):
+        """The (mu, pair_sup, grad_sup) of chunk ``level`` >= 1."""
+        lo, hi = spec.mu_cutoff * _GROWTH ** (level - 1), spec.mu_cutoff * _GROWTH ** level
+        assert level <= levels
+        return [(mu, n / float(vol), n / float(vol) * l * (l + d - 2) / (d - 1))
+                for l, (mu, n) in enumerate(degrees) if lo < mu <= hi]
 
     @functools.cache
     def pairs(gamma):
+        # Gegenbauer C_l^nu and C_{l-1}^{nu+1} by their unnormalized three-term recurrence.
         x = mp.cos(gamma)
-        return [(float(norm * mp.gegenbauer(l, nu, x)),
-                 float(-norm * 2 * nu * mp.sin(gamma) * mp.gegenbauer(l - 1, nu + 1, x)) if l else 0.0)
-                for l, norm in enumerate(norms)]
+        gegen = {}
+        for alpha in (nu, nu + 1):
+            c = [mp.mpf(1), 2 * alpha * x]
+            for n in range(2, count):
+                c.append((2 * x * (n + alpha - 1) * c[-1] - (n + 2 * alpha - 2) * c[-2]) / n)
+            gegen[alpha] = c
+        out = []
+        for l, (_, n) in enumerate(degrees):
+            norm = n / (vol * mp.binomial(l + 2 * nu - 1, l))
+            out.append((float(norm * gegen[nu][l]),
+                        float(-norm * 2 * nu * mp.sin(gamma) * gegen[nu + 1][l - 1]) if l else 0.0))
+        return out
 
-    return pairs
+    return chunk, pairs
 
 
-def _torus_pairs(spec, radii):
-    """Cosines of every lattice vector, summed over each eigenvalue cluster."""
+def _torus_reference(spec, radii):
+    """Cosines of every lattice vector, summed over each eigenvalue cluster of the base table."""
     radii = np.asarray(radii)
     vol = float(np.prod(2 * np.pi * radii))
     c0 = spec.mu0 ** 2
@@ -403,6 +431,13 @@ def _torus_pairs(spec, radii):
     lams = (freqs ** 2).sum(axis=1)
     members = [np.abs(lams - (m.mu ** 2 - c0)) <= 1e-9 * (1 + m.mu ** 2) for m in spec.modes]
     assert [int(mask.sum()) for mask in members] == [m.multiplicity for m in spec.modes]
+
+    def chunk(level):
+        # The first growth chunk's lattice box already passes TABLE_CEILING
+        # vectors, so this torus does not grow.
+        top = spec.mu_cutoff * _GROWTH ** level
+        assert np.prod(2 * (radii * math.sqrt(top ** 2 - c0)).astype(int) + 1) > TABLE_CEILING
+        return None
 
     @functools.cache
     def pairs(gamma):
@@ -415,7 +450,7 @@ def _torus_pairs(spec, radii):
             out.append((float(np.cos(phase[mask]).sum()) / vol, grad))
         return out
 
-    return pairs
+    return chunk, pairs
 
 
 _FILE_COEFFS = [[0.08], [0.05, 0.03], [0.02, -0.04, 0.01], [0.01, 0.0, 0.02, -0.005]]
@@ -433,15 +468,18 @@ def _file_spectrum(tmp_path):
                  -sum(k * c * math.sin(k * gamma) for k, c in enumerate(_FILE_COEFFS[j % 4])))
                 for j in range(12)]
 
-    return spec, pairs
+    return spec, (lambda level: None, pairs)  # a file spectrum never grows
 
 
-def _loop_reference(spec, pairs, r, rp, gamma, lam, rel_tol, need_grad):
+def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     """(values, sums of |terms|, tails, modes_used, certified, tail_kind).
 
     The first three hold one entry per component: kernel, or radial and
-    (unless gamma = 0) angular.
+    (unless gamma = 0) angular.  ``ref`` is (chunk, pairs): the modes of
+    each growth chunk (None where the table stops), and the pair values of
+    every mode.
     """
+    grown_chunk, pairs = ref
     z_small = r <= rp
     a_r, b_r = (r, rp) if z_small else (rp, r)
     s = a_r / b_r
@@ -451,59 +489,66 @@ def _loop_reference(spec, pairs, r, rp, gamma, lam, rel_tol, need_grad):
     ang = need_grad and gamma != 0.0
     n_comp = 1 + need_grad + ang
     rigorous = s < 1.0 and spec.certifiable
-    if rigorous:
-        beyond = dict(zip(("pair_over_2mu", "pair", "grad_over_2mu"),
-                          spec.tail_profile.sum_beyond(s, spec.modes[-1].mu)))
-
-        def suffix(kind):
-            out = [beyond[kind]]
-            for m in reversed(spec.modes):
-                sup = m.grad_sup if kind == "grad_over_2mu" else m.pair_sup
-                out.append(out[-1] + sup * s ** m.mu / (1.0 if kind == "pair" else 2 * m.mu))
-            return out[::-1]
-
-        suf_k, suf_p, suf_g = suffix("pair_over_2mu"), suffix("pair"), suffix("grad_over_2mu")
-        deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
+    deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
+    modes = [(m.mu, m.pair_sup, m.grad_sup) for m in spec.modes]
+    all_pairs = pairs(gamma)
     acc = [0.0] * n_comp
     mags = [0.0] * n_comp
     history = []
-    run, stopped = 0, False
-    for j, (m, (p, g)) in enumerate(zip(spec.modes, pairs(gamma))):
-        i = bessel_i(m.mu, a)
-        k, dk = bessel_k_with_dr(m.mu, b)
-        ik = math.exp(i.log_abs + k.log_abs)
-        terms = [p * ik]
-        if need_grad and z_small:
-            # beta I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I: without
-            # this rearrangement the two 1/r parts cancel in rounding at tiny r.
-            i1 = bessel_i(m.mu + 1.0, a)
-            terms.append(p * (lam * math.exp(i1.log_abs + k.log_abs)
-                              + (m.mu - (spec.d - 2) / 2) / r * ik))
-        elif need_grad:
-            terms.append(beta * p * ik - lam * p * math.exp(i.log_abs + dk.log_abs))
-        if ang:
-            terms.append(g / r * ik)
-        for c, t in enumerate(terms):
-            acc[c] += t
-            mags[c] += abs(t)
-        history.append(terms)
-        used = j + 1
+    run, stopped, used, level = 0, False, 0, 0
+    while modes is not None and not stopped:
         if rigorous:
-            tails = [suf_k[used], abs(beta) * suf_k[used] + lam * deriv * suf_p[used],
-                     suf_g[used] / r][:n_comp]
-            if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc)):
-                stopped = True
-                break
-        else:
-            small = all(abs(t) <= rel_tol / 10 * abs(v) for t, v in zip(terms, acc))
-            run = run + 1 if small else 0
-            if run >= DEFAULTS.heuristic_run and used >= 2:
-                stopped = True
-                break
-    if not rigorous:  # three times the sum of the last few |terms|
-        recent = history[-DEFAULTS.heuristic_run:]
-        tails = [3.0 * sum(abs(t[c]) for t in recent) for c in range(n_comp)]
-    certified = rigorous and stopped and s <= DEFAULTS.certified_ratio
+            beyond = dict(zip(("pair_over_2mu", "pair", "grad_over_2mu"),
+                              spec.tail_profile.sum_beyond(s, modes[-1][0])))
+
+            def suffix(kind):
+                out = [beyond[kind]]
+                for mu, pair_sup, grad_sup in reversed(modes):
+                    sup = grad_sup if kind == "grad_over_2mu" else pair_sup
+                    out.append(out[-1] + sup * s ** mu / (1.0 if kind == "pair" else 2 * mu))
+                return out[::-1]
+
+            suf_k, suf_p, suf_g = suffix("pair_over_2mu"), suffix("pair"), suffix("grad_over_2mu")
+        for i, (mu, _, _) in enumerate(modes):
+            p, g = all_pairs[used]
+            ik_i = bessel_i(mu, a)
+            k, dk = bessel_k_with_dr(mu, b)
+            ik = math.exp(ik_i.log_abs + k.log_abs)
+            terms = [p * ik]
+            if need_grad and z_small:
+                # beta I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I: without
+                # this rearrangement the two 1/r parts cancel in rounding at tiny r.
+                i1 = bessel_i(mu + 1.0, a)
+                terms.append(p * (lam * math.exp(i1.log_abs + k.log_abs)
+                                  + (mu - (spec.d - 2) / 2) / r * ik))
+            elif need_grad:
+                terms.append(beta * p * ik - lam * p * math.exp(ik_i.log_abs + dk.log_abs))
+            if ang:
+                terms.append(g / r * ik)
+            for c, t in enumerate(terms):
+                acc[c] += t
+                mags[c] += abs(t)
+            history.append(terms)
+            used += 1
+            if rigorous:
+                tails = [suf_k[i + 1], abs(beta) * suf_k[i + 1] + lam * deriv * suf_p[i + 1],
+                         suf_g[i + 1] / r][:n_comp]
+                if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc)):
+                    stopped = True
+                    break
+            else:
+                small = all(abs(t) <= rel_tol / 10 * abs(v) for t, v in zip(terms, acc))
+                run = run + 1 if small else 0
+                if run >= DEFAULTS.heuristic_run and used >= 2:
+                    stopped = True
+                    break
+        if not rigorous:  # three times the sum of the last few |terms|
+            recent = history[-DEFAULTS.heuristic_run:]
+            tails = [3.0 * sum(abs(t[c]) for t in recent) for c in range(n_comp)]
+            break
+        level += 1
+        modes = None if stopped else grown_chunk(level)
+    certified = rigorous and stopped
     kind = "rigorous" if rigorous else "cauchy"
     return ([gauge * v for v in acc], [gauge * v for v in mags], [gauge * t for t in tails],
             used, certified, kind)
@@ -524,21 +569,21 @@ def _reference_spectra(tmp_path):
     for d in (3, 5):
         for c in (0.0, -0.24, 1.0):
             spec = sphere_spectrum(d, c=c)
-            cases.append((f"sphere d={d} c={c}", spec, _sphere_pairs(spec)))
+            cases.append((f"sphere d={d} c={c}", spec, _sphere_reference(spec)))
     # Without a tail profile nothing is rigorous: the Cauchy rule stops
     # the geometrically decaying series at s < 1.
     cases.append(("sphere d=3 no tail", replace(cases[0][1], tail_profile=None), cases[0][2]))
     torus = torus_spectrum(3, [1.0, 1.3])
-    cases.append(("torus (1, 1.3)", torus, _torus_pairs(torus, [1.0, 1.3])))
+    cases.append(("torus (1, 1.3)", torus, _torus_reference(torus, [1.0, 1.3])))
     cases.append(("file", *_file_spectrum(tmp_path)))
     return cases
 
 
 class TestLoopReference:
-    """The one-pass vector evaluation agrees with a term-by-term loop."""
+    """The chunked vector evaluation agrees with a term-by-term loop."""
 
     def test_every_band_and_spectrum(self, tmp_path):
-        for name, spec, pairs in _reference_spectra(tmp_path):
+        for name, spec, ref in _reference_spectra(tmp_path):
             for r, rp, gamma, lam in _REFERENCE_POINTS:
                 z, zp = _point_pair(spec, r, rp, gamma)
                 req = ResolventRequest(spec, z, zp, lam=lam)
@@ -546,7 +591,7 @@ class TestLoopReference:
                 for need_grad, got in ((False, [resolvent_kernel(req)]),
                                        (True, [g.d_r, g.angular])):
                     vals, mags, tails, used, certified, kind = _loop_reference(
-                        spec, pairs, r, rp, gamma, lam, req.rel_tol, need_grad)
+                        spec, ref, r, rp, gamma, lam, req.rel_tol, need_grad)
                     if need_grad:  # radial, and angular unless it is exactly zero
                         vals, mags, tails = vals[1:], mags[1:], tails[1:]
                     where = (name, r, rp, gamma, lam, need_grad)
@@ -557,3 +602,108 @@ class TestLoopReference:
                         assert abs(kv.float_tail_bound() - tail) <= 1e-12 * tail, where
                     if need_grad and gamma == 0.0:
                         assert g.angular.float_value() == 0.0 and g.angular.tail_kind == "exact"
+
+
+def _closed_form(d, r, rp, gamma, lam=1.0):
+    """Flat R^d (d = 3, 5) resolvent kernel and its (radial, angular) gradient in z."""
+    R = oracles.euclid_distance(r, rp, gamma)
+    if d == 3:
+        value = math.exp(-lam * R) / (4.0 * math.pi * R)
+        d_dR = -(1.0 + lam * R) * math.exp(-lam * R) / (4.0 * math.pi * R * R)
+    else:  # (2 pi)^{-5/2} (lam/R)^{3/2} K_{3/2}(lam R)
+        value = math.exp(-lam * R) * (1.0 + lam * R) / (8.0 * math.pi ** 2 * R ** 3)
+        d_dR = -math.exp(-lam * R) * (3.0 + 3.0 * lam * R + (lam * R) ** 2) / (8.0 * math.pi ** 2 * R ** 4)
+    return value, d_dR * (r - rp * math.cos(gamma)) / R, d_dR * rp * math.sin(gamma) / R
+
+
+class TestGrownTables:
+    """Past the base table: 1/4 < s < 1, where the mode table grows on demand."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_closed_forms_certified_near_one(self, d):
+        spec = sphere_spectrum(d)
+        for s, grad in ((0.5, False), (0.9, False), (0.99, False), (0.5, True), (0.9, True)):
+            z, zp = _point_pair(spec, s, 1.0, 1.0)
+            req = ResolventRequest(spec, z, zp)
+            got = [*resolvent_gradient(req).__dict__.values()] if grad else [resolvent_kernel(req)]
+            want = _closed_form(d, s, 1.0, 1.0)
+            for kv, ref in zip(got, want[1:] if grad else want[:1]):
+                assert kv.certified and kv.tail_kind == "rigorous", (d, s, grad)
+                assert kv.modes_used > len(spec.modes) or s == 0.5
+                assert abs(kv.float_value() - ref) <= req.rel_tol * abs(ref), (d, s, grad)
+
+    @pytest.mark.parametrize("name", ["sphere d=3 c=0.4", "sphere d=4 c=-0.5", "torus (1, 1.3)"])
+    def test_tail_honesty_in_the_grown_band(self, name):
+        # Criterion 7's check at 1/4 < s <= 0.99: each certified value's bound
+        # covers its distance to the same value at rel_tol = 1e-12.
+        spec = {"sphere d=3 c=0.4": lambda: sphere_spectrum(3, c=0.4),
+                "sphere d=4 c=-0.5": lambda: sphere_spectrum(4, c=-0.5),
+                "torus (1, 1.3)": lambda: torus_spectrum(3, [1.0, 1.3])}[name]()
+        rng = np.random.default_rng(31)
+        n_cert = 0
+        for _ in range(25):
+            rp = float(10.0 ** rng.uniform(-1.0, 1.0))
+            r = rp * float(rng.uniform(0.25, 0.99))
+            gamma = float(rng.uniform(0.0, 3.0))
+            lam = float(10.0 ** rng.uniform(-0.3, 0.3))
+            z, zp = _point_pair(spec, r, rp, gamma)
+            shallow = ResolventRequest(spec, z, zp, lam=lam)
+            deep = ResolventRequest(spec, z, zp, lam=lam, rel_tol=1e-12)
+            pairs = [(resolvent_kernel(shallow), resolvent_kernel(deep))]
+            g_a, g_b = resolvent_gradient(shallow), resolvent_gradient(deep)
+            pairs += [(g_a.d_r, g_b.d_r), (g_a.angular, g_b.angular)]
+            for a, b in pairs:
+                if a.certified and a.tail_kind == "rigorous":
+                    n_cert += 1
+                    assert abs(a.float_value() - b.float_value()) <= (
+                        a.float_tail_bound() + 1e-12 * abs(b.float_value())), (name, r, rp, gamma, lam)
+        # The torus does not grow (its first chunk's lattice box passes the
+        # ceiling), so its certified values are those its base table settles.
+        assert n_cert >= 15, n_cert
+
+    def test_diagonal_is_the_base_table_evaluation(self):
+        # s = 1 takes the Cauchy path over the base table: the same fields,
+        # bit for bit, as a spectrum that cannot grow.
+        for spec in (S3, sphere_spectrum(5, c=0.3), torus_spectrum(3, [1.0, 1.3])):
+            fixed = replace(spec, grow=None)
+            for gamma, lam in ((0.4, 0.3), (2.5, 1.0), (1.1, 2.5)):
+                z, zp = _point_pair(spec, 1.0, 1.0, gamma)
+                for a, b in ((resolvent_kernel(ResolventRequest(spec, z, zp, lam=lam)),
+                              resolvent_kernel(ResolventRequest(fixed, z, zp, lam=lam))),
+                             *zip(resolvent_gradient(ResolventRequest(spec, z, zp, lam=lam)).__dict__.values(),
+                                  resolvent_gradient(ResolventRequest(fixed, z, zp, lam=lam)).__dict__.values())):
+                    assert a == b and a.tail_kind == "cauchy" and a.modes_used <= len(spec.modes)
+
+    def test_cancelling_sum_is_not_certified(self):
+        # Far apart at large lam r' the terms cancel to e^{-30} of their size:
+        # the rounding estimate joins the bound, which covers the error, and
+        # the value is not certified.
+        z, zp = _point_pair(S3, 5.0, 10.0, 3.0)
+        kv = _value(S3, 5.0, 10.0, 3.0, lam=2.0)
+        ref = oracles.yukawa_kernel(5.0, 10.0, 3.0, 2.0)
+        assert not kv.certified and kv.tail_kind == "rigorous"
+        assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
+
+    def test_ceiling_leaves_the_value_uncertified(self):
+        # Near s = 1 the stop rule needs more than the table ceiling holds;
+        # the value keeps its rigorous tail, as past the base table before.
+        kv = _value(S3, 0.9999, 1.0, 1.0)
+        assert not kv.certified and kv.tail_kind == "rigorous"
+        assert kv.modes_used == 40960
+        ref = oracles.yukawa_kernel(0.9999, 1.0, 1.0)
+        assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
+
+    def test_spectrum_without_cutoff(self):
+        # A spectrum built directly, without mu_cutoff or growth, stops at
+        # the end of its table: rigorous and uncertified.  Given growth, the
+        # chunks run from the base table's top mu.
+        direct = CrossSectionSpectrum(d=3, modes=S3.modes, v0_descriptor=S3.v0_descriptor,
+                                      cross_section=S3.cross_section, tail_profile=S3.tail_profile,
+                                      pair_evaluator=S3.pair_evaluator)
+        ref = oracles.yukawa_kernel(0.9, 1.0, 1.0)
+        kv = _value(direct, 0.9, 1.0, 1.0)
+        assert not kv.certified and kv.tail_kind == "rigorous" and kv.modes_used == len(S3.modes)
+        assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
+        kv = _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
+        assert kv.certified and kv.modes_used > len(S3.modes)
+        assert abs(kv.float_value() - ref) <= kv.rel_tail * abs(ref) + 1e-12 * abs(ref)

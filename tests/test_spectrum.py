@@ -39,6 +39,11 @@ class TestModeValidation:
         with pytest.raises(DomainError):
             Mode(1.0, mult)
 
+    @pytest.mark.parametrize("mult", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_multiplicity(self, mult):
+        with pytest.raises(DomainError):
+            Mode(1.0, mult)
+
     @pytest.mark.parametrize("mult", [3.0, np.int64(3), np.float64(3.0)], ids=["float", "np.int64", "np.float64"])
     def test_multiplicity_is_stored_as_int(self, mult):
         mode = Mode(1.0, mult)
@@ -560,3 +565,79 @@ class TestDerivedTables:
         spec = sphere_spectrum(3, c=-0.24)
         text = spec.descriptor()
         assert "d=3" in text and "sphere" in text
+
+
+class TestGrownTables:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_gegenbauer_recurrence_against_mpmath(self, d):
+        # 2500 degrees by the recurrence, chunk after chunk, against 40-digit
+        # values: the unnormalized three-term recurrence at every fifth degree,
+        # and mpmath's gegenbauer at the last.  Errors are measured against each
+        # mode's sup bounds, the scale the tail bounds use.
+        spec = sphere_spectrum(d)
+        table = spec.grown(2500.0)
+        n = table.mu.size
+        assert n >= 2498 and spec.grown(100.0) is table  # kept, and serving smaller cutoffs
+        nu = mp.mpf(d - 2) / 2
+        vol = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+        for gamma in (1e-3, math.pi / 2, math.pi - 1e-3):
+            y, yp = spec.cross_section.points_at_separation(gamma)
+            pair, grad, state = table.pairs(y, yp, gamma, 0, 700, None)
+            rest = table.pairs(y, yp, gamma, 700, n, state)
+            pair, grad = np.concatenate((pair, rest[0])), np.concatenate((grad, rest[1]))
+            whole = table.pairs(y, yp, gamma, 0, n, None)
+            assert (pair == whole[0]).all() and (grad == whole[1]).all()
+            x = mp.cos(gamma)
+            gegen = {}
+            for alpha in (nu, nu + 1):
+                c = [mp.mpf(1), 2 * alpha * x]
+                for k in range(2, n):
+                    c.append((2 * x * (k + alpha - 1) * c[-1] - (k + 2 * alpha - 2) * c[-2]) / k)
+                gegen[alpha] = c
+            last = n - 1
+            assert abs(gegen[nu][last] - mp.gegenbauer(last, nu, x)) <= mp.mpf(10) ** -25 * abs(mp.gegenbauer(last, nu, 1))
+            for l in [*range(0, n, 5), n - 1]:
+                norm = table.mult[l] / (vol * mp.binomial(l + 2 * nu - 1, l))
+                want_pair = float(norm * gegen[nu][l])
+                want_grad = float(-norm * 2 * nu * mp.sin(gamma) * gegen[nu + 1][l - 1]) if l else 0.0
+                # Rounding accumulates along the recurrence, most near x = +-1:
+                # 1.7e-11 of the sup at degree 2500 (the same as scipy's values).
+                assert abs(pair[l] - want_pair) <= 2e-14 * (l + 1) * table.pair_sup[l], (d, gamma, l)
+                assert abs(grad[l] - want_grad) <= 1e-12 * max(table.grad_sup[l], table.pair_sup[l]), (d, gamma, l)
+
+    def test_base_table_is_the_grown_prefix(self):
+        for spec in (sphere_spectrum(4, radius=0.7, c=0.3), torus_spectrum(3, [1.0, 1.3])):
+            table = spec.grown(2.0 * spec.mu_cutoff)
+            n = len(spec.modes)
+            assert table.mu.size > n
+            assert table.mu[:n].tolist() == [m.mu for m in spec.modes]
+            assert table.mult[:n].tolist() == [m.multiplicity for m in spec.modes]
+            y, yp = spec.cross_section.points_at_separation(0.9)
+            pair, grad = spec.pair_values(y, yp)
+            got = table.pairs(y, yp, spec.cross_section.distance(y, yp), 0, n, None)
+            assert (got[0] == pair).all() and (got[1] == grad).all()
+
+    def test_only_provider_tables_grow(self, tmp_path):
+        spec = sphere_spectrum(3)
+        assert leading_modes(spec, 3).grown(100.0) is None
+        save_spectrum(spec, tmp_path / "s.json")
+        assert load_spectrum(tmp_path / "s.json").grown(100.0) is None
+        # Past the ceiling (2**16 degrees here) the table stops.
+        assert spec.grown(70000.0) is None
+        assert torus_spectrum(4, [1.0, 1.0, 1.0]).grown(80.0) is None
+
+    def test_sphere_table_is_the_tail_table(self):
+        # Each degree is built and kept once: the grown table's arrays are
+        # views of the tail's kept degree table, which sum_beyond reads.
+        spec = sphere_spectrum(3)
+        table = spec.grown(500.0)
+        spec.tail_profile.sum_beyond(0.2, 400.0)
+        kept = spec.tail_profile._table
+        assert all(np.shares_memory(v, kept) for v in (table.mu, table.mult, table.pair_sup, table.grad_sup))
+
+    @pytest.mark.parametrize("spec", [sphere_spectrum(3, c=0.4), torus_spectrum(3, [1.0, 1.3])])
+    def test_sum_beyond_kinds_are_a_prefix(self, spec):
+        mu_from = spec.modes[-1].mu
+        for s in (0.2, 0.9):
+            every = spec.tail_profile.sum_beyond(s, mu_from)
+            assert [spec.tail_profile.sum_beyond(s, mu_from, k) for k in (1, 2)] == [every[:1], every[:2]]

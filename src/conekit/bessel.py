@@ -370,6 +370,59 @@ def wronskian_residual(nu, r):
 
 
 # ----------------------------------------------------------------------
+# The lambda-integral of I_mu(lambda a) K_mu(lambda b), in closed form.
+# ----------------------------------------------------------------------
+
+_TAU_STEP = 0.1  # the tau rule's step: its error is about e^{-4.6/step}, below 1e-18
+
+
+def log_ik_integrals(mu, s: float):
+    """Logs of f_mu(s) = b * int_0^inf I_mu(lam a) K_mu(lam b) dlam, s = a/b < 1, and of s f'_mu - mu f_mu.
+
+    Over an array of orders mu > 0 at once; returns ``(log_f, log_e, rel)``
+    with e_mu = s f'_mu(s) - mu f_mu(s) >= 0 and ``rel`` a relative error
+    estimate covering both.  By Gradshteyn-Ryzhik 6.576.5,
+
+        f_mu(s) = sqrt(pi)/2 Gamma(mu+1/2)/Gamma(mu+1) s^mu 2F1(mu+1/2, 1/2; mu+1; s^2)
+                = Q_{mu-1/2}(cosh eta) / (2 sqrt(s)),   eta = -log s,
+
+    the Legendre form in which H.-Q. Li writes the cone's H^{-1/2} kernel.
+    Neither series serves every order: the 2F1 series in s^2 needs about
+    40/(1 - s^2) terms, and the connection formula about s = 1 (DLMF
+    15.8.10) cancels like s^{-2 mu} (at mu = 40, s = 0.72 it loses six
+    digits).  So both come from the integral Q_{mu-1/2}(cosh eta) =
+    e^{-mu eta} int_0^inf e^{-2 mu u} (sinh u sinh(eta+u))^{-1/2} du (DLMF
+    14.12.4 with t = eta + 2u), differentiated in eta under the integral;
+    with q = 1 - e^{-2(eta+u)},
+
+        f_mu = s^mu / sqrt(2) int_0^inf e^{-(2 mu + 1/2) u} (q sinh u)^{-1/2} du,
+        e_mu = s^{mu+2} / sqrt(2) int_0^inf e^{-(2 mu + 5/2) u} (q sinh u)^{-1/2} / q du,
+
+    both integrands positive and free of overflow at any s.  With
+    u = c sinh(tau)^2, c = eta/(1 + 2 mu eta), each is an even, analytic
+    function of tau whose width is about 1 whatever mu and eta, and the
+    midpoint rule of step 0.1 converges like e^{-4.6/step}.  Against
+    30-digit values of the 2F1 series the error is below 5e-16 times
+    1 + |log f| for s from 1e-300 to 0.99 and mu from 0.1 to 65536.
+    """
+    mu = np.asarray(mu, dtype=float)[:, None]
+    eta = -math.log(s)
+    c = eta / (1.0 + 2.0 * mu * eta)
+    # Past u (2 mu + 1) = 45 both integrands are below e^{-45} of their
+    # peak; the order with the smallest c (2 mu + 1) sets the range (the
+    # lowest for s > 1/e, where it rises with mu, the highest below).
+    n = int(math.asinh(math.sqrt(45.0 / float((c * (2.0 * mu + 1.0)).min()))) / _TAU_STEP) + 1
+    tau = (np.arange(n) + 0.5) * _TAU_STEP
+    u = c * np.sinh(tau) ** 2
+    q = -np.expm1(-2.0 * (eta + u))
+    w = (c * np.sinh(2.0 * tau)) * np.exp(-(2.0 * mu + 0.5) * u) / np.sqrt(q * np.sinh(u))
+    log_p = math.log(_TAU_STEP / math.sqrt(2.0)) - eta * mu[:, 0]
+    log_f = log_p + np.log(w.sum(axis=1))
+    log_e = log_p - 2.0 * eta + np.log((w * np.exp(-2.0 * u) / q).sum(axis=1))
+    return log_f, log_e, 16.0 * _EPS * (1.0 + n + np.abs(log_f))
+
+
+# ----------------------------------------------------------------------
 # Provable product bounds (used for certified series tails).
 # ----------------------------------------------------------------------
 

@@ -283,8 +283,9 @@ def _cmd_riesz(args) -> int:
             f"angular={_fmt(kv.angular)}",
             f"magnitude={_fmt(kv.magnitude)}",
             f"quad_error_est={_fmt(kv.quad_error_est)}",
-            f"lambda_splits={','.join(_fmt(x) for x in kv.lambda_splits)}",
-            f"n_evals={kv.n_evals}",
+            f"certified={_fmt(kv.certified)}",
+            f"tail_kind={kv.tail_kind}",
+            f"modes_used={kv.modes_used}",
             f"region={region}",
         ]
         if model is not None:

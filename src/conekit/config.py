@@ -31,8 +31,9 @@ class Defaults:
 
     # --- Riesz lambda integral -------------------------------------------
     riesz_rel_tol: float = 1e-6
-    # Upper limit lambda_max = pad * log(1/tol) / dist(z, z'); the pad
-    # absorbs the polynomial prefactor on the e^{-lambda dist} decay.
+    # At r = r', where the lambda integral is quadrature: its upper limit
+    # lambda_max = pad * log(1/tol) / dist(z, z'); the pad absorbs the
+    # polynomial prefactor on the e^{-lambda dist} decay.
     lambda_max_pad: float = 1.5
 
     # --- Lp probes --------------------------------------------------------

@@ -177,7 +177,7 @@ def lp_norm_probe(
     probed.  When the kernel is homogeneous of a known degree, pass it
     as ``homogeneous_degree``: evaluations collapse onto the ratio line
     kernel(t, 1) and are cached across grids, which matters when each
-    evaluation is itself a quadrature (the Riesz kernel).
+    evaluation is itself a mode sum (the Riesz kernel).
     """
     if int(d) != d or d < 3:
         raise DomainError(f"dimension d must be an integer >= 3, got {d!r}")

@@ -89,10 +89,30 @@ tables are seeded by one ``sum_beyond`` call at its top, for the tail
 kinds in use.  The value is the partial sum at the stop.  The Cauchy
 rule stops at the first term that ends ``heuristic_run`` consecutive
 terms below ``rel_tol/10`` of their partial sums.  Pair values and tail
-tables are kept per chunk across lambda, so a Riesz value prepares each
-depth once.  The radial derivative with z inner uses
+tables are kept per chunk across lambda, so a Riesz value at r = r',
+which integrates over lambda by quadrature, prepares each depth once.
+The radial derivative with z inner uses
 beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
 two 1/r parts cancel in closed form, not in rounding at tiny r.
+
+The lambda-integral
+-------------------
+For s < 1 the same pass sums each component's integral over lambda in
+(0, inf), the series behind the H^{-1/2} and Riesz kernels.  Mode j's
+factor I_mu(lam a) K_mu(lam b) integrates to F = f_mu(s)/b, and with
+e = s f'_mu - mu f_mu and E = e/b (:func:`conekit.bessel.log_ik_integrals`)
+the radial factor is ((mu - (d-2)/2) F + E)/r with z inner and
+-((mu + d/2) F + E)/r with z outer, again free of cancelling 1/r parts.
+Since (mu+1/2)_k/(mu+1)_k <= 1 and, by Wendel's inequality,
+Gamma(mu+1/2)/Gamma(mu+1) <= mu^{-1/2}, with x = s^2
+
+    f_mu(s) <= A s^mu / sqrt(mu),   e_mu(s) <= x/(1-x) A s^mu / sqrt(mu),
+    A = sqrt(pi)/2 (1-x)^{-1/2},
+
+so the tails are the kinds ``pair_over_sqrt_mu``, ``pair_sqrt_mu`` and
+``grad_over_sqrt_mu`` times s-only factors.  The radial and angular
+components share one stop target, rel_tol times the length of the
+gradient.
 """
 
 from __future__ import annotations
@@ -102,11 +122,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import log_scaled, split_log
+from .bessel import log_ik_integrals, log_scaled, split_log
 from .config import DEFAULTS
 from .errors import DomainError
 from .geometry import ConePoint
-from .spectrum import CrossSectionSpectrum
+from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, CrossSectionSpectrum
 
 __all__ = [
     "ResolventRequest",
@@ -235,15 +255,14 @@ def gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
 def _suffix_logs(s, mu, log_weights, beyond):
     """log of the suffix sums of per-mode tail bounds over one chunk, one row per tail kind.
 
-    Rows are the kinds of ``beyond`` in ``_TAIL_KINDS`` order (kernel,
-    radial-derivative and angular terms), each weight
+    Row i is the kind of ``log_weights[i]`` and ``beyond[i]``, each weight
     :meth:`TailProfile.weights` times s^mu.  Entry j of a row bounds the
     contribution of the chunk's modes j, j+1, ... plus every mode past the
     chunk, whose sum ``beyond`` gives for each kind (the last entry is that
     sum alone).
     """
     log_w = np.empty((len(beyond), mu.size + 1))
-    log_w[:, :-1] = log_weights[:len(beyond)] + mu * math.log(s)
+    log_w[:, :-1] = log_weights + mu * math.log(s)
     log_w[:, -1] = [math.log(b) if b > 0.0 else -math.inf for b in beyond]
     return np.logaddexp.accumulate(log_w[:, ::-1], axis=1)[:, ::-1]
 
@@ -267,7 +286,8 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     That half is the cross-section distance, the pair values, s and the
     rigorous tail tables, chunk by chunk.  ``evaluate(lam, rel_tol, gauge)``
     returns the kernel's KernelValue, or with ``need_grad`` the list
-    [kernel, d_r, angular].
+    [kernel, d_r, angular].  With ``lam=None`` each is instead its integral
+    over lambda in (0, inf), for s < 1 (see the module docstring).
     """
     cs = spec.cross_section
     if cs is None:
@@ -282,16 +302,15 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         raise DomainError("resolvent kernel is singular on the diagonal z = z'")
     ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
     beta_r = (1.0 - 0.5 * spec.d) / r
-    n_kinds = 3 if need_grad else 1
     rigorous = s < 1.0 and (spec.grad_certifiable if need_grad else spec.certifiable)
 
-    # Chunk k is (mu, pair, grad, log tail weights, [suffix tables]).  Chunk
+    # Chunk k is (mu, pair, grad, log tail weights, {tail kinds: suffix tables}).  Chunk
     # 0 is the base table; chunk k >= 1 holds the grown table's modes past
     # chunk k-1 up to mu_cutoff * _GROWTH**k (the base table's top mu in
     # place of a missing cutoff).  Each is built on first use and kept for
     # every later lambda.
     mu0, log_weights0 = spec.mode_table
-    chunks = [(mu0, pair, grad, log_weights0, [None])]
+    chunks = [(mu0, pair, grad, log_weights0, {})]
     end, level = mu0.size, 0
 
     def chunk(k: int):
@@ -308,52 +327,64 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             hi = int(np.searchsorted(table.mu, cutoff, side="right"))
             if hi > end:
                 p, g, pair_state = table.pairs(z.y, zp.y, gamma, end, hi, pair_state, need_grad)
-                chunks.append((table.mu[end:hi], p, g, table.log_weights[:, end:hi], [None]))
+                chunks.append((table.mu[end:hi], p, g, table.log_weights[:, end:hi], {}))
                 end = hi
         return chunks[k]
 
-    def tail_rows(k: int):
-        """Chunk k's kernel, radial and angular suffix tables (kinds in use only).
-
-        Seeded with ``sum_beyond`` at the chunk's top.
-        """
+    def tail_rows(k: int, kinds: slice):
+        """Chunk k's suffix tables of the tail kinds ``kinds``, seeded with ``sum_beyond`` at its top."""
         mu, _, _, log_weights, rows = chunks[k]
-        if rows[0] is None:
-            suf = _suffix_logs(s, mu, log_weights, spec.tail_profile.sum_beyond(s, mu[-1], n_kinds))
-            rows[0] = (suf[0], suf[1], suf[2] - math.log(r)) if need_grad else (suf[0],)
-        return rows[0]
+        key = kinds.start, kinds.stop
+        if key not in rows:
+            rows[key] = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.sum_beyond(s, mu[-1], kinds))
+        return rows[key]
 
-    def evaluate(lam: float, rel_tol: float, gauge: str):
-        a, b = lam * a_r, lam * b_r
+    def evaluate(lam, rel_tol: float, gauge: str):
+        if lam is None:
+            if s == 1.0:
+                raise DomainError("each mode's lambda-integral diverges at r = r'")
+            a = b = 0.0  # the closed forms leave out no e^{a-b} factor
+            log_b = math.log(b_r)
+
+            def factors(mu):
+                """log F, log E, their radial coefficients and relative error: the terms' lambda-integrals."""
+                log_f, log_e, rel = log_ik_integrals(mu, s)
+                if z_small:
+                    return log_f - log_b, log_e - log_b, (mu - 0.5 * (spec.d - 2)) / r, 1.0 / r, rel
+                return log_f - log_b, log_e - log_b, -(mu + 0.5 * spec.d) / r, -1.0 / r, rel
+        else:
+            a, b = lam * a_r, lam * b_r
+
+            def factors(mu):
+                """log I K, its radial partner's log, their radial coefficients and relative error."""
+                log_i, _, rel_i, _ = log_scaled("i", mu, a)
+                log_k, log_dk, rel_k, _ = log_scaled("k", mu, b, need_grad and not z_small)
+                rel = rel_i + rel_k
+                if not need_grad:
+                    return log_i + log_k, None, None, None, rel
+                # With z inner, beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu:
+                # the two 1/r parts cancel in closed form instead of in rounding.
+                # With z outer, beta_r K and lam K' have the same sign.
+                if z_small:
+                    log_1, _, rel_1, _ = log_scaled("i", mu + 1.0, a)
+                    return (log_i + log_k, log_1 + log_k, (mu - 0.5 * (spec.d - 2)) / r, lam,
+                            np.maximum(rel, rel_1 + rel_k))
+                return log_i + log_k, log_i + log_dk, beta_r, -lam, rel
         shifts = []
 
         def terms(mu, pair, grad):
-            """This chunk's terms per component, and each term's relative error from its Bessel factors.
+            """This chunk's terms per component, and each term's relative error from its factors.
 
             Term j times e^scale is a series term; the scale is chunk 0's max
             shift plus the factor e^{a-b} that the exponentially scaled Bessel
-            logs leave out.
+            logs leave out.  The radial factor is coef_ik e^{log_ik} + coef_1 e^{log_1}.
             """
-            log_i, _, rel_i, _ = log_scaled("i", mu, a)
-            log_k, log_dk, rel_k, _ = log_scaled("k", mu, b, need_grad and not z_small)
-            rel = rel_i + rel_k
-            log_ik = log_i + log_k
+            log_ik, log_1, coef_ik, coef_1, rel = factors(mu)
             if not shifts:
                 shifts.append(log_ik.max())
             ik = np.exp(log_ik - shifts[0])
             out = [pair * ik]
             if need_grad:
-                # Radial factor coef_ik * I K + coef_1 * e^{log_1}.  With z inner,
-                # beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu: the two
-                # 1/r parts cancel in closed form instead of in rounding.  With z
-                # outer, beta_r K and lam K' have the same sign.
-                if z_small:
-                    log_1, _, rel_1, _ = log_scaled("i", mu + 1.0, a)
-                    log_1, rel = log_1 + log_k, np.maximum(rel, rel_1 + rel_k)
-                    coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2)) / r, lam
-                else:
-                    log_1 = log_i + log_dk
-                    coef_ik, coef_1 = beta_r, -lam
                 if len(shifts) == 1:
                     shifts.append(max(shifts[0], log_1.max()))
                 out.append(pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1])))
@@ -365,17 +396,33 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             # Sum chunk after chunk; stop at the first j whose remainder is below
             # rel_tol * |partial sum| in every component (0 <= 0 counts).
             log_rel_tol = math.log(rel_tol)
-            if need_grad:
+            # The kernel, radial and angular tails, from the suffix tables of
+            # ``kinds``: log_coefs[0] + row 0, logaddexp(log_coefs[1] + row 0,
+            # log_coefs[2] + row 1) and log_coefs[3] + row 2.
+            if lam is None:
+                # f <= A s^mu / sqrt(mu) and e <= x/(1-x) A s^mu / sqrt(mu), A =
+                # sqrt(pi)/2 (1-x)^{-1/2}; |coef_ik| <= mu + (d-2)/2 (z inner) or
+                # mu + d/2 (z outer).
+                x = s * s
+                kinds = _INTEGRAL_KINDS
+                log_a = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) - log_b
+                log_ar = log_a - math.log(r)
+                excess = 0.5 * (spec.d - 2) if z_small else 0.5 * spec.d
+                log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
+            else:
                 # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
+                kinds = _RESOLVENT_KINDS
                 deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
-                log_coefs = (math.log(abs(beta_r)), math.log(lam * deriv_factor))
+                log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
 
             def tails(k):
-                rows = tail_rows(k)
-                if not need_grad:
-                    return rows
-                out = [rows[0], np.logaddexp(log_coefs[0] + rows[0], log_coefs[1] + rows[1])]
-                return out if ang_exact_zero else out + [rows[2]]
+                rows = tail_rows(k, kinds if need_grad else slice(kinds.start, kinds.start + 1))
+                out = [log_coefs[0] + rows[0]]
+                if need_grad:
+                    out.append(np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]))
+                    if not ang_exact_zero:
+                        out.append(log_coefs[3] + rows[2])
+                return out
 
             def passes(tail_list, targets):
                 return np.logical_and.reduce([tail[1:] <= target for tail, target in zip(tail_list, targets)])
@@ -408,6 +455,8 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
                     sums = [total + last for total, last in zip(sums, carry)]
                 with np.errstate(divide="ignore"):
                     targets = [log_rel_tol + np.log(np.abs(total)) + scale for total, scale in zip(sums, scales)]
+                if lam is None and len(targets) == 3:  # one target for the gradient: rel_tol of its length
+                    targets[1] = targets[2] = np.logaddexp(2.0 * targets[1], 2.0 * targets[2]) / 2.0
                 tail_list = tails(k)
                 ok = passes(tail_list, targets)
                 # Rounding joins the remainder where its estimate reaches a

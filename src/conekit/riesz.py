@@ -5,8 +5,22 @@ spectral identity
 
     T = grad H^{-1/2} = (2/pi) * integral_0^inf grad_z G_lambda dlambda,
 
-evaluated here componentwise (radial, angular) by adaptive quadrature
-over lambda with panel splits at the two natural scales 1/r and 1/r'.
+evaluated componentwise (radial, angular).  For r != r' each mode is
+integrated over lambda exactly: with s = r_</r_> < 1,
+
+    int_0^inf I_mu(lam r_<) K_mu(lam r_>) dlam
+        = sqrt(pi) Gamma(mu+1/2) / (2 r_> Gamma(mu+1)) s^mu 2F1(mu+1/2, 1/2; mu+1; s^2)
+        = Q_{mu-1/2}((r^2 + r'^2) / (2 r r')) / (2 sqrt(r r'))
+
+(Gradshteyn-Ryzhik 6.576.5; the Legendre form is the one in which
+H.-Q. Li, J. Funct. Anal. 168 (1999), writes the cone's H^{-1/2} kernel).
+So T is (2/pi) times the gradient of (r r')^{1-d/2} sum_j pair_j
+F_{mu_j}(r_<, r_>), one chunked log-space pass over the modes
+(:func:`conekit.bessel.log_ik_integrals`, summed by the resolvent's
+prepared series with its rigorous tails and stop rule).  At r = r' each
+mode's integral diverges like log(1 - s^2), and the lambda-integral is
+adaptive quadrature over panels split at the two natural scales 1/r and
+1/r' (:func:`_riesz_on_diagonal`).
 
 The exact L^p boundedness interval of T is determined by the bottom of
 the cross-sectional spectrum.  With mu0 = sqrt(lambda_0(V0) + (d-2)^2/4)
@@ -36,7 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import DEFAULTS
 from .errors import DomainError, PositivityError, UnsupportedError
@@ -232,19 +245,30 @@ class RieszKernelValue:
     """One Riesz kernel evaluation T(z, z') = (2/pi) int grad_z G_lambda.
 
     ``d_r`` and ``angular`` are the two gradient components (see
-    :class:`conekit.resolvent.GradientValue`); ``quad_error_est`` sums
-    the quadrature error estimates of both components, the truncation
-    estimate at lambda_max, and the series truncation (the worst relative
-    tail of any node times |d_r| + |angular|); ``lambda_splits`` records
-    the panel boundaries actually used; ``n_evals`` counts the distinct
-    lambda nodes at which the gradient series was evaluated.
+    :class:`conekit.resolvent.GradientValue`).  ``quad_error_est`` bounds
+    the summed error |d_r error| + |angular error|:
+
+    * r != r' (``tail_kind`` "rigorous"): the rigorous remainder of both
+      mode series, plus their rounding estimate where it matters (as a
+      resolvent value's ``tail_bound``).  ``certified`` means the stop rule
+      fired, and then ``quad_error_est <= rel_tol * magnitude``.
+    * r != r' on a spectrum without sup bounds (``"cauchy"``): the Cauchy
+      extrapolation of the remainders, not a guarantee.
+    * r = r' (``"quadrature"``, never certified): the quadrature error
+      estimates of both components, the truncation estimate at
+      lambda_max, and the series truncation (the worst relative tail of
+      any node times |d_r| + |angular|).
+
+    ``modes_used`` counts the modes summed (at r = r', the most any lambda
+    node summed).
     """
 
     d_r: float
     angular: float
     quad_error_est: float
-    lambda_splits: tuple
-    n_evals: int
+    certified: bool
+    tail_kind: str
+    modes_used: int
 
     @property
     def magnitude(self) -> float:
@@ -259,11 +283,10 @@ def riesz_kernel(
 ) -> RieszKernelValue:
     """Evaluate the Riesz transform kernel at (z, z'), componentwise.
 
-    The lambda integral is truncated where the integrand's guaranteed
-    exponential decay e^{-lambda dist(z,z')} reaches rel_tol, padded by
-    :data:`conekit.config.DEFAULTS.lambda_max_pad`; the neglected tail
-    is estimated by 2 |integrand(lambda_max)| / dist and included in
-    ``quad_error_est``.
+    For r != r' each mode's lambda-integral is summed in closed form (see
+    the module docstring), stopping where the rigorous remainder of both
+    components is below rel_tol / 2 of |T| each.  At r = r' the lambda
+    integral is adaptive quadrature (:func:`_riesz_on_diagonal`).
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
@@ -271,6 +294,31 @@ def riesz_kernel(
     dist = cone_distance(z.r, zp.r, spectrum.cross_section.distance(z.y, zp.y))
     if dist == 0.0:  # off the diagonal too, where the distance underflows
         raise DomainError("riesz kernel is singular at zero cone distance")
+    if min(z.r, zp.r) / max(z.r, zp.r) == 1.0:  # the series' own s = 1
+        return _riesz_on_diagonal(series, z, zp, dist, rel_tol)
+    _, d_r, angular = series(None, 0.5 * rel_tol, "riemannian")
+    scale = 2.0 / math.pi
+    return RieszKernelValue(
+        d_r=scale * d_r.float_value(),
+        angular=scale * angular.float_value(),
+        quad_error_est=scale * (d_r.float_tail_bound() + angular.float_tail_bound()),
+        certified=d_r.certified and angular.certified,
+        tail_kind=d_r.tail_kind,
+        modes_used=d_r.modes_used,
+    )
+
+
+def _riesz_on_diagonal(series, z: ConePoint, zp: ConePoint, dist: float, rel_tol: float) -> RieszKernelValue:
+    """The Riesz kernel at r = r' by adaptive quadrature over lambda.
+
+    There each mode's lambda-integral diverges like log(1 - s^2), so the
+    gradient series is integrated numerically: over panels split at the
+    scales 1/r and 1/r', truncated where the integrand's guaranteed decay
+    e^{-lambda dist(z,z')} reaches rel_tol, padded by
+    :data:`conekit.config.DEFAULTS.lambda_max_pad`; the neglected tail is
+    estimated by 2 |integrand(lambda_max)| / dist.
+    """
+    from scipy.integrate import quad  # this branch alone needs it; it costs ~0.3 s to import
 
     lam_max = DEFAULTS.lambda_max_pad * math.log(1.0 / rel_tol) / dist
     grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)
@@ -310,8 +358,9 @@ def riesz_kernel(
         d_r=scale * total[0],
         angular=scale * total[1],
         quad_error_est=scale * err,
-        lambda_splits=tuple(edges),
-        n_evals=len(nodes),
+        certified=False,
+        tail_kind="quadrature",
+        modes_used=max(kv.modes_used for pair in nodes.values() for kv in pair),
     )
 
 

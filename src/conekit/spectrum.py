@@ -23,8 +23,8 @@ array of degrees to mu, multiplicity, sup bounds and Gegenbauer norms,
 for the sphere's table and for its tail alike; the torus table is one
 numpy enumeration of the lattice box, sorted and split into clusters;
 :meth:`TailProfile.weights` defines the per-mode weight of each tail
-kind, and ``sum_beyond`` sums every kind in use beyond the table in one
-pass.
+kind (three for the resolvent, three for its lambda-integral), and
+``sum_beyond`` sums the kinds in use beyond the table in one pass.
 
 Sphere and torus tables grow: the provider's table closure, which built
 the base table, is kept as ``CrossSectionSpectrum.grow``, and
@@ -77,7 +77,9 @@ __all__ = [
     "leading_modes",
 ]
 
-_TAIL_KINDS = ("pair_over_2mu", "pair", "grad_over_2mu")
+_TAIL_KINDS = ("pair_over_2mu", "pair", "grad_over_2mu", "pair_over_sqrt_mu", "pair_sqrt_mu", "grad_over_sqrt_mu")
+# The kernel, radial and angular kinds of the series at one lambda, and of its lambda-integral.
+_RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # The most entries a table grown past the base table enumerates: sphere
 # degrees or torus lattice vectors.  SphereTail keeps its degree table up
 # to the same size.
@@ -116,30 +118,40 @@ class Mode:
 class TailProfile:
     """Rigorous control of every mode beyond the tabulated range.
 
-    ``sum_beyond(s, mu_from, kinds=3)`` returns, for each of the first
-    ``kinds`` tail kinds in ``_TAIL_KINDS`` order, a proven upper bound for
-    the sum over all modes with mu > mu_from of weight(mode) * s**mu, where
-    :meth:`weights` gives the weight of each kind:
+    ``sum_beyond(s, mu_from, kinds)`` returns, for each tail kind in the
+    slice ``kinds`` of ``_TAIL_KINDS`` (by default the resolvent's three),
+    a proven upper bound for the sum over all modes with mu > mu_from of
+    weight(mode) * s**mu, where :meth:`weights` gives the weight of each
+    kind:
 
     * ``"pair_over_2mu"``: sup|pair| / (2 mu)   (kernel tails),
     * ``"pair"``:          sup|pair|            (radial-derivative tails),
-    * ``"grad_over_2mu"``: sup|grad pair|/(2 mu) (angular-derivative tails).
+    * ``"grad_over_2mu"``: sup|grad pair|/(2 mu) (angular-derivative tails),
+
+    and for the lambda-integral of the resolvent (the H^{-1/2} kernel and
+    the Riesz kernel; see :func:`conekit.bessel.log_ik_integrals`):
+
+    * ``"pair_over_sqrt_mu"``: sup|pair| / sqrt(mu),
+    * ``"pair_sqrt_mu"``:      sup|pair| sqrt(mu),
+    * ``"grad_over_sqrt_mu"``: sup|grad pair| / sqrt(mu).
     """
 
     @staticmethod
     def weights(mu, pair_sup, grad_sup) -> np.ndarray:
-        """The weights of the three tail kinds, stacked in ``_TAIL_KINDS`` order."""
-        return np.array([pair_sup / (2.0 * mu), pair_sup, grad_sup / (2.0 * mu)])
+        """The weights of the six tail kinds, stacked in ``_TAIL_KINDS`` order."""
+        root = np.sqrt(mu)
+        return np.array([pair_sup / (2.0 * mu), pair_sup, grad_sup / (2.0 * mu), pair_sup / root,
+                         pair_sup * root, grad_sup / root])
 
-    def sum_beyond(self, s: float, mu_from: float, kinds: int = len(_TAIL_KINDS)) -> tuple[float, ...]:
+    def sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
         raise NotImplementedError
 
 
 class CompleteTail(TailProfile):
     """A table that IS the whole spectrum (file-based operators)."""
 
-    def sum_beyond(self, s, mu_from, kinds=len(_TAIL_KINDS)):
-        return (0.0,) * kinds
+    def sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
+        return (0.0,) * len(_TAIL_KINDS[kinds])
 
 
 class _MajorantTail(TailProfile):
@@ -155,17 +167,16 @@ class _MajorantTail(TailProfile):
     up to 2**15 terms, so memory stays bounded as s approaches 1.
     """
 
-    def _terms(self, s, mu_from, start, n):
-        """(weights, log s**mu, ratio caps) of terms start .. start+n-1, a row per tail kind."""
+    def _terms(self, s, mu_from, start, n, kinds):
+        """(weights, log s**mu, ratio caps) of terms start .. start+n-1, a row per tail kind in ``kinds``."""
         raise NotImplementedError
 
-    def sum_beyond(self, s, mu_from, kinds=len(_TAIL_KINDS)):
+    def sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
         if not 0.0 < s < 1.0:
             raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
         bounds, carry, start, n = {}, 0.0, 0, 64
         while start < 10_000_000:
-            coef, log_term, rho = self._terms(s, mu_from, start, n)
-            coef, rho = coef[:kinds], rho[:kinds]
+            coef, log_term, rho = self._terms(s, mu_from, start, n, kinds)
             term = coef * np.exp(log_term)
             total = np.cumsum(term, axis=-1) + carry
             # term * rho <= 1e-6 * total * (1 - rho) with term > 0 implies rho < 1.
@@ -217,10 +228,15 @@ class SphereTail(_MajorantTail):
 
         rho(l) = (coefficient growth cap at l) * s**min(gap(l), 1/a).
 
-    The cap is N_{l+1}/N_l, and for the gradient kind the growth of
+    The cap is N_{l+1}/N_l, and for the gradient kinds the growth of
     grad_sup.  Both ratios are decreasing in l, and the eigenvalue gap
     mu_{l+1}-mu_l is monotone toward its limit 1/a from one side (the side
-    depends only on sign(c)), so rho(l) caps every later ratio.  The
+    depends only on sign(c)), so rho(l) caps every later ratio.  Weights
+    falling with mu need no more; ``pair_sqrt_mu`` takes the cap times
+    sup_{l' >= l} (mu_{l'+1}/mu_{l'})^{1/2}.  With t = l + (d-2)/2 and
+    kappa = a^2 mu_l^2 - t^2, (mu_{l+1}/mu_l)^2 = 1 + (2t+1)/(t^2+kappa),
+    whose t-derivative has the sign of kappa - t - t^2: it falls from
+    t* = (sqrt(1 + 4 kappa) - 1)/2 on, where it is 1 + 1/t*.  The
     s-independent arrays are built once and extended on demand; the
     sphere's mode table (:func:`_sphere_table`) is sliced from the same
     kept table, so each degree is built and stored once.
@@ -232,14 +248,19 @@ class SphereTail(_MajorantTail):
         self._table = None  # _build(0, n) for the lowest n <= TABLE_CEILING degrees asked for so far
 
     def _build(self, lo: int, hi: int) -> np.ndarray:
-        """Rows of the degrees lo .. hi-1: the 6 of :func:`_sphere_modes`, the 3 weights, the 3 ratio caps, the gap."""
-        rows = _sphere_modes(self.cross_section, self.c0, np.arange(lo, hi + 1))
+        """Rows of the degrees lo .. hi-1: the 6 of :func:`_sphere_modes`, the 6 weights, the 6 ratio caps, the gap."""
+        cs = self.cross_section
+        rows = _sphere_modes(cs, self.c0, np.arange(lo, hi + 1))
         mu, mult, pair_sup, grad_sup = rows[:4]
         growth = mult[1:] / mult[:-1]
         # Degree 0 has grad_sup = 0, so it never stops the gradient sum and needs no cap.
         grad_growth = np.divide(grad_sup[1:], grad_sup[:-1], out=growth.copy(), where=grad_sup[:-1] > 0.0)
+        nu = (cs.dim - 1) / 2.0
+        kappa = cs.radius**2 * self.c0 - nu * nu
+        t = np.maximum(np.arange(lo, hi) + nu, (math.sqrt(1.0 + 4.0 * kappa) - 1.0) / 2.0 if kappa > 0.0 else 0.0)
+        root_growth = growth * (1.0 + (2.0 * t + 1.0) / (t * t + kappa)) ** 0.25
         return np.vstack([np.array(rows)[:, :-1], self.weights(mu, pair_sup, grad_sup)[:, :-1], growth, growth,
-                          grad_growth, np.minimum(np.diff(mu), 1.0 / self.cross_section.radius)])
+                          grad_growth, growth, root_growth, grad_growth, np.minimum(np.diff(mu), 1.0 / cs.radius)])
 
     def _degrees(self, lo: int, hi: int) -> np.ndarray:
         """_build(lo, hi), sliced from the kept table below TABLE_CEILING degrees."""
@@ -249,12 +270,12 @@ class SphereTail(_MajorantTail):
             self._table = self._build(0, 1 << (hi - 1).bit_length())  # each extension at least doubles
         return self._table[:, lo:hi]
 
-    def _terms(self, s, mu_from, start, n):
+    def _terms(self, s, mu_from, start, n, kinds):
         top = mu_from * (1.0 + 1e-15)
         mu = self._degrees(0, _degree_count(self.cross_section, self.c0, top) + 1)[0]
         l0 = int(np.searchsorted(mu, top, side="right")) + start  # the first degree past mu_from
         table = self._degrees(l0, l0 + n)
-        return table[6:9], table[0] * math.log(s), table[9:12] * s ** table[12]
+        return table[6:12][kinds], table[0] * math.log(s), table[12:18][kinds] * s ** table[18]
 
 
 class TorusTail(_MajorantTail):
@@ -263,22 +284,28 @@ class TorusTail(_MajorantTail):
     Modes with mu in (M+m-1, M+m] are overcounted by the lattice box bound
     count(mu <= x) <= prod_i (2 a_i x + 3), each contributing at most
     s**(M+m-1).  Per mode, pair_sup <= 1/vol and grad_sup <= sqrt(lambda)/vol
-    <= mu/vol, and mu > M, so the kinds' weights are at most those of a
-    mode with mu = M, pair_sup = 1/vol and grad_sup = M/vol; the shell
-    ratio cap s * box(M+m+1)/box(M+m) is the same for every kind.  Crude
-    but rigorous, and negligible for s <= 1/4 past any default cutoff.
+    <= mu/vol, so each kind's weight is at most its value at pair_sup =
+    1/vol and grad_sup = mu/vol, a power of mu: with mu in (M, M+m] that is
+    the value at mu = M for the kinds it does not rise in, and at the shell
+    top for the others.  The shell ratio cap is s * box(M+m+1)/box(M+m)
+    times the kind's weight ratio between the shells, both falling in m.
+    Crude but rigorous, and negligible for s <= 1/4 past any default cutoff.
     """
+
+    # The kinds whose weight rises with mu at pair_sup = 1/vol, grad_sup = mu/vol.
+    rising = (TailProfile.weights(2.0, 1.0, 2.0) > TailProfile.weights(1.0, 1.0, 1.0))[:, None]
 
     def __init__(self, cross_section: TorusCrossSection):
         self.radii = np.asarray(cross_section.radii)[:, None]
         self.volume = cross_section.volume
 
-    def _terms(self, s, mu_from, start, n):
+    def _terms(self, s, mu_from, start, n, kinds):
         x = mu_from + np.arange(start + 1.0, start + n + 2.0)  # shell tops, one more for the last ratio
         box = np.prod(2.0 * self.radii * x + 3.0, axis=0)
-        weights = self.weights(mu_from, 1.0 / self.volume, mu_from / self.volume)[:, None]
-        rho = s * box[1:] / box[:-1]
-        return weights * box[:-1], (x[:-1] - 1.0) * math.log(s), np.broadcast_to(rho, (len(weights), n))
+        weights = np.where(self.rising, self.weights(x, np.full_like(x, 1.0 / self.volume), x / self.volume),
+                           self.weights(mu_from, 1.0 / self.volume, mu_from / self.volume)[:, None])
+        rho = s * box[1:] / box[:-1] * (weights[:, 1:] / weights[:, :-1])
+        return weights[kinds, :-1] * box[:-1], (x[:-1] - 1.0) * math.log(s), rho[kinds]
 
 
 @dataclass(frozen=True)
@@ -525,9 +552,10 @@ def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | N
     """
     lam_max = mu_max**2 - c0
     radii = np.asarray(cs.radii)
-    kmax = (radii * math.sqrt(max(lam_max, 0.0))).astype(int)
-    if limit is not None and np.prod(2 * kmax + 1) > limit:
+    kmax = np.floor(radii * math.sqrt(max(lam_max, 0.0)))
+    if limit is not None and math.prod((2.0 * kmax + 1.0).tolist()) > limit:  # in floats: no int64 wrap
         return None
+    kmax = kmax.astype(int)
     ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
     ks = ks.reshape(-1, len(radii))
     lam = sum((ks[:, i] / a) ** 2 for i, a in enumerate(cs.radii))

@@ -126,9 +126,9 @@ def _suite_euclid(seed: int = 1234):
         # cancels to below its rounding, and such values stay uncertified.
         return kernel_points(0.25, 0.99, 1.0, rng)
 
-    def riesz_points():
-        pts = [(0.2, 1.0, 1.0), (0.5, 4.0, 0.4), (2.0, 0.3, 2.2), (0.05, 1.0, 2.8), (1.0, 6.0, 0.9)]
-        worst = 0.0
+    def riesz_errors(pts):
+        """Worst error relative to |T| against -grad R/(pi^2 R^3), and the count certified."""
+        worst, n_cert = 0.0, 0
         for r, rp, gam in pts:
             y, yp = cs.points_at_separation(gam)
             kv = riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp), rel_tol=1e-6)
@@ -137,7 +137,24 @@ def _suite_euclid(seed: int = 1234):
             want_ang = -(rp * math.sin(gam) / big_r) / (math.pi ** 2 * big_r ** 3)
             mag = math.hypot(want_dr, want_ang)
             worst = max(worst, abs(kv.d_r - want_dr) / mag, abs(kv.angular - want_ang) / mag)
+            n_cert += kv.certified
+        return worst, n_cert
+
+    def riesz_points():
+        pts = [(0.2, 1.0, 1.0), (0.5, 4.0, 0.4), (2.0, 0.3, 2.2), (0.05, 1.0, 2.8), (1.0, 6.0, 0.9)]
+        worst, _ = riesz_errors(pts)
         return worst < 1e-4, f"5 points vs -grad R/(pi^2 R^3): worst rel err {worst:.2e}"
+
+    def riesz_rigorous_points():
+        # 1/4 < s <= 0.99, z inner and outer: each mode's lambda-integral in
+        # closed form, with its rigorous tail.
+        pts = []
+        for _ in range(12):
+            s, rp, gam = rng.uniform(0.25, 0.99), 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0)
+            pts.append((s * rp, rp, gam) if rng.random() < 0.5 else (rp, s * rp, gam))
+        worst, n_cert = riesz_errors(pts)
+        return worst < 1e-6 and n_cert == 12, \
+            f"12 points at 1/4 < s <= 0.99 vs -grad R/(pi^2 R^3): worst rel err {worst:.2e}, certified {n_cert}/12"
 
     def indicial_legendre():
         # t = 0.9 needs a mode table far past the default cutoff: the
@@ -157,6 +174,7 @@ def _suite_euclid(seed: int = 1234):
         _timed("euclid.resolvent-yukawa", lambda: kernel_points(1e-3, 0.25, 10.0 ** 1.5, rng)),
         _timed("euclid.resolvent-rigorous", rigorous_points),
         _timed("euclid.riesz-closed-form", riesz_points),
+        _timed("euclid.riesz-rigorous", riesz_rigorous_points),
         _timed("euclid.indicial-legendre", indicial_legendre),
     ]
 

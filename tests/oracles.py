@@ -132,6 +132,40 @@ def riesz_r3(r: float, rp: float, gamma: float):
     return scale * dR_dr, scale * dR_darc
 
 
+def riesz_flat(d: int, r: float, rp: float, gamma: float):
+    """Riesz kernel components on R^d: the gradient in z of Gamma((d-1)/2) / (2 pi^{(d+1)/2}) R^{1-d}.
+
+    That is the kernel of the flat H^{-1/2}; the components are as in
+    :func:`riesz_r3`, which is the case d = 3.
+    """
+    R = euclid_distance(r, rp, gamma)
+    scale = (1 - d) * math.gamma((d - 1) / 2) / (2 * math.pi ** ((d + 1) / 2)) * R ** -d
+    return scale * (r - rp * math.cos(gamma)) / R, scale * rp * math.sin(gamma) / R
+
+
+def ik_integral(mu: float, s: float, dps: int = 30):
+    """(f, s f'), f(s) = int_0^inf I_mu(lam s) K_mu(lam) dlam, as mpmath numbers.
+
+    From Gradshteyn-Ryzhik 6.576.5, f = sqrt(pi)/2 Gamma(mu+1/2)/Gamma(mu+1)
+    s^mu 2F1(mu+1/2, 1/2; mu+1; s^2), the 2F1 summed term by term (all
+    terms positive) at ``dps`` digits until the last term is below 10^-dps
+    of the sum; later terms fall by at least the factor s^2.
+    """
+    with mp.workdps(dps):
+        mu, s = mp.mpf(mu), mp.mpf(s)
+        x, a, tol = s * s, mu + mp.mpf(0.5), mp.mpf(10) ** -dps
+        c, h, xh, k = mp.mpf(1), mp.mpf(1), mp.mpf(0), 0
+        while True:
+            c *= (a + k) * (k + mp.mpf(0.5)) / ((a + mp.mpf(0.5) + k) * (k + 1)) * x
+            k += 1
+            h += c
+            xh += k * c
+            if k * c < tol * xh * (1 - x):
+                break
+        pre = mp.sqrt(mp.pi) / 2 * mp.exp(mp.loggamma(a) - mp.loggamma(mu + 1)) * s ** mu
+        return pre * h, pre * (mu * h + 2 * xh)
+
+
 def indicial_r3(s: float, gamma: float) -> float:
     """Indicial kernel for d = 3, V0 = 0 via the Legendre generating function.
 

@@ -3,8 +3,13 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -30,6 +35,8 @@ from conekit import (
     threshold_interval_zero_v,
     torus_spectrum,
 )
+from conekit.bessel import log_ik_integrals
+from conekit.resolvent import _prepare_series
 
 import oracles
 
@@ -209,24 +216,29 @@ class TestRieszKernel:
 
     def test_metadata(self):
         kv = self._eval(S3, 0.2, 1.0, 1.0)
-        assert kv.n_evals > 0
-        assert kv.lambda_splits[0] == 0.0
-        assert all(b > a for a, b in zip(kv.lambda_splits, kv.lambda_splits[1:]))
+        assert kv.certified and kv.tail_kind == "rigorous"
+        assert 0 < kv.modes_used < len(S3.modes)
+        assert kv.quad_error_est <= DEFAULTS.riesz_rel_tol * kv.magnitude
         assert kv.magnitude == pytest.approx(math.hypot(kv.d_r, kv.angular))
+        on_diagonal = self._eval(S3, 1.0, 1.0, 0.5)
+        assert not on_diagonal.certified and on_diagonal.tail_kind == "quadrature"
+        assert on_diagonal.modes_used > 0
 
     def test_tighter_tolerance_reduces_error_estimate(self):
         loose = self._eval(S3, 0.2, 1.0, 1.0, rel_tol=1e-4)
         tight = self._eval(S3, 0.2, 1.0, 1.0, rel_tol=1e-7)
+        assert loose.certified and tight.certified
         assert tight.quad_error_est < loose.quad_error_est
+        assert tight.modes_used > loose.modes_used
 
 
-def _reference_riesz(spec, z, zp, rel_tol=DEFAULTS.riesz_rel_tol):
+def _reference_riesz(spec, z, zp, rel_tol=DEFAULTS.riesz_rel_tol, visited=None):
     """The lambda-integral rebuilt node by node from the public resolvent API.
 
     One ``resolvent_gradient`` request per integrand call, one ``quad`` run
     per component and panel (the angular one skipped at zero separation),
-    plus the lambda_max and worst-tail terms.  Returns the Riesz value's
-    fields and the number of distinct lambda it evaluated.
+    plus the lambda_max and worst-tail terms.  Returns d_r, angular and
+    ``quad_error_est``; ``visited``, a set, collects the lambda nodes.
     """
     gamma = spec.cross_section.distance(z.y, zp.y)
     dist = cone_distance(z.r, zp.r, gamma)
@@ -234,10 +246,11 @@ def _reference_riesz(spec, z, zp, rel_tol=DEFAULTS.riesz_rel_tol):
     grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)
     b_hi, b_lo = 1.0 / min(z.r, zp.r), 1.0 / max(z.r, zp.r)
     edges = [0.0] + sorted(b for b in {b_lo, b_hi} if 0.0 < b < lam_max) + [lam_max]
-    seen, worst = set(), [0.0]
+    worst = [0.0]
 
     def grad_at(lam):
-        seen.add(lam)
+        if visited is not None:
+            visited.add(lam)
         g = resolvent_gradient(ResolventRequest(spec, z, zp, lam=lam, rel_tol=grad_tol))
         for kv in (g.d_r, g.angular):
             if kv.value != 0.0 and kv.rel_tail > worst[0]:
@@ -257,35 +270,48 @@ def _reference_riesz(spec, z, zp, rel_tol=DEFAULTS.riesz_rel_tol):
     err += 2.0 * (abs(tail_r) + abs(tail_a)) / dist
     err += worst[0] * (abs(total[0]) + abs(total[1]))
     scale = 2.0 / math.pi
-    return (scale * total[0], scale * total[1], scale * err, tuple(edges)), len(seen)
+    return scale * total[0], scale * total[1], scale * err
 
 
 class TestSharedNodes:
-    """Each Riesz value evaluates its mode series once per distinct lambda node."""
+    """At r = r' the lambda-quadrature is the node-by-node algorithm, bit for bit."""
 
-    # certified, rigorous (s = 0.8), far-left, r = r', zero separation
-    POINTS = [(0.2, 1.0, 1.0), (0.8, 1.0, 0.9), (3.0, 0.4, 1.3), (1.0, 1.0, 0.5),
-              (0.3, 1.0, 0.0)]
+    POINTS = [(1.0, 1.0, 0.5)]
 
     @pytest.mark.parametrize("spec", [S3, S3_NEG], ids=["S3", "S3_NEG"])
-    def test_matches_the_per_node_reference(self, spec):
+    def test_matches_the_per_node_reference(self, spec, monkeypatch):
+        # The radial and angular passes share their nodes: the series runs
+        # once per distinct lambda the reference visits.
+        calls = []
+
+        def counting(*args, **kwargs):
+            series = _prepare_series(*args, **kwargs)
+
+            def evaluate(lam, *rest):
+                calls.append(lam)
+                return series(lam, *rest)
+            return evaluate
+
+        monkeypatch.setattr("conekit.riesz._prepare_series", counting)
         for r, rp, gamma in self.POINTS:
             y, yp = spec.cross_section.points_at_separation(gamma)
             z, zp = ConePoint(r, y), ConePoint(rp, yp)
+            calls.clear()
             kv = riesz_kernel(spec, z, zp)
-            want, distinct = _reference_riesz(spec, z, zp)
-            assert (kv.d_r, kv.angular, kv.quad_error_est, kv.lambda_splits) == want
-            assert kv.n_evals == distinct
+            visited = set()
+            assert (kv.d_r, kv.angular, kv.quad_error_est) == _reference_riesz(spec, z, zp, visited=visited)
+            assert len(calls) == len(set(calls)) and set(calls) == visited
 
 
 class TestRieszErrors:
-    """Bad inputs are refused before any quadrature runs."""
+    """Bad inputs are refused before any mode integral or quadrature runs."""
 
     @pytest.fixture(autouse=True)
-    def no_quadrature(self, monkeypatch):
+    def no_evaluation(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("quadrature ran before the input was refused")
-        monkeypatch.setattr("conekit.riesz.quad", fail)
+            raise AssertionError("the kernel was evaluated before the input was refused")
+        monkeypatch.setattr("conekit.resolvent.log_ik_integrals", fail)
+        monkeypatch.setattr("conekit.riesz._riesz_on_diagonal", fail)
 
     def test_diagonal(self):
         y, _ = S3.cross_section.points_at_separation(0.5)
@@ -306,6 +332,78 @@ class TestRieszErrors:
         spec = load_spectrum(p)
         with pytest.raises(NormsOnlyError):
             riesz_kernel(spec, ConePoint(0.2, 0.0), ConePoint(1.0, 0.7))
+
+
+class TestClosedForm:
+    """The per-mode closed form of the lambda-integral, and the Riesz values summed from it."""
+
+    # Both sides of s^2 = 1/2, where the 2F1 series stops serving, and far below it.
+    MUS = (0.5, 1.5, 3.7, 40.2, 1000.0, 20000.0)
+    RATIOS = (1e-300, 1e-6, 0.05, 0.5, 0.707, 0.72, 0.95, 0.99)
+
+    @pytest.mark.parametrize("s", RATIOS)
+    def test_mode_integrals_against_mpmath(self, s):
+        log_f, log_e, rel = log_ik_integrals(np.array(self.MUS), s)
+        for mu, lf, le, est in zip(self.MUS, log_f, log_e, rel):
+            f, sdf = oracles.ik_integral(mu, s)
+            err_f = abs(float(mp.expm1(mp.mpf(float(lf)) - mp.log(f))))
+            got_sdf = mp.exp(mp.mpf(float(lf))) * mu + mp.exp(mp.mpf(float(le)))
+            err_sdf = abs(float(got_sdf / sdf - 1))
+            # The log itself carries rounding of about 1e-16 * |log f| (s^mu at mu = 20000).
+            assert max(err_f, err_sdf) <= min(est, 1e-15 * (1.0 + abs(lf))), (mu, s, err_f, err_sdf, est)
+
+    # At zero separation every term has one sign and the tail bound is within
+    # 1% of the true remainder at s = 0.99, z inner and outer.  At r = r' cos(gamma)
+    # d_r vanishes, and only the gradient's length can set the stop target.
+    POINTS = [(0.8, 1.0, 1.0), (0.9, 1.0, 0.9), (0.95, 1.0, 0.2), (0.5, 1.0, 0.3), (3.0, 0.4, 1.3),
+              (0.99, 1.0, 0.0), (1.0, 0.99, 0.0), (0.5, 1.0, math.acos(0.5))]
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_flat_space_oracle(self, d):
+        spec = sphere_spectrum(d)
+        for r, rp, gamma in self.POINTS:
+            y, yp = spec.cross_section.points_at_separation(gamma)
+            kv = riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp), rel_tol=1e-6)
+            want = oracles.riesz_flat(d, r, rp, gamma) if d != 3 else oracles.riesz_r3(r, rp, gamma)
+            err = abs(kv.d_r - want[0]) + abs(kv.angular - want[1])
+            assert kv.certified and kv.tail_kind == "rigorous", (d, r, rp, gamma)
+            assert err <= kv.quad_error_est <= 1e-6 * math.hypot(*want), (d, r, rp, gamma, err, kv.quad_error_est)
+
+    @pytest.mark.parametrize("spec", [S3_NEG, sphere_spectrum(4, c=-0.5), torus_spectrum(3, [1.0, 1.3])],
+                             ids=["S3_NEG", "S4_NEG", "T2"])
+    def test_certificates_cover_the_tight_value(self, spec):
+        # In the style of acceptance criterion 7: each certified value's
+        # estimate covers its distance to the same value at rel_tol 1e-12.
+        rng = np.random.default_rng(11)
+        certified = 0
+        for _ in range(12):
+            s, rp, gamma = rng.uniform(0.26, 0.99), 10.0 ** rng.uniform(-1, 1), rng.uniform(0.1, 2.0)
+            y, yp = spec.cross_section.points_at_separation(gamma)
+            z, zp = (ConePoint(s * rp, y), ConePoint(rp, yp)) if rng.random() < 0.5 else \
+                (ConePoint(rp, y), ConePoint(s * rp, yp))
+            kv, tight = riesz_kernel(spec, z, zp), riesz_kernel(spec, z, zp, rel_tol=1e-12)
+            if kv.certified:
+                certified += 1
+                assert abs(kv.d_r - tight.d_r) + abs(kv.angular - tight.angular) <= kv.quad_error_est
+        assert certified >= 3
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate takes about 0.3 s to import; only r = r' needs it.
+        code = "\n".join([
+            "import sys, math",
+            "import conekit, conekit.cli",
+            "from conekit import ConePoint, riesz_kernel, sphere_spectrum",
+            "spec = sphere_spectrum(3)",
+            "y, yp = spec.cross_section.points_at_separation(0.9)",
+            "kv = riesz_kernel(spec, ConePoint(0.5, y), ConePoint(1.0, yp))",
+            "assert kv.certified and 'scipy.integrate' not in sys.modules, sorted(sys.modules)",
+            "kv = riesz_kernel(spec, ConePoint(1.0, y), ConePoint(1.0, yp))",
+            "assert math.isfinite(kv.magnitude) and math.isfinite(kv.quad_error_est)",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestOffdiagModels:

@@ -23,6 +23,7 @@ from conekit import (
     torus_spectrum,
     weyl_fit,
 )
+from conekit.spectrum import TailProfile
 
 import oracles
 
@@ -209,6 +210,30 @@ class TestTails:
             bound = shallow.tail_profile.sum_beyond(s, mu_from)[row]
             assert brute <= bound <= (1 + 2e-6) * brute, (d, s, start)
 
+    @pytest.mark.parametrize("d,radius,c", [(3, 1.0, 0.0), (4, 2.0, 1.0), (5, 0.7, -1.2), (3, 1.5, -0.2)])
+    def test_integral_tails_dominate_brute_force(self, d, radius, c):
+        # The lambda-integral's kinds, pair/sqrt(mu), pair sqrt(mu) and
+        # grad/sqrt(mu), brute-forced from the exact per-degree formulas.  With
+        # radius 2 and c = 1 the ratio mu_{l+1}/mu_l first rises (t* = 2.2).
+        for s, start in itertools.product((0.3, 0.9, 0.99), range(2)):
+            shallow = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=20.0)
+            vol, nu = shallow.cross_section.volume, (d - 2) / 2
+            mu_from = (shallow.modes[-1].mu, shallow.mu0 / 2)[start]
+            brute, l, last = np.zeros(3), 0, np.full(3, math.inf)
+            while True:
+                mu = math.sqrt(l * (l + d - 2) / radius ** 2 + c + nu ** 2)
+                if mu > mu_from:
+                    p = (math.comb(l + d - 1, d - 1) - math.comb(l + d - 3, d - 1)) / vol
+                    g = p * l * (l + d - 2) / ((d - 1) * radius)
+                    terms = np.array([p / math.sqrt(mu), p * math.sqrt(mu), g / math.sqrt(mu)]) * s ** mu
+                    brute += terms
+                    if l > 10 and np.all((0 < terms) & (terms < np.minimum(last, 1e-18 * brute))):
+                        break
+                    last = terms
+                l += 1
+            bound = np.array(shallow.tail_profile.sum_beyond(s, mu_from, slice(3, 6)))
+            assert np.all(brute <= bound) and np.all(bound <= (1 + 2e-6) * brute), (d, s, start)
+
     @pytest.mark.parametrize("s", [0.9999, 0.99999])
     def test_sphere_tail_near_one_matches_closed_form(self, s):
         # On R^3 (mu_l = l + 1/2, N_l = 2l + 1, vol = 4 pi) the three tails
@@ -241,6 +266,10 @@ class TestTails:
             )
             bound = shallow.tail_profile.sum_beyond(s, mu_from)[0]
             assert brute <= bound
+            # Every kind, from the modes' exact sups (the lambda-integral's three rise or fall with mu).
+            brute = sum(TailProfile.weights(m.mu, m.pair_sup, m.grad_sup) * s ** m.mu
+                        for m in spec.modes if m.mu > mu_from)
+            assert np.all(brute <= shallow.tail_profile.sum_beyond(s, mu_from, slice(0, 6)))
 
     def test_tail_rejects_s_at_one(self):
         spec = sphere_spectrum(3)
@@ -625,6 +654,9 @@ class TestGrownTables:
         # Past the ceiling (2**16 degrees here) the table stops.
         assert spec.grown(70000.0) is None
         assert torus_spectrum(4, [1.0, 1.0, 1.0]).grown(80.0) is None
+        # A box of about 1e24 lattice vectors: counted in floats, not wrapped in int64.
+        assert torus_spectrum(3, [1.0, 1.3]).grown(1e12) is None
+        assert sphere_spectrum(3).grown(1e12) is None
 
     def test_sphere_table_is_the_tail_table(self):
         # Each degree is built and kept once: the grown table's arrays are
@@ -637,7 +669,11 @@ class TestGrownTables:
 
     @pytest.mark.parametrize("spec", [sphere_spectrum(3, c=0.4), torus_spectrum(3, [1.0, 1.3])])
     def test_sum_beyond_kinds_are_a_prefix(self, spec):
+        # Any slice of the kinds, a prefix or the lambda-integral's three, is
+        # the same entries of the pass over all six.
         mu_from = spec.modes[-1].mu
         for s in (0.2, 0.9):
-            every = spec.tail_profile.sum_beyond(s, mu_from)
-            assert [spec.tail_profile.sum_beyond(s, mu_from, k) for k in (1, 2)] == [every[:1], every[:2]]
+            every = spec.tail_profile.sum_beyond(s, mu_from, slice(0, 6))
+            assert spec.tail_profile.sum_beyond(s, mu_from) == every[:3]
+            for kinds in (slice(0, 1), slice(0, 2), slice(3, 6), slice(4, 5)):
+                assert spec.tail_profile.sum_beyond(s, mu_from, kinds) == every[kinds]

@@ -63,7 +63,6 @@ __all__ = [
     "log_scaled",
     "split_log",
     "wronskian_residual",
-    "log_ik_bound",
     "BoundFit",
     "BoundReport",
     "check_uniform_bounds",
@@ -420,23 +419,6 @@ def log_ik_integrals(mu, s: float):
     log_f = log_p + np.log(w.sum(axis=1))
     log_e = log_p - 2.0 * eta + np.log((w * np.exp(-2.0 * u) / q).sum(axis=1))
     return log_f, log_e, 16.0 * _EPS * (1.0 + n + np.abs(log_f))
-
-
-# ----------------------------------------------------------------------
-# Provable product bounds (used for certified series tails).
-# ----------------------------------------------------------------------
-
-def log_ik_bound(mu: float, a: float, b: float) -> float:
-    """log of a proven bound: I_mu(a) K_mu(b) <= (a/b)^mu / (2 mu).
-
-    Ingredients: I_mu(x)/x^mu is increasing (ascending series has positive
-    coefficients), so I_mu(a) <= (a/b)^mu I_mu(b); and Nicholson's formula
-    I_mu(x) K_mu(x) = Integral_0^inf J_0(2x sinh t) e^{-2 mu t} dt gives
-    I_mu(b) K_mu(b) <= 1/(2 mu).  Valid for all 0 < a <= b, mu > 0.
-    """
-    if not 0.0 < a <= b or mu <= 0.0:
-        raise DomainError("log_ik_bound needs 0 < a <= b and mu > 0")
-    return mu * math.log(a / b) - math.log(2.0 * mu)
 
 
 # ----------------------------------------------------------------------

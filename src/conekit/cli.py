@@ -319,20 +319,13 @@ def _cmd_probe(args) -> int:
     spec = _spectrum_from(args)
     d, mu0 = spec.d, spec.mu0
     if args.model == "t2":
-        kern_spec = HomogeneousKernelSpec(d, 0.5 * d - mu0, "upper")
-        kernel, degree = kern_spec.kernel, -float(d)
+        kernel = HomogeneousKernelSpec(d, 0.5 * d - mu0, "upper").kernel
     elif args.model == "t3":
-        kern_spec = HomogeneousKernelSpec(d, 0.5 * d + 1.0 + mu0, "lower")
-        kernel, degree = kern_spec.kernel, -float(d)
+        kernel = HomogeneousKernelSpec(d, 0.5 * d + 1.0 + mu0, "lower").kernel
     else:  # riesz
-        kernel, degree = riesz_probe_kernel(spec, separation=args.separation,
-                                            rel_tol=args.rel_tol), -float(d)
-    res = lp_norm_probe(
-        kernel, d, args.p,
-        k_values=_ints(args.k_values),
-        points_per_octave=args.points_per_octave,
-        homogeneous_degree=degree,
-    )
+        kernel = riesz_probe_kernel(spec, separation=args.separation, rel_tol=args.rel_tol)
+    res = lp_norm_probe(kernel, d, args.p, k_values=_ints(args.k_values),
+                        points_per_octave=args.points_per_octave)
     payload = {
         "model": args.model,
         "d": d,

@@ -174,10 +174,12 @@ def lp_norm_probe(
     """Estimate L^p(r^{d-1} dr) norms of |kernel| on nested log grids.
 
     ``kernel`` is a callable (r, r') -> value; its absolute value is
-    probed.  When the kernel is homogeneous of a known degree, pass it
-    as ``homogeneous_degree``: evaluations collapse onto the ratio line
-    kernel(t, 1) and are cached across grids, which matters when each
-    evaluation is itself a mode sum (the Riesz kernel).
+    probed.  It must be homogeneous, of degree ``homogeneous_degree``
+    (-d when None, the degree of every scale-invariant kernel on
+    L^p(r^{d-1} dr), the triangle models and the Riesz kernel alike):
+    evaluations collapse onto the ratio line kernel(t, 1) and are cached
+    across grids, which matters when each evaluation is itself a mode
+    sum (the Riesz kernel).
     """
     if int(d) != d or d < 3:
         raise DomainError(f"dimension d must be an integer >= 3, got {d!r}")
@@ -192,6 +194,7 @@ def lp_norm_probe(
     if m <= 0:
         raise DomainError("points_per_octave must be positive")
 
+    degree = -float(d) if homogeneous_degree is None else float(homogeneous_degree)
     ratio_cache: dict[int, float] = {}
 
     def ratio_val(diff: int) -> float:
@@ -206,14 +209,8 @@ def lp_norm_probe(
         exps = np.arange(n) - k * m                      # grid r_i = 2^(exps/m)
         r = np.exp2(exps / m)
         w = r ** d * (math.log(2.0) / m)                 # r^{d-1} * (r dlog r)
-        if homogeneous_degree is not None:
-            diffs = exps[:, None] - exps[None, :]
-            kappa = np.vectorize(ratio_val)(diffs)
-            kmat = kappa * (r[None, :] ** homogeneous_degree)
-        else:
-            kmat = np.abs(
-                np.array([[kernel(ri, rj) for rj in r] for ri in r], dtype=float)
-            )
+        kappa = np.vectorize(ratio_val)(exps[:, None] - exps[None, :])
+        kmat = kappa * (r[None, :] ** degree)
         B = (w ** (1.0 / p))[:, None] * kmat * (w ** (1.0 - 1.0 / p))[None, :]
         lam, it = _matrix_p_norm(B, p, tol, iter_cap)
         norms.append(lam)
@@ -242,8 +239,8 @@ def riesz_probe_kernel(
 ):
     """Callable (r, r') -> |T(z, z')| at fixed cross-sectional separation.
 
-    Homogeneous of degree -spectrum.d, so pass that as
-    ``homogeneous_degree`` to :func:`lp_norm_probe`.
+    Homogeneous of degree -spectrum.d, the default ``homogeneous_degree``
+    of :func:`lp_norm_probe`.
     """
     cs = spectrum.cross_section
     if cs is None:

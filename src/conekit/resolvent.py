@@ -32,25 +32,27 @@ discarded term:
     I'_mu(a) K_mu(b)     <= s^mu (1/(2a) + a/b^2),
     I_mu(a) |K'_mu(b)|   <= s^mu / b.
 
-The first is :func:`conekit.bessel.log_ik_bound`: I_mu(x)/x^mu increases,
-so I_mu(a) <= s^mu I_mu(b), and Nicholson's formula gives
-I_mu(b) K_mu(b) <= 1/(2 mu).  The other two are written inline below.
-For the second, I'_mu = I_{mu+1} + (mu/a) I_mu; the (mu/a) I_mu piece is
-bounded by the first inequality, and the I_{mu+1} piece by order-(mu+1)
-monotonicity plus the Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/b,
-whose terms are all positive, so I_{mu+1}(b) K_mu(b) <= 1/b.  For the
-third, |K'_mu| = (K_{mu-1} + K_{mu+1})/2 <= K_{mu+1}, since K increases
-in |order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the
-same Wronskian.
+For the first, I_mu(x)/x^mu increases, so I_mu(a) <= s^mu I_mu(b), and
+Nicholson's formula gives I_mu(b) K_mu(b) <= 1/(2 mu).  For the second,
+I'_mu = I_{mu+1} + (mu/a) I_mu; the (mu/a) I_mu piece is bounded by the
+first inequality, and the I_{mu+1} piece by order-(mu+1) monotonicity
+plus the Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/b, whose terms are
+all positive, so I_{mu+1}(b) K_mu(b) <= 1/b.  For the third,
+|K'_mu| = (K_{mu-1} + K_{mu+1})/2 <= K_{mu+1}, since K increases in
+|order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the same
+Wronskian.
 
-Summed against the mode-norm bounds ``pair_sup`` / ``grad_sup`` and the
-spectrum's tail profile, they give a rigorous remainder after any number
-of terms: a reversed ``np.logaddexp.accumulate`` of the log weights,
-seeded with ``tail_profile.sum_beyond`` at the top of the table summed so
-far, one row per tail kind in use.  The sum stops at the first term after
-which that remainder is below ``rel_tol * |partial sum|``.  Where the
-base table runs out first, sphere and torus tables grow (see Evaluation),
-up to ``spectrum.TABLE_CEILING`` entries.
+Each mode's share of these bounds is a weight of
+:meth:`conekit.spectrum.TailProfile.weights` (from the mode-norm bounds
+``pair_sup`` / ``grad_sup``) times s^mu, and an s- and lambda-only
+coefficient written inline below.  Summed with the spectrum's tail
+profile, they give a rigorous remainder after any number of terms: a
+reversed ``np.logaddexp.accumulate`` of the log weights, seeded with
+``tail_profile.sum_beyond`` at the top of the table summed so far, one
+row per tail kind in use.  The sum stops at the first term after which
+that remainder is below ``rel_tol * |partial sum|``.  Where the base
+table runs out first, sphere and torus tables grow (see Evaluation), up
+to ``spectrum.TABLE_CEILING`` entries.
 
 A result is *certified* when s < 1 and the rigorous stop rule fired; the
 ``tail_bound`` field then satisfies ``tail_bound <= rel_tol * |value|``
@@ -67,33 +69,37 @@ each term carries its Bessel factors' relative error estimate
 term.  For a sum that cancels heavily (points far apart at large
 lam r', where the terms outgrow the value by up to e^{2a}), that estimate
 joins the remainder from a tenth of ``rel_tol * |value|`` on, in the stop
-rule too; a value whose rounding keeps the target out of reach stops
-where the truncation alone would, uncertified.  Below that share the
+rule too, and at the end of a table that runs out; a value whose rounding
+keeps the target out of reach stops where the truncation alone would,
+uncertified.  The estimate is computed per term only in a chunk where a
+cheap bound on it reaches that share.  Below that share the
 floating-point error (~1e-13 relative) is not included.
 
 Evaluation
 ----------
-The series is summed in chunks, one numpy pass each.  Chunk 0 is the
-base table (``modes``); chunk k >= 1 holds the grown table's modes past
-chunk k-1 up to ``mu_cutoff * _GROWTH**k``, built only when the sum has
-not stopped in the chunks before.  The spectrum's ``pair_values`` gives
-every pair_j (and its derivative) of the base table from one
-cross-section distance, and a grown table's ``pairs`` continues them
-chunk by chunk; :func:`conekit.bessel.log_scaled` gives
-L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}) for the chunk's orders.
-Each term is pair_j * exp(L_j - max L), max L taken over chunk 0, a
-signed log-sum-exp whose common factor e^{max L + a - b} and gauge factor
-are applied once, when the result is packed.  Partial sums are one
-``np.cumsum`` per chunk, carried into the next; each chunk's suffix
-tables are seeded by one ``sum_beyond`` call at its top, for the tail
-kinds in use.  The value is the partial sum at the stop.  The Cauchy
-rule stops at the first term that ends ``heuristic_run`` consecutive
-terms below ``rel_tol/10`` of their partial sums.  Pair values and tail
-tables are kept per chunk across lambda, so a Riesz value at r = r',
-which integrates over lambda by quadrature, prepares each depth once.
-The radial derivative with z inner uses
-beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
-two 1/r parts cancel in closed form, not in rounding at tiny r.
+The series is summed in chunks, one numpy pass each, and every chunk is
+read the same way from a mode table (:class:`conekit.spectrum.ModeArrays`):
+chunk 0 is the spectrum's ``table`` up to ``len(modes)``, and chunk k >= 1
+a grown table's modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k``,
+built only when the sum has not stopped before.  The table's ``pairs``
+gives pair_j (and its derivative) from one cross-section distance,
+continuing the chunk before; :func:`conekit.bessel.log_scaled` gives
+L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component (the
+kernel, or the kernel and the radial and angular derivatives) is one row
+of a (components x modes) array of terms pair_j * exp(L_j - max L), max L
+over chunk 0, a signed log-sum-exp whose factor e^{max L + a - b} and gauge
+factor are applied once, when the result is packed.  Partial sums, stop
+targets, tails and the rounding estimate are arrays of the same shape;
+each chunk's tails are the table's ``log_weights`` seeded by one
+``sum_beyond`` call at its top.  The sum stops at the first column that
+meets every row's target; where the table runs out, its last column is
+the value and the tail.  The Cauchy rule stops at the first column that
+ends ``heuristic_run`` consecutive terms below ``rel_tol/10`` of their
+partial sums.  Pair values and tail tables are kept per chunk across
+lambda, so a Riesz value at r = r', which integrates over lambda by
+quadrature, prepares each depth once.  The radial derivative with z inner
+uses beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so
+the two 1/r parts cancel in closed form, not in rounding at tiny r.
 
 The lambda-integral
 -------------------
@@ -263,7 +269,7 @@ def _suffix_logs(s, mu, log_weights, beyond):
     """
     log_w = np.empty((len(beyond), mu.size + 1))
     log_w[:, :-1] = log_weights + mu * math.log(s)
-    log_w[:, -1] = [math.log(b) if b > 0.0 else -math.inf for b in beyond]
+    log_w[:, -1] = [_log(b) for b in beyond]
     return np.logaddexp.accumulate(log_w[:, ::-1], axis=1)[:, ::-1]
 
 
@@ -293,7 +299,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     if cs is None:
         raise DomainError("spectrum carries no cross-section; kernel evaluation needs one")
     gamma = cs.distance(z.y, zp.y)
-    pair, grad, pair_state = spec.pair_values(z.y, zp.y, gamma, need_grad, with_state=True)
+    base = spec.pair_table
     r, rp = z.r, zp.r
     z_small = r <= rp  # at r == r' the radial derivative is one-sided (z inner)
     a_r, b_r = (r, rp) if z_small else (rp, r)
@@ -301,34 +307,40 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     if s == 1.0 and gamma == 0.0:
         raise DomainError("resolvent kernel is singular on the diagonal z = z'")
     ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
+    # The components, one row each: the kernel, and with need_grad the radial and angular derivatives.
+    n_comp = 1 if not need_grad else 2 if ang_exact_zero else 3
     beta_r = (1.0 - 0.5 * spec.d) / r
-    rigorous = s < 1.0 and (spec.grad_certifiable if need_grad else spec.certifiable)
+    rigorous = s < 1.0 and spec.certifiable
 
-    # Chunk k is (mu, pair, grad, log tail weights, {tail kinds: suffix tables}).  Chunk
-    # 0 is the base table; chunk k >= 1 holds the grown table's modes past
-    # chunk k-1 up to mu_cutoff * _GROWTH**k (the base table's top mu in
-    # place of a missing cutoff).  Each is built on first use and kept for
-    # every later lambda.
-    mu0, log_weights0 = spec.mode_table
-    chunks = [(mu0, pair, grad, log_weights0, {})]
-    end, level = mu0.size, 0
+    # Chunk k is (mu, pair, grad, log tail weights, {tail kinds: suffix tables}),
+    # entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the base table's
+    # len(modes) entries; chunk k >= 1 holds the grown table's modes up to
+    # mu_cutoff * _GROWTH**k (the base table's top mu in place of a missing
+    # cutoff).  Each is built on first use and kept for every later lambda.
+    chunks, state, end, level = [], None, 0, 0
+
+    def add(table, hi: int):
+        nonlocal state, end
+        pair, grad, state = table.pairs(z.y, zp.y, gamma, end, hi, state, need_grad)
+        chunks.append((table.mu[end:hi], pair, grad, table.log_weights[:, end:hi], {}))
+        end = hi
+
+    add(base, len(spec.modes))
 
     def chunk(k: int):
         """The k-th chunk, or None once the table cannot grow further."""
-        nonlocal end, level, pair_state
+        nonlocal level
         while len(chunks) <= k:
             if spec.grow is None:
                 return None
             level += 1
-            cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(mu0[-1])) * _GROWTH**level
+            cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(chunks[0][0][-1])) * _GROWTH**level
             table = spec.grown(cutoff)
             if table is None:
                 return None
-            hi = int(np.searchsorted(table.mu, cutoff, side="right"))
+            hi = int(table.mu.searchsorted(cutoff, side="right"))
             if hi > end:
-                p, g, pair_state = table.pairs(z.y, zp.y, gamma, end, hi, pair_state, need_grad)
-                chunks.append((table.mu[end:hi], p, g, table.log_weights[:, end:hi], {}))
-                end = hi
+                add(table, hi)
         return chunks[k]
 
     def tail_rows(k: int, kinds: slice):
@@ -373,25 +385,27 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         shifts = []
 
         def terms(mu, pair, grad):
-            """This chunk's terms per component, and each term's relative error from its factors.
+            """This chunk's terms, one row per component, and each term's relative error from its factors.
 
-            Term j times e^scale is a series term; the scale is chunk 0's max
-            shift plus the factor e^{a-b} that the exponentially scaled Bessel
-            logs leave out.  The radial factor is coef_ik e^{log_ik} + coef_1 e^{log_1}.
+            Row i times e^scales[i] is a series term; the scale is chunk 0's
+            max shift plus the factor e^{a-b} that the exponentially scaled
+            Bessel logs leave out.  The radial factor is
+            coef_ik e^{log_ik} + coef_1 e^{log_1}.
             """
             log_ik, log_1, coef_ik, coef_1, rel = factors(mu)
             if not shifts:
                 shifts.append(log_ik.max())
             ik = np.exp(log_ik - shifts[0])
-            out = [pair * ik]
-            if need_grad:
-                if len(shifts) == 1:
-                    shifts.append(max(shifts[0], log_1.max()))
-                out.append(pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1])))
-                if not ang_exact_zero:
-                    out.append(grad / r * ik)
-            return out, rel
+            if not need_grad:
+                return (pair * ik)[None], rel
+            if len(shifts) == 1:
+                shifts.append(max(shifts[0], log_1.max()))
+            radial = pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1]))
+            return np.array([pair * ik, radial, grad / r * ik][:n_comp]), rel
 
+        T, rel = terms(*chunks[0][:3])
+        scale_list = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])[:n_comp]]
+        scales = np.array(scale_list)
         if rigorous:
             # Sum chunk after chunk; stop at the first j whose remainder is below
             # rel_tol * |partial sum| in every component (0 <= 0 counts).
@@ -416,111 +430,83 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
                 log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
 
             def tails(k):
+                """Chunk k's log remainders, one row per component; entry j bounds the terms from j on."""
                 rows = tail_rows(k, kinds if need_grad else slice(kinds.start, kinds.start + 1))
-                out = [log_coefs[0] + rows[0]]
-                if need_grad:
-                    out.append(np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]))
-                    if not ang_exact_zero:
-                        out.append(log_coefs[3] + rows[2])
-                return out
+                if not need_grad:
+                    return log_coefs[0] + rows
+                return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
+                                 log_coefs[3] + rows[2]][:n_comp])
 
-            def passes(tail_list, targets):
-                return np.logical_and.reduce([tail[1:] <= target for tail, target in zip(tail_list, targets)])
-
-            def with_rounding(tail_list, targets, comps, rel, mags, scales, first):
-                """The tails with the rounding estimate joined where it reaches a tenth of the target.
-
-                The estimate after term j sums each term's |term| times its
-                Bessel factors' relative error, plus about one rounding per
-                summed term times the sum of |terms|.
-                """
-                out = []
-                for tail, target, t, (mag, wmag), scale in zip(tail_list, targets, comps, mags, scales):
-                    with np.errstate(divide="ignore"):
-                        log_fp = np.log(wmag + np.cumsum(np.abs(t) * rel) + (first + np.arange(9.0, t.size + 9.0))
-                                        * _EPS * (mag + np.cumsum(np.abs(t)))) + scale
-                    joined = log_fp >= _LOG_FP_SHARE + target
-                    out.append(np.concatenate((tail[:1], np.where(joined, np.logaddexp(tail[1:], log_fp),
-                                                                   tail[1:]))))
-                return out
-
-            used, carry, mags, k, stopped, certified = 0, None, None, 0, False, False
-            while not stopped and (c := chunk(k)) is not None:
-                comps, rel = terms(*c[:3])
-                sums = [np.cumsum(t) for t in comps]
-                if carry is None:
-                    scales = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])][:len(comps)]
-                    mags = [(0.0, 0.0)] * len(comps)  # per component: sum |term|, sum |term| * rel
-                else:
-                    sums = [total + last for total, last in zip(sums, carry)]
+            used, k, mag, wmag = 0, 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
+            while True:
+                size = T.shape[1]
+                sums = T.cumsum(axis=1)
+                if k:
+                    sums += carry[:, None]
+                tail = tails(k)
                 with np.errstate(divide="ignore"):
-                    targets = [log_rel_tol + np.log(np.abs(total)) + scale for total, scale in zip(sums, scales)]
-                if lam is None and len(targets) == 3:  # one target for the gradient: rel_tol of its length
-                    targets[1] = targets[2] = np.logaddexp(2.0 * targets[1], 2.0 * targets[2]) / 2.0
-                tail_list = tails(k)
-                ok = passes(tail_list, targets)
-                # Rounding joins the remainder where its estimate reaches a
-                # tenth of the target (a sum that cancels heavily, as for
-                # points far apart at large lam r').  It is bounded first at
-                # the truncation's stop: every term of the chunk at the
-                # largest relative error, the sum of their sizes bounded by
-                # the tail table's first entry.  More modes cannot make up
-                # for rounding, so where it keeps the target out of reach in
-                # this chunk, the sum stops there, uncertified.
-                j = int(ok.argmax())
-                stopped = certified = bool(ok[j])
-                if not stopped:
-                    j = c[0].size - 1
-                rel_max = float(rel.max()) + (used + c[0].size + 8) * _EPS
-                log_rel_max = math.log(rel_max)
-                if any(max(_log(wmag + rel_max * mag) + scale, log_rel_max + tail[0]) + _LN2
-                       >= _LOG_FP_SHARE + target[j]
-                       for tail, (mag, wmag), scale, target in zip(tail_list, mags, scales, targets)):
-                    tail_list = with_rounding(tail_list, targets, comps, rel, mags, scales, used)
-                    ok = passes(tail_list, targets)
-                    certified = bool(ok.any())
-                    j = int(ok.argmax()) if certified else j
-                n = j + 1
-                used, carry, k = used + n, [total[n - 1] for total in sums], k + 1
-                if not stopped:
-                    mags = [(mag + np.abs(t).sum(), wmag + (np.abs(t) * rel).sum())
-                            for t, (mag, wmag) in zip(comps, mags)]
-            if stopped:
-                log_tails = [tail[n] for tail in tail_list]
-            else:  # the table ran out: rounding joins the last remainder as it would a stop's
-                log_tails = [np.logaddexp(tail[-1], fp) if fp >= _LOG_FP_SHARE + target[-1] else tail[-1]
-                             for tail, fp, target in zip(tails(k - 1), (
-                                 _log(wmag + (used + 8) * _EPS * mag) + scale
-                                 for (mag, wmag), scale in zip(mags, scales)), targets)]
+                    target = log_rel_tol + np.log(np.abs(sums)) + scales[:, None]
+                    if lam is None and n_comp == 3:  # one target for the gradient: rel_tol of its length
+                        target[1:] = np.logaddexp(2.0 * target[1], 2.0 * target[2]) / 2.0
+                    ok = (tail[:, 1:] <= target).all(axis=0)
+                    j = int(ok.argmax())
+                    stopped = certified = bool(ok[j])
+                    if not stopped:
+                        j = size - 1
+                    # Rounding joins the remainder where its estimate reaches a
+                    # tenth of the target (a sum that cancels heavily, as for
+                    # points far apart at large lam r').  The estimate after
+                    # term j sums each term's |term| times its Bessel factors'
+                    # relative error, plus about one rounding per summed term
+                    # times the sum of |terms|.  It is bounded first, cheaply,
+                    # at the truncation's stop: every term of the chunk at the
+                    # largest relative error, the sum of their sizes bounded by
+                    # the tail's first entry.  More modes cannot make up for
+                    # rounding, so where it keeps the target out of reach in
+                    # this chunk, the sum stops there, uncertified.
+                    rel_max = float(rel.max()) + (used + size + 8) * _EPS
+                    log_rel_max = math.log(rel_max)
+                    # The bound row by row in floats: on at most three rows they beat numpy's calls.
+                    if any(max(_log(w + rel_max * m) + scale, log_rel_max + first) + _LN2 >= _LOG_FP_SHARE + at_stop
+                           for w, m, scale, first, at_stop in zip(wmag.tolist(), mag.tolist(), scale_list,
+                                                                  tail[:, 0].tolist(), target[:, j].tolist())):
+                        abs_t = np.abs(T)
+                        log_fp = np.log(wmag[:, None] + (abs_t * rel).cumsum(axis=1)
+                                        + (used + np.arange(9.0, size + 9.0)) * _EPS
+                                        * (mag[:, None] + abs_t.cumsum(axis=1))) + scales[:, None]
+                        tail[:, 1:] = np.where(log_fp >= _LOG_FP_SHARE + target,
+                                               np.logaddexp(tail[:, 1:], log_fp), tail[:, 1:])
+                        ok = (tail[:, 1:] <= target).all(axis=0)
+                        certified = bool(ok.any())
+                        j = int(ok.argmax()) if certified else j
+                used, carry, k = used + j + 1, sums[:, j], k + 1
+                # The value stops at j, or where the table runs out, at the last entry (j = size - 1).
+                log_tails = tail[:, j + 1]
+                if stopped or (c := chunk(k)) is None:
+                    break
+                abs_t = np.abs(T)
+                mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
+                T, rel = terms(*c[:3])
         else:
             # Cauchy heuristic over the base table: stop after heuristic_run
             # consecutive terms below rel_tol/10 of their partial sums, in every
             # component, and after at least two terms.
-            comps, _ = terms(*chunks[0][:3])
-            scales = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])][:len(comps)]
-            sums = [np.cumsum(t) for t in comps]
-            run, n = DEFAULTS.heuristic_run, mu0.size
-            small = np.logical_and.reduce([
-                np.abs(t) <= 0.1 * rel_tol * np.abs(total) for t, total in zip(comps, sums)
-            ])
-            hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:n] >= run
+            sums = T.cumsum(axis=1)
+            run, size = DEFAULTS.heuristic_run, T.shape[1]
+            small = (np.abs(T) <= 0.1 * rel_tol * np.abs(sums)).all(axis=0)
+            hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:size] >= run
             hit[0] = False
-            stopped, certified = bool(hit.any()), False
-            used = int(hit.argmax()) + 1 if stopped else n
-            carry = [total[used - 1] for total in sums]
+            used, certified = int(hit.argmax()) + 1 if hit.any() else size, False
+            carry = sums[:, used - 1]
             # Extrapolation: three times the sum of the last few |terms|.
             with np.errstate(divide="ignore"):
-                log_tails = [float(np.log(3.0 * np.abs(t[max(0, used - run):used]).sum())) + scale
-                             for t, scale in zip(comps, scales)]
+                log_tails = np.log(3.0 * np.abs(T[:, max(0, used - run):used]).sum(axis=1)) + scales
 
         certified = rigorous and certified
         tail_kind = "rigorous" if rigorous else "cauchy"
         log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
-        outs = [
-            _pack(float(total), scale + log_gauge, float(log_tail) + log_gauge, used,
-                  certified, gauge, tail_kind)
-            for total, scale, log_tail in zip(carry, scales, log_tails)
-        ]
+        outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, tail_kind)
+                for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
         if not need_grad:
             return outs[0]
         if ang_exact_zero:
@@ -572,7 +558,7 @@ def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
         raise DomainError(f"radial ratio s must be finite and > 0, got {s!r}")
     if s == 1.0:
         raise DomainError("indicial kernel is singular at s = 1")
-    mu = spectrum.mode_table[0]
+    mu = spectrum.table.mu[:len(spectrum.modes)]
     return float(np.sum(pair * np.exp(mu * math.log(min(s, 1.0 / s))) / (2.0 * mu)))
 
 

@@ -6,13 +6,14 @@ eigenfunctions u_j of
 
     L_Y = Delta_Y + V0 + ((d-2)/2)^2,
 
-which must be strictly positive (mu_j > 0).  A spectrum here is the table
-of modes (mu_j, multiplicity, exact sup bounds) plus one vector evaluator,
-:meth:`CrossSectionSpectrum.pair_values`, which returns for every mode at
-once the eigenspace sum  sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and its
-derivative along the cross-section.  The sup bounds plus a tail profile
-(closed-form control of all modes beyond the table) are what make
-certified kernel truncation possible.
+which must be strictly positive (mu_j > 0).  A spectrum here is the
+table of modes (mu_j, multiplicity, exact sup bounds), held as ``modes``
+and as one :class:`ModeArrays` ``table``, whose ``pairs`` returns for a
+range of modes at once the eigenspace sum
+sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and its derivative along the
+cross-section.  The sup bounds plus a tail profile (closed-form control
+of all modes beyond the table) are what make certified kernel
+truncation possible.
 
 Providers: round spheres (Gegenbauer addition theorem, exact
 multiplicities), flat tori (lattice enumeration), and JSON files carrying
@@ -27,7 +28,7 @@ kind (three for the resolvent, three for its lambda-integral), and
 ``sum_beyond`` sums the kinds in use beyond the table in one pass.
 
 Sphere and torus tables grow: the provider's table closure, which built
-the base table, is kept as ``CrossSectionSpectrum.grow``, and
+the base table ``table``, is kept as ``CrossSectionSpectrum.grow``, and
 :meth:`CrossSectionSpectrum.grown` builds a deeper table on demand (kept
 on the spectrum, up to ``TABLE_CEILING`` entries) whose ``pairs``
 continue the base table's chunk by chunk.  ``modes`` and everything read
@@ -178,7 +179,7 @@ class _MajorantTail(TailProfile):
         while start < 10_000_000:
             coef, log_term, rho = self._terms(s, mu_from, start, n, kinds)
             term = coef * np.exp(log_term)
-            total = np.cumsum(term, axis=-1) + carry
+            total = term.cumsum(axis=-1) + carry
             # term * rho <= 1e-6 * total * (1 - rho) with term > 0 implies rho < 1.
             stop = (coef > 0.0) & ((term == 0.0) | (term * rho <= 1e-6 * total * (1.0 - rho)))
             for k, i in enumerate(stop.argmax(axis=-1).tolist()):
@@ -273,7 +274,7 @@ class SphereTail(_MajorantTail):
     def _terms(self, s, mu_from, start, n, kinds):
         top = mu_from * (1.0 + 1e-15)
         mu = self._degrees(0, _degree_count(self.cross_section, self.c0, top) + 1)[0]
-        l0 = int(np.searchsorted(mu, top, side="right")) + start  # the first degree past mu_from
+        l0 = int(mu.searchsorted(top, side="right")) + start  # the first degree past mu_from
         table = self._degrees(l0, l0 + n)
         return table[6:12][kinds], table[0] * math.log(s), table[12:18][kinds] * s ** table[18]
 
@@ -310,13 +311,14 @@ class TorusTail(_MajorantTail):
 
 @dataclass(frozen=True)
 class ModeArrays:
-    """A provider's table of every mode up to some mu, as arrays sorted by mu.
+    """A table of modes as arrays sorted by mu: a provider's up to some mu, or a file's.
 
     ``tag`` is each mode's label value (sphere degree, torus lattice
-    eigenvalue).  ``pairs(y, y', gamma, lo, hi, state, with_grad=True)``
-    returns the pair values of modes lo .. hi-1, their derivatives (None
-    without ``with_grad``), and a state from which the next call, from hi
-    on, continues (``state`` is None for lo = 0).
+    eigenvalue, file mode index).  ``pairs(y, y', gamma, lo, hi, state,
+    with_grad=True)`` returns the pair values of modes lo .. hi-1 at
+    cross-section distance gamma, their derivatives (None without
+    ``with_grad``), and a state from which the next call, from hi on,
+    continues (``state`` is None for lo = 0).
     """
 
     mu: np.ndarray
@@ -338,14 +340,14 @@ class CrossSectionSpectrum:
     """Mode table of L_Y for one cone, sorted by mu ascending.
 
     The provider promises completeness: every eigenvalue with mu at or
-    below ``mu_cutoff`` appears (equal-mu clusters merged).  When all modes
-    carry sup bounds and a tail profile is attached, kernel evaluations on
-    this spectrum can certify their truncation error.  ``pair_evaluator``
-    is the provider's vector evaluator behind :meth:`pair_values`,
-    (y, y', gamma, with_grad) -> (pair, grad, state); without one the
-    spectrum is norms-only.  ``grow`` is the provider's table
+    below ``mu_cutoff`` appears (equal-mu clusters merged).  ``table`` is
+    the :class:`ModeArrays` of ``modes`` (its first ``len(modes)``
+    entries; a sub-spectrum keeps its parent's): the sup bounds the tails
+    read and the pair functions behind :meth:`pair_values`; without one
+    the spectrum is norms-only.  With a table and a tail profile, kernel
+    evaluations on this spectrum can certify their truncation error.  ``grow`` is the provider's table
     closure, mu_max -> :class:`ModeArrays` (None past ``TABLE_CEILING``),
-    which built ``modes`` too; spectra without one (files, sub-spectra)
+    which built ``table`` too; spectra without one (files, sub-spectra)
     never grow.
     """
 
@@ -356,7 +358,7 @@ class CrossSectionSpectrum:
     v0_constant: float | None = None
     tail_profile: TailProfile | None = None
     mu_cutoff: float | None = None
-    pair_evaluator: Callable | None = None
+    table: ModeArrays | None = None
     grow: Callable | None = None
 
     def __post_init__(self):
@@ -385,19 +387,17 @@ class CrossSectionSpectrum:
 
     @property
     def norms_only(self) -> bool:
-        return self.pair_evaluator is None
+        return self.table is None
 
-    @cached_property
-    def mode_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """mu, and the log of every mode's tail weights (:meth:`TailProfile.weights`).
-
-        Both are aligned with ``modes``; the weights have one row per tail
-        kind, NaN where a sup bound is missing and -inf where it is 0.
-        """
-        mu, pair_sup, grad_sup = (np.array([getattr(m, f) for m in self.modes], dtype=float)
-                                  for f in ("mu", "pair_sup", "grad_sup"))
-        with np.errstate(divide="ignore"):
-            return mu, np.log(TailProfile.weights(mu, pair_sup, grad_sup))
+    @property
+    def pair_table(self) -> ModeArrays:
+        """``table``; a norms-only spectrum raises :class:`NormsOnlyError`."""
+        if self.table is None:
+            raise NormsOnlyError(
+                "spectrum carries mode norms only (no pair functions); "
+                "kernel evaluation is impossible"
+            )
+        return self.table
 
     @cached_property
     def _grown(self) -> list:
@@ -419,38 +419,23 @@ class CrossSectionSpectrum:
             kept[:] = [mu_max, table]
         return kept[1]
 
-    def pair_values(self, y, yp, gamma: float | None = None, with_grad: bool = True,
-                    with_state: bool = False):
+    def pair_values(self, y, yp, gamma: float | None = None, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
 
         Both arrays are aligned with ``modes``.  The derivative is per unit
         cross-section arc length, along the direction of increasing
         separation from y' (None without ``with_grad``).  ``gamma`` is the
         cross-section distance d_Y(y, y') when the caller already has it.
-        ``with_state`` adds a third item: the state from which the ``pairs``
-        of a :meth:`grown` table continue past ``modes`` (see
-        :class:`ModeArrays`).
         """
-        if self.pair_evaluator is None:
-            raise NormsOnlyError(
-                "spectrum carries mode norms only (no pair functions); "
-                "kernel evaluation is impossible"
-            )
+        table = self.pair_table
         if gamma is None:
             gamma = self.cross_section.distance(y, yp)
-        out = self.pair_evaluator(y, yp, gamma, with_grad)
-        return out if with_state else out[:2]
+        return table.pairs(y, yp, gamma, 0, len(self.modes), None, with_grad)[:2]
 
     @property
     def certifiable(self) -> bool:
-        return (
-            self.tail_profile is not None
-            and all(m.pair_sup is not None for m in self.modes)
-        )
-
-    @property
-    def grad_certifiable(self) -> bool:
-        return self.certifiable and all(m.grad_sup is not None for m in self.modes)
+        """Whether tails can be bounded: a table's sup bounds and a tail profile."""
+        return self.tail_profile is not None and self.table is not None
 
     def descriptor(self) -> str:
         cs = self.cross_section.descriptor() if self.cross_section is not None else "none"
@@ -496,7 +481,8 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
     else:
         out, (d, p) = [], state
     xm1, append = x - 1.0, out.append
-    for a, b in zip(steps[0][lo - 1:hi - 1], steps[1][lo - 1:hi - 1]):
+    top = max(hi - 1, 0)  # hi = 0 (no degree) must not wrap to the last step
+    for a, b in zip(steps[0][lo - 1:top], steps[1][lo - 1:top]):
         d = a * xm1 * p + b * d
         p = d + p
         append(p)
@@ -593,14 +579,9 @@ def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff,
         raise InsufficientSpectrumError(
             f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
         )
-    count = table.mu.size
     modes = tuple(Mode(m, n, p, g, label=label(t)) for m, n, p, g, t in zip(
         table.mu.tolist(), table.mult.tolist(), table.pair_sup.tolist(), table.grad_sup.tolist(),
         table.tag.tolist()))
-
-    def pairs(y, yp, gamma, with_grad):
-        return table.pairs(y, yp, gamma, 0, count, None, with_grad)
-
     return CrossSectionSpectrum(
         d=d,
         modes=modes,
@@ -609,7 +590,7 @@ def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff,
         v0_constant=float(c),
         tail_profile=tail,
         mu_cutoff=cutoff,
-        pair_evaluator=pairs,
+        table=table,
         grow=build,
     )
 
@@ -677,17 +658,20 @@ def _file_mode(mu_val: float, mult: int, coeffs) -> Mode:
     return Mode(mu_val, mult, pair_sup, grad_sup, addition_coeffs=tuple(arr.tolist()))
 
 
-def _cosine_series(modes):
-    """Pair evaluator of file modes: pair_j(gamma) = sum_k c_jk cos(k gamma)."""
+def _cosine_table(modes) -> ModeArrays:
+    """ModeArrays of file modes, whose pairs are pair_j(gamma) = sum_k c_jk cos(k gamma)."""
     coeffs = np.zeros((len(modes), max(len(m.addition_coeffs) for m in modes)))
     for j, m in enumerate(modes):
         coeffs[j, :len(m.addition_coeffs)] = m.addition_coeffs
     ks = np.arange(coeffs.shape[1], dtype=float)
 
-    def pairs(y, yp, gamma, with_grad):
-        return coeffs @ np.cos(ks * gamma), -(coeffs @ (ks * np.sin(ks * gamma))) if with_grad else None, None
+    def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
+        rows = coeffs[lo:hi]
+        return rows @ np.cos(ks * gamma), -(rows @ (ks * np.sin(ks * gamma))) if with_grad else None, None
 
-    return pairs
+    mu, mult, pair_sup, grad_sup = (np.array([getattr(m, f) for m in modes], dtype=float)
+                                    for f in ("mu", "multiplicity", "pair_sup", "grad_sup"))
+    return ModeArrays(mu, mult, pair_sup, grad_sup, np.arange(len(modes)), pairs)
 
 
 def load_spectrum(path) -> CrossSectionSpectrum:
@@ -769,7 +753,7 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         v0_constant=v0_constant,
         tail_profile=CompleteTail() if complete else None,
         mu_cutoff=modes[-1].mu,
-        pair_evaluator=_cosine_series(modes) if complete else None,
+        table=_cosine_table(modes) if complete else None,
     )
 
 
@@ -843,23 +827,17 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
     """The sub-operator spanned by the first ``count`` modes.
 
     The result is exact for that sub-kernel (its tail is empty), which is
-    what refined single-mode estimates evaluate.
+    what refined single-mode estimates evaluate.  It keeps the parent's
+    ``table`` and reads its first ``count`` entries.
     """
     if not 1 <= count <= len(spectrum.modes) or int(count) != count:
         raise DomainError(f"count must be an integer in [1, {len(spectrum.modes)}], got {count!r}")
     count = int(count)
-    full = spectrum.pair_evaluator
-
-    def pairs(y, yp, gamma, with_grad):
-        pair, grad, _ = full(y, yp, gamma, with_grad)
-        return pair[:count], grad[:count] if with_grad else None, None
-
     return replace(
         spectrum,
         modes=spectrum.modes[:count],
         tail_profile=CompleteTail(),
         v0_descriptor=f"{spectrum.v0_descriptor}|leading:{count}",
         mu_cutoff=spectrum.modes[count - 1].mu,
-        pair_evaluator=pairs if full is not None else None,
         grow=None,
     )

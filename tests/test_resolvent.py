@@ -699,7 +699,7 @@ class TestGrownTables:
         # chunks run from the base table's top mu.
         direct = CrossSectionSpectrum(d=3, modes=S3.modes, v0_descriptor=S3.v0_descriptor,
                                       cross_section=S3.cross_section, tail_profile=S3.tail_profile,
-                                      pair_evaluator=S3.pair_evaluator)
+                                      table=S3.table)
         ref = oracles.yukawa_kernel(0.9, 1.0, 1.0)
         kv = _value(direct, 0.9, 1.0, 1.0)
         assert not kv.certified and kv.tail_kind == "rigorous" and kv.modes_used == len(S3.modes)

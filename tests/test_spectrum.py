@@ -59,7 +59,7 @@ class TestSphereEigendata:
             assert m.multiplicity == 2 * l + 1
         assert spec.mu0 == pytest.approx(0.5)
         assert spec.mu1 == pytest.approx(1.5)
-        assert spec.certifiable and spec.grad_certifiable
+        assert spec.certifiable
         assert not spec.norms_only
         assert spec.v0_constant == 0.0
 
@@ -645,6 +645,30 @@ class TestGrownTables:
             pair, grad = spec.pair_values(y, yp)
             got = table.pairs(y, yp, spec.cross_section.distance(y, yp), 0, n, None)
             assert (got[0] == pair).all() and (got[1] == grad).all()
+
+    @pytest.mark.parametrize("source", ["sphere3", "sphere5", "torus", "file"])
+    def test_short_ranges_continue_the_whole_table(self, source, tmp_path):
+        # One- and two-mode ranges, each continuing the one before, equal the
+        # matching slices of the whole table, pairs and gradients alike.  A
+        # one-degree sphere range asks the gradient recurrence for no degree.
+        if source == "file":
+            save_spectrum(sphere_spectrum(3), tmp_path / "s.json")
+            spec = load_spectrum(tmp_path / "s.json")
+            table = spec.table
+        else:
+            spec = {"sphere3": sphere_spectrum(3), "sphere5": sphere_spectrum(5),
+                    "torus": torus_spectrum(3, [1.0, 1.3])}[source]
+            table = spec.grown(100.0)
+        n = table.mu.size
+        gamma = 1.0
+        y, yp = spec.cross_section.points_at_separation(gamma)
+        whole = table.pairs(y, yp, gamma, 0, n, None)
+        first = table.pairs(y, yp, gamma, 0, 1, None)
+        ranges = {(0, 1): first, (1, 2): table.pairs(y, yp, gamma, 1, 2, first[2]),
+                  (0, 2): table.pairs(y, yp, gamma, 0, 2, None)}
+        for (lo, hi), (pair, grad, _) in ranges.items():
+            assert pair.tolist() == whole[0][lo:hi].tolist(), (lo, hi)
+            assert grad.tolist() == whole[1][lo:hi].tolist(), (lo, hi)
 
     def test_only_provider_tables_grow(self, tmp_path):
         spec = sphere_spectrum(3)

@@ -25,14 +25,20 @@ Algorithm, the same rule at every order, one vector pass per kind:
   uniform expansion (DLMF 10.41.3) past that.  ``kve`` overflows at small x;
   there ``K`` comes from its leading term Gamma(nu) (2/x)^nu / 2 (DLMF
   10.30.2) below order 30, whose relative correction (x/2)^2 / (nu - 1)
-  is then far below rounding, and from Olver's expansion (DLMF 10.41.4)
-  from it on.  Olver's sums run over the order array as one
+  is then far below rounding (below order 1, where x is subnormal, with
+  the second term kept), and from Olver's expansion (DLMF 10.41.4) from
+  it on.  Olver's sums run over the order array as one
   ``np.polynomial`` evaluation, keeping the terms above rounding.
 
 Derivatives use ``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
 ``K'_nu = -(K_{|nu-1|} + K_{nu+1})/2``.  Both are sums of positive terms,
 combined with ``logaddexp``, so no cancellation occurs; each partner order
 is dispatched by the rule above on its own.
+
+scipy's ufuncs (``ive``, ``kve``, ``gammaln``) are bound on the first
+evaluation, not at import: ``scipy.special`` costs about 0.33 s to load,
+and spectra, thresholds and off-diagonal Riesz values need no Bessel
+value.  Olver's ``U_k`` table is likewise built on its first use.
 
 Accuracy: validated against 40-digit reference values at 1e-12 relative
 over nu <= 200, r in [1e-6, 500], and up to order 60000 with x from
@@ -43,13 +49,13 @@ certified enclosure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
-from scipy.special import gammaln, ive, kve
 
 from .config import DEFAULTS
 from .errors import DomainError
@@ -73,6 +79,13 @@ _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01  # Cody-Waite split of log 2
 _LN2_LO = 1.90821492927058770002e-10
 _TINY = 2.2250738585072014e-308  # smallest normal double
+# scipy.special's ufuncs, bound by _bind_special on the first evaluation.
+gammaln = ive = kve = None
+
+
+def _bind_special():
+    global gammaln, ive, kve
+    from scipy.special import gammaln, ive, kve
 
 
 @dataclass(frozen=True)
@@ -161,13 +174,22 @@ def _gen_olver_polys(kmax: int) -> list[list[float]]:
     return [[float(c) for c in poly] for poly in polys]
 
 
-_U_POLYS = _gen_olver_polys(12)
-# U_k(p) = p^k V_k(p^2): row k holds V_k's coefficients, so that
-# sum_{k<n} (+-1)^k U_k(p) / nu^k = polyval2d(+-p/nu, p^2, _U_GRID[:n, :n]).
-_U_GRID = np.array([[poly[k + 2 * j] if k + 2 * j < len(poly) else 0.0 for j in range(len(_U_POLYS))]
-                    for k, poly in enumerate(_U_POLYS)])
-# max |U_k(p)| over 0 <= p <= 1 (sampled), which bounds term k by _U_SUP[k] / nu^k.
-_U_SUP = np.array([np.abs(_poly.polyval(np.linspace(0.0, 1.0, 1001), poly)).max() for poly in _U_POLYS])
+@functools.cache
+def _olver_table():
+    """(grid, sup) for U_0 .. U_12, built on the first call of :func:`_olver`.
+
+    U_k(p) = p^k V_k(p^2): row k of ``grid`` holds V_k's coefficients, so
+    that sum_{k<n} (+-1)^k U_k(p) / nu^k = polyval2d(+-p/nu, p^2, grid[:n, :n]).
+    ``sup[k]`` is max |U_k(p)| over 0 <= p <= 1 (sampled), which bounds
+    term k by sup[k] / nu^k.
+    """
+    polys = _gen_olver_polys(12)
+    grid = np.array([[poly[k + 2 * j] if k + 2 * j < len(poly) else 0.0 for j in range(len(polys))]
+                     for k, poly in enumerate(polys)])
+    sup = np.array([np.abs(_poly.polyval(np.linspace(0.0, 1.0, 1001), poly)).max() for poly in polys])
+    return grid, sup
+
+
 _SERIES_TERMS = 20  # the I series runs where q = (x/2)^2 <= nu + 1: term k is then at most 1/k!
 _LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(1.7976931348623157e308)
 _SKIP_MIN = 64
@@ -180,6 +202,8 @@ def _i_series(nu, x):
     so the sum keeps the terms before the first whose bound is below
     rounding (at most _SERIES_TERMS).
     """
+    if gammaln is None:
+        _bind_special()
     q = 0.25 * x * x
     t = float((q / (nu + 1.0)).max())
     n = next(k for k in range(_SERIES_TERMS) if t ** (k + 1) / math.factorial(k + 1) <= 0.25 * _EPS)
@@ -207,27 +231,50 @@ def _olver(kind: str, nu, x):
     """log I_nu(x) or log K_nu(x) by Olver's uniform large-order expansions.
 
     The leading term times sum_k (+-1)^k U_k(p)/nu^k, p = 1/w, keeping
-    the terms k < n, n the first index whose bound _U_SUP[n] / nu^n is
+    the terms k < n, n the first index whose bound sup[n] / nu^n is
     below rounding at the smallest order (at most 13 terms).
     """
     ln_lead, w, eta = _olver_leading(kind, nu, x)
     p = 1.0 / w
-    bound = _U_SUP / nu.min() ** np.arange(len(_U_SUP))
+    u_grid, u_sup = _olver_table()
+    bound = u_sup / nu.min() ** np.arange(len(u_sup))
     n = next((k for k in range(1, len(bound)) if bound[k] <= 0.25 * _EPS), len(bound))
-    total = _poly.polyval2d((p if kind == "i" else -p) / nu, p * p, _U_GRID[:n, :n])
-    last = min(n, len(_U_SUP) - 1)  # the first term left out, or the last one kept
-    return ln_lead + np.log(total), _U_SUP[last] / nu ** last / total + (np.abs(nu * eta) + 16.0) * _EPS
+    total = _poly.polyval2d((p if kind == "i" else -p) / nu, p * p, u_grid[:n, :n])
+    last = min(n, len(u_sup) - 1)  # the first term left out, or the last one kept
+    return ln_lead + np.log(total), u_sup[last] / nu ** last / total + (np.abs(nu * eta) + 16.0) * _EPS
 
 
 def _k_leading(nu, x):
-    """log K_nu(x) by its small-argument leading term (nu < olver_nu_min).
+    """log K_nu(x) by its small-argument leading terms (nu < olver_nu_min).
 
     kve overflows only where nu > 0.95, and (x/2)^2/(nu-1) bounds the next
-    term for nu > 1 (for nu <= 1, x is subnormal).
+    term for nu > 1.  For nu < 1, x is subnormal, and the second term,
+    of relative size -Gamma(1-nu)/Gamma(1+nu) (x/2)^{2 nu} = -e^L, is kept
+    (DLMF 10.27.4 with 10.25.2).  With L = nu M,
+
+        K_nu(x) = Gamma(1+nu)/2 (x/2)^{-nu} (e^L - 1)/L (-M),
+
+    whose nu -> 0 limit is -log(x/2) - Euler's gamma.  M/2 - log(x/2) =
+    (log Gamma(1-nu) - log Gamma(1+nu)) / (2 nu) comes from its odd Taylor
+    series below nu = 1e-3, where the two logs would cancel.
     """
+    if gammaln is None:
+        _bind_special()
     ln_val = gammaln(nu) + (nu - 1.0) * _LN2 - nu * np.log(x)
     trunc = np.where(nu > 1.0, 0.25 * x * x / np.maximum(nu - 1.0, _EPS), 0.0)
-    return ln_val, (4.0 + 2.0 * np.abs(ln_val)) * _EPS + trunc
+    rel = (4.0 + 2.0 * np.abs(ln_val)) * _EPS + trunc
+    low = nu < 1.0
+    if low.any():
+        nu_l, ln_half_x = nu[low], np.log(x[low]) - _LN2
+        wide, sq = np.maximum(nu_l, 1e-3), nu_l * nu_l  # series: 2 (gamma + zeta(3)/3 nu^2 + zeta(5)/5 nu^4)
+        gap = np.where(nu_l < 1e-3, 2.0 * (np.euler_gamma + sq * (0.40068563438653143 + sq * 0.207385551028674)),
+                       (gammaln(1.0 - wide) - gammaln(1.0 + wide)) / wide)
+        m = gap + 2.0 * ln_half_x
+        with np.errstate(invalid="ignore"):  # nu = 0, where (e^L - 1)/L is 1
+            exprel = np.where(nu_l > 0.0, np.expm1(nu_l * m) / (nu_l * m), 1.0)
+        ln_val[low] = gammaln(1.0 + nu_l) - _LN2 - nu_l * ln_half_x + np.log(exprel) + np.log(-m)
+        rel[low] = (16.0 + 2.0 * np.abs(ln_val[low])) * _EPS
+    return ln_val, rel
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +288,8 @@ _SERIES, _LEADING, _OLVER = 1, 2, 3  # indices into METHODS
 def _log_scaled_values(kind: str, nu: np.ndarray, x):
     """(log scaled value, rel error, method index) for one kind, no derivative."""
     shift = x if kind == "i" else -x  # log of the unscaled value = ln + shift
+    if ive is None:
+        _bind_special()
     scipy_fn = ive if kind == "i" else kve
     # From olver_nu_min on, Olver's leading term gives each log to within
     # 0.01; the orders it puts beyond double range by a factor e or more
@@ -302,8 +351,12 @@ def log_scaled(kind: str, nu, x, with_dr: bool = False):
         return ln, None, rel, method
     if kind == "i":
         ln, rel, method = _log_scaled_values("i", np.stack((nu, nu + 1.0)), x)
-        with np.errstate(divide="ignore"):  # nu = 0 drops the second term
+        # nu = 0 drops the second term; nu / x overflows only at x below
+        # nu * 5.6e-309, and those entries take the two logs apart.
+        with np.errstate(divide="ignore", over="ignore"):
             ln_dr = np.logaddexp(ln[1], np.log(nu / x) + ln[0])
+            if ln_dr.max() == np.inf:
+                ln_dr = np.where(ln_dr == np.inf, np.logaddexp(ln[1], np.log(nu) - np.log(x) + ln[0]), ln_dr)
     else:
         ln, rel, method = _log_scaled_values("k", np.stack((nu, np.abs(nu - 1.0), nu + 1.0)), x)
         ln_dr = np.logaddexp(ln[1], ln[2]) - _LN2

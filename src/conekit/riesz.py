@@ -318,7 +318,9 @@ def _riesz_on_diagonal(series, z: ConePoint, zp: ConePoint, dist: float, rel_tol
     :data:`conekit.config.DEFAULTS.lambda_max_pad`; the neglected tail is
     estimated by 2 |integrand(lambda_max)| / dist.
     """
-    from scipy.integrate import quad  # this branch alone needs it; it costs ~0.3 s to import
+    # This branch alone needs scipy.integrate.  It imports scipy.special,
+    # so from a process with no Bessel value yet it costs about 0.5 s.
+    from scipy.integrate import quad
 
     lam_max = DEFAULTS.lambda_max_pad * math.log(1.0 / rel_tol) / dist
     grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)

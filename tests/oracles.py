@@ -8,7 +8,8 @@ counting for torus spectra.
 
 mpmath's ``derivative=1`` Bessel path is numerically broken at large order
 / tiny argument, so all derivative references use the two-term recurrences
-K' = -(K_{nu-1} + K_{nu+1})/2 and I' = (I_{nu-1} + I_{nu+1})/2.
+K' = -(K_{nu-1} + K_{nu+1})/2 and I' = (I_{nu-1} + I_{nu+1})/2, with the
+partner orders formed in mpmath (in floats, nu - 1 rounds at nu << 1).
 """
 
 from __future__ import annotations
@@ -51,11 +52,13 @@ def log_bessel_k_ref(nu: float, r: float) -> float:
 
 def log_bessel_i_dr_ref(nu: float, r: float) -> float:
     """log I'_nu(r) via the recurrence form (I' > 0 throughout)."""
+    nu = mp.mpf(nu)
     return float(mp.log((mp.besseli(nu - 1, r) + mp.besseli(nu + 1, r)) / 2))
 
 
 def log_abs_bessel_k_dr_ref(nu: float, r: float) -> float:
     """log |K'_nu(r)| via the recurrence form (K' < 0 throughout)."""
+    nu = mp.mpf(nu)
     return float(mp.log((mp.besselk(nu - 1, r) + mp.besselk(nu + 1, r)) / 2))
 
 

@@ -14,7 +14,7 @@ from conekit import (
     bessel_k_with_dr,
     check_uniform_bounds,
 )
-from conekit.bessel import _U_POLYS, METHODS, log_scaled, wronskian_residual
+from conekit.bessel import METHODS, _gen_olver_polys, log_scaled, wronskian_residual
 
 import oracles
 
@@ -104,6 +104,21 @@ class TestScaledRange:
                                        oracles.log_bessel_k_ref(nu, r), rtol=1e-13)
             assert wronskian_residual(nu, r) < 1e-10, (nu, r)
 
+    @pytest.mark.parametrize("nu", [0.0, 1e-6, 0.01, 0.5, 0.99, 1.5])
+    def test_subnormal_arguments(self, nu):
+        # Below x = 2.2e-308 kve overflows at every order; for nu < 1 the
+        # second small-argument term, of relative size ~ (x/2)^{2 nu}, counts.
+        for r in (1e-310, 1e-320):
+            log_k = oracles.log_bessel_k_ref(nu, r)
+            log_i = oracles.log_bessel_i_ref(nu, r)
+            # I'_0 = I_1; mpmath's I_{-1} does not converge here.
+            log_di = oracles.log_bessel_i_dr_ref(nu, r) if nu else oracles.log_bessel_i_ref(1.0, r)
+            for got, ref in ((bessel_k(nu, r), log_k), (bessel_i(nu, r), log_i),
+                             *zip(bessel_k_with_dr(nu, r), (log_k, oracles.log_abs_bessel_k_dr_ref(nu, r))),
+                             *zip(bessel_i_with_dr(nu, r), (log_i, log_di))):
+                err = _rel_log_err(got, ref)
+                assert err <= got.rel_error_est and err < 1e-12, (nu, r, got)
+
     def test_large_argument_decay(self):
         ev = bessel_k(0.5, 500.0)
         ref = math.sqrt(math.pi / 1000.0) * math.exp(-500.0)
@@ -152,7 +167,7 @@ class TestIdentities:
 class TestOlverPolynomials:
     def test_u2_exact_coefficients(self):
         # U_2(t) = (81 t^2 - 462 t^4 + 385 t^6) / 1152
-        u2 = _U_POLYS[2]
+        u2 = _gen_olver_polys(2)[2]
         nonzero = {i: c for i, c in enumerate(u2) if c != 0.0}
         assert set(nonzero) == {2, 4, 6}
         np.testing.assert_allclose(nonzero[2], 81.0 / 1152.0, rtol=1e-15)
@@ -161,7 +176,7 @@ class TestOlverPolynomials:
 
     def test_u1_exact_coefficients(self):
         # U_1(t) = (3 t - 5 t^3) / 24
-        u1 = _U_POLYS[1]
+        u1 = _gen_olver_polys(1)[1]
         nonzero = {i: c for i, c in enumerate(u1) if c != 0.0}
         assert nonzero == {1: pytest.approx(0.125), 3: pytest.approx(-5.0 / 24.0)}
 

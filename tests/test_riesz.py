@@ -387,18 +387,29 @@ class TestClosedForm:
                 assert abs(kv.d_r - tight.d_r) + abs(kv.angular - tight.angular) <= kv.quad_error_est
         assert certified >= 3
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # scipy.integrate takes about 0.3 s to import; only r = r' needs it.
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.special takes about 0.33 s to import, and scipy.integrate
+        # about 0.3 s more: only Bessel values need the first, and only
+        # r = r' the second.  Spectra, thresholds and off-diagonal Riesz
+        # values need neither.
         code = "\n".join([
             "import sys, math",
             "import conekit, conekit.cli",
-            "from conekit import ConePoint, riesz_kernel, sphere_spectrum",
+            "from conekit import (ConePoint, ResolventRequest, offdiag_bound_check, resolvent_kernel,",
+            "                     riesz_kernel, sphere_spectrum, torus_spectrum)",
+            "scipy_loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
             "spec = sphere_spectrum(3)",
+            "torus_spectrum(3, (1.0, 1.3))",
             "y, yp = spec.cross_section.points_at_separation(0.9)",
             "kv = riesz_kernel(spec, ConePoint(0.5, y), ConePoint(1.0, yp))",
-            "assert kv.certified and 'scipy.integrate' not in sys.modules, sorted(sys.modules)",
+            "rep = offdiag_bound_check(sphere_spectrum(3, c=-0.24))",
+            "assert conekit.cli.main(['thresholds', '--d', '4', '--c', '-1']) == 0",
+            "assert kv.certified and math.isfinite(rep.c_sup) and not scipy_loaded(), scipy_loaded()",
+            "gv = resolvent_kernel(ResolventRequest(spec, ConePoint(0.5, y), ConePoint(1.0, yp)))",
+            "assert gv.certified and 'scipy.special' in sys.modules and 'scipy.integrate' not in sys.modules",
             "kv = riesz_kernel(spec, ConePoint(1.0, y), ConePoint(1.0, yp))",
             "assert math.isfinite(kv.magnitude) and math.isfinite(kv.quad_error_est)",
+            "assert 'scipy.integrate' in sys.modules",
         ])
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -179,6 +179,134 @@ class TestSpectrumCommand:
         assert rows[1].split(",")[2] == "4"
 
 
+# Spectrum files for the listings below: cosine coefficients on every mode
+# (two entries at mu = 1.5 merge), none (a saved torus), and some.
+_COEFFS_FILE = {"d": 3, "v0": "file", "modes": [
+    {"mu": 1.5, "multiplicity": 2, "addition_coeffs": [0.1, 0.0, 0.05]},
+    {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.08]},
+    {"mu": 1.5, "multiplicity": 1, "addition_coeffs": [0.0, 0.3]},
+    {"mu": 2.5, "multiplicity": 3, "addition_coeffs": [0.0, -0.2]}]}
+_MIXED_FILE = {"d": 4, "v0": "constant:0.5", "modes": [
+    {"mu": 1.5, "multiplicity": 1, "addition_coeffs": [0.25]},
+    {"mu": 2.0, "multiplicity": 4},
+    {"mu": 3.0, "multiplicity": 2, "addition_coeffs": [0.0, 0.5]},
+    {"mu": 3.5, "multiplicity": 6}]}
+_NORMS_ONLY_FILE = {"d": 3, "v0": "constant:0.0", "modes": [
+    {"mu": 0.5, "multiplicity": 1}, {"mu": 1.118033988749895, "multiplicity": 4},
+    {"mu": 1.5, "multiplicity": 4}, {"mu": 2.0615528128088303, "multiplicity": 4},
+    {"mu": 2.29128784747792, "multiplicity": 8}, {"mu": 2.8722813232690143, "multiplicity": 4}]}
+
+_LISTINGS = {
+    ("sphere", "text"): """\
+d=3 cross_section=sphere(dim=2, radius=1) v0=constant:0.0 modes=4 mu0=0.5
+  [  0] mu=0.5 mult=1 pair_sup=0.0795774715459 l=0
+  [  1] mu=1.5 mult=3 pair_sup=0.238732414638 l=1
+  [  2] mu=2.5 mult=5 pair_sup=0.39788735773 l=2
+  [  3] mu=3.5 mult=7 pair_sup=0.557042300822 l=3
+""",
+    ("sphere", "csv"): """\
+# conekit-schema v1
+index,mu,multiplicity,pair_sup,grad_sup,label
+0,0.5,1,0.0795774715459,0,l=0
+1,1.5,3,0.238732414638,0.238732414638,l=1
+2,2.5,5,0.39788735773,1.19366207319,l=2
+3,3.5,7,0.557042300822,3.34225380493,l=3
+""",
+    ("torus", "text"): """\
+d=3 cross_section=torus(radii=(1.0, 1.0)) v0=constant:0.0 modes=6 mu0=0.5
+  [  0] mu=0.5 mult=1 pair_sup=0.0253302959106 lambda=0
+  [  1] mu=1.11803398875 mult=4 pair_sup=0.101321183642 lambda=1
+  [  2] mu=1.5 mult=4 pair_sup=0.101321183642 lambda=2
+  [  3] mu=2.06155281281 mult=4 pair_sup=0.101321183642 lambda=4
+  [  4] mu=2.29128784748 mult=8 pair_sup=0.202642367285 lambda=5
+  [  5] mu=2.87228132327 mult=4 pair_sup=0.101321183642 lambda=8
+""",
+    ("torus", "csv"): """\
+# conekit-schema v1
+index,mu,multiplicity,pair_sup,grad_sup,label
+0,0.5,1,0.0253302959106,0,lambda=0
+1,1.11803398875,4,0.101321183642,0.101321183642,lambda=1
+2,1.5,4,0.101321183642,0.143289792063,lambda=2
+3,2.06155281281,4,0.101321183642,0.202642367285,lambda=4
+4,2.29128784748,8,0.202642367285,0.45312210837,lambda=5
+5,2.87228132327,4,0.101321183642,0.286579584125,lambda=8
+""",
+    ("coeffs", "text"): """\
+d=3 cross_section=separation v0=file modes=3 mu0=0.5
+  [  0] mu=0.5 mult=1 pair_sup=0.08
+  [  1] mu=1.5 mult=3 pair_sup=0.45
+  [  2] mu=2.5 mult=3 pair_sup=0.2
+""",
+    ("coeffs", "csv"): """\
+# conekit-schema v1
+index,mu,multiplicity,pair_sup,grad_sup,label
+0,0.5,1,0.08,0,
+1,1.5,3,0.45,0.4,
+2,2.5,3,0.2,0.2,
+""",
+    ("norms-only", "text"): """\
+d=3 cross_section=separation v0=constant:0.0 modes=6 mu0=0.5
+  [  0] mu=0.5 mult=1
+  [  1] mu=1.11803398875 mult=4
+  [  2] mu=1.5 mult=4
+  [  3] mu=2.06155281281 mult=4
+  [  4] mu=2.29128784748 mult=8
+  [  5] mu=2.87228132327 mult=4
+""",
+    ("norms-only", "csv"): """\
+# conekit-schema v1
+index,mu,multiplicity,pair_sup,grad_sup,label
+0,0.5,1,,,
+1,1.11803398875,4,,,
+2,1.5,4,,,
+3,2.06155281281,4,,,
+4,2.29128784748,8,,,
+5,2.87228132327,4,,,
+""",
+    ("mixed", "text"): """\
+d=4 cross_section=separation v0=constant:0.5 modes=4 mu0=1.5
+  [  0] mu=1.5 mult=1 pair_sup=0.25
+  [  1] mu=2 mult=4
+  [  2] mu=3 mult=2 pair_sup=0.5
+  [  3] mu=3.5 mult=6
+""",
+    ("mixed", "csv"): """\
+# conekit-schema v1
+index,mu,multiplicity,pair_sup,grad_sup,label
+0,1.5,1,0.25,0,
+1,2,4,,,
+2,3,2,0.5,0.5,
+3,3.5,6,,,
+""",
+}
+
+
+class TestSpectrumListingBytes:
+    """``conekit spectrum`` output, byte for byte, for each kind of source."""
+
+    @pytest.mark.parametrize("source, fmt", sorted(_LISTINGS))
+    def test_listing(self, capsys, tmp_path, source, fmt):
+        if source == "sphere":
+            argv = ["--d", "3", "--mu-cutoff", "4"]
+        elif source == "torus":
+            argv = ["--d", "3", "--torus", "1,1", "--mu-cutoff", "3"]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"coeffs": _COEFFS_FILE, "norms-only": _NORMS_ONLY_FILE,
+                                        "mixed": _MIXED_FILE}[source]))
+            argv = ["--spectrum-file", str(path)]
+        code, out, _ = run_cli(capsys, "spectrum", *argv, "--format", fmt)
+        assert code == 0
+        assert out == _LISTINGS[source, fmt]
+
+    def test_saved_torus_is_the_norms_only_file(self, capsys, tmp_path):
+        path = tmp_path / "torus.json"
+        code, _, _ = run_cli(capsys, "spectrum", "--d", "3", "--torus", "1,1", "--mu-cutoff", "3",
+                             "--save", str(path))
+        assert code == 0
+        assert json.loads(path.read_text()) == _NORMS_ONLY_FILE
+
+
 class TestVerifyCommand:
     def test_suite_passes_with_pass_lines(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "bessel")

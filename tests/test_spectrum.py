@@ -517,6 +517,46 @@ class TestFileRoundTrip:
         assert spec.modes[1].pair_sup == pytest.approx(0.3)
 
 
+_MIXED_FILE = {"d": 4, "v0": "constant:0.5", "modes": [
+    {"mu": 1.5, "multiplicity": 1, "addition_coeffs": [0.25]},
+    {"mu": 2.0, "multiplicity": 4},
+    {"mu": 3.0, "multiplicity": 2, "addition_coeffs": [0.0, 0.5]},
+    {"mu": 3.5, "multiplicity": 6}]}
+
+
+class TestSavedBytes:
+    """``save_spectrum`` output, byte for byte: json.dump(indent=1) of these payloads."""
+
+    @staticmethod
+    def _saved(spec, tmp_path):
+        path = tmp_path / "saved.json"
+        save_spectrum(spec, path)
+        return path.read_text()
+
+    @staticmethod
+    def _bytes(d, v0, modes):
+        return json.dumps({"d": d, "v0": v0, "modes": modes}, indent=1) + "\n"
+
+    def test_sphere(self, tmp_path):
+        assert self._saved(sphere_spectrum(3, mu_cutoff=3.0), tmp_path) == self._bytes(3, "constant:0.0", [
+            {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.07957747154594767, 6.47572172066585e-19]},
+            {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.23873241463784295]},
+            {"mu": 2.5, "multiplicity": 5,
+             "addition_coeffs": [0.09947183943243461, -8.706686578621657e-17, 0.29841551829730373]}])
+
+    def test_torus(self, tmp_path):
+        assert self._saved(torus_spectrum(3, [1.0, 1.0], mu_cutoff=3.0), tmp_path) == self._bytes(
+            3, "constant:0.0", [
+                {"mu": 0.5, "multiplicity": 1}, {"mu": 1.118033988749895, "multiplicity": 4},
+                {"mu": 1.5, "multiplicity": 4}, {"mu": 2.0615528128088303, "multiplicity": 4},
+                {"mu": 2.29128784747792, "multiplicity": 8}, {"mu": 2.8722813232690143, "multiplicity": 4}])
+
+    def test_mixed_file_resaves_unchanged(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(_MIXED_FILE))
+        assert self._saved(load_spectrum(path), tmp_path) == self._bytes(**_MIXED_FILE)
+
+
 class TestFileErrors:
     def test_not_json(self, tmp_path):
         p = tmp_path / "bad.json"

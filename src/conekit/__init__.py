@@ -36,7 +36,6 @@ from .bessel import (
 )
 from .spectrum import (
     CrossSectionSpectrum,
-    Mode,
     WeylFit,
     leading_modes,
     load_spectrum,
@@ -97,7 +96,6 @@ __all__ = [
     "InsufficientSpectrumError",
     "KernelValue",
     "L2Bound",
-    "Mode",
     "NormProbeResult",
     "NormsOnlyError",
     "OffdiagReport",

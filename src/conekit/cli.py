@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -142,20 +143,21 @@ def _cmd_spectrum(args) -> int:
     spec = _spectrum_from(args)
     if args.save:
         save_spectrum(spec, args.save)
-    sup = lambda v: "" if v is None else _fmt(v)
+    table = spec.table
+    rows = enumerate(zip(table.mu.tolist(), table.mult.tolist(), table.pair_sup.tolist(),
+                         table.grad_sup.tolist(), table.labels()))
+    sup = lambda v: "" if math.isnan(v) else _fmt(v)  # NaN: a file mode without coefficients
     if args.format == "csv":
         lines = [SCHEMA_HEADER, "index,mu,multiplicity,pair_sup,grad_sup,label"]
-        for j, m in enumerate(spec.modes):
-            lines.append(
-                f"{j},{_fmt(m.mu)},{m.multiplicity},{sup(m.pair_sup)},{sup(m.grad_sup)},{m.label}"
-            )
+        for j, (mu, mult, pair_sup, grad_sup, label) in rows:
+            lines.append(f"{j},{_fmt(mu)},{int(mult)},{sup(pair_sup)},{sup(grad_sup)},{label}")
     else:
         lines = [spec.descriptor()]
-        for j, m in enumerate(spec.modes):
+        for j, (mu, mult, pair_sup, _, label) in rows:
             lines.append(
-                f"  [{j:3d}] mu={_fmt(m.mu)} mult={m.multiplicity}"
-                + (f" pair_sup={_fmt(m.pair_sup)}" if m.pair_sup is not None else "")
-                + (f" {m.label}" if m.label else "")
+                f"  [{j:3d}] mu={_fmt(mu)} mult={int(mult)}"
+                + (f" pair_sup={_fmt(pair_sup)}" if not math.isnan(pair_sup) else "")
+                + (f" {label}" if label else "")
             )
     _emit(args, "\n".join(lines))
     return 0
@@ -167,6 +169,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     if args.mu0 is not None:
+        if args.d is None:
+            raise _UsageError("--mu0 needs --d")
         iv = threshold_interval(args.d, args.mu0)
     elif args.spectrum_file:
         spec = load_spectrum(args.spectrum_file)

@@ -79,9 +79,10 @@ Evaluation
 ----------
 The series is summed in chunks, one numpy pass each, and every chunk is
 read the same way from a mode table (:class:`conekit.spectrum.ModeArrays`):
-chunk 0 is the spectrum's ``table`` up to ``len(modes)``, and chunk k >= 1
-a grown table's modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k``,
-built only when the sum has not stopped before.  The table's ``pairs``
+chunk 0 is the spectrum's ``table``, and chunk k >= 1 a grown table's
+modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k`` (a sphere's last
+chunk runs to ``TABLE_CEILING`` degrees), built only when the sum has not
+stopped before.  The table's ``pairs``
 gives pair_j (and its derivative) from one cross-section distance,
 continuing the chunk before; :func:`conekit.bessel.log_scaled` gives
 L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component (the
@@ -132,7 +133,7 @@ from .bessel import log_ik_integrals, log_scaled, split_log
 from .config import DEFAULTS
 from .errors import DomainError
 from .geometry import ConePoint
-from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, CrossSectionSpectrum
+from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, TABLE_CEILING, CrossSectionSpectrum
 
 __all__ = [
     "ResolventRequest",
@@ -313,8 +314,8 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     rigorous = s < 1.0 and spec.certifiable
 
     # Chunk k is (mu, pair, grad, log tail weights, {tail kinds: suffix tables}),
-    # entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the base table's
-    # len(modes) entries; chunk k >= 1 holds the grown table's modes up to
+    # entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the base table;
+    # chunk k >= 1 holds the grown table's modes up to
     # mu_cutoff * _GROWTH**k (the base table's top mu in place of a missing
     # cutoff).  Each is built on first use and kept for every later lambda.
     chunks, state, end, level = [], None, 0, 0
@@ -325,13 +326,15 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         chunks.append((table.mu[end:hi], pair, grad, table.log_weights[:, end:hi], {}))
         end = hi
 
-    add(base, len(spec.modes))
+    add(base, base.mu.size)
 
     def chunk(k: int):
         """The k-th chunk, or None once the table cannot grow further."""
         nonlocal level
         while len(chunks) <= k:
-            if spec.grow is None:
+            # No grown table runs past TABLE_CEILING entries (a sphere's stops
+            # there), so once the chunks reach it none adds an entry.
+            if spec.grow is None or end >= TABLE_CEILING:
                 return None
             level += 1
             cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(chunks[0][0][-1])) * _GROWTH**level
@@ -558,7 +561,7 @@ def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
         raise DomainError(f"radial ratio s must be finite and > 0, got {s!r}")
     if s == 1.0:
         raise DomainError("indicial kernel is singular at s = 1")
-    mu = spectrum.table.mu[:len(spectrum.modes)]
+    mu = spectrum.table.mu
     return float(np.sum(pair * np.exp(mu * math.log(min(s, 1.0 / s))) / (2.0 * mu)))
 
 

@@ -6,12 +6,11 @@ eigenfunctions u_j of
 
     L_Y = Delta_Y + V0 + ((d-2)/2)^2,
 
-which must be strictly positive (mu_j > 0).  A spectrum here is the
-table of modes (mu_j, multiplicity, exact sup bounds), held as ``modes``
-and as one :class:`ModeArrays` ``table``, whose ``pairs`` returns for a
-range of modes at once the eigenspace sum
-sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and its derivative along the
-cross-section.  The sup bounds plus a tail profile (closed-form control
+which must be strictly positive (mu_j > 0).  A spectrum here is one
+table of modes, a :class:`ModeArrays` ``table``: mu_j, multiplicity and
+exact sup bounds as arrays, and ``pairs``, which returns for a range of
+modes at once the eigenspace sum  sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and
+its derivative along the cross-section.  The sup bounds plus a tail profile (closed-form control
 of all modes beyond the table) are what make certified kernel
 truncation possible.
 
@@ -31,8 +30,9 @@ Sphere and torus tables grow: the provider's table closure, which built
 the base table ``table``, is kept as ``CrossSectionSpectrum.grow``, and
 :meth:`CrossSectionSpectrum.grown` builds a deeper table on demand (kept
 on the spectrum, up to ``TABLE_CEILING`` entries) whose ``pairs``
-continue the base table's chunk by chunk.  ``modes`` and everything read
-from it stay the base table.
+continue the base table's chunk by chunk; a sphere's stops at
+``TABLE_CEILING`` degrees.  ``table`` and everything read from it (mu0,
+mu1, the descriptor, files) stay the base table.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "Mode",
     "CrossSectionSpectrum",
     "TailProfile",
     "CompleteTail",
@@ -85,35 +84,6 @@ _RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # degrees or torus lattice vectors.  SphereTail keeps its degree table up
 # to the same size.
 TABLE_CEILING = 1 << 16
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One eigenvalue cluster of the shifted cross-section operator.
-
-    ``pair_sup`` and ``grad_sup`` are exact sup-norm bounds of the
-    eigenspace kernel and of its derivative, used by certified tails; they
-    are None for norms-only spectra.  ``addition_coeffs`` are the cosine
-    coefficients a spectrum file gave the kernel (None for built-in
-    providers).
-    """
-
-    mu: float
-    multiplicity: int
-    pair_sup: float | None = None
-    grad_sup: float | None = None
-    label: str = ""
-    addition_coeffs: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise PositivityError(
-                f"mode has mu = {self.mu!r}; the shifted operator must be positive"
-            )
-        if (not math.isfinite(self.multiplicity) or int(self.multiplicity) != self.multiplicity
-                or self.multiplicity < 1):
-            raise DomainError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
-        object.__setattr__(self, "multiplicity", int(self.multiplicity))
 
 
 class TailProfile:
@@ -313,12 +283,18 @@ class TorusTail(_MajorantTail):
 class ModeArrays:
     """A table of modes as arrays sorted by mu: a provider's up to some mu, or a file's.
 
-    ``tag`` is each mode's label value (sphere degree, torus lattice
-    eigenvalue, file mode index).  ``pairs(y, y', gamma, lo, hi, state,
-    with_grad=True)`` returns the pair values of modes lo .. hi-1 at
-    cross-section distance gamma, their derivatives (None without
-    ``with_grad``), and a state from which the next call, from hi on,
-    continues (``state`` is None for lo = 0).
+    ``mult`` holds the multiplicities (integers, as floats for spheres
+    and files).  ``pair_sup`` and ``grad_sup`` are exact sup-norm bounds
+    of each eigenspace kernel and of its derivative, read by certified
+    tails; NaN for a file mode without addition coefficients.  ``tag`` is
+    each mode's label value (sphere degree, torus lattice eigenvalue, or
+    a file mode's cosine coefficients as a tuple, None without) and
+    ``label`` the format of a label from a tag.  ``pairs(y, y', gamma,
+    lo, hi, state, with_grad=True)`` returns the pair values of modes
+    lo .. hi-1 at cross-section distance gamma, their derivatives (None
+    without ``with_grad``), and a state from which the next call, from hi
+    on, continues (``state`` is None for lo = 0); it is None for a table
+    of norms only.
     """
 
     mu: np.ndarray
@@ -326,7 +302,8 @@ class ModeArrays:
     pair_sup: np.ndarray
     grad_sup: np.ndarray
     tag: np.ndarray
-    pairs: Callable
+    label: str
+    pairs: Callable | None
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -334,65 +311,72 @@ class ModeArrays:
         with np.errstate(divide="ignore"):
             return np.log(TailProfile.weights(self.mu, self.pair_sup, self.grad_sup))
 
+    def labels(self) -> list[str]:
+        return [self.label.format(t) for t in self.tag.tolist()]
+
+    def head(self, count: int) -> ModeArrays:
+        """The first ``count`` modes: views of these arrays, with the same ``pairs`` and log weights."""
+        head = replace(self, mu=self.mu[:count], mult=self.mult[:count], pair_sup=self.pair_sup[:count],
+                       grad_sup=self.grad_sup[:count], tag=self.tag[:count])
+        head.__dict__["log_weights"] = self.log_weights[:, :count]
+        return head
+
 
 @dataclass(frozen=True)
 class CrossSectionSpectrum:
     """Mode table of L_Y for one cone, sorted by mu ascending.
 
     The provider promises completeness: every eigenvalue with mu at or
-    below ``mu_cutoff`` appears (equal-mu clusters merged).  ``table`` is
-    the :class:`ModeArrays` of ``modes`` (its first ``len(modes)``
-    entries; a sub-spectrum keeps its parent's): the sup bounds the tails
-    read and the pair functions behind :meth:`pair_values`; without one
-    the spectrum is norms-only.  With a table and a tail profile, kernel
-    evaluations on this spectrum can certify their truncation error.  ``grow`` is the provider's table
-    closure, mu_max -> :class:`ModeArrays` (None past ``TABLE_CEILING``),
-    which built ``table`` too; spectra without one (files, sub-spectra)
-    never grow.
+    below ``mu_cutoff`` appears (equal-mu clusters merged).  ``table``
+    holds the modes, their sup bounds the tails read and the pair
+    functions behind :meth:`pair_values`; without pair functions the
+    spectrum is norms-only.  With pair functions and a tail profile,
+    kernel evaluations on this spectrum can certify their truncation
+    error.  ``grow`` is the provider's table closure, mu_max ->
+    :class:`ModeArrays` (see :meth:`grown`), which built ``table`` too;
+    spectra without one (files, sub-spectra) never grow.
     """
 
     d: int
-    modes: tuple[Mode, ...]
+    table: ModeArrays
     v0_descriptor: str
     cross_section: CrossSection | None = None
     v0_constant: float | None = None
     tail_profile: TailProfile | None = None
     mu_cutoff: float | None = None
-    table: ModeArrays | None = None
     grow: Callable | None = None
 
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 3:
             raise DomainError(f"cone dimension must be an integer >= 3, got {self.d!r}")
-        if not self.modes:
+        if not self.table.mu.size:
             raise InsufficientSpectrumError("spectrum has no modes")
-        mus = [m.mu for m in self.modes]
-        if any(b <= a for a, b in zip(mus, mus[1:])):
+        if (np.diff(self.table.mu) <= 0.0).any():
             raise DomainError("modes must be sorted strictly ascending in mu")
 
     @property
     def mu0(self) -> float:
         """Smallest mu (square root of the bottom eigenvalue of L_Y)."""
-        return self.modes[0].mu
+        return float(self.table.mu[0])
 
     @property
     def mu1(self) -> float:
         """Smallest mu strictly greater than mu0."""
-        if len(self.modes) < 2:
+        if self.table.mu.size < 2:
             raise InsufficientSpectrumError(
                 "second distinct eigenvalue requested but the table has one mode; "
                 "raise mu_cutoff or supply more modes"
             )
-        return self.modes[1].mu
+        return float(self.table.mu[1])
 
     @property
     def norms_only(self) -> bool:
-        return self.table is None
+        return self.table.pairs is None
 
     @property
     def pair_table(self) -> ModeArrays:
         """``table``; a norms-only spectrum raises :class:`NormsOnlyError`."""
-        if self.table is None:
+        if self.table.pairs is None:
             raise NormsOnlyError(
                 "spectrum carries mode norms only (no pair functions); "
                 "kernel evaluation is impossible"
@@ -404,12 +388,13 @@ class CrossSectionSpectrum:
         return []  # [mu_max, table] of the largest table grown so far, once there is one
 
     def grown(self, mu_max: float) -> ModeArrays | None:
-        """A table of every mode with mu <= mu_max, past ``modes`` too.
+        """A table of every mode with mu <= mu_max, past ``table`` too.
 
-        The table may run further; its first ``len(modes)`` entries are
-        ``modes``.  The largest table built so far is kept and serves every
-        smaller mu_max.  None when the spectrum does not grow or the table
-        would pass ``TABLE_CEILING`` entries.
+        The table may run further; its first entries are ``table``'s.  A
+        sphere's stops at ``TABLE_CEILING`` degrees.  The largest table
+        built so far is kept and serves every smaller mu_max.  None when
+        the spectrum does not grow or a torus table would pass
+        ``TABLE_CEILING`` lattice vectors.
         """
         kept = self._grown
         if not kept or kept[0] < mu_max:
@@ -422,7 +407,7 @@ class CrossSectionSpectrum:
     def pair_values(self, y, yp, gamma: float | None = None, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
 
-        Both arrays are aligned with ``modes``.  The derivative is per unit
+        Both arrays are aligned with ``table``.  The derivative is per unit
         cross-section arc length, along the direction of increasing
         separation from y' (None without ``with_grad``).  ``gamma`` is the
         cross-section distance d_Y(y, y') when the caller already has it.
@@ -430,18 +415,18 @@ class CrossSectionSpectrum:
         table = self.pair_table
         if gamma is None:
             gamma = self.cross_section.distance(y, yp)
-        return table.pairs(y, yp, gamma, 0, len(self.modes), None, with_grad)[:2]
+        return table.pairs(y, yp, gamma, 0, table.mu.size, None, with_grad)[:2]
 
     @property
     def certifiable(self) -> bool:
-        """Whether tails can be bounded: a table's sup bounds and a tail profile."""
-        return self.tail_profile is not None and self.table is not None
+        """Whether tails can be bounded: pair functions with their sup bounds, and a tail profile."""
+        return self.tail_profile is not None and self.table.pairs is not None
 
     def descriptor(self) -> str:
         cs = self.cross_section.descriptor() if self.cross_section is not None else "none"
         return (
             f"d={self.d} cross_section={cs} v0={self.v0_descriptor} "
-            f"modes={len(self.modes)} mu0={self.mu0:.6g}"
+            f"modes={self.table.mu.size} mu0={self.mu0:.6g}"
         )
 
 
@@ -490,7 +475,7 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
 
 
 def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
-    """ModeArrays of every degree with mu_l <= mu_max (None past ``limit`` degrees).
+    """ModeArrays of every degree with mu_l <= mu_max, at most the first ``limit``.
 
     The arrays are views of the tail's kept degree table.  Pair functions
     come from the Gegenbauer addition theorem,
@@ -501,8 +486,8 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
     """
     cs = tail.cross_section
     count = _degree_count(cs, tail.c0, mu_max)
-    if limit is not None and count > limit:
-        return None
+    if limit is not None:
+        count = min(count, limit)
     rows = tail._degrees(0, count)
     count = int(np.searchsorted(rows[0], mu_max, side="right"))
     mu, mult, pair_sup, grad_sup, norms, c_one = rows[:6, :count]
@@ -524,7 +509,7 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
             * (c_one_grad[g_lo:hi] * grad_ratio)
         return norms[lo:hi] * (c_one[lo:hi] * pair), grad, (state_pair, state_grad)
 
-    return ModeArrays(mu, mult, pair_sup, grad_sup, l, pairs)
+    return ModeArrays(mu, mult, pair_sup, grad_sup, l, "l={}", pairs)
 
 
 def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | None = None):
@@ -566,10 +551,10 @@ def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | N
         speed = rows @ (delta / gamma)  # d(k.delta)/d arclength
         return pair, -np.add.reduceat(np.sin(phase) * speed, at) / vol, None
 
-    return ModeArrays(np.sqrt(lam + c0), mult, mult / vol, mult * np.sqrt(lam) / vol, lam, pairs)
+    return ModeArrays(np.sqrt(lam + c0), mult, mult / vol, mult * np.sqrt(lam) / vol, lam, "lambda={:.6g}", pairs)
 
 
-def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff, build, tail, label):
+def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff, build, tail):
     """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth."""
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
     if cutoff <= 0.0:
@@ -579,18 +564,14 @@ def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff,
         raise InsufficientSpectrumError(
             f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
         )
-    modes = tuple(Mode(m, n, p, g, label=label(t)) for m, n, p, g, t in zip(
-        table.mu.tolist(), table.mult.tolist(), table.pair_sup.tolist(), table.grad_sup.tolist(),
-        table.tag.tolist()))
     return CrossSectionSpectrum(
         d=d,
-        modes=modes,
+        table=table,
         v0_descriptor=f"constant:{float(c)!r}",
         cross_section=cs,
         v0_constant=float(c),
         tail_profile=tail,
         mu_cutoff=cutoff,
-        table=table,
         grow=build,
     )
 
@@ -614,7 +595,7 @@ def sphere_spectrum(
     c0 = _check_positivity(d, float(c))
     cs = SphereCrossSection(d - 1, radius)
     tail = SphereTail(cs, float(c))
-    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_sphere_table, tail), tail, "l={}".format)
+    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_sphere_table, tail), tail)
 
 
 def torus_spectrum(
@@ -636,8 +617,7 @@ def torus_spectrum(
     if cs.dim != d - 1:
         raise DomainError(f"{cs.dim} radii inconsistent with cone dimension {d}")
     c0 = _check_positivity(d, float(c))
-    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_torus_table, cs, c0),
-                              TorusTail(cs), "lambda={:.6g}".format)
+    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_torus_table, cs, c0), TorusTail(cs))
 
 
 # ----------------------------------------------------------------------
@@ -647,31 +627,41 @@ def torus_spectrum(
 # scalar separation coordinate gamma.
 # ----------------------------------------------------------------------
 
-def _file_mode(mu_val: float, mult: int, coeffs) -> Mode:
-    if coeffs is None:
-        return Mode(mu_val, mult)
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise SpectrumFormatError("addition_coeffs must be a nonempty list of finite numbers")
-    pair_sup = float(np.abs(arr).sum())
-    grad_sup = float((np.abs(arr) * np.arange(arr.size)).sum())
-    return Mode(mu_val, mult, pair_sup, grad_sup, addition_coeffs=tuple(arr.tolist()))
+def _is_number(value) -> bool:
+    """A JSON number: not a string, and not true or false (Python's bool is an int)."""
+    return type(value) in (int, float)
 
 
-def _cosine_table(modes) -> ModeArrays:
-    """ModeArrays of file modes, whose pairs are pair_j(gamma) = sum_k c_jk cos(k gamma)."""
-    coeffs = np.zeros((len(modes), max(len(m.addition_coeffs) for m in modes)))
-    for j, m in enumerate(modes):
-        coeffs[j, :len(m.addition_coeffs)] = m.addition_coeffs
-    ks = np.arange(coeffs.shape[1], dtype=float)
+def _file_table(entries) -> ModeArrays:
+    """ModeArrays of file modes (mu, multiplicity, cosine coefficients or None).
 
-    def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
-        rows = coeffs[lo:hi]
-        return rows @ np.cos(ks * gamma), -(rows @ (ks * np.sin(ks * gamma))) if with_grad else None, None
+    With coefficients on every mode the pairs are
+    pair_j(gamma) = sum_k c_jk cos(k gamma); otherwise the table holds
+    norms only, and a mode without coefficients has NaN sup bounds.
+    """
+    tag = np.empty(len(entries), dtype=object)
+    pair_sup, grad_sup = np.full(len(entries), np.nan), np.full(len(entries), np.nan)
+    for j, (_, _, coeffs) in enumerate(entries):
+        if coeffs is not None:
+            arr = np.asarray(coeffs, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise SpectrumFormatError("addition_coeffs must be a nonempty list of finite numbers")
+            pair_sup[j] = np.abs(arr).sum()
+            grad_sup[j] = (np.abs(arr) * np.arange(arr.size)).sum()
+            tag[j] = tuple(arr.tolist())
+    pairs = None
+    if not np.isnan(pair_sup).any():
+        coeffs = np.zeros((len(tag), max(map(len, tag))))
+        for j, row in enumerate(tag):
+            coeffs[j, :len(row)] = row
+        ks = np.arange(coeffs.shape[1], dtype=float)
 
-    mu, mult, pair_sup, grad_sup = (np.array([getattr(m, f) for m in modes], dtype=float)
-                                    for f in ("mu", "multiplicity", "pair_sup", "grad_sup"))
-    return ModeArrays(mu, mult, pair_sup, grad_sup, np.arange(len(modes)), pairs)
+        def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
+            rows = coeffs[lo:hi]
+            return rows @ np.cos(ks * gamma), -(rows @ (ks * np.sin(ks * gamma))) if with_grad else None, None
+
+    mu, mult = (np.array([entry[i] for entry in entries], dtype=float) for i in (0, 1))
+    return ModeArrays(mu, mult, pair_sup, grad_sup, tag, "", pairs)
 
 
 def load_spectrum(path) -> CrossSectionSpectrum:
@@ -713,15 +703,20 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         if not isinstance(item, dict):
             raise SpectrumFormatError(f"modes[{i}] must be an object")
         try:
-            mu_val = float(item["mu"])
-            mult = item["multiplicity"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpectrumFormatError(f"modes[{i}] malformed: {exc}") from exc
+            mu_val, mult = item["mu"], item["multiplicity"]
+        except KeyError as exc:
+            raise SpectrumFormatError(f"modes[{i}] malformed: missing {exc}") from exc
+        if not _is_number(mu_val):
+            raise SpectrumFormatError(f"modes[{i}] mu must be a number, got {mu_val!r}")
+        mu_val = float(mu_val)
         if not (math.isfinite(mu_val) and mu_val > 0.0):
             raise PositivityError(f"modes[{i}] has mu = {mu_val!r} <= 0")
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise SpectrumFormatError(f"modes[{i}] multiplicity must be a positive integer")
-        entries.append((mu_val, mult, item.get("addition_coeffs")))
+        coeffs = item.get("addition_coeffs")
+        if coeffs is not None and not (isinstance(coeffs, list) and coeffs and all(map(_is_number, coeffs))):
+            raise SpectrumFormatError(f"modes[{i}] addition_coeffs must be a nonempty list of finite numbers")
+        entries.append((mu_val, mult, coeffs))
     entries.sort(key=lambda t: t[0])
 
     merged = []
@@ -743,17 +738,15 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         else:
             merged.append((mu_val, mult, list(coeffs) if coeffs is not None else None))
 
-    modes = tuple(_file_mode(*entry) for entry in merged)
-    complete = all(m.pair_sup is not None for m in modes)
+    table = _file_table(merged)
     return CrossSectionSpectrum(
         d=d,
-        modes=modes,
+        table=table,
         v0_descriptor=v0,
         cross_section=SeparationCrossSection(),
         v0_constant=v0_constant,
-        tail_profile=CompleteTail() if complete else None,
-        mu_cutoff=modes[-1].mu,
-        table=_cosine_table(modes) if complete else None,
+        tail_profile=CompleteTail() if table.pairs is not None else None,
+        mu_cutoff=float(table.mu[-1]),
     )
 
 
@@ -766,10 +759,11 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
     unchanged.  Pair functions that are not functions of the scalar
     separation alone (tori) are saved norms-only.
     """
+    table = spectrum.table
     out_modes = []
-    for m in spectrum.modes:
-        entry = {"mu": m.mu, "multiplicity": int(m.multiplicity)}
-        coeffs = _separation_coeffs(spectrum, m)
+    for mu, mult, tag in zip(table.mu.tolist(), table.mult.tolist(), table.tag.tolist()):
+        entry = {"mu": mu, "multiplicity": int(mult)}
+        coeffs = _separation_coeffs(spectrum, tag)
         if coeffs is not None:
             entry["addition_coeffs"] = coeffs
         out_modes.append(entry)
@@ -779,16 +773,16 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
         fh.write("\n")
 
 
-def _separation_coeffs(spectrum: CrossSectionSpectrum, mode: Mode):
-    """Cosine coefficients of pair(gamma), when exact: a file's own, or a unit sphere's."""
-    if mode.addition_coeffs is not None:
-        return list(mode.addition_coeffs)
+def _separation_coeffs(spectrum: CrossSectionSpectrum, tag):
+    """Cosine coefficients of a mode's pair(gamma), when exact: a file's own, or a unit sphere's."""
+    if isinstance(tag, tuple):
+        return list(tag)
     cs = spectrum.cross_section
     # The file's separation coordinate gamma feeds cos(gamma) directly; for
     # radius != 1 the pair depends on cos(gamma/a), which is not a
     # polynomial in cos(gamma), so such spheres are saved norms-only.
-    if isinstance(cs, SphereCrossSection) and cs.radius == 1.0 and mode.label.startswith("l="):
-        l = int(mode.label[2:])
+    if isinstance(cs, SphereCrossSection) and cs.radius == 1.0:
+        l = tag  # the degree
         nu = (spectrum.d - 2) / 2.0
         _, _, _, _, norm, c_one = (float(v) for v in _sphere_modes(cs, 0.0, l))
 
@@ -810,34 +804,36 @@ class WeylFit:
 
 
 def weyl_fit(spectrum: CrossSectionSpectrum) -> WeylFit:
-    if len(spectrum.modes) < 10:
+    table = spectrum.table
+    if table.mu.size < 10:
         raise InsufficientSpectrumError("weyl_fit needs at least 10 modes")
     count = 0
     best = -math.inf
     at = spectrum.mu0
-    for m in spectrum.modes:
-        count += m.multiplicity
-        ratio = count / m.mu ** (spectrum.d - 1)
+    for mu, mult in zip(table.mu.tolist(), table.mult.tolist()):
+        count += mult
+        ratio = count / mu ** (spectrum.d - 1)
         if ratio > best:
-            best, at = ratio, m.mu
-    return WeylFit(best, at, len(spectrum.modes))
+            best, at = ratio, mu
+    return WeylFit(best, at, table.mu.size)
 
 
 def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectionSpectrum:
     """The sub-operator spanned by the first ``count`` modes.
 
     The result is exact for that sub-kernel (its tail is empty), which is
-    what refined single-mode estimates evaluate.  It keeps the parent's
-    ``table`` and reads its first ``count`` entries.
+    what refined single-mode estimates evaluate.  Its table is the
+    parent's first ``count`` entries (:meth:`ModeArrays.head`).
     """
-    if not 1 <= count <= len(spectrum.modes) or int(count) != count:
-        raise DomainError(f"count must be an integer in [1, {len(spectrum.modes)}], got {count!r}")
-    count = int(count)
+    size = spectrum.table.mu.size
+    if not 1 <= count <= size or int(count) != count:
+        raise DomainError(f"count must be an integer in [1, {size}], got {count!r}")
+    table = spectrum.table.head(int(count))
     return replace(
         spectrum,
-        modes=spectrum.modes[:count],
+        table=table,
         tail_profile=CompleteTail(),
-        v0_descriptor=f"{spectrum.v0_descriptor}|leading:{count}",
-        mu_cutoff=spectrum.modes[count - 1].mu,
+        v0_descriptor=f"{spectrum.v0_descriptor}|leading:{int(count)}",
+        mu_cutoff=float(table.mu[-1]),
         grow=None,
     )

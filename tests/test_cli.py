@@ -360,6 +360,11 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "spectrum")
         assert code == 1 and "--d" in err
 
+    def test_mu0_without_d(self, capsys):
+        code, out, err = run_cli(capsys, "thresholds", "--mu0", "1.0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--d" in err
+
     def test_bad_number_list(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--d", "3", "--c", "0",
                                "--r", "abc", "--rp", "1", "--gamma", "1")

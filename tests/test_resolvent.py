@@ -389,7 +389,7 @@ def _sphere_reference(spec, levels=2):
     def degree(l):  # (mu, multiplicity) of the degree-l harmonics
         return math.sqrt(l * (l + d - 2) + c0), math.comb(l + d - 1, d - 1) - math.comb(l + d - 3, d - 1)
 
-    assert [m.multiplicity for m in spec.modes] == [degree(l)[1] for l in range(len(spec.modes))]
+    assert spec.table.mult.tolist() == [degree(l)[1] for l in range(len(spec.table.mu))]
     count = int(spec.mu_cutoff * _GROWTH ** levels) + 1
     degrees = [degree(l) for l in range(count)]
 
@@ -425,12 +425,12 @@ def _torus_reference(spec, radii):
     radii = np.asarray(radii)
     vol = float(np.prod(2 * np.pi * radii))
     c0 = spec.mu0 ** 2
-    kmax = int(spec.modes[-1].mu * radii.max()) + 1
+    kmax = int(spec.table.mu[-1] * radii.max()) + 1
     ks = np.array([(i, j) for i in range(-kmax, kmax + 1) for j in range(-kmax, kmax + 1)])
     freqs = ks / radii
     lams = (freqs ** 2).sum(axis=1)
-    members = [np.abs(lams - (m.mu ** 2 - c0)) <= 1e-9 * (1 + m.mu ** 2) for m in spec.modes]
-    assert [int(mask.sum()) for mask in members] == [m.multiplicity for m in spec.modes]
+    members = [np.abs(lams - (mu ** 2 - c0)) <= 1e-9 * (1 + mu ** 2) for mu in spec.table.mu.tolist()]
+    assert [int(mask.sum()) for mask in members] == spec.table.mult.tolist()
 
     def chunk(level):
         # The first growth chunk's lattice box already passes TABLE_CEILING
@@ -490,7 +490,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     n_comp = 1 + need_grad + ang
     rigorous = s < 1.0 and spec.certifiable
     deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
-    modes = [(m.mu, m.pair_sup, m.grad_sup) for m in spec.modes]
+    modes = list(zip(spec.table.mu.tolist(), spec.table.pair_sup.tolist(), spec.table.grad_sup.tolist()))
     all_pairs = pairs(gamma)
     acc = [0.0] * n_comp
     mags = [0.0] * n_comp
@@ -629,7 +629,7 @@ class TestGrownTables:
             want = _closed_form(d, s, 1.0, 1.0)
             for kv, ref in zip(got, want[1:] if grad else want[:1]):
                 assert kv.certified and kv.tail_kind == "rigorous", (d, s, grad)
-                assert kv.modes_used > len(spec.modes) or s == 0.5
+                assert kv.modes_used > len(spec.table.mu) or s == 0.5
                 assert abs(kv.float_value() - ref) <= req.rel_tol * abs(ref), (d, s, grad)
 
     @pytest.mark.parametrize("name", ["sphere d=3 c=0.4", "sphere d=4 c=-0.5", "torus (1, 1.3)"])
@@ -672,7 +672,7 @@ class TestGrownTables:
                               resolvent_kernel(ResolventRequest(fixed, z, zp, lam=lam))),
                              *zip(resolvent_gradient(ResolventRequest(spec, z, zp, lam=lam)).__dict__.values(),
                                   resolvent_gradient(ResolventRequest(fixed, z, zp, lam=lam)).__dict__.values())):
-                    assert a == b and a.tail_kind == "cauchy" and a.modes_used <= len(spec.modes)
+                    assert a == b and a.tail_kind == "cauchy" and a.modes_used <= len(spec.table.mu)
 
     def test_cancelling_sum_is_not_certified(self):
         # Far apart at large lam r' the terms cancel to e^{-30} of their size:
@@ -689,21 +689,29 @@ class TestGrownTables:
         # the value keeps its rigorous tail, as past the base table before.
         kv = _value(S3, 0.9999, 1.0, 1.0)
         assert not kv.certified and kv.tail_kind == "rigorous"
-        assert kv.modes_used == 40960
+        assert kv.modes_used == TABLE_CEILING
         ref = oracles.yukawa_kernel(0.9999, 1.0, 1.0)
         assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
+
+    def test_sphere_table_runs_to_the_ceiling(self):
+        # The last chunk takes every degree up to TABLE_CEILING, not only up
+        # to the last mu_cutoff * 4**k below it (40960 degrees here).
+        kv = _value(S3, 0.9995, 1.0, 1.0)
+        assert kv.certified and kv.tail_kind == "rigorous"
+        assert 40960 < kv.modes_used <= TABLE_CEILING
+        ref = oracles.yukawa_kernel(0.9995, 1.0, 1.0)
+        assert abs(kv.float_value() - ref) <= DEFAULTS.kernel_rel_tol * abs(ref)
 
     def test_spectrum_without_cutoff(self):
         # A spectrum built directly, without mu_cutoff or growth, stops at
         # the end of its table: rigorous and uncertified.  Given growth, the
         # chunks run from the base table's top mu.
-        direct = CrossSectionSpectrum(d=3, modes=S3.modes, v0_descriptor=S3.v0_descriptor,
-                                      cross_section=S3.cross_section, tail_profile=S3.tail_profile,
-                                      table=S3.table)
+        direct = CrossSectionSpectrum(d=3, table=S3.table, v0_descriptor=S3.v0_descriptor,
+                                      cross_section=S3.cross_section, tail_profile=S3.tail_profile)
         ref = oracles.yukawa_kernel(0.9, 1.0, 1.0)
         kv = _value(direct, 0.9, 1.0, 1.0)
-        assert not kv.certified and kv.tail_kind == "rigorous" and kv.modes_used == len(S3.modes)
+        assert not kv.certified and kv.tail_kind == "rigorous" and kv.modes_used == len(S3.table.mu)
         assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
         kv = _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
-        assert kv.certified and kv.modes_used > len(S3.modes)
+        assert kv.certified and kv.modes_used > len(S3.table.mu)
         assert abs(kv.float_value() - ref) <= kv.rel_tail * abs(ref) + 1e-12 * abs(ref)

@@ -217,7 +217,7 @@ class TestRieszKernel:
     def test_metadata(self):
         kv = self._eval(S3, 0.2, 1.0, 1.0)
         assert kv.certified and kv.tail_kind == "rigorous"
-        assert 0 < kv.modes_used < len(S3.modes)
+        assert 0 < kv.modes_used < len(S3.table.mu)
         assert kv.quad_error_est <= DEFAULTS.riesz_rel_tol * kv.magnitude
         assert kv.magnitude == pytest.approx(math.hypot(kv.d_r, kv.angular))
         on_diagonal = self._eval(S3, 1.0, 1.0, 0.5)

@@ -13,7 +13,6 @@ from scipy.special import eval_gegenbauer
 from conekit import (
     DomainError,
     InsufficientSpectrumError,
-    Mode,
     PositivityError,
     SpectrumFormatError,
     leading_modes,
@@ -23,40 +22,17 @@ from conekit import (
     torus_spectrum,
     weyl_fit,
 )
-from conekit.spectrum import TailProfile
+from conekit.spectrum import TABLE_CEILING, TailProfile
 
 import oracles
-
-
-class TestModeValidation:
-    def test_rejects_nonpositive_mu(self):
-        with pytest.raises(PositivityError):
-            Mode(0.0, 1)
-        with pytest.raises(PositivityError):
-            Mode(-0.5, 1)
-
-    @pytest.mark.parametrize("mult", [0, -1, 1.5])
-    def test_rejects_bad_multiplicity(self, mult):
-        with pytest.raises(DomainError):
-            Mode(1.0, mult)
-
-    @pytest.mark.parametrize("mult", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_multiplicity(self, mult):
-        with pytest.raises(DomainError):
-            Mode(1.0, mult)
-
-    @pytest.mark.parametrize("mult", [3.0, np.int64(3), np.float64(3.0)], ids=["float", "np.int64", "np.float64"])
-    def test_multiplicity_is_stored_as_int(self, mult):
-        mode = Mode(1.0, mult)
-        assert mode.multiplicity == 3 and type(mode.multiplicity) is int
 
 
 class TestSphereEigendata:
     def test_d3_zero_potential_exact(self):
         spec = sphere_spectrum(3, mu_cutoff=10.0)
-        for l, m in enumerate(spec.modes):
-            assert m.mu == pytest.approx(l + 0.5, rel=1e-15)
-            assert m.multiplicity == 2 * l + 1
+        for l, (mu, mult) in enumerate(zip(spec.table.mu, spec.table.mult)):
+            assert mu == pytest.approx(l + 0.5, rel=1e-15)
+            assert mult == 2 * l + 1
         assert spec.mu0 == pytest.approx(0.5)
         assert spec.mu1 == pytest.approx(1.5)
         assert spec.certifiable
@@ -65,9 +41,9 @@ class TestSphereEigendata:
 
     def test_d4_zero_potential_exact(self):
         spec = sphere_spectrum(4, mu_cutoff=8.0)
-        for l, m in enumerate(spec.modes):
-            assert m.mu == pytest.approx(l + 1.0, rel=1e-14)
-            assert m.multiplicity == (l + 1) ** 2
+        for l, (mu, mult) in enumerate(zip(spec.table.mu, spec.table.mult)):
+            assert mu == pytest.approx(l + 1.0, rel=1e-14)
+            assert mult == (l + 1) ** 2
 
     def test_negative_coupling_shifts_mu(self):
         spec = sphere_spectrum(3, c=-0.24)
@@ -76,8 +52,8 @@ class TestSphereEigendata:
 
     def test_radius_scales_eigenvalues(self):
         spec = sphere_spectrum(3, radius=2.0, mu_cutoff=5.0)
-        for l, m in enumerate(spec.modes):
-            assert m.mu == pytest.approx(math.sqrt(l * (l + 1) / 4.0 + 0.25), rel=1e-14)
+        for l, mu in enumerate(spec.table.mu):
+            assert mu == pytest.approx(math.sqrt(l * (l + 1) / 4.0 + 0.25), rel=1e-14)
 
     @pytest.mark.parametrize("d,c", [(3, -0.25), (3, -1.0), (4, -1.0), (5, -9.0)])
     def test_positivity_enforced(self, d, c):
@@ -92,9 +68,9 @@ class TestSphereEigendata:
             vol = spec.cross_section.volume
             y, _ = spec.cross_section.points_at_separation(0.0)
             pair, _ = spec.pair_values(y, y)
-            for j, m in enumerate(spec.modes):
+            for j, mult in enumerate(spec.table.mult):
                 np.testing.assert_allclose(
-                    pair[j] * vol, m.multiplicity, rtol=1e-12
+                    pair[j] * vol, mult, rtol=1e-12
                 )
 
     def test_pair_matches_legendre_oracle(self):
@@ -104,8 +80,8 @@ class TestSphereEigendata:
         for gamma in [0.0, 0.3, 1.1, 2.6, math.pi]:
             y, yp = cs.points_at_separation(gamma)
             pair, _ = spec.pair_values(y, yp)
-            assert len(pair) == len(spec.modes)
-            for l in range(len(spec.modes)):
+            assert len(pair) == len(spec.table.mu)
+            for l in range(len(spec.table.mu)):
                 ref = (2 * l + 1) / (4 * math.pi) * float(mp.legendre(l, math.cos(gamma)))
                 np.testing.assert_allclose(pair[l], ref,
                                            rtol=1e-10, atol=1e-15)
@@ -118,7 +94,7 @@ class TestSphereEigendata:
             _, got = spec.pair_values(*cs.points_at_separation(gamma))
             lo, _ = spec.pair_values(*cs.points_at_separation(gamma - h))
             hi, _ = spec.pair_values(*cs.points_at_separation(gamma + h))
-            for j in range(len(spec.modes)):
+            for j in range(len(spec.table.mu)):
                 np.testing.assert_allclose(got[j], (hi[j] - lo[j]) / (2 * h),
                                            rtol=1e-7, atol=1e-9)
 
@@ -129,13 +105,13 @@ class TestSphereEigendata:
         values = [spec.pair_values(*cs.points_at_separation(g)) for g in gammas]
         worst_pair = np.max([np.abs(pair) for pair, _ in values], axis=0)
         worst_grad = np.max([np.abs(grad) for _, grad in values], axis=0)
-        for j, m in enumerate(spec.modes):
-            assert worst_pair[j] <= m.pair_sup * (1 + 1e-12)
-            assert worst_grad[j] <= m.grad_sup * (1 + 1e-12)
+        for j, (pair_sup, grad_sup) in enumerate(zip(spec.table.pair_sup, spec.table.grad_sup)):
+            assert worst_pair[j] <= pair_sup * (1 + 1e-12)
+            assert worst_grad[j] <= grad_sup * (1 + 1e-12)
 
     def test_modes_sorted_and_cutoff_respected(self):
         spec = sphere_spectrum(3, mu_cutoff=25.0)
-        mus = [m.mu for m in spec.modes]
+        mus = spec.table.mu.tolist()
         assert mus == sorted(mus)
         assert mus[-1] <= 25.0 < mus[-1] + 1.0
 
@@ -146,34 +122,34 @@ class TestTorusEigendata:
         evals = oracles.torus_eigenvalues_below([1.0, 1.0], 5.0 ** 2 - 0.25)
         # Expand the mode table back into an eigenvalue multiset.
         got = []
-        for m in spec.modes:
-            lam = m.mu ** 2 - 0.25  # c = 0, d = 3 shift
-            got.extend([lam] * m.multiplicity)
+        for mu, mult in zip(spec.table.mu, spec.table.mult):
+            lam = mu ** 2 - 0.25  # c = 0, d = 3 shift
+            got.extend([lam] * mult)
         np.testing.assert_allclose(sorted(got), evals, rtol=1e-12, atol=1e-12)
 
     def test_known_low_modes(self):
         spec = torus_spectrum(3, [1.0, 1.0], mu_cutoff=3.0)
         assert spec.mu0 == pytest.approx(0.5)
-        assert spec.modes[0].multiplicity == 1
+        assert spec.table.mult[0] == 1
         assert spec.mu1 == pytest.approx(math.sqrt(1.25), rel=1e-14)
-        assert spec.modes[1].multiplicity == 4
+        assert spec.table.mult[1] == 4
         # lambda = 2: (+-1, +-1) -> multiplicity 4
-        assert spec.modes[2].mu == pytest.approx(1.5, rel=1e-14)
-        assert spec.modes[2].multiplicity == 4
+        assert spec.table.mu[2] == pytest.approx(1.5, rel=1e-14)
+        assert spec.table.mult[2] == 4
 
     def test_accidental_degeneracy_merged(self):
         # On radii (1, 1/2): lambda = 4 arises as (+-2, 0) and (0, +-1).
         spec = torus_spectrum(3, [1.0, 0.5], mu_cutoff=2.5)
-        lam4 = [m for m in spec.modes if abs(m.mu ** 2 - 0.25 - 4.0) < 1e-9]
-        assert len(lam4) == 1 and lam4[0].multiplicity == 4
+        lam4 = [mult for mu, mult in zip(spec.table.mu, spec.table.mult) if abs(mu ** 2 - 0.25 - 4.0) < 1e-9]
+        assert lam4 == [4]
 
     def test_trace_identity(self):
         spec = torus_spectrum(4, [1.0, 1.3, 0.7], c=0.3, mu_cutoff=4.0)
         vol = spec.cross_section.volume
         y, _ = spec.cross_section.points_at_separation(0.0)
         pair, _ = spec.pair_values(y, y)
-        for j, m in enumerate(spec.modes):
-            np.testing.assert_allclose(pair[j] * vol, m.multiplicity,
+        for j, mult in enumerate(spec.table.mult):
+            np.testing.assert_allclose(pair[j] * vol, mult,
                                        rtol=1e-12)
 
     def test_dimension_consistency(self):
@@ -194,7 +170,7 @@ class TestTails:
         for d, s, start in itertools.product((3, 5, 6), (0.3, 0.9, 0.99), range(3)):
             shallow = sphere_spectrum(d, mu_cutoff=20.0)
             vol, nu = shallow.cross_section.volume, (d - 2) / 2
-            top, below = shallow.modes[-1].mu, shallow.modes[-2].mu
+            top, below = shallow.table.mu[-1], shallow.table.mu[-2]
             mu_from = (top, (below + top) / 2, shallow.mu0 / 2)[start]
             brute, l, last = 0.0, 0, math.inf
             while True:
@@ -218,7 +194,7 @@ class TestTails:
         for s, start in itertools.product((0.3, 0.9, 0.99), range(2)):
             shallow = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=20.0)
             vol, nu = shallow.cross_section.volume, (d - 2) / 2
-            mu_from = (shallow.modes[-1].mu, shallow.mu0 / 2)[start]
+            mu_from = (shallow.table.mu[-1], shallow.mu0 / 2)[start]
             brute, l, last = np.zeros(3), 0, np.full(3, math.inf)
             while True:
                 mu = math.sqrt(l * (l + d - 2) / radius ** 2 + c + nu ** 2)
@@ -240,14 +216,14 @@ class TestTails:
         # past degree L are closed-form series in s.  Near s = 1 they run to
         # millions of degrees, past the 2**16 the tail keeps, in bounded memory.
         spec = sphere_spectrum(3)
-        L, c = len(spec.modes), 1 - s
+        L, c = len(spec.table.mu), 1 - s
         s0 = s ** L / c  # sum_{l >= L} s^l, then with weights l and l(l+1)
         s1 = s ** L * (L * c + s) / c ** 2
         s2 = s ** L * (L * (L + 1) * c ** 2 + 2 * (L + 1) * s * c + 2 * s ** 2) / c ** 3
         exact = np.array([s0, 2 * s1 + s0, s2 / 2]) * math.sqrt(s) / (4 * math.pi)
         tracemalloc.start()
         try:
-            bound = np.array(spec.tail_profile.sum_beyond(s, spec.modes[-1].mu))
+            bound = np.array(spec.tail_profile.sum_beyond(s, spec.table.mu[-1]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -258,17 +234,18 @@ class TestTails:
     def test_torus_tail_dominates_brute_force(self):
         spec = torus_spectrum(3, [1.0, 0.8], mu_cutoff=40.0)
         shallow = torus_spectrum(3, [1.0, 0.8], mu_cutoff=8.0)
-        mu_from = shallow.modes[-1].mu
+        mu_from = shallow.table.mu[-1]
+        table = spec.table
         for s in (0.2, 0.9):
             brute = sum(
-                m.multiplicity / spec.cross_section.volume / (2 * m.mu) * s ** m.mu
-                for m in spec.modes if m.mu > mu_from
+                mult / spec.cross_section.volume / (2 * mu) * s ** mu
+                for mu, mult in zip(table.mu, table.mult) if mu > mu_from
             )
             bound = shallow.tail_profile.sum_beyond(s, mu_from)[0]
             assert brute <= bound
             # Every kind, from the modes' exact sups (the lambda-integral's three rise or fall with mu).
-            brute = sum(TailProfile.weights(m.mu, m.pair_sup, m.grad_sup) * s ** m.mu
-                        for m in spec.modes if m.mu > mu_from)
+            brute = sum(TailProfile.weights(mu, pair_sup, grad_sup) * s ** mu
+                        for mu, pair_sup, grad_sup in zip(table.mu, table.pair_sup, table.grad_sup) if mu > mu_from)
             assert np.all(brute <= shallow.tail_profile.sum_beyond(s, mu_from, slice(0, 6)))
 
     def test_tail_rejects_s_at_one(self):
@@ -412,11 +389,11 @@ def _sphere_tail_s(cutoff, c, radius):
 
 def _assert_table(spec, modes, pairs, grads, gamma):
     got_pair, got_grad = spec.pair_values(*spec.cross_section.points_at_separation(gamma))
-    assert len(spec.modes) == len(modes)
-    for m, (mu, mult, pair_sup, grad_sup, label) in zip(spec.modes, modes):
-        assert (m.mu, m.multiplicity, m.label) == (mu, mult, label)
-        assert type(m.multiplicity) is int
-        np.testing.assert_allclose([m.pair_sup, m.grad_sup], [pair_sup, grad_sup], rtol=1e-12, atol=0)
+    table = spec.table
+    assert len(table.mu) == len(modes)
+    for j, (mu, mult, pair_sup, grad_sup, label) in enumerate(modes):
+        assert (table.mu[j], table.mult[j], table.labels()[j]) == (mu, mult, label)
+        np.testing.assert_allclose([table.pair_sup[j], table.grad_sup[j]], [pair_sup, grad_sup], rtol=1e-12, atol=0)
     scale = np.max(np.abs(pairs))
     np.testing.assert_allclose(got_pair, pairs, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(got_grad, grads, rtol=1e-12, atol=1e-12 * np.max(np.abs(grads)))
@@ -438,7 +415,7 @@ class TestReferenceAlgorithms:
     def test_sphere_tails(self, d, c, radius):
         for cutoff in (None, 9.0, 100.0):
             spec = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=cutoff)
-            mu_from = spec.modes[-1].mu
+            mu_from = spec.table.mu[-1]
             for s in _sphere_tail_s(cutoff, c, radius):
                 got = spec.tail_profile.sum_beyond(s, mu_from)
                 want = [_ref_sphere_tail(d, radius, c, s, mu_from, kind) for kind in _KINDS]
@@ -447,7 +424,7 @@ class TestReferenceAlgorithms:
     @pytest.mark.parametrize("radii", _TORI)
     def test_torus_tails(self, radii):
         spec = torus_spectrum(len(radii) + 1, radii, c=0.3, mu_cutoff=12.0)
-        mu_from = spec.modes[-1].mu
+        mu_from = spec.table.mu[-1]
         for s in _TAIL_S:
             got = spec.tail_profile.sum_beyond(s, mu_from)
             want = [_ref_torus_tail(radii, s, mu_from, kind) for kind in _KINDS]
@@ -461,11 +438,12 @@ class TestFileRoundTrip:
         save_spectrum(spec, path)
         loaded = load_spectrum(path)
         assert loaded.d == spec.d
-        assert len(loaded.modes) == len(spec.modes)
-        for a, b in zip(spec.modes, loaded.modes):
-            assert b.mu == pytest.approx(a.mu, rel=1e-15)
-            assert b.multiplicity == a.multiplicity
-            assert b.pair_sup == pytest.approx(a.pair_sup, rel=1e-12)
+        a, b = spec.table, loaded.table
+        assert len(b.mu) == len(a.mu)
+        for j in range(len(a.mu)):
+            assert b.mu[j] == pytest.approx(a.mu[j], rel=1e-15)
+            assert b.mult[j] == a.mult[j]
+            assert b.pair_sup[j] == pytest.approx(a.pair_sup[j], rel=1e-12)
         assert loaded.certifiable
         assert loaded.v0_constant == pytest.approx(0.7)
         # Pair functions agree as functions of the separation.
@@ -473,7 +451,7 @@ class TestFileRoundTrip:
         for gamma in [0.0, 0.5, 1.7, 3.0]:
             want, _ = spec.pair_values(*cs.points_at_separation(gamma))
             got, _ = loaded.pair_values(*lcs.points_at_separation(gamma))
-            for j in range(len(spec.modes)):
+            for j in range(len(spec.table.mu)):
                 np.testing.assert_allclose(got[j], want[j], rtol=1e-10, atol=1e-14)
 
     def test_save_load_save_is_stable(self, tmp_path):
@@ -496,8 +474,8 @@ class TestFileRoundTrip:
         loaded = load_spectrum(path)
         assert loaded.norms_only
         assert not loaded.certifiable
-        assert [m.mu for m in loaded.modes] == pytest.approx(
-            [m.mu for m in spec.modes], rel=1e-15
+        assert loaded.table.mu.tolist() == pytest.approx(
+            spec.table.mu.tolist(), rel=1e-15
         )
 
     def test_file_modes_merge_equal_mu(self, tmp_path):
@@ -512,9 +490,9 @@ class TestFileRoundTrip:
             ],
         }))
         spec = load_spectrum(path)
-        assert [m.mu for m in spec.modes] == [0.5, 1.5]
-        assert spec.modes[1].multiplicity == 5
-        assert spec.modes[1].pair_sup == pytest.approx(0.3)
+        assert spec.table.mu.tolist() == [0.5, 1.5]
+        assert spec.table.mult[1] == 5
+        assert spec.table.pair_sup[1] == pytest.approx(0.3)
 
 
 _MIXED_FILE = {"d": 4, "v0": "constant:0.5", "modes": [
@@ -578,6 +556,15 @@ class TestFileErrors:
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 0}]},
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 1.5}]},
         {"d": 3, "v0": 7, "modes": [{"mu": 1.0, "multiplicity": 1}]},
+        {"d": 3, "modes": [{"mu": True, "multiplicity": 1}]},           # JSON true is not a number
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": True}]},
+        {"d": 3, "modes": [{"mu": "2.5", "multiplicity": 1}]},          # nor is a string
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 1, "addition_coeffs": [0.1, True]}]},
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 1, "addition_coeffs": ["0.1"]}]},
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 1, "addition_coeffs": []}]},
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 1, "addition_coeffs": [math.inf]}]},
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": math.inf}]},     # written as Infinity
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": math.nan}]},     # written as NaN
     ])
     def test_malformed_payloads(self, tmp_path, payload):
         p = tmp_path / "bad.json"
@@ -616,9 +603,9 @@ class TestDerivedTables:
     def test_leading_modes(self):
         spec = sphere_spectrum(3, mu_cutoff=20.0)
         lead = leading_modes(spec, 2)
-        assert len(lead.modes) == 2
+        assert len(lead.table.mu) == 2
         assert lead.certifiable  # complete by construction
-        assert lead.tail_profile.sum_beyond(0.3, lead.modes[-1].mu) == (0.0, 0.0, 0.0)
+        assert lead.tail_profile.sum_beyond(0.3, lead.table.mu[-1]) == (0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             leading_modes(spec, 0)
         for count in (1.5, math.nan):
@@ -677,10 +664,10 @@ class TestGrownTables:
     def test_base_table_is_the_grown_prefix(self):
         for spec in (sphere_spectrum(4, radius=0.7, c=0.3), torus_spectrum(3, [1.0, 1.3])):
             table = spec.grown(2.0 * spec.mu_cutoff)
-            n = len(spec.modes)
+            n = len(spec.table.mu)
             assert table.mu.size > n
-            assert table.mu[:n].tolist() == [m.mu for m in spec.modes]
-            assert table.mult[:n].tolist() == [m.multiplicity for m in spec.modes]
+            assert table.mu[:n].tolist() == spec.table.mu.tolist()
+            assert table.mult[:n].tolist() == spec.table.mult.tolist()
             y, yp = spec.cross_section.points_at_separation(0.9)
             pair, grad = spec.pair_values(y, yp)
             got = table.pairs(y, yp, spec.cross_section.distance(y, yp), 0, n, None)
@@ -715,12 +702,12 @@ class TestGrownTables:
         assert leading_modes(spec, 3).grown(100.0) is None
         save_spectrum(spec, tmp_path / "s.json")
         assert load_spectrum(tmp_path / "s.json").grown(100.0) is None
-        # Past the ceiling (2**16 degrees here) the table stops.
-        assert spec.grown(70000.0) is None
+        # Past the ceiling a sphere table stops at 2**16 degrees.
+        assert spec.grown(70000.0).mu.size == TABLE_CEILING
         assert torus_spectrum(4, [1.0, 1.0, 1.0]).grown(80.0) is None
         # A box of about 1e24 lattice vectors: counted in floats, not wrapped in int64.
         assert torus_spectrum(3, [1.0, 1.3]).grown(1e12) is None
-        assert sphere_spectrum(3).grown(1e12) is None
+        assert sphere_spectrum(3).grown(1e12).mu.size == TABLE_CEILING
 
     def test_sphere_table_is_the_tail_table(self):
         # Each degree is built and kept once: the grown table's arrays are
@@ -735,7 +722,7 @@ class TestGrownTables:
     def test_sum_beyond_kinds_are_a_prefix(self, spec):
         # Any slice of the kinds, a prefix or the lambda-integral's three, is
         # the same entries of the pass over all six.
-        mu_from = spec.modes[-1].mu
+        mu_from = spec.table.mu[-1]
         for s in (0.2, 0.9):
             every = spec.tail_profile.sum_beyond(s, mu_from, slice(0, 6))
             assert spec.tail_profile.sum_beyond(s, mu_from) == every[:3]

@@ -10,9 +10,9 @@ which must be strictly positive (mu_j > 0).  A spectrum here is one
 table of modes, a :class:`ModeArrays` ``table``: mu_j, multiplicity and
 exact sup bounds as arrays, and ``pairs``, which returns for a range of
 modes at once the eigenspace sum  sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and
-its derivative along the cross-section.  The sup bounds plus a tail profile (closed-form control
-of all modes beyond the table) are what make certified kernel
-truncation possible.
+its derivative along the cross-section.  The sup bounds plus a tail
+profile (closed-form control of all modes beyond the table) are what make
+certified kernel truncation possible.
 
 Providers: round spheres (Gegenbauer addition theorem, exact
 multiplicities), flat tori (lattice enumeration), and JSON files carrying
@@ -38,6 +38,7 @@ mu1, the descriptor, files) stay the base table.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -627,11 +628,6 @@ def torus_spectrum(
 # scalar separation coordinate gamma.
 # ----------------------------------------------------------------------
 
-def _is_number(value) -> bool:
-    """A JSON number: not a string, and not true or false (Python's bool is an int)."""
-    return type(value) in (int, float)
-
-
 def _file_table(entries) -> ModeArrays:
     """ModeArrays of file modes (mu, multiplicity, cosine coefficients or None).
 
@@ -706,7 +702,7 @@ def load_spectrum(path) -> CrossSectionSpectrum:
             mu_val, mult = item["mu"], item["multiplicity"]
         except KeyError as exc:
             raise SpectrumFormatError(f"modes[{i}] malformed: missing {exc}") from exc
-        if not _is_number(mu_val):
+        if type(mu_val) not in (int, float):  # by type: JSON true is a bool, which isinstance counts as an int
             raise SpectrumFormatError(f"modes[{i}] mu must be a number, got {mu_val!r}")
         mu_val = float(mu_val)
         if not (math.isfinite(mu_val) and mu_val > 0.0):
@@ -714,7 +710,8 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         if type(mult) is not int or mult < 1:
             raise SpectrumFormatError(f"modes[{i}] multiplicity must be a positive integer")
         coeffs = item.get("addition_coeffs")
-        if coeffs is not None and not (isinstance(coeffs, list) and coeffs and all(map(_is_number, coeffs))):
+        if coeffs is not None and not (isinstance(coeffs, list) and coeffs
+                                       and all(type(v) in (int, float) for v in coeffs)):
             raise SpectrumFormatError(f"modes[{i}] addition_coeffs must be a nonempty list of finite numbers")
         entries.append((mu_val, mult, coeffs))
     entries.sort(key=lambda t: t[0])
@@ -728,12 +725,7 @@ def load_spectrum(path) -> CrossSectionSpectrum:
                     "cannot merge equal-mu modes where only one has addition_coeffs"
                 )
             if coeffs is not None:
-                n = max(len(prev_coeffs), len(coeffs))
-                summed = [0.0] * n
-                for lst in (prev_coeffs, coeffs):
-                    for k, v in enumerate(lst):
-                        summed[k] += float(v)
-                coeffs = summed
+                coeffs = [0.0 + a + b for a, b in itertools.zip_longest(prev_coeffs, coeffs, fillvalue=0.0)]
             merged[-1] = (prev_mu, prev_mult + mult, coeffs)
         else:
             merged.append((mu_val, mult, list(coeffs) if coeffs is not None else None))

@@ -82,9 +82,9 @@ read the same way from a mode table (:class:`conekit.spectrum.ModeArrays`):
 chunk 0 is the spectrum's ``table``, and chunk k >= 1 a grown table's
 modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k`` (a sphere's last
 chunk runs to ``TABLE_CEILING`` degrees), built only when the sum has not
-stopped before.  The table's ``pairs``
-gives pair_j (and its derivative) from one cross-section distance,
-continuing the chunk before; :func:`conekit.bessel.log_scaled` gives
+stopped before.  The table's ``pairs`` gives pair_j (and its derivative)
+from one cross-section distance, continuing the chunk before;
+:func:`conekit.bessel.log_scaled` gives
 L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component (the
 kernel, or the kernel and the radial and angular derivatives) is one row
 of a (components x modes) array of terms pair_j * exp(L_j - max L), max L
@@ -315,9 +315,9 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
 
     # Chunk k is (mu, pair, grad, log tail weights, {tail kinds: suffix tables}),
     # entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the base table;
-    # chunk k >= 1 holds the grown table's modes up to
-    # mu_cutoff * _GROWTH**k (the base table's top mu in place of a missing
-    # cutoff).  Each is built on first use and kept for every later lambda.
+    # chunk k >= 1 holds the grown table's modes up to mu_cutoff * _GROWTH**k
+    # (the base table's top mu in place of a missing cutoff).  Each is built
+    # on first use and kept for every later lambda.
     chunks, state, end, level = [], None, 0, 0
 
     def add(table, hi: int):

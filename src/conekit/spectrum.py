@@ -38,7 +38,6 @@ mu1, the descriptor, files) stay the base table.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -725,7 +724,12 @@ def load_spectrum(path) -> CrossSectionSpectrum:
                     "cannot merge equal-mu modes where only one has addition_coeffs"
                 )
             if coeffs is not None:
-                coeffs = [0.0 + a + b for a, b in itertools.zip_longest(prev_coeffs, coeffs, fillvalue=0.0)]
+                n = max(len(prev_coeffs), len(coeffs))
+                summed = [0.0] * n
+                for lst in (prev_coeffs, coeffs):
+                    for k, v in enumerate(lst):
+                        summed[k] += float(v)
+                coeffs = summed
             merged[-1] = (prev_mu, prev_mult + mult, coeffs)
         else:
             merged.append((mu_val, mult, list(coeffs) if coeffs is not None else None))

@@ -565,6 +565,8 @@ class TestFileErrors:
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": 1, "addition_coeffs": [math.inf]}]},
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": math.inf}]},     # written as Infinity
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": math.nan}]},     # written as NaN
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": -math.inf}]},
+        {"d": 3, "modes": [{"mu": 1.0, "multiplicity": -1}]},
     ])
     def test_malformed_payloads(self, tmp_path, payload):
         p = tmp_path / "bad.json"

@@ -312,6 +312,7 @@ class ModeArrays:
             return np.log(TailProfile.weights(self.mu, self.pair_sup, self.grad_sup))
 
     def labels(self) -> list[str]:
+        """Each mode's label: ``label`` formatted with its tag."""
         return [self.label.format(t) for t in self.tag.tolist()]
 
     def head(self, count: int) -> ModeArrays:

@@ -19,7 +19,8 @@ class Defaults:
     # --- Resolvent series ----------------------------------------------
     # Default relative tolerance for kernel values.
     kernel_rel_tol: float = 1e-8
-    # Heuristic stop: this many consecutive terms below the target.
+    # Heuristic stop for spectra without a tail profile (at s < 1): this
+    # many consecutive terms below the target.
     heuristic_run: int = 3
 
     # --- Mode-table sizing ----------------------------------------------
@@ -29,12 +30,8 @@ class Defaults:
     mu_cutoff_floor: float = 40.0
     mu_cutoff_margin: float = 30.0
 
-    # --- Riesz lambda integral -------------------------------------------
+    # --- Riesz kernel ----------------------------------------------------
     riesz_rel_tol: float = 1e-6
-    # At r = r', where the lambda integral is quadrature: its upper limit
-    # lambda_max = pad * log(1/tol) / dist(z, z'); the pad absorbs the
-    # polynomial prefactor on the e^{-lambda dist} decay.
-    lambda_max_pad: float = 1.5
 
     # --- Lp probes --------------------------------------------------------
     probe_tol: float = 1e-6

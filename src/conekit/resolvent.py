@@ -58,10 +58,12 @@ A result is *certified* when s < 1 and the rigorous stop rule fired; the
 ``tail_bound`` field then satisfies ``tail_bound <= rel_tol * |value|``
 by construction.  A rigorous result is not certified when the table
 (a spectrum file's, or a grown table at the ceiling) ran out first; its
-``tail_bound`` is the rigorous remainder there.  At s = 1, or when the
-spectrum carries no sup bounds, a Cauchy heuristic stops the sum over the
-base table and ``tail_bound`` is an extrapolation, not a guarantee
-(``tail_kind == "cauchy"``).
+``tail_bound`` is the rigorous remainder there (infinite where it passes
+double range on the value's scale).  When the spectrum carries no sup
+bounds, a Cauchy heuristic stops the sum over the base table and
+``tail_bound`` is an extrapolation, not a guarantee
+(``tail_kind == "cauchy"``).  At s = 1 the series is not summed: see
+"On the diagonal" (``tail_kind == "quadrature"``, never certified).
 
 ``tail_bound`` covers series truncation, and rounding where it matters:
 each term carries its Bessel factors' relative error estimate
@@ -80,9 +82,10 @@ Evaluation
 The series is summed in chunks, one numpy pass each, and every chunk is
 read the same way from a mode table (:class:`conekit.spectrum.ModeArrays`):
 chunk 0 is the spectrum's ``table``, and chunk k >= 1 a grown table's
-modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k`` (a sphere's last
-chunk runs to ``TABLE_CEILING`` degrees), built only when the sum has not
-stopped before.  The table's ``pairs`` gives pair_j (and its derivative)
+modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k`` (the last chunk
+runs to where the table stops at its ceiling), built only when the sum
+has not stopped before, and summed in blocks that at most double the
+modes summed.  The table's ``pairs`` gives pair_j (and its derivative)
 from one cross-section distance, continuing the chunk before;
 :func:`conekit.bessel.log_scaled` gives
 L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component (the
@@ -96,11 +99,9 @@ each chunk's tails are the table's ``log_weights`` seeded by one
 meets every row's target; where the table runs out, its last column is
 the value and the tail.  The Cauchy rule stops at the first column that
 ends ``heuristic_run`` consecutive terms below ``rel_tol/10`` of their
-partial sums.  Pair values and tail tables are kept per chunk across
-lambda, so a Riesz value at r = r', which integrates over lambda by
-quadrature, prepares each depth once.  The radial derivative with z inner
-uses beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so
-the two 1/r parts cancel in closed form, not in rounding at tiny r.
+partial sums.  The radial derivative with z inner uses
+beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
+two 1/r parts cancel in closed form, not in rounding at tiny r.
 
 The lambda-integral
 -------------------
@@ -120,6 +121,32 @@ so the tails are the kinds ``pair_over_sqrt_mu``, ``pair_sqrt_mu`` and
 ``grad_over_sqrt_mu`` times s-only factors.  The radial and angular
 components share one stop target, rel_tol times the length of the
 gradient.
+
+On the diagonal
+---------------
+At r = r' each mode's lambda-integral diverges and the terms fall only
+through the oscillation of pair_j, so every quantity comes from the cone
+heat kernel in Cheeger's Bessel form (J. Differential Geom. 18 (1983)):
+
+    e^{-tau H}(z, z') = (r r')^{1-d/2} (2 tau)^{-1} e^{-(r^2 + r'^2)/4tau}
+                        * sum_j pair_j I_{mu_j}(r r'/2tau).
+
+With x = r^2/2tau, a quantity with weight w(tau) is the gauge factor times
+(1/2) int w F dv over v = log tau, F = sum_j pair_j e^{-x} I_mu_j(x), by
+the trapezoid rule: w = e^{-lam^2 tau} for the resolvent, and its
+lambda-integral (1/2) sqrt(pi/tau) for the Riesz kernel.  The angular
+component takes the gradient pairs, over r.  The radial one is half the
+derivative along the diagonal: (2-d)/(2r) G - (lam^2/r) G_1, G_1 with
+weight tau e^{-lam^2 tau}, or -(d-1)/(2r) times the lambda-integral,
+which is homogeneous of degree 1 - d.  The grid ends where the flat heat
+kernel's e^{-R^2/4tau} (R the cone distance) is negligible and where the
+weight or the bottom mode's power decay is; a node at x sums the modes
+with mu <= 9 sqrt(x) + 12, and one needing modes past the table is left
+out.  The step halves from 1/2 until two grids agree to rel_tol.  The
+estimate adds their difference, the rounding (as for s < 1), and twice
+the flat heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau for
+the angular row) over the nodes left out.  It is not a proof: at large
+lam R the terms outgrow the value by up to e^{lam R}, and it grows too.
 """
 
 from __future__ import annotations
@@ -132,7 +159,7 @@ import numpy as np
 from .bessel import log_ik_integrals, log_scaled, split_log
 from .config import DEFAULTS
 from .errors import DomainError
-from .geometry import ConePoint
+from .geometry import ConePoint, cone_distance
 from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, TABLE_CEILING, CrossSectionSpectrum
 
 __all__ = [
@@ -156,6 +183,12 @@ _GROWTH = 4
 _EPS = 2.220446049250313e-16
 # A rigorous value's rounding estimate joins its tail bound from a tenth of rel_tol * |value| on.
 _LOG_FP_SHARE = math.log(1e-1)
+# The tau rule at r = r': its first step, halved at most _DIAG_HALVINGS times,
+# and the ends of its grid, where the integrand is below e^{-_DIAG_LOG_SMALL} of
+# the value.  Past mu = 9 sqrt(x) + 12 every term of a node is below e^{-40} of
+# its largest (measured, not proved).
+_DIAG_STEP, _DIAG_HALVINGS, _DIAG_LOG_SMALL = 0.5, 5, 40.0
+_DIAG_MU_SLOPE, _DIAG_MU_FLOOR = 9.0, 12.0
 
 
 @dataclass(frozen=True)
@@ -198,7 +231,8 @@ class KernelValue:
     absolute truncation bound on the same ``2**exp2`` scale as ``value``.
     ``certified`` means the bound is rigorous and met the requested
     ``rel_tol``; ``tail_kind`` records how it was obtained ("rigorous",
-    "cauchy", or "exact" for identically-zero components).
+    "cauchy", "quadrature" at r = r', or "exact" for identically-zero
+    components).
     """
 
     value: float
@@ -280,21 +314,99 @@ def _log(x: float) -> float:
 
 def _pack(total, log_scale, log_tail, modes_used, certified, gauge, tail_kind) -> KernelValue:
     """KernelValue for the sum ``total * e^log_scale`` with the tail e^log_tail."""
-    if total == 0.0:
-        return KernelValue(0.0, math.exp(log_tail), modes_used, 0, certified, gauge, tail_kind)
-    m, e = split_log(math.log(abs(total)) + log_scale)
-    return KernelValue(math.copysign(m, total), math.exp(log_tail - e * _LN2), modes_used, e,
-                       certified, gauge, tail_kind)
+    m, e = split_log(math.log(abs(total)) + log_scale) if total != 0.0 else (0.0, 0)
+    try:
+        tail = math.exp(log_tail - e * _LN2)
+    except OverflowError:  # a tail past double range on the value's scale: no digit of the value is known
+        tail = math.inf
+    return KernelValue(math.copysign(m, total), tail, modes_used, e, certified, gauge, tail_kind)
 
 
-def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, need_grad: bool):
-    """Do the lambda-independent half of the series at (z, z') once; return its evaluator.
+def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoint, gamma: float,
+                   need_grad: bool, lam, rel_tol: float, gauge: str):
+    """The values of :func:`_prepare_series` at r = r' (see "On the diagonal"), in v = log(tau/r^2)."""
+    d, r = spec.d, z.r
+    rho = cone_distance(1.0, 1.0, gamma)  # R / r
+    lr = 0.0 if lam is None else lam * r
+    log_small = _DIAG_LOG_SMALL + lr * rho  # the terms outgrow the value by up to e^{lam R}
+    # Lower end: the flat e^{-R^2/4tau}, with its powers of tau, below e^{-log_small}.
+    # Upper end: the weight below that, or the bottom mode's decay e^{-(mu0 + 1/2) v}
+    # (e^{-mu0 v} at one lambda) below e^{-(_DIAG_LOG_SMALL + d)}.
+    v_lo = math.log(rho * rho / (4.0 * (log_small + 0.5 * d * math.log(4.0 * log_small))))
+    v_hi = (_DIAG_LOG_SMALL + d) / (table.mu[0] + (0.5 if lam is None else 0.0))
+    if lr > 0.0:
+        v_hi = min(v_hi, math.log(log_small) - 2.0 * math.log(lr))
+    size = math.ceil((v_hi - v_lo) / _DIAG_STEP) + 1
+    need_top = _DIAG_MU_SLOPE * math.sqrt(0.5 * math.exp(-v_lo)) + _DIAG_MU_FLOOR
+    if table.mu[-1] < need_top and spec.grow is not None:
+        table = spec.grown(need_top)
+    mu = table.mu[:max(int(table.mu.searchsorted(need_top, side="right")), 1)]
+    pair, grad, _ = table.pairs(z.y, zp.y, gamma, 0, mu.size, None, need_grad)
+    pair_rows = np.array([pair, grad] if need_grad else [pair])
+    # Component i weights row row[i] of the node factors (pair, gradient pair);
+    # its scale carries the powers of r that the weights leave out.
+    row = np.array([0, 0, 1][:3 if need_grad else 1])
+    r_powers = (-1.0, -2.0, -2.0) if lam is None else (0.0, -1.0, -1.0)
+    log_scales = [gauge_log_factor(d, r, r, gauge) + math.log(0.5) + power * math.log(r) for power in r_powers]
 
-    That half is the cross-section distance, the pair values, s and the
-    rigorous tail tables, chunk by chunk.  ``evaluate(lam, rel_tol, gauge)``
-    returns the kernel's KernelValue, or with ``need_grad`` the list
-    [kernel, d_r, angular].  With ``lam=None`` each is instead its integral
-    over lambda in (0, inf), for s < 1 (see the module docstring).
+    def grid(v):
+        """Per component, sums over the nodes v: of the weighted node factors, of |weight| times their
+        rounding, of their sizes, and of twice the flat bound over the nodes left out; and the most
+        modes a node summed."""
+        sigma, x = np.exp(v), 0.5 * np.exp(-v)
+        if lam is None:  # the integral of e^{-lam^2 tau} over lambda, times r
+            w = 0.5 * math.sqrt(math.pi) / np.sqrt(sigma)
+            weights = np.array([w, -0.5 * (d - 1) * w, w])[:row.size]
+        else:
+            w = np.exp(-(lr * lr) * sigma)
+            weights = np.array([w, ((1.0 - 0.5 * d) - lr * lr * sigma) * w, w])[:row.size]
+        need = _DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR
+        short = need > mu[-1]
+        node, fp = np.zeros((2, len(pair_rows), v.size))
+        counts = np.maximum(mu.searchsorted(need[~short], side="right"), 1)
+        if counts.size:
+            starts = np.cumsum(counts) - counts
+            j = np.arange(counts.sum()) - np.repeat(starts, counts)
+            log_e, _, rel, _ = log_scaled("i", mu[j], np.repeat(x[~short], counts))
+            terms = pair_rows[:, j] * np.exp(log_e)
+            node[:, ~short] = np.add.reduceat(terms, starts, axis=1)
+            fp[:, ~short] = np.add.reduceat(np.abs(terms) * (rel + np.repeat(counts, counts) * _EPS), starts, axis=1)
+        with np.errstate(divide="ignore", over="ignore"):  # the flat heat kernel on the series' scale
+            flat = np.where(short, np.exp(np.log(2.0 * sigma) - 0.5 * d * np.log(4.0 * math.pi * sigma)
+                                          - rho * rho / (4.0 * sigma)), 0.0)
+        flat = np.array([flat, flat * rho / (2.0 * sigma)])
+        wf = weights * node[row]
+        return (wf.sum(axis=1), (np.abs(weights) * fp[row]).sum(axis=1), np.abs(wf).sum(axis=1),
+                2.0 * (np.abs(weights) * flat[row]).sum(axis=1), int(counts.max(initial=0)))
+
+    step = _DIAG_STEP
+    *first, used = grid(v_lo + step * np.arange(size))
+    sums = np.array(first)
+    previous = step * sums[0]
+    for _ in range(_DIAG_HALVINGS):
+        *mid, most = grid(v_lo + step * (np.arange(size - 1) + 0.5))
+        sums, used, size, step = sums + np.array(mid), max(used, most), 2 * size - 1, 0.5 * step
+        values = step * sums[0]
+        floor = step * (sums[1] + size * _EPS * sums[2] + sums[3])  # no finer grid reduces these
+        diff = np.abs(values - previous)
+        target = rel_tol * np.abs(values)
+        if lam is None and row.size == 3:  # one target for the gradient: rel_tol of its length
+            target[1:] = rel_tol * math.hypot(values[1], values[2])
+        if (diff <= np.maximum(target, floor)).all():
+            break
+        previous = values
+    outs = [_pack(value, scale, _log(err) + scale, used, False, gauge, "quadrature")
+            for value, err, scale in zip(values.tolist(), (diff + floor).tolist(), log_scales)]
+    return outs if need_grad else outs[0]
+
+
+def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, need_grad: bool,
+                    lam, rel_tol: float, gauge: str):
+    """Sum the mode series at (z, z'): the kernel's KernelValue, or with ``need_grad`` [kernel, d_r, angular].
+
+    With ``lam=None`` each is instead its integral over lambda in (0, inf)
+    (see the module docstring).  At r = r' the values are
+    :func:`_heat_diagonal`'s.
     """
     cs = spec.cross_section
     if cs is None:
@@ -302,221 +414,221 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     gamma = cs.distance(z.y, zp.y)
     base = spec.pair_table
     r, rp = z.r, zp.r
-    z_small = r <= rp  # at r == r' the radial derivative is one-sided (z inner)
+    if r == rp:
+        if gamma == 0.0:
+            raise DomainError("resolvent kernel is singular on the diagonal z = z'")
+        return _heat_diagonal(spec, base, z, zp, gamma, need_grad, lam, rel_tol, gauge)
+    z_small = r < rp
     a_r, b_r = (r, rp) if z_small else (rp, r)
     s = a_r / b_r
-    if s == 1.0 and gamma == 0.0:
-        raise DomainError("resolvent kernel is singular on the diagonal z = z'")
     ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
     # The components, one row each: the kernel, and with need_grad the radial and angular derivatives.
     n_comp = 1 if not need_grad else 2 if ang_exact_zero else 3
     beta_r = (1.0 - 0.5 * spec.d) / r
-    rigorous = s < 1.0 and spec.certifiable
+    rigorous = spec.certifiable
 
-    # Chunk k is (mu, pair, grad, log tail weights, {tail kinds: suffix tables}),
-    # entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the base table;
-    # chunk k >= 1 holds the grown table's modes up to mu_cutoff * _GROWTH**k
-    # (the base table's top mu in place of a missing cutoff).  Each is built
-    # on first use and kept for every later lambda.
-    chunks, state, end, level = [], None, 0, 0
+    # The modes are read chunk by chunk, each (mu, pair, grad, log tail
+    # weights) for entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the
+    # base table; chunk k >= 1 holds the grown table's modes up to
+    # mu_cutoff * _GROWTH**k (the base table's top mu in place of a missing
+    # cutoff), built only when the sum has not stopped before.
+    state, end, level = None, 0, 0
 
-    def add(table, hi: int):
+    def read(table, hi: int):
         nonlocal state, end
         pair, grad, state = table.pairs(z.y, zp.y, gamma, end, hi, state, need_grad)
-        chunks.append((table.mu[end:hi], pair, grad, table.log_weights[:, end:hi], {}))
+        out = table.mu[end:hi], pair, grad, table.log_weights[:, end:hi]
         end = hi
+        return out
 
-    add(base, base.mu.size)
-
-    def chunk(k: int):
-        """The k-th chunk, or None once the table cannot grow further."""
+    def grow():
+        """The next chunk, or None once the table cannot grow further."""
         nonlocal level
-        while len(chunks) <= k:
-            # No grown table runs past TABLE_CEILING entries (a sphere's stops
-            # there), so once the chunks reach it none adds an entry.
-            if spec.grow is None or end >= TABLE_CEILING:
-                return None
+        # No grown table runs past TABLE_CEILING entries (a sphere's stops
+        # there), so once the chunks reach it none adds an entry.
+        if spec.grow is None or end >= TABLE_CEILING:
+            return None
+        while True:
             level += 1
-            cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(chunks[0][0][-1])) * _GROWTH**level
+            cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(base.mu[-1])) * _GROWTH**level
             table = spec.grown(cutoff)
-            if table is None:
+            if table.mu.size <= end:  # a table cut at the ceiling: nothing past the modes read
                 return None
             hi = int(table.mu.searchsorted(cutoff, side="right"))
             if hi > end:
-                add(table, hi)
-        return chunks[k]
+                return read(table, hi)
 
-    def tail_rows(k: int, kinds: slice):
-        """Chunk k's suffix tables of the tail kinds ``kinds``, seeded with ``sum_beyond`` at its top."""
-        mu, _, _, log_weights, rows = chunks[k]
-        key = kinds.start, kinds.stop
-        if key not in rows:
-            rows[key] = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.sum_beyond(s, mu[-1], kinds))
-        return rows[key]
+    if lam is None:
+        a = b = 0.0  # the closed forms leave out no e^{a-b} factor
+        log_b = math.log(b_r)
 
-    def evaluate(lam, rel_tol: float, gauge: str):
-        if lam is None:
-            if s == 1.0:
-                raise DomainError("each mode's lambda-integral diverges at r = r'")
-            a = b = 0.0  # the closed forms leave out no e^{a-b} factor
-            log_b = math.log(b_r)
+        def factors(mu):
+            """log F, log E, their radial coefficients and relative error: the terms' lambda-integrals."""
+            log_f, log_e, rel = log_ik_integrals(mu, s)
+            if z_small:
+                return log_f - log_b, log_e - log_b, (mu - 0.5 * (spec.d - 2)) / r, 1.0 / r, rel
+            return log_f - log_b, log_e - log_b, -(mu + 0.5 * spec.d) / r, -1.0 / r, rel
+    else:
+        a, b = lam * a_r, lam * b_r
 
-            def factors(mu):
-                """log F, log E, their radial coefficients and relative error: the terms' lambda-integrals."""
-                log_f, log_e, rel = log_ik_integrals(mu, s)
-                if z_small:
-                    return log_f - log_b, log_e - log_b, (mu - 0.5 * (spec.d - 2)) / r, 1.0 / r, rel
-                return log_f - log_b, log_e - log_b, -(mu + 0.5 * spec.d) / r, -1.0 / r, rel
-        else:
-            a, b = lam * a_r, lam * b_r
-
-            def factors(mu):
-                """log I K, its radial partner's log, their radial coefficients and relative error."""
-                log_i, _, rel_i, _ = log_scaled("i", mu, a)
-                log_k, log_dk, rel_k, _ = log_scaled("k", mu, b, need_grad and not z_small)
-                rel = rel_i + rel_k
-                if not need_grad:
-                    return log_i + log_k, None, None, None, rel
-                # With z inner, beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu:
-                # the two 1/r parts cancel in closed form instead of in rounding.
-                # With z outer, beta_r K and lam K' have the same sign.
-                if z_small:
-                    log_1, _, rel_1, _ = log_scaled("i", mu + 1.0, a)
-                    return (log_i + log_k, log_1 + log_k, (mu - 0.5 * (spec.d - 2)) / r, lam,
-                            np.maximum(rel, rel_1 + rel_k))
-                return log_i + log_k, log_i + log_dk, beta_r, -lam, rel
-        shifts = []
-
-        def terms(mu, pair, grad):
-            """This chunk's terms, one row per component, and each term's relative error from its factors.
-
-            Row i times e^scales[i] is a series term; the scale is chunk 0's
-            max shift plus the factor e^{a-b} that the exponentially scaled
-            Bessel logs leave out.  The radial factor is
-            coef_ik e^{log_ik} + coef_1 e^{log_1}.
-            """
-            log_ik, log_1, coef_ik, coef_1, rel = factors(mu)
-            if not shifts:
-                shifts.append(log_ik.max())
-            ik = np.exp(log_ik - shifts[0])
+        def factors(mu):
+            """log I K, its radial partner's log, their radial coefficients and relative error."""
+            log_i, _, rel_i, _ = log_scaled("i", mu, a)
+            log_k, log_dk, rel_k, _ = log_scaled("k", mu, b, need_grad and not z_small)
+            rel = rel_i + rel_k
             if not need_grad:
-                return (pair * ik)[None], rel
-            if len(shifts) == 1:
-                shifts.append(max(shifts[0], log_1.max()))
-            radial = pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1]))
-            return np.array([pair * ik, radial, grad / r * ik][:n_comp]), rel
+                return log_i + log_k, None, None, None, rel
+            # With z inner, beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu:
+            # the two 1/r parts cancel in closed form instead of in rounding.
+            # With z outer, beta_r K and lam K' have the same sign.
+            if z_small:
+                log_1, _, rel_1, _ = log_scaled("i", mu + 1.0, a)
+                return (log_i + log_k, log_1 + log_k, (mu - 0.5 * (spec.d - 2)) / r, lam,
+                        np.maximum(rel, rel_1 + rel_k))
+            return log_i + log_k, log_i + log_dk, beta_r, -lam, rel
+    shifts = []
 
-        T, rel = terms(*chunks[0][:3])
-        scale_list = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])[:n_comp]]
-        scales = np.array(scale_list)
-        if rigorous:
-            # Sum chunk after chunk; stop at the first j whose remainder is below
-            # rel_tol * |partial sum| in every component (0 <= 0 counts).
-            log_rel_tol = math.log(rel_tol)
-            # The kernel, radial and angular tails, from the suffix tables of
-            # ``kinds``: log_coefs[0] + row 0, logaddexp(log_coefs[1] + row 0,
-            # log_coefs[2] + row 1) and log_coefs[3] + row 2.
-            if lam is None:
-                # f <= A s^mu / sqrt(mu) and e <= x/(1-x) A s^mu / sqrt(mu), A =
-                # sqrt(pi)/2 (1-x)^{-1/2}; |coef_ik| <= mu + (d-2)/2 (z inner) or
-                # mu + d/2 (z outer).
-                x = s * s
-                kinds = _INTEGRAL_KINDS
-                log_a = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) - log_b
-                log_ar = log_a - math.log(r)
-                excess = 0.5 * (spec.d - 2) if z_small else 0.5 * spec.d
-                log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
-            else:
-                # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
-                kinds = _RESOLVENT_KINDS
-                deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
-                log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
+    def terms(mu, pair, grad):
+        """This chunk's terms, one row per component, and each term's relative error from its factors.
 
-            def tails(k):
-                """Chunk k's log remainders, one row per component; entry j bounds the terms from j on."""
-                rows = tail_rows(k, kinds if need_grad else slice(kinds.start, kinds.start + 1))
-                if not need_grad:
-                    return log_coefs[0] + rows
-                return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
-                                 log_coefs[3] + rows[2]][:n_comp])
-
-            used, k, mag, wmag = 0, 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
-            while True:
-                size = T.shape[1]
-                sums = T.cumsum(axis=1)
-                if k:
-                    sums += carry[:, None]
-                tail = tails(k)
-                with np.errstate(divide="ignore"):
-                    target = log_rel_tol + np.log(np.abs(sums)) + scales[:, None]
-                    if lam is None and n_comp == 3:  # one target for the gradient: rel_tol of its length
-                        target[1:] = np.logaddexp(2.0 * target[1], 2.0 * target[2]) / 2.0
-                    ok = (tail[:, 1:] <= target).all(axis=0)
-                    j = int(ok.argmax())
-                    stopped = certified = bool(ok[j])
-                    if not stopped:
-                        j = size - 1
-                    # Rounding joins the remainder where its estimate reaches a
-                    # tenth of the target (a sum that cancels heavily, as for
-                    # points far apart at large lam r').  The estimate after
-                    # term j sums each term's |term| times its Bessel factors'
-                    # relative error, plus about one rounding per summed term
-                    # times the sum of |terms|.  It is bounded first, cheaply,
-                    # at the truncation's stop: every term of the chunk at the
-                    # largest relative error, the sum of their sizes bounded by
-                    # the tail's first entry.  More modes cannot make up for
-                    # rounding, so where it keeps the target out of reach in
-                    # this chunk, the sum stops there, uncertified.
-                    rel_max = float(rel.max()) + (used + size + 8) * _EPS
-                    log_rel_max = math.log(rel_max)
-                    # The bound row by row in floats: on at most three rows they beat numpy's calls.
-                    if any(max(_log(w + rel_max * m) + scale, log_rel_max + first) + _LN2 >= _LOG_FP_SHARE + at_stop
-                           for w, m, scale, first, at_stop in zip(wmag.tolist(), mag.tolist(), scale_list,
-                                                                  tail[:, 0].tolist(), target[:, j].tolist())):
-                        abs_t = np.abs(T)
-                        log_fp = np.log(wmag[:, None] + (abs_t * rel).cumsum(axis=1)
-                                        + (used + np.arange(9.0, size + 9.0)) * _EPS
-                                        * (mag[:, None] + abs_t.cumsum(axis=1))) + scales[:, None]
-                        tail[:, 1:] = np.where(log_fp >= _LOG_FP_SHARE + target,
-                                               np.logaddexp(tail[:, 1:], log_fp), tail[:, 1:])
-                        ok = (tail[:, 1:] <= target).all(axis=0)
-                        certified = bool(ok.any())
-                        j = int(ok.argmax()) if certified else j
-                used, carry, k = used + j + 1, sums[:, j], k + 1
-                # The value stops at j, or where the table runs out, at the last entry (j = size - 1).
-                log_tails = tail[:, j + 1]
-                if stopped or (c := chunk(k)) is None:
-                    break
-                abs_t = np.abs(T)
-                mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
-                T, rel = terms(*c[:3])
-        else:
-            # Cauchy heuristic over the base table: stop after heuristic_run
-            # consecutive terms below rel_tol/10 of their partial sums, in every
-            # component, and after at least two terms.
-            sums = T.cumsum(axis=1)
-            run, size = DEFAULTS.heuristic_run, T.shape[1]
-            small = (np.abs(T) <= 0.1 * rel_tol * np.abs(sums)).all(axis=0)
-            hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:size] >= run
-            hit[0] = False
-            used, certified = int(hit.argmax()) + 1 if hit.any() else size, False
-            carry = sums[:, used - 1]
-            # Extrapolation: three times the sum of the last few |terms|.
-            with np.errstate(divide="ignore"):
-                log_tails = np.log(3.0 * np.abs(T[:, max(0, used - run):used]).sum(axis=1)) + scales
-
-        certified = rigorous and certified
-        tail_kind = "rigorous" if rigorous else "cauchy"
-        log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
-        outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, tail_kind)
-                for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
+        Row i times e^scales[i] is a series term; the scale is chunk 0's
+        max shift plus the factor e^{a-b} that the exponentially scaled
+        Bessel logs leave out.  The radial factor is
+        coef_ik e^{log_ik} + coef_1 e^{log_1}.
+        """
+        log_ik, log_1, coef_ik, coef_1, rel = factors(mu)
+        if not shifts:
+            shifts.append(log_ik.max())
+        ik = np.exp(log_ik - shifts[0])
         if not need_grad:
-            return outs[0]
-        if ang_exact_zero:
-            outs.append(KernelValue(0.0, 0.0, used, 0, True, gauge, "exact"))
-        return outs
+            return (pair * ik)[None], rel
+        if len(shifts) == 1:
+            shifts.append(max(shifts[0], log_1.max()))
+        radial = pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1]))
+        return np.array([pair * ik, radial, grad / r * ik][:n_comp]), rel
 
-    return evaluate
+    mu, pair, grad, log_weights = read(base, base.mu.size)
+    T, rel = terms(mu, pair, grad)
+    scale_list = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])[:n_comp]]
+    scales = np.array(scale_list)
+    if rigorous:
+        # Sum chunk after chunk; stop at the first j whose remainder is below
+        # rel_tol * |partial sum| in every component (0 <= 0 counts).
+        log_rel_tol = math.log(rel_tol)
+        # The kernel, radial and angular tails, from the suffix tables of
+        # ``kinds``: log_coefs[0] + row 0, logaddexp(log_coefs[1] + row 0,
+        # log_coefs[2] + row 1) and log_coefs[3] + row 2.
+        if lam is None:
+            # f <= A s^mu / sqrt(mu) and e <= x/(1-x) A s^mu / sqrt(mu), A =
+            # sqrt(pi)/2 (1-x)^{-1/2}; |coef_ik| <= mu + (d-2)/2 (z inner) or
+            # mu + d/2 (z outer).
+            x = s * s
+            kinds = _INTEGRAL_KINDS
+            log_a = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) - log_b
+            log_ar = log_a - math.log(r)
+            excess = 0.5 * (spec.d - 2) if z_small else 0.5 * spec.d
+            log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
+        else:
+            # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
+            kinds = _RESOLVENT_KINDS
+            deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+            log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
+        if not need_grad:
+            kinds = slice(kinds.start, kinds.start + 1)
+
+        def tails(mu, log_weights):
+            """A chunk's log remainders, one row per component; entry j bounds the terms from j on."""
+            rows = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.sum_beyond(s, mu[-1], kinds))
+            if not need_grad:
+                return log_coefs[0] + rows
+            return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
+                             log_coefs[3] + rows[2]][:n_comp])
+
+        def blocks():
+            """The grown chunks, each in blocks that at most double the modes summed: (mu, pair, grad, tails)."""
+            while (c := grow()) is not None:
+                mu, pair, grad, log_weights = c
+                tail, start, lo = tails(mu, log_weights), end - mu.size, 0
+                while lo < mu.size:
+                    hi = min(mu.size, 2 * lo + start)
+                    yield mu[lo:hi], pair[lo:hi], grad[lo:hi] if need_grad else None, tail[:, lo:hi + 1].copy()
+                    lo = hi
+
+        later, tail = blocks(), tails(mu, log_weights)
+        used, mag, wmag = 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
+        while True:
+            size = T.shape[1]
+            sums = T.cumsum(axis=1)
+            if used:
+                sums += carry[:, None]
+            with np.errstate(divide="ignore"):
+                target = log_rel_tol + np.log(np.abs(sums)) + scales[:, None]
+                if lam is None and n_comp == 3:  # one target for the gradient: rel_tol of its length
+                    target[1:] = np.logaddexp(2.0 * target[1], 2.0 * target[2]) / 2.0
+                ok = (tail[:, 1:] <= target).all(axis=0)
+                j = int(ok.argmax())
+                stopped = certified = bool(ok[j])
+                if not stopped:
+                    j = size - 1
+                # Rounding joins the remainder where its estimate reaches a
+                # tenth of the target (a sum that cancels heavily, as for
+                # points far apart at large lam r').  The estimate after
+                # term j sums each term's |term| times its Bessel factors'
+                # relative error, plus about one rounding per summed term
+                # times the sum of |terms|.  It is bounded first, cheaply,
+                # at the truncation's stop: every term of the block at the
+                # largest relative error, the sum of their sizes bounded by
+                # the tail's first entry.  More modes cannot make up for
+                # rounding, so where it keeps the target out of reach in
+                # this block, the sum stops there, uncertified.
+                rel_max = float(rel.max()) + (used + size + 8) * _EPS
+                log_rel_max = math.log(rel_max)
+                # The bound row by row in floats: on at most three rows they beat numpy's calls.
+                if any(max(_log(w + rel_max * m) + scale, log_rel_max + first) + _LN2 >= _LOG_FP_SHARE + at_stop
+                       for w, m, scale, first, at_stop in zip(wmag.tolist(), mag.tolist(), scale_list,
+                                                              tail[:, 0].tolist(), target[:, j].tolist())):
+                    abs_t = np.abs(T)
+                    log_fp = np.log(wmag[:, None] + (abs_t * rel).cumsum(axis=1)
+                                    + (used + np.arange(9.0, size + 9.0)) * _EPS
+                                    * (mag[:, None] + abs_t.cumsum(axis=1))) + scales[:, None]
+                    tail[:, 1:] = np.where(log_fp >= _LOG_FP_SHARE + target,
+                                           np.logaddexp(tail[:, 1:], log_fp), tail[:, 1:])
+                    ok = (tail[:, 1:] <= target).all(axis=0)
+                    certified = bool(ok.any())
+                    j = int(ok.argmax()) if certified else j
+            used, carry = used + j + 1, sums[:, j]
+            # The value stops at j, or where the table runs out, at the last entry (j = size - 1).
+            log_tails = tail[:, j + 1]
+            if stopped or (block := next(later, None)) is None:
+                break
+            abs_t = np.abs(T)
+            mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
+            mu, pair, grad, tail = block
+            T, rel = terms(mu, pair, grad)
+    else:
+        # Cauchy heuristic over the base table: stop after heuristic_run
+        # consecutive terms below rel_tol/10 of their partial sums, in every
+        # component, and after at least two terms.
+        sums = T.cumsum(axis=1)
+        run, size = DEFAULTS.heuristic_run, T.shape[1]
+        small = (np.abs(T) <= 0.1 * rel_tol * np.abs(sums)).all(axis=0)
+        hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:size] >= run
+        hit[0] = False
+        used, certified = int(hit.argmax()) + 1 if hit.any() else size, False
+        carry = sums[:, used - 1]
+        # Extrapolation: three times the sum of the last few |terms|.
+        with np.errstate(divide="ignore"):
+            log_tails = np.log(3.0 * np.abs(T[:, max(0, used - run):used]).sum(axis=1)) + scales
+
+    tail_kind = "rigorous" if rigorous else "cauchy"
+    log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
+    outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, tail_kind)
+            for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
+    if not need_grad:
+        return outs[0]
+    if ang_exact_zero:
+        outs.append(KernelValue(0.0, 0.0, used, 0, True, gauge, "exact"))
+    return outs
 
 
 def resolvent_kernel(request: ResolventRequest) -> KernelValue:
@@ -525,8 +637,8 @@ def resolvent_kernel(request: ResolventRequest) -> KernelValue:
     Certified results satisfy tail_bound <= rel_tol * |value| with a
     rigorous bound; see the module docstring for the regime map.
     """
-    return _prepare_series(request.spectrum, request.z, request.zp, need_grad=False)(
-        request.lam, request.rel_tol, request.density_gauge)
+    return _prepare_series(request.spectrum, request.z, request.zp, False, request.lam, request.rel_tol,
+                           request.density_gauge)
 
 
 def resolvent_gradient(request: ResolventRequest) -> GradientValue:
@@ -540,8 +652,8 @@ def resolvent_gradient(request: ResolventRequest) -> GradientValue:
         raise DomainError(
             "resolvent_gradient is defined for density_gauge='riemannian' only"
         )
-    _, out_r, out_a = _prepare_series(request.spectrum, request.z, request.zp, need_grad=True)(
-        request.lam, request.rel_tol, request.density_gauge)
+    _, out_r, out_a = _prepare_series(request.spectrum, request.z, request.zp, True, request.lam, request.rel_tol,
+                                      request.density_gauge)
     return GradientValue(d_r=out_r, angular=out_a)
 
 

@@ -17,10 +17,14 @@ H.-Q. Li, J. Funct. Anal. 168 (1999), writes the cone's H^{-1/2} kernel).
 So T is (2/pi) times the gradient of (r r')^{1-d/2} sum_j pair_j
 F_{mu_j}(r_<, r_>), one chunked log-space pass over the modes
 (:func:`conekit.bessel.log_ik_integrals`, summed by the resolvent's
-prepared series with its rigorous tails and stop rule).  At r = r' each
-mode's integral diverges like log(1 - s^2), and the lambda-integral is
-adaptive quadrature over panels split at the two natural scales 1/r and
-1/r' (:func:`_riesz_on_diagonal`).
+series pass with its rigorous tails and stop rule).  At r = r' each
+mode's integral diverges like log(1 - s^2).  There the lambda-integral is
+taken inside the cone heat kernel instead, H^{-1/2} = pi^{-1/2}
+int_0^inf tau^{-1/2} e^{-tau H} dtau, by the same trapezoid rule in
+log tau as the resolvent at r = r' (see "On the diagonal" in
+:mod:`conekit.resolvent`): the radial component is -(d-1)/(2r) times the
+H^{-1/2} kernel, which is homogeneous of degree 1 - d, and the angular one
+that kernel's derivative along the cross-section.
 
 The exact L^p boundedness interval of T is determined by the bottom of
 the cross-sectional spectrum.  With mu0 = sqrt(lambda_0(V0) + (d-2)^2/4)
@@ -254,12 +258,12 @@ class RieszKernelValue:
       fired, and then ``quad_error_est <= rel_tol * magnitude``.
     * r != r' on a spectrum without sup bounds (``"cauchy"``): the Cauchy
       extrapolation of the remainders, not a guarantee.
-    * r = r' (``"quadrature"``, never certified): the quadrature error
-      estimates of both components, the truncation estimate at
-      lambda_max, and the series truncation (the worst relative tail of
-      any node times |d_r| + |angular|).
+    * r = r' (``"quadrature"``, never certified): the heat kernel's tau
+      rule, with the difference of its two finest grids, rounding, and the
+      flat heat kernel's bound where nodes need modes past the table; an
+      estimate, not a proof.
 
-    ``modes_used`` counts the modes summed (at r = r', the most any lambda
+    ``modes_used`` counts the modes summed (at r = r', the most any tau
     node summed).
     """
 
@@ -285,18 +289,17 @@ def riesz_kernel(
 
     For r != r' each mode's lambda-integral is summed in closed form (see
     the module docstring), stopping where the rigorous remainder of both
-    components is below rel_tol / 2 of |T| each.  At r = r' the lambda
-    integral is adaptive quadrature (:func:`_riesz_on_diagonal`).
+    components is below rel_tol / 2 of |T| each.  At r = r' the value
+    comes from the cone heat kernel, its tau rule refined until two grids
+    agree to rel_tol / 2.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
-    series = _prepare_series(spectrum, z, zp, need_grad=True)
-    dist = cone_distance(z.r, zp.r, spectrum.cross_section.distance(z.y, zp.y))
-    if dist == 0.0:  # off the diagonal too, where the distance underflows
+    cs = spectrum.cross_section
+    if cs is not None and cone_distance(z.r, zp.r, cs.distance(z.y, zp.y)) == 0.0:
+        # off the diagonal too, where the distance underflows
         raise DomainError("riesz kernel is singular at zero cone distance")
-    if min(z.r, zp.r) / max(z.r, zp.r) == 1.0:  # the series' own s = 1
-        return _riesz_on_diagonal(series, z, zp, dist, rel_tol)
-    _, d_r, angular = series(None, 0.5 * rel_tol, "riemannian")
+    _, d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * rel_tol, "riemannian")
     scale = 2.0 / math.pi
     return RieszKernelValue(
         d_r=scale * d_r.float_value(),
@@ -305,64 +308,6 @@ def riesz_kernel(
         certified=d_r.certified and angular.certified,
         tail_kind=d_r.tail_kind,
         modes_used=d_r.modes_used,
-    )
-
-
-def _riesz_on_diagonal(series, z: ConePoint, zp: ConePoint, dist: float, rel_tol: float) -> RieszKernelValue:
-    """The Riesz kernel at r = r' by adaptive quadrature over lambda.
-
-    There each mode's lambda-integral diverges like log(1 - s^2), so the
-    gradient series is integrated numerically: over panels split at the
-    scales 1/r and 1/r', truncated where the integrand's guaranteed decay
-    e^{-lambda dist(z,z')} reaches rel_tol, padded by
-    :data:`conekit.config.DEFAULTS.lambda_max_pad`; the neglected tail is
-    estimated by 2 |integrand(lambda_max)| / dist.
-    """
-    # This branch alone needs scipy.integrate.  It imports scipy.special,
-    # so from a process with no Bessel value yet it costs about 0.5 s.
-    from scipy.integrate import quad
-
-    lam_max = DEFAULTS.lambda_max_pad * math.log(1.0 / rel_tol) / dist
-    grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)
-    b_hi, b_lo = 1.0 / min(z.r, zp.r), 1.0 / max(z.r, zp.r)
-    edges = [0.0] + sorted(b for b in {b_lo, b_hi} if 0.0 < b < lam_max) + [lam_max]
-
-    # One series evaluation per distinct lambda: the radial and angular
-    # passes visit the same quadrature nodes.
-    nodes = {}
-
-    def grad_at(lam: float):
-        if lam not in nodes:
-            nodes[lam] = series(lam, grad_tol, "riemannian")[1:]
-        return nodes[lam]
-
-    total = [0.0, 0.0]
-    err = 0.0
-    for comp in (0, 1):
-        for a, b in zip(edges, edges[1:]):
-            res = quad(lambda lam: grad_at(lam)[comp].float_value(), a, b, epsabs=0.0,
-                       epsrel=0.3 * rel_tol, limit=100, full_output=1)
-            total[comp] += res[0]
-            err += abs(res[1])
-    # Truncation beyond lambda_max: the integrand decays like a low-degree
-    # polynomial times e^{-lambda dist}, so twice the pure-exponential tail
-    # integral |f(lambda_max)| / dist covers it.  The series truncation of
-    # the integrand itself enters proportionally to the accumulated value,
-    # at the worst relative tail any evaluation actually reported (shallow
-    # mode tables near the diagonal may fall short of the requested one).
-    err += 2.0 * sum(abs(kv.float_value()) for kv in grad_at(lam_max)) / dist
-    worst_rel_tail = max([0.0] + [kv.rel_tail for pair in nodes.values() for kv in pair
-                                  if kv.value != 0.0])
-    err += worst_rel_tail * (abs(total[0]) + abs(total[1]))
-
-    scale = 2.0 / math.pi
-    return RieszKernelValue(
-        d_r=scale * total[0],
-        angular=scale * total[1],
-        quad_error_est=scale * err,
-        certified=False,
-        tail_kind="quadrature",
-        modes_used=max(kv.modes_used for pair in nodes.values() for kv in pair),
     )
 
 

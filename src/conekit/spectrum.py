@@ -31,8 +31,10 @@ the base table ``table``, is kept as ``CrossSectionSpectrum.grow``, and
 :meth:`CrossSectionSpectrum.grown` builds a deeper table on demand (kept
 on the spectrum, up to ``TABLE_CEILING`` entries) whose ``pairs``
 continue the base table's chunk by chunk; a sphere's stops at
-``TABLE_CEILING`` degrees.  ``table`` and everything read from it (mu0,
-mu1, the descriptor, files) stay the base table.
+``TABLE_CEILING`` degrees, a torus's at the complete clusters of the
+largest lattice box of ``TABLE_CEILING`` vectors.  ``table`` and
+everything read from it (mu0, mu1, the descriptor, files) stay the base
+table.
 """
 
 from __future__ import annotations
@@ -243,8 +245,11 @@ class SphereTail(_MajorantTail):
 
     def _terms(self, s, mu_from, start, n, kinds):
         top = mu_from * (1.0 + 1e-15)
-        mu = self._degrees(0, _degree_count(self.cross_section, self.c0, top) + 1)[0]
-        l0 = int(mu.searchsorted(top, side="right")) + start  # the first degree past mu_from
+        # Every degree l <= count - 1 - (d-2)/2 has mu_l <= top, and degree
+        # count has mu_l > top, so the first degree past top lies between.
+        count = _degree_count(self.cross_section, self.c0, top)
+        lo = max(count - 2 - math.ceil((self.cross_section.dim - 1) / 2.0), 0)
+        l0 = lo + int(self._degrees(lo, count + 1)[0].searchsorted(top, side="right")) + start
         table = self._degrees(l0, l0 + n)
         return table[6:12][kinds], table[0] * math.log(s), table[12:18][kinds] * s ** table[18]
 
@@ -391,18 +396,18 @@ class CrossSectionSpectrum:
     def grown(self, mu_max: float) -> ModeArrays | None:
         """A table of every mode with mu <= mu_max, past ``table`` too.
 
-        The table may run further; its first entries are ``table``'s.  A
-        sphere's stops at ``TABLE_CEILING`` degrees.  The largest table
-        built so far is kept and serves every smaller mu_max.  None when
-        the spectrum does not grow or a torus table would pass
-        ``TABLE_CEILING`` lattice vectors.
+        The table may run further; its first entries are ``table``'s.  It
+        stops at ``TABLE_CEILING`` entries: a sphere's at that many
+        degrees, a torus's at the complete clusters of the largest lattice
+        box of that many vectors.  The largest table built so far is kept
+        and serves every smaller mu_max.  None when the spectrum does not
+        grow.
         """
+        if self.grow is None:
+            return None
         kept = self._grown
         if not kept or kept[0] < mu_max:
-            table = self.grow(mu_max, TABLE_CEILING) if self.grow is not None else None
-            if table is None:
-                return None
-            kept[:] = [mu_max, table]
+            kept[:] = [mu_max, self.grow(mu_max, TABLE_CEILING)]
         return kept[1]
 
     def pair_values(self, y, yp, gamma: float | None = None, with_grad: bool = True):
@@ -514,19 +519,29 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
 
 
 def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | None = None):
-    """ModeArrays of every lattice cluster with mu <= mu_max (None past ``limit`` lattice vectors).
+    """ModeArrays of every lattice cluster with mu <= mu_max, or of every cluster in the largest box of ``limit``.
 
     The lattice box, rows in itertools.product order, stably sorted by
     lambda; a new cluster starts where lambda jumps by more than
-    1e-9 (1 + lambda), and its rows are contiguous.  A cluster's pair
-    function sums the cosines of its lattice frequencies against the
-    angle difference (one product, then ``np.add.reduceat``).
+    1e-9 (1 + lambda), and its rows are contiguous.  Where the box of
+    mu_max holds more than ``limit`` lattice vectors, its outermost layer
+    is dropped until it fits; the box then holds every vector with
+    sqrt(lambda) below the dropped layer's t = max_i k_i/a_i, and the table
+    every cluster with lambda < t^2.  A cluster's pair function sums the
+    cosines of its lattice frequencies against the angle difference (one
+    product, then ``np.add.reduceat``).
     """
     lam_max = mu_max**2 - c0
     radii = np.asarray(cs.radii)
-    kmax = np.floor(radii * math.sqrt(max(lam_max, 0.0)))
-    if limit is not None and math.prod((2.0 * kmax + 1.0).tolist()) > limit:  # in floats: no int64 wrap
-        return None
+    t = math.sqrt(max(lam_max, 0.0))
+    if limit is not None:
+        # Past this t every side holds more than limit**(1/n) vectors: the box passes limit.
+        t = min(t, (limit ** (1.0 / radii.size) + 3.0) / (2.0 * float(radii.min())))
+    kmax = np.floor(radii * t)
+    while limit is not None and math.prod((2.0 * kmax + 1.0).tolist()) > limit:  # in floats: no int64 wrap
+        t = float((kmax / radii).max())
+        kmax = np.minimum(np.ceil(radii * t) - 1.0, kmax - (kmax / radii == t))
+        lam_max = t * t - 1e-9 * (1.0 + t * t)  # the clusters at t^2 may reach past the box
     kmax = kmax.astype(int)
     ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
     ks = ks.reshape(-1, len(radii))

@@ -12,7 +12,9 @@ Suites
     The d = 3, V0 = 0 cone is flat R^3:  the resolvent kernel must match
     e^{-lambda R}/(4 pi R), certified, at s <= 1/4 and at 1/4 < s <= 0.99
     (where the mode table grows), the Riesz kernel -grad R/(pi^2 R^3), and
-    the indicial kernel the Legendre generating function.
+    the indicial kernel the Legendre generating function.  At r = r' the
+    resolvent, its gradient and the Riesz kernel, from the cone heat
+    kernel and not certified, must match their closed forms to rel_tol.
 ``bessel``
     Uniform bound-family fits, Wronskian residuals, half-integer closed
     forms.
@@ -50,6 +52,7 @@ from .resolvent import (
     ResolventRequest,
     boundary_order_probe,
     indicial_kernel,
+    resolvent_gradient,
     resolvent_kernel,
     zf_compatibility_check,
 )
@@ -169,6 +172,27 @@ def _suite_euclid(seed: int = 1234):
                 worst = max(worst, abs(got - want) / want)
         return worst < 1e-9, f"indicial vs Legendre generating function: worst rel err {worst:.2e}"
 
+    def diagonal_points():
+        # r = r' and lam R <= 6: past lam R ~ 10 the heat kernel's terms
+        # outgrow the value too far for rel_tol 1e-8, and such values say so.
+        worst, pts, flagged = 0.0, [], 0
+        for _ in range(10):
+            r, gam, lam = 10.0 ** rng.uniform(-1.0, 0.5), rng.uniform(0.1, 3.0), 10.0 ** rng.uniform(-0.5, 0.0)
+            y, yp = cs.points_at_separation(gam)
+            req = ResolventRequest(spec, ConePoint(r, y), ConePoint(r, yp), lam=lam, rel_tol=1e-8)
+            big_r = cone_distance(r, r, gam)
+            value = math.exp(-lam * big_r) / (4.0 * math.pi * big_r)
+            slope = value * (1.0 + lam * big_r) / big_r  # -dG/dR; dR/dr = R/2r, dR/(r dgamma) = cos(gamma/2)
+            wants = ((value, value), (-slope * big_r / (2.0 * r), slope), (-slope * math.cos(0.5 * gam), slope))
+            for kv, (want, scale) in zip((resolvent_kernel(req), *vars(resolvent_gradient(req)).values()), wants):
+                worst = max(worst, abs(kv.float_value() - want) / scale)
+                flagged += kv.tail_kind == "quadrature" and not kv.certified
+            pts.append((r, r, gam))
+        worst_riesz, n_cert = riesz_errors(pts)
+        return (worst < 1e-8 and worst_riesz < 1e-6 and flagged == 30 and n_cert == 0,
+                f"10 points at r = r': resolvent and gradient worst rel err {worst:.2e}, Riesz {worst_riesz:.2e}, "
+                f"flagged quadrature {flagged}/30")
+
     rng = random.Random(seed)
     return [
         _timed("euclid.resolvent-yukawa", lambda: kernel_points(1e-3, 0.25, 10.0 ** 1.5, rng)),
@@ -176,6 +200,7 @@ def _suite_euclid(seed: int = 1234):
         _timed("euclid.riesz-closed-form", riesz_points),
         _timed("euclid.riesz-rigorous", riesz_rigorous_points),
         _timed("euclid.indicial-legendre", indicial_legendre),
+        _timed("euclid.diagonal", diagonal_points),
     ]
 
 

@@ -136,16 +136,16 @@ class TestCertification:
                 a.float_tail_bound() + 1e-12 * abs(b.float_value())
             )
 
-    def test_diagonal_ratio_uses_heuristic_tail(self):
-        # At r = r' the mode series converges only through cross-section
-        # oscillation; the evaluator must flag the heuristic estimate, and
-        # that estimate must still cover the true truncation error.
+    def test_diagonal_matches_the_oracle(self):
+        # At r = r' the value comes from the heat kernel's tau rule: flagged
+        # uncertified, with an estimate that covers the error, and within
+        # rel_tol of the closed form.
         kv = _value(S3, 1.0, 1.0, 1.2)
         assert not kv.certified
-        assert kv.tail_kind == "cauchy"
+        assert kv.tail_kind == "quadrature"
         ref = oracles.yukawa_kernel(1.0, 1.0, 1.2)
         assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
-        assert abs(kv.float_value() / ref - 1.0) < 0.05
+        assert abs(kv.float_value() / ref - 1.0) < DEFAULTS.kernel_rel_tol
 
     def test_norms_only_spectrum_cannot_evaluate(self, tmp_path):
         import json
@@ -370,6 +370,74 @@ class TestTorusCone:
         ) * (math.sqrt(math.pi / 2.0) * math.exp(-1.0))
         np.testing.assert_allclose(kv.float_value(), ref, rtol=1e-12)
 
+    def test_tail_past_double_range_is_infinite(self):
+        # Far out at s = 1e-6 the value is about e^{-1000015}.  Without growth
+        # the tail after the base table is e^{-558}, past double range on the
+        # value's scale: the bound is infinite, not a raise.
+        spec = torus_spectrum(3, [1.0, 1.3])
+        for s in (spec, replace(spec, grow=None)):
+            kv = _value(s, 1e6, 1.0, 0.4)
+            assert math.isfinite(kv.value) and -1.1e6 < kv.log_abs < -1e6
+        assert kv.tail_bound == math.inf and not kv.certified and kv.tail_kind == "rigorous"
+
+
+class TestDiagonal:
+    """r = r': the resolvent and its gradient from the cone heat kernel's tau rule."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_flat_oracle_grid(self, d):
+        # A seeded grid over r in [0.1, 10], lambda in [0.3, 3], gamma in
+        # [0.1, 3]: every component's error is within its estimate, and on
+        # R^3 within rel_tol where lambda R <= 10.  Past that the terms
+        # outgrow the value by up to e^{lambda R}, and the estimate says so.
+        spec = sphere_spectrum(d)
+        rng = np.random.default_rng(40 + d)
+        for _ in range(200):
+            r, gamma = float(10.0 ** rng.uniform(-1.0, 1.0)), float(rng.uniform(0.1, 3.0))
+            lam = float(10.0 ** rng.uniform(math.log10(0.3), math.log10(3.0)))
+            z, zp = _point_pair(spec, r, r, gamma)
+            req = ResolventRequest(spec, z, zp, lam=lam)
+            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+            close = d == 3 and lam * oracles.euclid_distance(r, r, gamma) <= 10.0
+            for kv, ref in zip(got, _closed_form(d, r, r, gamma, lam)):
+                err = abs(kv.float_value() - ref)
+                assert not kv.certified and kv.tail_kind == "quadrature", (d, r, gamma, lam)
+                assert err <= kv.float_tail_bound() + 1e-10 * abs(ref), (d, r, gamma, lam, err)
+                assert err <= req.rel_tol * abs(ref) or not close, (d, r, gamma, lam, err)
+
+    def test_gauge_and_symmetry(self):
+        # The b-half value is the riemannian one without (r r')^{1-d/2}, and
+        # swapping z and z' leaves the kernel unchanged.
+        z, zp = _point_pair(S3_NEG, 2.0, 2.0, 0.8)
+        kv = resolvent_kernel(ResolventRequest(S3_NEG, z, zp))
+        half = resolvent_kernel(ResolventRequest(S3_NEG, z, zp, density_gauge="b-half"))
+        np.testing.assert_allclose(half.float_value() / 2.0, kv.float_value(), rtol=1e-14)
+        assert resolvent_kernel(ResolventRequest(S3_NEG, zp, z)).float_value() == kv.float_value()
+
+    @pytest.mark.parametrize("spec, more_modes", [(S3_NEG, True), (sphere_spectrum(5, c=0.3), True),
+                                                  (torus_spectrum(3, [1.0, 1.3]), False)],
+                             ids=["S3_NEG", "S5", "T2"])
+    def test_estimates_cover_a_refined_rule(self, spec, more_modes, monkeypatch):
+        # Halving the first step, or on spheres summing twice the modes at
+        # each node, moves each value by less than its estimate.  The torus
+        # table stops short of the modes the nodes at small tau need (at
+        # gamma = 0.4 those with x > 121): the flat heat kernel's bound over
+        # those nodes carries it.
+        refinements = [{"_DIAG_STEP": 0.25}]
+        if more_modes:
+            refinements.append({"_DIAG_MU_SLOPE": 18.0, "_DIAG_MU_FLOOR": 24.0})
+        for r, gamma, lam in ((1.0, 0.4, 1.0), (0.2, 2.9, 2.5))[:2 if more_modes else 1]:
+            z, zp = _point_pair(spec, r, r, gamma)
+            req = ResolventRequest(spec, z, zp, lam=lam)
+            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+            for refine in refinements:
+                with monkeypatch.context() as m:
+                    for name, value in refine.items():
+                        m.setattr(f"conekit.resolvent.{name}", value)
+                    finer = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+                for a, b in zip(got, finer):
+                    assert abs(a.float_value() - b.float_value()) <= a.float_tail_bound(), (r, gamma, lam, refine)
+
 
 # ----------------------------------------------------------------------
 # Term-by-term reference: the scalar Bessel API and closed-form pair
@@ -421,34 +489,49 @@ def _sphere_reference(spec, levels=2):
 
 
 def _torus_reference(spec, radii):
-    """Cosines of every lattice vector, summed over each eigenvalue cluster of the base table."""
+    """Cosines of every lattice vector, summed over each eigenvalue cluster of the base and the grown table.
+
+    The grown table holds every cluster with lambda < t^2, where t is the
+    first of the points k/a_i at which the lattice box of side
+    2 floor(a_i t) + 1 holds more than TABLE_CEILING vectors.
+    """
     radii = np.asarray(radii)
     vol = float(np.prod(2 * np.pi * radii))
     c0 = spec.mu0 ** 2
-    kmax = int(spec.table.mu[-1] * radii.max()) + 1
+    jumps = sorted(k / a for a in radii.tolist() for k in range(1, 400))
+    top = next(t for t in jumps if math.prod(2 * math.floor(a * t + 1e-9) + 1 for a in radii.tolist()) > TABLE_CEILING)
+    kmax = int(top * radii.max()) + 1
     ks = np.array([(i, j) for i in range(-kmax, kmax + 1) for j in range(-kmax, kmax + 1)])
     freqs = ks / radii
     lams = (freqs ** 2).sum(axis=1)
-    members = [np.abs(lams - (mu ** 2 - c0)) <= 1e-9 * (1 + mu ** 2) for mu in spec.table.mu.tolist()]
-    assert [int(mask.sum()) for mask in members] == spec.table.mult.tolist()
+    inside = np.sort(lams[lams < top ** 2 * (1 - 1e-9)])
+    values = inside[np.diff(inside, prepend=-1.0) > 1e-9 * (1 + inside)]
+    # Each vector's cluster, or -1 past the grown table.
+    cluster = np.minimum(np.searchsorted(values, lams - 1e-9 * (1 + lams)), values.size - 1)
+    cluster[np.abs(lams - values[cluster]) > 1e-9 * (1 + lams)] = -1
+    mults = np.bincount(cluster[cluster >= 0], minlength=values.size)
+    n = len(spec.table.mu)
+    assert np.allclose(np.sqrt(values[:n] + c0), spec.table.mu, rtol=1e-13, atol=0.0)
+    assert mults[:n].tolist() == spec.table.mult.tolist()
 
     def chunk(level):
-        # The first growth chunk's lattice box already passes TABLE_CEILING
-        # vectors, so this torus does not grow.
-        top = spec.mu_cutoff * _GROWTH ** level
-        assert np.prod(2 * (radii * math.sqrt(top ** 2 - c0)).astype(int) + 1) > TABLE_CEILING
-        return None
+        # One growth chunk: the grown table stops short of the first chunk's cutoff.
+        assert math.sqrt(top ** 2 + c0) < spec.mu_cutoff * _GROWTH
+        if level > 1:
+            return None
+        return [(math.sqrt(v + c0), m / vol, m * math.sqrt(v) / vol)
+                for v, m in zip(values[n:].tolist(), mults[n:].tolist())]
 
     @functools.cache
     def pairs(gamma):
         delta = np.array([-gamma / radii[0], 0.0])  # y - y' for points_at_separation
         phase = freqs @ delta
-        out = []
-        for mask in members:
-            grad = 0.0 if gamma == 0.0 else -float(
-                (np.sin(phase[mask]) * (freqs[mask] @ (delta / gamma))).sum()) / vol
-            out.append((float(np.cos(phase[mask]).sum()) / vol, grad))
-        return out
+        inner = cluster >= 0
+        pair = np.bincount(cluster[inner], np.cos(phase[inner]), values.size) / vol
+        if gamma == 0.0:
+            return list(zip(pair.tolist(), [0.0] * values.size))
+        grad = -np.bincount(cluster[inner], np.sin(phase[inner]) * (freqs[inner] @ (delta / gamma)), values.size) / vol
+        return list(zip(pair.tolist(), grad.tolist()))
 
     return chunk, pairs
 
@@ -471,6 +554,10 @@ def _file_spectrum(tmp_path):
     return spec, (lambda level: None, pairs)  # a file spectrum never grows
 
 
+# The kernel and the gradient pass of a point read the same scalar values.
+_bessel_i, _bessel_k_with_dr = functools.cache(bessel_i), functools.cache(bessel_k_with_dr)
+
+
 def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     """(values, sums of |terms|, tails, modes_used, certified, tail_kind).
 
@@ -480,7 +567,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     every mode.
     """
     grown_chunk, pairs = ref
-    z_small = r <= rp
+    z_small = r < rp
     a_r, b_r = (r, rp) if z_small else (rp, r)
     s = a_r / b_r
     a, b = lam * a_r, lam * b_r
@@ -488,7 +575,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     gauge = (r * rp) ** (1 - spec.d / 2)
     ang = need_grad and gamma != 0.0
     n_comp = 1 + need_grad + ang
-    rigorous = s < 1.0 and spec.certifiable
+    rigorous = spec.certifiable
     deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
     modes = list(zip(spec.table.mu.tolist(), spec.table.pair_sup.tolist(), spec.table.grad_sup.tolist()))
     all_pairs = pairs(gamma)
@@ -511,14 +598,14 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
             suf_k, suf_p, suf_g = suffix("pair_over_2mu"), suffix("pair"), suffix("grad_over_2mu")
         for i, (mu, _, _) in enumerate(modes):
             p, g = all_pairs[used]
-            ik_i = bessel_i(mu, a)
-            k, dk = bessel_k_with_dr(mu, b)
+            ik_i = _bessel_i(mu, a)
+            k, dk = _bessel_k_with_dr(mu, b)
             ik = math.exp(ik_i.log_abs + k.log_abs)
             terms = [p * ik]
             if need_grad and z_small:
                 # beta I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I: without
                 # this rearrangement the two 1/r parts cancel in rounding at tiny r.
-                i1 = bessel_i(mu + 1.0, a)
+                i1 = _bessel_i(mu + 1.0, a)
                 terms.append(p * (lam * math.exp(i1.log_abs + k.log_abs)
                                   + (mu - (spec.d - 2) / 2) / r * ik))
             elif need_grad:
@@ -555,12 +642,12 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
 
 
 _REFERENCE_POINTS = [
-    # (r, r', gamma, lambda): s <= 1/4, 1/4 < s < 1 and s = 1, each also at
+    # (r, r', gamma, lambda): s <= 1/4 and 1/4 < s < 1, each also at
     # r_< = 1e-7, where high-order I (and at s > 0 also K) leave double range.
+    # r = r' takes the heat kernel's tau rule instead (TestDiagonal).
     (0.2, 1.0, 1.1, 1.0), (1.0, 0.15, 2.5, 2.5), (0.6, 1.0, 0.0, 1.0),
-    (1.0, 0.7, 1.1, 1.0), (1.0, 1.0, 1.1, 1.0), (1.0, 1.0, 2.5, 2.5),
-    (1e-7, 5e-7, 1.1, 1.0), (1e-7, 1.0, 2.5, 1.0), (1e-7 / 0.6, 1e-7, 1.1, 1.0),
-    (1e-7, 1e-7, 2.5, 1.0),
+    (1.0, 0.7, 1.1, 1.0), (1e-7, 5e-7, 1.1, 1.0), (1e-7, 1.0, 2.5, 1.0),
+    (1e-7 / 0.6, 1e-7, 1.1, 1.0),
 ]
 
 
@@ -657,22 +744,9 @@ class TestGrownTables:
                     n_cert += 1
                     assert abs(a.float_value() - b.float_value()) <= (
                         a.float_tail_bound() + 1e-12 * abs(b.float_value())), (name, r, rp, gamma, lam)
-        # The torus does not grow (its first chunk's lattice box passes the
-        # ceiling), so its certified values are those its base table settles.
+        # The torus grows once, to the complete clusters of the largest
+        # lattice box under the ceiling (mu up to about 112).
         assert n_cert >= 15, n_cert
-
-    def test_diagonal_is_the_base_table_evaluation(self):
-        # s = 1 takes the Cauchy path over the base table: the same fields,
-        # bit for bit, as a spectrum that cannot grow.
-        for spec in (S3, sphere_spectrum(5, c=0.3), torus_spectrum(3, [1.0, 1.3])):
-            fixed = replace(spec, grow=None)
-            for gamma, lam in ((0.4, 0.3), (2.5, 1.0), (1.1, 2.5)):
-                z, zp = _point_pair(spec, 1.0, 1.0, gamma)
-                for a, b in ((resolvent_kernel(ResolventRequest(spec, z, zp, lam=lam)),
-                              resolvent_kernel(ResolventRequest(fixed, z, zp, lam=lam))),
-                             *zip(resolvent_gradient(ResolventRequest(spec, z, zp, lam=lam)).__dict__.values(),
-                                  resolvent_gradient(ResolventRequest(fixed, z, zp, lam=lam)).__dict__.values())):
-                    assert a == b and a.tail_kind == "cauchy" and a.modes_used <= len(spec.table.mu)
 
     def test_cancelling_sum_is_not_certified(self):
         # Far apart at large lam r' the terms cancel to e^{-30} of their size:

@@ -12,7 +12,6 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from conekit import (
     DEFAULTS,
@@ -21,13 +20,10 @@ from conekit import (
     NormsOnlyError,
     PInterval,
     PositivityError,
-    ResolventRequest,
     UnsupportedError,
-    cone_distance,
     l2_bound_constant,
     load_spectrum,
     offdiag_bound_check,
-    resolvent_gradient,
     riesz_kernel,
     sphere_spectrum,
     threshold_interval,
@@ -36,7 +32,6 @@ from conekit import (
     torus_spectrum,
 )
 from conekit.bessel import log_ik_integrals
-from conekit.resolvent import _prepare_series
 
 import oracles
 
@@ -192,7 +187,6 @@ class TestRieszKernel:
         assert worst < 1e-4
 
     def test_error_estimate_is_honest(self):
-        # Near the diagonal the estimate is carried by the worst series tail.
         near_diagonal = [(0.8, 1.0, 1.0), (0.95, 1.0, 0.2), (1.0, 1.0, 0.5)]
         for r, rp, gamma in self.POINTS + near_diagonal:
             kv = self._eval(S3, r, rp, gamma)
@@ -232,77 +226,6 @@ class TestRieszKernel:
         assert tight.modes_used > loose.modes_used
 
 
-def _reference_riesz(spec, z, zp, rel_tol=DEFAULTS.riesz_rel_tol, visited=None):
-    """The lambda-integral rebuilt node by node from the public resolvent API.
-
-    One ``resolvent_gradient`` request per integrand call, one ``quad`` run
-    per component and panel (the angular one skipped at zero separation),
-    plus the lambda_max and worst-tail terms.  Returns d_r, angular and
-    ``quad_error_est``; ``visited``, a set, collects the lambda nodes.
-    """
-    gamma = spec.cross_section.distance(z.y, zp.y)
-    dist = cone_distance(z.r, zp.r, gamma)
-    lam_max = DEFAULTS.lambda_max_pad * math.log(1.0 / rel_tol) / dist
-    grad_tol = min(DEFAULTS.kernel_rel_tol, 0.1 * rel_tol)
-    b_hi, b_lo = 1.0 / min(z.r, zp.r), 1.0 / max(z.r, zp.r)
-    edges = [0.0] + sorted(b for b in {b_lo, b_hi} if 0.0 < b < lam_max) + [lam_max]
-    worst = [0.0]
-
-    def grad_at(lam):
-        if visited is not None:
-            visited.add(lam)
-        g = resolvent_gradient(ResolventRequest(spec, z, zp, lam=lam, rel_tol=grad_tol))
-        for kv in (g.d_r, g.angular):
-            if kv.value != 0.0 and kv.rel_tail > worst[0]:
-                worst[0] = kv.rel_tail
-        return g.d_r.float_value(), g.angular.float_value()
-
-    total, err = [0.0, 0.0], 0.0
-    for comp in (0, 1):
-        if comp == 1 and gamma == 0.0:
-            continue
-        for a, b in zip(edges, edges[1:]):
-            res = quad(lambda lam: grad_at(lam)[comp], a, b, epsabs=0.0,
-                       epsrel=0.3 * rel_tol, limit=100, full_output=1)
-            total[comp] += res[0]
-            err += abs(res[1])
-    tail_r, tail_a = grad_at(lam_max)
-    err += 2.0 * (abs(tail_r) + abs(tail_a)) / dist
-    err += worst[0] * (abs(total[0]) + abs(total[1]))
-    scale = 2.0 / math.pi
-    return scale * total[0], scale * total[1], scale * err
-
-
-class TestSharedNodes:
-    """At r = r' the lambda-quadrature is the node-by-node algorithm, bit for bit."""
-
-    POINTS = [(1.0, 1.0, 0.5)]
-
-    @pytest.mark.parametrize("spec", [S3, S3_NEG], ids=["S3", "S3_NEG"])
-    def test_matches_the_per_node_reference(self, spec, monkeypatch):
-        # The radial and angular passes share their nodes: the series runs
-        # once per distinct lambda the reference visits.
-        calls = []
-
-        def counting(*args, **kwargs):
-            series = _prepare_series(*args, **kwargs)
-
-            def evaluate(lam, *rest):
-                calls.append(lam)
-                return series(lam, *rest)
-            return evaluate
-
-        monkeypatch.setattr("conekit.riesz._prepare_series", counting)
-        for r, rp, gamma in self.POINTS:
-            y, yp = spec.cross_section.points_at_separation(gamma)
-            z, zp = ConePoint(r, y), ConePoint(rp, yp)
-            calls.clear()
-            kv = riesz_kernel(spec, z, zp)
-            visited = set()
-            assert (kv.d_r, kv.angular, kv.quad_error_est) == _reference_riesz(spec, z, zp, visited=visited)
-            assert len(calls) == len(set(calls)) and set(calls) == visited
-
-
 class TestRieszErrors:
     """Bad inputs are refused before any mode integral or quadrature runs."""
 
@@ -311,7 +234,7 @@ class TestRieszErrors:
         def fail(*args, **kwargs):
             raise AssertionError("the kernel was evaluated before the input was refused")
         monkeypatch.setattr("conekit.resolvent.log_ik_integrals", fail)
-        monkeypatch.setattr("conekit.riesz._riesz_on_diagonal", fail)
+        monkeypatch.setattr("conekit.resolvent._heat_diagonal", fail)
 
     def test_diagonal(self):
         y, _ = S3.cross_section.points_at_separation(0.5)
@@ -388,10 +311,10 @@ class TestClosedForm:
         assert certified >= 3
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.special takes about 0.33 s to import, and scipy.integrate
-        # about 0.3 s more: only Bessel values need the first, and only
-        # r = r' the second.  Spectra, thresholds and off-diagonal Riesz
-        # values need neither.
+        # scipy.special takes about 0.33 s to import, and only Bessel values
+        # need it, r = r' Riesz values among them.  Spectra, thresholds and
+        # off-diagonal Riesz values need no scipy module, and no value needs
+        # scipy.integrate.
         code = "\n".join([
             "import sys, math",
             "import conekit, conekit.cli",
@@ -409,12 +332,51 @@ class TestClosedForm:
             "assert gv.certified and 'scipy.special' in sys.modules and 'scipy.integrate' not in sys.modules",
             "kv = riesz_kernel(spec, ConePoint(1.0, y), ConePoint(1.0, yp))",
             "assert math.isfinite(kv.magnitude) and math.isfinite(kv.quad_error_est)",
-            "assert 'scipy.integrate' in sys.modules",
+            "assert 'scipy.integrate' not in sys.modules",
         ])
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+class TestDiagonal:
+    """r = r': the lambda-integral of the cone heat kernel's tau rule."""
+
+    @staticmethod
+    def _eval(spec, r, rp, gamma):
+        y, yp = spec.cross_section.points_at_separation(gamma)
+        return riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_flat_space_oracle(self, d):
+        spec = sphere_spectrum(d)
+        for r in (0.3, 1.0, 4.0):
+            for gamma in (0.1, 0.5, 1.3, 2.2, 3.0):
+                kv = self._eval(spec, r, r, gamma)
+                want = oracles.riesz_flat(d, r, r, gamma) if d != 3 else oracles.riesz_r3(r, r, gamma)
+                err = abs(kv.d_r - want[0]) + abs(kv.angular - want[1])
+                assert not kv.certified and kv.tail_kind == "quadrature", (d, r, gamma)
+                assert err <= kv.quad_error_est, (d, r, gamma, err, kv.quad_error_est)
+                assert err <= DEFAULTS.riesz_rel_tol * math.hypot(*want), (d, r, gamma, err)
+
+    @pytest.mark.parametrize("d, c", [(3, -0.24), (3, 0.75), (4, -0.5)])
+    def test_continuous_with_the_closed_form_side(self, d, c, monkeypatch):
+        # At (1, 1, 0.5) the value agrees with the linear extrapolation of
+        # the values at s = 0.995 and 0.999 to within its second-order term
+        # (5.2e-5 |T| on R^3).  Halving the first step, or summing twice the
+        # modes at each node, moves it by less than its estimate.
+        spec = sphere_spectrum(d, c=c)
+        kv = self._eval(spec, 1.0, 1.0, 0.5)
+        near, nearer = self._eval(spec, 0.995, 1.0, 0.5), self._eval(spec, 0.999, 1.0, 0.5)
+        line = [b + (b - a) / 4.0 for a, b in ((near.d_r, nearer.d_r), (near.angular, nearer.angular))]
+        assert abs(kv.d_r - line[0]) + abs(kv.angular - line[1]) <= 1e-4 * kv.magnitude
+        for refine in ({"_DIAG_STEP": 0.25}, {"_DIAG_MU_SLOPE": 18.0, "_DIAG_MU_FLOOR": 24.0}):
+            with monkeypatch.context() as m:
+                for name, value in refine.items():
+                    m.setattr(f"conekit.resolvent.{name}", value)
+                finer = self._eval(spec, 1.0, 1.0, 0.5)
+            assert abs(finer.d_r - kv.d_r) + abs(finer.angular - kv.angular) <= kv.quad_error_est, refine
 
 
 class TestOffdiagModels:

@@ -22,7 +22,7 @@ from conekit import (
     torus_spectrum,
     weyl_fit,
 )
-from conekit.spectrum import TABLE_CEILING, TailProfile
+from conekit.spectrum import TABLE_CEILING, SphereTail, TailProfile, _torus_table
 
 import oracles
 
@@ -706,10 +706,23 @@ class TestGrownTables:
         assert load_spectrum(tmp_path / "s.json").grown(100.0) is None
         # Past the ceiling a sphere table stops at 2**16 degrees.
         assert spec.grown(70000.0).mu.size == TABLE_CEILING
-        assert torus_spectrum(4, [1.0, 1.0, 1.0]).grown(80.0) is None
-        # A box of about 1e24 lattice vectors: counted in floats, not wrapped in int64.
-        assert torus_spectrum(3, [1.0, 1.3]).grown(1e12) is None
         assert sphere_spectrum(3).grown(1e12).mu.size == TABLE_CEILING
+
+    @pytest.mark.parametrize("radii", [[1.0, 1.0, 1.0], [1.0, 1.3]])
+    def test_torus_table_stops_at_the_largest_box(self, radii):
+        # A torus table whose lattice box would pass the ceiling holds the
+        # complete clusters of the largest box under it: the same table as
+        # one built to its top mode without a limit.  A box of about 1e24
+        # vectors (mu_max = 1e12) is counted in floats, not wrapped in int64.
+        spec = torus_spectrum(len(radii) + 1, radii)
+        cut = spec.grown(1e12)
+        assert cut.mult.sum() <= TABLE_CEILING and cut.mu[-1] > 19.9
+        assert torus_spectrum(len(radii) + 1, radii).grown(spec.mu_cutoff * 4).mu.tolist() == cut.mu.tolist()
+        whole = _torus_table(spec.cross_section, spec.mu0 ** 2, float(cut.mu[-1]))
+        assert whole.mu.tolist() == cut.mu.tolist() and whole.mult.tolist() == cut.mult.tolist()
+        # One layer more would pass the ceiling.
+        lam_top = float(cut.mu[-1]) ** 2 - spec.mu0 ** 2
+        assert math.prod(2 * math.floor(a * math.sqrt(lam_top)) + 3 for a in radii) > TABLE_CEILING
 
     def test_sphere_table_is_the_tail_table(self):
         # Each degree is built and kept once: the grown table's arrays are
@@ -719,6 +732,20 @@ class TestGrownTables:
         spec.tail_profile.sum_beyond(0.2, 400.0)
         kept = spec.tail_profile._table
         assert all(np.shares_memory(v, kept) for v in (table.mu, table.mult, table.pair_sup, table.grad_sup))
+
+    def test_tail_past_the_ceiling_reads_no_whole_table(self, monkeypatch):
+        # A tail seeded at the last degree of a table cut at the ceiling finds
+        # the first degree past it from a few degrees below the count: a
+        # second call builds only blocks past the ceiling, never the degree
+        # table from 0 (at s = 0.9999 such rebuilds took 139 of 248 ms).
+        spec = sphere_spectrum(3)
+        top = float(spec.grown(1e12).mu[-1])
+        first = spec.tail_profile.sum_beyond(0.9999, top)
+        built = []
+        build = SphereTail._build
+        monkeypatch.setattr(SphereTail, "_build", lambda self, lo, hi: built.append(lo) or build(self, lo, hi))
+        assert spec.tail_profile.sum_beyond(0.9999, top) == first
+        assert built and min(built) >= TABLE_CEILING - 4, built
 
     @pytest.mark.parametrize("spec", [sphere_spectrum(3, c=0.4), torus_spectrum(3, [1.0, 1.3])])
     def test_sum_beyond_kinds_are_a_prefix(self, spec):

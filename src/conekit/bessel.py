@@ -11,40 +11,44 @@ it and carry an explicit binary exponent: the result is
 ``value * 2**exp2``, with ``exp2 == 0`` whenever the plain float is
 comfortably representable (see :func:`split_log`).
 
-Algorithm, the same rule at every order, one vector pass per kind:
+Algorithm: numpy only, one vector pass per method over the entries it
+takes (:func:`_blocks`), with nu_min = ``DEFAULTS.olver_nu_min`` = 40:
 
-* scipy's exponentially scaled ``ive`` / ``kve`` wherever the scaled value
-  is a normal finite double.  From order ``DEFAULTS.olver_nu_min`` = 30
-  on, Olver's leading term predicts each log to within 0.01, and in
-  arrays with at least 64 such orders the ones it puts beyond double
-  range by a factor e or more skip scipy, whose large-order path is slow.
-* The other entries fall back, all of a kind at once.  ``ive`` underflows
-  only at x << nu (at nu = 30 below about x = 2e-9, at nu = 200 below
-  x = 4.6); there ``I`` comes from the ascending power series, an array
-  sum of at most 20 terms, where q = (x/2)^2 <= nu + 1, and from Olver's
-  uniform expansion (DLMF 10.41.3) past that.  ``kve`` overflows at small x;
-  there ``K`` comes from its leading term Gamma(nu) (2/x)^nu / 2 (DLMF
-  10.30.2) below order 30, whose relative correction (x/2)^2 / (nu - 1)
-  is then far below rounding (below order 1, where x is subnormal, with
-  the second term kept), and from Olver's expansion (DLMF 10.41.4) from
-  it on.  Olver's sums run over the order array as one
-  ``np.polynomial`` evaluation, keeping the terms above rounding.
+* ``uniform-asymptotic``: Olver's expansions (DLMF 10.41.3, 10.41.4),
+  20 terms, written in W = sqrt(nu^2 + x^2) so that they hold down to
+  nu = 0, where they are Hankel's large-argument expansions.  I takes
+  them past (x/2)^2 = nu + 1 from order nu_min on, and at every order
+  past x = 20; K from order nu_min on, and past x = 20, above x = 1e-10.
+  Their last term, kept as the truncation estimate, is below 1e-16 of
+  the sum from order 15 on and below 6e-15 from x = 20 on.  nu_min is
+  higher than accuracy needs: it keeps every order of a default base
+  table (mu < 40) in one series or integral pass, and the orders the
+  table grows to in one Olver pass, which measures fastest.
+* ``power-series``: I's ascending series (DLMF 10.25.2), all terms
+  positive: at most 18 of them where (x/2)^2 <= nu + 1, at most 40 below
+  order nu_min up to x = 20.
+* ``integral``: K below order nu_min for 1e-10 < x <= 20, by the
+  trapezoid rule on K_nu(x) e^x = 1/2 Int exp(nu t - x (cosh t - 1)) dt
+  (DLMF 10.32.9) about its peak, written so that no term cancels; the
+  step is sized from the integrand's strip of analyticity.
+* ``small-argument``: K at x <= 1e-10, by its leading terms (DLMF
+  10.30.2; two of them below order 0.999, DLMF 10.27.4), whose next term
+  is then below 3e-18 relative.
 
 Derivatives use ``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
 ``K'_nu = -(K_{|nu-1|} + K_{nu+1})/2``.  Both are sums of positive terms,
 combined with ``logaddexp``, so no cancellation occurs; each partner order
-is dispatched by the rule above on its own.
+takes the method of the order it serves.  Olver's ``U_k`` table is built
+on its first use, by the exact recurrence in floating point.
 
-scipy's ufuncs (``ive``, ``kve``, ``gammaln``) are bound on the first
-evaluation, not at import: ``scipy.special`` costs about 0.33 s to load,
-and spectra, thresholds and off-diagonal Riesz values need no Bessel
-value.  Olver's ``U_k`` table is likewise built on its first use.
-
-Accuracy: validated against 40-digit reference values at 1e-12 relative
-over nu <= 200, r in [1e-6, 500], and up to order 60000 with x from
-1e-6 to 2 nu at 1e-12 times the size of the log (see the test suite).
-``abs_error_est`` is a running estimate of rounding plus truncation, not a
-certified enclosure.
+Accuracy: within 1e-12 relative of 40-digit reference values over
+nu <= 200, x in [1e-300, 500], on both sides of every switch above, and
+up to order 60000 with x from 1e-6 to 2 nu at 1e-12 times the size of
+the log (see the test suite); measured errors are a few 1e-15 times
+max(1, |log|).  ``rel`` (and ``abs_error_est`` built from it) estimates
+each method's error in the scaled value: the rounding of the log's large
+terms (2 eps per unit of their size), of sums (eps per term), and
+Olver's last term.  It is an estimate, not a certified enclosure.
 """
 
 from __future__ import annotations
@@ -52,10 +56,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .config import DEFAULTS
 from .errors import DomainError
@@ -78,14 +80,6 @@ _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01  # Cody-Waite split of log 2
 _LN2_LO = 1.90821492927058770002e-10
-_TINY = 2.2250738585072014e-308  # smallest normal double
-# scipy.special's ufuncs, bound by _bind_special on the first evaluation.
-gammaln = ive = kve = None
-
-
-def _bind_special():
-    global gammaln, ive, kve
-    from scipy.special import gammaln, ive, kve
 
 
 @dataclass(frozen=True)
@@ -146,110 +140,153 @@ def _validate(nu: float, r: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# Fallbacks, vector over the entries scipy could not give: each returns
-# (log of the unscaled value, rel error).
+# The four methods, each one vector pass over the entries dispatched to
+# it; each returns (log of the scaled value, rel error).
 # ----------------------------------------------------------------------
 
-def _gen_olver_polys(kmax: int) -> list[list[float]]:
-    """U_k polynomials (ascending coefficients in p), exact recurrence.
+def _lgamma(z):
+    """log Gamma over a 1-D array of positive arguments (``math.lgamma`` entry by entry)."""
+    return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
+
+
+def _gen_olver_polys(kmax: int) -> list[np.ndarray]:
+    """U_0 .. U_kmax, each an array of its ascending coefficients in p (U_k has degree 3k).
 
     U_0 = 1,  U_{k+1}(p) = p^2(1-p^2)/2 * U_k'(p)
-                           + (1/8) * Integral_0^p (1 - 5 t^2) U_k(t) dt.
-    Done in Fraction arithmetic; degree of U_k is 3k.
+                           + (1/8) * Integral_0^p (1 - 5 t^2) U_k(t) dt,
+    coefficient by coefficient: p^{i+1} gains (i/2 + 1/(8(i+1))) u_i and
+    p^{i+3} loses (i/2 + 5/(8(i+3))) u_i.
     """
-    polys = [[Fraction(1)]]
+    polys = [np.ones(1)]
     for _ in range(kmax):
         u = polys[-1]
-        du = [i * c for i, c in enumerate(u)][1:]
-        nxt = [Fraction(0)] * (len(u) + 3)
-        for i, c in enumerate(du):  # p^2/2 * u' - p^4/2 * u'
-            nxt[i + 2] += c / 2
-            nxt[i + 4] -= c / 2
-        for i, c in enumerate(u):  # (1/8) int (1 - 5 t^2) u
-            nxt[i + 1] += c / (8 * (i + 1))
-            nxt[i + 3] -= 5 * c / (8 * (i + 3))
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
+        i = np.arange(u.size)
+        nxt = np.zeros(u.size + 3)
+        nxt[1:-2] += (0.5 * i + 1.0 / (8.0 * (i + 1))) * u
+        nxt[3:] -= (0.5 * i + 5.0 / (8.0 * (i + 3))) * u
         polys.append(nxt)
-    return [[float(c) for c in poly] for poly in polys]
+    return polys
+
+
+_OLVER_TERMS = 20  # U_0 .. U_19: the last is below 1e-16 of the sum from order 15 on, 6e-15 from x = 20
 
 
 @functools.cache
-def _olver_table():
-    """(grid, sup) for U_0 .. U_12, built on the first call of :func:`_olver`.
+def _olver_grid(kind: str) -> np.ndarray:
+    """Row k: (+-1)^k times V_k's ascending coefficients, where U_k(p) = p^k V_k(p^2).
 
-    U_k(p) = p^k V_k(p^2): row k of ``grid`` holds V_k's coefficients, so
-    that sum_{k<n} (+-1)^k U_k(p) / nu^k = polyval2d(+-p/nu, p^2, grid[:n, :n]).
-    ``sup[k]`` is max |U_k(p)| over 0 <= p <= 1 (sampled), which bounds
-    term k by sup[k] / nu^k.
+    Built on the first call of :func:`_olver`; the sign is + for I, - for K.
     """
-    polys = _gen_olver_polys(12)
-    grid = np.array([[poly[k + 2 * j] if k + 2 * j < len(poly) else 0.0 for j in range(len(polys))]
-                     for k, poly in enumerate(polys)])
-    sup = np.array([np.abs(_poly.polyval(np.linspace(0.0, 1.0, 1001), poly)).max() for poly in polys])
-    return grid, sup
+    rows = [np.pad(u[k::2], (0, _OLVER_TERMS - 1 - k)) for k, u in enumerate(_gen_olver_polys(_OLVER_TERMS - 1))]
+    return np.array(rows) * (1.0 if kind == "i" else -1.0) ** np.arange(_OLVER_TERMS)[:, None]
 
 
-_SERIES_TERMS = 20  # the I series runs where q = (x/2)^2 <= nu + 1: term k is then at most 1/k!
-_LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(1.7976931348623157e308)
-_SKIP_MIN = 64
-
-
-def _i_series(nu, x):
-    """log I_nu(x) by the all-positive ascending series, where q = (x/2)^2 <= nu + 1.
-
-    Term k is q^k / (k! (nu+1)_k) <= t^k / k! with t the largest q/(nu+1),
-    so the sum keeps the terms before the first whose bound is below
-    rounding (at most _SERIES_TERMS).
-    """
-    if gammaln is None:
-        _bind_special()
-    q = 0.25 * x * x
-    t = float((q / (nu + 1.0)).max())
-    n = next(k for k in range(_SERIES_TERMS) if t ** (k + 1) / math.factorial(k + 1) <= 0.25 * _EPS)
-    k = np.arange(1.0, n + 1.0)[:, None]
-    total = 1.0 + np.cumprod(q / (k * (nu + k)), axis=0).sum(axis=0)
-    ln_pref = nu * np.log(0.5 * x) - gammaln(nu + 1.0)
-    return ln_pref + np.log(total), (n + 4) * _EPS + 2.0 * np.abs(ln_pref) * _EPS
-
-
-def _olver_leading(kind: str, nu, x):
-    """(log of the leading term of Olver's expansion, w, eta) at z = x/nu.
-
-    With w = sqrt(1 + z^2) and eta = w + log(z/(1+w)), the leading terms
-    are e^{nu eta} / sqrt(2 pi nu w) for I and pi e^{-nu eta} / sqrt(2 pi nu w)
-    for K (DLMF 10.41.3, 10.41.4).
-    """
-    z = x / nu
-    w = np.hypot(1.0, z)
-    eta = w + np.log(z / (1.0 + w))
-    ln = (nu * eta if kind == "i" else -nu * eta) - 0.5 * np.log(2.0 * np.pi * nu) - 0.5 * np.log(w)
-    return (ln if kind == "i" else ln + math.log(math.pi)), w, eta
+_CUMPROD_MAX = 64  # below this many entries numpy's cumprod builds the power table fastest
 
 
 def _olver(kind: str, nu, x):
-    """log I_nu(x) or log K_nu(x) by Olver's uniform large-order expansions.
+    """Olver's uniform expansions (DLMF 10.41.3, 10.41.4), in W = sqrt(nu^2 + x^2).
 
-    The leading term times sum_k (+-1)^k U_k(p)/nu^k, p = 1/w, keeping
-    the terms k < n, n the first index whose bound sup[n] / nu^n is
-    below rounding at the smallest order (at most 13 terms).
+    With z = x/nu and p = 1/sqrt(1 + z^2) = nu/W, the series
+    sum_k (+-1)^k U_k(p)/nu^k is sum_k (+-1)^k V_k(p^2)/W^k, finite at
+    nu = 0, where it is Hankel's large-argument expansion (DLMF 10.40.1,
+    10.40.2).  All _OLVER_TERMS terms are summed: the powers of p^2 times
+    the V_k table, one matrix product, times the powers of 1/W.  The last
+    term is the truncation estimate.  The leading factor's exponent,
+    nu eta -+ x, is nu^2/(W + x) + nu log(x/(nu + W)): no term cancels.
     """
-    ln_lead, w, eta = _olver_leading(kind, nu, x)
-    p = 1.0 / w
-    u_grid, u_sup = _olver_table()
-    bound = u_sup / nu.min() ** np.arange(len(u_sup))
-    n = next((k for k in range(1, len(bound)) if bound[k] <= 0.25 * _EPS), len(bound))
-    total = _poly.polyval2d((p if kind == "i" else -p) / nu, p * p, u_grid[:n, :n])
-    last = min(n, len(u_sup) - 1)  # the first term left out, or the last one kept
-    return ln_lead + np.log(total), u_sup[last] / nu ** last / total + (np.abs(nu * eta) + 16.0) * _EPS
+    w = np.hypot(nu, x)
+    powers = np.empty((_OLVER_TERMS, 2, w.size))  # row k: p^2k and W^-k
+    powers[0] = 1.0
+    powers[1:, 0], powers[1:, 1] = (nu / w) ** 2, 1.0 / w
+    if w.size < _CUMPROD_MAX:
+        np.cumprod(powers, axis=0, out=powers)
+    else:  # numpy's cumprod runs one short loop per column: a multiply per row beats it
+        for k in range(2, _OLVER_TERMS):
+            powers[k] *= powers[k - 1]
+    terms = (_olver_grid(kind) @ powers[:, 0]) * powers[:, 1]
+    total = terms.sum(axis=0)
+    exponent = nu * (nu / (w + x) + np.log(x / (nu + w)))  # nu eta - x
+    if kind == "k":
+        exponent = -exponent
+    ln = exponent + np.log(total) + 0.5 * (math.log(0.5 / math.pi if kind == "i" else 0.5 * math.pi) - np.log(w))
+    return ln, np.abs(terms[-1] / total) + (16.0 + 2.0 * np.abs(exponent)) * _EPS
+
+
+_SERIES_K = np.arange(1.0, 101.0)  # term indices of the I series
+
+
+def _i_series(nu, x):
+    """log I_nu(x) e^{-x} by the all-positive ascending series (DLMF 10.25.2).
+
+    Term k is q^k / (k! (nu+1)_k), q = (x/2)^2.  Term k / term k-1 is at
+    most t/k, t the largest q/(nu+1), and at most q_max / (k (nu_min + k)),
+    so the sum keeps the terms before the first whose bound from the
+    smaller of the two ratios is below rounding.
+    """
+    q = 0.25 * x * x
+    nu_min = float(nu.min())
+    if isinstance(q, np.ndarray):
+        q_max, t = float(q.max()), float((q / (nu + 1.0)).max())
+    else:
+        q_max = t = float(q)
+        t /= nu_min + 1.0
+    n, bound = 0, 1.0
+    while bound > 0.25 * _EPS:
+        n += 1
+        bound *= min(t / n, q_max / (n * (nu_min + n)))
+    k = _SERIES_K[:n, None]
+    total = 1.0 + np.cumprod(q / (k * (nu + k)), axis=0).sum(axis=0)
+    ln_power, ln_gamma = nu * (np.log(x) - _LN2), _lgamma(nu + 1.0)
+    return (ln_power - ln_gamma + np.log(total) - x,
+            (n + 4.0) * _EPS + 2.0 * _EPS * (np.abs(ln_power) + np.abs(ln_gamma)))
+
+
+_K_CUT = 40.0  # the K rule's nodes reach where the integrand is e^{-40} of its peak
+_K_STEP = 0.22  # its step at nu = x = 0
+
+
+def _k_integral(nu, x):
+    """log K_nu(x) e^x from K_nu(x) e^x = 1/2 Integral exp(nu t - x (cosh t - 1)) dt (DLMF 10.32.9).
+
+    About the peak t0 = asinh(nu/x), with W = sqrt(nu^2 + x^2) and
+    t = t0 + u, the exponent is
+
+        nu t0 - nu^2/(W + x) - [x^2/(W + nu) (cosh u - 1) + nu (e^u - 1 - u)],
+
+    both bracketed terms positive; W (cosh u - 1) + nu (sinh u - u), the
+    same sum, cancels at x << nu.  The trapezoid rule of step
+    h = 0.22 / sqrt(1 + nu/5 + a/9), a = x^2/(W + nu), runs out to where
+    the bracket passes 40.  The integrand is entire; on the line Im u = d
+    it grows by at most (cos d)^{-nu} e^{a (1 - cos d)}, so the rule's
+    error is about the least over d of e^{-2 pi d / h} times that, which
+    this step keeps below e^{-44} for every nu and a.  All entries share
+    the nodes: the smallest step any needs over the widest range.
+    """
+    w = np.hypot(nu, x)
+    a = x * x / (w + nu)
+    # One step for all entries, the smallest any needs, and one range, the widest.
+    h = _K_STEP / math.sqrt(1.0 + 0.2 * nu.max() + a.max() / 9.0)
+    left = np.minimum(np.arccosh(1.0 + _K_CUT / a), 1.0 + _K_CUT / np.maximum(nu, 1e-300)).max()
+    right = math.acosh(1.0 + _K_CUT / w.min())
+    u = h * np.arange(-math.ceil(left / h), math.ceil(right / h) + 1.0)
+    # Minus the bracket at every (entry, node), as one product.
+    bracket = np.stack((a, nu), axis=1) @ np.stack((1.0 - np.cosh(u), u - np.expm1(u)))
+    # e^{-700} is nothing beside the peak's 1; numpy's exp is several times
+    # slower where its result underflows.
+    total = np.exp(np.maximum(bracket, -700.0, out=bracket), out=bracket).sum(axis=1)
+    peak = nu * np.arcsinh(nu / x) - nu * nu / (w + x)
+    return peak + np.log(0.5 * h * total), (16.0 + 2.0 * np.abs(peak)) * _EPS
 
 
 def _k_leading(nu, x):
-    """log K_nu(x) by its small-argument leading terms (nu < olver_nu_min).
+    """log K_nu(x) e^x by its small-argument leading terms, x <= _X_TINY.
 
-    kve overflows only where nu > 0.95, and (x/2)^2/(nu-1) bounds the next
-    term for nu > 1.  For nu < 1, x is subnormal, and the second term,
-    of relative size -Gamma(1-nu)/Gamma(1+nu) (x/2)^{2 nu} = -e^L, is kept
+    The leading term Gamma(nu) (2/x)^nu / 2 (DLMF 10.30.2) serves from
+    nu = 0.999 on: the next terms, (x/2)^2 / (1 - nu) and
+    Gamma(-nu)/Gamma(nu) (x/2)^{2 nu} relative, are each below 3e-18 there
+    and cancel each other's poles at nu = 1.  Below, the second term, of
+    relative size -Gamma(1-nu)/Gamma(1+nu) (x/2)^{2 nu} = -e^L, is kept
     (DLMF 10.27.4 with 10.25.2).  With L = nu M,
 
         K_nu(x) = Gamma(1+nu)/2 (x/2)^{-nu} (e^L - 1)/L (-M),
@@ -258,74 +295,98 @@ def _k_leading(nu, x):
     (log Gamma(1-nu) - log Gamma(1+nu)) / (2 nu) comes from its odd Taylor
     series below nu = 1e-3, where the two logs would cancel.
     """
-    if gammaln is None:
-        _bind_special()
-    ln_val = gammaln(nu) + (nu - 1.0) * _LN2 - nu * np.log(x)
-    trunc = np.where(nu > 1.0, 0.25 * x * x / np.maximum(nu - 1.0, _EPS), 0.0)
-    rel = (4.0 + 2.0 * np.abs(ln_val)) * _EPS + trunc
-    low = nu < 1.0
+    ln_val = _lgamma(np.maximum(nu, 0.5)) + (nu - 1.0) * _LN2 - nu * np.log(x)
+    rel = (4.0 + 2.0 * np.abs(ln_val)) * _EPS
+    low = nu < 0.999
     if low.any():
-        nu_l, ln_half_x = nu[low], np.log(x[low]) - _LN2
+        nu_l, ln_half_x = nu[low], np.log(x[low] if isinstance(x, np.ndarray) else x) - _LN2
         wide, sq = np.maximum(nu_l, 1e-3), nu_l * nu_l  # series: 2 (gamma + zeta(3)/3 nu^2 + zeta(5)/5 nu^4)
         gap = np.where(nu_l < 1e-3, 2.0 * (np.euler_gamma + sq * (0.40068563438653143 + sq * 0.207385551028674)),
-                       (gammaln(1.0 - wide) - gammaln(1.0 + wide)) / wide)
+                       (_lgamma(1.0 - wide) - _lgamma(1.0 + wide)) / wide)
         m = gap + 2.0 * ln_half_x
         with np.errstate(invalid="ignore"):  # nu = 0, where (e^L - 1)/L is 1
             exprel = np.where(nu_l > 0.0, np.expm1(nu_l * m) / (nu_l * m), 1.0)
-        ln_val[low] = gammaln(1.0 + nu_l) - _LN2 - nu_l * ln_half_x + np.log(exprel) + np.log(-m)
+        ln_val[low] = _lgamma(1.0 + nu_l) - _LN2 - nu_l * ln_half_x + np.log(exprel) + np.log(-m)
         rel[low] = (16.0 + 2.0 * np.abs(ln_val[low])) * _EPS
-    return ln_val, rel
+    return ln_val + x, rel
 
 
 # ----------------------------------------------------------------------
 # Whole arrays of orders.
 # ----------------------------------------------------------------------
 
-METHODS = ("scipy", "power-series", "small-argument", "uniform-asymptotic")
-_SERIES, _LEADING, _OLVER = 1, 2, 3  # indices into METHODS
+METHODS = ("integral", "power-series", "small-argument", "uniform-asymptotic")
+_INTEGRAL, _SERIES, _LEADING, _OLVER = range(4)  # indices into METHODS
+_X_TINY = 1e-10  # K takes its leading terms at x <= this
+_X_LARGE = 20.0  # below olver_nu_min, Olver's 20 terms are within 6e-15 from here on
 
 
-def _log_scaled_values(kind: str, nu: np.ndarray, x):
-    """(log scaled value, rel error, method index) for one kind, no derivative."""
-    shift = x if kind == "i" else -x  # log of the unscaled value = ln + shift
-    if ive is None:
-        _bind_special()
-    scipy_fn = ive if kind == "i" else kve
-    # From olver_nu_min on, Olver's leading term gives each log to within
-    # 0.01; the orders it puts beyond double range by a factor e or more
-    # cannot come out of scipy as normal doubles, so they skip it and fall
-    # back below, through the inf that marks them.  That spares scipy's
-    # slow large-order path in grown tables; below _SKIP_MIN such orders
-    # (a base table) the check costs more than it saves.
-    skip = nu >= DEFAULTS.olver_nu_min if nu.size >= _SKIP_MIN else None
-    if skip is not None and np.count_nonzero(skip) >= _SKIP_MIN:
-        x_b, shift_b = np.broadcast_to(x, nu.shape), np.broadcast_to(shift, nu.shape)
-        lead = _olver_leading(kind, nu[skip], x_b[skip])[0] - shift_b[skip]
-        skip[skip] = (lead < _LOG_TINY - 1.0) if kind == "i" else (lead > _LOG_HUGE + 1.0)
-        scaled = np.full(nu.shape, np.inf)
-        scaled[~skip] = scipy_fn(nu[~skip], x_b[~skip])
-    else:
-        scaled = scipy_fn(nu, x)
-    fell = ~(np.isfinite(scaled) & (scaled >= _TINY))
-    ln = np.log(np.maximum(scaled, _TINY))  # fallen-back entries are replaced below
-    # Models scipy's measured error, which grows with the order and with
-    # the log of the value (power-series prefactors at small x).
-    rel = 16.0 * _EPS * (1.0 + nu + np.abs(ln + shift))
-    method = fell.view(np.int8)  # 0 where scipy gave the value; the others are set below
-    if fell.any():
-        nu_f, x_f = nu[fell], np.broadcast_to(x, nu.shape)[fell]
-        # I: the series where q = (x/2)^2 <= nu + 1, else Olver.  K: the
-        # leading term below olver_nu_min, else Olver.
-        cheap = (0.25 * x_f * x_f <= nu_f + 1.0) if kind == "i" else (nu_f < DEFAULTS.olver_nu_min)
-        ln_f, rel_f = np.empty((2,) + nu_f.shape)
-        if cheap.any():
-            ln_f[cheap], rel_f[cheap] = (_i_series if kind == "i" else _k_leading)(nu_f[cheap], x_f[cheap])
-        if not cheap.all():
-            ln_f[~cheap], rel_f[~cheap] = _olver(kind, nu_f[~cheap], x_f[~cheap])
-        ln[fell] = ln_f - np.broadcast_to(shift, nu.shape)[fell]
-        rel[fell] = rel_f
-        method[fell] = np.where(cheap, _SERIES if kind == "i" else _LEADING, _OLVER)
-    return ln, rel, method
+def _split(mask, method, rest):
+    """The blocks of a two-way dispatch: ``method`` on ``mask``, ``rest`` elsewhere."""
+    count = np.count_nonzero(mask)
+    if count in (0, mask.size):
+        return [(method if count else rest, None)]
+    return [(method, mask), (rest, ~mask)]
+
+
+def _blocks(kind: str, nu: np.ndarray, x):
+    """The (method, entries) pairs of one pass: entries is None for all, else a mask.
+
+    I: Olver's expansion from (x/2)^2 > nu + 1 on, for orders from
+    olver_nu_min, or at x > _X_LARGE; the series elsewhere.  K: the
+    leading terms at x <= _X_TINY; Olver's expansion from olver_nu_min,
+    or at x > _X_LARGE; the integral elsewhere.  With a float x the
+    thresholds are floats, and a method that takes every entry needs no
+    mask.
+    """
+    vec = isinstance(x, np.ndarray)
+    lo = np.where(x > _X_LARGE, 0.0, DEFAULTS.olver_nu_min) if vec else \
+        (0.0 if x > _X_LARGE else DEFAULTS.olver_nu_min)
+    if kind == "i":
+        hi = 0.25 * x * x - 1.0  # the series serves every order from here
+        if not vec and hi <= lo:
+            return [(_SERIES, None)]
+        return _split((nu >= lo) & (nu < hi), _OLVER, _SERIES)
+    if not vec:
+        if x <= _X_TINY or x > _X_LARGE:
+            return [(_LEADING if x <= _X_TINY else _OLVER, None)]
+        return _split(nu >= lo, _OLVER, _INTEGRAL)
+    tiny = x <= _X_TINY
+    olver = (nu >= lo) & ~tiny
+    return [(m, take) for m, take in ((_OLVER, olver), (_LEADING, tiny), (_INTEGRAL, ~(olver | tiny))) if take.any()]
+
+
+_METHOD_FNS = {
+    _SERIES: lambda kind, nu, x: _i_series(nu, x),
+    _OLVER: _olver,
+    _INTEGRAL: lambda kind, nu, x: _k_integral(nu, x),
+    _LEADING: lambda kind, nu, x: _k_leading(nu, x),
+}
+
+
+def _log_scaled_values(kind: str, nu: np.ndarray, x, by=None):
+    """(log scaled value, rel error, method index) for one kind, no derivative.
+
+    Each block of :func:`_blocks` runs as one vector pass over its
+    entries, chosen by the orders ``by`` (by default ``nu``, which it
+    broadcasts to).
+    """
+    shape = nu.shape
+    nu = nu.ravel()
+    by = nu if by is None else np.broadcast_to(by, shape).ravel()
+    if isinstance(x, np.ndarray):  # log_scaled passes arrays of at least one dimension only
+        x = np.broadcast_to(x, shape).ravel()
+    blocks = _blocks(kind, by, x)
+    if len(blocks) == 1:  # one method takes every entry
+        m = blocks[0][0]
+        ln, rel = _METHOD_FNS[m](kind, nu, x)
+        return ln.reshape(shape), rel.reshape(shape), np.full(shape, m, dtype=np.int8)
+    ln, rel = np.empty((2, nu.size))
+    method = np.empty(nu.size, dtype=np.int8)
+    for m, take in blocks:
+        ln[take], rel[take] = _METHOD_FNS[m](kind, nu[take], x[take] if isinstance(x, np.ndarray) else x)
+        method[take] = m
+    return ln.reshape(shape), rel.reshape(shape), method.reshape(shape)
 
 
 def log_scaled(kind: str, nu, x, with_dr: bool = False):
@@ -339,18 +400,22 @@ def log_scaled(kind: str, nu, x, with_dr: bool = False):
       the same e^{-+x} scale (I' > 0 and K' < 0 throughout), else None;
     * ``rel`` -- relative error estimate, covering the derivative
       partners' too;
-    * ``method`` -- each entry's index into :data:`METHODS` (0 where the
-      order came from scipy).
+    * ``method`` -- each entry's index into :data:`METHODS`.
     """
     nu = np.asarray(nu, dtype=float)
-    if not isinstance(x, float) and np.ndim(x):
+    if isinstance(x, float) or not np.ndim(x):
+        x = float(x)
+    else:
         x = np.asarray(x, dtype=float)
         nu = np.broadcast_to(nu, np.broadcast_shapes(nu.shape, x.shape))
     if not with_dr:
         ln, rel, method = _log_scaled_values(kind, nu, x)
         return ln, None, rel, method
+    # Each derivative partner takes its order's method, which serves it as
+    # well (the integral and the series at any order, Olver's expansion
+    # from order 15 on).
     if kind == "i":
-        ln, rel, method = _log_scaled_values("i", np.stack((nu, nu + 1.0)), x)
+        ln, rel, method = _log_scaled_values("i", np.stack((nu, nu + 1.0)), x, nu)
         # nu = 0 drops the second term; nu / x overflows only at x below
         # nu * 5.6e-309, and those entries take the two logs apart.
         with np.errstate(divide="ignore", over="ignore"):
@@ -358,7 +423,7 @@ def log_scaled(kind: str, nu, x, with_dr: bool = False):
             if ln_dr.max() == np.inf:
                 ln_dr = np.where(ln_dr == np.inf, np.logaddexp(ln[1], np.log(nu) - np.log(x) + ln[0]), ln_dr)
     else:
-        ln, rel, method = _log_scaled_values("k", np.stack((nu, np.abs(nu - 1.0), nu + 1.0)), x)
+        ln, rel, method = _log_scaled_values("k", np.stack((nu, np.abs(nu - 1.0), nu + 1.0)), x, nu)
         ln_dr = np.logaddexp(ln[1], ln[2]) - _LN2
     return ln[0], ln_dr, rel.max(axis=0), method[0]
 
@@ -372,13 +437,15 @@ def _scalar(kind: str, nu: float, r: float, with_dr: bool):
     ln, ln_dr, rel, method = log_scaled(kind, [nu], r, with_dr)
     method = METHODS[method[0]]
     shift = r if kind == "i" else -r
-    m, e = split_log(float(ln[0]) + shift)
-    value = BesselEval(m, m * float(rel[0]), method, e)
+    log_value = float(ln[0]) + shift
+    rel = float(rel[0]) + _EPS * abs(log_value)  # the unscaling rounds the log
+    m, e = split_log(log_value)
+    value = BesselEval(m, m * rel, method, e)
     if not with_dr:
         return value
     m, e = split_log(float(ln_dr[0]) + shift)
     sign = 1.0 if kind == "i" else -1.0
-    return value, BesselEval(sign * m, m * (float(rel[0]) + 4.0 * _EPS), method, e)
+    return value, BesselEval(sign * m, m * (rel + 4.0 * _EPS), method, e)
 
 
 def bessel_i(nu: float, r: float) -> BesselEval:

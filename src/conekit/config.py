@@ -10,9 +10,13 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Defaults:
     # --- Bessel engine -------------------------------------------------
-    # Where scipy's kve overflows, K comes from its small-argument leading
-    # term below this order and from Olver's uniform asymptotics from it on.
-    olver_nu_min: float = 30.0
+    # From this order on, I (past (x/2)^2 = nu + 1) and K (above x = 1e-10)
+    # come from Olver's uniform expansions; below it, I from its power
+    # series and K from its integral, up to x = 20 (see conekit.bessel).
+    # Olver's 20 terms reach rounding from order 15 on; 40 keeps a default
+    # base table (mu < 40) in one pass per kind, and the orders it grows
+    # to in another, which measures fastest.
+    olver_nu_min: float = 40.0
     # Scaled values are folded into a plain float when |log2 value| <= this.
     fold_exp2: int = 600
 

@@ -48,7 +48,7 @@ Each mode's share of these bounds is a weight of
 coefficient written inline below.  Summed with the spectrum's tail
 profile, they give a rigorous remainder after any number of terms: a
 reversed ``np.logaddexp.accumulate`` of the log weights, seeded with
-``tail_profile.sum_beyond`` at the top of the table summed so far, one
+``tail_profile.log_sum_beyond`` at the top of the table summed so far, one
 row per tail kind in use.  The sum stops at the first term after which
 that remainder is below ``rel_tol * |partial sum|``.  Where the base
 table runs out first, sphere and torus tables grow (see Evaluation), up
@@ -95,7 +95,7 @@ over chunk 0, a signed log-sum-exp whose factor e^{max L + a - b} and gauge
 factor are applied once, when the result is packed.  Partial sums, stop
 targets, tails and the rounding estimate are arrays of the same shape;
 each chunk's tails are the table's ``log_weights`` seeded by one
-``sum_beyond`` call at its top.  The sum stops at the first column that
+``log_sum_beyond`` call at its top.  The sum stops at the first column that
 meets every row's target; where the table runs out, its last column is
 the value and the tail.  The Cauchy rule stops at the first column that
 ends ``heuristic_run`` consecutive terms below ``rel_tol/10`` of their
@@ -293,18 +293,18 @@ def gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
     raise DomainError(f"unknown density gauge {density_gauge!r}")
 
 
-def _suffix_logs(s, mu, log_weights, beyond):
+def _suffix_logs(s, mu, log_weights, log_beyond):
     """log of the suffix sums of per-mode tail bounds over one chunk, one row per tail kind.
 
-    Row i is the kind of ``log_weights[i]`` and ``beyond[i]``, each weight
-    :meth:`TailProfile.weights` times s^mu.  Entry j of a row bounds the
-    contribution of the chunk's modes j, j+1, ... plus every mode past the
-    chunk, whose sum ``beyond`` gives for each kind (the last entry is that
-    sum alone).
+    Row i is the kind of ``log_weights[i]`` and ``log_beyond[i]``, each
+    weight :meth:`TailProfile.weights` times s^mu.  Entry j of a row bounds
+    the contribution of the chunk's modes j, j+1, ... plus every mode past
+    the chunk, whose sum's log ``log_beyond`` gives for each kind (the last
+    entry is that sum alone).
     """
-    log_w = np.empty((len(beyond), mu.size + 1))
+    log_w = np.empty((len(log_beyond), mu.size + 1))
     log_w[:, :-1] = log_weights + mu * math.log(s)
-    log_w[:, -1] = [_log(b) for b in beyond]
+    log_w[:, -1] = log_beyond
     return np.logaddexp.accumulate(log_w[:, ::-1], axis=1)[:, ::-1]
 
 
@@ -538,7 +538,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
 
         def tails(mu, log_weights):
             """A chunk's log remainders, one row per component; entry j bounds the terms from j on."""
-            rows = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.sum_beyond(s, mu[-1], kinds))
+            rows = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.log_sum_beyond(s, mu[-1], kinds))
             if not need_grad:
                 return log_coefs[0] + rows
             return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),

@@ -24,7 +24,7 @@ for the sphere's table and for its tail alike; the torus table is one
 numpy enumeration of the lattice box, sorted and split into clusters;
 :meth:`TailProfile.weights` defines the per-mode weight of each tail
 kind (three for the resolvent, three for its lambda-integral), and
-``sum_beyond`` sums the kinds in use beyond the table in one pass.
+``log_sum_beyond`` sums the kinds in use beyond the table in one pass.
 
 Sphere and torus tables grow: the provider's table closure, which built
 the base table ``table``, is kept as ``CrossSectionSpectrum.grow``, and
@@ -91,11 +91,12 @@ TABLE_CEILING = 1 << 16
 class TailProfile:
     """Rigorous control of every mode beyond the tabulated range.
 
-    ``sum_beyond(s, mu_from, kinds)`` returns, for each tail kind in the
-    slice ``kinds`` of ``_TAIL_KINDS`` (by default the resolvent's three),
-    a proven upper bound for the sum over all modes with mu > mu_from of
-    weight(mode) * s**mu, where :meth:`weights` gives the weight of each
-    kind:
+    ``log_sum_beyond(s, mu_from, kinds)`` returns, for each tail kind in
+    the slice ``kinds`` of ``_TAIL_KINDS`` (by default the resolvent's
+    three), the log of a proven upper bound for the sum over all modes with
+    mu > mu_from of weight(mode) * s**mu, where :meth:`weights` gives the
+    weight of each kind; ``sum_beyond`` gives the bounds themselves.  The
+    logs stay finite where s**mu underflows.  The kinds:
 
     * ``"pair_over_2mu"``: sup|pair| / (2 mu)   (kernel tails),
     * ``"pair"``:          sup|pair|            (radial-derivative tails),
@@ -116,15 +117,19 @@ class TailProfile:
         return np.array([pair_sup / (2.0 * mu), pair_sup, grad_sup / (2.0 * mu), pair_sup / root,
                          pair_sup * root, grad_sup / root])
 
-    def sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
+    def log_sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
         raise NotImplementedError
+
+    def sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
+        """The bounds of :meth:`log_sum_beyond` as floats (0 where they underflow)."""
+        return tuple(math.exp(v) for v in self.log_sum_beyond(s, mu_from, kinds))
 
 
 class CompleteTail(TailProfile):
     """A table that IS the whole spectrum (file-based operators)."""
 
-    def sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
-        return (0.0,) * len(_TAIL_KINDS[kinds])
+    def log_sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
+        return (-math.inf,) * len(_TAIL_KINDS[kinds])
 
 
 class _MajorantTail(TailProfile):
@@ -136,21 +141,25 @@ class _MajorantTail(TailProfile):
     kind's sum stops at the first term with a positive weight whose
     majorant term * rho/(1 - rho) of all later terms is below 1e-6 of the
     running total (and is added to the bound), or which underflows to 0
-    (the rest is then below float resolution).  Blocks double in length
-    up to 2**15 terms, so memory stays bounded as s approaches 1.
+    (the rest is then below float resolution).  The terms are summed
+    relative to the first, s**mu of which is put back as a log, so a tail
+    far below double range keeps its digits.  Blocks double in length up
+    to 2**15 terms, so memory stays bounded as s approaches 1.
     """
 
     def _terms(self, s, mu_from, start, n, kinds):
         """(weights, log s**mu, ratio caps) of terms start .. start+n-1, a row per tail kind in ``kinds``."""
         raise NotImplementedError
 
-    def sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
+    def log_sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
         if not 0.0 < s < 1.0:
             raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
-        bounds, carry, start, n = {}, 0.0, 0, 64
+        bounds, carry, start, n, shift = {}, 0.0, 0, 64, None
         while start < 10_000_000:
             coef, log_term, rho = self._terms(s, mu_from, start, n, kinds)
-            term = coef * np.exp(log_term)
+            if shift is None:
+                shift = float(log_term[0])
+            term = coef * np.exp(log_term - shift)
             total = term.cumsum(axis=-1) + carry
             # term * rho <= 1e-6 * total * (1 - rho) with term > 0 implies rho < 1.
             stop = (coef > 0.0) & ((term == 0.0) | (term * rho <= 1e-6 * total * (1.0 - rho)))
@@ -159,7 +168,8 @@ class _MajorantTail(TailProfile):
                     t, r = term[k, i], rho[k, i]
                     bounds[k] = float(total[k, i] + (t * r / (1.0 - r) if t > 0.0 else 0.0))
             if len(bounds) == len(term):
-                return tuple(bounds[k] for k in range(len(term)))
+                return tuple(math.log(bounds[k]) + shift if bounds[k] > 0.0 else -math.inf
+                             for k in range(len(term)))
             carry, start, n = total[:, -1:], start + n, min(2 * n, 1 << 15)
         raise ArithmeticError("tail failed to converge")  # pragma: no cover
 

@@ -14,7 +14,8 @@ from conekit import (
     bessel_k_with_dr,
     check_uniform_bounds,
 )
-from conekit.bessel import METHODS, _gen_olver_polys, log_scaled, wronskian_residual
+from conekit.bessel import _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, log_scaled, wronskian_residual
+from conekit.config import DEFAULTS
 
 import oracles
 
@@ -148,20 +149,79 @@ class TestIdentities:
             np.testing.assert_allclose(k32.log_abs, math.log(ref32), rtol=1e-12)
 
     def test_method_dispatch_regions(self):
-        assert bessel_i(1.0, 0.5).method == "scipy"
-        assert bessel_k(0.3, 10.0).method == "scipy"
+        assert bessel_i(1.0, 0.5).method == "power-series"
+        assert bessel_k(0.3, 10.0).method == "integral"
         assert bessel_i(29.9, 1e-10).method == "power-series"
         assert bessel_k(29.9, 1e-10).method == "small-argument"
-        # Every order takes scipy wherever the scaled value is a normal
-        # double; only the out-of-range entries fall back.
-        assert bessel_i(50.0, 10.0).method == "scipy"
-        assert bessel_i(50.0, 100.0).method == "scipy"
-        assert bessel_k(50.0, 1e-3).method == "scipy"
+        # I takes the series wherever (x/2)^2 <= nu + 1, Olver's expansion
+        # past that from order olver_nu_min (40) on; K takes Olver's from
+        # that order on above x = 1e-10.
+        assert bessel_i(50.0, 10.0).method == "power-series"
+        assert bessel_i(50.0, 100.0).method == "uniform-asymptotic"
+        assert bessel_k(50.0, 1e-3).method == "uniform-asymptotic"
         assert bessel_i(200.0, 1e-6).method == "power-series"
         assert bessel_k(200.0, 1e-6).method == "uniform-asymptotic"
         # Where ive underflows with (x/2)^2 > nu + 1, I comes from Olver's expansion.
         assert bessel_i(5000.0, 2000.0).method == "uniform-asymptotic"
         assert bessel_i(5000.0, 2.0).method == "power-series"
+
+
+def _log_value(kind, nu, x):
+    """(log I_nu(x) or log K_nu(x), its method) from one log_scaled call."""
+    ln, _, _, method = log_scaled(kind, [nu], x)
+    return float(ln[0]) + (x if kind == "i" else -x), METHODS[method[0]]
+
+
+def _log_ref(kind, nu, x):
+    return (oracles.log_bessel_i_ref if kind == "i" else oracles.log_bessel_k_ref)(nu, x)
+
+
+_NU_MIN = DEFAULTS.olver_nu_min
+_BELOW_NU_MIN = math.nextafter(_NU_MIN, 0.0)
+# Each switch of the dispatch: (kind, nu, x) on its two sides, one ulp
+# apart in the variable it cuts, and the methods on either side.
+_SEAMS = [
+    *[(("i", _BELOW_NU_MIN, x), ("i", _NU_MIN, x), "power-series", "uniform-asymptotic") for x in (15.0, 19.9)],
+    *[(("k", _BELOW_NU_MIN, x), ("k", _NU_MIN, x), "integral", "uniform-asymptotic")
+      for x in (1e-9, 1e-3, 1.0, 19.9)],
+    *[(("i", nu, _X_LARGE), ("i", nu, math.nextafter(_X_LARGE, 1e3)), "power-series", "uniform-asymptotic")
+      for nu in (0.0, 1.0, 2.0, 7.5, 30.0, 39.0)],
+    *[(("k", nu, _X_LARGE), ("k", nu, math.nextafter(_X_LARGE, 1e3)), "integral", "uniform-asymptotic")
+      for nu in (0.0, 1.0, 2.0, 7.5, 30.0, 39.0)],
+    *[(("k", nu, _X_TINY), ("k", nu, math.nextafter(_X_TINY, 1.0)), "small-argument", after)
+      for nu, after in ((0.0, "integral"), (0.5, "integral"), (1.0, "integral"), (3.0, "integral"),
+                        (_BELOW_NU_MIN, "integral"), (_NU_MIN, "uniform-asymptotic"), (200.0, "uniform-asymptotic"))],
+    # (x/2)^2 = nu + 1: the series up to it, Olver's expansion past it.
+    *[(("i", nu, 2.0 * math.sqrt(nu + 1.0)), ("i", nu, math.nextafter(2.0 * math.sqrt(nu + 1.0), 1e9)),
+       "power-series", "uniform-asymptotic") for nu in (_NU_MIN, 2.0 * _NU_MIN, 200.0)],
+    # The leading terms: two below nu = 0.999, one from it on.
+    *[(("k", math.nextafter(0.999, 0.0), x), ("k", 0.999, x), "small-argument", "small-argument")
+      for x in (1e-300, 1e-12)],
+]
+
+
+class TestSeams:
+    @pytest.mark.parametrize("below, above, method_below, method_above", _SEAMS,
+                             ids=[f"{b[0]}-nu{b[1]:.6g}-x{b[2]:.6g}" for b, *_ in _SEAMS])
+    def test_accurate_and_continuous_across(self, below, above, method_below, method_above):
+        (got_b, m_b), (got_a, m_a) = _log_value(*below), _log_value(*above)
+        assert (m_b, m_a) == (method_below, method_above)
+        for (kind, nu, x), got in ((below, got_b), (above, got_a)):
+            ref = _log_ref(kind, nu, x)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (kind, nu, x, got, ref)
+        # One ulp apart, the function moves by far less than 1e-13 of its size.
+        assert abs(got_b - got_a) <= 1e-13 * max(1.0, abs(got_a)), (below, above, got_b, got_a)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 3.0, 10.0, 15.0, 20.0, 50.0])
+    def test_integer_orders_from_1e_300_to_500(self, nu):
+        methods = set()
+        for x in (1e-300, 1e-200, 1e-100, 1e-20, 1e-10, 1e-6, 1e-3, 0.1, 1.0, 5.0, 12.0, 19.0, 25.0, 100.0, 500.0):
+            for kind in "ik":
+                got, method = _log_value(kind, nu, x)
+                ref = _log_ref(kind, nu, x)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (kind, nu, x, got, ref)
+                methods.add(method)
+        assert len(methods) >= 3, methods
 
 
 class TestOlverPolynomials:

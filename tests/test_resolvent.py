@@ -373,12 +373,15 @@ class TestTorusCone:
     def test_tail_past_double_range_is_infinite(self):
         # Far out at s = 1e-6 the value is about e^{-1000015}.  Without growth
         # the tail after the base table is e^{-558}, past double range on the
-        # value's scale: the bound is infinite, not a raise.
+        # value's scale: the bound is infinite, not a raise.  Grown to the
+        # ceiling (12770 clusters, top mu 112.3) the remainder, about
+        # e^{-1550}, is as far out; it once underflowed to 0 and certified
+        # the value on rounding alone.
         spec = torus_spectrum(3, [1.0, 1.3])
         for s in (spec, replace(spec, grow=None)):
             kv = _value(s, 1e6, 1.0, 0.4)
             assert math.isfinite(kv.value) and -1.1e6 < kv.log_abs < -1e6
-        assert kv.tail_bound == math.inf and not kv.certified and kv.tail_kind == "rigorous"
+            assert kv.tail_bound == math.inf and not kv.certified and kv.tail_kind == "rigorous"
 
 
 class TestDiagonal:

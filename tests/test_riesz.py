@@ -1,5 +1,6 @@
 """Riesz transform: thresholds, L2 bound, kernel quadrature, off-diagonal models."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -311,15 +312,14 @@ class TestClosedForm:
         assert certified >= 3
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.special takes about 0.33 s to import, and only Bessel values
-        # need it, r = r' Riesz values among them.  Spectra, thresholds and
-        # off-diagonal Riesz values need no scipy module, and no value needs
-        # scipy.integrate.
+        # conekit's runtime needs numpy only: no value, the Bessel factors
+        # of kernels, gradients and r = r' values included, and no command
+        # loads a scipy module.
         code = "\n".join([
             "import sys, math",
             "import conekit, conekit.cli",
-            "from conekit import (ConePoint, ResolventRequest, offdiag_bound_check, resolvent_kernel,",
-            "                     riesz_kernel, sphere_spectrum, torus_spectrum)",
+            "from conekit import (ConePoint, ResolventRequest, offdiag_bound_check, resolvent_gradient,",
+            "                     resolvent_kernel, riesz_kernel, sphere_spectrum, torus_spectrum)",
             "scipy_loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
             "spec = sphere_spectrum(3)",
             "torus_spectrum(3, (1.0, 1.3))",
@@ -329,15 +329,31 @@ class TestClosedForm:
             "assert conekit.cli.main(['thresholds', '--d', '4', '--c', '-1']) == 0",
             "assert kv.certified and math.isfinite(rep.c_sup) and not scipy_loaded(), scipy_loaded()",
             "gv = resolvent_kernel(ResolventRequest(spec, ConePoint(0.5, y), ConePoint(1.0, yp)))",
-            "assert gv.certified and 'scipy.special' in sys.modules and 'scipy.integrate' not in sys.modules",
+            "assert gv.certified and not scipy_loaded(), scipy_loaded()",
+            "grad = resolvent_gradient(ResolventRequest(spec, ConePoint(2.0, y), ConePoint(1.0, yp)))",
+            "assert grad.d_r.certified and not scipy_loaded(), scipy_loaded()",
             "kv = riesz_kernel(spec, ConePoint(1.0, y), ConePoint(1.0, yp))",
             "assert math.isfinite(kv.magnitude) and math.isfinite(kv.quad_error_est)",
-            "assert 'scipy.integrate' not in sys.modules",
+            "assert not scipy_loaded(), scipy_loaded()",
+            "assert conekit.cli.main(['kernel', '--d', '3', '--r', '0.2', '--rp', '1', '--gamma', '1']) == 0",
+            "assert not scipy_loaded(), scipy_loaded()",
         ])
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_no_module_imports_scipy(self):
+        # The same, read off the sources: no import statement in src/conekit
+        # names scipy, at module level or inside a function.
+        src = Path(__file__).resolve().parent.parent / "src" / "conekit"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                    [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+        assert len(list(src.glob("*.py"))) >= 10 and not found, found
 
 
 class TestDiagonal:

@@ -248,6 +248,18 @@ class TestTails:
                         for mu, pair_sup, grad_sup in zip(table.mu, table.pair_sup, table.grad_sup) if mu > mu_from)
             assert np.all(brute <= shallow.tail_profile.sum_beyond(s, mu_from, slice(0, 6)))
 
+    def test_torus_tail_far_below_double_range(self):
+        # Past mu = 112.3 at s = 1e-6 every s**mu underflows (about 1e-674).
+        # The tail is summed relative to its first shell, so its log stays
+        # finite; there the first shell, whose s-power is s**112.3, is all
+        # but the whole sum, at s = 1e-3 as at s = 1e-6.
+        tail = torus_spectrum(3, [1.0, 1.3]).tail_profile
+        tiny, small = tail.log_sum_beyond(1e-6, 112.3), tail.log_sum_beyond(1e-3, 112.3)
+        assert all(math.isfinite(v) for v in tiny) and tail.sum_beyond(1e-6, 112.3) == (0.0, 0.0, 0.0)
+        np.testing.assert_allclose(np.subtract(tiny, small), 112.3 * math.log(1e-3), atol=1e-2)
+        # Where nothing underflows the log is the sum's log.
+        np.testing.assert_allclose(np.exp(tail.log_sum_beyond(0.3, 40.0)), tail.sum_beyond(0.3, 40.0), rtol=1e-14)
+
     def test_tail_rejects_s_at_one(self):
         spec = sphere_spectrum(3)
         with pytest.raises(DomainError):

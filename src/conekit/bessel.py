@@ -182,6 +182,19 @@ def _olver_grid(kind: str) -> np.ndarray:
 
 
 _CUMPROD_MAX = 64  # below this many entries numpy's cumprod builds the power table fastest
+# OpenBLAS runs a product of fewer multiply-adds than 262144 on one thread;
+# larger ones it splits across threads, which on a busy host has cost 30 ms
+# where one thread takes 3.
+_ONE_THREAD_MADDS = 200_000
+
+
+def _product(a, b):
+    """a @ b, in blocks of a's rows small enough for BLAS to keep on one thread."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, _ONE_THREAD_MADDS // b.size)
+    for lo in range(0, a.shape[0], rows):
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
+    return out
 
 
 def _olver(kind: str, nu, x):
@@ -204,7 +217,7 @@ def _olver(kind: str, nu, x):
     else:  # numpy's cumprod runs one short loop per column: a multiply per row beats it
         for k in range(2, _OLVER_TERMS):
             powers[k] *= powers[k - 1]
-    terms = (_olver_grid(kind) @ powers[:, 0]) * powers[:, 1]
+    terms = _product(powers[:, 0].T, _olver_grid(kind).T).T * powers[:, 1]
     total = terms.sum(axis=0)
     exponent = nu * (nu / (w + x) + np.log(x / (nu + w)))  # nu eta - x
     if kind == "k":
@@ -271,7 +284,7 @@ def _k_integral(nu, x):
     right = math.acosh(1.0 + _K_CUT / w.min())
     u = h * np.arange(-math.ceil(left / h), math.ceil(right / h) + 1.0)
     # Minus the bracket at every (entry, node), as one product.
-    bracket = np.stack((a, nu), axis=1) @ np.stack((1.0 - np.cosh(u), u - np.expm1(u)))
+    bracket = _product(np.stack((a, nu), axis=1), np.stack((1.0 - np.cosh(u), u - np.expm1(u))))
     # e^{-700} is nothing beside the peak's 1; numpy's exp is several times
     # slower where its result underflows.
     total = np.exp(np.maximum(bracket, -700.0, out=bracket), out=bracket).sum(axis=1)

@@ -145,8 +145,16 @@ def _validate(nu: float, r: float) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 def _lgamma(z):
-    """log Gamma over a 1-D array of positive arguments (``math.lgamma`` entry by entry)."""
-    return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
+    """log Gamma over a 1-D array of positive arguments, by ``math.lgamma``.
+
+    Arrays of at least _SPLIT_MIN entries take it once per distinct
+    argument: the heat kernel's repeat a table's few orders over many
+    nodes.
+    """
+    if z.size < _SPLIT_MIN:
+        return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
+    distinct, where = np.unique(z, return_inverse=True)
+    return np.fromiter(map(math.lgamma, distinct.tolist()), float, distinct.size)[where]
 
 
 def _gen_olver_polys(kmax: int) -> list[np.ndarray]:
@@ -332,6 +340,7 @@ METHODS = ("integral", "power-series", "small-argument", "uniform-asymptotic")
 _INTEGRAL, _SERIES, _LEADING, _OLVER = range(4)  # indices into METHODS
 _X_TINY = 1e-10  # K takes its leading terms at x <= this
 _X_LARGE = 20.0  # below olver_nu_min, Olver's 20 terms are within 6e-15 from here on
+_SPLIT_MIN = 64  # arrays this large sum the series' two regions apart and dedupe log Gamma
 
 
 def _split(mask, method, rest):
@@ -346,7 +355,9 @@ def _blocks(kind: str, nu: np.ndarray, x):
     """The (method, entries) pairs of one pass: entries is None for all, else a mask.
 
     I: Olver's expansion from (x/2)^2 > nu + 1 on, for orders from
-    olver_nu_min, or at x > _X_LARGE; the series elsewhere.  K: the
+    olver_nu_min, or at x > _X_LARGE; the series elsewhere, in arrays of
+    at least _SPLIT_MIN entries as two blocks: the low orders past
+    (x/2)^2 = nu + 1 need up to 40 terms, the others at most 18.  K: the
     leading terms at x <= _X_TINY; Olver's expansion from olver_nu_min,
     or at x > _X_LARGE; the integral elsewhere.  With a float x the
     thresholds are floats, and a method that takes every entry needs no
@@ -359,7 +370,11 @@ def _blocks(kind: str, nu: np.ndarray, x):
         hi = 0.25 * x * x - 1.0  # the series serves every order from here
         if not vec and hi <= lo:
             return [(_SERIES, None)]
-        return _split((nu >= lo) & (nu < hi), _OLVER, _SERIES)
+        olver = (nu >= lo) & (nu < hi)
+        if nu.size < _SPLIT_MIN:
+            return _split(olver, _OLVER, _SERIES)
+        long = (nu < hi) & ~olver
+        return [(m, take) for m, take in ((_OLVER, olver), (_SERIES, long), (_SERIES, ~(olver | long))) if take.any()]
     if not vec:
         if x <= _X_TINY or x > _X_LARGE:
             return [(_LEADING if x <= _X_TINY else _OLVER, None)]

@@ -198,8 +198,10 @@ _ONE_THREAD_MADDS = 200_000
 
 def _product(a, b):
     """a @ b, in blocks of a's rows small enough for BLAS to keep on one thread."""
-    out = np.empty((a.shape[0], b.shape[1]))
     rows = max(1, _ONE_THREAD_MADDS // b.size)
+    if a.shape[0] <= rows:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
     for lo in range(0, a.shape[0], rows):
         np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
     return out
@@ -286,7 +288,6 @@ def _k_integral(nu, x):
     """
     w = np.hypot(nu, x)
     a = x * x / (w + nu)
-    # One step for all entries, the smallest any needs, and one range, the widest.
     h = _K_STEP / math.sqrt(1.0 + 0.2 * nu.max() + a.max() / 9.0)
     left = np.minimum(np.arccosh(1.0 + _K_CUT / a), 1.0 + _K_CUT / np.maximum(nu, 1e-300)).max()
     right = math.acosh(1.0 + _K_CUT / w.min())

@@ -192,19 +192,15 @@ def _olver_grid(kind: str) -> np.ndarray:
 _CUMPROD_MAX = 64  # below this many entries numpy's cumprod builds the power table fastest
 # OpenBLAS runs a product of fewer multiply-adds than 262144 on one thread;
 # larger ones it splits across threads, which on a busy host has cost 30 ms
-# where one thread takes 3.
+# where one thread takes 3.  Blocks of rows this size also bound the K
+# rule's (entry, node) array.
 _ONE_THREAD_MADDS = 200_000
 
 
-def _product(a, b):
-    """a @ b, in blocks of a's rows small enough for BLAS to keep on one thread."""
-    rows = max(1, _ONE_THREAD_MADDS // b.size)
-    if a.shape[0] <= rows:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    for lo in range(0, a.shape[0], rows):
-        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
-    return out
+def _row_blocks(rows: int, size: int) -> list[slice]:
+    """Slices of ``rows`` rows, each of whose product with a matrix of ``size`` entries BLAS keeps on one thread."""
+    step = max(1, _ONE_THREAD_MADDS // size)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _olver(kind: str, nu, x):
@@ -227,7 +223,10 @@ def _olver(kind: str, nu, x):
     else:  # numpy's cumprod runs one short loop per column: a multiply per row beats it
         for k in range(2, _OLVER_TERMS):
             powers[k] *= powers[k - 1]
-    terms = _product(powers[:, 0].T, _olver_grid(kind).T).T * powers[:, 1]
+    grid, v = _olver_grid(kind), np.empty((w.size, _OLVER_TERMS))
+    for rows in _row_blocks(w.size, grid.size):
+        np.matmul(powers[:, 0, rows].T, grid.T, out=v[rows])
+    terms = v.T * powers[:, 1]
     total = terms.sum(axis=0)
     exponent = nu * (nu / (w + x) + np.log(x / (nu + w)))  # nu eta - x
     if kind == "k":
@@ -292,11 +291,12 @@ def _k_integral(nu, x):
     left = np.minimum(np.arccosh(1.0 + _K_CUT / a), 1.0 + _K_CUT / np.maximum(nu, 1e-300)).max()
     right = math.acosh(1.0 + _K_CUT / w.min())
     u = h * np.arange(-math.ceil(left / h), math.ceil(right / h) + 1.0)
-    # Minus the bracket at every (entry, node), as one product.
-    bracket = _product(np.stack((a, nu), axis=1), np.stack((1.0 - np.cosh(u), u - np.expm1(u))))
-    # e^{-700} is nothing beside the peak's 1; numpy's exp is several times
-    # slower where its result underflows.
-    total = np.exp(np.maximum(bracket, -700.0, out=bracket), out=bracket).sum(axis=1)
+    coefs, nodes, total = np.stack((a, nu), axis=1), np.stack((1.0 - np.cosh(u), u - np.expm1(u))), np.empty(nu.size)
+    for rows in _row_blocks(nu.size, nodes.size):
+        bracket = coefs[rows] @ nodes  # minus the bracket at every (entry, node)
+        # e^{-700} is nothing beside the peak's 1; numpy's exp is several
+        # times slower where its result underflows.
+        total[rows] = np.exp(np.maximum(bracket, -700.0, out=bracket), out=bracket).sum(axis=1)
     peak = nu * np.arcsinh(nu / x) - nu * nu / (w + x)
     return peak + np.log(0.5 * h * total), (16.0 + 2.0 * np.abs(peak)) * _EPS
 

@@ -25,7 +25,7 @@ takes (:func:`_blocks`), with nu_min = ``DEFAULTS.olver_nu_min`` = 40:
   table (mu < 40) in one series or integral pass, and the orders the
   table grows to in one Olver pass, which measures fastest.
 * ``power-series``: I's ascending series (DLMF 10.25.2), all terms
-  positive: at most 18 of them where (x/2)^2 <= nu + 1, at most 40 below
+  positive: at most 19 of them where (x/2)^2 <= nu + 1, at most 41 below
   order nu_min up to x = 20.
 * ``integral``: K below order nu_min for 1e-10 < x <= 20, by the
   trapezoid rule on K_nu(x) e^x = 1/2 Int exp(nu t - x (cosh t - 1)) dt
@@ -358,7 +358,7 @@ def _blocks(kind: str, nu: np.ndarray, x):
     I: Olver's expansion from (x/2)^2 > nu + 1 on, for orders from
     olver_nu_min, or at x > _X_LARGE; the series elsewhere, in arrays of
     at least _SPLIT_MIN entries as two blocks: the low orders past
-    (x/2)^2 = nu + 1 need up to 40 terms, the others at most 18.  K: the
+    (x/2)^2 = nu + 1 need up to 41 terms, the others at most 19.  K: the
     leading terms at x <= _X_TINY; Olver's expansion from olver_nu_min,
     or at x > _X_LARGE; the integral elsewhere.  With a float x the
     thresholds are floats, and a method that takes every entry needs no

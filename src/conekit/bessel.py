@@ -21,9 +21,9 @@ takes (:func:`_blocks`), with nu_min = ``DEFAULTS.olver_nu_min`` = 40:
   past x = 20; K from order nu_min on, and past x = 20, above x = 1e-10.
   Their last term, kept as the truncation estimate, is below 1e-16 of
   the sum from order 15 on and below 6e-15 from x = 20 on.  nu_min is
-  higher than accuracy needs: it keeps every order of a default base
-  table (mu < 40) in one series or integral pass, and the orders the
-  table grows to in one Olver pass, which measures fastest.
+  higher than accuracy needs: it is the default base table's
+  ``mu_cutoff_floor``, so that table takes no Olver pass (end to end
+  this beat nu_min = 15).
 * ``power-series``: I's ascending series (DLMF 10.25.2), all terms
   positive: at most 19 of them where (x/2)^2 <= nu + 1, at most 41 below
   order nu_min up to x = 20.
@@ -145,16 +145,8 @@ def _validate(nu: float, r: float) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 def _lgamma(z):
-    """log Gamma over a 1-D array of positive arguments, by ``math.lgamma``.
-
-    Arrays of at least _SPLIT_MIN entries take it once per distinct
-    argument: the heat kernel's repeat a table's few orders over many
-    nodes.
-    """
-    if z.size < _SPLIT_MIN:
-        return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
-    distinct, where = np.unique(z, return_inverse=True)
-    return np.fromiter(map(math.lgamma, distinct.tolist()), float, distinct.size)[where]
+    """log Gamma over a 1-D array of positive arguments, by ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, z.tolist()), float, z.size)
 
 
 def _gen_olver_polys(kmax: int) -> list[np.ndarray]:
@@ -189,7 +181,6 @@ def _olver_grid(kind: str) -> np.ndarray:
     return np.array(rows) * (1.0 if kind == "i" else -1.0) ** np.arange(_OLVER_TERMS)[:, None]
 
 
-_CUMPROD_MAX = 64  # below this many entries numpy's cumprod builds the power table fastest
 # OpenBLAS runs a product of fewer multiply-adds than 262144 on one thread;
 # larger ones it splits across threads, which on a busy host has cost 30 ms
 # where one thread takes 3.  Blocks of rows this size also bound the K
@@ -218,11 +209,8 @@ def _olver(kind: str, nu, x):
     powers = np.empty((_OLVER_TERMS, 2, w.size))  # row k: p^2k and W^-k
     powers[0] = 1.0
     powers[1:, 0], powers[1:, 1] = (nu / w) ** 2, 1.0 / w
-    if w.size < _CUMPROD_MAX:
-        np.cumprod(powers, axis=0, out=powers)
-    else:  # numpy's cumprod runs one short loop per column: a multiply per row beats it
-        for k in range(2, _OLVER_TERMS):
-            powers[k] *= powers[k - 1]
+    for k in range(2, _OLVER_TERMS):  # numpy's cumprod runs one short loop per column
+        powers[k] *= powers[k - 1]
     grid, v = _olver_grid(kind), np.empty((w.size, _OLVER_TERMS))
     for rows in _row_blocks(w.size, grid.size):
         np.matmul(powers[:, 0, rows].T, grid.T, out=v[rows])
@@ -247,12 +235,7 @@ def _i_series(nu, x):
     smaller of the two ratios is below rounding.
     """
     q = 0.25 * x * x
-    nu_min = float(nu.min())
-    if isinstance(q, np.ndarray):
-        q_max, t = float(q.max()), float((q / (nu + 1.0)).max())
-    else:
-        q_max = t = float(q)
-        t /= nu_min + 1.0
+    nu_min, q_max, t = float(nu.min()), float(np.max(q)), float(np.max(q / (nu + 1.0)))
     n, bound = 0, 1.0
     while bound > 0.25 * _EPS:
         n += 1
@@ -282,8 +265,10 @@ def _k_integral(nu, x):
     the bracket passes 40.  The integrand is entire; on the line Im u = d
     it grows by at most (cos d)^{-nu} e^{a (1 - cos d)}, so the rule's
     error is about the least over d of e^{-2 pi d / h} times that, which
-    this step keeps below e^{-44} for every nu and a.  All entries share
-    the nodes: the smallest step any needs over the widest range.
+    this step keeps below e^{-44} for every nu >= 0 and a >= 0: its
+    largest, e^{-44.5}, is at nu = 0.4, a = 0 (on a grid up to nu = 1e5,
+    a = 1e6; as a grows at nu = 0 it tends to e^{-45.3}).  All entries
+    share the nodes: the smallest step any needs over the widest range.
     """
     w = np.hypot(nu, x)
     a = x * x / (w + nu)
@@ -321,7 +306,7 @@ def _k_leading(nu, x):
     rel = (4.0 + 2.0 * np.abs(ln_val)) * _EPS
     low = nu < 0.999
     if low.any():
-        nu_l, ln_half_x = nu[low], np.log(x[low] if isinstance(x, np.ndarray) else x) - _LN2
+        nu_l, ln_half_x = nu[low], np.log(np.broadcast_to(x, nu.shape)[low]) - _LN2
         wide, sq = np.maximum(nu_l, 1e-3), nu_l * nu_l  # series: 2 (gamma + zeta(3)/3 nu^2 + zeta(5)/5 nu^4)
         gap = np.where(nu_l < 1e-3, 2.0 * (np.euler_gamma + sq * (0.40068563438653143 + sq * 0.207385551028674)),
                        (_lgamma(1.0 - wide) - _lgamma(1.0 + wide)) / wide)
@@ -341,48 +326,46 @@ METHODS = ("integral", "power-series", "small-argument", "uniform-asymptotic")
 _INTEGRAL, _SERIES, _LEADING, _OLVER = range(4)  # indices into METHODS
 _X_TINY = 1e-10  # K takes its leading terms at x <= this
 _X_LARGE = 20.0  # below olver_nu_min, Olver's 20 terms are within 6e-15 from here on
-_SPLIT_MIN = 64  # arrays this large sum the series' two regions apart and dedupe log Gamma
 
 
-def _split(mask, method, rest):
-    """The blocks of a two-way dispatch: ``method`` on ``mask``, ``rest`` elsewhere."""
-    count = np.count_nonzero(mask)
-    if count in (0, mask.size):
-        return [(method if count else rest, None)]
-    return [(method, mask), (rest, ~mask)]
+def _nonempty(blocks):
+    """The blocks that take an entry; one that takes every entry needs no mask."""
+    blocks = [(m, take) for m, take in blocks if take.any()]
+    return [(blocks[0][0], None)] if len(blocks) == 1 else blocks
 
 
 def _blocks(kind: str, nu: np.ndarray, x):
     """The (method, entries) pairs of one pass: entries is None for all, else a mask.
 
-    I: Olver's expansion from (x/2)^2 > nu + 1 on, for orders from
-    olver_nu_min, or at x > _X_LARGE; the series elsewhere, in arrays of
-    at least _SPLIT_MIN entries as two blocks: the low orders past
-    (x/2)^2 = nu + 1 need up to 41 terms, the others at most 19.  K: the
-    leading terms at x <= _X_TINY; Olver's expansion from olver_nu_min,
-    or at x > _X_LARGE; the integral elsewhere.  With a float x the
-    thresholds are floats, and a method that takes every entry needs no
-    mask.
+    I: Olver's expansion past (x/2)^2 = nu + 1, for orders from
+    olver_nu_min or at x > _X_LARGE; the series elsewhere.  K: the leading
+    terms at x <= _X_TINY; Olver's expansion from olver_nu_min, or at
+    x > _X_LARGE; the integral elsewhere.  A float x, shared by every
+    order, has float thresholds and needs one mask at most.  An array x
+    (the heat kernel's, one per node) runs the series as two blocks: the
+    low orders past (x/2)^2 = nu + 1 need up to 41 terms, the others at
+    most 19.
     """
-    vec = isinstance(x, np.ndarray)
-    lo = np.where(x > _X_LARGE, 0.0, DEFAULTS.olver_nu_min) if vec else \
-        (0.0 if x > _X_LARGE else DEFAULTS.olver_nu_min)
-    if kind == "i":
-        hi = 0.25 * x * x - 1.0  # the series serves every order from here
-        if not vec and hi <= lo:
-            return [(_SERIES, None)]
-        olver = (nu >= lo) & (nu < hi)
-        if nu.size < _SPLIT_MIN:
-            return _split(olver, _OLVER, _SERIES)
-        long = (nu < hi) & ~olver
-        return [(m, take) for m, take in ((_OLVER, olver), (_SERIES, long), (_SERIES, ~(olver | long))) if take.any()]
-    if not vec:
+    if not isinstance(x, np.ndarray):
+        lo = 0.0 if x > _X_LARGE else DEFAULTS.olver_nu_min
+        if kind == "i":
+            hi = 0.25 * x * x - 1.0
+            if hi <= lo:
+                return [(_SERIES, None)]
+            olver = (nu >= lo) & (nu < hi)
+            return _nonempty([(_OLVER, olver), (_SERIES, ~olver)])
         if x <= _X_TINY or x > _X_LARGE:
             return [(_LEADING if x <= _X_TINY else _OLVER, None)]
-        return _split(nu >= lo, _OLVER, _INTEGRAL)
+        olver = nu >= lo
+        return _nonempty([(_OLVER, olver), (_INTEGRAL, ~olver)])
+    lo = np.where(x > _X_LARGE, 0.0, DEFAULTS.olver_nu_min)
+    if kind == "i":
+        below = nu < 0.25 * x * x - 1.0
+        olver = (nu >= lo) & below
+        return _nonempty([(_OLVER, olver), (_SERIES, below & ~olver), (_SERIES, ~below)])
     tiny = x <= _X_TINY
     olver = (nu >= lo) & ~tiny
-    return [(m, take) for m, take in ((_OLVER, olver), (_LEADING, tiny), (_INTEGRAL, ~(olver | tiny))) if take.any()]
+    return _nonempty([(_OLVER, olver), (_LEADING, tiny), (_INTEGRAL, ~(olver | tiny))])
 
 
 _METHOD_FNS = {
@@ -398,13 +381,12 @@ def _log_scaled_values(kind: str, nu: np.ndarray, x, by=None):
 
     Each block of :func:`_blocks` runs as one vector pass over its
     entries, chosen by the orders ``by`` (by default ``nu``, which it
-    broadcasts to).
+    broadcasts to).  ``x`` is a float or an array of ``nu``'s shape.
     """
     shape = nu.shape
     nu = nu.ravel()
     by = nu if by is None else np.broadcast_to(by, shape).ravel()
-    if isinstance(x, np.ndarray):  # log_scaled passes arrays of at least one dimension only
-        x = np.broadcast_to(x, shape).ravel()
+    x = np.broadcast_to(x, shape).ravel() if isinstance(x, np.ndarray) else x
     blocks = _blocks(kind, by, x)
     if len(blocks) == 1:  # one method takes every entry
         m = blocks[0][0]
@@ -412,8 +394,9 @@ def _log_scaled_values(kind: str, nu: np.ndarray, x, by=None):
         return ln.reshape(shape), rel.reshape(shape), np.full(shape, m, dtype=np.int8)
     ln, rel = np.empty((2, nu.size))
     method = np.empty(nu.size, dtype=np.int8)
+    x = np.broadcast_to(x, nu.shape)
     for m, take in blocks:
-        ln[take], rel[take] = _METHOD_FNS[m](kind, nu[take], x[take] if isinstance(x, np.ndarray) else x)
+        ln[take], rel[take] = _METHOD_FNS[m](kind, nu[take], x[take])
         method[take] = m
     return ln.reshape(shape), rel.reshape(shape), method.reshape(shape)
 
@@ -432,11 +415,11 @@ def log_scaled(kind: str, nu, x, with_dr: bool = False):
     * ``method`` -- each entry's index into :data:`METHODS`.
     """
     nu = np.asarray(nu, dtype=float)
-    if isinstance(x, float) or not np.ndim(x):
-        x = float(x)
-    else:
+    if np.ndim(x):
         x = np.asarray(x, dtype=float)
-        nu = np.broadcast_to(nu, np.broadcast_shapes(nu.shape, x.shape))
+        nu, x = np.broadcast_arrays(nu, x)
+    else:
+        x = float(x)
     if not with_dr:
         ln, rel, method = _log_scaled_values(kind, nu, x)
         return ln, None, rel, method

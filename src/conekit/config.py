@@ -7,16 +7,21 @@ here, so tuning happens in exactly one place.
 from dataclasses import dataclass
 
 
+# The default base table of a cone with mu0 <= 10 holds the orders below
+# this (mu_cutoff_floor); the Bessel engine leaves all of them, up to
+# x = 20, to its series and integral (olver_nu_min): one pass per kind.
+_BASE_ORDERS = 40.0
+
+
 @dataclass(frozen=True)
 class Defaults:
     # --- Bessel engine -------------------------------------------------
     # From this order on, I (past (x/2)^2 = nu + 1) and K (above x = 1e-10)
     # come from Olver's uniform expansions; below it, I from its power
     # series and K from its integral, up to x = 20 (see conekit.bessel).
-    # Olver's 20 terms reach rounding from order 15 on; 40 keeps a default
-    # base table (mu < 40) in one pass per kind, and the orders it grows
-    # to in another, which measures fastest.
-    olver_nu_min: float = 40.0
+    # Olver's 20 terms reach rounding from order 15 on; at 40 the default
+    # base table needs no Olver pass, which beat 15 end to end.
+    olver_nu_min: float = _BASE_ORDERS
     # Scaled values are folded into a plain float when |log2 value| <= this.
     fold_exp2: int = 600
 
@@ -31,7 +36,7 @@ class Defaults:
     # The base table's mu_cutoff defaults to max(mu_cutoff_floor,
     # mu0 + mu_cutoff_margin).  Sphere and torus tables grow past it on
     # demand, in chunks (see conekit.resolvent).
-    mu_cutoff_floor: float = 40.0
+    mu_cutoff_floor: float = _BASE_ORDERS
     mu_cutoff_margin: float = 30.0
 
     # --- Riesz kernel ----------------------------------------------------

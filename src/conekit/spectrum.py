@@ -95,8 +95,8 @@ class TailProfile:
     the slice ``kinds`` of ``_TAIL_KINDS`` (by default the resolvent's
     three), the log of a proven upper bound for the sum over all modes with
     mu > mu_from of weight(mode) * s**mu, where :meth:`weights` gives the
-    weight of each kind; ``sum_beyond`` gives the bounds themselves.  The
-    logs stay finite where s**mu underflows.  The kinds:
+    weight of each kind.  The logs stay finite where s**mu underflows.
+    The kinds:
 
     * ``"pair_over_2mu"``: sup|pair| / (2 mu)   (kernel tails),
     * ``"pair"``:          sup|pair|            (radial-derivative tails),
@@ -119,10 +119,6 @@ class TailProfile:
 
     def log_sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
         raise NotImplementedError
-
-    def sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
-        """The bounds of :meth:`log_sum_beyond` as floats (0 where they underflow)."""
-        return tuple(math.exp(v) for v in self.log_sum_beyond(s, mu_from, kinds))
 
 
 class CompleteTail(TailProfile):

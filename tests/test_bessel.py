@@ -97,7 +97,8 @@ class TestScaledRange:
 
     @pytest.mark.parametrize("nu", [0.3, 1.5, 5.0, 15.0, 29.9])
     def test_tiny_argument_below_order_30(self, nu):
-        # Here scipy's scaled ive/kve underflow or overflow for most nu.
+        # I from its series, K from its leading terms (x <= 1e-10); the plain
+        # values leave double range for most nu.
         for r in (1e-10, 1e-100, 1e-250):
             np.testing.assert_allclose(bessel_i(nu, r).log_abs,
                                        oracles.log_bessel_i_ref(nu, r), rtol=1e-13)
@@ -107,7 +108,7 @@ class TestScaledRange:
 
     @pytest.mark.parametrize("nu", [0.0, 1e-6, 0.01, 0.5, 0.99, 1.5])
     def test_subnormal_arguments(self, nu):
-        # Below x = 2.2e-308 kve overflows at every order; for nu < 1 the
+        # Subnormal arguments: K from its leading terms; for nu < 1 the
         # second small-argument term, of relative size ~ (x/2)^{2 nu}, counts.
         for r in (1e-310, 1e-320):
             log_k = oracles.log_bessel_k_ref(nu, r)
@@ -135,6 +136,28 @@ class TestIdentities:
             r = float(10.0 ** rng.uniform(-6, 2.7))
             worst = max(worst, abs(wronskian_residual(nu, r)))
         assert worst < 1e-10
+        nu = rng.uniform(0.05, 200.0, 1000)
+        r = 10.0 ** rng.uniform(-6, 2.7, 1000)
+        assert wronskian_residual(nu, r).max() < 1e-10  # the same in one vector pass
+
+    def test_argument_arrays_match_single_calls(self):
+        # One call over per-entry arguments, derivatives included, gives
+        # each entry what a call of its own (a float x) gives, in every
+        # method; and an order column against an argument row broadcasts.
+        rng = np.random.default_rng(7)
+        nu, x = rng.uniform(0.0, 80.0, 300), 10.0 ** rng.uniform(-12.0, 2.5, 300)
+        for kind in "ik":
+            ln, ln_dr, _, method = log_scaled(kind, nu, x, with_dr=True)
+            grid = log_scaled(kind, nu[:6, None], x[None, :5], with_dr=True)
+            assert grid[0].shape == grid[1].shape == (6, 5)
+            for j in range(nu.size):
+                one_ln, one_dr, _, one_method = log_scaled(kind, [nu[j]], x[j], with_dr=True)
+                assert method[j] == one_method[0], (kind, nu[j], x[j])
+                for got, want in ((ln[j], one_ln[0]), (ln_dr[j], one_dr[0])):
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (kind, nu[j], x[j], got, want)
+                if j < 5:  # the grid's diagonal holds the same (order, argument) pairs
+                    assert abs(grid[0][j, j] - ln[j]) <= 1e-14 * max(1.0, abs(ln[j]))
+            assert len(set(method.tolist())) >= (3 if kind == "k" else 2)
 
     def test_half_integer_closed_forms(self):
         for r in [1e-4, 0.3, 1.0, 7.0, 80.0]:
@@ -161,7 +184,8 @@ class TestIdentities:
         assert bessel_k(50.0, 1e-3).method == "uniform-asymptotic"
         assert bessel_i(200.0, 1e-6).method == "power-series"
         assert bessel_k(200.0, 1e-6).method == "uniform-asymptotic"
-        # Where ive underflows with (x/2)^2 > nu + 1, I comes from Olver's expansion.
+        # At high orders I takes Olver's expansion past (x/2)^2 = nu + 1 and
+        # the series up to it.
         assert bessel_i(5000.0, 2000.0).method == "uniform-asymptotic"
         assert bessel_i(5000.0, 2.0).method == "power-series"
 

@@ -447,7 +447,7 @@ class TestDiagonal:
 # functions, summed one mode at a time with the documented stop rules.
 # Past the base table the sum runs on in chunks, each up to _GROWTH times
 # the previous chunk's cutoff (_GROWTH**level times the base's), with each
-# chunk's remainder seeded by sum_beyond at its top.
+# chunk's remainder seeded by log_sum_beyond at its top.
 # ----------------------------------------------------------------------
 
 def _sphere_reference(spec, levels=2):
@@ -589,7 +589,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     while modes is not None and not stopped:
         if rigorous:
             beyond = dict(zip(("pair_over_2mu", "pair", "grad_over_2mu"),
-                              spec.tail_profile.sum_beyond(s, modes[-1][0])))
+                              map(math.exp, spec.tail_profile.log_sum_beyond(s, modes[-1][0]))))
 
             def suffix(kind):
                 out = [beyond[kind]]

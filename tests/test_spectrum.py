@@ -183,7 +183,7 @@ class TestTails:
                         break
                     last = term
                 l += 1
-            bound = shallow.tail_profile.sum_beyond(s, mu_from)[row]
+            bound = math.exp(shallow.tail_profile.log_sum_beyond(s, mu_from)[row])
             assert brute <= bound <= (1 + 2e-6) * brute, (d, s, start)
 
     @pytest.mark.parametrize("d,radius,c", [(3, 1.0, 0.0), (4, 2.0, 1.0), (5, 0.7, -1.2), (3, 1.5, -0.2)])
@@ -207,7 +207,7 @@ class TestTails:
                         break
                     last = terms
                 l += 1
-            bound = np.array(shallow.tail_profile.sum_beyond(s, mu_from, slice(3, 6)))
+            bound = np.exp(shallow.tail_profile.log_sum_beyond(s, mu_from, slice(3, 6)))
             assert np.all(brute <= bound) and np.all(bound <= (1 + 2e-6) * brute), (d, s, start)
 
     @pytest.mark.parametrize("s", [0.9999, 0.99999])
@@ -223,7 +223,7 @@ class TestTails:
         exact = np.array([s0, 2 * s1 + s0, s2 / 2]) * math.sqrt(s) / (4 * math.pi)
         tracemalloc.start()
         try:
-            bound = np.array(spec.tail_profile.sum_beyond(s, spec.table.mu[-1]))
+            bound = np.exp(spec.tail_profile.log_sum_beyond(s, spec.table.mu[-1]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -241,12 +241,12 @@ class TestTails:
                 mult / spec.cross_section.volume / (2 * mu) * s ** mu
                 for mu, mult in zip(table.mu, table.mult) if mu > mu_from
             )
-            bound = shallow.tail_profile.sum_beyond(s, mu_from)[0]
+            bound = math.exp(shallow.tail_profile.log_sum_beyond(s, mu_from)[0])
             assert brute <= bound
             # Every kind, from the modes' exact sups (the lambda-integral's three rise or fall with mu).
             brute = sum(TailProfile.weights(mu, pair_sup, grad_sup) * s ** mu
                         for mu, pair_sup, grad_sup in zip(table.mu, table.pair_sup, table.grad_sup) if mu > mu_from)
-            assert np.all(brute <= shallow.tail_profile.sum_beyond(s, mu_from, slice(0, 6)))
+            assert np.all(brute <= np.exp(shallow.tail_profile.log_sum_beyond(s, mu_from, slice(0, 6))))
 
     def test_torus_tail_far_below_double_range(self):
         # Past mu = 112.3 at s = 1e-6 every s**mu underflows (about 1e-674).
@@ -255,13 +255,13 @@ class TestTails:
         # but the whole sum, at s = 1e-3 as at s = 1e-6.
         tail = torus_spectrum(3, [1.0, 1.3]).tail_profile
         tiny, small = tail.log_sum_beyond(1e-6, 112.3), tail.log_sum_beyond(1e-3, 112.3)
-        assert all(math.isfinite(v) for v in tiny) and tail.sum_beyond(1e-6, 112.3) == (0.0, 0.0, 0.0)
+        assert all(math.isfinite(v) for v in tiny) and not np.exp(tiny).any()
         np.testing.assert_allclose(np.subtract(tiny, small), 112.3 * math.log(1e-3), atol=1e-2)
 
     def test_tail_rejects_s_at_one(self):
         spec = sphere_spectrum(3)
         with pytest.raises(DomainError):
-            spec.tail_profile.sum_beyond(1.0, 40.0)
+            spec.tail_profile.log_sum_beyond(1.0, 40.0)
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +427,7 @@ class TestReferenceAlgorithms:
             spec = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=cutoff)
             mu_from = spec.table.mu[-1]
             for s in _sphere_tail_s(cutoff, c, radius):
-                got = spec.tail_profile.sum_beyond(s, mu_from)
+                got = np.exp(spec.tail_profile.log_sum_beyond(s, mu_from))
                 want = [_ref_sphere_tail(d, radius, c, s, mu_from, kind) for kind in _KINDS]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"cutoff {cutoff}, s {s}")
 
@@ -436,7 +436,7 @@ class TestReferenceAlgorithms:
         spec = torus_spectrum(len(radii) + 1, radii, c=0.3, mu_cutoff=12.0)
         mu_from = spec.table.mu[-1]
         for s in _TAIL_S:
-            got = spec.tail_profile.sum_beyond(s, mu_from)
+            got = np.exp(spec.tail_profile.log_sum_beyond(s, mu_from))
             want = [_ref_torus_tail(radii, s, mu_from, kind) for kind in _KINDS]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"s {s}")
 
@@ -617,7 +617,7 @@ class TestDerivedTables:
         lead = leading_modes(spec, 2)
         assert len(lead.table.mu) == 2
         assert lead.certifiable  # complete by construction
-        assert lead.tail_profile.sum_beyond(0.3, lead.table.mu[-1]) == (0.0, 0.0, 0.0)
+        assert lead.tail_profile.log_sum_beyond(0.3, lead.table.mu[-1]) == (-math.inf,) * 3
         with pytest.raises(DomainError):
             leading_modes(spec, 0)
         for count in (1.5, math.nan):
@@ -736,10 +736,10 @@ class TestGrownTables:
 
     def test_sphere_table_is_the_tail_table(self):
         # Each degree is built and kept once: the grown table's arrays are
-        # views of the tail's kept degree table, which sum_beyond reads.
+        # views of the tail's kept degree table, which log_sum_beyond reads.
         spec = sphere_spectrum(3)
         table = spec.grown(500.0)
-        spec.tail_profile.sum_beyond(0.2, 400.0)
+        spec.tail_profile.log_sum_beyond(0.2, 400.0)
         kept = spec.tail_profile._table
         assert all(np.shares_memory(v, kept) for v in (table.mu, table.mult, table.pair_sup, table.grad_sup))
 
@@ -750,11 +750,11 @@ class TestGrownTables:
         # table from 0 (at s = 0.9999 such rebuilds took 139 of 248 ms).
         spec = sphere_spectrum(3)
         top = float(spec.grown(1e12).mu[-1])
-        first = spec.tail_profile.sum_beyond(0.9999, top)
+        first = spec.tail_profile.log_sum_beyond(0.9999, top)
         built = []
         build = SphereTail._build
         monkeypatch.setattr(SphereTail, "_build", lambda self, lo, hi: built.append(lo) or build(self, lo, hi))
-        assert spec.tail_profile.sum_beyond(0.9999, top) == first
+        assert spec.tail_profile.log_sum_beyond(0.9999, top) == first
         assert built and min(built) >= TABLE_CEILING - 4, built
 
     @pytest.mark.parametrize("spec", [sphere_spectrum(3, c=0.4), torus_spectrum(3, [1.0, 1.3])])
@@ -763,7 +763,7 @@ class TestGrownTables:
         # the same entries of the pass over all six.
         mu_from = spec.table.mu[-1]
         for s in (0.2, 0.9):
-            every = spec.tail_profile.sum_beyond(s, mu_from, slice(0, 6))
-            assert spec.tail_profile.sum_beyond(s, mu_from) == every[:3]
+            every = spec.tail_profile.log_sum_beyond(s, mu_from, slice(0, 6))
+            assert spec.tail_profile.log_sum_beyond(s, mu_from) == every[:3]
             for kinds in (slice(0, 1), slice(0, 2), slice(3, 6), slice(4, 5)):
-                assert spec.tail_profile.sum_beyond(s, mu_from, kinds) == every[kinds]
+                assert spec.tail_profile.log_sum_beyond(s, mu_from, kinds) == every[kinds]

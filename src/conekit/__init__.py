@@ -2,9 +2,10 @@
 with inverse-square potentials on metric cones, with certified truncation
 errors and exact Lp-boundedness thresholds.
 
-The operator is H = Laplacian + V0(y)/r^2 on the cone (0, inf) x Y.  All
-kernel values carry rigorous truncation bounds whenever the cross-section
-spectrum supports them; L^p thresholds are computed in closed form and
+The operator is H = Laplacian + V0(y)/r^2 on the cone (0, inf) x Y.  Every
+kernel value off r = r' carries a rigorous truncation bound (every spectrum
+with pair functions has a tail profile), and a value at r = r' a quadrature
+error estimate; L^p thresholds are computed in closed form and
 cross-checked by Schur tests and numerical norm probes.
 """
 

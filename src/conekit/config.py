@@ -28,9 +28,6 @@ class Defaults:
     # --- Resolvent series ----------------------------------------------
     # Default relative tolerance for kernel values.
     kernel_rel_tol: float = 1e-8
-    # Heuristic stop for spectra without a tail profile (at s < 1): this
-    # many consecutive terms below the target.
-    heuristic_run: int = 3
 
     # --- Mode-table sizing ----------------------------------------------
     # The base table's mu_cutoff defaults to max(mu_cutoff_floor,

@@ -141,13 +141,13 @@ class NormProbeResult:
     iterations: tuple
 
 
-def _matrix_p_norm(B: np.ndarray, p: float, tol: float, iter_cap: int):
-    """Power iteration for the p-norm of a nonnegative matrix."""
+def _matrix_p_norm(B: np.ndarray, p: float):
+    """Power iteration for the p-norm of a nonnegative matrix, to ``DEFAULTS.probe_tol``."""
     q = p / (p - 1.0)
     n = B.shape[1]
     x = np.full(n, n ** (-1.0 / p))
     lam_prev = 0.0
-    for it in range(1, iter_cap + 1):
+    for it in range(1, DEFAULTS.probe_iter_cap + 1):
         y = B @ x
         lam = float(np.linalg.norm(y, p))
         if lam == 0.0:
@@ -155,10 +155,10 @@ def _matrix_p_norm(B: np.ndarray, p: float, tol: float, iter_cap: int):
         z = B.T @ (y / lam) ** (p - 1.0)
         x = z ** (q - 1.0)
         x /= np.linalg.norm(x, p)
-        if abs(lam - lam_prev) <= tol * lam:
+        if abs(lam - lam_prev) <= DEFAULTS.probe_tol * lam:
             return lam, it
         lam_prev = lam
-    return lam, iter_cap
+    return lam, DEFAULTS.probe_iter_cap
 
 
 def lp_norm_probe(
@@ -168,8 +168,6 @@ def lp_norm_probe(
     k_values=(4, 10, 16),
     points_per_octave: int = 4,
     homogeneous_degree: float | None = None,
-    tol: float = DEFAULTS.probe_tol,
-    iter_cap: int = DEFAULTS.probe_iter_cap,
 ) -> NormProbeResult:
     """Estimate L^p(r^{d-1} dr) norms of |kernel| on nested log grids.
 
@@ -212,7 +210,7 @@ def lp_norm_probe(
         kappa = np.vectorize(ratio_val)(exps[:, None] - exps[None, :])
         kmat = kappa * (r[None, :] ** degree)
         B = (w ** (1.0 / p))[:, None] * kmat * (w ** (1.0 - 1.0 / p))[None, :]
-        lam, it = _matrix_p_norm(B, p, tol, iter_cap)
+        lam, it = _matrix_p_norm(B, p)
         norms.append(lam)
         iters.append(it)
 
@@ -242,10 +240,7 @@ def riesz_probe_kernel(
     Homogeneous of degree -spectrum.d, the default ``homogeneous_degree``
     of :func:`lp_norm_probe`.
     """
-    cs = spectrum.cross_section
-    if cs is None:
-        raise DomainError("spectrum carries no cross-section")
-    y, yp = cs.points_at_separation(separation)
+    y, yp = spectrum.cross_section.points_at_separation(separation)
 
     def kern(r: float, rp: float) -> float:
         return riesz_kernel(

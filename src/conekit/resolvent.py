@@ -59,11 +59,11 @@ A result is *certified* when s < 1 and the rigorous stop rule fired; the
 by construction.  A rigorous result is not certified when the table
 (a spectrum file's, or a grown table at the ceiling) ran out first; its
 ``tail_bound`` is the rigorous remainder there (infinite where it passes
-double range on the value's scale).  When the spectrum carries no sup
-bounds, a Cauchy heuristic stops the sum over the base table and
-``tail_bound`` is an extrapolation, not a guarantee
-(``tail_kind == "cauchy"``).  At s = 1 the series is not summed: see
-"On the diagonal" (``tail_kind == "quadrature"``, never certified).
+double range on the value's scale).  Every spectrum that evaluates a
+kernel has sup bounds and a tail profile (``CrossSectionSpectrum``
+checks it), so this stop rule is the only one.  At s = 1 the series is
+not summed: see "On the diagonal" (``tail_kind == "quadrature"``, never
+certified).
 
 ``tail_bound`` covers series truncation, and rounding where it matters:
 each term carries its Bessel factors' relative error estimate
@@ -97,9 +97,7 @@ targets, tails and the rounding estimate are arrays of the same shape;
 each chunk's tails are the table's ``log_weights`` seeded by one
 ``log_sum_beyond`` call at its top.  The sum stops at the first column that
 meets every row's target; where the table runs out, its last column is
-the value and the tail.  The Cauchy rule stops at the first column that
-ends ``heuristic_run`` consecutive terms below ``rel_tol/10`` of their
-partial sums.  The radial derivative with z inner uses
+the value and the tail.  The radial derivative with z inner uses
 beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
 two 1/r parts cancel in closed form, not in rounding at tiny r.
 
@@ -231,8 +229,7 @@ class KernelValue:
     absolute truncation bound on the same ``2**exp2`` scale as ``value``.
     ``certified`` means the bound is rigorous and met the requested
     ``rel_tol``; ``tail_kind`` records how it was obtained ("rigorous",
-    "cauchy", "quadrature" at r = r', or "exact" for identically-zero
-    components).
+    "quadrature" at r = r', or "exact" for identically-zero components).
     """
 
     value: float
@@ -408,10 +405,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     (see the module docstring).  At r = r' the values are
     :func:`_heat_diagonal`'s.
     """
-    cs = spec.cross_section
-    if cs is None:
-        raise DomainError("spectrum carries no cross-section; kernel evaluation needs one")
-    gamma = cs.distance(z.y, zp.y)
+    gamma = spec.cross_section.distance(z.y, zp.y)
     base = spec.pair_table
     r, rp = z.r, zp.r
     if r == rp:
@@ -425,7 +419,6 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     # The components, one row each: the kernel, and with need_grad the radial and angular derivatives.
     n_comp = 1 if not need_grad else 2 if ang_exact_zero else 3
     beta_r = (1.0 - 0.5 * spec.d) / r
-    rigorous = spec.certifiable
 
     # The modes are read chunk by chunk, each (mu, pair, grad, log tail
     # weights) for entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the
@@ -511,118 +504,101 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     T, rel = terms(mu, pair, grad)
     scale_list = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])[:n_comp]]
     scales = np.array(scale_list)
-    if rigorous:
-        # Sum chunk after chunk; stop at the first j whose remainder is below
-        # rel_tol * |partial sum| in every component (0 <= 0 counts).
-        log_rel_tol = math.log(rel_tol)
-        # The kernel, radial and angular tails, from the suffix tables of
-        # ``kinds``: log_coefs[0] + row 0, logaddexp(log_coefs[1] + row 0,
-        # log_coefs[2] + row 1) and log_coefs[3] + row 2.
-        if lam is None:
-            # f <= A s^mu / sqrt(mu) and e <= x/(1-x) A s^mu / sqrt(mu), A =
-            # sqrt(pi)/2 (1-x)^{-1/2}; |coef_ik| <= mu + (d-2)/2 (z inner) or
-            # mu + d/2 (z outer).
-            x = s * s
-            kinds = _INTEGRAL_KINDS
-            log_a = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) - log_b
-            log_ar = log_a - math.log(r)
-            excess = 0.5 * (spec.d - 2) if z_small else 0.5 * spec.d
-            log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
-        else:
-            # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
-            kinds = _RESOLVENT_KINDS
-            deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
-            log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
-        if not need_grad:
-            kinds = slice(kinds.start, kinds.start + 1)
-
-        def tails(mu, log_weights):
-            """A chunk's log remainders, one row per component; entry j bounds the terms from j on."""
-            rows = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.log_sum_beyond(s, mu[-1], kinds))
-            if not need_grad:
-                return log_coefs[0] + rows
-            return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
-                             log_coefs[3] + rows[2]][:n_comp])
-
-        def blocks():
-            """The grown chunks, each in blocks that at most double the modes summed: (mu, pair, grad, tails)."""
-            while (c := grow()) is not None:
-                mu, pair, grad, log_weights = c
-                tail, start, lo = tails(mu, log_weights), end - mu.size, 0
-                while lo < mu.size:
-                    hi = min(mu.size, 2 * lo + start)
-                    yield mu[lo:hi], pair[lo:hi], grad[lo:hi] if need_grad else None, tail[:, lo:hi + 1].copy()
-                    lo = hi
-
-        later, tail = blocks(), tails(mu, log_weights)
-        used, mag, wmag = 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
-        while True:
-            size = T.shape[1]
-            sums = T.cumsum(axis=1)
-            if used:
-                sums += carry[:, None]
-            with np.errstate(divide="ignore"):
-                target = log_rel_tol + np.log(np.abs(sums)) + scales[:, None]
-                if lam is None and n_comp == 3:  # one target for the gradient: rel_tol of its length
-                    target[1:] = np.logaddexp(2.0 * target[1], 2.0 * target[2]) / 2.0
-                ok = (tail[:, 1:] <= target).all(axis=0)
-                j = int(ok.argmax())
-                stopped = certified = bool(ok[j])
-                if not stopped:
-                    j = size - 1
-                # Rounding joins the remainder where its estimate reaches a
-                # tenth of the target (a sum that cancels heavily, as for
-                # points far apart at large lam r').  The estimate after
-                # term j sums each term's |term| times its Bessel factors'
-                # relative error, plus about one rounding per summed term
-                # times the sum of |terms|.  It is bounded first, cheaply,
-                # at the truncation's stop: every term of the block at the
-                # largest relative error, the sum of their sizes bounded by
-                # the tail's first entry.  More modes cannot make up for
-                # rounding, so where it keeps the target out of reach in
-                # this block, the sum stops there, uncertified.
-                rel_max = float(rel.max()) + (used + size + 8) * _EPS
-                log_rel_max = math.log(rel_max)
-                # The bound row by row in floats: on at most three rows they beat numpy's calls.
-                if any(max(_log(w + rel_max * m) + scale, log_rel_max + first) + _LN2 >= _LOG_FP_SHARE + at_stop
-                       for w, m, scale, first, at_stop in zip(wmag.tolist(), mag.tolist(), scale_list,
-                                                              tail[:, 0].tolist(), target[:, j].tolist())):
-                    abs_t = np.abs(T)
-                    log_fp = np.log(wmag[:, None] + (abs_t * rel).cumsum(axis=1)
-                                    + (used + np.arange(9.0, size + 9.0)) * _EPS
-                                    * (mag[:, None] + abs_t.cumsum(axis=1))) + scales[:, None]
-                    tail[:, 1:] = np.where(log_fp >= _LOG_FP_SHARE + target,
-                                           np.logaddexp(tail[:, 1:], log_fp), tail[:, 1:])
-                    ok = (tail[:, 1:] <= target).all(axis=0)
-                    certified = bool(ok.any())
-                    j = int(ok.argmax()) if certified else j
-            used, carry = used + j + 1, sums[:, j]
-            # The value stops at j, or where the table runs out, at the last entry (j = size - 1).
-            log_tails = tail[:, j + 1]
-            if stopped or (block := next(later, None)) is None:
-                break
-            abs_t = np.abs(T)
-            mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
-            mu, pair, grad, tail = block
-            T, rel = terms(mu, pair, grad)
+    # Sum chunk after chunk; stop at the first j whose remainder is below
+    # rel_tol * |partial sum| in every component (0 <= 0 counts).
+    log_rel_tol = math.log(rel_tol)
+    # The kernel, radial and angular tails, from the suffix tables of
+    # ``kinds``: log_coefs[0] + row 0, logaddexp(log_coefs[1] + row 0,
+    # log_coefs[2] + row 1) and log_coefs[3] + row 2.
+    if lam is None:
+        # f <= A s^mu / sqrt(mu) and e <= x/(1-x) A s^mu / sqrt(mu), A =
+        # sqrt(pi)/2 (1-x)^{-1/2}; |coef_ik| <= mu + (d-2)/2 (z inner) or
+        # mu + d/2 (z outer).
+        x = s * s
+        kinds = _INTEGRAL_KINDS
+        log_a = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) - log_b
+        log_ar = log_a - math.log(r)
+        excess = 0.5 * (spec.d - 2) if z_small else 0.5 * spec.d
+        log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
     else:
-        # Cauchy heuristic over the base table: stop after heuristic_run
-        # consecutive terms below rel_tol/10 of their partial sums, in every
-        # component, and after at least two terms.
-        sums = T.cumsum(axis=1)
-        run, size = DEFAULTS.heuristic_run, T.shape[1]
-        small = (np.abs(T) <= 0.1 * rel_tol * np.abs(sums)).all(axis=0)
-        hit = np.convolve(small.astype(int), np.ones(run, dtype=int))[:size] >= run
-        hit[0] = False
-        used, certified = int(hit.argmax()) + 1 if hit.any() else size, False
-        carry = sums[:, used - 1]
-        # Extrapolation: three times the sum of the last few |terms|.
-        with np.errstate(divide="ignore"):
-            log_tails = np.log(3.0 * np.abs(T[:, max(0, used - run):used]).sum(axis=1)) + scales
+        # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
+        kinds = _RESOLVENT_KINDS
+        deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+        log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
+    if not need_grad:
+        kinds = slice(kinds.start, kinds.start + 1)
 
-    tail_kind = "rigorous" if rigorous else "cauchy"
+    def tails(mu, log_weights):
+        """A chunk's log remainders, one row per component; entry j bounds the terms from j on."""
+        rows = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.log_sum_beyond(s, mu[-1], kinds))
+        if not need_grad:
+            return log_coefs[0] + rows
+        return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
+                         log_coefs[3] + rows[2]][:n_comp])
+
+    def blocks():
+        """The grown chunks, each in blocks that at most double the modes summed: (mu, pair, grad, tails)."""
+        while (c := grow()) is not None:
+            mu, pair, grad, log_weights = c
+            tail, start, lo = tails(mu, log_weights), end - mu.size, 0
+            while lo < mu.size:
+                hi = min(mu.size, 2 * lo + start)
+                yield mu[lo:hi], pair[lo:hi], grad[lo:hi] if need_grad else None, tail[:, lo:hi + 1].copy()
+                lo = hi
+
+    later, tail = blocks(), tails(mu, log_weights)
+    used, mag, wmag = 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
+    while True:
+        size = T.shape[1]
+        sums = T.cumsum(axis=1)
+        if used:
+            sums += carry[:, None]
+        with np.errstate(divide="ignore"):
+            target = log_rel_tol + np.log(np.abs(sums)) + scales[:, None]
+            if lam is None and n_comp == 3:  # one target for the gradient: rel_tol of its length
+                target[1:] = np.logaddexp(2.0 * target[1], 2.0 * target[2]) / 2.0
+            ok = (tail[:, 1:] <= target).all(axis=0)
+            j = int(ok.argmax())
+            stopped = certified = bool(ok[j])
+            if not stopped:
+                j = size - 1
+            # Rounding joins the remainder where its estimate reaches a
+            # tenth of the target (a sum that cancels heavily, as for
+            # points far apart at large lam r').  The estimate after
+            # term j sums each term's |term| times its Bessel factors'
+            # relative error, plus about one rounding per summed term
+            # times the sum of |terms|.  It is bounded first, cheaply,
+            # at the truncation's stop: every term of the block at the
+            # largest relative error, the sum of their sizes bounded by
+            # the tail's first entry.  More modes cannot make up for
+            # rounding, so where it keeps the target out of reach in
+            # this block, the sum stops there, uncertified.
+            rel_max = float(rel.max()) + (used + size + 8) * _EPS
+            log_rel_max = math.log(rel_max)
+            # The bound row by row in floats: on at most three rows they beat numpy's calls.
+            if any(max(_log(w + rel_max * m) + scale, log_rel_max + first) + _LN2 >= _LOG_FP_SHARE + at_stop
+                   for w, m, scale, first, at_stop in zip(wmag.tolist(), mag.tolist(), scale_list,
+                                                          tail[:, 0].tolist(), target[:, j].tolist())):
+                abs_t = np.abs(T)
+                log_fp = np.log(wmag[:, None] + (abs_t * rel).cumsum(axis=1)
+                                + (used + np.arange(9.0, size + 9.0)) * _EPS
+                                * (mag[:, None] + abs_t.cumsum(axis=1))) + scales[:, None]
+                tail[:, 1:] = np.where(log_fp >= _LOG_FP_SHARE + target,
+                                       np.logaddexp(tail[:, 1:], log_fp), tail[:, 1:])
+                ok = (tail[:, 1:] <= target).all(axis=0)
+                certified = bool(ok.any())
+                j = int(ok.argmax()) if certified else j
+        used, carry = used + j + 1, sums[:, j]
+        # The value stops at j, or where the table runs out, at the last entry (j = size - 1).
+        log_tails = tail[:, j + 1]
+        if stopped or (block := next(later, None)) is None:
+            break
+        abs_t = np.abs(T)
+        mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
+        mu, pair, grad, tail = block
+        T, rel = terms(mu, pair, grad)
     log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
-    outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, tail_kind)
+    outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, "rigorous")
             for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
     if not need_grad:
         return outs[0]
@@ -781,10 +757,7 @@ def boundary_order_probe(
     """
     if face not in BOUNDARY_FACES:
         raise DomainError(f"face must be one of {BOUNDARY_FACES}, got {face!r}")
-    cs = spectrum.cross_section
-    if cs is None:
-        raise DomainError("spectrum carries no cross-section; probe needs one")
-    y, yp = cs.points_at_separation(separation)
+    y, yp = spectrum.cross_section.points_at_separation(separation)
     if epsilons is None:
         epsilons = np.geomspace(1e-3, 1e-6, 7) if face != "rbi" else np.geomspace(1e-1, 5e-3, 7)
     eps = [float(v) for v in epsilons]

@@ -256,8 +256,6 @@ class RieszKernelValue:
       mode series, plus their rounding estimate where it matters (as a
       resolvent value's ``tail_bound``).  ``certified`` means the stop rule
       fired, and then ``quad_error_est <= rel_tol * magnitude``.
-    * r != r' on a spectrum without sup bounds (``"cauchy"``): the Cauchy
-      extrapolation of the remainders, not a guarantee.
     * r = r' (``"quadrature"``, never certified): the heat kernel's tau
       rule, with the difference of its two finest grids, rounding, and the
       flat heat kernel's bound where nodes need modes past the table; an
@@ -295,8 +293,7 @@ def riesz_kernel(
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
-    cs = spectrum.cross_section
-    if cs is not None and cone_distance(z.r, zp.r, cs.distance(z.y, zp.y)) == 0.0:
+    if cone_distance(z.r, zp.r, spectrum.cross_section.distance(z.y, zp.y)) == 0.0:
         # off the diagonal too, where the distance underflows
         raise DomainError("riesz kernel is singular at zero cone distance")
     _, d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * rel_tol, "riemannian")
@@ -380,9 +377,6 @@ def offdiag_bound_check(
         raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
     if not (0.0 < ratio <= 0.25):
         raise DomainError(f"ratio must lie in (0, 1/4] for the off-diagonal regime, got {ratio!r}")
-    cs = spectrum.cross_section
-    if cs is None:
-        raise DomainError("spectrum carries no cross-section")
     if rprimes is None:
         rprimes = np.geomspace(1.0, 8.0, 7)
     rprimes = tuple(float(v) for v in rprimes)
@@ -398,7 +392,7 @@ def offdiag_bound_check(
             )
         spectrum = leading_modes(spectrum, 1)
 
-    y, yp = cs.points_at_separation(separation)
+    y, yp = spectrum.cross_section.points_at_separation(separation)
     r_values, mags, models = [], [], []
     for rp_val in rprimes:
         r_val = ratio * rp_val if region == "far-right" else rp_val / ratio

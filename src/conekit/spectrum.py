@@ -342,9 +342,11 @@ class CrossSectionSpectrum:
     below ``mu_cutoff`` appears (equal-mu clusters merged).  ``table``
     holds the modes, their sup bounds the tails read and the pair
     functions behind :meth:`pair_values`; without pair functions the
-    spectrum is norms-only.  With pair functions and a tail profile,
-    kernel evaluations on this spectrum can certify their truncation
-    error.  ``grow`` is the provider's table closure, mu_max ->
+    spectrum is norms-only.  Every spectrum has a cross-section, and every
+    table with pair functions has a tail profile (a norms-only one may
+    have none), so every kernel value off r = r' bounds its truncation
+    rigorously; the constructor raises :class:`DomainError` otherwise.
+    ``grow`` is the provider's table closure, mu_max ->
     :class:`ModeArrays` (see :meth:`grown`), which built ``table`` too;
     spectra without one (files, sub-spectra) never grow.
     """
@@ -352,7 +354,7 @@ class CrossSectionSpectrum:
     d: int
     table: ModeArrays
     v0_descriptor: str
-    cross_section: CrossSection | None = None
+    cross_section: CrossSection
     v0_constant: float | None = None
     tail_profile: TailProfile | None = None
     mu_cutoff: float | None = None
@@ -365,6 +367,10 @@ class CrossSectionSpectrum:
             raise InsufficientSpectrumError("spectrum has no modes")
         if (np.diff(self.table.mu) <= 0.0).any():
             raise DomainError("modes must be sorted strictly ascending in mu")
+        if self.cross_section is None:
+            raise DomainError("spectrum carries no cross-section; every spectrum needs one")
+        if self.tail_profile is None and self.table.pairs is not None:
+            raise DomainError("a table with pair functions needs a tail profile to bound its truncation")
 
     @property
     def mu0(self) -> float:
@@ -429,15 +435,9 @@ class CrossSectionSpectrum:
             gamma = self.cross_section.distance(y, yp)
         return table.pairs(y, yp, gamma, 0, table.mu.size, None, with_grad)[:2]
 
-    @property
-    def certifiable(self) -> bool:
-        """Whether tails can be bounded: pair functions with their sup bounds, and a tail profile."""
-        return self.tail_profile is not None and self.table.pairs is not None
-
     def descriptor(self) -> str:
-        cs = self.cross_section.descriptor() if self.cross_section is not None else "none"
         return (
-            f"d={self.d} cross_section={cs} v0={self.v0_descriptor} "
+            f"d={self.d} cross_section={self.cross_section.descriptor()} v0={self.v0_descriptor} "
             f"modes={self.table.mu.size} mu0={self.mu0:.6g}"
         )
 
@@ -579,8 +579,8 @@ def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | N
 def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff, build, tail):
     """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth."""
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
-    if cutoff <= 0.0:
-        raise DomainError(f"mu_cutoff must be > 0, got {mu_cutoff!r}")
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise DomainError(f"mu_cutoff must be finite and > 0, got {mu_cutoff!r}")
     table = build(cutoff)
     if not table.mu.size:
         raise InsufficientSpectrumError(

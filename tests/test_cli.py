@@ -352,6 +352,13 @@ class TestErrorPaths:
                                "--r", "1", "--rp", "1", "--gamma", "1")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_non_finite_cutoff(self, capsys, cutoff):
+        code, out, err = run_cli(capsys, "kernel", "--d", "3", "--r", "0.2", "--rp", "1",
+                                 "--gamma", "1", "--mu-cutoff", cutoff)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "mu_cutoff" in err and len(err.splitlines()) == 1
+
     def test_positivity_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--d", "3", "--c", "-0.3")
         assert code == 1 and "error:" in err

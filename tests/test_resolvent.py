@@ -562,7 +562,7 @@ _bessel_i, _bessel_k_with_dr = functools.cache(bessel_i), functools.cache(bessel
 
 
 def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
-    """(values, sums of |terms|, tails, modes_used, certified, tail_kind).
+    """(values, sums of |terms|, tails, modes_used, certified).
 
     The first three hold one entry per component: kernel, or radial and
     (unless gamma = 0) angular.  ``ref`` is (chunk, pairs): the modes of
@@ -578,27 +578,24 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     gauge = (r * rp) ** (1 - spec.d / 2)
     ang = need_grad and gamma != 0.0
     n_comp = 1 + need_grad + ang
-    rigorous = spec.certifiable
     deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
     modes = list(zip(spec.table.mu.tolist(), spec.table.pair_sup.tolist(), spec.table.grad_sup.tolist()))
     all_pairs = pairs(gamma)
     acc = [0.0] * n_comp
     mags = [0.0] * n_comp
-    history = []
-    run, stopped, used, level = 0, False, 0, 0
+    stopped, used, level = False, 0, 0
     while modes is not None and not stopped:
-        if rigorous:
-            beyond = dict(zip(("pair_over_2mu", "pair", "grad_over_2mu"),
-                              map(math.exp, spec.tail_profile.log_sum_beyond(s, modes[-1][0]))))
+        beyond = dict(zip(("pair_over_2mu", "pair", "grad_over_2mu"),
+                          map(math.exp, spec.tail_profile.log_sum_beyond(s, modes[-1][0]))))
 
-            def suffix(kind):
-                out = [beyond[kind]]
-                for mu, pair_sup, grad_sup in reversed(modes):
-                    sup = grad_sup if kind == "grad_over_2mu" else pair_sup
-                    out.append(out[-1] + sup * s ** mu / (1.0 if kind == "pair" else 2 * mu))
-                return out[::-1]
+        def suffix(kind):
+            out = [beyond[kind]]
+            for mu, pair_sup, grad_sup in reversed(modes):
+                sup = grad_sup if kind == "grad_over_2mu" else pair_sup
+                out.append(out[-1] + sup * s ** mu / (1.0 if kind == "pair" else 2 * mu))
+            return out[::-1]
 
-            suf_k, suf_p, suf_g = suffix("pair_over_2mu"), suffix("pair"), suffix("grad_over_2mu")
+        suf_k, suf_p, suf_g = suffix("pair_over_2mu"), suffix("pair"), suffix("grad_over_2mu")
         for i, (mu, _, _) in enumerate(modes):
             p, g = all_pairs[used]
             ik_i = _bessel_i(mu, a)
@@ -618,30 +615,16 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
             for c, t in enumerate(terms):
                 acc[c] += t
                 mags[c] += abs(t)
-            history.append(terms)
             used += 1
-            if rigorous:
-                tails = [suf_k[i + 1], abs(beta) * suf_k[i + 1] + lam * deriv * suf_p[i + 1],
-                         suf_g[i + 1] / r][:n_comp]
-                if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc)):
-                    stopped = True
-                    break
-            else:
-                small = all(abs(t) <= rel_tol / 10 * abs(v) for t, v in zip(terms, acc))
-                run = run + 1 if small else 0
-                if run >= DEFAULTS.heuristic_run and used >= 2:
-                    stopped = True
-                    break
-        if not rigorous:  # three times the sum of the last few |terms|
-            recent = history[-DEFAULTS.heuristic_run:]
-            tails = [3.0 * sum(abs(t[c]) for t in recent) for c in range(n_comp)]
-            break
+            tails = [suf_k[i + 1], abs(beta) * suf_k[i + 1] + lam * deriv * suf_p[i + 1],
+                     suf_g[i + 1] / r][:n_comp]
+            if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc)):
+                stopped = True
+                break
         level += 1
         modes = None if stopped else grown_chunk(level)
-    certified = rigorous and stopped
-    kind = "rigorous" if rigorous else "cauchy"
     return ([gauge * v for v in acc], [gauge * v for v in mags], [gauge * t for t in tails],
-            used, certified, kind)
+            used, stopped)
 
 
 _REFERENCE_POINTS = [
@@ -660,9 +643,6 @@ def _reference_spectra(tmp_path):
         for c in (0.0, -0.24, 1.0):
             spec = sphere_spectrum(d, c=c)
             cases.append((f"sphere d={d} c={c}", spec, _sphere_reference(spec)))
-    # Without a tail profile nothing is rigorous: the Cauchy rule stops
-    # the geometrically decaying series at s < 1.
-    cases.append(("sphere d=3 no tail", replace(cases[0][1], tail_profile=None), cases[0][2]))
     torus = torus_spectrum(3, [1.0, 1.3])
     cases.append(("torus (1, 1.3)", torus, _torus_reference(torus, [1.0, 1.3])))
     cases.append(("file", *_file_spectrum(tmp_path)))
@@ -680,14 +660,14 @@ class TestLoopReference:
                 g = resolvent_gradient(req)
                 for need_grad, got in ((False, [resolvent_kernel(req)]),
                                        (True, [g.d_r, g.angular])):
-                    vals, mags, tails, used, certified, kind = _loop_reference(
+                    vals, mags, tails, used, certified = _loop_reference(
                         spec, ref, r, rp, gamma, lam, req.rel_tol, need_grad)
                     if need_grad:  # radial, and angular unless it is exactly zero
                         vals, mags, tails = vals[1:], mags[1:], tails[1:]
                     where = (name, r, rp, gamma, lam, need_grad)
                     for kv, want, mag, tail in zip(got, vals, mags, tails):
                         assert (kv.modes_used, kv.certified, kv.tail_kind) == (
-                            used, certified, kind), where
+                            used, certified, "rigorous"), where
                         assert abs(kv.float_value() - want) <= 1e-12 * mag, where
                         assert abs(kv.float_tail_bound() - tail) <= 1e-12 * tail, where
                     if need_grad and gamma == 0.0:

@@ -243,10 +243,9 @@ class TestRieszErrors:
             riesz_kernel(S3, ConePoint(0.7, y), ConePoint(0.7, y))
 
     def test_no_cross_section(self):
-        y, yp = S3.cross_section.points_at_separation(0.5)
-        spec = dataclasses.replace(S3, cross_section=None)
-        with pytest.raises(DomainError):
-            riesz_kernel(spec, ConePoint(0.2, y), ConePoint(1.0, yp))
+        # A spectrum without a cross-section is refused when it is built, before any kernel.
+        with pytest.raises(DomainError, match="cross-section"):
+            dataclasses.replace(S3, cross_section=None)
 
     def test_norms_only_file_spectrum(self, tmp_path):
         p = tmp_path / "norms.json"

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,7 @@ from conekit import (
     torus_spectrum,
     weyl_fit,
 )
-from conekit.spectrum import TABLE_CEILING, SphereTail, TailProfile, _torus_table
+from conekit.spectrum import TABLE_CEILING, CompleteTail, SphereTail, TailProfile, _torus_table
 
 import oracles
 
@@ -35,7 +36,7 @@ class TestSphereEigendata:
             assert mult == 2 * l + 1
         assert spec.mu0 == pytest.approx(0.5)
         assert spec.mu1 == pytest.approx(1.5)
-        assert spec.certifiable
+        assert isinstance(spec.tail_profile, SphereTail)
         assert not spec.norms_only
         assert spec.v0_constant == 0.0
 
@@ -114,6 +115,36 @@ class TestSphereEigendata:
         mus = spec.table.mu.tolist()
         assert mus == sorted(mus)
         assert mus[-1] <= 25.0 < mus[-1] + 1.0
+
+
+class TestInvariants:
+    """What every spectrum carries, checked once, when it is built."""
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("build", [lambda cut: sphere_spectrum(3, mu_cutoff=cut),
+                                       lambda cut: torus_spectrum(3, [1.0, 1.3], mu_cutoff=cut)],
+                             ids=["sphere", "torus"])
+    def test_cutoff_must_be_finite_and_positive(self, build, cutoff):
+        with pytest.raises(DomainError, match="mu_cutoff"):
+            build(cutoff)
+
+    def test_pair_functions_need_a_tail_profile(self):
+        for spec in (sphere_spectrum(3), torus_spectrum(3, [1.0, 1.3])):
+            with pytest.raises(DomainError, match="tail profile"):
+                replace(spec, tail_profile=None)
+
+    def test_every_spectrum_needs_a_cross_section(self):
+        with pytest.raises(DomainError, match="cross-section"):
+            replace(sphere_spectrum(3), cross_section=None)
+
+    def test_norms_only_file_needs_no_tail_profile(self, tmp_path):
+        p = tmp_path / "norms.json"
+        p.write_text(json.dumps({"d": 3, "modes": [{"mu": 0.5, "multiplicity": 1},
+                                                    {"mu": 1.5, "multiplicity": 3}]}))
+        spec = load_spectrum(p)
+        assert spec.norms_only and spec.tail_profile is None
+        with pytest.raises(DomainError, match="cross-section"):
+            replace(spec, cross_section=None)
 
 
 class TestTorusEigendata:
@@ -454,7 +485,7 @@ class TestFileRoundTrip:
             assert b.mu[j] == pytest.approx(a.mu[j], rel=1e-15)
             assert b.mult[j] == a.mult[j]
             assert b.pair_sup[j] == pytest.approx(a.pair_sup[j], rel=1e-12)
-        assert loaded.certifiable
+        assert isinstance(loaded.tail_profile, CompleteTail) and not loaded.norms_only
         assert loaded.v0_constant == pytest.approx(0.7)
         # Pair functions agree as functions of the separation.
         cs, lcs = spec.cross_section, loaded.cross_section
@@ -483,7 +514,7 @@ class TestFileRoundTrip:
         save_spectrum(spec, path)
         loaded = load_spectrum(path)
         assert loaded.norms_only
-        assert not loaded.certifiable
+        assert loaded.tail_profile is None
         assert loaded.table.mu.tolist() == pytest.approx(
             spec.table.mu.tolist(), rel=1e-15
         )
@@ -616,7 +647,7 @@ class TestDerivedTables:
         spec = sphere_spectrum(3, mu_cutoff=20.0)
         lead = leading_modes(spec, 2)
         assert len(lead.table.mu) == 2
-        assert lead.certifiable  # complete by construction
+        assert isinstance(lead.tail_profile, CompleteTail) and not lead.norms_only  # complete by construction
         assert lead.tail_profile.log_sum_beyond(0.3, lead.table.mu[-1]) == (-math.inf,) * 3
         with pytest.raises(DomainError):
             leading_modes(spec, 0)

@@ -19,6 +19,7 @@ real separation coordinate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +35,13 @@ __all__ = [
     "SeparationCrossSection",
     "cone_distance",
 ]
+
+
+def check_dimension(d) -> int:
+    """The cone dimension ``d`` as an int; :class:`DomainError` unless it is an integer >= 3."""
+    if not (isinstance(d, numbers.Real) and math.isfinite(d) and d >= 3 and int(d) == d):
+        raise DomainError(f"cone dimension d must be an integer >= 3, got {d!r}")
+    return int(d)
 
 
 @dataclass(frozen=True)
@@ -217,8 +225,8 @@ def cone_distance(r: float, rp: float, d_y: float) -> float:
     The two branches agree at d_y = pi.
     """
     r, rp, d_y = float(r), float(rp), float(d_y)
-    if r <= 0.0 or rp <= 0.0:
-        raise DomainError("cone_distance needs positive radii")
+    if not (0.0 < r < math.inf and 0.0 < rp < math.inf):
+        raise DomainError(f"cone_distance needs finite positive radii, got {r!r} and {rp!r}")
     if d_y < 0.0 or not math.isfinite(d_y):
         raise DomainError(f"cross-section distance must be finite and >= 0, got {d_y}")
     if d_y >= math.pi:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError
-from .geometry import ConePoint
+from .geometry import ConePoint, check_dimension
 from .riesz import PInterval, riesz_kernel
 from .spectrum import CrossSectionSpectrum
 
@@ -64,9 +64,7 @@ class HomogeneousKernelSpec:
     region: str
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 3:
-            raise DomainError(f"dimension d must be an integer >= 3, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", check_dimension(self.d))
         if self.region not in _REGIONS:
             raise DomainError(f"region must be one of {_REGIONS}, got {self.region!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -110,9 +108,7 @@ def riesz_model_intervals(d: int, mu0: float) -> PInterval:
     p > d/alpha, clamped at 1).  The result coincides exactly with the
     threshold interval of :func:`conekit.riesz.threshold_interval`.
     """
-    if int(d) != d or d < 3:
-        raise DomainError(f"dimension d must be an integer >= 3, got {d!r}")
-    d = int(d)
+    d = check_dimension(d)
     mu0 = float(mu0)
     if not math.isfinite(mu0) or mu0 < 0.0:
         raise DomainError(f"mu0 must be >= 0, got {mu0!r}")
@@ -179,9 +175,7 @@ def lp_norm_probe(
     across grids, which matters when each evaluation is itself a mode
     sum (the Riesz kernel).
     """
-    if int(d) != d or d < 3:
-        raise DomainError(f"dimension d must be an integer >= 3, got {d!r}")
-    d = int(d)
+    d = check_dimension(d)
     p = float(p)
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p!r}")

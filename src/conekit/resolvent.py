@@ -88,11 +88,12 @@ has not stopped before, and summed in blocks that at most double the
 modes summed.  The table's ``pairs`` gives pair_j (and its derivative)
 from one cross-section distance, continuing the chunk before;
 :func:`conekit.bessel.log_scaled` gives
-L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component (the
-kernel, or the kernel and the radial and angular derivatives) is one row
-of a (components x modes) array of terms pair_j * exp(L_j - max L), max L
-over chunk 0, a signed log-sum-exp whose factor e^{max L + a - b} and gauge
-factor are applied once, when the result is packed.  Partial sums, stop
+L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component returned
+(the kernel, or the radial and angular derivatives: a gradient sums no
+kernel row) is one row of a (components x modes) array of terms
+pair_j * exp(L_j - max L), max L over chunk 0, a signed log-sum-exp whose
+factor e^{max L + a - b} and gauge factor are applied once, when the
+result is packed.  Partial sums, stop
 targets, tails and the rounding estimate are arrays of the same shape;
 each chunk's tails are the table's ``log_weights`` seeded by one
 ``log_sum_beyond`` call at its top.  The sum stops at the first column that
@@ -140,10 +141,11 @@ which is homogeneous of degree 1 - d.  The grid ends where the flat heat
 kernel's e^{-R^2/4tau} (R the cone distance) is negligible and where the
 weight or the bottom mode's power decay is; a node at x sums the modes
 with mu <= 9 sqrt(x) + 12, and one needing modes past the table is left
-out.  The step halves from 1/2 until two grids agree to rel_tol.  The
-estimate adds their difference, the rounding (as for s < 1), and twice
-the flat heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau for
-the angular row) over the nodes left out.  It is not a proof: at large
+out.  The step halves from 1/2 until two grids agree to rel_tol in each
+component returned (for the lambda-integral's gradient, rel_tol times its
+length).  The estimate adds their difference, the rounding (as for
+s < 1), and twice the flat heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau}
+(times R/2tau for the angular row) over the nodes left out.  It is not a proof: at large
 lam R the terms outgrow the value by up to e^{lam R}, and it grows too.
 """
 
@@ -339,12 +341,13 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         table = spec.grown(need_top)
     mu = table.mu[:max(int(table.mu.searchsorted(need_top, side="right")), 1)]
     pair, grad, _ = table.pairs(z.y, zp.y, gamma, 0, mu.size, None, need_grad)
+    # One row of node factors per component: the pairs for the kernel, or the
+    # pairs for the radial and the gradient pairs for the angular component.
+    # Each scale carries the powers of r that the weights leave out.
     pair_rows = np.array([pair, grad] if need_grad else [pair])
-    # Component i weights row row[i] of the node factors (pair, gradient pair);
-    # its scale carries the powers of r that the weights leave out.
-    row = np.array([0, 0, 1][:3 if need_grad else 1])
-    r_powers = (-1.0, -2.0, -2.0) if lam is None else (0.0, -1.0, -1.0)
-    log_scales = [gauge_log_factor(d, r, r, gauge) + math.log(0.5) + power * math.log(r) for power in r_powers]
+    r_power = -1.0 if lam is None else 0.0
+    log_scales = [gauge_log_factor(d, r, r, gauge) + math.log(0.5) + power * math.log(r)
+                  for power in ((r_power - 1.0,) * 2 if need_grad else (r_power,))]
 
     def grid(v):
         """Per component, sums over the nodes v: of the weighted node factors, of |weight| times their
@@ -353,10 +356,11 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         sigma, x = np.exp(v), 0.5 * np.exp(-v)
         if lam is None:  # the integral of e^{-lam^2 tau} over lambda, times r
             w = 0.5 * math.sqrt(math.pi) / np.sqrt(sigma)
-            weights = np.array([w, -0.5 * (d - 1) * w, w])[:row.size]
+            radial = -0.5 * (d - 1) * w
         else:
             w = np.exp(-(lr * lr) * sigma)
-            weights = np.array([w, ((1.0 - 0.5 * d) - lr * lr * sigma) * w, w])[:row.size]
+            radial = ((1.0 - 0.5 * d) - lr * lr * sigma) * w
+        weights = np.array([radial, w] if need_grad else [w])
         need = _DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR
         short = need > mu[-1]
         node, fp = np.zeros((2, len(pair_rows), v.size))
@@ -371,10 +375,10 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         with np.errstate(divide="ignore", over="ignore"):  # the flat heat kernel on the series' scale
             flat = np.where(short, np.exp(np.log(2.0 * sigma) - 0.5 * d * np.log(4.0 * math.pi * sigma)
                                           - rho * rho / (4.0 * sigma)), 0.0)
-        flat = np.array([flat, flat * rho / (2.0 * sigma)])
-        wf = weights * node[row]
-        return (wf.sum(axis=1), (np.abs(weights) * fp[row]).sum(axis=1), np.abs(wf).sum(axis=1),
-                2.0 * (np.abs(weights) * flat[row]).sum(axis=1), int(counts.max(initial=0)))
+        flat = np.array([flat, flat * rho / (2.0 * sigma)] if need_grad else [flat])
+        wf = weights * node
+        return (wf.sum(axis=1), (np.abs(weights) * fp).sum(axis=1), np.abs(wf).sum(axis=1),
+                2.0 * (np.abs(weights) * flat).sum(axis=1), int(counts.max(initial=0)))
 
     step = _DIAG_STEP
     *first, used = grid(v_lo + step * np.arange(size))
@@ -387,8 +391,8 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         floor = step * (sums[1] + size * _EPS * sums[2] + sums[3])  # no finer grid reduces these
         diff = np.abs(values - previous)
         target = rel_tol * np.abs(values)
-        if lam is None and row.size == 3:  # one target for the gradient: rel_tol of its length
-            target[1:] = rel_tol * math.hypot(values[1], values[2])
+        if lam is None and need_grad:  # one target for the gradient: rel_tol of its length
+            target[:] = rel_tol * math.hypot(values[0], values[1])
         if (diff <= np.maximum(target, floor)).all():
             break
         previous = values
@@ -399,11 +403,12 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
 
 def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, need_grad: bool,
                     lam, rel_tol: float, gauge: str):
-    """Sum the mode series at (z, z'): the kernel's KernelValue, or with ``need_grad`` [kernel, d_r, angular].
+    """Sum the mode series at (z, z'): the kernel's KernelValue, or with ``need_grad`` [d_r, angular].
 
     With ``lam=None`` each is instead its integral over lambda in (0, inf)
     (see the module docstring).  At r = r' the values are
-    :func:`_heat_diagonal`'s.
+    :func:`_heat_diagonal`'s.  Only the components returned are summed, so
+    only their tails decide where the sum stops.
     """
     gamma = spec.cross_section.distance(z.y, zp.y)
     base = spec.pair_table
@@ -416,40 +421,10 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     a_r, b_r = (r, rp) if z_small else (rp, r)
     s = a_r / b_r
     ang_exact_zero = need_grad and gamma == 0.0  # parity: every mode is even at zero separation
-    # The components, one row each: the kernel, and with need_grad the radial and angular derivatives.
-    n_comp = 1 if not need_grad else 2 if ang_exact_zero else 3
+    # The components, one row each: the kernel, or with need_grad the radial
+    # and (unless it is exactly zero) the angular derivative.
+    n_comp = 2 if need_grad and not ang_exact_zero else 1
     beta_r = (1.0 - 0.5 * spec.d) / r
-
-    # The modes are read chunk by chunk, each (mu, pair, grad, log tail
-    # weights) for entries end_{k-1} .. end_k - 1 of a table.  Chunk 0 is the
-    # base table; chunk k >= 1 holds the grown table's modes up to
-    # mu_cutoff * _GROWTH**k (the base table's top mu in place of a missing
-    # cutoff), built only when the sum has not stopped before.
-    state, end, level = None, 0, 0
-
-    def read(table, hi: int):
-        nonlocal state, end
-        pair, grad, state = table.pairs(z.y, zp.y, gamma, end, hi, state, need_grad)
-        out = table.mu[end:hi], pair, grad, table.log_weights[:, end:hi]
-        end = hi
-        return out
-
-    def grow():
-        """The next chunk, or None once the table cannot grow further."""
-        nonlocal level
-        # No grown table runs past TABLE_CEILING entries (a sphere's stops
-        # there), so once the chunks reach it none adds an entry.
-        if spec.grow is None or end >= TABLE_CEILING:
-            return None
-        while True:
-            level += 1
-            cutoff = (spec.mu_cutoff if spec.mu_cutoff is not None else float(base.mu[-1])) * _GROWTH**level
-            table = spec.grown(cutoff)
-            if table.mu.size <= end:  # a table cut at the ceiling: nothing past the modes read
-                return None
-            hi = int(table.mu.searchsorted(cutoff, side="right"))
-            if hi > end:
-                return read(table, hi)
 
     if lam is None:
         a = b = 0.0  # the closed forms leave out no e^{a-b} factor
@@ -492,24 +467,19 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         log_ik, log_1, coef_ik, coef_1, rel = factors(mu)
         if not shifts:
             shifts.append(log_ik.max())
-        ik = np.exp(log_ik - shifts[0])
         if not need_grad:
-            return (pair * ik)[None], rel
+            return (pair * np.exp(log_ik - shifts[0]))[None], rel
         if len(shifts) == 1:
             shifts.append(max(shifts[0], log_1.max()))
         radial = pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1]))
-        return np.array([pair * ik, radial, grad / r * ik][:n_comp]), rel
+        return np.array([radial, grad / r * np.exp(log_ik - shifts[0])][:n_comp]), rel
 
-    mu, pair, grad, log_weights = read(base, base.mu.size)
-    T, rel = terms(mu, pair, grad)
-    scale_list = [shift + a - b for shift in (shifts[0], shifts[-1], shifts[0])[:n_comp]]
-    scales = np.array(scale_list)
     # Sum chunk after chunk; stop at the first j whose remainder is below
     # rel_tol * |partial sum| in every component (0 <= 0 counts).
     log_rel_tol = math.log(rel_tol)
-    # The kernel, radial and angular tails, from the suffix tables of
-    # ``kinds``: log_coefs[0] + row 0, logaddexp(log_coefs[1] + row 0,
-    # log_coefs[2] + row 1) and log_coefs[3] + row 2.
+    # The tails, from the suffix tables of ``kinds``: the kernel's
+    # log_coefs[0] + row 0, or the radial and angular ones
+    # logaddexp(log_coefs[1] + row 0, log_coefs[2] + row 1) and log_coefs[3] + row 2.
     if lam is None:
         # f <= A s^mu / sqrt(mu) and e <= x/(1-x) A s^mu / sqrt(mu), A =
         # sqrt(pi)/2 (1-x)^{-1/2}; |coef_ik| <= mu + (d-2)/2 (z inner) or
@@ -522,8 +492,9 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
     else:
         # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
+        # (a / b / b, since b * b underflows at tiny radii)
         kinds = _RESOLVENT_KINDS
-        deriv_factor = (1.0 / (2.0 * a) + a / (b * b)) if z_small else 1.0 / b
+        deriv_factor = (1.0 / (2.0 * a) + a / b / b) if z_small else 1.0 / b
         log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
     if not need_grad:
         kinds = slice(kinds.start, kinds.start + 1)
@@ -533,30 +504,55 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         rows = _suffix_logs(s, mu, log_weights[kinds], spec.tail_profile.log_sum_beyond(s, mu[-1], kinds))
         if not need_grad:
             return log_coefs[0] + rows
-        return np.array([log_coefs[0] + rows[0], np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
+        return np.array([np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
                          log_coefs[3] + rows[2]][:n_comp])
 
-    def blocks():
-        """The grown chunks, each in blocks that at most double the modes summed: (mu, pair, grad, tails)."""
-        while (c := grow()) is not None:
-            mu, pair, grad, log_weights = c
-            tail, start, lo = tails(mu, log_weights), end - mu.size, 0
+    def chunks():
+        """The series' modes, block by block: (mu, pair, grad, tails) for consecutive entries of a table.
+
+        Chunk 0 is the base table, one block.  Chunk k >= 1 holds the grown
+        table's modes up to mu_cutoff * _GROWTH**k (the base table's top mu
+        in place of a missing cutoff); it is built only when the sum has not
+        stopped before, its tails come from one pass, and it is read in
+        blocks that at most double the modes summed.  No grown table runs
+        past TABLE_CEILING entries (a sphere's stops there), so once the
+        chunks reach it none adds an entry.
+        """
+        cutoff = spec.mu_cutoff if spec.mu_cutoff is not None else float(base.mu[-1])
+        table, state, start, end, level = base, None, 0, base.mu.size, 0
+        while True:
+            pair, grad, state = table.pairs(z.y, zp.y, gamma, start, end, state, need_grad)
+            mu, lo = table.mu[start:end], 0
+            tail = tails(mu, table.log_weights[:, start:end])
             while lo < mu.size:
-                hi = min(mu.size, 2 * lo + start)
+                hi = min(mu.size, 2 * lo + start) if start else mu.size
                 yield mu[lo:hi], pair[lo:hi], grad[lo:hi] if need_grad else None, tail[:, lo:hi + 1].copy()
                 lo = hi
+            if spec.grow is None or end >= TABLE_CEILING:
+                return
+            start = end
+            while end <= start:
+                level += 1
+                top = cutoff * _GROWTH**level
+                table = spec.grown(top)
+                if table.mu.size <= start:  # a table cut at the ceiling: nothing past the modes read
+                    return
+                end = int(table.mu.searchsorted(top, side="right"))
 
-    later, tail = blocks(), tails(mu, log_weights)
     used, mag, wmag = 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
-    while True:
+    for mu, pair, grad, tail in chunks():
+        T, rel = terms(mu, pair, grad)
+        if not used:
+            scale_list = [shift + a - b for shift in (shifts[-1], shifts[0])[:n_comp]]
+            scales = np.array(scale_list)
         size = T.shape[1]
         sums = T.cumsum(axis=1)
         if used:
             sums += carry[:, None]
         with np.errstate(divide="ignore"):
             target = log_rel_tol + np.log(np.abs(sums)) + scales[:, None]
-            if lam is None and n_comp == 3:  # one target for the gradient: rel_tol of its length
-                target[1:] = np.logaddexp(2.0 * target[1], 2.0 * target[2]) / 2.0
+            if lam is None and n_comp == 2:  # one target for the gradient: rel_tol of its length
+                target[:] = np.logaddexp(2.0 * target[0], 2.0 * target[1]) / 2.0
             ok = (tail[:, 1:] <= target).all(axis=0)
             j = int(ok.argmax())
             stopped = certified = bool(ok[j])
@@ -575,7 +571,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             # this block, the sum stops there, uncertified.
             rel_max = float(rel.max()) + (used + size + 8) * _EPS
             log_rel_max = math.log(rel_max)
-            # The bound row by row in floats: on at most three rows they beat numpy's calls.
+            # The bound row by row in floats: on at most two rows they beat numpy's calls.
             if any(max(_log(w + rel_max * m) + scale, log_rel_max + first) + _LN2 >= _LOG_FP_SHARE + at_stop
                    for w, m, scale, first, at_stop in zip(wmag.tolist(), mag.tolist(), scale_list,
                                                           tail[:, 0].tolist(), target[:, j].tolist())):
@@ -588,15 +584,12 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
                 ok = (tail[:, 1:] <= target).all(axis=0)
                 certified = bool(ok.any())
                 j = int(ok.argmax()) if certified else j
-        used, carry = used + j + 1, sums[:, j]
         # The value stops at j, or where the table runs out, at the last entry (j = size - 1).
-        log_tails = tail[:, j + 1]
-        if stopped or (block := next(later, None)) is None:
+        used, carry, log_tails = used + j + 1, sums[:, j], tail[:, j + 1]
+        if stopped:
             break
         abs_t = np.abs(T)
         mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
-        mu, pair, grad, tail = block
-        T, rel = terms(mu, pair, grad)
     log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
     outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, "rigorous")
             for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
@@ -628,9 +621,9 @@ def resolvent_gradient(request: ResolventRequest) -> GradientValue:
         raise DomainError(
             "resolvent_gradient is defined for density_gauge='riemannian' only"
         )
-    _, out_r, out_a = _prepare_series(request.spectrum, request.z, request.zp, True, request.lam, request.rel_tol,
-                                      request.density_gauge)
-    return GradientValue(d_r=out_r, angular=out_a)
+    d_r, angular = _prepare_series(request.spectrum, request.z, request.zp, True, request.lam, request.rel_tol,
+                                   request.density_gauge)
+    return GradientValue(d_r=d_r, angular=angular)
 
 
 def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DomainError, PositivityError, UnsupportedError
-from .geometry import ConePoint, cone_distance
+from .geometry import ConePoint, check_dimension, cone_distance
 from .resolvent import _prepare_series
 from .spectrum import CrossSectionSpectrum, leading_modes
 
@@ -126,12 +126,6 @@ def _interval_from_mu(d: int, mu: float, basis: str, mu_exact: Fraction | None =
     return PInterval(float(p_lo), math.inf if p_hi is None else float(p_hi), basis, *exact)
 
 
-def _validate_d(d) -> int:
-    if int(d) != d or d < 3:
-        raise DomainError(f"cone dimension d must be an integer >= 3, got {d!r}")
-    return int(d)
-
-
 def threshold_interval(d: int, mu0: float) -> PInterval:
     """Exact L^p interval of the Riesz transform for a general potential.
 
@@ -141,7 +135,7 @@ def threshold_interval(d: int, mu0: float) -> PInterval:
     formula (the interval degenerates to upper endpoint 2) even though
     kernel evaluation is impossible there.
     """
-    d = _validate_d(d)
+    d = check_dimension(d)
     mu0 = float(mu0)
     if not math.isfinite(mu0) or mu0 < 0.0:
         raise PositivityError(f"bottom exponent mu0 must be >= 0, got {mu0!r}")
@@ -154,7 +148,7 @@ def threshold_interval_zero_v(d: int, mu1: float) -> PInterval:
     ``mu1`` is the exponent of the *second* cross-sectional mode (the
     first is the constant eigenfunction with mu = d/2 - 1).
     """
-    d = _validate_d(d)
+    d = check_dimension(d)
     mu1 = float(mu1)
     if not math.isfinite(mu1) or mu1 <= 0.5 * d - 1.0:
         raise DomainError(
@@ -192,8 +186,10 @@ def threshold_interval_constant(d: int, c) -> PInterval:
     zero-potential case, which obeys the better zero-V formula: use
     :func:`threshold_interval_zero_v` for it.
     """
-    d = _validate_d(d)
+    d = check_dimension(d)
     c_float = float(c)
+    if not math.isfinite(c_float):
+        raise DomainError(f"constant potential c must be finite, got {c!r}")
     if c_float == 0.0:
         raise DomainError(
             "c = 0 is the zero-potential case; use threshold_interval_zero_v"
@@ -254,12 +250,16 @@ class RieszKernelValue:
 
     * r != r' (``tail_kind`` "rigorous"): the rigorous remainder of both
       mode series, plus their rounding estimate where it matters (as a
-      resolvent value's ``tail_bound``).  ``certified`` means the stop rule
-      fired, and then ``quad_error_est <= rel_tol * magnitude``.
+      resolvent value's ``tail_bound``).  The stop rule reads these two
+      components alone: it fires once each remainder is below rel_tol / 2
+      of |T|.  ``certified`` means it fired, and then
+      ``quad_error_est <= rel_tol * magnitude``.
     * r = r' (``"quadrature"``, never certified): the heat kernel's tau
-      rule, with the difference of its two finest grids, rounding, and the
-      flat heat kernel's bound where nodes need modes past the table; an
-      estimate, not a proof.
+      rule, refined until its two finest grids agree to rel_tol / 2 of |T|
+      in each component (or within what no finer grid reduces); the
+      estimate adds their difference, rounding, and the flat heat
+      kernel's bound where nodes need modes past the table.  It is not a
+      proof.
 
     ``modes_used`` counts the modes summed (at r = r', the most any tau
     node summed).
@@ -286,17 +286,18 @@ def riesz_kernel(
     """Evaluate the Riesz transform kernel at (z, z'), componentwise.
 
     For r != r' each mode's lambda-integral is summed in closed form (see
-    the module docstring), stopping where the rigorous remainder of both
-    components is below rel_tol / 2 of |T| each.  At r = r' the value
-    comes from the cone heat kernel, its tau rule refined until two grids
-    agree to rel_tol / 2.
+    the module docstring), stopping where the rigorous remainders of the
+    radial and angular components are each below rel_tol / 2 of |T|; the
+    scalar H^{-1/2} series is not summed.  At r = r' the value comes from
+    the cone heat kernel, its tau rule refined until two grids agree to
+    rel_tol / 2 of |T| in each component.
     """
     if not (0.0 < rel_tol <= 0.1):
         raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
     if cone_distance(z.r, zp.r, spectrum.cross_section.distance(z.y, zp.y)) == 0.0:
         # off the diagonal too, where the distance underflows
         raise DomainError("riesz kernel is singular at zero cone distance")
-    _, d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * rel_tol, "riemannian")
+    d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * rel_tol, "riemannian")
     scale = 2.0 / math.pi
     return RieszKernelValue(
         d_r=scale * d_r.float_value(),

@@ -62,6 +62,7 @@ from .geometry import (
     SeparationCrossSection,
     SphereCrossSection,
     TorusCrossSection,
+    check_dimension,
 )
 
 __all__ = [
@@ -361,8 +362,7 @@ class CrossSectionSpectrum:
     grow: Callable | None = None
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 3:
-            raise DomainError(f"cone dimension must be an integer >= 3, got {self.d!r}")
+        object.__setattr__(self, "d", check_dimension(self.d))
         if not self.table.mu.size:
             raise InsufficientSpectrumError("spectrum has no modes")
         if (np.diff(self.table.mu) <= 0.0).any():
@@ -611,9 +611,7 @@ def sphere_spectrum(
     the Gegenbauer addition theorem (functions of the separation angle
     alone, maximal at coincidence), by one recurrence over the degrees.
     """
-    if int(d) != d or d < 3:
-        raise DomainError(f"cone dimension must be an integer >= 3, got {d!r}")
-    d = int(d)
+    d = check_dimension(d)
     c0 = _check_positivity(d, float(c))
     cs = SphereCrossSection(d - 1, radius)
     tail = SphereTail(cs, float(c))
@@ -632,9 +630,7 @@ def torus_spectrum(
     1e-9 relative) are merged into one mode whose pair function sums the
     cluster's cosines.
     """
-    if int(d) != d or d < 3:
-        raise DomainError(f"cone dimension must be an integer >= 3, got {d!r}")
-    d = int(d)
+    d = check_dimension(d)
     cs = TorusCrossSection(radii)
     if cs.dim != d - 1:
         raise DomainError(f"{cs.dim} radii inconsistent with cone dimension {d}")

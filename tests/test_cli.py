@@ -359,6 +359,12 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "mu_cutoff" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_non_finite_constant_potential(self, capsys, c):
+        code, out, err = run_cli(capsys, "thresholds", "--d", "3", "--c", c)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "finite" in err and len(err.splitlines()) == 1
+
     def test_positivity_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--d", "3", "--c", "-0.3")
         assert code == 1 and "error:" in err

@@ -1,6 +1,7 @@
 """Cross-section and cone geometry."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,20 @@ import pytest
 from conekit import (
     ConePoint,
     DomainError,
+    HomogeneousKernelSpec,
     SeparationCrossSection,
     SphereCrossSection,
     TorusCrossSection,
     cone_distance,
+    lp_norm_probe,
+    riesz_model_intervals,
+    sphere_spectrum,
+    threshold_interval,
+    threshold_interval_constant,
+    threshold_interval_zero_v,
+    torus_spectrum,
 )
+from conekit.geometry import check_dimension
 
 from oracles import euclid_distance
 
@@ -160,3 +170,35 @@ class TestConeDistance:
             cone_distance(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             cone_distance(1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("r, rp", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_rejects_non_finite_radii(self, r, rp):
+        with pytest.raises(DomainError, match="finite positive radii"):
+            cone_distance(r, rp, 0.5)
+
+
+_DIMENSION_ENTRY_POINTS = {
+    "CrossSectionSpectrum": lambda d: replace(sphere_spectrum(3), d=d),
+    "sphere_spectrum": lambda d: sphere_spectrum(d),
+    "torus_spectrum": lambda d: torus_spectrum(d, (1.0, 1.3)),
+    "threshold_interval": lambda d: threshold_interval(d, 0.5),
+    "threshold_interval_zero_v": lambda d: threshold_interval_zero_v(d, 2.0),
+    "threshold_interval_constant": lambda d: threshold_interval_constant(d, 0.75),
+    "HomogeneousKernelSpec": lambda d: HomogeneousKernelSpec(d, 0.5, "upper"),
+    "riesz_model_intervals": lambda d: riesz_model_intervals(d, 0.5),
+    "lp_norm_probe": lambda d: lp_norm_probe(lambda r, rp: 1.0, d, 1.5, k_values=(2,)),
+}
+
+
+class TestConeDimension:
+    """Every entry point that takes a cone dimension checks it the same way."""
+
+    @pytest.mark.parametrize("entry", sorted(_DIMENSION_ENTRY_POINTS))
+    @pytest.mark.parametrize("d", [math.nan, math.inf, None, 2, 3.5])
+    def test_rejects_bad_dimension(self, entry, d):
+        with pytest.raises(DomainError, match="cone dimension d must be an integer >= 3"):
+            _DIMENSION_ENTRY_POINTS[entry](d)
+
+    def test_accepts_integral_values(self):
+        assert check_dimension(3) == check_dimension(3.0) == check_dimension(np.int64(3)) == 3
+        assert type(check_dimension(4.0)) is int

@@ -80,6 +80,27 @@ class TestEuclideanOracle:
             # rounding noise on top.
             assert abs(kv.float_value() - ref) <= kv.float_tail_bound() + 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("r, rp", [(1e-170, 2e-170), (2e-170, 1e-170), (1e-300, 3e-300), (3e-300, 1e-300)])
+    def test_tiny_radii(self, r, rp):
+        # (lam r_>)^2 underflows here, and the gradients leave double range.
+        # Every length is t = min(r, r') times an O(1) one, so the closed
+        # forms are written in logs (lam = 1).
+        gamma, t = 1.0, min(r, rp)
+        x, xp = r / t, rp / t
+        R1 = oracles.euclid_distance(x, xp, gamma)
+        log_R, R = math.log(t) + math.log(R1), t * R1
+        log_dg = math.log1p(R) - R - math.log(4.0 * math.pi) - 2.0 * log_R  # log |dG/dR|, dG/dR < 0
+        want = [(1.0, -R - math.log(4.0 * math.pi) - log_R),
+                (-math.copysign(1.0, x - xp * math.cos(gamma)),
+                 log_dg + math.log(abs(x - xp * math.cos(gamma))) - math.log(R1)),
+                (-1.0, log_dg + math.log(xp * math.sin(gamma)) - math.log(R1))]
+        z, zp = _point_pair(S3, r, rp, gamma)
+        req = ResolventRequest(S3, z, zp)
+        g = resolvent_gradient(req)
+        for kv, (sign, log_want) in zip((resolvent_kernel(req), g.d_r, g.angular), want):
+            assert kv.certified and math.copysign(1.0, kv.value) == sign, (r, rp, kv)
+            assert abs(kv.log_abs - log_want) <= kv.rel_tail + 1e-13, (r, rp, kv, log_want)
+
 
 class TestSymmetries:
     def test_swap_is_exact(self):
@@ -564,9 +585,10 @@ _bessel_i, _bessel_k_with_dr = functools.cache(bessel_i), functools.cache(bessel
 def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     """(values, sums of |terms|, tails, modes_used, certified).
 
-    The first three hold one entry per component: kernel, or radial and
-    (unless gamma = 0) angular.  ``ref`` is (chunk, pairs): the modes of
-    each growth chunk (None where the table stops), and the pair values of
+    The first three hold one entry per component returned: the kernel, or
+    radial and (unless gamma = 0) angular.  The stop reads those
+    components' tails alone.  ``ref`` is (chunk, pairs): the modes of each
+    growth chunk (None where the table stops), and the pair values of
     every mode.
     """
     grown_chunk, pairs = ref
@@ -578,6 +600,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     gauge = (r * rp) ** (1 - spec.d / 2)
     ang = need_grad and gamma != 0.0
     n_comp = 1 + need_grad + ang
+    first = 1 if need_grad else 0  # a gradient returns no kernel component
     deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
     modes = list(zip(spec.table.mu.tolist(), spec.table.pair_sup.tolist(), spec.table.grad_sup.tolist()))
     all_pairs = pairs(gamma)
@@ -617,13 +640,13 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
                 mags[c] += abs(t)
             used += 1
             tails = [suf_k[i + 1], abs(beta) * suf_k[i + 1] + lam * deriv * suf_p[i + 1],
-                     suf_g[i + 1] / r][:n_comp]
-            if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc)):
+                     suf_g[i + 1] / r][first:n_comp]
+            if all(t <= rel_tol * abs(v) for t, v in zip(tails, acc[first:])):
                 stopped = True
                 break
         level += 1
         modes = None if stopped else grown_chunk(level)
-    return ([gauge * v for v in acc], [gauge * v for v in mags], [gauge * t for t in tails],
+    return ([gauge * v for v in acc[first:]], [gauge * v for v in mags[first:]], [gauge * t for t in tails],
             used, stopped)
 
 
@@ -662,8 +685,6 @@ class TestLoopReference:
                                        (True, [g.d_r, g.angular])):
                     vals, mags, tails, used, certified = _loop_reference(
                         spec, ref, r, rp, gamma, lam, req.rel_tol, need_grad)
-                    if need_grad:  # radial, and angular unless it is exactly zero
-                        vals, mags, tails = vals[1:], mags[1:], tails[1:]
                     where = (name, r, rp, gamma, lam, need_grad)
                     for kv, want, mag, tail in zip(got, vals, mags, tails):
                         assert (kv.modes_used, kv.certified, kv.tail_kind) == (

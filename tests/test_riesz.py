@@ -130,6 +130,9 @@ class TestThresholdIntervals:
             threshold_interval_constant(3, 0.0)  # c = 0 served by zero-V form
         with pytest.raises(PositivityError):
             threshold_interval_constant(3, -0.3)
+        for c in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                threshold_interval_constant(3, c)
         with pytest.raises(DomainError):
             PInterval(2.5, 3.0, "general-V")
         with pytest.raises(DomainError):
@@ -367,7 +370,9 @@ class TestDiagonal:
     def test_flat_space_oracle(self, d):
         spec = sphere_spectrum(d)
         for r in (0.3, 1.0, 4.0):
-            for gamma in (0.1, 0.5, 1.3, 2.2, 3.0):
+            # gamma = 1.8: on R^5 the old stop, which also waited for the
+            # H^{-1/2} kernel, took one more halving there.
+            for gamma in (0.1, 0.5, 1.3, 1.8, 2.2, 3.0):
                 kv = self._eval(spec, r, r, gamma)
                 want = oracles.riesz_flat(d, r, r, gamma) if d != 3 else oracles.riesz_r3(r, r, gamma)
                 err = abs(kv.d_r - want[0]) + abs(kv.angular - want[1])

@@ -33,7 +33,6 @@ from .bessel import (
     bessel_i_with_dr,
     bessel_k,
     bessel_k_with_dr,
-    check_uniform_bounds,
 )
 from .spectrum import (
     CrossSectionSpectrum,
@@ -118,7 +117,6 @@ __all__ = [
     "bessel_k",
     "bessel_k_with_dr",
     "boundary_order_probe",
-    "check_uniform_bounds",
     "cone_distance",
     "indicial_kernel",
     "l2_bound_constant",

@@ -71,9 +71,6 @@ __all__ = [
     "log_scaled",
     "split_log",
     "wronskian_residual",
-    "BoundFit",
-    "BoundReport",
-    "check_uniform_bounds",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -82,8 +79,31 @@ _LN2_HI = 6.93147180369123816490e-01  # Cody-Waite split of log 2
 _LN2_LO = 1.90821492927058770002e-10
 
 
+def _ldexp(m: float, e: int) -> float:
+    """m * 2**e as a plain float: +-inf past float range, 0 below it."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+class _Scaled:
+    """A result ``value * 2**exp2``: its plain float and its log, for any exp2."""
+
+    def float_value(self) -> float:
+        """Plain float; +-inf past float range, 0 below it."""
+        return _ldexp(self.value, self.exp2)
+
+    @property
+    def log_abs(self) -> float:
+        """Natural log of the absolute value (-inf for an exact zero)."""
+        if self.value == 0.0:
+            return -math.inf
+        return math.log(abs(self.value)) + self.exp2 * _LN2
+
+
 @dataclass(frozen=True)
-class BesselEval:
+class BesselEval(_Scaled):
     """One function evaluation: the result is ``value * 2**exp2``.
 
     ``exp2`` is zero unless the plain value would run out of float range;
@@ -94,17 +114,6 @@ class BesselEval:
     abs_error_est: float
     method: str
     exp2: int = 0
-
-    def float_value(self) -> float:
-        """Plain float; deliberately over/underflows outside float range."""
-        return math.ldexp(self.value, self.exp2)
-
-    @property
-    def log_abs(self) -> float:
-        """Natural log of the absolute value (-inf for an exact zero)."""
-        if self.value == 0.0:
-            return -math.inf
-        return math.log(abs(self.value)) + self.exp2 * _LN2
 
     @property
     def rel_error_est(self) -> float:
@@ -552,143 +561,3 @@ def log_ik_integrals(mu, s: float):
     log_e = log_p - 2.0 * eta + np.log((w * np.exp(-2.0 * u) / q).sum(axis=1))
     return log_f, log_e, 16.0 * _EPS * (1.0 + n + np.abs(log_f))
 
-
-# ----------------------------------------------------------------------
-# Uniform-bound verification report.
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundFit:
-    """Fit of one bound family: smallest admissible constant on a grid."""
-
-    bound_id: str
-    c_fit: float
-    max_violation_ratio: float  # refined-grid C / base-grid C (stability)
-    grid: str
-
-    @property
-    def passed(self) -> bool:
-        return math.isfinite(self.c_fit) and self.max_violation_ratio <= 1.25
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    fits: tuple[BoundFit, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(f.passed for f in self.fits)
-
-
-def _log_model(bound_id: str, mu: float, r: float, rp: float = 0.0) -> float:
-    """log of the model right-hand side for each bound family."""
-    lg = math.lgamma
-    if bound_id == "i-small-arg":  # I <= C 2^-mu r^mu / Gamma(mu+1/2)
-        return -mu * _LN2 + mu * math.log(r) - lg(mu + 0.5)
-    if bound_id == "i-large-arg":  # I <= C 2^-mu r^(mu-1) e^r / Gamma(mu+1/2)
-        return -mu * _LN2 + (mu - 1.0) * math.log(r) + r - lg(mu + 0.5)
-    if bound_id == "k-small-arg":  # K <= C 2^-mu r^-mu Gamma(2mu)/Gamma(mu+1/2)
-        return -mu * _LN2 - mu * math.log(r) + lg(2.0 * mu) - lg(mu + 0.5)
-    if bound_id == "k-large-arg":  # K <= C e^(-r/2) r^-mu 2^(2mu) Gamma(mu)
-        return -0.5 * r - mu * math.log(r) + 2.0 * mu * _LN2 + lg(mu)
-    if bound_id == "ik-far-product":
-        s = r / rp
-        if rp <= 1.0:
-            return mu * math.log(s)
-        if r <= 1.0:
-            return mu * math.log(2.0 * s) - 0.5 * rp
-        return mu * math.log(2.0 * s) - 0.25 * rp
-    raise DomainError(f"unknown bound id {bound_id!r}")
-
-
-def _geom(lo: float, hi: float, n: int) -> list[float]:
-    if n == 1:
-        return [lo]
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return [lo * ratio**i for i in range(n)]
-
-
-def _log_values(kind: str, mus, r: float) -> np.ndarray:
-    """log I_mu(r) (``kind="i"``) or log K_mu(r) (``"k"``) over a list of orders."""
-    return log_scaled(kind, mus, r)[0] + (r if kind == "i" else -r)
-
-
-def _fit_single(bound_id: str, mus, rs) -> float:
-    """Largest log-space ratio observed / model over the grid, exponentiated."""
-    worst = -math.inf
-    for r in rs:
-        got = _log_values(bound_id[0], mus, r)
-        worst = max(worst, *(g - _log_model(bound_id, mu, r) for g, mu in zip(got, mus)))
-    return math.exp(worst)
-
-
-def _fit_product(mus, rps) -> float:
-    worst = -math.inf
-    for rp in rps:
-        log_k = _log_values("k", mus, rp)
-        for ratio in (4.0, 8.0, 16.0):
-            r = rp / ratio
-            lhs = _log_values("i", mus, r) + log_k
-            worst = max(worst, *(v - _log_model("ik-far-product", mu, r, rp) for v, mu in zip(lhs, mus)))
-    return math.exp(worst)
-
-
-def _gamma_identity_residual(mus) -> float:
-    """max relative residual of Gamma(2mu) = 2^(2mu-1)/sqrt(pi) Gamma(mu) Gamma(mu+1/2)."""
-    worst = 0.0
-    for mu in mus:
-        lhs = math.lgamma(2.0 * mu)
-        rhs = (2.0 * mu - 1.0) * _LN2 - 0.5 * math.log(math.pi) \
-            + math.lgamma(mu) + math.lgamma(mu + 0.5)
-        worst = max(worst, abs(math.expm1(rhs - lhs)))
-    return worst
-
-
-def check_uniform_bounds(mu_grid=None, r_grid=None) -> BoundReport:
-    """Fit the smallest constant for each uniform bound family on a grid.
-
-    Families (mu >= 1/2 throughout; each C is a grid supremum, refined on a
-    doubled grid to report stability):
-
-    * ``i-small-arg``:    I_mu(r)  <= C 2^-mu r^mu / Gamma(mu+1/2), r <= 1
-    * ``i-large-arg``:    I_mu(r)  <= C 2^-mu r^(mu-1) e^r / Gamma(mu+1/2), r >= 1
-    * ``k-small-arg``:    K_mu(r)  <= C 2^-mu r^-mu Gamma(2mu)/Gamma(mu+1/2), r <= 1
-    * ``k-large-arg``:    K_mu(r)  <= C e^(-r/2) r^-mu 2^(2mu) Gamma(mu), r >= 1
-    * ``ik-far-product``: I_mu(r) K_mu(r') <= C * three-branch model for r' >= 4r
-    * ``gamma-duplication``: relative residual of the Gamma duplication
-      identity (c_fit is the max residual; passes when < 1e-12).
-    """
-    mus = list(mu_grid) if mu_grid is not None else _geom(0.5, 50.0, 28)
-    if any(m < 0.5 for m in mus):
-        raise DomainError("bound checks require mu >= 1/2")
-    small = list(r_grid) if r_grid is not None else _geom(1e-4, 1.0, 25)
-    large = _geom(1.0, 300.0, 25)
-
-    def refine(grid):
-        out = []
-        for a, b in zip(grid, grid[1:]):
-            out += [a, math.sqrt(a * b)]
-        out.append(grid[-1])
-        return out
-
-    fits = []
-    for bound_id, rs in (
-        ("i-small-arg", small),
-        ("i-large-arg", large),
-        ("k-small-arg", small),
-        ("k-large-arg", large),
-    ):
-        base = _fit_single(bound_id, mus, rs)
-        fine = _fit_single(bound_id, refine(mus), refine(rs))
-        fits.append(BoundFit(bound_id, fine, fine / base,
-                             f"mu[{mus[0]:g},{mus[-1]:g}]x{len(mus)} r[{rs[0]:g},{rs[-1]:g}]x{len(rs)}"))
-    rps = _geom(0.05, 40.0, 25)
-    base = _fit_product(mus, rps)
-    fine = _fit_product(refine(mus), refine(rps))
-    fits.append(BoundFit("ik-far-product", fine, fine / base,
-                         f"mu[{mus[0]:g},{mus[-1]:g}]x{len(mus)} rp[{rps[0]:g},{rps[-1]:g}]x{len(rps)} ratios(4,8,16)"))
-    resid = _gamma_identity_residual(mus + refine(mus))
-    fits.append(BoundFit("gamma-duplication", resid,
-                         1.0 if resid < 1e-12 else math.inf,
-                         f"mu[{mus[0]:g},{mus[-1]:g}]x{len(mus)}"))
-    return BoundReport(tuple(fits))

@@ -40,7 +40,9 @@ plus the Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/b, whose terms are
 all positive, so I_{mu+1}(b) K_mu(b) <= 1/b.  For the third,
 |K'_mu| = (K_{mu-1} + K_{mu+1})/2 <= K_{mu+1}, since K increases in
 |order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the same
-Wronskian.
+Wronskian.  The check ``bessel.uniform-bounds`` (``conekit verify --suite
+bessel``) tests each of these steps, and the lambda-integral bounds
+below, on one grid of conekit's own values out to the table ceiling.
 
 Each mode's share of these bounds is a weight of
 :meth:`conekit.spectrum.TailProfile.weights` (from the mode-norm bounds
@@ -156,7 +158,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import log_ik_integrals, log_scaled, split_log
+from .bessel import _EPS, _LN2, _ldexp, _Scaled, log_ik_integrals, log_scaled, split_log
 from .config import DEFAULTS
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
@@ -177,10 +179,8 @@ __all__ = [
 ]
 
 _GAUGES = ("riemannian", "b-half")
-_LN2 = math.log(2.0)
 # Each chunk past the base table ends at this many times the cutoff of the one before.
 _GROWTH = 4
-_EPS = 2.220446049250313e-16
 # A rigorous value's rounding estimate joins its tail bound from a tenth of rel_tol * |value| on.
 _LOG_FP_SHARE = math.log(1e-1)
 # The tau rule at r = r': its first step, halved at most _DIAG_HALVINGS times,
@@ -223,7 +223,7 @@ class ResolventRequest:
 
 
 @dataclass(frozen=True)
-class KernelValue:
+class KernelValue(_Scaled):
     """Result of one kernel (or kernel-component) evaluation.
 
     The numeric result is ``value * 2**exp2``; ``exp2`` is nonzero only
@@ -242,19 +242,9 @@ class KernelValue:
     gauge: str = "riemannian"
     tail_kind: str = "rigorous"
 
-    def float_value(self) -> float:
-        """Plain float (may over/underflow when exp2 is extreme)."""
-        return math.ldexp(self.value, self.exp2)
-
     def float_tail_bound(self) -> float:
-        return math.ldexp(self.tail_bound, self.exp2)
-
-    @property
-    def log_abs(self) -> float:
-        """log |value * 2**exp2|, safe at any scale."""
-        if self.value == 0.0:
-            return -math.inf
-        return math.log(abs(self.value)) + self.exp2 * math.log(2.0)
+        """``tail_bound`` as a plain float; +inf past float range."""
+        return _ldexp(self.tail_bound, self.exp2)
 
     @property
     def rel_tail(self) -> float:

@@ -55,6 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bessel import _ldexp
 from .config import DEFAULTS
 from .errors import DomainError, PositivityError, UnsupportedError
 from .geometry import ConePoint, check_dimension, cone_distance
@@ -298,10 +299,12 @@ def riesz_kernel(
         # off the diagonal too, where the distance underflows
         raise DomainError("riesz kernel is singular at zero cone distance")
     d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * rel_tol, "riemannian")
+    # 2/pi scales each mantissa before its 2**exp2, since it may bring a
+    # value just past float range back into it.
     scale = 2.0 / math.pi
     return RieszKernelValue(
-        d_r=scale * d_r.float_value(),
-        angular=scale * angular.float_value(),
+        d_r=_ldexp(scale * d_r.value, d_r.exp2),
+        angular=_ldexp(scale * angular.value, angular.exp2),
         quad_error_est=scale * (d_r.float_tail_bound() + angular.float_tail_bound()),
         certified=d_r.certified and angular.certified,
         tail_kind=d_r.tail_kind,

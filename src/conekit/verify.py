@@ -1,10 +1,10 @@
 """Self-contained verification suites over closed-form references.
 
 Each suite runs a family of checks whose expected values come from
-independent mathematics (flat-space closed forms, generating functions,
-exact Schur integrals), not from this package's own machinery, and
-returns one :class:`CheckResult` per check.  The command-line ``verify``
-subcommand prints one PASS/FAIL line per result.
+independent mathematics (flat-space closed forms, proven inequalities,
+generating functions, exact Schur integrals), not from this package's
+own machinery, and returns one :class:`CheckResult` per check.  The
+command-line ``verify`` subcommand prints one PASS/FAIL line per result.
 
 Suites
 ------
@@ -16,7 +16,8 @@ Suites
     resolvent, its gradient and the Riesz kernel, from the cone heat
     kernel and not certified, must match their closed forms to rel_tol.
 ``bessel``
-    Uniform bound-family fits, Wronskian residuals, half-integer closed
+    The inequalities the certificates use, on one grid (the check named
+    ``bessel.uniform-bounds``), Wronskian residuals, half-integer closed
     forms.
 ``compatibility``
     Zero-front limits against the indicial kernel, with convergence
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_i, bessel_k, check_uniform_bounds, wronskian_residual
+from .bessel import _EPS, bessel_i, bessel_k, log_ik_integrals, log_scaled, wronskian_residual
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
 from .lpcheck import HomogeneousKernelSpec, riesz_model_intervals, schur_norm
@@ -63,7 +64,7 @@ from .riesz import (
     threshold_interval_constant,
     threshold_interval_zero_v,
 )
-from .spectrum import sphere_spectrum
+from .spectrum import TABLE_CEILING, sphere_spectrum
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite"]
 
@@ -205,15 +206,53 @@ def _suite_euclid(seed: int = 1234):
 
 
 # ----------------------------------------------------------------------
-# bessel: bound families, Wronskian, half-integer forms
+# bessel: the inequalities the certificates use, Wronskian, half-integer forms
 # ----------------------------------------------------------------------
+
+def _bessel_inequalities():
+    """{inequality: (log value, log bound, rel)} over one grid, for each inequality the certificates use.
+
+    These are the steps of the tail bounds in the ``conekit.resolvent``
+    docstring (x = s^2, A = sqrt(pi)/2 (1-x)^{-1/2}), at orders mu from 1e-3
+    to the table ceiling, arguments b from 1e-6 to 1e3 and a = s b, s up to
+    0.9999.  ``rel`` sums the values' own error estimates (2 eps per unit of
+    each log Gamma).
+    """
+    mu = np.geomspace(1e-3, TABLE_CEILING, 60)
+    m = mu[:, None]  # orders down the rows of the Bessel grids
+    b = np.geomspace(1e-6, 1e3, 40)
+    s = np.array([1e-3, 0.3, 0.9, 0.999, 0.9999])[:, None, None]
+    # On log_scaled's e^{-+b} scales, a product I(b) K(b) needs no unscaling.
+    (i, i1), _, (ri, ri1), _ = log_scaled("i", np.stack((m, m + 1.0)), b)
+    (k, k1), _, (rk, rk1), _ = log_scaled("k", np.stack((m, m + 1.0)), b)
+    i_a, _, ri_a, _ = log_scaled("i", m, s * b)
+    lg_half, lg_one = (np.array([math.lgamma(v + shift) for v in mu]) for shift in (0.5, 1.0))
+    t = np.geomspace(1e-3, 0.9999, 40)
+    f, e, rf = map(np.array, zip(*(log_ik_integrals(mu, v) for v in t)))  # one row per t
+    x = (t * t)[:, None]
+    log_f_bound = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * np.log1p(-x) + mu * np.log(t)[:, None] - 0.5 * np.log(mu)
+    return {
+        "I_mu(b)K_mu(b)<=1/(2mu)": (i + k, -np.log(2.0 * m), ri + rk),
+        "I_mu(sb)<=s^mu*I_mu(b)": (i_a - i - (1.0 - s) * b, m * np.log(s), ri_a + ri),
+        "I_mu+1(b)K_mu(b)<=1/b": (i1 + k, -np.log(b), ri1 + rk),
+        "I_mu(b)K_mu+1(b)<=1/b": (i + k1, -np.log(b), ri + rk1),
+        "Gamma(mu+1/2)/Gamma(mu+1)<=mu^-1/2": (lg_half - lg_one, -0.5 * np.log(mu),
+                                               2.0 * _EPS * (np.abs(lg_half) + np.abs(lg_one))),
+        "f_mu(s)<=A*s^mu/sqrt(mu)": (f, log_f_bound, rf),
+        "e_mu(s)<=x/(1-x)*A*s^mu/sqrt(mu)": (e, log_f_bound + np.log(x / (1.0 - x)), rf),
+    }
+
 
 def _suite_bessel(seed: int = 1234):
     def bounds():
-        rep = check_uniform_bounds()
-        worst = max(f.max_violation_ratio for f in rep.fits)
-        cs = ", ".join(f"{f.bound_id}={f.c_fit:.3g}" for f in rep.fits)
-        return rep.passed, f"5 bound families fit with finite constants ({cs}); worst refine ratio {worst:.3f}"
+        ratios, broken = [], []
+        for name, (value, bound, rel) in _bessel_inequalities().items():
+            excess = value - bound
+            ratios.append(f"{name} {math.exp(excess.max()):.6f}")
+            if (excess > rel).any():
+                broken.append(name)
+        head = f"broken: {', '.join(broken)}" if broken else f"{len(ratios)} inequalities hold within rel on one grid"
+        return not broken, f"{head}; worst value/bound: " + ", ".join(ratios)
 
     def wronskian():
         rng = random.Random(seed)

@@ -8,10 +8,13 @@ one line per criterion even under pytest's capture.
 Two spec-literal zero-front convergence claims are mathematically
 unattainable for mu0 <= 1 (the kernel's next-order term is O(r'^{2 mu0}),
 not O(r'^2)); they are carried as strict xfails right below criterion 4,
-which asserts the true rates instead.
+which asserts the true rates instead.  Below criterion 3, mutation tests
+scale each tight inequality's bound by 0.9 and require the criterion to
+fail.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -23,7 +26,6 @@ from conekit import (
     HomogeneousKernelSpec,
     ResolventRequest,
     boundary_order_probe,
-    check_uniform_bounds,
     l2_bound_constant,
     lp_norm_probe,
     offdiag_bound_check,
@@ -37,7 +39,9 @@ from conekit import (
     threshold_interval_zero_v,
     zf_compatibility_check,
 )
+from conekit import verify
 from conekit.bessel import bessel_i, bessel_k, wronskian_residual
+from conekit.verify import run_suite
 
 import oracles
 
@@ -134,40 +138,75 @@ def test_criterion_2_threshold_tables(capfd):
                       f"L2 bound {l2.bound:.6g} at eps {l2.epsilon:.6g}")
 
 
+def _criterion_3():
+    """Criterion 3's body; returns its detail line."""
+    t0 = time.perf_counter()
+    check = next(r for r in run_suite("bessel").results if r.name == "bessel.uniform-bounds")
+    assert check.passed, check.detail
+
+    rng = np.random.default_rng(99)
+    worst_w = 0.0
+    for _ in range(1000):
+        nu = float(rng.uniform(0.05, 200.0))
+        r = float(10.0 ** rng.uniform(-6, 2.7))
+        worst_w = max(worst_w, abs(wronskian_residual(nu, r)))
+    assert worst_w < 1e-10
+
+    worst_h = 0.0
+    for r in [1e-4, 0.3, 1.0, 7.0, 80.0]:
+        got = bessel_k(0.5, r).log_abs
+        ref = math.log(math.sqrt(math.pi / (2 * r))) - r
+        worst_h = max(worst_h, abs(math.expm1(got - ref)))
+        got_i = bessel_i(0.5, r).log_abs
+        ref_i = math.log(math.sqrt(2 / (math.pi * r)) * math.sinh(r))
+        worst_h = max(worst_h, abs(math.expm1(got_i - ref_i)))
+    assert worst_h < 1e-12
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    return (f"{check.name}: {check.detail}; "
+            f"wronskian worst {worst_w:.2e}, half-integer worst {worst_h:.2e}")
+
+
 def test_criterion_3_bessel_certificates(capfd):
-    """Uniform bound families fit finitely; Wronskian and closed forms hold."""
+    """The inequalities the certificates use hold; Wronskian and closed forms hold."""
     with _criterion("criterion 3 (bessel bound certificates)", capfd) as ctx:
-        t0 = time.perf_counter()
-        report = check_uniform_bounds()
-        assert report.passed
-        assert {f.bound_id for f in report.fits} >= {
-            "i-small-arg", "i-large-arg", "k-small-arg", "k-large-arg",
-            "ik-far-product"}
-        for fit in report.fits:
-            assert math.isfinite(fit.c_fit) and fit.max_violation_ratio <= 1.25
+        ctx.detail = _criterion_3()
 
-        rng = np.random.default_rng(99)
-        worst_w = 0.0
-        for _ in range(1000):
-            nu = float(rng.uniform(0.05, 200.0))
-            r = float(10.0 ** rng.uniform(-6, 2.7))
-            worst_w = max(worst_w, abs(wronskian_residual(nu, r)))
-        assert worst_w < 1e-10
 
-        worst_h = 0.0
-        for r in [1e-4, 0.3, 1.0, 7.0, 80.0]:
-            got = bessel_k(0.5, r).log_abs
-            ref = math.log(math.sqrt(math.pi / (2 * r))) - r
-            worst_h = max(worst_h, abs(math.expm1(got - ref)))
-            got_i = bessel_i(0.5, r).log_abs
-            ref_i = math.log(math.sqrt(2 / (math.pi * r)) * math.sinh(r))
-            worst_h = max(worst_h, abs(math.expm1(got_i - ref_i)))
-        assert worst_h < 1e-12
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 60.0
-        ctx.detail = (f"5 families finite (worst refine ratio "
-                      f"{max(f.max_violation_ratio for f in report.fits):.3f}), "
-                      f"wronskian worst {worst_w:.2e}, half-integer worst {worst_h:.2e}")
+# The one inequality a 0.9 scale cannot break: its worst ratio on the grid is
+# about 1/2, since I_{mu+1} < I_mu and K_mu < K_{mu+1} make each Wronskian
+# term below 1/(2b).
+_LOOSE_INEQUALITY = "I_mu+1(b)K_mu(b)<=1/b"
+_TIGHT_INEQUALITIES = [
+    "I_mu(b)K_mu(b)<=1/(2mu)",
+    "I_mu(sb)<=s^mu*I_mu(b)",
+    "I_mu(b)K_mu+1(b)<=1/b",
+    "Gamma(mu+1/2)/Gamma(mu+1)<=mu^-1/2",
+    "f_mu(s)<=A*s^mu/sqrt(mu)",
+    "e_mu(s)<=x/(1-x)*A*s^mu/sqrt(mu)",
+]
+
+
+def test_criterion_3_mutations_cover_every_tight_inequality():
+    worst = {name: math.exp((value - bound).max())
+             for name, (value, bound, _) in verify._bessel_inequalities().items()}
+    assert sorted(worst) == sorted([*_TIGHT_INEQUALITIES, _LOOSE_INEQUALITY])
+    assert {name for name, ratio in worst.items() if ratio > 0.9} == set(_TIGHT_INEQUALITIES)
+
+
+@pytest.mark.parametrize("name", _TIGHT_INEQUALITIES)
+def test_criterion_3_fails_with_a_bound_scaled_by_0_9(monkeypatch, name):
+    inequalities = verify._bessel_inequalities
+
+    def mutated():
+        out = inequalities()
+        value, log_bound, rel = out[name]
+        out[name] = (value, log_bound + math.log(0.9), rel)
+        return out
+
+    monkeypatch.setattr(verify, "_bessel_inequalities", mutated)
+    with pytest.raises(AssertionError, match=re.escape(f"broken: {name};")):
+        _criterion_3()
 
 
 def test_criterion_4_boundary_and_compatibility(capfd):

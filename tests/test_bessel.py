@@ -1,8 +1,9 @@
-"""Modified Bessel engine: accuracy, scaling, identities, bound families."""
+"""Modified Bessel engine: accuracy, scaling, identities, the inequalities the certificates use."""
 
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,9 +13,9 @@ from conekit import (
     bessel_i_with_dr,
     bessel_k,
     bessel_k_with_dr,
-    check_uniform_bounds,
 )
-from conekit.bessel import _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, log_scaled, wronskian_residual
+from conekit.bessel import (_EPS, _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, log_ik_integrals, log_scaled,
+                            wronskian_residual)
 from conekit.config import DEFAULTS
 
 import oracles
@@ -88,6 +89,17 @@ class TestScaledRange:
         np.testing.assert_allclose(i.log_abs, oracles.log_bessel_i_ref(200.0, 1e-6),
                                    rtol=1e-13)
         assert k.exp2 != 0 and i.exp2 != 0  # genuinely out of plain range
+
+    def test_plain_float_overflows_to_inf(self):
+        # The plain float of a value past float range is +-inf, and 0 below
+        # it; the log stays exact.
+        i = bessel_i(0.5, 800.0)
+        assert i.float_value() == math.inf
+        # I_{1/2}(x) = sqrt(2/(pi x)) sinh x, and e^{-1600} is nothing beside 1.
+        np.testing.assert_allclose(i.log_abs, 800.0 - 0.5 * math.log(1600.0 * math.pi), rtol=1e-14)
+        assert bessel_k(0.5, 800.0).float_value() == 0.0
+        k, dk = bessel_k_with_dr(5.0, 1e-100)
+        assert (k.float_value(), dk.float_value()) == (math.inf, -math.inf)
 
     def test_plain_range_folds_to_exp2_zero(self):
         ev = bessel_i(1.0, 2.0)
@@ -266,16 +278,6 @@ class TestOlverPolynomials:
 
 
 class TestUniformBounds:
-    def test_families_fit_with_stable_constants(self):
-        report = check_uniform_bounds()
-        assert report.passed
-        names = {f.bound_id for f in report.fits}
-        assert {"i-small-arg", "i-large-arg", "k-small-arg", "k-large-arg",
-                "ik-far-product"} <= names
-        for fit in report.fits:
-            assert math.isfinite(fit.c_fit)
-            assert fit.max_violation_ratio <= 1.25
-
     def test_tail_product_bound_is_provable(self):
         # The resolvent's tail bounds must dominate the true products, with
         # s = a/b: I K <= s^mu/(2 mu), I' K <= s^mu (1/(2a) + a/b^2) and
@@ -291,6 +293,77 @@ class TestUniformBounds:
             assert i.log_abs + k.log_abs <= log_s - math.log(2.0 * mu) + 1e-12, (mu, a, b)
             assert di.log_abs + k.log_abs <= log_s + math.log(0.5 / a + a / (b * b)) + 1e-12, (mu, a, b)
             assert i.log_abs + dk.log_abs <= log_s - math.log(b) + 1e-12, (mu, a, b)
+
+
+# The inequalities the verify check `bessel.uniform-bounds` tests, each at an
+# end where it is tight.  A case returns the 40-digit value/bound ratio, and
+# conekit's log of that ratio with the rel the check allows it.
+
+def _scaled(kind, nu, x):
+    """(log of the e^{-+x}-scaled value, rel) at one order and argument."""
+    ln, _, rel, _ = log_scaled(kind, [nu], x)
+    return float(ln[0]), float(rel[0])
+
+
+def _nicholson(mu, b):
+    """I_mu(b) K_mu(b) <= 1/(2 mu)."""
+    (li, ri), (lk, rk) = _scaled("i", mu, b), _scaled("k", mu, b)
+    return 2 * mu * mp.besseli(mu, b) * mp.besselk(mu, b), li + lk + math.log(2.0 * mu), ri + rk
+
+
+def _wronskian(mu, b):
+    """I_mu(b) K_{mu+1}(b) <= 1/b."""
+    (li, ri), (lk, rk) = _scaled("i", mu, b), _scaled("k", mu + 1.0, b)
+    return b * mp.besseli(mu, b) * mp.besselk(mu + 1, b), li + lk + math.log(b), ri + rk
+
+
+def _monotone(mu, b, s=0.999):
+    """I_mu(s b) <= s^mu I_mu(b)."""
+    (la, ra), (lb, rb) = _scaled("i", mu, s * b), _scaled("i", mu, b)
+    ref = mp.besseli(mu, s * b) / (mp.mpf(s) ** mu * mp.besseli(mu, b))
+    return ref, la - lb - (1.0 - s) * b - mu * math.log(s), ra + rb
+
+
+def _wendel(mu):
+    """Gamma(mu+1/2)/Gamma(mu+1) <= mu^{-1/2}."""
+    lg_half, lg_one = math.lgamma(mu + 0.5), math.lgamma(mu + 1.0)
+    ref = mp.gamma(mp.mpf(mu) + 0.5) / mp.gamma(mp.mpf(mu) + 1) * mp.sqrt(mu)
+    return ref, lg_half - lg_one + 0.5 * math.log(mu), 2.0 * _EPS * (abs(lg_half) + abs(lg_one))
+
+
+def _f_tail(mu, s, part):
+    """f_mu(s) <= A s^mu/sqrt(mu) (part 0), e_mu(s) <= x/(1-x) A s^mu/sqrt(mu) (part 1)."""
+    x = s * s
+    log_bound = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) + mu * math.log(s) - 0.5 * math.log(mu)
+    if part:
+        log_bound += math.log(x / (1.0 - x))
+    f, sdf = oracles.ik_integral(mu, s)
+    log_f, log_e, rel = log_ik_integrals(np.array([mu]), s)
+    return (f, sdf - mu * f)[part] / mp.exp(log_bound), float((log_f, log_e)[part][0]) - log_bound, float(rel[0])
+
+
+# (case, its arguments, the ratio's largest distance from 1 there)
+_TIGHT_ENDS = [
+    *[pytest.param(_nicholson, (mu, b), 1e-11, id=f"nicholson-mu{mu:g}-b{b:g}")
+      for mu, b in ((200.0, 1e-4), (1000.0, 1e-3), (5000.0, 1e-2))],
+    *[pytest.param(_wronskian, (mu, b), 1e-9, id=f"wronskian-mu{mu:g}-b{b:g}")
+      for mu, b in ((0.5, 1e-6), (5.0, 1e-4), (60.0, 1e-3))],
+    *[pytest.param(_monotone, (mu, b), 1e-12, id=f"monotone-s0.999-mu{mu:g}-b{b:g}")
+      for mu, b in ((200.0, 2e-4), (5.0, 1e-5))],
+    pytest.param(_wendel, (200.0,), 1.0 / 1600.0, id="wendel-mu200"),
+    pytest.param(_f_tail, (200.0, 1e-3, 0), 1.0 / 200.0, id="f-tail-mu200-s0.001"),
+    pytest.param(_f_tail, (200.0, 1e-3, 1), 1.0 / 200.0, id="e-tail-mu200-s0.001"),
+]
+
+
+class TestCertificateInequalities:
+    @pytest.mark.parametrize("case, args, gap", _TIGHT_ENDS)
+    def test_tight_end_against_mpmath(self, case, args, gap):
+        # The inequality holds, it is tight here, and conekit's log of the
+        # ratio is right within the rel the check allows it.
+        ratio, got, rel = case(*args)
+        assert 1 - gap <= ratio <= 1, (args, ratio)
+        assert abs(got - float(mp.log(ratio))) <= rel, (args, got, float(mp.log(ratio)), rel)
 
 
 class TestValidation:

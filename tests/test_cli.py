@@ -124,6 +124,15 @@ class TestKernel:
         assert code == 0 and out == ""
         assert path.read_text() == stdout_text
 
+    def test_value_past_float_range_prints_inf(self, capsys):
+        # e^{-R}/(4 pi R) at R ~ 2.6e-310 is 1.70 * 2^1024.
+        code, out, err = run_cli(capsys, "kernel", "--d", "3", "--r", "1e-310", "--rp", "3e-310",
+                                 "--gamma", "1")
+        assert code == 0 and err == ""
+        got = _parsed(out)
+        assert got["value"] == "inf" and got["certified"] == "true"
+        assert math.isfinite(float(got["tail_bound"]))
+
 
 class TestRiesz:
     def test_far_right_report(self, capsys):

@@ -14,6 +14,7 @@ from conekit import (
     ConePoint,
     CrossSectionSpectrum,
     DomainError,
+    KernelValue,
     NormsOnlyError,
     ResolventRequest,
     leading_modes,
@@ -100,6 +101,19 @@ class TestEuclideanOracle:
         for kv, (sign, log_want) in zip((resolvent_kernel(req), g.d_r, g.angular), want):
             assert kv.certified and math.copysign(1.0, kv.value) == sign, (r, rp, kv)
             assert abs(kv.log_abs - log_want) <= kv.rel_tail + 1e-13, (r, rp, kv, log_want)
+
+    def test_plain_float_past_float_range(self):
+        # e^{-R}/(4 pi R) = 1.70 * 2^1024 here: the plain float is inf, and
+        # the log is right (the subnormal radii carry about 13 digits).
+        r, rp = 1e-310, 3e-310
+        kv = _value(S3, r, rp, 1.0)
+        log_want = -math.log(4.0 * math.pi) - math.log(r) - math.log(oracles.euclid_distance(1.0, rp / r, 1.0))
+        assert kv.certified and kv.float_value() == math.inf
+        assert abs(kv.log_abs - log_want) <= kv.rel_tail + 1e-12, (kv, log_want)
+        # Past float range on either side, and below it.
+        assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_value() == -math.inf
+        assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_tail_bound() == math.inf
+        assert KernelValue(1.5, 1.0, 1, exp2=-2000).float_value() == 0.0
 
 
 class TestSymmetries:

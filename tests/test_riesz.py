@@ -207,6 +207,15 @@ class TestRieszKernel:
             np.testing.assert_allclose(scaled.angular, kv.angular / kappa ** 3,
                                        rtol=1e-4)
 
+    @pytest.mark.parametrize("t", [3.5e-104, 3.2e-104, 3.1e-104])
+    def test_values_at_the_edge_of_float_range(self, t):
+        # |T| ~ 1/t^3 is 1.3e308 to 1.7e308 at the first two t, and past
+        # float range at the third.
+        kv = self._eval(S3, t, 3.0 * t, 1.0)
+        for got, ref in zip((kv.d_r, kv.angular), oracles.riesz_r3(1.0, 3.0, 1.0)):
+            want = ref / t / t / t
+            assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-6), (got, want)
+
     def test_angular_component_vanishes_at_zero_separation(self):
         kv = self._eval(S3_NEG, 0.2, 1.0, 0.0)
         assert kv.angular == 0.0

@@ -36,13 +36,11 @@ from .bessel import (
 )
 from .spectrum import (
     CrossSectionSpectrum,
-    WeylFit,
     leading_modes,
     load_spectrum,
     save_spectrum,
     sphere_spectrum,
     torus_spectrum,
-    weyl_fit,
 )
 from .resolvent import (
     BOUNDARY_FACES,
@@ -110,7 +108,6 @@ __all__ = [
     "SuiteReport",
     "TorusCrossSection",
     "UnsupportedError",
-    "WeylFit",
     "ZfCompatibilityReport",
     "bessel_i",
     "bessel_i_with_dr",
@@ -137,6 +134,5 @@ __all__ = [
     "threshold_interval_constant",
     "threshold_interval_zero_v",
     "torus_spectrum",
-    "weyl_fit",
     "zf_compatibility_check",
 ]

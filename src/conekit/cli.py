@@ -24,9 +24,9 @@ import sys
 
 from . import __version__
 from .config import DEFAULTS
-from .errors import ConekitError, DomainError
+from .errors import ConekitError
 from .geometry import ConePoint
-from .lpcheck import HomogeneousKernelSpec, lp_norm_probe, riesz_probe_kernel
+from .lpcheck import _riesz_models, lp_norm_probe, riesz_probe_kernel
 from .resolvent import ResolventRequest, resolvent_kernel
 from .riesz import (
     offdiag_envelope,
@@ -65,18 +65,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _floats(text: str):
+def _numbers(text: str, kind=float):
+    """A comma-separated list of ``kind`` (float or int)."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
-
-
-def _ints(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated list of integers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise _UsageError(f"expected a comma-separated list of {what}, got {text!r}") from exc
 
 
 def _broadcast(columns):
@@ -129,7 +124,7 @@ def _spectrum_from(args):
     if args.d is None:
         raise _UsageError("either --spectrum-file or --d is required")
     if args.torus:
-        return torus_spectrum(args.d, _floats(args.torus), c=args.c,
+        return torus_spectrum(args.d, _numbers(args.torus), c=args.c,
                               mu_cutoff=args.mu_cutoff)
     return sphere_spectrum(args.d, radius=args.radius, c=args.c,
                            mu_cutoff=args.mu_cutoff)
@@ -209,8 +204,8 @@ def _cmd_thresholds(args) -> int:
 def _cmd_kernel(args) -> int:
     spec = _spectrum_from(args)
     cs = spec.cross_section
-    rows = _broadcast([_floats(args.r), _floats(args.rp), _floats(args.gamma),
-                       _floats(args.lam_list)])
+    rows = _broadcast([_numbers(args.r), _numbers(args.rp), _numbers(args.gamma),
+                       _numbers(args.lam_list)])
 
     def one(row):
         r, rp, gamma, lam = row
@@ -259,7 +254,7 @@ def _riesz_region(r, rp):
 def _cmd_riesz(args) -> int:
     spec = _spectrum_from(args)
     cs = spec.cross_section
-    rows = _broadcast([_floats(args.r), _floats(args.rp), _floats(args.gamma)])
+    rows = _broadcast([_numbers(args.r), _numbers(args.rp), _numbers(args.gamma)])
 
     def one(row):
         r, rp, gamma = row
@@ -322,13 +317,12 @@ def _cmd_verify(args) -> int:
 def _cmd_probe(args) -> int:
     spec = _spectrum_from(args)
     d, mu0 = spec.d, spec.mu0
-    if args.model == "t2":
-        kernel = HomogeneousKernelSpec(d, 0.5 * d - mu0, "upper").kernel
-    elif args.model == "t3":
-        kernel = HomogeneousKernelSpec(d, 0.5 * d + 1.0 + mu0, "lower").kernel
-    else:  # riesz
+    if args.model == "riesz":
         kernel = riesz_probe_kernel(spec, separation=args.separation, rel_tol=args.rel_tol)
-    res = lp_norm_probe(kernel, d, args.p, k_values=_ints(args.k_values),
+    else:
+        t2, t3 = _riesz_models(d, mu0)  # the far-right and far-left models
+        kernel = (t2 if args.model == "t2" else t3).kernel
+    res = lp_norm_probe(kernel, d, args.p, k_values=_numbers(args.k_values, int),
                         points_per_octave=args.points_per_octave)
     payload = {
         "model": args.model,
@@ -353,45 +347,43 @@ def _build_parser() -> _Parser:
                 description="Resolvent and Riesz-transform kernels on metric cones.")
     p.add_argument("--version", action="version", version=f"conekit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    # Every subcommand writes its output to --out, or to stdout without it.
+    out = _Parser(add_help=False)
+    out.add_argument("--out", type=str, default=None)
 
-    sp = sub.add_parser("spectrum", help="build or load a cross-section mode table")
+    sp = sub.add_parser("spectrum", help="build or load a cross-section mode table", parents=[out])
     _add_source_args(sp)
     sp.add_argument("--save", type=str, default=None, help="also save the table as JSON")
     sp.add_argument("--format", choices=("text", "csv"), default="text")
-    sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(handler=_cmd_spectrum)
 
-    th = sub.add_parser("thresholds", help="exact L^p boundedness interval")
+    th = sub.add_parser("thresholds", help="exact L^p boundedness interval", parents=[out])
     _add_source_args(th)
     th.add_argument("--mu0", type=float, default=None,
                     help="bottom exponent directly (general-V basis)")
-    th.add_argument("--out", type=str, default=None)
     th.set_defaults(handler=_cmd_thresholds)
 
-    ke = sub.add_parser("kernel", help="resolvent kernel values")
+    ke = sub.add_parser("kernel", help="resolvent kernel values", parents=[out])
     _add_source_args(ke, need_point=True)
     ke.add_argument("--lambda", dest="lam_list", type=str, default="1",
                     help="spectral parameter (or comma list)")
     ke.add_argument("--rel-tol", type=float, default=DEFAULTS.kernel_rel_tol)
     ke.add_argument("--gauge", choices=("riemannian", "b-half"), default="riemannian")
     ke.add_argument("--format", choices=("text", "csv"), default="text")
-    ke.add_argument("--out", type=str, default=None)
     ke.set_defaults(handler=_cmd_kernel)
 
-    ri = sub.add_parser("riesz", help="Riesz transform kernel values")
+    ri = sub.add_parser("riesz", help="Riesz transform kernel values", parents=[out])
     _add_source_args(ri, need_point=True)
     ri.add_argument("--rel-tol", type=float, default=DEFAULTS.riesz_rel_tol)
     ri.add_argument("--format", choices=("text", "csv"), default="text")
-    ri.add_argument("--out", type=str, default=None)
     ri.set_defaults(handler=_cmd_riesz)
 
-    ve = sub.add_parser("verify", help="run a verification suite")
+    ve = sub.add_parser("verify", help="run a verification suite", parents=[out])
     ve.add_argument("--suite", choices=("all", *SUITES), default="all")
     ve.add_argument("--seed", type=int, default=1234)
-    ve.add_argument("--out", type=str, default=None)
     ve.set_defaults(handler=_cmd_verify)
 
-    pr = sub.add_parser("probe", help="numerical L^p norm probe")
+    pr = sub.add_parser("probe", help="numerical L^p norm probe", parents=[out])
     _add_source_args(pr)
     pr.add_argument("--p", type=float, required=True)
     pr.add_argument("--model", choices=("t2", "t3", "riesz"), default="t2")
@@ -399,7 +391,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--points-per-octave", type=int, default=4)
     pr.add_argument("--separation", type=float, default=0.7)
     pr.add_argument("--rel-tol", type=float, default=1e-4)
-    pr.add_argument("--out", type=str, default=None)
     pr.set_defaults(handler=_cmd_probe)
 
     return p
@@ -409,18 +400,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ConekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,6 +99,11 @@ def schur_norm(spec: HomogeneousKernelSpec, p: float) -> float:
     return -1.0 / gap if gap < 0.0 else math.inf
 
 
+def _riesz_models(d: int, mu0: float) -> tuple[HomogeneousKernelSpec, HomogeneousKernelSpec]:
+    """The far-right (upper, alpha = d/2 - mu0) and far-left (lower, alpha = d/2 + 1 + mu0) Riesz models."""
+    return HomogeneousKernelSpec(d, 0.5 * d - mu0, "upper"), HomogeneousKernelSpec(d, 0.5 * d + 1.0 + mu0, "lower")
+
+
 def riesz_model_intervals(d: int, mu0: float) -> PInterval:
     """L^p interval implied by the two off-diagonal Riesz model bounds.
 
@@ -112,10 +117,9 @@ def riesz_model_intervals(d: int, mu0: float) -> PInterval:
     mu0 = float(mu0)
     if not math.isfinite(mu0) or mu0 < 0.0:
         raise DomainError(f"mu0 must be >= 0, got {mu0!r}")
-    alpha_right = 0.5 * d - mu0
-    alpha_left = 0.5 * d + 1.0 + mu0
-    p_hi = math.inf if alpha_right <= 0.0 else d / alpha_right
-    p_lo = max(1.0, d / alpha_left)
+    right, left = _riesz_models(d, mu0)
+    p_hi = math.inf if right.alpha <= 0.0 else d / right.alpha
+    p_lo = max(1.0, d / left.alpha)
     return PInterval(p_lo, p_hi, "general-V")
 
 

@@ -148,7 +148,9 @@ component returned (for the lambda-integral's gradient, rel_tol times its
 length).  The estimate adds their difference, the rounding (as for
 s < 1), and twice the flat heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau}
 (times R/2tau for the angular row) over the nodes left out.  It is not a proof: at large
-lam R the terms outgrow the value by up to e^{lam R}, and it grows too.
+lam R the terms outgrow the value by up to e^{lam R}, and it grows too.  Below R/r of
+about 1e-153 the grid's largest x passes double range, and the value is refused
+(``DomainError``).
 """
 
 from __future__ import annotations
@@ -191,6 +193,14 @@ _DIAG_STEP, _DIAG_HALVINGS, _DIAG_LOG_SMALL = 0.5, 5, 40.0
 _DIAG_MU_SLOPE, _DIAG_MU_FLOOR = 9.0, 12.0
 
 
+def _check_rel_tol(rel_tol) -> float:
+    """``rel_tol`` as a float; a DomainError unless it lies in (0, 0.1]."""
+    rt = float(rel_tol)
+    if not (0.0 < rt <= 0.1):
+        raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
+    return rt
+
+
 @dataclass(frozen=True)
 class ResolventRequest:
     """One kernel evaluation: spectrum, endpoints, spectral parameter.
@@ -212,10 +222,7 @@ class ResolventRequest:
         if not math.isfinite(lam) or lam <= 0.0:
             raise DomainError(f"spectral parameter lambda must be finite and > 0, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
-        rt = float(self.rel_tol)
-        if not (0.0 < rt <= 0.1):
-            raise DomainError(f"rel_tol must lie in (0, 0.1], got {self.rel_tol!r}")
-        object.__setattr__(self, "rel_tol", rt)
+        object.__setattr__(self, "rel_tol", _check_rel_tol(self.rel_tol))
         if self.density_gauge not in _GAUGES:
             raise DomainError(
                 f"density_gauge must be one of {_GAUGES}, got {self.density_gauge!r}"
@@ -321,12 +328,15 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
     # Lower end: the flat e^{-R^2/4tau}, with its powers of tau, below e^{-log_small}.
     # Upper end: the weight below that, or the bottom mode's decay e^{-(mu0 + 1/2) v}
     # (e^{-mu0 v} at one lambda) below e^{-(_DIAG_LOG_SMALL + d)}.
-    v_lo = math.log(rho * rho / (4.0 * (log_small + 0.5 * d * math.log(4.0 * log_small))))
+    try:
+        v_lo = math.log(rho * rho / (4.0 * (log_small + 0.5 * d * math.log(4.0 * log_small))))
+        need_top = _DIAG_MU_SLOPE * math.sqrt(0.5 * math.exp(-v_lo)) + _DIAG_MU_FLOOR
+    except (ValueError, OverflowError):  # (R/r)^2 underflows, or the grid's largest x = r^2/2tau overflows
+        raise DomainError(f"cone distance R/r = {rho!r} at r = r' is too small for the tau rule") from None
     v_hi = (_DIAG_LOG_SMALL + d) / (table.mu[0] + (0.5 if lam is None else 0.0))
     if lr > 0.0:
         v_hi = min(v_hi, math.log(log_small) - 2.0 * math.log(lr))
     size = math.ceil((v_hi - v_lo) / _DIAG_STEP) + 1
-    need_top = _DIAG_MU_SLOPE * math.sqrt(0.5 * math.exp(-v_lo)) + _DIAG_MU_FLOOR
     if table.mu[-1] < need_top and spec.grow is not None:
         table = spec.grown(need_top)
     mu = table.mu[:max(int(table.mu.searchsorted(need_top, side="right")), 1)]
@@ -665,22 +675,14 @@ class ZfCompatibilityReport:
         return self.deviations[-1]
 
 
-def zf_compatibility_check(
-    spectrum: CrossSectionSpectrum,
-    s: float,
-    y,
-    yp,
-    rprimes=None,
-) -> ZfCompatibilityReport:
-    """Check that the kernel's zero-front limit matches the indicial kernel."""
+def zf_compatibility_check(spectrum: CrossSectionSpectrum, s: float, y, yp) -> ZfCompatibilityReport:
+    """Check that the kernel's zero-front limit matches the indicial kernel, at 9 values of r' from 1e-1 to 1e-3."""
     s = float(s)
     if not (0.0 < s <= _ZF_MAX_RATIO):
         raise DomainError(
             f"compatibility check runs at radii ratios 0 < s <= {_ZF_MAX_RATIO}, got {s!r}"
         )
-    if rprimes is None:
-        rprimes = np.geomspace(1e-1, 1e-3, 9)
-    rprimes = tuple(float(v) for v in rprimes)
+    rprimes = tuple(np.geomspace(1e-1, 1e-3, 9).tolist())
     ind = indicial_kernel(spectrum, s, y, yp)
     if ind == 0.0:
         raise DomainError("indicial kernel vanishes at this (s, y, y'); ratio undefined")
@@ -709,58 +711,46 @@ def zf_compatibility_check(
     )
 
 
-BOUNDARY_FACES = ("zf", "lbz", "rbz", "rbi")
+# Each face's (r, r', abscissa) at grid parameter eps: the radii of the
+# kernel's two points, and the log the slope is fitted against.
+_FACES = {
+    "zf": lambda e: (e * 0.1, e, math.log(e)),
+    "lbz": lambda e: (e * 0.1, 1.0, math.log(e)),
+    "rbz": lambda e: (1.0, e * 0.1, math.log(e)),
+    "rbi": lambda e: (0.1, 1.0 / e, math.log(1.0 / e)),
+}
+BOUNDARY_FACES = tuple(_FACES)
 
 
-def boundary_order_probe(
-    spectrum: CrossSectionSpectrum,
-    face: str,
-    s0: float = 0.1,
-    separation: float = 0.7,
-    r_base: float = 1.0,
-    epsilons=None,
-    lam: float = 1.0,
-) -> float:
+def boundary_order_probe(spectrum: CrossSectionSpectrum, face: str) -> float:
     """Fitted decay exponent of the riemannian kernel toward one boundary face.
 
-    Faces (eps -> 0 along the probe grid):
+    The kernel G_1 (lambda = 1, rel_tol 1e-9) is taken at z = (r, y),
+    z' = (r', y') with y, y' at cross-section separation 0.7.  Faces, as
+    eps -> 0 over 7 geometric grid points from 1e-3 to 1e-6 (from 1e-1 to
+    5e-3 for ``rbi``):
 
-    * ``zf``  - both radii to zero at fixed ratio: z = (eps s0 r_base, y),
-      z' = (eps r_base, y'); expected slope 2 - d.
-    * ``lbz`` - left radius to zero: z = (eps s0 r_base, y),
-      z' = (r_base, y'); expected slope 1 - d/2 + mu0.
-    * ``rbz`` - right radius to zero: z = (r_base, y),
-      z' = (eps s0 r_base, y'); expected slope 1 - d/2 + mu0.
-    * ``rbi`` - right radius to infinity: z = (s0 r_base, y),
-      z' = (r_base / eps, y'); the slope against log(r') diverges to
-      -infinity (exponential decay), so the fit returns a large negative
-      number that keeps falling as the grid deepens.
+    * ``zf``  - both radii to zero at fixed ratio: r = 0.1 eps, r' = eps;
+      slope against log(eps), expected 2 - d.
+    * ``lbz`` - left radius to zero: r = 0.1 eps, r' = 1; slope against
+      log(eps), expected 1 - d/2 + mu0.
+    * ``rbz`` - right radius to zero: r = 1, r' = 0.1 eps; slope against
+      log(eps), expected 1 - d/2 + mu0.
+    * ``rbi`` - right radius to infinity: r = 0.1, r' = 1/eps; the slope
+      against log(r') diverges to -infinity (exponential decay), so the
+      fit returns a large negative number that keeps falling as the grid
+      deepens.
 
     The slope is fitted on log|kernel| over the last four grid points.
     """
     if face not in BOUNDARY_FACES:
         raise DomainError(f"face must be one of {BOUNDARY_FACES}, got {face!r}")
-    y, yp = spectrum.cross_section.points_at_separation(separation)
-    if epsilons is None:
-        epsilons = np.geomspace(1e-3, 1e-6, 7) if face != "rbi" else np.geomspace(1e-1, 5e-3, 7)
-    eps = [float(v) for v in epsilons]
-
+    y, yp = spectrum.cross_section.points_at_separation(0.7)
+    eps = np.geomspace(1e-1, 5e-3, 7) if face == "rbi" else np.geomspace(1e-3, 1e-6, 7)
     xs, ls = [], []
-    for e in eps:
-        if face == "zf":
-            z, zp_ = ConePoint(e * s0 * r_base, y), ConePoint(e * r_base, yp)
-            x = math.log(e)
-        elif face == "lbz":
-            z, zp_ = ConePoint(e * s0 * r_base, y), ConePoint(r_base, yp)
-            x = math.log(e)
-        elif face == "rbz":
-            z, zp_ = ConePoint(r_base, y), ConePoint(e * s0 * r_base, yp)
-            x = math.log(e)
-        else:  # rbi
-            big = r_base / e
-            z, zp_ = ConePoint(s0 * r_base, y), ConePoint(big, yp)
-            x = math.log(big)
-        req = ResolventRequest(spectrum, z, zp_, lam=lam, rel_tol=1e-9)
+    for e in eps.tolist():
+        r, rp, x = _FACES[face](e)
+        req = ResolventRequest(spectrum, ConePoint(r, y), ConePoint(rp, yp), rel_tol=1e-9)
         ls.append(resolvent_kernel(req).log_abs)
         xs.append(x)
     return float(np.polyfit(xs[-4:], ls[-4:], 1)[0])

@@ -58,9 +58,9 @@ import numpy as np
 from .bessel import _ldexp
 from .config import DEFAULTS
 from .errors import DomainError, PositivityError, UnsupportedError
-from .geometry import ConePoint, check_dimension, cone_distance
-from .resolvent import _prepare_series
-from .spectrum import CrossSectionSpectrum, leading_modes
+from .geometry import ConePoint, check_dimension
+from .resolvent import _check_rel_tol, _prepare_series
+from .spectrum import CrossSectionSpectrum, _mu0_squared, leading_modes
 
 __all__ = [
     "PInterval",
@@ -169,7 +169,7 @@ def _exact_mu(d: int, c) -> Fraction | None:
         c_frac = Fraction(c)
     except (TypeError, ValueError):
         return None
-    val = c_frac + Fraction((d - 2) ** 2, 4)
+    val = _mu0_squared(d, c_frac)
     if val < 0:
         return None
     num, den = val.numerator, val.denominator
@@ -195,7 +195,7 @@ def threshold_interval_constant(d: int, c) -> PInterval:
         raise DomainError(
             "c = 0 is the zero-potential case; use threshold_interval_zero_v"
         )
-    shifted = c_float + 0.25 * (d - 2) ** 2
+    shifted = _mu0_squared(d, c_float)
     if shifted < 0.0:
         raise PositivityError(
             f"c + (d-2)^2/4 = {shifted} must be >= 0 (operator positivity; "
@@ -231,7 +231,7 @@ def l2_bound_constant(spectrum: CrossSectionSpectrum) -> L2Bound:
         )
     c = float(spectrum.v0_constant)
     d = spectrum.d
-    mu0_sq = 0.25 * (d - 2) ** 2 + c
+    mu0_sq = _mu0_squared(d, c)
     if mu0_sq <= 0.0:
         raise PositivityError(f"c + (d-2)^2/4 = {mu0_sq} must be > 0")
     mu0 = math.sqrt(mu0_sq)
@@ -293,12 +293,7 @@ def riesz_kernel(
     the cone heat kernel, its tau rule refined until two grids agree to
     rel_tol / 2 of |T| in each component.
     """
-    if not (0.0 < rel_tol <= 0.1):
-        raise DomainError(f"rel_tol must lie in (0, 0.1], got {rel_tol!r}")
-    if cone_distance(z.r, zp.r, spectrum.cross_section.distance(z.y, zp.y)) == 0.0:
-        # off the diagonal too, where the distance underflows
-        raise DomainError("riesz kernel is singular at zero cone distance")
-    d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * rel_tol, "riemannian")
+    d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * _check_rel_tol(rel_tol), "riemannian")
     # 2/pi scales each mantissa before its 2**exp2, since it may bring a
     # value just past float range back into it.
     scale = 2.0 / math.pi
@@ -362,25 +357,21 @@ def offdiag_bound_check(
     spectrum: CrossSectionSpectrum,
     region: str = "far-right",
     model: str = "general",
-    ratio: float = 0.125,
     rprimes=None,
-    separation: float = 0.7,
-    rel_tol: float = 1e-4,
 ) -> OffdiagReport:
     """Probe the Riesz kernel against its off-diagonal model envelope.
 
-    ``far-right`` walks r' over a grid with r = ratio * r' (kernel point
-    far inside); ``far-left`` mirrors it with r = r' / ratio.  The
-    ``zero-v-leading`` model applies to the bottom-mode subkernel of a
-    zero-potential cone, whose leading term cancels in the gradient and
-    improves the far-right envelope to r * r'^{-1-d}.
+    ``far-right`` walks r' over a grid (by default 7 points from 1 to 8)
+    with r = r'/8 (kernel point far inside); ``far-left`` mirrors it with
+    r = 8 r'.  The kernel is taken at cross-section separation 0.7 with
+    rel_tol 1e-4.  The ``zero-v-leading`` model applies to the bottom-mode
+    subkernel of a zero-potential cone, whose leading term cancels in the
+    gradient and improves the far-right envelope to r * r'^{-1-d}.
     """
     if region not in _REGIONS:
         raise DomainError(f"region must be one of {_REGIONS}, got {region!r}")
     if model not in _MODELS:
         raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
-    if not (0.0 < ratio <= 0.25):
-        raise DomainError(f"ratio must lie in (0, 1/4] for the off-diagonal regime, got {ratio!r}")
     if rprimes is None:
         rprimes = np.geomspace(1.0, 8.0, 7)
     rprimes = tuple(float(v) for v in rprimes)
@@ -396,13 +387,13 @@ def offdiag_bound_check(
             )
         spectrum = leading_modes(spectrum, 1)
 
-    y, yp = spectrum.cross_section.points_at_separation(separation)
+    y, yp = spectrum.cross_section.points_at_separation(0.7)
     r_values, mags, models = [], [], []
     for rp_val in rprimes:
-        r_val = ratio * rp_val if region == "far-right" else rp_val / ratio
+        r_val = 0.125 * rp_val if region == "far-right" else rp_val / 0.125
         z, zp_ = ConePoint(r_val, y), ConePoint(rp_val, yp)
         env = offdiag_envelope(d, mu0, region, r_val, rp_val, model)
-        kv = riesz_kernel(spectrum, z, zp_, rel_tol=rel_tol)
+        kv = riesz_kernel(spectrum, z, zp_, rel_tol=1e-4)
         r_values.append(r_val)
         mags.append(kv.magnitude)
         models.append(env)

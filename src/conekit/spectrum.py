@@ -43,6 +43,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -75,8 +76,6 @@ __all__ = [
     "torus_spectrum",
     "load_spectrum",
     "save_spectrum",
-    "weyl_fit",
-    "WeylFit",
     "leading_modes",
 ]
 
@@ -222,9 +221,9 @@ class SphereTail(_MajorantTail):
     kept table, so each degree is built and stored once.
     """
 
-    def __init__(self, cross_section: SphereCrossSection, c: float):
+    def __init__(self, cross_section: SphereCrossSection, c0: float):
         self.cross_section = cross_section
-        self.c0 = c + ((cross_section.dim - 1) / 2.0) ** 2
+        self.c0 = c0
         self._table = None  # _build(0, n) for the lowest n <= TABLE_CEILING degrees asked for so far
 
     def _build(self, lo: int, hi: int) -> np.ndarray:
@@ -422,18 +421,15 @@ class CrossSectionSpectrum:
             kept[:] = [mu_max, self.grow(mu_max, TABLE_CEILING)]
         return kept[1]
 
-    def pair_values(self, y, yp, gamma: float | None = None, with_grad: bool = True):
+    def pair_values(self, y, yp, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
 
         Both arrays are aligned with ``table``.  The derivative is per unit
         cross-section arc length, along the direction of increasing
-        separation from y' (None without ``with_grad``).  ``gamma`` is the
-        cross-section distance d_Y(y, y') when the caller already has it.
+        separation from y' (None without ``with_grad``).
         """
         table = self.pair_table
-        if gamma is None:
-            gamma = self.cross_section.distance(y, yp)
-        return table.pairs(y, yp, gamma, 0, table.mu.size, None, with_grad)[:2]
+        return table.pairs(y, yp, self.cross_section.distance(y, yp), 0, table.mu.size, None, with_grad)[:2]
 
     def descriptor(self) -> str:
         return (
@@ -446,13 +442,19 @@ def _default_cutoff(mu_bottom: float) -> float:
     return max(DEFAULTS.mu_cutoff_floor, mu_bottom + DEFAULTS.mu_cutoff_margin)
 
 
+def _mu0_squared(d: int, c):
+    """mu0^2 = c + (d-2)^2/4 for the constant potential V0 = c: a float for float c, exact for a Fraction."""
+    return c + Fraction((d - 2) ** 2, 4)
+
+
 def _check_positivity(d: int, c: float) -> float:
-    threshold = ((d - 2) / 2.0) ** 2
-    if not math.isfinite(c) or c <= -threshold:
+    """mu0^2 for V0 = c; a PositivityError unless it is > 0 and c is finite."""
+    c0 = _mu0_squared(d, c)
+    if not math.isfinite(c) or c0 <= 0.0:
         raise PositivityError(
-            f"coupling c = {c!r} violates c > -((d-2)/2)^2 = {-threshold}"
+            f"coupling c = {c!r} violates c > -((d-2)/2)^2 = {-_mu0_squared(d, 0.0)}"
         )
-    return c + threshold
+    return c0
 
 
 def _gegenbauer_steps(alpha: float, count: int) -> tuple[list, list]:
@@ -614,7 +616,7 @@ def sphere_spectrum(
     d = check_dimension(d)
     c0 = _check_positivity(d, float(c))
     cs = SphereCrossSection(d - 1, radius)
-    tail = SphereTail(cs, float(c))
+    tail = SphereTail(cs, c0)
     return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_sphere_table, tail), tail)
 
 
@@ -806,30 +808,6 @@ def _separation_coeffs(spectrum: CrossSectionSpectrum, tag):
 
         return [float(c) for c in _cheb.chebinterpolate(f, max(l, 1))]
     return None
-
-
-@dataclass(frozen=True)
-class WeylFit:
-    """Smallest C with mode-count(mu) <= C mu^(d-1) over the table."""
-
-    c: float
-    at_mu: float
-    n_modes: int
-
-
-def weyl_fit(spectrum: CrossSectionSpectrum) -> WeylFit:
-    table = spectrum.table
-    if table.mu.size < 10:
-        raise InsufficientSpectrumError("weyl_fit needs at least 10 modes")
-    count = 0
-    best = -math.inf
-    at = spectrum.mu0
-    for mu, mult in zip(table.mu.tolist(), table.mult.tolist()):
-        count += mult
-        ratio = count / mu ** (spectrum.d - 1)
-        if ratio > best:
-            best, at = ratio, mu
-    return WeylFit(best, at, table.mu.size)
 
 
 def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectionSpectrum:

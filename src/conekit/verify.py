@@ -64,7 +64,7 @@ from .riesz import (
     threshold_interval_constant,
     threshold_interval_zero_v,
 )
-from .spectrum import TABLE_CEILING, sphere_spectrum
+from .spectrum import TABLE_CEILING, _mu0_squared, sphere_spectrum
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite"]
 
@@ -417,7 +417,7 @@ def _suite_thresholds(seed: int = 1234):
 
     def ordering():
         for d in (3, 4, 5, 8):
-            q = 0.25 * (d - 2) ** 2
+            q = _mu0_squared(d, 0.0)  # c > -q
             for c in np.linspace(-0.95 * q, -0.05 * q, 7):
                 iv = threshold_interval_constant(d, float(c))
                 if not (1.0 < iv.p_lo < 2.0 < iv.p_hi < d):

@@ -324,6 +324,12 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS ") for line in lines[:-1])
         assert "3/3 checks passed" in lines[-1]
 
+    def test_every_suite_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        lines = out.splitlines()
+        assert code == 0 and all(line.startswith("PASS ") for line in lines[:-1])
+        assert lines[-1] == "25/25 checks passed in suite 'all'"
+
     def test_failures_exit_two(self, capsys, monkeypatch):
         import conekit.cli as cli_mod
         fake = SuiteReport("euclid", (CheckResult("euclid.x", False, "boom", 0.0),))
@@ -386,6 +392,11 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "thresholds", "--mu0", "1.0")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "--d" in err
+
+    def test_separation_too_small_for_the_tau_rule(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--d", "3", "--r", "1", "--rp", "1", "--gamma", "1e-160")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "tau rule" in err and len(err.splitlines()) == 1
 
     def test_bad_number_list(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--d", "3", "--c", "0",

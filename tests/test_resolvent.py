@@ -21,6 +21,7 @@ from conekit import (
     resolvent_gradient,
     resolvent_kernel,
     indicial_kernel,
+    riesz_kernel,
     load_spectrum,
     sphere_spectrum,
     torus_spectrum,
@@ -442,6 +443,16 @@ class TestDiagonal:
                 assert not kv.certified and kv.tail_kind == "quadrature", (d, r, gamma, lam)
                 assert err <= kv.float_tail_bound() + 1e-10 * abs(ref), (d, r, gamma, lam, err)
                 assert err <= req.rel_tol * abs(ref) or not close, (d, r, gamma, lam, err)
+
+    @pytest.mark.parametrize("gamma", [1e-153, 1e-160, 1e-161])
+    def test_separation_too_small_for_the_tau_rule(self, gamma):
+        # R/r = gamma here.  The grid's largest x = r^2/2tau passes float
+        # range from R/r ~ 1e-153 down, and (R/r)^2 underflows at 1e-161.
+        z, zp = _point_pair(S3, 1.0, 1.0, gamma)
+        req = ResolventRequest(S3, z, zp)
+        for evaluate in (resolvent_kernel, resolvent_gradient, lambda _: riesz_kernel(S3, z, zp)):
+            with pytest.raises(DomainError, match="too small for the tau rule"):
+                evaluate(req)
 
     def test_gauge_and_symmetry(self):
         # The b-half value is the riemannian one without (r r')^{1-d/2}, and

@@ -216,6 +216,14 @@ class TestRieszKernel:
             want = ref / t / t / t
             assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-6), (got, want)
 
+    def test_components_past_float_range_where_the_distance_underflows(self):
+        # The cone distance R ~ 1.7e-170 underflows to 0 in floats, and
+        # |T| ~ 1/R^3 passes float range: each component is an infinity of
+        # the closed form's sign.
+        kv = self._eval(S3, 1e-170, 2e-170, 1.0)
+        want = oracles.riesz_r3(1.0, 2.0, 1.0)
+        assert (kv.d_r, kv.angular) == tuple(math.copysign(math.inf, w) for w in want)
+
     def test_angular_component_vanishes_at_zero_separation(self):
         kv = self._eval(S3_NEG, 0.2, 1.0, 0.0)
         assert kv.angular == 0.0
@@ -433,7 +441,7 @@ class TestOffdiagModels:
         assert abs(fine.c_sup / base.c_sup - 1.0) <= 0.10
 
     def test_report_grid_consistency(self):
-        rep = offdiag_bound_check(S3_NEG, region="far-right", ratio=0.125)
+        rep = offdiag_bound_check(S3_NEG, region="far-right")
         assert len(rep.rprimes) == len(rep.r_values) == len(rep.ratios)
         for r, rp in zip(rep.r_values, rep.rprimes):
             assert r == pytest.approx(0.125 * rp)
@@ -445,8 +453,6 @@ class TestOffdiagModels:
             offdiag_bound_check(S3, region="sideways")
         with pytest.raises(DomainError):
             offdiag_bound_check(S3, model="nope")
-        with pytest.raises(DomainError):
-            offdiag_bound_check(S3, ratio=0.5)  # not off-diagonal
         with pytest.raises(DomainError):
             offdiag_bound_check(S3_NEG, model="zero-v-leading")  # mu0 != d/2-1
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -21,11 +22,26 @@ from conekit import (
     save_spectrum,
     sphere_spectrum,
     torus_spectrum,
-    weyl_fit,
 )
-from conekit.spectrum import TABLE_CEILING, CompleteTail, SphereTail, TailProfile, _torus_table
+from conekit.spectrum import TABLE_CEILING, CompleteTail, SphereTail, TailProfile, _mu0_squared, _torus_table
 
 import oracles
+
+
+class TestMu0Squared:
+    C_GRID = [*np.linspace(-6.0, 6.0, 97).tolist(), -0.24, 0.1, 2.0 / 3.0, 1e-300, -1e-300, 1e300, 0.1 + 1e-17]
+
+    def test_float_c_matches_the_plain_sum_bit_for_bit(self):
+        for d in range(3, 12):
+            for c in self.C_GRID:
+                got = _mu0_squared(d, c)
+                assert type(got) is float and got.hex() == (c + 0.25 * (d - 2) ** 2).hex(), (d, c)
+
+    def test_fraction_c_is_exact(self):
+        for d in range(3, 12):
+            for c in (Fraction(-1, 3), Fraction(5, 4), Fraction(0), Fraction(-7, 2)):
+                got = _mu0_squared(d, c)
+                assert type(got) is Fraction and 4 * (got - c) == (d - 2) ** 2, (d, c)
 
 
 class TestSphereEigendata:
@@ -632,17 +648,6 @@ class TestFileErrors:
 
 
 class TestDerivedTables:
-    def test_weyl_fit_sphere_d3(self):
-        # Counting function N(mu) = (L+1)^2 at mu = L + 1/2; the ratio
-        # N/mu^2 is largest at L = 0, giving exactly 4.
-        fit = weyl_fit(sphere_spectrum(3, mu_cutoff=30.0))
-        assert fit.c == pytest.approx(4.0, rel=1e-12)
-        assert fit.at_mu == pytest.approx(0.5)
-
-    def test_weyl_needs_enough_modes(self):
-        with pytest.raises(InsufficientSpectrumError):
-            weyl_fit(sphere_spectrum(3, mu_cutoff=2.0))
-
     def test_leading_modes(self):
         spec = sphere_spectrum(3, mu_cutoff=20.0)
         lead = leading_modes(spec, 2)

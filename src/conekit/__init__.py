@@ -27,13 +27,7 @@ from .geometry import (
     TorusCrossSection,
     cone_distance,
 )
-from .bessel import (
-    BesselEval,
-    bessel_i,
-    bessel_i_with_dr,
-    bessel_k,
-    bessel_k_with_dr,
-)
+from .bessel import BesselEval, bessel_i, bessel_k
 from .spectrum import (
     CrossSectionSpectrum,
     leading_modes,
@@ -54,25 +48,22 @@ from .resolvent import (
     resolvent_kernel,
     zf_compatibility_check,
 )
-from .riesz import (
-    L2Bound,
-    OffdiagReport,
-    PInterval,
-    RieszKernelValue,
-    l2_bound_constant,
-    offdiag_bound_check,
-    riesz_kernel,
-    threshold_interval,
-    threshold_interval_constant,
-    threshold_interval_zero_v,
-)
+from .riesz import RieszKernelValue, riesz_kernel
 from .lpcheck import (
     HomogeneousKernelSpec,
+    L2Bound,
     NormProbeResult,
+    OffdiagReport,
+    PInterval,
+    l2_bound_constant,
     lp_norm_probe,
+    offdiag_bound_check,
     riesz_model_intervals,
     riesz_probe_kernel,
     schur_norm,
+    threshold_interval,
+    threshold_interval_constant,
+    threshold_interval_zero_v,
 )
 from .verify import SUITES, CheckResult, SuiteReport, run_suite
 
@@ -110,9 +101,7 @@ __all__ = [
     "UnsupportedError",
     "ZfCompatibilityReport",
     "bessel_i",
-    "bessel_i_with_dr",
     "bessel_k",
-    "bessel_k_with_dr",
     "boundary_order_probe",
     "cone_distance",
     "indicial_kernel",

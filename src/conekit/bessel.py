@@ -35,7 +35,8 @@ takes (:func:`_blocks`), with nu_min = ``DEFAULTS.olver_nu_min`` = 40:
   10.30.2; two of them below order 0.999, DLMF 10.27.4), whose next term
   is then below 3e-18 relative.
 
-Derivatives use ``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
+Derivatives (``log_scaled`` with ``with_dr``) use
+``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
 ``K'_nu = -(K_{|nu-1|} + K_{nu+1})/2``.  Both are sums of positive terms,
 combined with ``logaddexp``, so no cancellation occurs; each partner order
 takes the method of the order it serves.  Olver's ``U_k`` table is built
@@ -66,8 +67,6 @@ __all__ = [
     "BesselEval",
     "bessel_i",
     "bessel_k",
-    "bessel_i_with_dr",
-    "bessel_k_with_dr",
     "log_scaled",
     "split_log",
     "wronskian_residual",
@@ -453,40 +452,25 @@ def log_scaled(kind: str, nu, x, with_dr: bool = False):
 # Public scalar evaluations.
 # ----------------------------------------------------------------------
 
-def _scalar(kind: str, nu: float, r: float, with_dr: bool):
+def _scalar(kind: str, nu: float, r: float) -> BesselEval:
     nu, r = _validate(nu, r)
-    ln, ln_dr, rel, method = log_scaled(kind, [nu], r, with_dr)
+    ln, _, rel, method = log_scaled(kind, [nu], r)
     method = METHODS[method[0]]
     shift = r if kind == "i" else -r
     log_value = float(ln[0]) + shift
     rel = float(rel[0]) + _EPS * abs(log_value)  # the unscaling rounds the log
     m, e = split_log(log_value)
-    value = BesselEval(m, m * rel, method, e)
-    if not with_dr:
-        return value
-    m, e = split_log(float(ln_dr[0]) + shift)
-    sign = 1.0 if kind == "i" else -1.0
-    return value, BesselEval(sign * m, m * (rel + 4.0 * _EPS), method, e)
+    return BesselEval(m, m * rel, method, e)
 
 
 def bessel_i(nu: float, r: float) -> BesselEval:
     """Modified Bessel function of the first kind, scaled on overflow."""
-    return _scalar("i", nu, r, False)
+    return _scalar("i", nu, r)
 
 
 def bessel_k(nu: float, r: float) -> BesselEval:
     """Modified Bessel function of the second kind, scaled on overflow."""
-    return _scalar("k", nu, r, False)
-
-
-def bessel_i_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
-    """(I_nu(r), d/dr I_nu(r)); the derivative is I_{nu+1} + (nu/r) I_nu."""
-    return _scalar("i", nu, r, True)
-
-
-def bessel_k_with_dr(nu: float, r: float) -> tuple[BesselEval, BesselEval]:
-    """(K_nu(r), d/dr K_nu(r)); the derivative is -(K_{|nu-1|} + K_{nu+1})/2."""
-    return _scalar("k", nu, r, True)
+    return _scalar("k", nu, r)
 
 
 def wronskian_residual(nu, r):

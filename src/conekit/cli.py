@@ -26,15 +26,20 @@ from . import __version__
 from .config import DEFAULTS
 from .errors import ConekitError
 from .geometry import ConePoint
-from .lpcheck import _riesz_models, lp_norm_probe, riesz_probe_kernel
-from .resolvent import ResolventRequest, resolvent_kernel
-from .riesz import (
+from .lpcheck import (
+    _PROBE_REL_TOL,
+    _PROBE_SEPARATION,
+    _offdiag_region,
+    _riesz_models,
+    lp_norm_probe,
     offdiag_envelope,
-    riesz_kernel,
+    riesz_probe_kernel,
     threshold_interval,
     threshold_interval_constant,
     threshold_interval_zero_v,
 )
+from .resolvent import ResolventRequest, resolvent_kernel
+from .riesz import riesz_kernel
 from .spectrum import (
     load_spectrum,
     save_spectrum,
@@ -47,6 +52,8 @@ SCHEMA_HEADER = "# conekit-schema v1"
 
 
 def _fmt(x) -> str:
+    if x is None:  # an empty CSV field
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -89,6 +96,24 @@ def _broadcast(columns):
                 f"{[len(c) for c in columns]})"
             )
     return list(zip(*out))
+
+
+def _print_sweep(args, columns, header: str, evaluate) -> int:
+    """Evaluate the broadcast rows of ``columns`` in order and print them.
+
+    ``evaluate(row)`` returns the row's CSV fields and its key=value pairs.
+    The rows print as CSV under ``--format csv`` or when there is more than
+    one, else as the one row's key=value lines (a pair whose value is None
+    is left out).
+    """
+    results = [evaluate(row) for row in _broadcast([_numbers(c) for c in columns])]
+    if args.format == "csv" or len(results) > 1:
+        lines = [SCHEMA_HEADER, header] + [",".join(map(_fmt, fields)) for fields, _ in results]
+    else:
+        (_, pairs), = results
+        lines = [f"{key}={_fmt(value)}" for key, value in pairs.items() if value is not None]
+    _emit(args, "\n".join(lines))
+    return 0
 
 
 def _emit(args, text: str) -> None:
@@ -204,8 +229,6 @@ def _cmd_thresholds(args) -> int:
 def _cmd_kernel(args) -> int:
     spec = _spectrum_from(args)
     cs = spec.cross_section
-    rows = _broadcast([_numbers(args.r), _numbers(args.rp), _numbers(args.gamma),
-                       _numbers(args.lam_list)])
 
     def one(row):
         r, rp, gamma, lam = row
@@ -214,84 +237,39 @@ def _cmd_kernel(args) -> int:
             ResolventRequest(spec, ConePoint(r, y), ConePoint(rp, yp), lam=lam,
                              rel_tol=args.rel_tol, density_gauge=args.gauge)
         )
-        return row, kv
+        value, tail = kv.float_value(), kv.float_tail_bound()
+        return [*row, value, tail, kv.modes_used, kv.gauge], {
+            "value": value, "tail_bound": tail, "modes_used": kv.modes_used,
+            "certified": kv.certified, "tail_kind": kv.tail_kind, "gauge": kv.gauge,
+        }
 
-    results = [one(row) for row in rows]
-    if args.format == "csv" or len(rows) > 1:
-        lines = [SCHEMA_HEADER, "r,r_prime,gamma,lambda,value,tail_bound,modes_used,gauge"]
-        for (r, rp, gamma, lam), kv in results:
-            lines.append(
-                f"{_fmt(r)},{_fmt(rp)},{_fmt(gamma)},{_fmt(lam)},"
-                f"{_fmt(kv.float_value())},{_fmt(kv.float_tail_bound())},"
-                f"{kv.modes_used},{kv.gauge}"
-            )
-    else:
-        (_, kv), = results
-        lines = [
-            f"value={_fmt(kv.float_value())}",
-            f"tail_bound={_fmt(kv.float_tail_bound())}",
-            f"modes_used={kv.modes_used}",
-            f"certified={_fmt(kv.certified)}",
-            f"tail_kind={kv.tail_kind}",
-            f"gauge={kv.gauge}",
-        ]
-    _emit(args, "\n".join(lines))
-    return 0
+    return _print_sweep(args, [args.r, args.rp, args.gamma, args.lam_list],
+                        "r,r_prime,gamma,lambda,value,tail_bound,modes_used,gauge", one)
 
 
 # ----------------------------------------------------------------------
 # riesz
 # ----------------------------------------------------------------------
 
-def _riesz_region(r, rp):
-    if r <= 0.25 * rp:
-        return "far-right"
-    if rp <= 0.25 * r:
-        return "far-left"
-    return "mid"
-
-
 def _cmd_riesz(args) -> int:
     spec = _spectrum_from(args)
     cs = spec.cross_section
-    rows = _broadcast([_numbers(args.r), _numbers(args.rp), _numbers(args.gamma)])
 
     def one(row):
         r, rp, gamma = row
         y, yp = cs.points_at_separation(gamma)
         kv = riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp), rel_tol=args.rel_tol)
-        region = _riesz_region(r, rp)
+        region = _offdiag_region(r, rp)
         model = None if region == "mid" else offdiag_envelope(spec.d, spec.mu0, region, r, rp)
-        return row, kv, region, model
+        ratio = None if model is None else kv.magnitude / model
+        return [region, *row, kv.d_r, kv.angular, model, ratio], {
+            "d_r": kv.d_r, "angular": kv.angular, "magnitude": kv.magnitude,
+            "quad_error_est": kv.quad_error_est, "certified": kv.certified, "tail_kind": kv.tail_kind,
+            "modes_used": kv.modes_used, "region": region, "model_bound": model, "ratio": ratio,
+        }
 
-    results = [one(row) for row in rows]
-    if args.format == "csv" or len(rows) > 1:
-        lines = [SCHEMA_HEADER,
-                 "region,r,r_prime,gamma,d_r_component,angular_component,model_bound,ratio"]
-        for (r, rp, gamma), kv, region, model in results:
-            mcol = _fmt(model) if model is not None else ""
-            rcol = _fmt(kv.magnitude / model) if model is not None else ""
-            lines.append(
-                f"{region},{_fmt(r)},{_fmt(rp)},{_fmt(gamma)},"
-                f"{_fmt(kv.d_r)},{_fmt(kv.angular)},{mcol},{rcol}"
-            )
-    else:
-        (row, kv, region, model), = results
-        lines = [
-            f"d_r={_fmt(kv.d_r)}",
-            f"angular={_fmt(kv.angular)}",
-            f"magnitude={_fmt(kv.magnitude)}",
-            f"quad_error_est={_fmt(kv.quad_error_est)}",
-            f"certified={_fmt(kv.certified)}",
-            f"tail_kind={kv.tail_kind}",
-            f"modes_used={kv.modes_used}",
-            f"region={region}",
-        ]
-        if model is not None:
-            lines.append(f"model_bound={_fmt(model)}")
-            lines.append(f"ratio={_fmt(kv.magnitude / model)}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return _print_sweep(args, [args.r, args.rp, args.gamma],
+                        "region,r,r_prime,gamma,d_r_component,angular_component,model_bound,ratio", one)
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +367,8 @@ def _build_parser() -> _Parser:
     pr.add_argument("--model", choices=("t2", "t3", "riesz"), default="t2")
     pr.add_argument("--k-values", type=str, default="4,10,16")
     pr.add_argument("--points-per-octave", type=int, default=4)
-    pr.add_argument("--separation", type=float, default=0.7)
-    pr.add_argument("--rel-tol", type=float, default=1e-4)
+    pr.add_argument("--separation", type=float, default=_PROBE_SEPARATION)
+    pr.add_argument("--rel-tol", type=float, default=_PROBE_REL_TOL)
     pr.set_defaults(handler=_cmd_probe)
 
     return p

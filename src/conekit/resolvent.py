@@ -372,13 +372,15 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
             terms = pair_rows[:, j] * np.exp(log_e)
             node[:, ~short] = np.add.reduceat(terms, starts, axis=1)
             fp[:, ~short] = np.add.reduceat(np.abs(terms) * (rel + np.repeat(counts, counts) * _EPS), starts, axis=1)
-        with np.errstate(divide="ignore", over="ignore"):  # the flat heat kernel on the series' scale
+        # The flat heat kernel on the series' scale; at tiny R/r its bound runs past float range (inf).
+        with np.errstate(divide="ignore", over="ignore"):
             flat = np.where(short, np.exp(np.log(2.0 * sigma) - 0.5 * d * np.log(4.0 * math.pi * sigma)
                                           - rho * rho / (4.0 * sigma)), 0.0)
-        flat = np.array([flat, flat * rho / (2.0 * sigma)] if need_grad else [flat])
+            flat = np.array([flat, flat * rho / (2.0 * sigma)] if need_grad else [flat])
+            flat_sum = 2.0 * (np.abs(weights) * flat).sum(axis=1)
         wf = weights * node
         return (wf.sum(axis=1), (np.abs(weights) * fp).sum(axis=1), np.abs(wf).sum(axis=1),
-                2.0 * (np.abs(weights) * flat).sum(axis=1), int(counts.max(initial=0)))
+                flat_sum, int(counts.max(initial=0)))
 
     step = _DIAG_STEP
     *first, used = grid(v_lo + step * np.arange(size))

@@ -712,6 +712,8 @@ def load_spectrum(path) -> CrossSectionSpectrum:
             v0_constant = float(v0.split(":", 1)[1])
         except ValueError as exc:
             raise SpectrumFormatError(f"bad constant V0 descriptor {v0!r}") from exc
+        if not math.isfinite(v0_constant):
+            raise SpectrumFormatError(f"constant V0 must be finite, got {v0!r}")
 
     entries = []
     for i, item in enumerate(mode_list):

@@ -48,7 +48,15 @@ import numpy as np
 from .bessel import _EPS, bessel_i, bessel_k, log_ik_integrals, log_scaled, wronskian_residual
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
-from .lpcheck import HomogeneousKernelSpec, riesz_model_intervals, schur_norm
+from .lpcheck import (
+    HomogeneousKernelSpec,
+    offdiag_bound_check,
+    riesz_model_intervals,
+    schur_norm,
+    threshold_interval,
+    threshold_interval_constant,
+    threshold_interval_zero_v,
+)
 from .resolvent import (
     ResolventRequest,
     boundary_order_probe,
@@ -57,13 +65,7 @@ from .resolvent import (
     resolvent_kernel,
     zf_compatibility_check,
 )
-from .riesz import (
-    offdiag_bound_check,
-    riesz_kernel,
-    threshold_interval,
-    threshold_interval_constant,
-    threshold_interval_zero_v,
-)
+from .riesz import riesz_kernel
 from .spectrum import TABLE_CEILING, _mu0_squared, sphere_spectrum
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite"]

@@ -2,18 +2,13 @@
 
 import functools
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conekit import (
-    DomainError,
-    bessel_i,
-    bessel_i_with_dr,
-    bessel_k,
-    bessel_k_with_dr,
-)
+from conekit import DomainError, bessel_i, bessel_k
 from conekit.bessel import (_EPS, _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, log_ik_integrals, log_scaled,
                             wronskian_residual)
 from conekit.config import DEFAULTS
@@ -26,7 +21,24 @@ R_GRID = [1e-6, 1e-3, 0.1, 1.0, 1.9, 2.1, 9.9, 10.1, 35.0, 120.0, 500.0]
 
 def _rel_log_err(eval_, log_ref: float) -> float:
     """Relative error computed in log space, safe at any magnitude."""
-    return abs(math.expm1(eval_.log_abs - log_ref))
+    return _log_err(eval_.log_abs, log_ref)
+
+
+def _log_err(log_got: float, log_ref: float) -> float:
+    return abs(math.expm1(log_got - log_ref))
+
+
+def _logs_with_dr(kind, nu, r):
+    """Logs of |f_nu(r)| and |f_nu'(r)| (f = I or K), unscaled from ``log_scaled(..., with_dr=True)``.
+
+    Also their error estimates: the scaled value's rel, plus the rounding
+    of the unscaling (and, for the derivative, of its partner sum).
+    """
+    ln, ln_dr, rel, _ = log_scaled(kind, [nu], r, True)
+    shift = r if kind == "i" else -r
+    log_f, log_df = float(ln[0]) + shift, float(ln_dr[0]) + shift
+    rel_f = float(rel[0]) + _EPS * abs(log_f)
+    return log_f, log_df, rel_f, rel_f + 4.0 * _EPS
 
 
 class TestAccuracy:
@@ -46,12 +58,12 @@ class TestAccuracy:
         worst = 0.0
         for nu in [0.1, 0.5, 2.7, 30.5, 120.0]:
             for r in [1e-5, 0.1, 1.0, 9.9, 35.0]:
-                _, di = bessel_i_with_dr(nu, r)
-                _, dk = bessel_k_with_dr(nu, r)
+                log_di = _logs_with_dr("i", nu, r)[1]
+                log_dk = _logs_with_dr("k", nu, r)[1]
                 worst = max(
                     worst,
-                    _rel_log_err(di, oracles.log_bessel_i_dr_ref(nu, r)),
-                    _rel_log_err(dk, oracles.log_abs_bessel_k_dr_ref(nu, r)),
+                    _log_err(log_di, oracles.log_bessel_i_dr_ref(nu, r)),
+                    _log_err(log_dk, oracles.log_abs_bessel_k_dr_ref(nu, r)),
                 )
         assert worst < 1e-11
 
@@ -98,8 +110,10 @@ class TestScaledRange:
         # I_{1/2}(x) = sqrt(2/(pi x)) sinh x, and e^{-1600} is nothing beside 1.
         np.testing.assert_allclose(i.log_abs, 800.0 - 0.5 * math.log(1600.0 * math.pi), rtol=1e-14)
         assert bessel_k(0.5, 800.0).float_value() == 0.0
-        k, dk = bessel_k_with_dr(5.0, 1e-100)
-        assert (k.float_value(), dk.float_value()) == (math.inf, -math.inf)
+        # K_5(1e-100) and |K_5'(1e-100)| are past float range; their logs are not.
+        log_k, log_dk, _, _ = _logs_with_dr("k", 5.0, 1e-100)
+        assert bessel_k(5.0, 1e-100).float_value() == math.inf
+        assert math.log(sys.float_info.max) < log_k < log_dk < math.inf
 
     def test_plain_range_folds_to_exp2_zero(self):
         ev = bessel_i(1.0, 2.0)
@@ -127,11 +141,14 @@ class TestScaledRange:
             log_i = oracles.log_bessel_i_ref(nu, r)
             # I'_0 = I_1; mpmath's I_{-1} does not converge here.
             log_di = oracles.log_bessel_i_dr_ref(nu, r) if nu else oracles.log_bessel_i_ref(1.0, r)
-            for got, ref in ((bessel_k(nu, r), log_k), (bessel_i(nu, r), log_i),
-                             *zip(bessel_k_with_dr(nu, r), (log_k, oracles.log_abs_bessel_k_dr_ref(nu, r))),
-                             *zip(bessel_i_with_dr(nu, r), (log_i, log_di))):
+            for got, ref in ((bessel_k(nu, r), log_k), (bessel_i(nu, r), log_i)):
                 err = _rel_log_err(got, ref)
                 assert err <= got.rel_error_est and err < 1e-12, (nu, r, got)
+            for kind, refs in (("k", (log_k, oracles.log_abs_bessel_k_dr_ref(nu, r))), ("i", (log_i, log_di))):
+                log_f, log_df, rel_f, rel_df = _logs_with_dr(kind, nu, r)
+                for got, ref, rel in zip((log_f, log_df), refs, (rel_f, rel_df)):
+                    err = _log_err(got, ref)
+                    assert err <= rel and err < 1e-12, (kind, nu, r, got)
 
     def test_large_argument_decay(self):
         ev = bessel_k(0.5, 500.0)
@@ -288,11 +305,11 @@ class TestUniformBounds:
             b = float(10.0 ** rng.uniform(-3, 2))
             a = b * float(rng.uniform(0.01, 1.0))
             log_s = mu * math.log(a / b)
-            i, di = bessel_i_with_dr(mu, a)
-            k, dk = bessel_k_with_dr(mu, b)
-            assert i.log_abs + k.log_abs <= log_s - math.log(2.0 * mu) + 1e-12, (mu, a, b)
-            assert di.log_abs + k.log_abs <= log_s + math.log(0.5 / a + a / (b * b)) + 1e-12, (mu, a, b)
-            assert i.log_abs + dk.log_abs <= log_s - math.log(b) + 1e-12, (mu, a, b)
+            log_i, log_di, _, _ = _logs_with_dr("i", mu, a)
+            log_k, log_dk, _, _ = _logs_with_dr("k", mu, b)
+            assert log_i + log_k <= log_s - math.log(2.0 * mu) + 1e-12, (mu, a, b)
+            assert log_di + log_k <= log_s + math.log(0.5 / a + a / (b * b)) + 1e-12, (mu, a, b)
+            assert log_i + log_dk <= log_s - math.log(b) + 1e-12, (mu, a, b)
 
 
 # The inequalities the verify check `bessel.uniform-bounds` tests, each at an

@@ -16,6 +16,8 @@ from conekit import (
     threshold_interval,
 )
 
+from conekit.lpcheck import _riesz_models, offdiag_envelope
+
 import oracles
 
 
@@ -101,6 +103,25 @@ class TestModelIntervals:
         assert math.isinf(schur_norm(up, iv.p_hi + eps))
         assert math.isfinite(schur_norm(lo, iv.p_lo + eps))
         assert math.isinf(schur_norm(lo, iv.p_lo - eps))
+
+
+class TestOffdiagEnvelope:
+    def test_is_the_riesz_model_kernel(self):
+        # The far-right and far-left envelopes are the model kernels' values,
+        # to the last bit, and the zero-V leading one the alpha = -1 kernel.
+        grid = np.geomspace(1e-3, 1e3, 13).tolist()
+        for d in (3, 4, 5, 8):
+            for mu0 in (0.0, 0.3, d / 2 - 1, 1.7, d / 2 + 0.5):
+                right, left = _riesz_models(d, mu0)
+                for r in grid:
+                    for rp in grid:
+                        if r <= 0.25 * rp:
+                            assert offdiag_envelope(d, mu0, "far-right", r, rp) == right.kernel(r, rp)
+                            assert offdiag_envelope(d, mu0, "far-right", r, rp, "zero-v-leading") == r * rp ** (-1.0 - d)
+                        elif rp <= 0.25 * r:
+                            assert offdiag_envelope(d, mu0, "far-left", r, rp) == left.kernel(r, rp)
+        with pytest.raises(DomainError):
+            offdiag_envelope(3, 0.5, "sideways", 1.0, 8.0)
 
 
 class TestNormProbe:

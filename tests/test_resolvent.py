@@ -28,7 +28,7 @@ from conekit import (
     zf_compatibility_check,
     boundary_order_probe,
 )
-from conekit.bessel import bessel_i, bessel_k_with_dr
+from conekit.bessel import bessel_i, log_scaled
 from conekit.resolvent import _GROWTH
 from conekit.spectrum import TABLE_CEILING
 
@@ -604,7 +604,14 @@ def _file_spectrum(tmp_path):
 
 
 # The kernel and the gradient pass of a point read the same scalar values.
-_bessel_i, _bessel_k_with_dr = functools.cache(bessel_i), functools.cache(bessel_k_with_dr)
+_bessel_i = functools.cache(bessel_i)
+
+
+@functools.cache
+def _log_k_with_dr(mu, b):
+    """Logs of K_mu(b) and |K_mu'(b)|, unscaled from ``log_scaled("k", [mu], b, True)``."""
+    ln, ln_dr, _, _ = log_scaled("k", [mu], b, True)
+    return float(ln[0]) - b, float(ln_dr[0]) - b
 
 
 def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
@@ -647,17 +654,17 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
         for i, (mu, _, _) in enumerate(modes):
             p, g = all_pairs[used]
             ik_i = _bessel_i(mu, a)
-            k, dk = _bessel_k_with_dr(mu, b)
-            ik = math.exp(ik_i.log_abs + k.log_abs)
+            log_k, log_dk = _log_k_with_dr(mu, b)
+            ik = math.exp(ik_i.log_abs + log_k)
             terms = [p * ik]
             if need_grad and z_small:
                 # beta I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I: without
                 # this rearrangement the two 1/r parts cancel in rounding at tiny r.
                 i1 = _bessel_i(mu + 1.0, a)
-                terms.append(p * (lam * math.exp(i1.log_abs + k.log_abs)
+                terms.append(p * (lam * math.exp(i1.log_abs + log_k)
                                   + (mu - (spec.d - 2) / 2) / r * ik))
             elif need_grad:
-                terms.append(beta * p * ik - lam * p * math.exp(ik_i.log_abs + dk.log_abs))
+                terms.append(beta * p * ik - lam * p * math.exp(ik_i.log_abs + log_dk))
             if ang:
                 terms.append(g / r * ik)
             for c, t in enumerate(terms):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,6 +171,12 @@ class TestL2Bound:
             {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.12]},
         ]}))
         with pytest.raises(UnsupportedError):
+            l2_bound_constant(load_spectrum(p))
+
+    def test_file_constant_below_the_hardy_bound(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"d": 3, "v0": "constant:-5", "modes": [{"mu": 0.5, "multiplicity": 1}]}))
+        with pytest.raises(PositivityError):
             l2_bound_constant(load_spectrum(p))
 
 
@@ -414,6 +421,16 @@ class TestDiagonal:
                     m.setattr(f"conekit.resolvent.{name}", value)
                 finer = self._eval(spec, 1.0, 1.0, 0.5)
             assert abs(finer.d_r - kv.d_r) + abs(finer.angular - kv.angular) <= kv.quad_error_est, refine
+
+    @pytest.mark.parametrize("d, gamma", [(3, 1e-103), (3, 1e-120), (3, 1e-152), (5, 1e-70), (5, 1e-150)])
+    def test_tiny_separation_is_flagged_without_a_warning(self, d, gamma):
+        # The flat bound of the nodes past the table runs past float range
+        # there: the value comes back flagged, with an infinite estimate.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            kv = self._eval(sphere_spectrum(d), 1.0, 1.0, gamma)
+        assert math.isfinite(kv.d_r) and math.isfinite(kv.angular)
+        assert not kv.certified and kv.quad_error_est == math.inf
 
 
 class TestOffdiagModels:

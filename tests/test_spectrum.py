@@ -624,6 +624,8 @@ class TestFileErrors:
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": math.nan}]},     # written as NaN
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": -math.inf}]},
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": -1}]},
+        {"d": 3, "v0": "constant:inf", "modes": [{"mu": 0.5, "multiplicity": 1}]},
+        {"d": 3, "v0": "constant:nan", "modes": [{"mu": 0.5, "multiplicity": 1}]},
     ])
     def test_malformed_payloads(self, tmp_path, payload):
         p = tmp_path / "bad.json"

@@ -9,6 +9,8 @@ error estimate; L^p thresholds are computed in closed form and
 cross-checked by Schur tests and numerical norm probes.
 """
 
+import importlib
+
 from .config import DEFAULTS, Defaults
 from .errors import (
     ConekitError,
@@ -48,24 +50,29 @@ from .resolvent import (
     resolvent_kernel,
     zf_compatibility_check,
 )
-from .riesz import RieszKernelValue, riesz_kernel
-from .lpcheck import (
-    HomogeneousKernelSpec,
-    L2Bound,
-    NormProbeResult,
-    OffdiagReport,
-    PInterval,
-    l2_bound_constant,
-    lp_norm_probe,
-    offdiag_bound_check,
-    riesz_model_intervals,
-    riesz_probe_kernel,
-    schur_norm,
-    threshold_interval,
-    threshold_interval_constant,
-    threshold_interval_zero_v,
-)
-from .verify import SUITES, CheckResult, SuiteReport, run_suite
+
+# The Riesz kernel, the L^p side and the check suites load on first use of
+# one of their names (PEP 562), so that a resolvent value imports none of them.
+_LAZY = {
+    **dict.fromkeys(("RieszKernelValue", "riesz_kernel"), "riesz"),
+    **dict.fromkeys(("HomogeneousKernelSpec", "L2Bound", "NormProbeResult", "OffdiagReport", "PInterval",
+                     "l2_bound_constant", "lp_norm_probe", "offdiag_bound_check", "riesz_model_intervals",
+                     "riesz_probe_kernel", "schur_norm", "threshold_interval", "threshold_interval_constant",
+                     "threshold_interval_zero_v"), "lpcheck"),
+    **dict.fromkeys(("SUITES", "CheckResult", "SuiteReport", "run_suite"), "verify"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -143,13 +143,17 @@ which is homogeneous of degree 1 - d.  The grid ends where the flat heat
 kernel's e^{-R^2/4tau} (R the cone distance) is negligible and where the
 weight or the bottom mode's power decay is; a node at x sums the modes
 with mu <= 9 sqrt(x) + 12, and one needing modes past the table is left
-out.  The step halves from 1/2 until two grids agree to rel_tol in each
-component returned (for the lambda-integral's gradient, rel_tol times its
-length).  The estimate adds their difference, the rounding (as for
-s < 1), and twice the flat heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau}
-(times R/2tau for the angular row) over the nodes left out.  It is not a proof: at large
-lam R the terms outgrow the value by up to e^{lam R}, and it grows too.  Below R/r of
-about 1e-153 the grid's largest x passes double range, and the value is refused
+out.  A complete table (``CompleteTail``) is a finite sum: each node sums
+all of it and none is left out, its F falls only as e^{v/2}, so the grid
+starts where that is negligible, and its lambda-integral diverges
+(``DomainError``).  The step halves from 1/2 until two grids agree to
+rel_tol in each component returned (for the lambda-integral's gradient,
+rel_tol times its length).  The estimate adds their difference, the
+rounding (as for s < 1), and twice the flat heat kernel
+(4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau for the angular row) over
+the nodes left out.  It is not a proof: at large lam R the terms outgrow
+the value by up to e^{lam R}, and it grows too.  Below R/r of about
+1e-153 the grid's largest x passes double range, and the value is refused
 (``DomainError``).
 """
 
@@ -164,7 +168,7 @@ from .bessel import _EPS, _LN2, _ldexp, _Scaled, log_ik_integrals, log_scaled, s
 from .config import DEFAULTS
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
-from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, TABLE_CEILING, CrossSectionSpectrum
+from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, TABLE_CEILING, CompleteTail, CrossSectionSpectrum
 
 __all__ = [
     "ResolventRequest",
@@ -325,11 +329,17 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
     rho = cone_distance(1.0, 1.0, gamma)  # R / r
     lr = 0.0 if lam is None else lam * r
     log_small = _DIAG_LOG_SMALL + lr * rho  # the terms outgrow the value by up to e^{lam R}
-    # Lower end: the flat e^{-R^2/4tau}, with its powers of tau, below e^{-log_small}.
+    complete = isinstance(spec.tail_profile, CompleteTail)
+    if complete and lam is None:
+        raise DomainError("at r = r' the lambda-integral of a finite mode sum diverges")
+    # Lower end: the flat e^{-R^2/4tau}, with its powers of tau, below e^{-log_small};
+    # for a complete table (no cancelling terms) its e^{v/2} (e^{-x} I_mu(x) ~ (2 pi x)^{-1/2})
+    # below e^{-_DIAG_LOG_SMALL} of the value, which falls as 1/(lam r) at large lam r.
     # Upper end: the weight below that, or the bottom mode's decay e^{-(mu0 + 1/2) v}
     # (e^{-mu0 v} at one lambda) below e^{-(_DIAG_LOG_SMALL + d)}.
     try:
-        v_lo = math.log(rho * rho / (4.0 * (log_small + 0.5 * d * math.log(4.0 * log_small))))
+        v_lo = -2.0 * (_DIAG_LOG_SMALL + max(math.log(lr), 0.0)) if complete else \
+            math.log(rho * rho / (4.0 * (log_small + 0.5 * d * math.log(4.0 * log_small))))
         need_top = _DIAG_MU_SLOPE * math.sqrt(0.5 * math.exp(-v_lo)) + _DIAG_MU_FLOOR
     except (ValueError, OverflowError):  # (R/r)^2 underflows, or the grid's largest x = r^2/2tau overflows
         raise DomainError(f"cone distance R/r = {rho!r} at r = r' is too small for the tau rule") from None
@@ -361,7 +371,8 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
             w = np.exp(-(lr * lr) * sigma)
             radial = ((1.0 - 0.5 * d) - lr * lr * sigma) * w
         weights = np.array([radial, w] if need_grad else [w])
-        need = _DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR
+        # A complete table is summed whole at every node, and no node is left out.
+        need = np.full(v.size, mu[-1]) if complete else _DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR
         short = need > mu[-1]
         node, fp = np.zeros((2, len(pair_rows), v.size))
         counts = np.maximum(mu.searchsorted(need[~short], side="right"), 1)

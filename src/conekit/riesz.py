@@ -94,7 +94,8 @@ def riesz_kernel(
     radial and angular components are each below rel_tol / 2 of |T|; the
     scalar H^{-1/2} series is not summed.  At r = r' the value comes from
     the cone heat kernel, its tau rule refined until two grids agree to
-    rel_tol / 2 of |T| in each component.
+    rel_tol / 2 of |T| in each component.  A complete table (a finite mode
+    sum) diverges there, and raises ``DomainError``.
     """
     d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * _check_rel_tol(rel_tol), "riemannian")
     # 2/pi scales each mantissa before its 2**exp2, since it may bring a

@@ -40,15 +40,12 @@ table.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .config import DEFAULTS
 from .errors import (
@@ -443,8 +440,13 @@ def _default_cutoff(mu_bottom: float) -> float:
 
 
 def _mu0_squared(d: int, c):
-    """mu0^2 = c + (d-2)^2/4 for the constant potential V0 = c: a float for float c, exact for a Fraction."""
-    return c + Fraction((d - 2) ** 2, 4)
+    """mu0^2 = c + (d-2)^2/4 for the constant potential V0 = c.
+
+    A float c gives the float c + Fraction((d-2)^2, 4) bit for bit while
+    4c is finite (|c| < 2^1022): the scalings by 4 are exact, so the one
+    rounding is that of the sum.  A Fraction c gives the exact Fraction.
+    """
+    return (4 * c + (d - 2) ** 2) / 4
 
 
 def _check_positivity(d: int, c: float) -> float:
@@ -687,6 +689,8 @@ def load_spectrum(path) -> CrossSectionSpectrum:
     spectrum, so the tail beyond it is exactly zero.  Modes without
     addition coefficients make the spectrum norms-only.
     """
+    import json
+
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -777,6 +781,8 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
     unchanged.  Pair functions that are not functions of the scalar
     separation alone (tori) are saved norms-only.
     """
+    import json
+
     table = spectrum.table
     out_modes = []
     for mu, mult, tag in zip(table.mu.tolist(), table.mult.tolist(), table.tag.tolist()):
@@ -793,6 +799,8 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
 
 def _separation_coeffs(spectrum: CrossSectionSpectrum, tag):
     """Cosine coefficients of a mode's pair(gamma), when exact: a file's own, or a unit sphere's."""
+    from numpy.polynomial import chebyshev
+
     if isinstance(tag, tuple):
         return list(tag)
     cs = spectrum.cross_section
@@ -808,7 +816,7 @@ def _separation_coeffs(spectrum: CrossSectionSpectrum, tag):
         def f(x):
             return norm * (c_one * _gegenbauer_ratios(_gegenbauer_steps(nu, l + 1), x, 0, l + 1)[0][l])
 
-        return [float(c) for c in _cheb.chebinterpolate(f, max(l, 1))]
+        return [float(c) for c in chebyshev.chebinterpolate(f, max(l, 1))]
     return None
 
 

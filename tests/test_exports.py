@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +53,42 @@ def test_each_export_is_defined_where_it_is_listed():
                 wrong.append(f"{entry} is listed by {owner[entry]} and {name}")
             owner[entry] = name
     assert not wrong, wrong
+
+
+def test_each_package_name_is_its_module_object():
+    # conekit's names, eager or resolved on first use, are the objects
+    # their own modules define.
+    defined = {name: _defined_names(name) for name in MODULES}
+    wrong = []
+    for entry in conekit.__all__:
+        owners = [name for name in MODULES if entry in defined[name]]
+        if len(owners) != 1 or getattr(conekit, entry) is not getattr(
+                importlib.import_module(f"conekit.{owners[0]}"), entry):
+            wrong.append((entry, owners))
+    assert not wrong, wrong
+
+
+def test_lazy_names_in_a_fresh_interpreter():
+    # Before any lazy module loads, dir() lists every exported name, and
+    # `from conekit import *` binds each.
+    code = "\n".join([
+        "import sys",
+        "import conekit",
+        "assert 'conekit.lpcheck' not in sys.modules",
+        "missing = set(conekit.__all__) - set(dir(conekit))",
+        "assert not missing, missing",
+        "space = {}",
+        "exec('from conekit import *', space)",
+        "missing = set(conekit.__all__) - set(space)",
+        "assert not missing, missing",
+        "assert 'conekit.lpcheck' in sys.modules and 'conekit.verify' in sys.modules",
+    ])
+    src = str(pathlib.Path(conekit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        conekit.no_such_name

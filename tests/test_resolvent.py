@@ -487,6 +487,44 @@ class TestDiagonal:
                 for a, b in zip(got, finer):
                     assert abs(a.float_value() - b.float_value()) <= a.float_tail_bound(), (r, gamma, lam, refine)
 
+    @pytest.mark.parametrize("spec, count", [(S3, 1), (S3, 3), (S3_NEG, 3)], ids=["S3-1", "S3-3", "S3_NEG-3"])
+    def test_complete_table_is_its_finite_sum(self, spec, count):
+        # A complete table is a finite sum at every tau node, no node left
+        # out: G = r^{2-d} sum_j pair_j I_mu(lam r) K_mu(lam r), the radial
+        # component half its derivative along the diagonal, and the angular
+        # one the gradient pairs over r.  (The one-mode R^3 kernel at
+        # (1, 1, 1, 1) was once 0.0.)
+        lead = leading_modes(spec, count)
+        d, mus = lead.d, lead.table.mu.tolist()
+
+        def ik(mu, t, deriv=False):
+            if deriv:  # (I K)' = I' K + I K'
+                return (mp.besseli(mu - 1, t) + mp.besseli(mu + 1, t)) * mp.besselk(mu, t) / 2 \
+                    - mp.besseli(mu, t) * (mp.besselk(mu - 1, t) + mp.besselk(mu + 1, t)) / 2
+            return mp.besseli(mu, t) * mp.besselk(mu, t)
+
+        for r, gamma, lam in ((1.0, 1.0, 1.0), (2.0, 0.3, 0.3), (0.5, 2.5, 3.0), (1.0, 1e-3, 400.0)):
+            z, zp = _point_pair(lead, r, r, gamma)
+            req = ResolventRequest(lead, z, zp, lam=lam)
+            pair, grad = lead.pair_values(z.y, zp.y)
+            t = lam * r
+            value = r ** (2 - d) * mp.fsum(p * ik(mu, t) for p, mu in zip(pair, mus))
+            radial = (1 - d / 2) / r * value + lam / 2 * r ** (2 - d) * mp.fsum(
+                p * ik(mu, t, True) for p, mu in zip(pair, mus))
+            angular = r ** (1 - d) * mp.fsum(q * ik(mu, t) for q, mu in zip(grad, mus))
+            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+            for kv, ref in zip(got, map(float, (value, radial, angular))):
+                assert kv.tail_kind == "quadrature" and kv.modes_used == count, (r, gamma, lam)
+                assert abs(kv.float_value() - ref) <= req.rel_tol * abs(ref), (r, gamma, lam, kv, ref)
+
+    def test_complete_table_has_no_lambda_integral_on_the_diagonal(self):
+        # Each mode's lambda-integral diverges at r = r', and a finite sum has
+        # no oscillation of infinitely many pairs to make the sum converge.
+        lead = leading_modes(S3, 3)
+        z, zp = _point_pair(lead, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="finite mode sum diverges"):
+            riesz_kernel(lead, z, zp)
+
 
 # ----------------------------------------------------------------------
 # Term-by-term reference: the scalar Bessel API and closed-form pair

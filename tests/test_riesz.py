@@ -369,6 +369,28 @@ class TestClosedForm:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
+    def test_import_loads_only_the_kernel_core(self):
+        # A resolvent value loads neither the Riesz, L^p and verify layers
+        # nor the spectrum-file imports; a Riesz value loads no verify.
+        code = "\n".join([
+            "import sys",
+            "import conekit",
+            "from conekit import ConePoint, ResolventRequest, resolvent_gradient, resolvent_kernel, sphere_spectrum",
+            "spec = sphere_spectrum(3)",
+            "y, yp = spec.cross_section.points_at_separation(0.9)",
+            "req = ResolventRequest(spec, ConePoint(0.5, y), ConePoint(1.0, yp))",
+            "assert resolvent_kernel(req).certified and resolvent_gradient(req).d_r.certified",
+            "loaded = lambda *names: sorted(n for n in names if n in sys.modules)",
+            "unused = ('conekit.riesz', 'conekit.lpcheck', 'conekit.verify', 'json', 'fractions', 'numpy.polynomial')",
+            "assert not loaded(*unused), loaded(*unused)",
+            "assert conekit.riesz_kernel(spec, ConePoint(0.5, y), ConePoint(1.0, yp)).certified",
+            "assert 'conekit.riesz' in sys.modules and not loaded('conekit.verify'), loaded('conekit.verify')",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_no_module_imports_scipy(self):
         # The same, read off the sources: no import statement in src/conekit
         # names scipy, at module level or inside a function.

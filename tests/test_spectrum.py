@@ -29,13 +29,17 @@ import oracles
 
 
 class TestMu0Squared:
-    C_GRID = [*np.linspace(-6.0, 6.0, 97).tolist(), -0.24, 0.1, 2.0 / 3.0, 1e-300, -1e-300, 1e300, 0.1 + 1e-17]
+    # Huge, subnormal and integral floats too.
+    C_GRID = [*np.linspace(-6.0, 6.0, 97).tolist(), -0.24, 0.1, 2.0 / 3.0, 1e-300, -1e-300, 1e300, 0.1 + 1e-17,
+              1e15, -1e15, 5e-324, -5e-324, 2.2e-308, -1e-310, -1.0, 3.0, 2.0 ** 52 + 1.0, -(2.0 ** 53), -2.25]
 
     def test_float_c_matches_the_plain_sum_bit_for_bit(self):
+        # The sum with an exact Fraction, which Python rounds once, is the plain float sum.
         for d in range(3, 12):
             for c in self.C_GRID:
-                got = _mu0_squared(d, c)
-                assert type(got) is float and got.hex() == (c + 0.25 * (d - 2) ** 2).hex(), (d, c)
+                got, exact = _mu0_squared(d, c), c + Fraction((d - 2) ** 2, 4)
+                assert type(got) is type(exact) is float, (d, c)
+                assert got.hex() == exact.hex() == (c + 0.25 * (d - 2) ** 2).hex(), (d, c)
 
     def test_fraction_c_is_exact(self):
         for d in range(3, 12):

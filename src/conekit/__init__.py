@@ -30,36 +30,22 @@ from .geometry import (
     cone_distance,
 )
 from .bessel import BesselEval, bessel_i, bessel_k
-from .spectrum import (
-    CrossSectionSpectrum,
-    leading_modes,
-    load_spectrum,
-    save_spectrum,
-    sphere_spectrum,
-    torus_spectrum,
-)
-from .resolvent import (
-    BOUNDARY_FACES,
-    GradientValue,
-    KernelValue,
-    ResolventRequest,
-    ZfCompatibilityReport,
-    boundary_order_probe,
-    indicial_kernel,
-    resolvent_gradient,
-    resolvent_kernel,
-    zf_compatibility_check,
-)
+from .spectrum import CrossSectionSpectrum, leading_modes, sphere_spectrum, torus_spectrum
+from .resolvent import GradientValue, KernelValue, ResolventRequest, resolvent_gradient, resolvent_kernel
 
-# The Riesz kernel, the L^p side and the check suites load on first use of
-# one of their names (PEP 562), so that a resolvent value imports none of them.
+# The Riesz kernel, the L^p side, the check suites with their probes and the
+# spectrum-file format load on first use of one of their names (PEP 562), so
+# that a resolvent value imports none of them.
 _LAZY = {
     **dict.fromkeys(("RieszKernelValue", "riesz_kernel"), "riesz"),
     **dict.fromkeys(("HomogeneousKernelSpec", "L2Bound", "NormProbeResult", "OffdiagReport", "PInterval",
                      "l2_bound_constant", "lp_norm_probe", "offdiag_bound_check", "riesz_model_intervals",
                      "riesz_probe_kernel", "schur_norm", "threshold_interval", "threshold_interval_constant",
                      "threshold_interval_zero_v"), "lpcheck"),
-    **dict.fromkeys(("SUITES", "CheckResult", "SuiteReport", "run_suite"), "verify"),
+    **dict.fromkeys(("SUITES", "CheckResult", "SuiteReport", "run_suite", "BOUNDARY_FACES",
+                     "ZfCompatibilityReport", "boundary_order_probe", "indicial_kernel",
+                     "zf_compatibility_check"), "verify"),
+    **dict.fromkeys(("load_spectrum", "save_spectrum"), "specfile"),
 }
 
 

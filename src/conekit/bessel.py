@@ -183,10 +183,15 @@ _OLVER_TERMS = 20  # U_0 .. U_19: the last is below 1e-16 of the sum from order 
 def _olver_grid(kind: str) -> np.ndarray:
     """Row k: (+-1)^k times V_k's ascending coefficients, where U_k(p) = p^k V_k(p^2).
 
-    Built on the first call of :func:`_olver`; the sign is + for I, - for K.
+    Built on the first call of :func:`_olver`; the sign is + for I, - for K,
+    whose grid is I's with the odd rows negated.
     """
-    rows = [np.pad(u[k::2], (0, _OLVER_TERMS - 1 - k)) for k, u in enumerate(_gen_olver_polys(_OLVER_TERMS - 1))]
-    return np.array(rows) * (1.0 if kind == "i" else -1.0) ** np.arange(_OLVER_TERMS)[:, None]
+    if kind == "k":
+        return _olver_grid("i") * (-1.0) ** np.arange(_OLVER_TERMS)[:, None]
+    grid = np.zeros((_OLVER_TERMS, _OLVER_TERMS))
+    for k, u in enumerate(_gen_olver_polys(_OLVER_TERMS - 1)):
+        grid[k, :k + 1] = u[k::2]
+    return grid
 
 
 # OpenBLAS runs a product of fewer multiply-adds than 262144 on one thread;

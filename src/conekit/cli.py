@@ -40,12 +40,8 @@ from .lpcheck import (
 )
 from .resolvent import ResolventRequest, resolvent_kernel
 from .riesz import riesz_kernel
-from .spectrum import (
-    load_spectrum,
-    save_spectrum,
-    sphere_spectrum,
-    torus_spectrum,
-)
+from .specfile import load_spectrum, save_spectrum
+from .spectrum import sphere_spectrum, torus_spectrum
 from .verify import SUITES, run_suite
 
 SCHEMA_HEADER = "# conekit-schema v1"

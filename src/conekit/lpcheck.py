@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,6 +58,9 @@ from .errors import DomainError, PositivityError, UnsupportedError
 from .geometry import ConePoint, check_dimension
 from .riesz import riesz_kernel
 from .spectrum import CrossSectionSpectrum, _check_positivity, _mu0_squared, leading_modes
+
+if TYPE_CHECKING:  # the exact endpoints import fractions where they are built
+    from fractions import Fraction
 
 __all__ = [
     "PInterval",
@@ -122,7 +125,7 @@ def _endpoints(d: int, mu):
 
     The upper endpoint is None when d/2 - mu <= 0, where it is infinite.
     """
-    d = Fraction(d) if isinstance(mu, Fraction) else float(d)
+    d = type(mu)(d)
     half = d / 2
     return d / min(half + 1 + mu, d), (d / (half - mu) if half - mu > 0 else None)
 
@@ -167,12 +170,16 @@ def threshold_interval_zero_v(d: int, mu1: float) -> PInterval:
         raise DomainError(
             f"second exponent mu1 must exceed d/2 - 1 = {0.5 * d - 1.0}, got {mu1!r}"
         )
+    from fractions import Fraction
+
     p_hi = _endpoints(d, mu1)[1]
     return PInterval(1.0, math.inf if p_hi is None else p_hi, "zero-V", Fraction(1), None)
 
 
 def _exact_mu(d: int, c) -> Fraction | None:
     """sqrt(c + (d-2)^2/4) as an exact Fraction, when it is one."""
+    from fractions import Fraction
+
     if isinstance(c, float):
         if not c.is_integer():
             return None

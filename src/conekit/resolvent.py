@@ -20,8 +20,9 @@ Density gauges
 ``b-half``
     The same series without the (r r')^{1 - d/2} prefactor.  In this
     gauge the kernel extends continuously to the boundary faces at
-    r = 0, which is what the zero-front compatibility check compares
-    against the indicial kernel.
+    r = 0, which is what the zero-front compatibility check
+    (:func:`conekit.verify.zf_compatibility_check`) compares against the
+    indicial kernel.
 
 Truncation control
 ------------------
@@ -177,11 +178,6 @@ __all__ = [
     "resolvent_kernel",
     "resolvent_gradient",
     "gauge_log_factor",
-    "indicial_kernel",
-    "ZfCompatibilityReport",
-    "zf_compatibility_check",
-    "boundary_order_probe",
-    "BOUNDARY_FACES",
 ]
 
 _GAUGES = ("riemannian", "b-half")
@@ -637,133 +633,3 @@ def resolvent_gradient(request: ResolventRequest) -> GradientValue:
     d_r, angular = _prepare_series(request.spectrum, request.z, request.zp, True, request.lam, request.rel_tol,
                                    request.density_gauge)
     return GradientValue(d_r=d_r, angular=angular)
-
-
-def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
-    """Zero-front limit kernel: (1/2) sum_j pair_j(y,y') t^{mu_j} / mu_j.
-
-    ``t = min(s, 1/s)`` makes the expression symmetric under s -> 1/s,
-    matching the two zero-boundary faces.  Singular at s = 1.  The sum runs
-    over the base table only (it does not grow), so accuracy is set by the
-    base cutoff: the neglected remainder is of order t^{mu_cutoff},
-    negligible for t <= 1/4 and degrading as t -> 1 (build the spectrum
-    with a larger ``mu_cutoff`` if needed there).
-    """
-    pair, _ = spectrum.pair_values(y, yp, with_grad=False)
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"radial ratio s must be finite and > 0, got {s!r}")
-    if s == 1.0:
-        raise DomainError("indicial kernel is singular at s = 1")
-    mu = spectrum.table.mu
-    return float(np.sum(pair * np.exp(mu * math.log(min(s, 1.0 / s))) / (2.0 * mu)))
-
-
-# The indicial kernel sums the base table alone, so its neglected remainder
-# is of order t^{mu_cutoff}; the cutoff margin of 30 above mu0 makes that
-# negligible (below 4^{-30} ~ 1e-18 relative) for t <= 1/4 only.
-_ZF_MAX_RATIO = 0.25
-
-
-@dataclass(frozen=True)
-class ZfCompatibilityReport:
-    """Comparison of the b-half kernel against its zero-front limit.
-
-    For fixed ratio s, the b-half kernel at (s r', y; r', y') is evaluated
-    along r' -> 0 and divided by the indicial kernel.  ``deviations`` are
-    |ratio - 1|; ``rate`` is the fitted slope of log-deviation against
-    log r' (expected min(2, 2 mu0) for spectra whose bottom pair function
-    does not vanish at (y, y')).
-    """
-
-    s: float
-    indicial_value: float
-    rprimes: tuple
-    ratios: tuple
-    deviations: tuple
-    rate: float
-
-    @property
-    def final_deviation(self) -> float:
-        return self.deviations[-1]
-
-
-def zf_compatibility_check(spectrum: CrossSectionSpectrum, s: float, y, yp) -> ZfCompatibilityReport:
-    """Check that the kernel's zero-front limit matches the indicial kernel, at 9 values of r' from 1e-1 to 1e-3."""
-    s = float(s)
-    if not (0.0 < s <= _ZF_MAX_RATIO):
-        raise DomainError(
-            f"compatibility check runs at radii ratios 0 < s <= {_ZF_MAX_RATIO}, got {s!r}"
-        )
-    rprimes = tuple(np.geomspace(1e-1, 1e-3, 9).tolist())
-    ind = indicial_kernel(spectrum, s, y, yp)
-    if ind == 0.0:
-        raise DomainError("indicial kernel vanishes at this (s, y, y'); ratio undefined")
-    ratios = []
-    for rp_val in rprimes:
-        req = ResolventRequest(
-            spectrum,
-            ConePoint(s * rp_val, y),
-            ConePoint(rp_val, yp),
-            lam=1.0,
-            rel_tol=1e-10,
-            density_gauge="b-half",
-        )
-        ratios.append(resolvent_kernel(req).float_value() / ind)
-    devs = [abs(q - 1.0) for q in ratios]
-    xs = [math.log(rv) for rv, dv in zip(rprimes, devs) if dv > 1e-14]
-    ys = [math.log(dv) for dv in devs if dv > 1e-14]
-    rate = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else math.nan
-    return ZfCompatibilityReport(
-        s=s,
-        indicial_value=ind,
-        rprimes=rprimes,
-        ratios=tuple(ratios),
-        deviations=tuple(devs),
-        rate=rate,
-    )
-
-
-# Each face's (r, r', abscissa) at grid parameter eps: the radii of the
-# kernel's two points, and the log the slope is fitted against.
-_FACES = {
-    "zf": lambda e: (e * 0.1, e, math.log(e)),
-    "lbz": lambda e: (e * 0.1, 1.0, math.log(e)),
-    "rbz": lambda e: (1.0, e * 0.1, math.log(e)),
-    "rbi": lambda e: (0.1, 1.0 / e, math.log(1.0 / e)),
-}
-BOUNDARY_FACES = tuple(_FACES)
-
-
-def boundary_order_probe(spectrum: CrossSectionSpectrum, face: str) -> float:
-    """Fitted decay exponent of the riemannian kernel toward one boundary face.
-
-    The kernel G_1 (lambda = 1, rel_tol 1e-9) is taken at z = (r, y),
-    z' = (r', y') with y, y' at cross-section separation 0.7.  Faces, as
-    eps -> 0 over 7 geometric grid points from 1e-3 to 1e-6 (from 1e-1 to
-    5e-3 for ``rbi``):
-
-    * ``zf``  - both radii to zero at fixed ratio: r = 0.1 eps, r' = eps;
-      slope against log(eps), expected 2 - d.
-    * ``lbz`` - left radius to zero: r = 0.1 eps, r' = 1; slope against
-      log(eps), expected 1 - d/2 + mu0.
-    * ``rbz`` - right radius to zero: r = 1, r' = 0.1 eps; slope against
-      log(eps), expected 1 - d/2 + mu0.
-    * ``rbi`` - right radius to infinity: r = 0.1, r' = 1/eps; the slope
-      against log(r') diverges to -infinity (exponential decay), so the
-      fit returns a large negative number that keeps falling as the grid
-      deepens.
-
-    The slope is fitted on log|kernel| over the last four grid points.
-    """
-    if face not in BOUNDARY_FACES:
-        raise DomainError(f"face must be one of {BOUNDARY_FACES}, got {face!r}")
-    y, yp = spectrum.cross_section.points_at_separation(0.7)
-    eps = np.geomspace(1e-1, 5e-3, 7) if face == "rbi" else np.geomspace(1e-3, 1e-6, 7)
-    xs, ls = [], []
-    for e in eps.tolist():
-        r, rp, x = _FACES[face](e)
-        req = ResolventRequest(spectrum, ConePoint(r, y), ConePoint(rp, yp), rel_tol=1e-9)
-        ls.append(resolvent_kernel(req).log_abs)
-        xs.append(x)
-    return float(np.polyfit(xs[-4:], ls[-4:], 1)[0])

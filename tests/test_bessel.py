@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conekit import DomainError, bessel_i, bessel_k
-from conekit.bessel import (_EPS, _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, log_ik_integrals, log_scaled,
-                            wronskian_residual)
+from conekit.bessel import (_EPS, _OLVER_TERMS, _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, _olver_grid,
+                            log_ik_integrals, log_scaled, wronskian_residual)
 from conekit.config import DEFAULTS
 
 import oracles
@@ -292,6 +292,14 @@ class TestOlverPolynomials:
         u1 = _gen_olver_polys(1)[1]
         nonzero = {i: c for i, c in enumerate(u1) if c != 0.0}
         assert nonzero == {1: pytest.approx(0.125), 3: pytest.approx(-5.0 / 24.0)}
+
+    def test_grids_equal_the_padded_reference(self):
+        # Row k is V_k's coefficients (U_k's every other one from p^k),
+        # zero-padded, times (+-1)^k: + for I, - for K.
+        polys = _gen_olver_polys(_OLVER_TERMS - 1)
+        rows = np.array([np.pad(u[k::2], (0, _OLVER_TERMS - 1 - k)) for k, u in enumerate(polys)])
+        for kind, sign in (("i", 1.0), ("k", -1.0)):
+            assert np.array_equal(_olver_grid(kind), rows * sign ** np.arange(_OLVER_TERMS)[:, None]), kind
 
 
 class TestUniformBounds:

@@ -68,6 +68,35 @@ def test_each_package_name_is_its_module_object():
     assert not wrong, wrong
 
 
+CORE = ("config", "errors", "geometry", "bessel", "spectrum", "resolvent")
+LAZY_LAYERS = ("riesz", "lpcheck", "verify", "cli", "specfile")
+
+
+def _imported_modules(name):
+    """Every conekit module that an import statement anywhere in ``name``'s source names."""
+    found = set()
+    for node in ast.walk(ast.parse((pathlib.Path(conekit.__file__).parent / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("conekit."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").startswith("conekit."):
+                found.add(node.module.split(".")[1])
+            elif node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "conekit":  # from . import x, from conekit import x
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_the_kernel_core_imports_no_lazy_layer():
+    # A kernel value compiles only the core: no core module imports the
+    # Riesz, L^p, verify, CLI or spectrum-file layers, at module level or
+    # inside a function.
+    assert set(CORE) | set(LAZY_LAYERS) == set(MODULES)
+    wrong = {name: sorted(_imported_modules(name) & set(LAZY_LAYERS)) for name in CORE}
+    assert not any(wrong.values()), wrong
+
+
 def test_lazy_names_in_a_fresh_interpreter():
     # Before any lazy module loads, dir() lists every exported name, and
     # `from conekit import *` binds each.

@@ -179,6 +179,12 @@ class TestL2Bound:
         with pytest.raises(PositivityError):
             l2_bound_constant(load_spectrum(p))
 
+    def test_file_constant_whose_mu0_squared_overflows(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"d": 3, "v0": "constant:5e307", "modes": [{"mu": 0.5, "multiplicity": 1}]}))
+        with pytest.raises(DomainError, match="coupling c = 5e[+]?307 is too large"):
+            l2_bound_constant(load_spectrum(p))
+
 
 class TestRieszKernel:
     POINTS = [(0.2, 1.0, 1.0), (0.5, 4.0, 0.4), (2.0, 0.3, 2.2),
@@ -371,7 +377,10 @@ class TestClosedForm:
 
     def test_import_loads_only_the_kernel_core(self):
         # A resolvent value loads neither the Riesz, L^p and verify layers
-        # nor the spectrum-file imports; a Riesz value loads no verify.
+        # nor the spectrum-file format; a Riesz value loads no verify.  The
+        # Riesz benchmark's set-up path and an L^p probe build no exact
+        # endpoint, so fractions and decimal stay out too, and the exact
+        # endpoints still come out as fractions.
         code = "\n".join([
             "import sys",
             "import conekit",
@@ -381,10 +390,21 @@ class TestClosedForm:
             "req = ResolventRequest(spec, ConePoint(0.5, y), ConePoint(1.0, yp))",
             "assert resolvent_kernel(req).certified and resolvent_gradient(req).d_r.certified",
             "loaded = lambda *names: sorted(n for n in names if n in sys.modules)",
-            "unused = ('conekit.riesz', 'conekit.lpcheck', 'conekit.verify', 'json', 'fractions', 'numpy.polynomial')",
+            "unused = ('conekit.riesz', 'conekit.lpcheck', 'conekit.verify', 'conekit.specfile', 'json', 'fractions',"
+            " 'numpy.polynomial')",
             "assert not loaded(*unused), loaded(*unused)",
             "assert conekit.riesz_kernel(spec, ConePoint(0.5, y), ConePoint(1.0, yp)).certified",
             "assert 'conekit.riesz' in sys.modules and not loaded('conekit.verify'), loaded('conekit.verify')",
+            "import conekit.riesz, conekit.lpcheck",
+            "spec = sphere_spectrum(3)",
+            "y, yp = spec.cross_section.points_at_separation(1.0)",
+            "assert conekit.riesz.riesz_kernel(spec, ConePoint(0.25, y), ConePoint(1.0, yp), rel_tol=1e-2).certified",
+            "kernel = conekit.lpcheck.HomogeneousKernelSpec(3, 1.0, 'upper').kernel",
+            "assert conekit.lpcheck.lp_norm_probe(kernel, 3, 1.5).verdict == 'stable'",
+            "unused = ('fractions', 'decimal', 'conekit.verify', 'conekit.specfile')",
+            "assert not loaded(*unused), loaded(*unused)",
+            "from fractions import Fraction",
+            "assert conekit.lpcheck.threshold_interval_constant(4, -1).p_lo_exact == Fraction(4, 3)",
         ])
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -81,6 +81,15 @@ class TestSphereEigendata:
         with pytest.raises(PositivityError):
             sphere_spectrum(d, c=c)
 
+    @pytest.mark.parametrize("c", [5e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("build", [lambda c: sphere_spectrum(3, c=c),
+                                       lambda c: torus_spectrum(3, (1.0, 1.3), c=c)], ids=["sphere", "torus"])
+    def test_a_coupling_whose_mu0_squared_overflows_is_named(self, build, c):
+        # c + ((d-2)/2)^2 overflows in 4c: the error names the coupling, not the cutoff it would poison.
+        with pytest.raises(DomainError, match="is too large") as err:
+            build(c)
+        assert f"coupling c = {c!r}" in str(err.value) and not isinstance(err.value, PositivityError)
+
     def test_trace_identity(self):
         # Integrating the eigenspace kernel over the diagonal must give the
         # multiplicity: pair(y, y) * vol = mult for every cluster.

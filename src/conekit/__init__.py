@@ -11,7 +11,6 @@ cross-checked by Schur tests and numerical norm probes.
 
 import importlib
 
-from .config import DEFAULTS, Defaults
 from .errors import (
     ConekitError,
     DomainError,
@@ -70,8 +69,6 @@ __all__ = [
     "ConekitError",
     "CrossSection",
     "CrossSectionSpectrum",
-    "DEFAULTS",
-    "Defaults",
     "DomainError",
     "GradientValue",
     "HomogeneousKernelSpec",

@@ -12,7 +12,7 @@ it and carry an explicit binary exponent: the result is
 comfortably representable (see :func:`split_log`).
 
 Algorithm: numpy only, one vector pass per method over the entries it
-takes (:func:`_blocks`), with nu_min = ``DEFAULTS.olver_nu_min`` = 40:
+takes (:func:`_blocks`), with nu_min = ``_OLVER_NU_MIN`` = 40:
 
 * ``uniform-asymptotic``: Olver's expansions (DLMF 10.41.3, 10.41.4),
   20 terms, written in W = sqrt(nu^2 + x^2) so that they hold down to
@@ -21,9 +21,9 @@ takes (:func:`_blocks`), with nu_min = ``DEFAULTS.olver_nu_min`` = 40:
   past x = 20; K from order nu_min on, and past x = 20, above x = 1e-10.
   Their last term, kept as the truncation estimate, is below 1e-16 of
   the sum from order 15 on and below 6e-15 from x = 20 on.  nu_min is
-  higher than accuracy needs: it is the default base table's
-  ``mu_cutoff_floor``, so that table takes no Olver pass (end to end
-  this beat nu_min = 15).
+  higher than accuracy needs: it is the floor of the default base
+  table's cutoff (see :mod:`conekit.spectrum`), so that table takes no
+  Olver pass (end to end this beat nu_min = 15).
 * ``power-series``: I's ascending series (DLMF 10.25.2), all terms
   positive: at most 19 of them where (x/2)^2 <= nu + 1, at most 41 below
   order nu_min up to x = 20.
@@ -60,7 +60,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import DomainError
 
 __all__ = [
@@ -76,6 +75,7 @@ _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01  # Cody-Waite split of log 2
 _LN2_LO = 1.90821492927058770002e-10
+_FOLD_EXP2 = 600  # split_log keeps a plain float while |log2| <= this
 
 
 def _ldexp(m: float, e: int) -> float:
@@ -125,14 +125,14 @@ def split_log(ln_x: float) -> tuple[float, int]:
     """(m, e) with m * 2**e = exp(ln_x), for any ln_x including far outside float range.
 
     ``e`` is zero while the plain float is comfortably representable
-    (|log2| <= ``DEFAULTS.fold_exp2``); otherwise m lies in [1, 2).  The
+    (|log2| <= ``_FOLD_EXP2``); otherwise m lies in [1, 2).  The
     log 2 is split (Cody-Waite), so the folding stays accurate to about an
     ulp even for |ln_x| in the thousands.
     """
     if ln_x == -math.inf:
         return 0.0, 0
     e = math.floor(ln_x / _LN2)
-    if abs(e) <= DEFAULTS.fold_exp2:
+    if abs(e) <= _FOLD_EXP2:
         return math.exp(ln_x), 0
     m, shift = math.frexp(math.exp((ln_x - e * _LN2_HI) - e * _LN2_LO))
     return 2.0 * m, e + shift - 1
@@ -337,8 +337,9 @@ def _k_leading(nu, x):
 
 METHODS = ("integral", "power-series", "small-argument", "uniform-asymptotic")
 _INTEGRAL, _SERIES, _LEADING, _OLVER = range(4)  # indices into METHODS
+_OLVER_NU_MIN = 40.0  # Olver's expansions from this order on (see the module docstring)
 _X_TINY = 1e-10  # K takes its leading terms at x <= this
-_X_LARGE = 20.0  # below olver_nu_min, Olver's 20 terms are within 6e-15 from here on
+_X_LARGE = 20.0  # below _OLVER_NU_MIN, Olver's 20 terms are within 6e-15 from here on
 
 
 def _nonempty(blocks):
@@ -351,8 +352,8 @@ def _blocks(kind: str, nu: np.ndarray, x):
     """The (method, entries) pairs of one pass: entries is None for all, else a mask.
 
     I: Olver's expansion past (x/2)^2 = nu + 1, for orders from
-    olver_nu_min or at x > _X_LARGE; the series elsewhere.  K: the leading
-    terms at x <= _X_TINY; Olver's expansion from olver_nu_min, or at
+    _OLVER_NU_MIN or at x > _X_LARGE; the series elsewhere.  K: the leading
+    terms at x <= _X_TINY; Olver's expansion from _OLVER_NU_MIN, or at
     x > _X_LARGE; the integral elsewhere.  A float x, shared by every
     order, has float thresholds and needs one mask at most.  An array x
     (the heat kernel's, one per node) runs the series as two blocks: the
@@ -360,7 +361,7 @@ def _blocks(kind: str, nu: np.ndarray, x):
     most 19.
     """
     if not isinstance(x, np.ndarray):
-        lo = 0.0 if x > _X_LARGE else DEFAULTS.olver_nu_min
+        lo = 0.0 if x > _X_LARGE else _OLVER_NU_MIN
         if kind == "i":
             hi = 0.25 * x * x - 1.0
             if hi <= lo:
@@ -371,7 +372,7 @@ def _blocks(kind: str, nu: np.ndarray, x):
             return [(_LEADING if x <= _X_TINY else _OLVER, None)]
         olver = nu >= lo
         return _nonempty([(_OLVER, olver), (_INTEGRAL, ~olver)])
-    lo = np.where(x > _X_LARGE, 0.0, DEFAULTS.olver_nu_min)
+    lo = np.where(x > _X_LARGE, 0.0, _OLVER_NU_MIN)
     if kind == "i":
         below = nu < 0.25 * x * x - 1.0
         olver = (nu >= lo) & below

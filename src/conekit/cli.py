@@ -23,7 +23,6 @@ import math
 import sys
 
 from . import __version__
-from .config import DEFAULTS
 from .errors import ConekitError
 from .geometry import ConePoint
 from .lpcheck import (
@@ -38,8 +37,8 @@ from .lpcheck import (
     threshold_interval_constant,
     threshold_interval_zero_v,
 )
-from .resolvent import ResolventRequest, resolvent_kernel
-from .riesz import riesz_kernel
+from .resolvent import _GAUGES, _KERNEL_REL_TOL, ResolventRequest, resolvent_kernel
+from .riesz import _RIESZ_REL_TOL, riesz_kernel
 from .specfile import load_spectrum, save_spectrum
 from .spectrum import sphere_spectrum, torus_spectrum
 from .verify import SUITES, run_suite
@@ -341,14 +340,14 @@ def _build_parser() -> _Parser:
     _add_source_args(ke, need_point=True)
     ke.add_argument("--lambda", dest="lam_list", type=str, default="1",
                     help="spectral parameter (or comma list)")
-    ke.add_argument("--rel-tol", type=float, default=DEFAULTS.kernel_rel_tol)
-    ke.add_argument("--gauge", choices=("riemannian", "b-half"), default="riemannian")
+    ke.add_argument("--rel-tol", type=float, default=_KERNEL_REL_TOL)
+    ke.add_argument("--gauge", choices=_GAUGES, default="riemannian")
     ke.add_argument("--format", choices=("text", "csv"), default="text")
     ke.set_defaults(handler=_cmd_kernel)
 
     ri = sub.add_parser("riesz", help="Riesz transform kernel values", parents=[out])
     _add_source_args(ri, need_point=True)
-    ri.add_argument("--rel-tol", type=float, default=DEFAULTS.riesz_rel_tol)
+    ri.add_argument("--rel-tol", type=float, default=_RIESZ_REL_TOL)
     ri.add_argument("--format", choices=("text", "csv"), default="text")
     ri.set_defaults(handler=_cmd_riesz)
 

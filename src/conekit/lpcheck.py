@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import DomainError, PositivityError, UnsupportedError
 from .geometry import ConePoint, check_dimension
 from .riesz import riesz_kernel
@@ -87,6 +86,8 @@ _MODELS = ("general", "zero-v-leading")
 # Where the Riesz kernel is probed: cross-section separation and rel_tol.
 _PROBE_SEPARATION = 0.7
 _PROBE_REL_TOL = 1e-4
+_POWER_TOL, _POWER_ITER_CAP = 1e-6, 200  # power iteration: relative step tolerance, step cap
+_PROBE_STABLE_RATIO, _PROBE_GROWTH_RATIO = 1.5, 4.0  # the verdict ratios (see NormProbeResult)
 
 
 @dataclass(frozen=True)
@@ -441,12 +442,12 @@ class NormProbeResult:
 
 
 def _matrix_p_norm(B: np.ndarray, p: float):
-    """Power iteration for the p-norm of a nonnegative matrix, to ``DEFAULTS.probe_tol``."""
+    """Power iteration for the p-norm of a nonnegative matrix, to ``_POWER_TOL``."""
     q = p / (p - 1.0)
     n = B.shape[1]
     x = np.full(n, n ** (-1.0 / p))
     lam_prev = 0.0
-    for it in range(1, DEFAULTS.probe_iter_cap + 1):
+    for it in range(1, _POWER_ITER_CAP + 1):
         y = B @ x
         lam = float(np.linalg.norm(y, p))
         if lam == 0.0:
@@ -454,10 +455,10 @@ def _matrix_p_norm(B: np.ndarray, p: float):
         z = B.T @ (y / lam) ** (p - 1.0)
         x = z ** (q - 1.0)
         x /= np.linalg.norm(x, p)
-        if abs(lam - lam_prev) <= DEFAULTS.probe_tol * lam:
+        if abs(lam - lam_prev) <= _POWER_TOL * lam:
             return lam, it
         lam_prev = lam
-    return lam, DEFAULTS.probe_iter_cap
+    return lam, _POWER_ITER_CAP
 
 
 def lp_norm_probe(
@@ -514,9 +515,9 @@ def lp_norm_probe(
     verdict = "inconclusive"
     if norms[0] > 0.0:
         monotone_up = all(b > a for a, b in zip(norms, norms[1:]))
-        if max(norms) <= DEFAULTS.probe_stable_ratio * min(norms):
+        if max(norms) <= _PROBE_STABLE_RATIO * min(norms):
             verdict = "stable"
-        elif monotone_up and norms[-1] >= DEFAULTS.probe_growth_ratio * norms[0]:
+        elif monotone_up and norms[-1] >= _PROBE_GROWTH_RATIO * norms[0]:
             verdict = "growing"
     return NormProbeResult(
         p=p,

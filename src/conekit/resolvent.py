@@ -166,7 +166,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _EPS, _LN2, _ldexp, _Scaled, log_ik_integrals, log_scaled, split_log
-from .config import DEFAULTS
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
 from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, TABLE_CEILING, CompleteTail, CrossSectionSpectrum
@@ -177,10 +176,10 @@ __all__ = [
     "GradientValue",
     "resolvent_kernel",
     "resolvent_gradient",
-    "gauge_log_factor",
 ]
 
 _GAUGES = ("riemannian", "b-half")
+_KERNEL_REL_TOL = 1e-8  # ResolventRequest's default relative tolerance
 # Each chunk past the base table ends at this many times the cutoff of the one before.
 _GROWTH = 4
 # A rigorous value's rounding estimate joins its tail bound from a tenth of rel_tol * |value| on.
@@ -214,7 +213,7 @@ class ResolventRequest:
     z: ConePoint
     zp: ConePoint
     lam: float = 1.0
-    rel_tol: float = DEFAULTS.kernel_rel_tol
+    rel_tol: float = _KERNEL_REL_TOL
     density_gauge: str = "riemannian"
 
     def __post_init__(self):
@@ -280,13 +279,11 @@ class GradientValue:
         return self.d_r.modes_used
 
 
-def gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
-    """log of the density-gauge prefactor multiplying the mode series."""
-    if density_gauge == "riemannian":
-        return (1.0 - 0.5 * d) * (math.log(r) + math.log(rp))
+def _gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
+    """log of the density-gauge prefactor multiplying the mode series (a gauge in _GAUGES)."""
     if density_gauge == "b-half":
         return 0.0
-    raise DomainError(f"unknown density gauge {density_gauge!r}")
+    return (1.0 - 0.5 * d) * (math.log(r) + math.log(rp))
 
 
 def _suffix_logs(s, mu, log_weights, log_beyond):
@@ -352,7 +349,7 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
     # Each scale carries the powers of r that the weights leave out.
     pair_rows = np.array([pair, grad] if need_grad else [pair])
     r_power = -1.0 if lam is None else 0.0
-    log_scales = [gauge_log_factor(d, r, r, gauge) + math.log(0.5) + power * math.log(r)
+    log_scales = [_gauge_log_factor(d, r, r, gauge) + math.log(0.5) + power * math.log(r)
                   for power in ((r_power - 1.0,) * 2 if need_grad else (r_power,))]
 
     def grid(v):
@@ -599,7 +596,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             break
         abs_t = np.abs(T)
         mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
-    log_gauge = gauge_log_factor(spec.d, r, rp, gauge)
+    log_gauge = _gauge_log_factor(spec.d, r, rp, gauge)
     outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, "rigorous")
             for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
     if not need_grad:

@@ -36,12 +36,13 @@ import math
 from dataclasses import dataclass
 
 from .bessel import _ldexp
-from .config import DEFAULTS
 from .geometry import ConePoint
 from .resolvent import _check_rel_tol, _prepare_series
 from .spectrum import CrossSectionSpectrum
 
 __all__ = ["RieszKernelValue", "riesz_kernel"]
+
+_RIESZ_REL_TOL = 1e-6  # riesz_kernel's default relative tolerance
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def riesz_kernel(
     spectrum: CrossSectionSpectrum,
     z: ConePoint,
     zp: ConePoint,
-    rel_tol: float = DEFAULTS.riesz_rel_tol,
+    rel_tol: float = _RIESZ_REL_TOL,
 ) -> RieszKernelValue:
     """Evaluate the Riesz transform kernel at (z, z'), componentwise.
 

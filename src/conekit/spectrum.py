@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS
+from .bessel import _OLVER_NU_MIN
 from .errors import (
     DomainError,
     InsufficientSpectrumError,
@@ -433,7 +433,9 @@ class CrossSectionSpectrum:
 
 
 def _default_cutoff(mu_bottom: float) -> float:
-    return max(DEFAULTS.mu_cutoff_floor, mu_bottom + DEFAULTS.mu_cutoff_margin)
+    # 30 past mu0, and at least the Bessel engine's first Olver order: the
+    # default table of a cone with mu0 <= 10 then takes no Olver pass.
+    return max(_OLVER_NU_MIN, mu_bottom + 30.0)
 
 
 def _mu0_squared(d: int, c):

@@ -11,7 +11,7 @@ import pytest
 from conekit import DomainError, bessel_i, bessel_k
 from conekit.bessel import (_EPS, _OLVER_TERMS, _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, _olver_grid,
                             log_ik_integrals, log_scaled, wronskian_residual)
-from conekit.config import DEFAULTS
+from conekit.bessel import _OLVER_NU_MIN as _NU_MIN
 
 import oracles
 
@@ -206,7 +206,7 @@ class TestIdentities:
         assert bessel_i(29.9, 1e-10).method == "power-series"
         assert bessel_k(29.9, 1e-10).method == "small-argument"
         # I takes the series wherever (x/2)^2 <= nu + 1, Olver's expansion
-        # past that from order olver_nu_min (40) on; K takes Olver's from
+        # past that from order _OLVER_NU_MIN (40) on; K takes Olver's from
         # that order on above x = 1e-10.
         assert bessel_i(50.0, 10.0).method == "power-series"
         assert bessel_i(50.0, 100.0).method == "uniform-asymptotic"
@@ -229,7 +229,6 @@ def _log_ref(kind, nu, x):
     return (oracles.log_bessel_i_ref if kind == "i" else oracles.log_bessel_k_ref)(nu, x)
 
 
-_NU_MIN = DEFAULTS.olver_nu_min
 _BELOW_NU_MIN = math.nextafter(_NU_MIN, 0.0)
 # Each switch of the dispatch: (kind, nu, x) on its two sides, one ulp
 # apart in the variable it cuts, and the methods on either side.

@@ -1,5 +1,8 @@
 """Command-line interface: worked examples, determinism, exit codes."""
 
+import argparse
+import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -7,8 +10,21 @@ import sys
 
 import pytest
 
-from conekit import load_spectrum
-from conekit.cli import main
+from conekit import (
+    SUITES,
+    ConePoint,
+    ResolventRequest,
+    load_spectrum,
+    lp_norm_probe,
+    riesz_kernel,
+    riesz_probe_kernel,
+    sphere_spectrum,
+    threshold_interval,
+    threshold_interval_zero_v,
+)
+from conekit.cli import _build_parser, main
+from conekit.lpcheck import offdiag_envelope
+from conekit.resolvent import _GAUGES
 from conekit.verify import CheckResult, SuiteReport
 
 import oracles
@@ -28,6 +44,13 @@ def _parsed(text):
             k, v = line.split("=", 1)
             out[k] = v
     return out
+
+
+def _interval_lines(iv):
+    """The lines ``thresholds`` prints for the interval ``iv``."""
+    exact = [("p_lo_exact", iv.p_lo_exact), ("p_hi_exact", iv.p_hi_exact)]
+    return [f"basis={iv.basis}", f"p_lo={iv.p_lo:.12g}", f"p_hi={iv.p_hi:.12g}",
+            *(f"{name}={value}" for name, value in exact if value is not None)]
 
 
 class TestThresholds:
@@ -74,6 +97,20 @@ class TestThresholds:
         got = _parsed(out)
         assert got["basis"] == "constant-c"
         assert float(got["p_hi"]) == pytest.approx(15.0 / 7.0, rel=1e-11)
+
+    @pytest.mark.parametrize("v0, basis", [("file", "general-V"), ("constant:0", "zero-V")])
+    def test_spectrum_file_without_a_nonzero_constant(self, capsys, tmp_path, v0, basis):
+        # A file's V0 of its own takes the general-V interval from mu0, a
+        # zero constant the zero-V interval from mu1.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"d": 3, "v0": v0, "modes": [
+            {"mu": 0.5, "multiplicity": 1}, {"mu": 1.7, "multiplicity": 3}]}))
+        code, out, _ = run_cli(capsys, "thresholds", "--spectrum-file", str(path))
+        assert code == 0
+        spec = load_spectrum(path)
+        iv = threshold_interval(3, spec.mu0) if basis == "general-V" else threshold_interval_zero_v(3, spec.mu1)
+        assert iv.basis == basis
+        assert out.splitlines() == _interval_lines(iv)
 
 
 class TestKernel:
@@ -159,6 +196,22 @@ class TestRiesz:
         assert first[0] == "far-right" and len(first) == 8
         mid = lines[3].split(",")
         assert mid[0] == "mid" and mid[6] == "" and mid[7] == ""
+
+    def test_far_left_report(self, capsys):
+        # r >= 4 r': the far-left model, alpha = d/2 + 1 + mu0.
+        code, out, _ = run_cli(capsys, "riesz", "--d", "3", "--c", "0",
+                               "--r", "4", "--rp", "1", "--gamma", "1")
+        assert code == 0
+        spec = sphere_spectrum(3)
+        y, yp = spec.cross_section.points_at_separation(1.0)
+        kv = riesz_kernel(spec, ConePoint(4.0, y), ConePoint(1.0, yp))
+        model = offdiag_envelope(3, spec.mu0, "far-left", 4.0, 1.0)
+        assert _parsed(out) == {
+            "d_r": f"{kv.d_r:.12g}", "angular": f"{kv.angular:.12g}", "magnitude": f"{kv.magnitude:.12g}",
+            "quad_error_est": f"{kv.quad_error_est:.12g}", "certified": "true", "tail_kind": "rigorous",
+            "modes_used": str(kv.modes_used), "region": "far-left", "model_bound": f"{model:.12g}",
+            "ratio": f"{kv.magnitude / model:.12g}",
+        }
 
 
 class TestSpectrumCommand:
@@ -357,6 +410,51 @@ class TestProbeCommand:
         assert payload["verdict"] in ("stable", "growing", "inconclusive")
         assert payload["mu0"] == pytest.approx(0.1, rel=1e-9)
 
+    def test_riesz_model(self, capsys):
+        code, out, _ = run_cli(capsys, "probe", "--d", "3", "--c", "-0.24", "--p", "1.5",
+                               "--model", "riesz", "--k-values", "1,2", "--points-per-octave", "2")
+        assert code == 0
+        res = lp_norm_probe(riesz_probe_kernel(sphere_spectrum(3, c=-0.24)), 3, 1.5,
+                            k_values=(1, 2), points_per_octave=2)
+        payload = json.loads(out)
+        assert payload["model"] == "riesz" and payload["k_values"] == [1, 2]
+        assert payload["norms"] == [float(f"{x:.12g}") for x in res.norms]
+        assert payload["iterations"] == list(res.iterations)
+        assert payload["verdict"] == res.verdict
+
+
+def _option(command, dest):
+    """The argparse action of subcommand ``command``'s option ``dest``."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+_REQUEST_FIELD_VALUES = {field.name: field.default for field in dataclasses.fields(ResolventRequest)}
+
+
+class TestOptionsRepeatTheLibrary:
+    # Each CLI default or choices list that repeats a library value equals it.
+    @pytest.mark.parametrize("command, dest, attr, want", [
+        ("kernel", "rel_tol", "default", _REQUEST_FIELD_VALUES["rel_tol"]),
+        ("kernel", "gauge", "default", _REQUEST_FIELD_VALUES["density_gauge"]),
+        ("kernel", "gauge", "choices", _GAUGES),
+        ("riesz", "rel_tol", "default", _default(riesz_kernel, "rel_tol")),
+        ("verify", "suite", "choices", ("all", *SUITES)),
+        ("probe", "separation", "default", _default(riesz_probe_kernel, "separation")),
+        ("probe", "rel_tol", "default", _default(riesz_probe_kernel, "rel_tol")),
+        ("probe", "points_per_octave", "default", _default(lp_norm_probe, "points_per_octave")),
+    ])
+    def test_option(self, command, dest, attr, want):
+        assert getattr(_option(command, dest), attr) == want
+
+    def test_probe_k_values(self):
+        default = _option("probe", "k_values").default
+        assert tuple(int(k) for k in default.split(",")) == _default(lp_norm_probe, "k_values")
+
 
 class TestErrorPaths:
     def test_unknown_command(self, capsys):
@@ -392,6 +490,11 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "thresholds", "--mu0", "1.0")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "--d" in err
+
+    def test_thresholds_without_a_source(self, capsys):
+        code, out, err = run_cli(capsys, "thresholds")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--spectrum-file" in err
 
     def test_separation_too_small_for_the_tau_rule(self, capsys):
         code, out, err = run_cli(capsys, "kernel", "--d", "3", "--r", "1", "--rp", "1", "--gamma", "1e-160")

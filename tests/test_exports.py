@@ -68,7 +68,7 @@ def test_each_package_name_is_its_module_object():
     assert not wrong, wrong
 
 
-CORE = ("config", "errors", "geometry", "bessel", "spectrum", "resolvent")
+CORE = ("errors", "geometry", "bessel", "spectrum", "resolvent")
 LAZY_LAYERS = ("riesz", "lpcheck", "verify", "cli", "specfile")
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conekit import (
-    DEFAULTS,
     ConePoint,
     CrossSectionSpectrum,
     DomainError,
@@ -29,7 +28,7 @@ from conekit import (
     boundary_order_probe,
 )
 from conekit.bessel import bessel_i, log_scaled
-from conekit.resolvent import _GROWTH
+from conekit.resolvent import _GROWTH, _KERNEL_REL_TOL
 from conekit.spectrum import TABLE_CEILING
 
 import oracles
@@ -181,7 +180,7 @@ class TestCertification:
         assert kv.tail_kind == "quadrature"
         ref = oracles.yukawa_kernel(1.0, 1.0, 1.2)
         assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
-        assert abs(kv.float_value() / ref - 1.0) < DEFAULTS.kernel_rel_tol
+        assert abs(kv.float_value() / ref - 1.0) < _KERNEL_REL_TOL
 
     def test_norms_only_spectrum_cannot_evaluate(self, tmp_path):
         import json
@@ -848,7 +847,7 @@ class TestGrownTables:
         assert kv.certified and kv.tail_kind == "rigorous"
         assert 40960 < kv.modes_used <= TABLE_CEILING
         ref = oracles.yukawa_kernel(0.9995, 1.0, 1.0)
-        assert abs(kv.float_value() - ref) <= DEFAULTS.kernel_rel_tol * abs(ref)
+        assert abs(kv.float_value() - ref) <= _KERNEL_REL_TOL * abs(ref)
 
     def test_spectrum_without_cutoff(self):
         # A spectrum built directly, without mu_cutoff or growth, stops at

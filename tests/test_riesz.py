@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from conekit import (
-    DEFAULTS,
     ConePoint,
     DomainError,
     NormsOnlyError,
@@ -34,6 +33,7 @@ from conekit import (
     torus_spectrum,
 )
 from conekit.bessel import log_ik_integrals
+from conekit.riesz import _RIESZ_REL_TOL
 
 import oracles
 
@@ -246,7 +246,7 @@ class TestRieszKernel:
         kv = self._eval(S3, 0.2, 1.0, 1.0)
         assert kv.certified and kv.tail_kind == "rigorous"
         assert 0 < kv.modes_used < len(S3.table.mu)
-        assert kv.quad_error_est <= DEFAULTS.riesz_rel_tol * kv.magnitude
+        assert kv.quad_error_est <= _RIESZ_REL_TOL * kv.magnitude
         assert kv.magnitude == pytest.approx(math.hypot(kv.d_r, kv.angular))
         on_diagonal = self._eval(S3, 1.0, 1.0, 0.5)
         assert not on_diagonal.certified and on_diagonal.tail_kind == "quadrature"
@@ -444,7 +444,7 @@ class TestDiagonal:
                 err = abs(kv.d_r - want[0]) + abs(kv.angular - want[1])
                 assert not kv.certified and kv.tail_kind == "quadrature", (d, r, gamma)
                 assert err <= kv.quad_error_est, (d, r, gamma, err, kv.quad_error_est)
-                assert err <= DEFAULTS.riesz_rel_tol * math.hypot(*want), (d, r, gamma, err)
+                assert err <= _RIESZ_REL_TOL * math.hypot(*want), (d, r, gamma, err)
 
     @pytest.mark.parametrize("d, c", [(3, -0.24), (3, 0.75), (4, -0.5)])
     def test_continuous_with_the_closed_form_side(self, d, c, monkeypatch):

@@ -37,7 +37,7 @@ from .lpcheck import (
     threshold_interval_constant,
     threshold_interval_zero_v,
 )
-from .resolvent import _GAUGES, _KERNEL_REL_TOL, ResolventRequest, resolvent_kernel
+from .resolvent import _KERNEL_REL_TOL, ResolventRequest, _b_half, resolvent_kernel
 from .riesz import _RIESZ_REL_TOL, riesz_kernel
 from .specfile import load_spectrum, save_spectrum
 from .spectrum import sphere_spectrum, torus_spectrum
@@ -228,14 +228,14 @@ def _cmd_kernel(args) -> int:
     def one(row):
         r, rp, gamma, lam = row
         y, yp = cs.points_at_separation(gamma)
-        kv = resolvent_kernel(
-            ResolventRequest(spec, ConePoint(r, y), ConePoint(rp, yp), lam=lam,
-                             rel_tol=args.rel_tol, density_gauge=args.gauge)
-        )
+        kv = resolvent_kernel(ResolventRequest(spec, ConePoint(r, y), ConePoint(rp, yp), lam=lam,
+                                               rel_tol=args.rel_tol))
+        if args.gauge == "b-half":
+            kv = _b_half(kv, spec.d, r, rp)
         value, tail = kv.float_value(), kv.float_tail_bound()
-        return [*row, value, tail, kv.modes_used, kv.gauge], {
+        return [*row, value, tail, kv.modes_used, args.gauge], {
             "value": value, "tail_bound": tail, "modes_used": kv.modes_used,
-            "certified": kv.certified, "tail_kind": kv.tail_kind, "gauge": kv.gauge,
+            "certified": kv.certified, "tail_kind": kv.tail_kind, "gauge": args.gauge,
         }
 
     return _print_sweep(args, [args.r, args.rp, args.gamma, args.lam_list],
@@ -341,7 +341,7 @@ def _build_parser() -> _Parser:
     ke.add_argument("--lambda", dest="lam_list", type=str, default="1",
                     help="spectral parameter (or comma list)")
     ke.add_argument("--rel-tol", type=float, default=_KERNEL_REL_TOL)
-    ke.add_argument("--gauge", choices=_GAUGES, default="riemannian")
+    ke.add_argument("--gauge", choices=("riemannian", "b-half"), default="riemannian")
     ke.add_argument("--format", choices=("text", "csv"), default="text")
     ke.set_defaults(handler=_cmd_kernel)
 

@@ -15,7 +15,7 @@ class DomainError(ConekitError, ValueError):
     """An argument is outside the mathematical domain of the operation.
 
     Examples: non-positive radius, lambda <= 0, evaluation on the
-    diagonal z == z', an unsupported gauge for a gradient.
+    diagonal z == z'.
     """
 
 

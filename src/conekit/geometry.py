@@ -46,7 +46,11 @@ def check_dimension(d) -> int:
 
 @dataclass(frozen=True)
 class ConePoint:
-    """A point (r, y) of the cone: radius r > 0 and cross-section point y."""
+    """A point (r, y) of the cone: radius r > 0 and cross-section point y.
+
+    An array-like y is kept as a tuple of floats and a number y (a
+    separation coordinate) as it is, so points compare and hash by value.
+    """
 
     r: float
     y: object
@@ -56,6 +60,8 @@ class ConePoint:
         if not math.isfinite(r) or r <= 0.0:
             raise DomainError(f"cone radius must be finite and > 0, got {self.r!r}")
         object.__setattr__(self, "r", r)
+        if not isinstance(self.y, numbers.Real):
+            object.__setattr__(self, "y", tuple(map(float, self.y)))
 
 
 class CrossSection:

@@ -10,19 +10,19 @@ where r_< = min(r, r'), r_> = max(r, r'), pair_j is the eigenprojection
 pair function of the j-th cross-sectional mode, and mu_j > 0 are the
 shifted square-rooted eigenvalues.  The lambda prefactors of the exact
 scaling identity G_lambda(z, z') = lambda^{d-2} G_1(lambda z, lambda z')
-cancel against the gauge factor, so the series above is valid verbatim
-for every lambda > 0.
+cancel against the (r r')^{1 - d/2} prefactor, so the series above is
+valid verbatim for every lambda > 0.
 
-Density gauges
---------------
-``riemannian``
-    The kernel against the Riemannian density r'^{d-1} dr' dy'.
-``b-half``
-    The same series without the (r r')^{1 - d/2} prefactor.  In this
-    gauge the kernel extends continuously to the boundary faces at
-    r = 0, which is what the zero-front compatibility check
-    (:func:`conekit.verify.zf_compatibility_check`) compares against the
-    indicial kernel.
+Density
+-------
+Every value is the kernel against the Riemannian density
+r'^{d-1} dr' dy'.  The b-half kernel, the same series without the
+(r r')^{1 - d/2} prefactor, extends continuously to the boundary faces at
+r = 0; it is what the zero-front compatibility check
+(:func:`conekit.verify.zf_compatibility_check`) compares against the
+indicial kernel, and what ``conekit kernel --gauge b-half`` prints.  Both
+read it from :func:`_b_half`, which multiplies a value by
+(r r')^{d/2 - 1} in log space.
 
 Truncation control
 ------------------
@@ -95,13 +95,13 @@ L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component returned
 (the kernel, or the radial and angular derivatives: a gradient sums no
 kernel row) is one row of a (components x modes) array of terms
 pair_j * exp(L_j - max L), max L over chunk 0, a signed log-sum-exp whose
-factor e^{max L + a - b} and gauge factor are applied once, when the
-result is packed.  Partial sums, stop
-targets, tails and the rounding estimate are arrays of the same shape;
-each chunk's tails are the table's ``log_weights`` seeded by one
-``log_sum_beyond`` call at its top.  The sum stops at the first column that
-meets every row's target; where the table runs out, its last column is
-the value and the tail.  The radial derivative with z inner uses
+factor e^{max L + a - b} and the (r r')^{1 - d/2} prefactor are applied
+once, when the result is packed.  Partial sums, stop targets, tails and
+the rounding estimate are arrays of the same shape; each chunk's tails
+are the table's ``log_weights`` seeded by one ``log_sum_beyond`` call at
+its top.  The sum stops at the first column that meets every row's
+target; where the table runs out, its last column is the value and the
+tail.  The radial derivative with z inner uses
 beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
 two 1/r parts cancel in closed form, not in rounding at tiny r.
 
@@ -133,7 +133,7 @@ heat kernel in Cheeger's Bessel form (J. Differential Geom. 18 (1983)):
     e^{-tau H}(z, z') = (r r')^{1-d/2} (2 tau)^{-1} e^{-(r^2 + r'^2)/4tau}
                         * sum_j pair_j I_{mu_j}(r r'/2tau).
 
-With x = r^2/2tau, a quantity with weight w(tau) is the gauge factor times
+With x = r^2/2tau, a quantity with weight w(tau) is the prefactor times
 (1/2) int w F dv over v = log tau, F = sum_j pair_j e^{-x} I_mu_j(x), by
 the trapezoid rule: w = e^{-lam^2 tau} for the resolvent, and its
 lambda-integral (1/2) sqrt(pi/tau) for the Riesz kernel.  The angular
@@ -178,7 +178,6 @@ __all__ = [
     "resolvent_gradient",
 ]
 
-_GAUGES = ("riemannian", "b-half")
 _KERNEL_REL_TOL = 1e-8  # ResolventRequest's default relative tolerance
 # Each chunk past the base table ends at this many times the cutoff of the one before.
 _GROWTH = 4
@@ -205,8 +204,7 @@ class ResolventRequest:
     """One kernel evaluation: spectrum, endpoints, spectral parameter.
 
     ``lam`` is the lambda in (H + lambda^2)^{-1}; ``rel_tol`` the target
-    relative truncation error (must lie in (0, 0.1]); ``density_gauge``
-    selects the output density (see module docstring).
+    relative truncation error (must lie in (0, 0.1]).
     """
 
     spectrum: CrossSectionSpectrum
@@ -214,7 +212,6 @@ class ResolventRequest:
     zp: ConePoint
     lam: float = 1.0
     rel_tol: float = _KERNEL_REL_TOL
-    density_gauge: str = "riemannian"
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -222,10 +219,6 @@ class ResolventRequest:
             raise DomainError(f"spectral parameter lambda must be finite and > 0, got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rel_tol", _check_rel_tol(self.rel_tol))
-        if self.density_gauge not in _GAUGES:
-            raise DomainError(
-                f"density_gauge must be one of {_GAUGES}, got {self.density_gauge!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,6 @@ class KernelValue(_Scaled):
     modes_used: int
     exp2: int = 0
     certified: bool = False
-    gauge: str = "riemannian"
     tail_kind: str = "rigorous"
 
     def float_tail_bound(self) -> float:
@@ -279,10 +271,8 @@ class GradientValue:
         return self.d_r.modes_used
 
 
-def _gauge_log_factor(d: int, r: float, rp: float, density_gauge: str) -> float:
-    """log of the density-gauge prefactor multiplying the mode series (a gauge in _GAUGES)."""
-    if density_gauge == "b-half":
-        return 0.0
+def _gauge_log_factor(d: int, r: float, rp: float) -> float:
+    """log of the prefactor (r r')^{1 - d/2} multiplying the mode series."""
     return (1.0 - 0.5 * d) * (math.log(r) + math.log(rp))
 
 
@@ -305,18 +295,27 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _pack(total, log_scale, log_tail, modes_used, certified, gauge, tail_kind) -> KernelValue:
+def _pack(total, log_scale, log_tail, modes_used, certified, tail_kind) -> KernelValue:
     """KernelValue for the sum ``total * e^log_scale`` with the tail e^log_tail."""
     m, e = split_log(math.log(abs(total)) + log_scale) if total != 0.0 else (0.0, 0)
     try:
         tail = math.exp(log_tail - e * _LN2)
     except OverflowError:  # a tail past double range on the value's scale: no digit of the value is known
         tail = math.inf
-    return KernelValue(math.copysign(m, total), tail, modes_used, e, certified, gauge, tail_kind)
+    return KernelValue(math.copysign(m, total), tail, modes_used, e, certified, tail_kind)
+
+
+def _b_half(kv: KernelValue, d: int, r: float, rp: float) -> KernelValue:
+    """The b-half kernel: the value ``kv`` at radii r, r' times (r r')^{d/2 - 1}, in log space.
+
+    A value past float range keeps its exp2, and an exact zero stays zero.
+    """
+    log_scale = kv.exp2 * _LN2 - _gauge_log_factor(d, r, rp)
+    return _pack(kv.value, log_scale, _log(kv.tail_bound) + log_scale, kv.modes_used, kv.certified, kv.tail_kind)
 
 
 def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoint, gamma: float,
-                   need_grad: bool, lam, rel_tol: float, gauge: str):
+                   need_grad: bool, lam, rel_tol: float):
     """The values of :func:`_prepare_series` at r = r' (see "On the diagonal"), in v = log(tau/r^2)."""
     d, r = spec.d, z.r
     rho = cone_distance(1.0, 1.0, gamma)  # R / r
@@ -349,7 +348,7 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
     # Each scale carries the powers of r that the weights leave out.
     pair_rows = np.array([pair, grad] if need_grad else [pair])
     r_power = -1.0 if lam is None else 0.0
-    log_scales = [_gauge_log_factor(d, r, r, gauge) + math.log(0.5) + power * math.log(r)
+    log_scales = [_gauge_log_factor(d, r, r) + math.log(0.5) + power * math.log(r)
                   for power in ((r_power - 1.0,) * 2 if need_grad else (r_power,))]
 
     def grid(v):
@@ -402,13 +401,13 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         if (diff <= np.maximum(target, floor)).all():
             break
         previous = values
-    outs = [_pack(value, scale, _log(err) + scale, used, False, gauge, "quadrature")
+    outs = [_pack(value, scale, _log(err) + scale, used, False, "quadrature")
             for value, err, scale in zip(values.tolist(), (diff + floor).tolist(), log_scales)]
     return outs if need_grad else outs[0]
 
 
 def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, need_grad: bool,
-                    lam, rel_tol: float, gauge: str):
+                    lam, rel_tol: float):
     """Sum the mode series at (z, z'): the kernel's KernelValue, or with ``need_grad`` [d_r, angular].
 
     With ``lam=None`` each is instead its integral over lambda in (0, inf)
@@ -422,7 +421,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     if r == rp:
         if gamma == 0.0:
             raise DomainError("resolvent kernel is singular on the diagonal z = z'")
-        return _heat_diagonal(spec, base, z, zp, gamma, need_grad, lam, rel_tol, gauge)
+        return _heat_diagonal(spec, base, z, zp, gamma, need_grad, lam, rel_tol)
     z_small = r < rp
     a_r, b_r = (r, rp) if z_small else (rp, r)
     s = a_r / b_r
@@ -596,13 +595,13 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             break
         abs_t = np.abs(T)
         mag, wmag = mag + abs_t.sum(axis=1), wmag + (abs_t * rel).sum(axis=1)
-    log_gauge = _gauge_log_factor(spec.d, r, rp, gauge)
-    outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, gauge, "rigorous")
+    log_gauge = _gauge_log_factor(spec.d, r, rp)
+    outs = [_pack(total, scale + log_gauge, log_tail + log_gauge, used, certified, "rigorous")
             for total, scale, log_tail in zip(carry.tolist(), scale_list, log_tails.tolist())]
     if not need_grad:
         return outs[0]
     if ang_exact_zero:
-        outs.append(KernelValue(0.0, 0.0, used, 0, True, gauge, "exact"))
+        outs.append(KernelValue(0.0, 0.0, used, 0, True, "exact"))
     return outs
 
 
@@ -612,21 +611,10 @@ def resolvent_kernel(request: ResolventRequest) -> KernelValue:
     Certified results satisfy tail_bound <= rel_tol * |value| with a
     rigorous bound; see the module docstring for the regime map.
     """
-    return _prepare_series(request.spectrum, request.z, request.zp, False, request.lam, request.rel_tol,
-                           request.density_gauge)
+    return _prepare_series(request.spectrum, request.z, request.zp, False, request.lam, request.rel_tol)
 
 
 def resolvent_gradient(request: ResolventRequest) -> GradientValue:
-    """Gradient of G_lambda in the first argument z, componentwise.
-
-    Defined in the riemannian gauge only: the b-half gauge removes the
-    radial prefactor whose derivative the radial component tracks, so a
-    b-half gradient would mix gauge and kernel variation.
-    """
-    if request.density_gauge != "riemannian":
-        raise DomainError(
-            "resolvent_gradient is defined for density_gauge='riemannian' only"
-        )
-    d_r, angular = _prepare_series(request.spectrum, request.z, request.zp, True, request.lam, request.rel_tol,
-                                   request.density_gauge)
+    """Gradient of G_lambda in the first argument z, componentwise."""
+    d_r, angular = _prepare_series(request.spectrum, request.z, request.zp, True, request.lam, request.rel_tol)
     return GradientValue(d_r=d_r, angular=angular)

@@ -98,7 +98,7 @@ def riesz_kernel(
     rel_tol / 2 of |T| in each component.  A complete table (a finite mode
     sum) diverges there, and raises ``DomainError``.
     """
-    d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * _check_rel_tol(rel_tol), "riemannian")
+    d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * _check_rel_tol(rel_tol))
     # 2/pi scales each mantissa before its 2**exp2, since it may bring a
     # value just past float range back into it.
     scale = 2.0 / math.pi

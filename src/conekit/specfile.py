@@ -5,6 +5,9 @@ A file is ``{"d": int, "v0": str, "modes": [{"mu", "multiplicity",
 pair(gamma) = sum_k c_k T_k(cos gamma) = sum_k c_k cos(k gamma) in the
 scalar separation coordinate gamma.  A file is the whole spectrum: its
 table's tail is exactly zero (:class:`conekit.spectrum.CompleteTail`).
+A ``v0`` of ``"constant:c"``, optionally followed by ``|`` and more (as
+:func:`conekit.spectrum.leading_modes` writes), is the constant potential
+c, and the bottom mode must then be mu0 = sqrt(c + (d-2)^2/4).
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ import numpy as np
 
 from .errors import PositivityError, SpectrumFormatError
 from .geometry import SeparationCrossSection, SphereCrossSection
-from .spectrum import (
-    CompleteTail,
-    CrossSectionSpectrum,
-    ModeArrays,
-    _gegenbauer_ratios,
-    _gegenbauer_steps,
-    _sphere_modes,
-)
+from .spectrum import CompleteTail, CrossSectionSpectrum, ModeArrays, _check_positivity
 
 __all__ = ["load_spectrum", "save_spectrum"]
 
@@ -89,8 +85,8 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         raise SpectrumFormatError("v0 must be a string")
     v0_constant = None
     if v0.startswith("constant:"):
-        try:
-            v0_constant = float(v0.split(":", 1)[1])
+        try:  # the constant runs up to a "|" (as in "constant:c|leading:k")
+            v0_constant = float(v0[len("constant:"):].split("|", 1)[0])
         except ValueError as exc:
             raise SpectrumFormatError(f"bad constant V0 descriptor {v0!r}") from exc
         if not math.isfinite(v0_constant):
@@ -137,6 +133,14 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         else:
             merged.append((mu_val, mult, list(coeffs) if coeffs is not None else None))
 
+    if v0_constant is not None:
+        # On a closed cross-section V0 = c makes the constants the bottom
+        # mode, mu0^2 = c + (d-2)^2/4.
+        mu0 = math.sqrt(_check_positivity(d, v0_constant))
+        if abs(merged[0][0] - mu0) > 1e-12 * mu0:
+            raise SpectrumFormatError(
+                f"constant V0 {v0!r} gives mu0 = {mu0!r}, but the bottom mode has mu = {merged[0][0]!r}"
+            )
     table = _file_table(merged)
     return CrossSectionSpectrum(
         d=d,
@@ -183,13 +187,11 @@ def _separation_coeffs(spectrum: CrossSectionSpectrum, tag):
     # radius != 1 the pair depends on cos(gamma/a), which is not a
     # polynomial in cos(gamma), so such spheres are saved norms-only.
     if isinstance(cs, SphereCrossSection) and cs.radius == 1.0:
-        l = tag  # the degree
-        nu = (spectrum.d - 2) / 2.0
-        _, _, _, _, norm, c_one = (float(v) for v in _sphere_modes(cs, 0.0, l))
+        l, pairs = tag, spectrum.table.pairs  # the degree, and the table's pair functions
 
-        # pair as a function of x = cos(d_Y); polynomial of degree l.
+        # pair_l as a function of x = cos(gamma), a polynomial of degree l.
         def f(x):
-            return norm * (c_one * _gegenbauer_ratios(_gegenbauer_steps(nu, l + 1), x, 0, l + 1)[0][l])
+            return np.array([pairs(None, None, math.acos(v), 0, l + 1, None, False)[0][l] for v in x.tolist()])
 
         return [float(c) for c in chebyshev.chebinterpolate(f, max(l, 1))]
     return None

@@ -62,7 +62,7 @@ from .lpcheck import (
     threshold_interval_constant,
     threshold_interval_zero_v,
 )
-from .resolvent import ResolventRequest, resolvent_gradient, resolvent_kernel
+from .resolvent import ResolventRequest, _b_half, resolvent_gradient, resolvent_kernel
 from .riesz import riesz_kernel
 from .spectrum import TABLE_CEILING, CrossSectionSpectrum, _mu0_squared, sphere_spectrum
 
@@ -172,15 +172,9 @@ def zf_compatibility_check(spectrum: CrossSectionSpectrum, s: float, y, yp) -> Z
         raise DomainError("indicial kernel vanishes at this (s, y, y'); ratio undefined")
     ratios = []
     for rp_val in rprimes:
-        req = ResolventRequest(
-            spectrum,
-            ConePoint(s * rp_val, y),
-            ConePoint(rp_val, yp),
-            lam=1.0,
-            rel_tol=1e-10,
-            density_gauge="b-half",
-        )
-        ratios.append(resolvent_kernel(req).float_value() / ind)
+        kv = resolvent_kernel(ResolventRequest(spectrum, ConePoint(s * rp_val, y), ConePoint(rp_val, yp),
+                                               lam=1.0, rel_tol=1e-10))
+        ratios.append(_b_half(kv, spectrum.d, s * rp_val, rp_val).float_value() / ind)
     devs = [abs(q - 1.0) for q in ratios]
     xs = [math.log(rv) for rv, dv in zip(rprimes, devs) if dv > 1e-14]
     ys = [math.log(dv) for dv in devs if dv > 1e-14]

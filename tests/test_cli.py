@@ -14,6 +14,7 @@ from conekit import (
     SUITES,
     ConePoint,
     ResolventRequest,
+    cone_distance,
     load_spectrum,
     lp_norm_probe,
     riesz_kernel,
@@ -24,7 +25,6 @@ from conekit import (
 )
 from conekit.cli import _build_parser, main
 from conekit.lpcheck import offdiag_envelope
-from conekit.resolvent import _GAUGES
 from conekit.verify import CheckResult, SuiteReport
 
 import oracles
@@ -170,6 +170,19 @@ class TestKernel:
         assert got["value"] == "inf" and got["certified"] == "true"
         assert math.isfinite(float(got["tail_bound"]))
 
+    def test_b_half_gauge(self, capsys):
+        # The riemannian value times (r r')^{d/2-1}.  At these radii the
+        # riemannian value is past float range and the b-half one is not.
+        code, out, err = run_cli(capsys, "kernel", "--d", "3", "--r", "1e-310", "--rp", "3e-310",
+                                 "--gamma", "1", "--gauge", "b-half")
+        assert code == 0 and err == ""
+        got = _parsed(out)
+        r, rp = 1e-310, 3e-310
+        R = r * cone_distance(1.0, rp / r, 1.0)
+        want = math.sqrt(r) / R * math.sqrt(rp) * math.exp(-R) / (4.0 * math.pi)
+        assert float(got["value"]) == pytest.approx(want, rel=1e-9)
+        assert (got["gauge"], got["certified"]) == ("b-half", "true")
+
 
 class TestRiesz:
     def test_far_right_report(self, capsys):
@@ -248,7 +261,7 @@ _COEFFS_FILE = {"d": 3, "v0": "file", "modes": [
     {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.08]},
     {"mu": 1.5, "multiplicity": 1, "addition_coeffs": [0.0, 0.3]},
     {"mu": 2.5, "multiplicity": 3, "addition_coeffs": [0.0, -0.2]}]}
-_MIXED_FILE = {"d": 4, "v0": "constant:0.5", "modes": [
+_MIXED_FILE = {"d": 4, "v0": "constant:1.25", "modes": [
     {"mu": 1.5, "multiplicity": 1, "addition_coeffs": [0.25]},
     {"mu": 2.0, "multiplicity": 4},
     {"mu": 3.0, "multiplicity": 2, "addition_coeffs": [0.0, 0.5]},
@@ -326,7 +339,7 @@ index,mu,multiplicity,pair_sup,grad_sup,label
 5,2.87228132327,4,,,
 """,
     ("mixed", "text"): """\
-d=4 cross_section=separation v0=constant:0.5 modes=4 mu0=1.5
+d=4 cross_section=separation v0=constant:1.25 modes=4 mu0=1.5
   [  0] mu=1.5 mult=1 pair_sup=0.25
   [  1] mu=2 mult=4
   [  2] mu=3 mult=2 pair_sup=0.5
@@ -438,10 +451,11 @@ _REQUEST_FIELD_VALUES = {field.name: field.default for field in dataclasses.fiel
 
 class TestOptionsRepeatTheLibrary:
     # Each CLI default or choices list that repeats a library value equals it.
+    # The library returns the riemannian kernel, and b-half is its one rescale.
     @pytest.mark.parametrize("command, dest, attr, want", [
         ("kernel", "rel_tol", "default", _REQUEST_FIELD_VALUES["rel_tol"]),
-        ("kernel", "gauge", "default", _REQUEST_FIELD_VALUES["density_gauge"]),
-        ("kernel", "gauge", "choices", _GAUGES),
+        ("kernel", "gauge", "default", "riemannian"),
+        ("kernel", "gauge", "choices", ("riemannian", "b-half")),
         ("riesz", "rel_tol", "default", _default(riesz_kernel, "rel_tol")),
         ("verify", "suite", "choices", ("all", *SUITES)),
         ("probe", "separation", "default", _default(riesz_probe_kernel, "separation")),

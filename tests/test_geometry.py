@@ -32,6 +32,16 @@ class TestConePoint:
         z = ConePoint(2.5, (1.0, 0.0, 0.0))
         assert z.r == 2.5
 
+    def test_is_a_value(self):
+        # Equal coordinates give equal points with equal hashes, whatever holds them.
+        y, yp = SphereCrossSection(2).points_at_separation(0.7)
+        z = ConePoint(1.0, y)
+        assert z == ConePoint(1.0, y.copy()) == ConePoint(1.0, y.tolist())
+        assert hash(z) == hash(ConePoint(1.0, y.copy()))
+        assert z != ConePoint(1.0, yp) and z != ConePoint(2.0, y)
+        assert z.y == tuple(y.tolist()) and all(type(v) is float for v in z.y)
+        assert ConePoint(2.0, 0.5).y == 0.5 and hash(ConePoint(2.0, 0.5)) == hash(ConePoint(2.0, 0.5))
+
     @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_radius(self, r):
         with pytest.raises(DomainError):

@@ -28,7 +28,7 @@ from conekit import (
     boundary_order_probe,
 )
 from conekit.bessel import bessel_i, log_scaled
-from conekit.resolvent import _GROWTH, _KERNEL_REL_TOL
+from conekit.resolvent import _GROWTH, _KERNEL_REL_TOL, _b_half
 from conekit.spectrum import TABLE_CEILING
 
 import oracles
@@ -135,16 +135,29 @@ class TestSymmetries:
                 )
 
     def test_gauge_prefactor(self):
+        # The b-half kernel is the riemannian one times (r r')^{d/2-1}, tail included.
         d = 4
         spec = sphere_spectrum(d, c=0.5)
         r, rp = 0.21, 1.4
         riem = _value(spec, r, rp, 1.0)
-        half = _value(spec, r, rp, 1.0, density_gauge="b-half")
+        half = _b_half(riem, d, r, rp)
         np.testing.assert_allclose(
             riem.float_value(),
             (r * rp) ** (1.0 - d / 2.0) * half.float_value(),
             rtol=1e-13,
         )
+        np.testing.assert_allclose(half.float_tail_bound(), r * rp * riem.float_tail_bound(), rtol=1e-13)
+        assert (half.modes_used, half.certified, half.tail_kind) == (riem.modes_used, riem.certified, riem.tail_kind)
+
+    def test_b_half_keeps_exp2_and_exact_zeros(self):
+        # Past float range the rescale moves the exponent; an exact zero stays zero.
+        big = KernelValue(-1.5, 0.75, 7, exp2=2000, certified=True)
+        half = _b_half(big, 4, 2.0 ** 200, 2.0 ** 250)  # times r r' = 2^450
+        assert half.exp2 > 2000 and half.float_value() == -math.inf
+        assert half.log_abs == pytest.approx(big.log_abs + 450.0 * math.log(2.0), rel=1e-15)
+        assert half.tail_bound / abs(half.value) == pytest.approx(0.5, rel=1e-13)
+        zero = _b_half(KernelValue(0.0, 0.0, 3, 0, True, "exact"), 3, 0.5, 4.0)
+        assert (zero.value, zero.tail_bound, zero.exp2, zero.tail_kind) == (0.0, 0.0, 0, "exact")
 
 
 class TestCertification:
@@ -206,8 +219,6 @@ class TestCertification:
             ResolventRequest(S3, z, zp, lam=0.0)
         with pytest.raises(DomainError):
             ResolventRequest(S3, z, zp, rel_tol=0.0)
-        with pytest.raises(DomainError):
-            ResolventRequest(S3, z, zp, density_gauge="weird")
 
     def test_determinism(self):
         a = _value(S3_NEG, 0.11, 0.9, 1.7)
@@ -282,13 +293,6 @@ class TestGradient:
         assert g.angular.float_value() == 0.0
         assert g.angular.certified
         assert g.angular.tail_kind == "exact"
-
-    def test_b_half_gradient_unsupported(self):
-        z, zp = _point_pair(S3, 0.2, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            resolvent_gradient(
-                ResolventRequest(S3, z, zp, density_gauge="b-half")
-            )
 
 
 class TestIndicialKernel:
@@ -458,7 +462,7 @@ class TestDiagonal:
         # swapping z and z' leaves the kernel unchanged.
         z, zp = _point_pair(S3_NEG, 2.0, 2.0, 0.8)
         kv = resolvent_kernel(ResolventRequest(S3_NEG, z, zp))
-        half = resolvent_kernel(ResolventRequest(S3_NEG, z, zp, density_gauge="b-half"))
+        half = _b_half(kv, 3, 2.0, 2.0)
         np.testing.assert_allclose(half.float_value() / 2.0, kv.float_value(), rtol=1e-14)
         assert resolvent_kernel(ResolventRequest(S3_NEG, zp, z)).float_value() == kv.float_value()
 

@@ -537,6 +537,38 @@ class TestFileRoundTrip:
             # exact: a loaded spectrum writes its coefficients back unchanged
             assert mb["addition_coeffs"] == ma["addition_coeffs"]
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_sphere_pairs_survive_a_file(self, d, tmp_path):
+        # R^3 and R^5: the saved coefficients give back the provider's pair
+        # values, to 1e-13 of each mode's sup.
+        spec = sphere_spectrum(d)
+        path = tmp_path / "sphere.json"
+        save_spectrum(spec, path)
+        loaded = load_spectrum(path)
+        for gamma in [0.0, 0.3, 0.9, 1.4, 2.0, 2.6, math.pi]:
+            want, _ = spec.pair_values(*spec.cross_section.points_at_separation(gamma))
+            got, _ = loaded.pair_values(*loaded.cross_section.points_at_separation(gamma))
+            assert (np.abs(got - want) <= 1e-13 * spec.table.pair_sup).all()
+
+    def test_leading_modes_round_trip(self, tmp_path):
+        spec = leading_modes(sphere_spectrum(3, c=-0.24), 2)
+        path = tmp_path / "leading.json"
+        save_spectrum(spec, path)
+        loaded = load_spectrum(path)
+        assert loaded.v0_descriptor == "constant:-0.24|leading:2"
+        assert loaded.v0_constant == -0.24
+        assert loaded.table.mu.tolist() == spec.table.mu.tolist()
+
+    @pytest.mark.parametrize("build", [lambda: sphere_spectrum(4, radius=1.3, c=0.6),
+                                       lambda: torus_spectrum(3, [1.0, 0.9], c=-0.2, mu_cutoff=4.0)],
+                             ids=["sphere", "torus"])
+    def test_saved_constant_potentials_load(self, build, tmp_path):
+        spec = build()
+        path = tmp_path / "saved.json"
+        save_spectrum(spec, path)
+        loaded = load_spectrum(path)
+        assert loaded.v0_constant == spec.v0_constant and loaded.mu0 == spec.mu0
+
     def test_torus_saves_norms_only(self, tmp_path):
         spec = torus_spectrum(3, [1.0, 0.9], mu_cutoff=4.0)
         path = tmp_path / "torus.json"
@@ -565,7 +597,7 @@ class TestFileRoundTrip:
         assert spec.table.pair_sup[1] == pytest.approx(0.3)
 
 
-_MIXED_FILE = {"d": 4, "v0": "constant:0.5", "modes": [
+_MIXED_FILE = {"d": 4, "v0": "constant:1.25", "modes": [
     {"mu": 1.5, "multiplicity": 1, "addition_coeffs": [0.25]},
     {"mu": 2.0, "multiplicity": 4},
     {"mu": 3.0, "multiplicity": 2, "addition_coeffs": [0.0, 0.5]},
@@ -590,7 +622,7 @@ class TestSavedBytes:
             {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.07957747154594767, 6.47572172066585e-19]},
             {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.23873241463784295]},
             {"mu": 2.5, "multiplicity": 5,
-             "addition_coeffs": [0.09947183943243461, -8.706686578621657e-17, 0.29841551829730373]}])
+             "addition_coeffs": [0.09947183943243458, 5.451719599213138e-18, 0.2984155182973037]}])
 
     def test_torus(self, tmp_path):
         assert self._saved(torus_spectrum(3, [1.0, 1.0], mu_cutoff=3.0), tmp_path) == self._bytes(
@@ -645,6 +677,18 @@ class TestFileErrors:
         p.write_text(json.dumps(payload))
         with pytest.raises(SpectrumFormatError):
             load_spectrum(p)
+
+    @pytest.mark.parametrize("mu0, ok", [(0.6, False), (0.5 * (1.0 + 2e-12), False), (0.5 * (1.0 + 5e-13), True)])
+    def test_constant_v0_fixes_the_bottom_mode(self, tmp_path, mu0, ok):
+        # V0 = 0 in d = 3 makes mu0^2 = c + (d-2)^2/4 = 1/4; the bottom mode must agree to 1e-12.
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"d": 3, "v0": "constant:0", "modes": [
+            {"mu": mu0, "multiplicity": 1}, {"mu": 1.5, "multiplicity": 3}]}))
+        if ok:
+            assert load_spectrum(p).mu0 == mu0
+        else:
+            with pytest.raises(SpectrumFormatError, match="bottom mode"):
+                load_spectrum(p)
 
     def test_nonpositive_mu_is_positivity_error(self, tmp_path):
         p = tmp_path / "bad.json"

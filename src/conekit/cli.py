@@ -12,36 +12,23 @@ Subcommands:
 Numeric output is deterministic: floats print with 12 significant digits
 and CSV bodies follow the ``# conekit-schema v1`` header.  Exit codes:
 0 success, 1 configuration or domain error, 2 verification failure.
-Sweeps run in input order.
+Sweeps run in input order.  An option a command only passes on to the
+library takes the library's default when unset.  Each command imports
+the layers it uses when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import math
 import sys
 
 from . import __version__
 from .errors import ConekitError
 from .geometry import ConePoint
-from .lpcheck import (
-    _PROBE_REL_TOL,
-    _PROBE_SEPARATION,
-    _offdiag_region,
-    _riesz_models,
-    lp_norm_probe,
-    offdiag_envelope,
-    riesz_probe_kernel,
-    threshold_interval,
-    threshold_interval_constant,
-    threshold_interval_zero_v,
-)
-from .resolvent import _KERNEL_REL_TOL, ResolventRequest, _b_half, resolvent_kernel
-from .riesz import _RIESZ_REL_TOL, riesz_kernel
-from .specfile import load_spectrum, save_spectrum
-from .spectrum import sphere_spectrum, torus_spectrum
-from .verify import SUITES, run_suite
+from .resolvent import ResolventRequest, _b_half, resolvent_kernel
+from .spectrum import _cross_section, sphere_spectrum, torus_spectrum
 
 SCHEMA_HEADER = "# conekit-schema v1"
 
@@ -65,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the user set, to pass on as keywords."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _numbers(text: str, kind=float):
@@ -98,36 +90,36 @@ def _print_sweep(args, columns, header: str, evaluate) -> int:
 
     ``evaluate(row)`` returns the row's CSV fields and its key=value pairs.
     The rows print as CSV under ``--format csv`` or when there is more than
-    one, else as the one row's key=value lines (a pair whose value is None
-    is left out).
+    one, else as the one row's key=value lines.
     """
     results = [evaluate(row) for row in _broadcast([_numbers(c) for c in columns])]
     if args.format == "csv" or len(results) > 1:
-        lines = [SCHEMA_HEADER, header] + [",".join(map(_fmt, fields)) for fields, _ in results]
+        _emit(args, "\n".join([SCHEMA_HEADER, header] + [",".join(map(_fmt, fields)) for fields, _ in results]))
     else:
         (_, pairs), = results
-        lines = [f"{key}={_fmt(value)}" for key, value in pairs.items() if value is not None]
-    _emit(args, "\n".join(lines))
+        _emit(args, _key_values(pairs))
     return 0
 
 
+def _key_values(pairs: dict) -> str:
+    """key=value lines, leaving out a pair whose value is None."""
+    return "\n".join(f"{key}={_fmt(value)}" for key, value in pairs.items() if value is not None)
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text + "\n")
 
 
 def _add_source_args(sub, need_point=False):
     sub.add_argument("--d", type=int, help="cone dimension (>= 3)")
     sub.add_argument("--c", type=float, default=0.0,
                      help="constant potential V0 = c (default 0)")
-    sub.add_argument("--radius", type=float, default=1.0,
-                     help="sphere cross-section radius (default 1)")
+    sub.add_argument("--radius", type=float, default=argparse.SUPPRESS,
+                     help="sphere cross-section radius")
     sub.add_argument("--torus", type=str, default=None,
                      help="torus cross-section radii, comma-separated")
-    sub.add_argument("--mu-cutoff", type=float, default=None,
+    sub.add_argument("--mu-cutoff", type=float, default=argparse.SUPPRESS,
                      help="mode-table depth override")
     sub.add_argument("--spectrum-file", type=str, default=None,
                      help="load the cross-section spectrum from a JSON file")
@@ -140,14 +132,14 @@ def _add_source_args(sub, need_point=False):
 
 def _spectrum_from(args):
     if args.spectrum_file:
+        from .specfile import load_spectrum
+
         return load_spectrum(args.spectrum_file)
     if args.d is None:
         raise _UsageError("either --spectrum-file or --d is required")
     if args.torus:
-        return torus_spectrum(args.d, _numbers(args.torus), c=args.c,
-                              mu_cutoff=args.mu_cutoff)
-    return sphere_spectrum(args.d, radius=args.radius, c=args.c,
-                           mu_cutoff=args.mu_cutoff)
+        return torus_spectrum(args.d, _numbers(args.torus), c=args.c, **_given(args, "mu_cutoff"))
+    return sphere_spectrum(args.d, c=args.c, **_given(args, "radius", "mu_cutoff"))
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +149,8 @@ def _spectrum_from(args):
 def _cmd_spectrum(args) -> int:
     spec = _spectrum_from(args)
     if args.save:
+        from .specfile import save_spectrum
+
         save_spectrum(spec, args.save)
     table = spec.table
     rows = enumerate(zip(table.mu.tolist(), table.mult.tolist(), table.pair_sup.tolist(),
@@ -183,12 +177,14 @@ def _cmd_spectrum(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_thresholds(args) -> int:
+    from .lpcheck import threshold_interval, threshold_interval_constant, threshold_interval_zero_v
+
     if args.mu0 is not None:
         if args.d is None:
             raise _UsageError("--mu0 needs --d")
         iv = threshold_interval(args.d, args.mu0)
-    elif args.spectrum_file:
-        spec = load_spectrum(args.spectrum_file)
+    elif args.spectrum_file or args.c == 0.0:
+        spec = _spectrum_from(args)
         c = spec.v0_constant
         if c is None:
             iv = threshold_interval(spec.d, spec.mu0)
@@ -196,24 +192,11 @@ def _cmd_thresholds(args) -> int:
             iv = threshold_interval_zero_v(spec.d, spec.mu1)
         else:
             iv = threshold_interval_constant(spec.d, c)
-    else:
-        if args.d is None:
-            raise _UsageError("--d is required (with --c or --mu0), or use --spectrum-file")
-        if args.c == 0.0:
-            spec = _spectrum_from(args)
-            iv = threshold_interval_zero_v(spec.d, spec.mu1)
-        else:
-            iv = threshold_interval_constant(args.d, args.c)
-    lines = [
-        f"basis={iv.basis}",
-        f"p_lo={_fmt(iv.p_lo)}",
-        f"p_hi={_fmt(iv.p_hi)}",
-    ]
-    if iv.p_lo_exact is not None:
-        lines.append(f"p_lo_exact={iv.p_lo_exact}")
-    if iv.p_hi_exact is not None:
-        lines.append(f"p_hi_exact={iv.p_hi_exact}")
-    _emit(args, "\n".join(lines))
+    else:  # c != 0 needs the cross-section alone: the critical coupling has an interval but no spectrum
+        iv = threshold_interval_constant(args.d, args.c)
+        _cross_section(args.d, _numbers(args.torus) if args.torus else None, **_given(args, "radius"))
+    _emit(args, _key_values({"basis": iv.basis, "p_lo": iv.p_lo, "p_hi": iv.p_hi,
+                             "p_lo_exact": iv.p_lo_exact, "p_hi_exact": iv.p_hi_exact}))
     return 0
 
 
@@ -229,7 +212,7 @@ def _cmd_kernel(args) -> int:
         r, rp, gamma, lam = row
         y, yp = cs.points_at_separation(gamma)
         kv = resolvent_kernel(ResolventRequest(spec, ConePoint(r, y), ConePoint(rp, yp), lam=lam,
-                                               rel_tol=args.rel_tol))
+                                               **_given(args, "rel_tol")))
         if args.gauge == "b-half":
             kv = _b_half(kv, spec.d, r, rp)
         value, tail = kv.float_value(), kv.float_tail_bound()
@@ -247,13 +230,16 @@ def _cmd_kernel(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_riesz(args) -> int:
+    from .lpcheck import _offdiag_region, offdiag_envelope
+    from .riesz import riesz_kernel
+
     spec = _spectrum_from(args)
     cs = spec.cross_section
 
     def one(row):
         r, rp, gamma = row
         y, yp = cs.points_at_separation(gamma)
-        kv = riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp), rel_tol=args.rel_tol)
+        kv = riesz_kernel(spec, ConePoint(r, y), ConePoint(rp, yp), **_given(args, "rel_tol"))
         region = _offdiag_region(r, rp)
         model = None if region == "mid" else offdiag_envelope(spec.d, spec.mu0, region, r, rp)
         ratio = None if model is None else kv.magnitude / model
@@ -272,7 +258,9 @@ def _cmd_riesz(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    rep = run_suite(args.suite, seed=args.seed)
+    from .verify import run_suite
+
+    rep = run_suite(args.suite, **_given(args, "seed"))
     lines = []
     for r in rep.results:
         status = "PASS" if r.passed else "FAIL"
@@ -288,25 +276,21 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_probe(args) -> int:
+    import json
+
+    from .lpcheck import _riesz_models, lp_norm_probe, riesz_probe_kernel
+
     spec = _spectrum_from(args)
     d, mu0 = spec.d, spec.mu0
     if args.model == "riesz":
-        kernel = riesz_probe_kernel(spec, separation=args.separation, rel_tol=args.rel_tol)
+        kernel = riesz_probe_kernel(spec, **_given(args, "separation", "rel_tol"))
     else:
         t2, t3 = _riesz_models(d, mu0)  # the far-right and far-left models
         kernel = (t2 if args.model == "t2" else t3).kernel
-    res = lp_norm_probe(kernel, d, args.p, k_values=_numbers(args.k_values, int),
-                        points_per_octave=args.points_per_octave)
-    payload = {
-        "model": args.model,
-        "d": d,
-        "mu0": float(f"{mu0:.12g}"),
-        "p": float(f"{res.p:.12g}"),
-        "k_values": list(res.k_values),
-        "norms": [float(f"{x:.12g}") for x in res.norms],
-        "verdict": res.verdict,
-        "iterations": list(res.iterations),
-    }
+    res = lp_norm_probe(kernel, d, args.p, **_given(args, "k_values", "points_per_octave"))
+    digits = lambda x: float(_fmt(x))  # a float rounded to the 12 digits every float prints with
+    payload = {"model": args.model, "d": d, "mu0": digits(mu0), "p": digits(res.p), "k_values": list(res.k_values),
+               "norms": [digits(x) for x in res.norms], "verdict": res.verdict, "iterations": list(res.iterations)}
     _emit(args, json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -340,30 +324,32 @@ def _build_parser() -> _Parser:
     _add_source_args(ke, need_point=True)
     ke.add_argument("--lambda", dest="lam_list", type=str, default="1",
                     help="spectral parameter (or comma list)")
-    ke.add_argument("--rel-tol", type=float, default=_KERNEL_REL_TOL)
+    ke.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS)
     ke.add_argument("--gauge", choices=("riemannian", "b-half"), default="riemannian")
     ke.add_argument("--format", choices=("text", "csv"), default="text")
     ke.set_defaults(handler=_cmd_kernel)
 
     ri = sub.add_parser("riesz", help="Riesz transform kernel values", parents=[out])
     _add_source_args(ri, need_point=True)
-    ri.add_argument("--rel-tol", type=float, default=_RIESZ_REL_TOL)
+    ri.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS)
     ri.add_argument("--format", choices=("text", "csv"), default="text")
     ri.set_defaults(handler=_cmd_riesz)
 
     ve = sub.add_parser("verify", help="run a verification suite", parents=[out])
-    ve.add_argument("--suite", choices=("all", *SUITES), default="all")
-    ve.add_argument("--seed", type=int, default=1234)
+    ve.add_argument("--suite", default="all",
+                    help="a check suite, or all (the default); README's \"Command line\" lists the suites, "
+                         "and so does the error for an unknown name")
+    ve.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ve.set_defaults(handler=_cmd_verify)
 
     pr = sub.add_parser("probe", help="numerical L^p norm probe", parents=[out])
     _add_source_args(pr)
     pr.add_argument("--p", type=float, required=True)
     pr.add_argument("--model", choices=("t2", "t3", "riesz"), default="t2")
-    pr.add_argument("--k-values", type=str, default="4,10,16")
-    pr.add_argument("--points-per-octave", type=int, default=4)
-    pr.add_argument("--separation", type=float, default=_PROBE_SEPARATION)
-    pr.add_argument("--rel-tol", type=float, default=_PROBE_REL_TOL)
+    pr.add_argument("--k-values", type=lambda text: _numbers(text, int), default=argparse.SUPPRESS)
+    pr.add_argument("--points-per-octave", type=int, default=argparse.SUPPRESS)
+    pr.add_argument("--separation", type=float, default=argparse.SUPPRESS)
+    pr.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS)
     pr.set_defaults(handler=_cmd_probe)
 
     return p

@@ -83,9 +83,6 @@ _BASES = ("general-V", "zero-V", "constant-c")
 _REGIONS = ("upper", "lower")
 _OFFDIAG_REGIONS = ("far-right", "far-left")  # the Riesz models' regions, upper and lower
 _MODELS = ("general", "zero-v-leading")
-# Where the Riesz kernel is probed: cross-section separation and rel_tol.
-_PROBE_SEPARATION = 0.7
-_PROBE_REL_TOL = 1e-4
 _POWER_TOL, _POWER_ITER_CAP = 1e-6, 200  # power iteration: relative step tolerance, step cap
 _PROBE_STABLE_RATIO, _PROBE_GROWTH_RATIO = 1.5, 4.0  # the verdict ratios (see NormProbeResult)
 
@@ -530,8 +527,8 @@ def lp_norm_probe(
 
 def riesz_probe_kernel(
     spectrum: CrossSectionSpectrum,
-    separation: float = _PROBE_SEPARATION,
-    rel_tol: float = _PROBE_REL_TOL,
+    separation: float = 0.7,
+    rel_tol: float = 1e-4,
 ):
     """Callable (r, r') -> |T(z, z')| at fixed cross-sectional separation.
 

@@ -164,9 +164,8 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
     """
     table = spectrum.table
     out_modes = []
-    for mu, mult, tag in zip(table.mu.tolist(), table.mult.tolist(), table.tag.tolist()):
+    for mu, mult, coeffs in zip(table.mu.tolist(), table.mult.tolist(), _separation_coeffs(spectrum)):
         entry = {"mu": mu, "multiplicity": int(mult)}
-        coeffs = _separation_coeffs(spectrum, tag)
         if coeffs is not None:
             entry["addition_coeffs"] = coeffs
         out_modes.append(entry)
@@ -176,22 +175,33 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
         fh.write("\n")
 
 
-def _separation_coeffs(spectrum: CrossSectionSpectrum, tag):
-    """Cosine coefficients of a mode's pair(gamma), when exact: a file's own, or a unit sphere's."""
+def _separation_coeffs(spectrum: CrossSectionSpectrum) -> list:
+    """Each mode's cosine coefficients of pair(gamma) where exact (a file's own, or a unit sphere's), else None."""
     from numpy.polynomial import chebyshev
 
-    if isinstance(tag, tuple):
-        return list(tag)
-    cs = spectrum.cross_section
+    table, cs = spectrum.table, spectrum.cross_section
     # The file's separation coordinate gamma feeds cos(gamma) directly; for
     # radius != 1 the pair depends on cos(gamma/a), which is not a
     # polynomial in cos(gamma), so such spheres are saved norms-only.
-    if isinstance(cs, SphereCrossSection) and cs.radius == 1.0:
-        l, pairs = tag, spectrum.table.pairs  # the degree, and the table's pair functions
-
-        # pair_l as a function of x = cos(gamma), a polynomial of degree l.
-        def f(x):
-            return np.array([pairs(None, None, math.acos(v), 0, l + 1, None, False)[0][l] for v in x.tolist()])
-
-        return [float(c) for c in chebyshev.chebinterpolate(f, max(l, 1))]
-    return None
+    if not (isinstance(cs, SphereCrossSection) and cs.radius == 1.0):
+        return [list(tag) if isinstance(tag, tuple) else None for tag in table.tag.tolist()]
+    # pair_l(x = cos gamma) is a polynomial of degree l, interpolated as
+    # chebinterpolate does at its n_l = max(l, 1) + 1 Chebyshev points x_j:
+    # c_k = (2 - [k = 0]) / n_l * sum_j pair_l(x_j) T_k(x_j).  One pass over
+    # the degrees (in blocks of at most 2^18 values) gives every pair_l(x_j),
+    # and one over k, by T_k = 2x T_{k-1} - T_{k-2}, every mode's sums.
+    n = np.maximum(np.arange(table.mu.size), 1) + 1
+    x = np.concatenate([chebyshev.chebpts1(m) for m in n.tolist()])
+    starts = np.cumsum(n) - n
+    gamma, block, y, state = np.arccos(x), max(1, (1 << 18) // x.size), [], None
+    for lo in range(0, n.size, block):
+        pair, _, state = table.pairs(None, None, gamma, lo, min(lo + block, n.size), state, False)
+        y += [pair[starts[l]:starts[l] + n[l], l - lo] for l in range(lo, lo + pair.shape[1])]
+    y, t_prev, t = np.concatenate(y), np.ones_like(x), x
+    sums = [np.add.reduceat(y, starts)]
+    for _ in range(1, n[-1]):
+        sums.append(np.add.reduceat(y * t, starts))
+        t_prev, t = t, 2.0 * x * t - t_prev
+    coeffs = np.array(sums).T / (0.5 * n[:, None])
+    coeffs[:, 0] *= 0.5
+    return [row[:m] for row, m in zip(coeffs.tolist(), n.tolist())]

@@ -476,7 +476,7 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
     form scipy's ``eval_gegenbauer`` runs at integer degree, so the two
     agree to the last bit (except within 1e-5 of x = 0, where scipy sums a
     series).  ``state`` is (d, p) at degree lo-1, needed for lo >= 2; x
-    may be an array.
+    may be an array, and the ratios then hold one row per x.
     """
     if lo <= 1:
         out, (d, p), lo = [1.0 + 0.0 * x, x][lo:hi], (x - 1.0, x), 2
@@ -488,7 +488,7 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
         d = a * xm1 * p + b * d
         p = d + p
         append(p)
-    return np.array(out), (d, p)
+    return np.array(out).T, (d, p)
 
 
 def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
@@ -499,7 +499,8 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
     pair_l = norm_l C_l^nu(cos(gamma/a)) with nu = (d-2)/2, and
     d/d(arc) pair_l = -(2 nu/a) sin(gamma/a) norm_l C_{l-1}^{nu+1}(cos(gamma/a)),
     both by :func:`_gegenbauer_ratios` times C_l^nu(1) = C(l+d-3, d-3) and
-    C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).
+    C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).  Without ``with_grad``, gamma may
+    be an array of separations, and the pairs then hold one row per gamma.
     """
     cs = tail.cross_section
     count = _degree_count(cs, tail.c0, mu_max)
@@ -515,7 +516,7 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
     steps, steps_grad = _gegenbauer_steps(nu, count), _gegenbauer_steps(nu + 1.0, count)
 
     def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
-        x = math.cos(gamma / a)
+        x = np.cos(gamma / a) if isinstance(gamma, np.ndarray) else math.cos(gamma / a)
         pair, state_pair = _gegenbauer_ratios(steps, x, lo, hi, state and state[0])
         if not with_grad:
             return norms[lo:hi] * (c_one[lo:hi] * pair), None, (state_pair, None)
@@ -581,6 +582,14 @@ def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | N
     return ModeArrays(np.sqrt(lam + c0), mult, mult / vol, mult * np.sqrt(lam) / vol, lam, "lambda={:.6g}", pairs)
 
 
+def _cross_section(d: int, radii=None, **sphere) -> CrossSection:
+    """The cross-section of a d-cone, d an integer >= 3: the flat torus of ``radii``, else the round sphere of ``sphere``."""
+    cs = SphereCrossSection(d - 1, **sphere) if radii is None else TorusCrossSection(radii)
+    if cs.dim != d - 1:
+        raise DomainError(f"{cs.dim} radii inconsistent with cone dimension {d}")
+    return cs
+
+
 def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff, build, tail):
     """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth."""
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
@@ -618,7 +627,7 @@ def sphere_spectrum(
     """
     d = check_dimension(d)
     c0 = _check_positivity(d, float(c))
-    cs = SphereCrossSection(d - 1, radius)
+    cs = _cross_section(d, radius=radius)
     tail = SphereTail(cs, c0)
     return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_sphere_table, tail), tail)
 
@@ -636,9 +645,7 @@ def torus_spectrum(
     cluster's cosines.
     """
     d = check_dimension(d)
-    cs = TorusCrossSection(radii)
-    if cs.dim != d - 1:
-        raise DomainError(f"{cs.dim} radii inconsistent with cone dimension {d}")
+    cs = _cross_section(d, radii)
     c0 = _check_positivity(d, float(c))
     return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_torus_table, cs, c0), TorusTail(cs))
 

@@ -238,7 +238,7 @@ def boundary_order_probe(spectrum: CrossSectionSpectrum, face: str) -> float:
 # euclid: flat R^3 closed forms
 # ----------------------------------------------------------------------
 
-def _suite_euclid(seed: int = 1234):
+def _suite_euclid(seed: int):
     spec = sphere_spectrum(3)
     cs = spec.cross_section
 
@@ -381,7 +381,7 @@ def _bessel_inequalities():
     }
 
 
-def _suite_bessel(seed: int = 1234):
+def _suite_bessel(seed: int):
     def bounds():
         ratios, broken = [], []
         for name, (value, bound, rel) in _bessel_inequalities().items():
@@ -422,7 +422,7 @@ def _suite_bessel(seed: int = 1234):
 # compatibility: zero-front limits vs the indicial kernel
 # ----------------------------------------------------------------------
 
-def _suite_compatibility(seed: int = 1234):
+def _suite_compatibility(seed: int):
     results = []
     for c in (0.0, -0.24, 1.0):
         def check(c=c):
@@ -443,7 +443,7 @@ def _suite_compatibility(seed: int = 1234):
 # boundary: decay exponents toward each face
 # ----------------------------------------------------------------------
 
-def _suite_boundary(seed: int = 1234):
+def _suite_boundary(seed: int):
     results = []
     for c in (0.0, -0.24, 1.0):
         def check(c=c):
@@ -476,7 +476,7 @@ def _suite_boundary(seed: int = 1234):
 # offdiag: Riesz kernel vs model envelopes
 # ----------------------------------------------------------------------
 
-def _suite_offdiag(seed: int = 1234):
+def _suite_offdiag(seed: int):
     def run(region, model="general", c=0.0):
         spec = sphere_spectrum(3, c=c)
         coarse = offdiag_bound_check(spec, region, model=model)
@@ -498,7 +498,7 @@ def _suite_offdiag(seed: int = 1234):
 # schur: exact norms and the model-interval identity
 # ----------------------------------------------------------------------
 
-def _suite_schur(seed: int = 1234):
+def _suite_schur(seed: int):
     def spot():
         n = schur_norm(HomogeneousKernelSpec(3, 1.0, "upper"), 2.0)
         return math.isclose(n, 2.0, rel_tol=1e-14), f"d=3 alpha=1 upper at p=2: norm {n} (exact 2)"
@@ -538,7 +538,7 @@ def _suite_schur(seed: int = 1234):
 # thresholds: spot values, sign ordering, monotonicity
 # ----------------------------------------------------------------------
 
-def _suite_thresholds(seed: int = 1234):
+def _suite_thresholds(seed: int):
     def spots():
         a = threshold_interval_constant(4, -1)
         b = threshold_interval_zero_v(3, 1.5)
@@ -603,11 +603,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 1234) -> SuiteReport:
     """Run one named suite (or "all") and collect its check results."""
-    if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key](seed=seed))
-        return SuiteReport("all", tuple(results))
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {('all', *SUITES)}")
-    return SuiteReport(name, tuple(SUITES[name](seed=seed)))
+    keys = SUITES if name == "all" else [name]
+    return SuiteReport(name, tuple(result for key in keys for result in SUITES[key](seed)))

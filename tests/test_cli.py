@@ -5,8 +5,11 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,14 +20,16 @@ from conekit import (
     cone_distance,
     load_spectrum,
     lp_norm_probe,
+    resolvent_kernel,
     riesz_kernel,
     riesz_probe_kernel,
+    run_suite,
     sphere_spectrum,
     threshold_interval,
     threshold_interval_zero_v,
 )
 from conekit.cli import _build_parser, main
-from conekit.lpcheck import offdiag_envelope
+from conekit.lpcheck import _riesz_models, offdiag_envelope
 from conekit.verify import CheckResult, SuiteReport
 
 import oracles
@@ -111,6 +116,23 @@ class TestThresholds:
         iv = threshold_interval(3, spec.mu0) if basis == "general-V" else threshold_interval_zero_v(3, spec.mu1)
         assert iv.basis == basis
         assert out.splitlines() == _interval_lines(iv)
+
+    @pytest.mark.parametrize("c", ["0", "0.5"])
+    @pytest.mark.parametrize("source", [["--d", "3", "--radius", "-1"], ["--d", "3", "--torus", "1,nan"],
+                                        ["--d", "4", "--torus", "1,1.3"]])
+    def test_bad_cross_section_for_every_coupling(self, capsys, source, c):
+        code, out, err = run_cli(capsys, "thresholds", *source, "--c", c)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("source", [["--d", "4"], ["--d", "4", "--radius", "2"], ["--d", "3", "--torus", "1,1"]])
+    def test_critical_coupling_checks_the_cross_section_alone(self, capsys, source):
+        # mu0 = 0 has an interval but no spectrum (sphere_spectrum refuses it).
+        d = int(source[1])
+        c = str(-((d - 2) / 2) ** 2)
+        code, out, _ = run_cli(capsys, "thresholds", *source, "--c", c)
+        assert code == 0
+        assert _parsed(out)["basis"] == "constant-c" and _parsed(out)["p_hi"] == "2"
 
 
 class TestKernel:
@@ -397,17 +419,17 @@ class TestVerifyCommand:
         assert lines[-1] == "25/25 checks passed in suite 'all'"
 
     def test_failures_exit_two(self, capsys, monkeypatch):
-        import conekit.cli as cli_mod
+        # The command looks run_suite up when it runs, and passes no seed it was not given.
         fake = SuiteReport("euclid", (CheckResult("euclid.x", False, "boom", 0.0),))
-        monkeypatch.setattr(cli_mod, "run_suite", lambda name, seed: fake)
+        monkeypatch.setattr("conekit.verify.run_suite", lambda name: fake)
         code, out, _ = run_cli(capsys, "verify", "--suite", "euclid")
         assert code == 2
         assert out.splitlines()[0].startswith("FAIL euclid.x")
 
     def test_unknown_suite_is_config_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
-        assert code == 1
-        assert "error:" in err
+        code, out, err = run_cli(capsys, "verify", "--suite", "nonsense")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestProbeCommand:
@@ -436,6 +458,118 @@ class TestProbeCommand:
         assert payload["verdict"] == res.verdict
 
 
+_POINT = ["--r", "0.2", "--rp", "1", "--gamma", "1"]
+
+
+def _kernel_report(spec, **options):
+    """The key=value pairs ``conekit kernel`` prints at _POINT: the library's value with ``options``."""
+    y, yp = spec.cross_section.points_at_separation(1.0)
+    kv = resolvent_kernel(ResolventRequest(spec, ConePoint(0.2, y), ConePoint(1.0, yp), **options))
+    return {"value": f"{kv.float_value():.12g}", "tail_bound": f"{kv.float_tail_bound():.12g}",
+            "modes_used": str(kv.modes_used), "certified": "true" if kv.certified else "false",
+            "tail_kind": kv.tail_kind, "gauge": "riemannian"}
+
+
+def _probe_report(kernel, **options):
+    """The norms and iterations ``conekit probe --d 3 --c -0.24 --p 1.5`` prints for ``kernel``."""
+    res = lp_norm_probe(kernel, 3, 1.5, **options)
+    return {"k_values": list(res.k_values), "norms": [float(f"{x:.12g}") for x in res.norms],
+            "iterations": list(res.iterations)}
+
+
+def _probed(out):
+    payload = json.loads(out)
+    return {key: payload[key] for key in ("k_values", "norms", "iterations")}
+
+
+class TestForwardedOptions:
+    """An option the CLI only passes on: set, it prints the library's result
+    for that value; unset, the result of the call without it.  Each value
+    changes the result, so the option does reach the library."""
+
+    def _cli(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    def test_kernel_rel_tol(self, capsys):
+        spec = sphere_spectrum(3)
+        unset, given = _kernel_report(spec), _kernel_report(spec, rel_tol=1e-3)
+        assert unset != given
+        assert _parsed(self._cli(capsys, "kernel", "--d", "3", *_POINT)) == unset
+        assert _parsed(self._cli(capsys, "kernel", "--d", "3", *_POINT, "--rel-tol", "1e-3")) == given
+
+    def test_radius(self, capsys):
+        unset, given = _kernel_report(sphere_spectrum(3)), _kernel_report(sphere_spectrum(3, radius=1.5))
+        assert unset != given
+        assert _parsed(self._cli(capsys, "kernel", "--d", "3", *_POINT, "--radius", "1.5")) == given
+
+    def test_mu_cutoff(self, capsys):
+        def listing(out):
+            return [row.split(",")[1] for row in out.splitlines()[2:]]
+
+        unset, given = ([f"{mu:.12g}" for mu in spec.table.mu.tolist()]
+                        for spec in (sphere_spectrum(3), sphere_spectrum(3, mu_cutoff=5.0)))
+        assert unset != given
+        assert listing(self._cli(capsys, "spectrum", "--d", "3", "--format", "csv")) == unset
+        assert listing(self._cli(capsys, "spectrum", "--d", "3", "--format", "csv", "--mu-cutoff", "5")) == given
+
+    def test_riesz_rel_tol(self, capsys):
+        spec = sphere_spectrum(3)
+        y, yp = spec.cross_section.points_at_separation(1.0)
+
+        def report(**options):
+            kv = riesz_kernel(spec, ConePoint(4.0, y), ConePoint(1.0, yp), **options)
+            return {"d_r": f"{kv.d_r:.12g}", "angular": f"{kv.angular:.12g}",
+                    "quad_error_est": f"{kv.quad_error_est:.12g}", "modes_used": str(kv.modes_used)}
+
+        def printed(*argv):
+            got = _parsed(self._cli(capsys, "riesz", "--d", "3", "--r", "4", "--rp", "1", "--gamma", "1", *argv))
+            return {key: got[key] for key in ("d_r", "angular", "quad_error_est", "modes_used")}
+
+        unset, given = report(), report(rel_tol=1e-3)
+        assert unset != given
+        assert printed() == unset
+        assert printed("--rel-tol", "1e-3") == given
+
+    @pytest.mark.parametrize("option, value, options", [
+        ("--separation", "0.4", {"separation": 0.4}), ("--rel-tol", "1e-2", {"rel_tol": 1e-2})])
+    def test_riesz_probe(self, capsys, option, value, options):
+        spec = sphere_spectrum(3, c=-0.24)
+        grid = {"k_values": (1, 2), "points_per_octave": 2}
+        unset = _probe_report(riesz_probe_kernel(spec), **grid)
+        given = _probe_report(riesz_probe_kernel(spec, **options), **grid)
+        assert unset != given
+        argv = ["probe", "--d", "3", "--c", "-0.24", "--p", "1.5", "--model", "riesz",
+                "--k-values", "1,2", "--points-per-octave", "2"]
+        assert _probed(self._cli(capsys, *argv)) == unset
+        assert _probed(self._cli(capsys, *argv, option, value)) == given
+
+    @pytest.mark.parametrize("option, value, options", [
+        ("--k-values", "2,4", {"k_values": (2, 4)}), ("--points-per-octave", "2", {"points_per_octave": 2})])
+    def test_probe_grid(self, capsys, option, value, options):
+        t2 = _riesz_models(3, sphere_spectrum(3, c=-0.24).mu0)[0].kernel
+        unset, given = _probe_report(t2), _probe_report(t2, **options)
+        assert unset != given
+        argv = ["probe", "--d", "3", "--c", "-0.24", "--p", "1.5"]
+        assert _probed(self._cli(capsys, *argv)) == unset
+        assert _probed(self._cli(capsys, *argv, option, value)) == given
+
+    def test_verify_seed(self, capsys):
+        def report(**options):
+            return [(r.passed, r.name, r.detail) for r in run_suite("bessel", **options).results]
+
+        def printed(*argv):
+            lines = self._cli(capsys, "verify", "--suite", "bessel", *argv).splitlines()[:-1]
+            return [(status == "PASS", name, detail) for status, name, _, detail in
+                    (re.fullmatch(r"(\w+) (\S+) (\[\S+\]) (.*)", line).groups() for line in lines)]
+
+        unset, given = report(), report(seed=7)
+        assert unset != given
+        assert printed() == unset
+        assert printed("--seed", "7") == given
+
+
 def _option(command, dest):
     """The argparse action of subcommand ``command``'s option ``dest``."""
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -448,10 +582,21 @@ def _default(func, name):
 
 _REQUEST_FIELD_VALUES = {field.name: field.default for field in dataclasses.fields(ResolventRequest)}
 
+# A command line for each command that only passes options on.
+_FORWARDING_RUNS = {
+    "kernel": ["kernel", "--d", "3", *_POINT],
+    "riesz": ["riesz", "--d", "3", "--r", "4", "--rp", "1", "--gamma", "1"],
+    "probe": ["probe", "--d", "3", "--c", "-0.24", "--p", "1.5", "--model", "riesz", "--k-values", "1,2"],
+}
+
 
 class TestOptionsRepeatTheLibrary:
-    # Each CLI default or choices list that repeats a library value equals it.
-    # The library returns the riemannian kernel, and b-half is its one rescale.
+    # The CLI keeps no copy of a library default: an option it only passes
+    # on has no default of its own, and unset it prints what the command
+    # prints given the library's default ``want``, read from the library.
+    # The gauge is the CLI's own option (the library returns the riemannian
+    # kernel, and b-half is its one rescale), and run_suite's error is the
+    # one list of suite names.
     @pytest.mark.parametrize("command, dest, attr, want", [
         ("kernel", "rel_tol", "default", _REQUEST_FIELD_VALUES["rel_tol"]),
         ("kernel", "gauge", "default", "riemannian"),
@@ -462,12 +607,42 @@ class TestOptionsRepeatTheLibrary:
         ("probe", "rel_tol", "default", _default(riesz_probe_kernel, "rel_tol")),
         ("probe", "points_per_octave", "default", _default(lp_norm_probe, "points_per_octave")),
     ])
-    def test_option(self, command, dest, attr, want):
-        assert getattr(_option(command, dest), attr) == want
+    def test_option(self, capsys, command, dest, attr, want):
+        if dest == "gauge":
+            assert getattr(_option(command, dest), attr) == want
+        elif dest == "suite":
+            assert _option(command, dest).choices is None
+            code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
+            assert code == 1 and all(repr(name) in err for name in want)
+        else:
+            assert _option(command, dest).default is argparse.SUPPRESS
+            argv = _FORWARDING_RUNS[command]
+            assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--" + dest.replace("_", "-"), str(want))
 
-    def test_probe_k_values(self):
-        default = _option("probe", "k_values").default
-        assert tuple(int(k) for k in default.split(",")) == _default(lp_norm_probe, "k_values")
+    def test_probe_k_values(self, capsys):
+        assert _option("probe", "k_values").default is argparse.SUPPRESS
+        argv = ["probe", "--d", "3", "--c", "-0.24", "--p", "1.5"]
+        given = ",".join(map(str, _default(lp_norm_probe, "k_values")))
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--k-values", given)
+
+
+def test_kernel_and_spectrum_commands_load_no_other_layer():
+    # A command imports the layers it uses when it runs: a resolvent value
+    # and a sphere listing need neither the Riesz, L^p and verify layers
+    # nor the spectrum-file format and its json.
+    code = "\n".join([
+        "import sys",
+        "from conekit import cli",
+        "assert cli.main(['kernel', '--d', '3', '--r', '0.2', '--rp', '1', '--gamma', '1']) == 0",
+        "assert cli.main(['spectrum', '--d', '3']) == 0",
+        "layers = ('conekit.lpcheck', 'conekit.riesz', 'conekit.verify', 'conekit.specfile', 'json')",
+        "loaded = [name for name in layers if name in sys.modules]",
+        "assert not loaded, loaded",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestErrorPaths:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.special import eval_gegenbauer
 
 from conekit import (
@@ -550,6 +551,22 @@ class TestFileRoundTrip:
             got, _ = loaded.pair_values(*loaded.cross_section.points_at_separation(gamma))
             assert (np.abs(got - want) <= 1e-13 * spec.table.pair_sup).all()
 
+    def test_sphere_coefficients_interpolate_each_mode(self, tmp_path):
+        # With about 7000 Chebyshev points the pair values come in blocks of
+        # 36 degrees, each continuing the last; every mode's coefficients
+        # still interpolate its own pair function at its own points, to
+        # 1e-13 of the mode's sup.
+        spec = sphere_spectrum(4, mu_cutoff=120.0)
+        table = spec.table
+        save_spectrum(spec, tmp_path / "sphere.json")
+        saved = json.loads((tmp_path / "sphere.json").read_text())["modes"]
+        for l in (0, 1, 35, 36, 37, 80, table.mu.size - 1):
+            def pair(x):
+                return np.array([table.pairs(None, None, math.acos(v), 0, l + 1, None, False)[0][l] for v in x])
+
+            want = chebyshev.chebinterpolate(pair, max(l, 1))
+            assert np.abs(np.array(saved[l]["addition_coeffs"]) - want).max() <= 1e-13 * table.pair_sup[l]
+
     def test_leading_modes_round_trip(self, tmp_path):
         spec = leading_modes(sphere_spectrum(3, c=-0.24), 2)
         path = tmp_path / "leading.json"
@@ -619,10 +636,10 @@ class TestSavedBytes:
 
     def test_sphere(self, tmp_path):
         assert self._saved(sphere_spectrum(3, mu_cutoff=3.0), tmp_path) == self._bytes(3, "constant:0.0", [
-            {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.07957747154594767, 6.47572172066585e-19]},
+            {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.07957747154594767, 0.0]},
             {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.23873241463784295]},
             {"mu": 2.5, "multiplicity": 5,
-             "addition_coeffs": [0.09947183943243458, 5.451719599213138e-18, 0.2984155182973037]}])
+             "addition_coeffs": [0.09947183943243458, 0.0, 0.2984155182973037]}])
 
     def test_torus(self, tmp_path):
         assert self._saved(torus_spectrum(3, [1.0, 1.0], mu_cutoff=3.0), tmp_path) == self._bytes(

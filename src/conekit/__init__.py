@@ -10,6 +10,7 @@ cross-checked by Schur tests and numerical norm probes.
 """
 
 import importlib
+import types
 
 from .errors import (
     ConekitError,
@@ -61,57 +62,6 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_FACES",
-    "BesselEval",
-    "CheckResult",
-    "ConePoint",
-    "ConekitError",
-    "CrossSection",
-    "CrossSectionSpectrum",
-    "DomainError",
-    "GradientValue",
-    "HomogeneousKernelSpec",
-    "InsufficientSpectrumError",
-    "KernelValue",
-    "L2Bound",
-    "NormProbeResult",
-    "NormsOnlyError",
-    "OffdiagReport",
-    "PInterval",
-    "PositivityError",
-    "ResolventRequest",
-    "RieszKernelValue",
-    "SUITES",
-    "SeparationCrossSection",
-    "SphereCrossSection",
-    "SpectrumFormatError",
-    "SuiteReport",
-    "TorusCrossSection",
-    "UnsupportedError",
-    "ZfCompatibilityReport",
-    "bessel_i",
-    "bessel_k",
-    "boundary_order_probe",
-    "cone_distance",
-    "indicial_kernel",
-    "l2_bound_constant",
-    "leading_modes",
-    "load_spectrum",
-    "lp_norm_probe",
-    "offdiag_bound_check",
-    "resolvent_gradient",
-    "resolvent_kernel",
-    "riesz_kernel",
-    "riesz_model_intervals",
-    "riesz_probe_kernel",
-    "run_suite",
-    "save_spectrum",
-    "schur_norm",
-    "sphere_spectrum",
-    "threshold_interval",
-    "threshold_interval_constant",
-    "threshold_interval_zero_v",
-    "torus_spectrum",
-    "zf_compatibility_check",
-]
+# The public names are the ones bound above and the lazy ones, each written once.
+__all__ = sorted({*(name for name, value in globals().items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)), *_LAZY})

@@ -114,12 +114,6 @@ class BesselEval(_Scaled):
     method: str
     exp2: int = 0
 
-    @property
-    def rel_error_est(self) -> float:
-        if self.value == 0.0:
-            return 0.0
-        return abs(self.abs_error_est / self.value)
-
 
 def split_log(ln_x: float) -> tuple[float, int]:
     """(m, e) with m * 2**e = exp(ln_x), for any ln_x including far outside float range.

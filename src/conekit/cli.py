@@ -13,8 +13,9 @@ Numeric output is deterministic: floats print with 12 significant digits
 and CSV bodies follow the ``# conekit-schema v1`` header.  Exit codes:
 0 success, 1 configuration or domain error, 2 verification failure.
 Sweeps run in input order.  An option a command only passes on to the
-library takes the library's default when unset.  Each command imports
-the layers it uses when it runs.
+library takes the library's default when unset, and a source refuses
+the options it does not read.  Each command imports the layers it uses
+when it runs.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
 def _given(args, *names) -> dict:
     """The options among ``names`` that the user set, to pass on as keywords."""
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _refuse(args, source: str, *names) -> None:
+    """Refuse the options among ``names`` that the user set: ``source`` reads none of them."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name, None) is not None]
+    if given:
+        raise _UsageError(f"{source} does not read {', '.join(given)}")
 
 
 def _numbers(text: str, kind=float):
@@ -113,7 +121,7 @@ def _emit(args, text: str) -> None:
 
 def _add_source_args(sub, need_point=False):
     sub.add_argument("--d", type=int, help="cone dimension (>= 3)")
-    sub.add_argument("--c", type=float, default=0.0,
+    sub.add_argument("--c", type=float, default=argparse.SUPPRESS,
                      help="constant potential V0 = c (default 0)")
     sub.add_argument("--radius", type=float, default=argparse.SUPPRESS,
                      help="sphere cross-section radius")
@@ -130,16 +138,26 @@ def _add_source_args(sub, need_point=False):
                          help="cross-sectional separation (or comma list)")
 
 
+def _torus_radii(args):
+    """The radii of ``--torus``, which reads no ``--radius``; None for a sphere."""
+    if not args.torus:
+        return None
+    _refuse(args, "--torus", "radius")
+    return _numbers(args.torus)
+
+
 def _spectrum_from(args):
     if args.spectrum_file:
+        _refuse(args, "--spectrum-file", "d", "c", "radius", "torus", "mu_cutoff")
         from .specfile import load_spectrum
 
         return load_spectrum(args.spectrum_file)
     if args.d is None:
         raise _UsageError("either --spectrum-file or --d is required")
-    if args.torus:
-        return torus_spectrum(args.d, _numbers(args.torus), c=args.c, **_given(args, "mu_cutoff"))
-    return sphere_spectrum(args.d, c=args.c, **_given(args, "radius", "mu_cutoff"))
+    radii = _torus_radii(args)
+    if radii is not None:
+        return torus_spectrum(args.d, radii, **_given(args, "c", "mu_cutoff"))
+    return sphere_spectrum(args.d, **_given(args, "c", "radius", "mu_cutoff"))
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +200,9 @@ def _cmd_thresholds(args) -> int:
     if args.mu0 is not None:
         if args.d is None:
             raise _UsageError("--mu0 needs --d")
+        _refuse(args, "--mu0", "c", "radius", "torus", "mu_cutoff", "spectrum_file")
         iv = threshold_interval(args.d, args.mu0)
-    elif args.spectrum_file or args.c == 0.0:
+    elif args.spectrum_file or getattr(args, "c", 0.0) == 0.0:
         spec = _spectrum_from(args)
         c = spec.v0_constant
         if c is None:
@@ -193,8 +212,9 @@ def _cmd_thresholds(args) -> int:
         else:
             iv = threshold_interval_constant(spec.d, c)
     else:  # c != 0 needs the cross-section alone: the critical coupling has an interval but no spectrum
+        _refuse(args, "thresholds with c != 0", "mu_cutoff")
         iv = threshold_interval_constant(args.d, args.c)
-        _cross_section(args.d, _numbers(args.torus) if args.torus else None, **_given(args, "radius"))
+        _cross_section(args.d, _torus_radii(args), **_given(args, "radius"))
     _emit(args, _key_values({"basis": iv.basis, "p_lo": iv.p_lo, "p_hi": iv.p_hi,
                              "p_lo_exact": iv.p_lo_exact, "p_hi_exact": iv.p_hi_exact}))
     return 0

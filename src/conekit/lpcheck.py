@@ -285,10 +285,6 @@ class HomogeneousKernelSpec:
             return 0.0
         return r ** (-self.alpha) * rp ** (self.alpha - self.d)
 
-    @property
-    def beta(self) -> float:
-        return self.d - self.alpha
-
 
 def schur_norm(spec: HomogeneousKernelSpec, p: float) -> float:
     """Exact L^p(r^{d-1} dr) operator norm; inf when unbounded.
@@ -356,10 +352,14 @@ def offdiag_envelope(d: int, mu0: float, region: str, r: float, rp: float,
 class OffdiagReport:
     """Riesz kernel magnitudes against an off-diagonal model bound.
 
-    ``ratios[i] = magnitudes[i] / model_values[i]``; the check passes
-    when the ratios stay bounded (``c_sup`` finite) and stable under
-    grid refinement.  ``region`` says which side of the diagonal was
-    probed and ``model`` which envelope was used.
+    ``ratios[i] = magnitudes[i] / model_values[i]``.  ``region`` says
+    which side of the diagonal was probed and ``model`` which envelope
+    was used.  |T| and the envelopes are homogeneous of degree -d, and
+    every grid point has the same r/r', so the ratios agree to about 10
+    digits: ``c_sup`` is the ratio at that one r/r', and a finer r' grid
+    repeats it.  How the ratio moves toward the face is not measured
+    here (on R^3 with c = -0.24, far-right, it rises to 22% above
+    ``c_sup``).
     """
 
     region: str
@@ -385,15 +385,17 @@ def offdiag_bound_check(
     model: str = "general",
     rprimes=None,
 ) -> OffdiagReport:
-    """Probe the Riesz kernel against its off-diagonal model envelope.
+    """The Riesz kernel against its off-diagonal model envelope at r/r' = 1/8 or 8.
 
     ``far-right`` walks r' over a grid (by default 7 points from 1 to 8)
     with r = r'/8 (kernel point far inside); ``far-left`` mirrors it with
-    r = 8 r'.  The kernel is :func:`riesz_probe_kernel`'s, at its default
-    separation and rel_tol.  The ``zero-v-leading`` model applies to the
-    bottom-mode subkernel of a zero-potential cone, whose leading term
-    cancels in the gradient and improves the far-right envelope to
-    r * r'^{-1-d}.
+    r = 8 r'.  By homogeneity every point gives the same ratio, so the
+    walk along r' checks scaling, not the limit r/r' -> 0 or infinity
+    (see :class:`OffdiagReport`).  The kernel is
+    :func:`riesz_probe_kernel`'s, at its default separation and rel_tol.
+    The ``zero-v-leading`` model applies to the bottom-mode subkernel of
+    a zero-potential cone, whose leading term cancels in the gradient and
+    improves the far-right envelope to r * r'^{-1-d}.
     """
     if model not in _MODELS:
         raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
@@ -472,8 +474,8 @@ def lp_norm_probe(
     probed.  It must be homogeneous, of degree ``homogeneous_degree``
     (-d when None, the degree of every scale-invariant kernel on
     L^p(r^{d-1} dr), the triangle models and the Riesz kernel alike):
-    evaluations collapse onto the ratio line kernel(t, 1) and are cached
-    across grids, which matters when each evaluation is itself a mode
+    evaluations collapse onto the ratio line kernel(t, 1), evaluated once
+    for every grid, which matters when each evaluation is itself a mode
     sum (the Riesz kernel).
     """
     d = check_dimension(d)
@@ -488,13 +490,9 @@ def lp_norm_probe(
         raise DomainError("points_per_octave must be positive")
 
     degree = -float(d) if homogeneous_degree is None else float(homogeneous_degree)
-    ratio_cache: dict[int, float] = {}
-
-    def ratio_val(diff: int) -> float:
-        if diff not in ratio_cache:
-            t = 2.0 ** (diff / m)
-            ratio_cache[diff] = abs(kernel(t, 1.0))
-        return ratio_cache[diff]
+    # |kernel(2^(j/m), 1)| for j in [-2Km, 2Km], K the deepest window: every grid's ratios.
+    reach = 2 * k_values[-1] * m
+    ratio_line = np.array([abs(kernel(2.0 ** (j / m), 1.0)) for j in range(-reach, reach + 1)])
 
     norms, iters = [], []
     for k in k_values:
@@ -502,7 +500,7 @@ def lp_norm_probe(
         exps = np.arange(n) - k * m                      # grid r_i = 2^(exps/m)
         r = np.exp2(exps / m)
         w = r ** d * (math.log(2.0) / m)                 # r^{d-1} * (r dlog r)
-        kappa = np.vectorize(ratio_val)(exps[:, None] - exps[None, :])
+        kappa = ratio_line[exps[:, None] - exps[None, :] + reach]
         kmat = kappa * (r[None, :] ** degree)
         B = (w ** (1.0 / p))[:, None] * kmat * (w ** (1.0 - 1.0 / p))[None, :]
         lam, it = _matrix_p_norm(B, p)

@@ -244,14 +244,6 @@ class KernelValue(_Scaled):
         """``tail_bound`` as a plain float; +inf past float range."""
         return _ldexp(self.tail_bound, self.exp2)
 
-    @property
-    def rel_tail(self) -> float:
-        if self.tail_bound == 0.0:
-            return 0.0
-        if self.value == 0.0:
-            return math.inf
-        return self.tail_bound / abs(self.value)
-
 
 @dataclass(frozen=True)
 class GradientValue:

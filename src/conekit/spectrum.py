@@ -381,10 +381,6 @@ class CrossSectionSpectrum:
         return float(self.table.mu[1])
 
     @property
-    def norms_only(self) -> bool:
-        return self.table.pairs is None
-
-    @property
     def pair_table(self) -> ModeArrays:
         """``table``; a norms-only spectrum raises :class:`NormsOnlyError`."""
         if self.table.pairs is None:

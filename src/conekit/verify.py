@@ -30,8 +30,9 @@ Suites
 ``boundary``
     Fitted decay exponents toward each boundary face.
 ``offdiag``
-    Riesz kernel magnitudes against the off-diagonal models, stable
-    under grid refinement.
+    Riesz kernel magnitudes against the off-diagonal models at r/r' = 1/8
+    and 8: the ratio is finite, and a finer r' grid repeats it (every
+    grid point has the same ratio, by homogeneity).
 ``schur``
     Exact Schur norms, duality, and the model-interval identity.
 ``thresholds``

@@ -135,6 +135,43 @@ class TestThresholds:
         assert _parsed(out)["basis"] == "constant-c" and _parsed(out)["p_hi"] == "2"
 
 
+# (command line, the options it names as unread); FILE is a saved R^3 table.
+_UNREAD = [
+    (["thresholds", "--d", "3", "--c", "0.5", "--mu-cutoff", "nan"], ["--mu-cutoff"]),
+    (["thresholds", "--d", "3", "--mu0", "0.1", "--radius", "-1", "--torus", "1,nan"], ["--radius", "--torus"]),
+    (["thresholds", "--d", "3", "--mu0", "0.1", "--c", "0"], ["--c"]),
+    (["thresholds", "--d", "3", "--mu0", "0.1", "--spectrum-file", "FILE"], ["--spectrum-file"]),
+    (["thresholds", "--d", "3", "--c", "0.5", "--torus", "1,1.3", "--radius", "2"], ["--radius"]),
+    (["spectrum", "--spectrum-file", "FILE", "--d", "7", "--c", "5", "--radius", "-1", "--mu-cutoff", "nan",
+      "--torus", "1,nan"], ["--d", "--c", "--radius", "--torus", "--mu-cutoff"]),
+    (["kernel", "--spectrum-file", "FILE", "--d", "9", "--c", "-100", "--r", "0.2", "--rp", "1", "--gamma", "1"],
+     ["--d", "--c"]),
+    (["thresholds", "--spectrum-file", "FILE", "--c", "0"], ["--c"]),
+    (["spectrum", "--d", "3", "--torus", "1,1.3", "--radius", "-1"], ["--radius"]),
+    (["riesz", "--d", "3", "--torus", "1,1.3", "--radius", "1", "--r", "0.2", "--rp", "1", "--gamma", "0.3"],
+     ["--radius"]),
+]
+
+
+class TestSourcesRefuseUnreadOptions:
+    # A source reads only its own options: a file none of the cone's, a torus
+    # no radius, --mu0 only --d, and c != 0 with no file no table depth.
+    # Each refusal names the option it would have ignored.
+    @pytest.mark.parametrize("argv, ignored", _UNREAD, ids=[" ".join(argv) for argv, _ in _UNREAD])
+    def test_refused(self, capsys, tmp_path, argv, ignored):
+        path = tmp_path / "spec.json"
+        assert run_cli(capsys, "spectrum", "--d", "3", "--save", str(path))[0] == 0
+        code, out, err = run_cli(capsys, *(str(path) if arg == "FILE" else arg for arg in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert re.findall(r"--[a-z0-9-]+", err.split(" does not read ")[1]) == ignored
+
+    def test_unset_coupling_is_the_library_default(self, capsys):
+        # --c is unset, not 0, when not given; the spectrum is the library's c = 0 one.
+        assert run_cli(capsys, "spectrum", "--d", "3") == run_cli(capsys, "spectrum", "--d", "3", "--c", "0")
+        assert run_cli(capsys, "thresholds", "--d", "3") == run_cli(capsys, "thresholds", "--d", "3", "--c", "0")
+
+
 class TestKernel:
     def test_worked_example(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--d", "3", "--c", "0",

@@ -82,7 +82,7 @@ class TestSchurNorm:
         up = HomogeneousKernelSpec(3, 1.4, "upper")
         assert up.kernel(2.0, 1.0) == 0.0
         assert up.kernel(1.0, 2.0) == pytest.approx(2.0 ** (1.4 - 3.0))
-        assert up.beta == pytest.approx(1.6)
+        assert up.d - up.alpha == pytest.approx(1.6)
 
 
 class TestModelIntervals:

@@ -26,6 +26,7 @@ from conekit import (
     load_spectrum,
     offdiag_bound_check,
     riesz_kernel,
+    riesz_probe_kernel,
     sphere_spectrum,
     threshold_interval,
     threshold_interval_constant,
@@ -33,6 +34,7 @@ from conekit import (
     torus_spectrum,
 )
 from conekit.bessel import log_ik_integrals
+from conekit.lpcheck import offdiag_envelope
 from conekit.riesz import _RIESZ_REL_TOL
 
 import oracles
@@ -506,6 +508,36 @@ class TestOffdiagModels:
             assert r == pytest.approx(0.125 * rp)
         for mag, mv, rat in zip(rep.magnitudes, rep.model_values, rep.ratios):
             assert rat == pytest.approx(mag / mv)
+
+    @pytest.mark.parametrize("region", ["far-right", "far-left"])
+    @pytest.mark.parametrize("d, c", [(3, 0.0), (3, -0.24), (3, 0.75), (5, 1.0)])
+    def test_ratio_along_s(self, d, c, region):
+        # offdiag_bound_check sees one s = r_</r_> = 1/8; this walks s = 2^-3 ... 2^-21
+        # toward the face (r' = 1 far-right, r = 1 far-left).  Flat R^3 has |T| = 1/(pi^2 R^2):
+        # far-left the ratio tends to 1/pi^2, far-right it falls like s, to s/pi^2.
+        spec = sphere_spectrum(d, c=c)
+        kernel = riesz_probe_kernel(spec)
+        falls = (d, c, region) == (3, 0.0, "far-right")
+        ratios = []
+        for k in range(3, 22):
+            s = 2.0 ** -k
+            r, rp = (s, 1.0) if region == "far-right" else (1.0, s)
+            ratios.append(kernel(r, rp) / offdiag_envelope(d, spec.mu0, region, r, rp) / (s if falls else 1.0))
+        assert all(math.isfinite(x) and x > 0.0 for x in ratios)
+        # Bounded: measured, every walk falls from s = 1/8 but one, R^3 with c = -0.24
+        # far-right, which rises to 1.2247 times its s = 1/8 ratio, offdiag_bound_check's c_sup.
+        assert max(ratios) <= 1.25 * ratios[0]
+        if (d, c, region) == (3, -0.24, "far-right"):
+            assert 1.2 < ratios[-1] / ratios[0] < 1.25
+        # Converging: the relative correction falls like a power of s (near s^(mu1 - mu0) as
+        # measured), until it is below the kernel's rel_tol 1e-4 and the mode sum stops
+        # sooner.  The last four values
+        # (s = 2^-18 ... 2^-21) spread by at most 3.8e-4 (measured on R^3, c = 0.75,
+        # far-right, mu1 - mu0 = 0.73), and by less than the four before them.
+        spread = [(max(w) - min(w)) / w[-1] for w in (ratios[-8:-4], ratios[-4:])]
+        assert spread[1] <= 1e-3 and spread[1] < spread[0]
+        if d == 3 and c == 0.0:
+            assert ratios[-1] == pytest.approx(1.0 / math.pi ** 2, rel=1e-4)
 
     def test_validation(self):
         with pytest.raises(DomainError):

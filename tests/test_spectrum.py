@@ -58,7 +58,7 @@ class TestSphereEigendata:
         assert spec.mu0 == pytest.approx(0.5)
         assert spec.mu1 == pytest.approx(1.5)
         assert isinstance(spec.tail_profile, SphereTail)
-        assert not spec.norms_only
+        assert spec.table.pairs is not None
         assert spec.v0_constant == 0.0
 
     def test_d4_zero_potential_exact(self):
@@ -172,7 +172,7 @@ class TestInvariants:
         p.write_text(json.dumps({"d": 3, "modes": [{"mu": 0.5, "multiplicity": 1},
                                                     {"mu": 1.5, "multiplicity": 3}]}))
         spec = load_spectrum(p)
-        assert spec.norms_only and spec.tail_profile is None
+        assert spec.table.pairs is None and spec.tail_profile is None
         with pytest.raises(DomainError, match="cross-section"):
             replace(spec, cross_section=None)
 
@@ -515,7 +515,7 @@ class TestFileRoundTrip:
             assert b.mu[j] == pytest.approx(a.mu[j], rel=1e-15)
             assert b.mult[j] == a.mult[j]
             assert b.pair_sup[j] == pytest.approx(a.pair_sup[j], rel=1e-12)
-        assert isinstance(loaded.tail_profile, CompleteTail) and not loaded.norms_only
+        assert isinstance(loaded.tail_profile, CompleteTail) and loaded.table.pairs is not None
         assert loaded.v0_constant == pytest.approx(0.7)
         # Pair functions agree as functions of the separation.
         cs, lcs = spec.cross_section, loaded.cross_section
@@ -591,7 +591,7 @@ class TestFileRoundTrip:
         path = tmp_path / "torus.json"
         save_spectrum(spec, path)
         loaded = load_spectrum(path)
-        assert loaded.norms_only
+        assert loaded.table.pairs is None
         assert loaded.tail_profile is None
         assert loaded.table.mu.tolist() == pytest.approx(
             spec.table.mu.tolist(), rel=1e-15
@@ -728,7 +728,7 @@ class TestDerivedTables:
         spec = sphere_spectrum(3, mu_cutoff=20.0)
         lead = leading_modes(spec, 2)
         assert len(lead.table.mu) == 2
-        assert isinstance(lead.tail_profile, CompleteTail) and not lead.norms_only  # complete by construction
+        assert isinstance(lead.tail_profile, CompleteTail) and lead.table.pairs is not None  # complete by construction
         assert lead.tail_profile.log_sum_beyond(0.3, lead.table.mu[-1]) == (-math.inf,) * 3
         with pytest.raises(DomainError):
             leading_modes(spec, 0)

@@ -13,12 +13,12 @@ formula applies with mu0 = sqrt(c + (d-2)^2/4), and when c and d make
 that a rational number the endpoints are returned as exact fractions.
 
 Off-diagonal decay of the kernel is checked against the model bounds
-(:func:`offdiag_bound_check`)
 
     |T(z, z')| <= C (r/r')^{mu0 - d/2} r'^{-d}        (far right, r <= r'/4)
     |T(z, z')| <= C (r'/r)^{mu0 - d/2 + 1} r^{-d}     (far left, r' <= r/4)
 
-whose exponents are exactly what the threshold formulas integrate.  Both
+along a walk in r/r' toward each face (:func:`offdiag_bound_check`),
+and their exponents are exactly what the threshold formulas integrate.  Both
 are homogeneous triangle kernels on the half-line with the cone measure
 r^{d-1} dr:
 
@@ -48,6 +48,7 @@ detecting it needs deeper grids than the defaults.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,6 +84,8 @@ _BASES = ("general-V", "zero-V", "constant-c")
 _REGIONS = ("upper", "lower")
 _OFFDIAG_REGIONS = ("far-right", "far-left")  # the Riesz models' regions, upper and lower
 _MODELS = ("general", "zero-v-leading")
+_WALK = tuple(2.0 ** -k for k in range(3, 22))  # the off-diagonal walk in s = r_</r_>
+_GROWTH_TOL = 1e-3  # the off-diagonal rule: the ratio may rise by this much near the face
 _POWER_TOL, _POWER_ITER_CAP = 1e-6, 200  # power iteration: relative step tolerance, step cap
 _PROBE_STABLE_RATIO, _PROBE_GROWTH_RATIO = 1.5, 4.0  # the verdict ratios (see NormProbeResult)
 
@@ -339,35 +342,47 @@ def offdiag_envelope(d: int, mu0: float, region: str, r: float, rp: float,
     The ``general`` envelopes are the far-right and far-left Riesz model
     kernels of the module docstring; ``zero-v-leading`` is the far-right
     envelope r * r'^{-1-d} (alpha = -1) of a zero-potential cone's
-    bottom-mode subkernel.
+    bottom-mode subkernel, whose leading term cancels in the gradient, so
+    it needs the constant bottom mode mu0 = d/2 - 1.
     """
     if region not in _OFFDIAG_REGIONS:
         raise DomainError(f"region must be one of {_OFFDIAG_REGIONS}, got {region!r}")
-    if model == "zero-v-leading":
-        return HomogeneousKernelSpec(d, -1.0, "upper").kernel(r, rp)
-    return _riesz_models(d, mu0)[_OFFDIAG_REGIONS.index(region)].kernel(r, rp)
+    if model not in _MODELS:
+        raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
+    if model == "general":
+        return _riesz_models(d, mu0)[_OFFDIAG_REGIONS.index(region)].kernel(r, rp)
+    if region != "far-right":
+        raise DomainError("the zero-v-leading model applies to the far-right region only")
+    if abs(mu0 - (0.5 * d - 1.0)) > 1e-12:
+        raise DomainError(
+            "the zero-v-leading model needs the constant bottom mode mu0 = d/2 - 1 "
+            f"(zero potential), got mu0 = {mu0}"
+        )
+    return HomogeneousKernelSpec(d, -1.0, "upper").kernel(r, rp)
 
 
 @dataclass(frozen=True)
 class OffdiagReport:
-    """Riesz kernel magnitudes against an off-diagonal model bound.
+    """The Riesz kernel over its off-diagonal envelope along a walk toward the face.
 
-    ``ratios[i] = magnitudes[i] / model_values[i]``.  ``region`` says
-    which side of the diagonal was probed and ``model`` which envelope
-    was used.  |T| and the envelopes are homogeneous of degree -d, and
-    every grid point has the same r/r', so the ratios agree to about 10
-    digits: ``c_sup`` is the ratio at that one r/r', and a finer r' grid
-    repeats it.  How the ratio moves toward the face is not measured
-    here (on R^3 with c = -0.24, far-right, it rises to 22% above
-    ``c_sup``).
+    ``ratios[i]`` is |T| / envelope at s = r_</r_> = ``s_values[i]``
+    (r' = 1, with r = s far right and r = 1/s far left), from 2^-3 down
+    to 2^-21.  |T| and the envelopes are homogeneous of degree -d, so
+    s alone fixes the ratio; ``c_sup`` is its largest value on the walk.
+    ``growth`` is g = max(last 4 ratios) / max(the 4 before), and the
+    envelope fails (``grows``) when the ratio still climbs at the face:
+    g > 1 + 1e-3.  Sharp models level off: on d = 3, 4, 5 spheres with
+    c in {0, -0.24, 0.75, -0.5, 1}, both regions, g - 1 is at most
+    1.7e-4 (d = 5, c = -0.24, far right, still closing on its limit from
+    below), while an exponent tightened by 0.01 gives g = 1.028.  The
+    ratio closes on its limit like s^(mu1 - mu0), so where mu1 - mu0 is
+    small the rule can read a sharp model as growing: on the d = 3
+    sphere with c = 2500 (mu1 - mu0 = 0.02) far right, g = 1.003.
     """
 
     region: str
     model: str
-    rprimes: tuple
-    r_values: tuple
-    magnitudes: tuple
-    model_values: tuple
+    s_values: tuple
     ratios: tuple
 
     @property
@@ -375,51 +390,38 @@ class OffdiagReport:
         return max(self.ratios)
 
     @property
-    def c_min(self) -> float:
-        return min(self.ratios)
+    def growth(self) -> float:
+        """g, the rise of the ratio over the walk's last four octaves."""
+        return max(self.ratios[-4:]) / max(self.ratios[-8:-4])
+
+    @property
+    def grows(self) -> bool:
+        """The off-diagonal rule: True when g > 1 + 1e-3."""
+        return self.growth > 1.0 + _GROWTH_TOL
 
 
 def offdiag_bound_check(
     spectrum: CrossSectionSpectrum,
     region: str = "far-right",
     model: str = "general",
-    rprimes=None,
 ) -> OffdiagReport:
-    """The Riesz kernel against its off-diagonal model envelope at r/r' = 1/8 or 8.
+    """The Riesz kernel against its off-diagonal model envelope along s = 2^-3 ... 2^-21.
 
-    ``far-right`` walks r' over a grid (by default 7 points from 1 to 8)
-    with r = r'/8 (kernel point far inside); ``far-left`` mirrors it with
-    r = 8 r'.  By homogeneity every point gives the same ratio, so the
-    walk along r' checks scaling, not the limit r/r' -> 0 or infinity
-    (see :class:`OffdiagReport`).  The kernel is
-    :func:`riesz_probe_kernel`'s, at its default separation and rel_tol.
-    The ``zero-v-leading`` model applies to the bottom-mode subkernel of
-    a zero-potential cone, whose leading term cancels in the gradient and
-    improves the far-right envelope to r * r'^{-1-d}.
+    ``far-right`` puts r = s r' (kernel point toward the inner face),
+    ``far-left`` mirrors it with r = r'/s, at r' = 1 (see
+    :class:`OffdiagReport`).  The kernel is :func:`riesz_probe_kernel`'s,
+    at its default separation and rel_tol.  The ``zero-v-leading`` model
+    is checked against the bottom-mode subkernel alone.  Past mu0 of
+    about 46 (d = 3) the far-left envelope at s = 2^-21 is below the
+    normal float range, and the check refuses the spectrum.
     """
-    if model not in _MODELS:
-        raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
-    if rprimes is None:
-        rprimes = np.geomspace(1.0, 8.0, 7)
-    rprimes = tuple(float(v) for v in rprimes)
-    d, mu0 = spectrum.d, spectrum.mu0
-
-    if model == "zero-v-leading":
-        if region != "far-right":
-            raise DomainError("the zero-v-leading model applies to the far-right region only")
-        if abs(mu0 - (0.5 * d - 1.0)) > 1e-12:
-            raise DomainError(
-                "the zero-v-leading model needs the constant bottom mode mu0 = d/2 - 1 "
-                f"(zero potential); this spectrum has mu0 = {mu0}"
-            )
-        spectrum = leading_modes(spectrum, 1)
-
-    r_values = tuple(0.125 * rp if region == "far-right" else rp / 0.125 for rp in rprimes)
-    envelopes = tuple(offdiag_envelope(d, mu0, region, r, rp, model) for r, rp in zip(r_values, rprimes))
-    kernel = riesz_probe_kernel(spectrum)
-    mags = tuple(kernel(r, rp) for r, rp in zip(r_values, rprimes))
-    ratios = tuple(m / e for m, e in zip(mags, envelopes))
-    return OffdiagReport(region, model, rprimes, r_values, mags, envelopes, ratios)
+    rs = [s if region == "far-right" else 1.0 / s for s in _WALK]
+    envelopes = [offdiag_envelope(spectrum.d, spectrum.mu0, region, r, 1.0, model) for r in rs]
+    kernel = riesz_probe_kernel(spectrum if model == "general" else leading_modes(spectrum, 1))
+    magnitudes = [kernel(r, 1.0) for r in rs]
+    if not all(sys.float_info.min <= x < math.inf for x in (*envelopes, *magnitudes)):
+        raise DomainError(f"the walk to s = 2^-21 leaves the normal float range at mu0 = {spectrum.mu0}")
+    return OffdiagReport(region, model, _WALK, tuple(m / e for m, e in zip(magnitudes, envelopes)))
 
 
 @dataclass(frozen=True)
@@ -482,10 +484,12 @@ def lp_norm_probe(
     p = float(p)
     if not (1.0 < p < math.inf):
         raise DomainError(f"p must lie in (1, inf), got {p!r}")
-    k_values = tuple(int(k) for k in k_values)
+    k_values, m = tuple(k_values), points_per_octave
+    if not all(float(v).is_integer() for v in (*k_values, m)):
+        raise DomainError(f"k_values and points_per_octave must be integers, got {k_values} and {m!r}")
+    k_values, m = tuple(map(int, k_values)), int(m)
     if not k_values or any(k <= 0 for k in k_values) or list(k_values) != sorted(set(k_values)):
         raise DomainError("k_values must be strictly increasing positive integers")
-    m = int(points_per_octave)
     if m <= 0:
         raise DomainError("points_per_octave must be positive")
 

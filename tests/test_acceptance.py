@@ -10,7 +10,8 @@ unattainable for mu0 <= 1 (the kernel's next-order term is O(r'^{2 mu0}),
 not O(r'^2)); they are carried as strict xfails right below criterion 4,
 which asserts the true rates instead.  Below criterion 3, mutation tests
 scale each tight inequality's bound by 0.9 and require the criterion to
-fail.
+fail; below criterion 5, a Riesz model exponent tightened by 0.05 must
+fail both criterion 5 and the ``offdiag`` suite.
 """
 
 import math
@@ -39,7 +40,7 @@ from conekit import (
     threshold_interval_zero_v,
     zf_compatibility_check,
 )
-from conekit import verify
+from conekit import lpcheck, verify
 from conekit.bessel import bessel_i, bessel_k, wronskian_residual
 from conekit.verify import run_suite
 
@@ -260,25 +261,45 @@ def test_criterion_4_spec_literal_small_mu():
     assert rep.final_deviation < 1e-4 and abs(rep.rate - 2.0) <= 0.2
 
 
+def _criterion_5():
+    """Criterion 5's body; returns its detail line."""
+    neg = sphere_spectrum(3, c=-0.24)
+    right = offdiag_bound_check(neg, region="far-right")
+    left = offdiag_bound_check(neg, region="far-left")
+    for rep in (right, left):
+        assert math.isfinite(rep.c_sup) and rep.c_sup > 0.0
+        assert not rep.grows, f"grows: {rep.region}, g = {rep.growth}"
+
+    leading = offdiag_bound_check(sphere_spectrum(3), model="zero-v-leading")
+    ref = 1.0 / (3.0 * math.pi ** 2)
+    assert not leading.grows
+    assert leading.ratios[-1] == pytest.approx(ref, rel=1e-9)
+    return (f"far-right C {right.c_sup:.4g}, far-left C {left.c_sup:.4g}, "
+            f"zero-V leading ratio at s = 2^-21 {leading.ratios[-1]:.10g} vs 1/(3 pi^2) = {ref:.10g}")
+
+
 def test_criterion_5_offdiagonal_models(capfd):
-    """Riesz kernel obeys its off-diagonal envelopes with stable constants."""
+    """Riesz kernel obeys its off-diagonal envelopes: along r/r' -> 0 or
+    infinity the ratio levels off, and the zero-V leading one at 1/(3 pi^2)."""
     with _criterion("criterion 5 (off-diagonal model bounds)", capfd) as ctx:
-        neg = sphere_spectrum(3, c=-0.24)
-        right = offdiag_bound_check(neg, region="far-right")
-        left = offdiag_bound_check(neg, region="far-left")
-        for rep in (right, left):
-            assert math.isfinite(rep.c_sup) and rep.c_sup > 0.0
-            assert rep.c_sup / rep.c_min - 1.0 <= 0.10
+        ctx.detail = _criterion_5()
 
-        fine = offdiag_bound_check(neg, rprimes=np.geomspace(1.0, 8.0, 13))
-        assert abs(fine.c_sup / right.c_sup - 1.0) <= 0.10
 
-        flat = sphere_spectrum(3)
-        refined = offdiag_bound_check(flat, model="zero-v-leading")
-        ref = 1.0 / (3.0 * math.pi ** 2)
-        assert refined.c_sup == pytest.approx(ref, rel=0.05)
-        ctx.detail = (f"far-right C {right.c_sup:.4g}, far-left C {left.c_sup:.4g}, "
-                      f"refined zero-V C {refined.c_sup:.5g} vs 1/(3 pi^2) = {ref:.5g}")
+@pytest.mark.parametrize("region", ["far-right", "far-left"])
+def test_criterion_5_fails_with_a_model_tightened_by_0_05(monkeypatch, region):
+    models = lpcheck._riesz_models
+
+    def tightened(d, mu0):  # the model's exponent 0.05 steeper toward the face: a bound T breaks
+        right, left = models(d, mu0)
+        if region == "far-right":
+            return HomogeneousKernelSpec(d, right.alpha - 0.05, "upper"), left
+        return right, HomogeneousKernelSpec(d, left.alpha + 0.05, "lower")
+
+    monkeypatch.setattr(lpcheck, "_riesz_models", tightened)
+    with pytest.raises(AssertionError, match=f"grows: {region},"):
+        _criterion_5()
+    failed = {r.name for r in run_suite("offdiag").results if not r.passed}
+    assert failed == {f"offdiag.{region}"}
 
 
 def test_criterion_6_lp_norm_probes(capfd):

@@ -117,11 +117,20 @@ class TestOffdiagEnvelope:
                     for rp in grid:
                         if r <= 0.25 * rp:
                             assert offdiag_envelope(d, mu0, "far-right", r, rp) == right.kernel(r, rp)
-                            assert offdiag_envelope(d, mu0, "far-right", r, rp, "zero-v-leading") == r * rp ** (-1.0 - d)
+                            if mu0 == d / 2 - 1:
+                                assert offdiag_envelope(d, mu0, "far-right", r, rp, "zero-v-leading") == r * rp ** (-1.0 - d)
                         elif rp <= 0.25 * r:
                             assert offdiag_envelope(d, mu0, "far-left", r, rp) == left.kernel(r, rp)
+
+    @pytest.mark.parametrize("region, model, mu0", [
+        ("sideways", "general", 0.5),
+        ("far-right", "nope", 0.5),
+        ("far-left", "zero-v-leading", 0.5),
+        ("far-right", "zero-v-leading", 0.1),  # the leading model needs mu0 = d/2 - 1
+    ])
+    def test_validation(self, region, model, mu0):
         with pytest.raises(DomainError):
-            offdiag_envelope(3, 0.5, "sideways", 1.0, 8.0)
+            offdiag_envelope(3, mu0, region, 0.125, 1.0, model=model)
 
 
 class TestNormProbe:
@@ -172,6 +181,18 @@ class TestNormProbe:
             lp_norm_probe(self.UP.kernel, 3, 1.0, k_values=(4,))
         with pytest.raises(DomainError):
             lp_norm_probe(self.UP.kernel, 3, 2.0, k_values=())
+
+    @pytest.mark.parametrize("k_values, m", [
+        ((4.9,), 2), ((4,), 2.7), ((4.9,), 2.7), ((4, math.nan), 2), ((4,), math.inf),
+    ])
+    def test_non_integral_grid_is_refused(self, k_values, m):
+        # Truncating would probe another grid than the one asked for (k = 4, m = 2 for 4.9 and 2.7).
+        with pytest.raises(DomainError, match="must be integers"):
+            lp_norm_probe(self.UP.kernel, 3, 2.0, k_values=k_values, points_per_octave=m)
+
+    def test_integral_floats_and_numpy_integers_are_accepted(self):
+        want = lp_norm_probe(self.UP.kernel, 3, 2.0, k_values=(2, 4), points_per_octave=2)
+        assert lp_norm_probe(self.UP.kernel, 3, 2.0, k_values=(2.0, np.int64(4)), points_per_octave=2.0) == want
 
     def test_riesz_probe_kernel_path(self):
         spec = sphere_spectrum(3)

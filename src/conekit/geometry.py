@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +43,13 @@ def check_dimension(d) -> int:
     if not (isinstance(d, numbers.Real) and math.isfinite(d) and d >= 3 and int(d) == d):
         raise DomainError(f"cone dimension d must be an integer >= 3, got {d!r}")
     return int(d)
+
+
+def _check_volume(volume: float, shape: str) -> float:
+    """``volume``; a :class:`DomainError` naming ``shape`` unless it is a positive normal float."""
+    if not sys.float_info.min <= volume < math.inf:
+        raise DomainError(f"{shape} has volume {volume!r}, not a positive normal float")
+    return volume
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,11 @@ class SphereCrossSection(CrossSection):
         self.dim = int(dim)
         self.radius = radius
         n = self.dim
-        self.volume = radius**n * 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        try:
+            volume = radius**n * 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        except OverflowError:
+            volume = math.inf
+        self.volume = _check_volume(volume, f"the {n}-sphere of radius {radius!r}")
 
     def _unit(self, y) -> np.ndarray:
         v = np.asarray(y, dtype=float)
@@ -159,7 +171,7 @@ class TorusCrossSection(CrossSection):
             raise DomainError(f"torus radii must be finite and > 0, got {radii!r}")
         self.radii = radii
         self.dim = len(radii)
-        self.volume = math.prod(2.0 * math.pi * a for a in radii)
+        self.volume = _check_volume(math.prod(2.0 * math.pi * a for a in radii), f"the torus of radii {radii!r}")
 
     def _angles(self, y) -> np.ndarray:
         v = np.asarray(y, dtype=float)

@@ -156,11 +156,11 @@ def load_spectrum(path) -> CrossSectionSpectrum:
 def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
     """Write a spectrum to the JSON file format.
 
-    Sphere modes are saved with exact addition coefficients (Chebyshev
-    interpolation of the degree-l Gegenbauer pair function is exact at
-    degree l); modes loaded from a file write their coefficients back
-    unchanged.  Pair functions that are not functions of the scalar
-    separation alone (tori) are saved norms-only.
+    A unit sphere's modes are saved with their cosine coefficients, in
+    closed form (degree l has l + 1); modes loaded from a file write
+    their coefficients back unchanged.  Pair functions that are not
+    cosine series in the separation (tori, spheres of radius != 1) are
+    saved norms-only.
     """
     table = spectrum.table
     out_modes = []
@@ -177,31 +177,16 @@ def save_spectrum(spectrum: CrossSectionSpectrum, path) -> None:
 
 def _separation_coeffs(spectrum: CrossSectionSpectrum) -> list:
     """Each mode's cosine coefficients of pair(gamma) where exact (a file's own, or a unit sphere's), else None."""
-    from numpy.polynomial import chebyshev
-
     table, cs = spectrum.table, spectrum.cross_section
     # The file's separation coordinate gamma feeds cos(gamma) directly; for
     # radius != 1 the pair depends on cos(gamma/a), which is not a
     # polynomial in cos(gamma), so such spheres are saved norms-only.
     if not (isinstance(cs, SphereCrossSection) and cs.radius == 1.0):
         return [list(tag) if isinstance(tag, tuple) else None for tag in table.tag.tolist()]
-    # pair_l(x = cos gamma) is a polynomial of degree l, interpolated as
-    # chebinterpolate does at its n_l = max(l, 1) + 1 Chebyshev points x_j:
-    # c_k = (2 - [k = 0]) / n_l * sum_j pair_l(x_j) T_k(x_j).  One pass over
-    # the degrees (in blocks of at most 2^18 values) gives every pair_l(x_j),
-    # and one over k, by T_k = 2x T_{k-1} - T_{k-2}, every mode's sums.
-    n = np.maximum(np.arange(table.mu.size), 1) + 1
-    x = np.concatenate([chebyshev.chebpts1(m) for m in n.tolist()])
-    starts = np.cumsum(n) - n
-    gamma, block, y, state = np.arccos(x), max(1, (1 << 18) // x.size), [], None
-    for lo in range(0, n.size, block):
-        pair, _, state = table.pairs(None, None, gamma, lo, min(lo + block, n.size), state, False)
-        y += [pair[starts[l]:starts[l] + n[l], l - lo] for l in range(lo, lo + pair.shape[1])]
-    y, t_prev, t = np.concatenate(y), np.ones_like(x), x
-    sums = [np.add.reduceat(y, starts)]
-    for _ in range(1, n[-1]):
-        sums.append(np.add.reduceat(y * t, starts))
-        t_prev, t = t, 2.0 * x * t - t_prev
-    coeffs = np.array(sums).T / (0.5 * n[:, None])
-    coeffs[:, 0] *= 0.5
-    return [row[:m] for row, m in zip(coeffs.tolist(), n.tolist())]
+    # pair_l = pair_sup_l C_l^nu(cos gamma) / C_l^nu(1), nu = (d-2)/2, and C_l^nu(cos gamma) =
+    # sum_k g_k g_{l-k} cos((l-2k) gamma), g_k = (nu)_k / k! (DLMF 18.5.11): positive weights w_m
+    # of cos(m gamma) that sum to C_l^nu(1), so the coefficients are pair_sup_l w / sum(w).
+    nu, size = (spectrum.d - 2) / 2.0, table.mu.size
+    g = np.cumprod(np.concatenate([[1.0], (nu + np.arange(size - 1.0)) / np.arange(1.0, size)]))
+    ws = (np.bincount(np.abs(l - 2 * np.arange(l + 1)), weights=g[:l + 1] * g[l::-1]) for l in range(size))
+    return [(sup * w / w.sum()).tolist() for sup, w in zip(table.pair_sup.tolist(), ws)]

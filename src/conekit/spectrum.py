@@ -463,7 +463,7 @@ def _gegenbauer_steps(alpha: float, count: int) -> tuple[list, list]:
 
 
 def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
-    """C_l^alpha(x) / C_l^alpha(1) for the degrees l = lo .. hi-1, and the state at hi-1.
+    """C_l^alpha(x) / C_l^alpha(1) at one point x for the degrees l = lo .. hi-1, and the state at hi-1.
 
     The normalized three-term recurrence p_l = p_{l-1} + d_l with
     d_l = 2(k+alpha)/(k+2 alpha) (x-1) p_{l-1} + k/(k+2 alpha) d_{l-1},
@@ -471,11 +471,10 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
     :func:`_gegenbauer_steps` for at least hi-1 values of k.  It is the
     form scipy's ``eval_gegenbauer`` runs at integer degree, so the two
     agree to the last bit (except within 1e-5 of x = 0, where scipy sums a
-    series).  ``state`` is (d, p) at degree lo-1, needed for lo >= 2; x
-    may be an array, and the ratios then hold one row per x.
+    series).  ``state`` is (d, p) at degree lo-1, needed for lo >= 2.
     """
     if lo <= 1:
-        out, (d, p), lo = [1.0 + 0.0 * x, x][lo:hi], (x - 1.0, x), 2
+        out, (d, p), lo = [1.0, x][lo:hi], (x - 1.0, x), 2
     else:
         out, (d, p) = [], state
     xm1, append = x - 1.0, out.append
@@ -484,7 +483,7 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
         d = a * xm1 * p + b * d
         p = d + p
         append(p)
-    return np.array(out).T, (d, p)
+    return np.array(out), (d, p)
 
 
 def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
@@ -494,9 +493,8 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
     come from the Gegenbauer addition theorem,
     pair_l = norm_l C_l^nu(cos(gamma/a)) with nu = (d-2)/2, and
     d/d(arc) pair_l = -(2 nu/a) sin(gamma/a) norm_l C_{l-1}^{nu+1}(cos(gamma/a)),
-    both by :func:`_gegenbauer_ratios` times C_l^nu(1) = C(l+d-3, d-3) and
-    C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).  Without ``with_grad``, gamma may
-    be an array of separations, and the pairs then hold one row per gamma.
+    both by :func:`_gegenbauer_ratios` at the one separation gamma, times
+    C_l^nu(1) = C(l+d-3, d-3) and C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).
     """
     cs = tail.cross_section
     count = _degree_count(cs, tail.c0, mu_max)
@@ -512,7 +510,7 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
     steps, steps_grad = _gegenbauer_steps(nu, count), _gegenbauer_steps(nu + 1.0, count)
 
     def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
-        x = np.cos(gamma / a) if isinstance(gamma, np.ndarray) else math.cos(gamma / a)
+        x = math.cos(gamma / a)
         pair, state_pair = _gegenbauer_ratios(steps, x, lo, hi, state and state[0])
         if not with_grad:
             return norms[lo:hi] * (c_one[lo:hi] * pair), None, (state_pair, None)
@@ -586,8 +584,11 @@ def _cross_section(d: int, radii=None, **sphere) -> CrossSection:
     return cs
 
 
-def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, mu_cutoff, build, tail):
+def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, lam1: float, mu_cutoff, build, tail):
     """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth."""
+    # mu1 = sqrt(lam1 + c0), lam1 the lowest nonzero eigenvalue of Delta_Y, must round above mu0.
+    if math.sqrt(lam1 + c0) == math.sqrt(c0):
+        raise DomainError(f"c = {c!r} on {cs.descriptor()}: mu0 = {math.sqrt(c0)!r} and mu1 round to one float")
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise DomainError(f"mu_cutoff must be finite and > 0, got {mu_cutoff!r}")
@@ -625,7 +626,7 @@ def sphere_spectrum(
     c0 = _check_positivity(d, float(c))
     cs = _cross_section(d, radius=radius)
     tail = SphereTail(cs, c0)
-    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_sphere_table, tail), tail)
+    return _provider_spectrum(d, c, cs, c0, cs.dim / cs.radius**2, mu_cutoff, functools.partial(_sphere_table, tail), tail)
 
 
 def torus_spectrum(
@@ -643,7 +644,8 @@ def torus_spectrum(
     d = check_dimension(d)
     cs = _cross_section(d, radii)
     c0 = _check_positivity(d, float(c))
-    return _provider_spectrum(d, c, cs, c0, mu_cutoff, functools.partial(_torus_table, cs, c0), TorusTail(cs))
+    return _provider_spectrum(d, c, cs, c0, (1.0 / max(cs.radii)) ** 2, mu_cutoff,
+                              functools.partial(_torus_table, cs, c0), TorusTail(cs))
 
 
 def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectionSpectrum:

@@ -704,6 +704,28 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "finite" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("source, named", [
+        (["--c", "1e20"], "c = 1e+20 on sphere(dim=2, radius=1)"),
+        (["--c", "1e40"], "c = 1e+40 on sphere(dim=2, radius=1)"),
+        (["--c", "1e60"], "c = 1e+60 on sphere(dim=2, radius=1)"),
+        (["--c", "1e300"], "c = 1e+300 on sphere(dim=2, radius=1)"),
+        (["--radius", "1e150"], "c = 0.0 on sphere(dim=2, radius=1e+150)"),
+        (["--torus", "1,1.3", "--c", "1e20"], "c = 1e+20 on torus(radii=(1.0, 1.3))"),
+        (["--torus", "1,1.3", "--c", "1e40"], "c = 1e+40 on torus(radii=(1.0, 1.3))"),
+        (["--radius", "1e300"], "the 2-sphere of radius 1e+300"),
+        (["--radius", "1e-160"], "the 2-sphere of radius 1e-160"),
+        (["--torus", "1e-200,1e-200"], "the torus of radii (1e-200, 1e-200)"),
+    ])
+    def test_out_of_range_coupling_or_cross_section(self, capsys, source, named):
+        # Each was a traceback, a memory request or an error naming no input.
+        code, out, err = run_cli(capsys, "kernel", "--d", "3", *source, "--r", "0.5", "--rp", "1", "--gamma", "0.3")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
+
+    def test_largest_coupling_with_two_lowest_modes_apart_evaluates(self, capsys):
+        code, out, _ = run_cli(capsys, "kernel", "--d", "3", "--c", "1e16", "--r", "0.5", "--rp", "1", "--gamma", "0.3")
+        assert code == 0 and _parsed(out)["tail_kind"] == "rigorous"
+
     def test_positivity_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--d", "3", "--c", "-0.3")
         assert code == 1 and "error:" in err

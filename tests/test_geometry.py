@@ -1,6 +1,7 @@
 """Cross-section and cone geometry."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,12 @@ class TestSphere:
         with pytest.raises(DomainError):
             cs.points_at_separation(-0.1)
 
+    @pytest.mark.parametrize("radius", [1e300, 1e-160])
+    def test_rejects_a_volume_that_is_not_a_positive_normal_float(self, radius):
+        # 1e300 overflows in radius**2; 1e-160 gives a subnormal volume, whose pair_sup was inf.
+        with pytest.raises(DomainError, match=re.escape(f"2-sphere of radius {radius!r} has volume ")):
+            SphereCrossSection(2, radius)
+
     @pytest.mark.parametrize("bad", [0, -2, 1.5])
     def test_rejects_bad_dim(self, bad):
         with pytest.raises(DomainError):
@@ -128,6 +135,12 @@ class TestTorus:
             TorusCrossSection([])
         with pytest.raises(DomainError):
             TorusCrossSection([1.0, -1.0])
+
+    @pytest.mark.parametrize("radii", [(1e-200, 1e-200), (1e-155, 1e-155), (1e200, 1e200)])
+    def test_rejects_a_volume_that_is_not_a_positive_normal_float(self, radii):
+        # Zero, subnormal and infinite; the zero volume divided by zero in TorusTail at a kernel value.
+        with pytest.raises(DomainError, match=re.escape(f"torus of radii {radii!r} has volume ")):
+            torus_spectrum(3, radii)
 
 
 class TestSeparationCrossSection:

@@ -10,7 +10,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev
 from scipy.special import eval_gegenbauer
 
 from conekit import (
@@ -90,6 +89,21 @@ class TestSphereEigendata:
         with pytest.raises(DomainError, match="is too large") as err:
             build(c)
         assert f"coupling c = {c!r}" in str(err.value) and not isinstance(err.value, PositivityError)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: sphere_spectrum(3, c=2e16), "c = 2e+16 on sphere(dim=2, radius=1)"),
+        (lambda: sphere_spectrum(3, radius=1e150), "c = 0.0 on sphere(dim=2, radius=1e+150)"),
+        (lambda: torus_spectrum(3, (1.0, 1.3), c=1e20), "c = 1e+20 on torus(radii=(1.0, 1.3))")])
+    def test_two_lowest_modes_that_round_to_one_float_are_refused(self, build, named):
+        # sqrt(lambda_1 + mu0^2) == mu0, lambda_1 = 2/a^2 on the 2-sphere and 1/max(a_i)^2 on a torus.
+        with pytest.raises(DomainError, match="round to one float") as err:
+            build()
+        assert str(err.value).startswith(named)
+
+    def test_largest_coupling_with_two_lowest_modes_apart(self):
+        # c = 1e16 keeps mu1 above mu0 (2e16 does not); the CLI evaluates a kernel there.
+        spec = sphere_spectrum(3, c=1e16)
+        assert spec.mu1 > spec.mu0 == 1e8
 
     def test_trace_identity(self):
         # Integrating the eigenspace kernel over the diagonal must give the
@@ -551,21 +565,23 @@ class TestFileRoundTrip:
             got, _ = loaded.pair_values(*loaded.cross_section.points_at_separation(gamma))
             assert (np.abs(got - want) <= 1e-13 * spec.table.pair_sup).all()
 
-    def test_sphere_coefficients_interpolate_each_mode(self, tmp_path):
-        # With about 7000 Chebyshev points the pair values come in blocks of
-        # 36 degrees, each continuing the last; every mode's coefficients
-        # still interpolate its own pair function at its own points, to
-        # 1e-13 of the mode's sup.
-        spec = sphere_spectrum(4, mu_cutoff=120.0)
-        table = spec.table
+    @pytest.mark.parametrize("d", [3, 4, 5, 7])
+    def test_sphere_coefficients_match_gegenbauer(self, d, tmp_path):
+        # Degree l saves its l + 1 cosine coefficients, whose series is
+        # pair_sup_l C_l^nu(cos gamma) / C_l^nu(1), nu = (d-2)/2, to 1e-15 of
+        # pair_sup_l against mpmath (the series summed in 30 digits).
+        spec = sphere_spectrum(d, mu_cutoff=40.0)
         save_spectrum(spec, tmp_path / "sphere.json")
         saved = json.loads((tmp_path / "sphere.json").read_text())["modes"]
-        for l in (0, 1, 35, 36, 37, 80, table.mu.size - 1):
-            def pair(x):
-                return np.array([table.pairs(None, None, math.acos(v), 0, l + 1, None, False)[0][l] for v in x])
-
-            want = chebyshev.chebinterpolate(pair, max(l, 1))
-            assert np.abs(np.array(saved[l]["addition_coeffs"]) - want).max() <= 1e-13 * table.pair_sup[l]
+        nu = mp.mpf(d - 2) / 2
+        with mp.workdps(30):
+            for l, (mode, sup) in enumerate(zip(saved, spec.table.pair_sup.tolist())):
+                coeffs = mode["addition_coeffs"]
+                assert len(coeffs) == l + 1
+                for gamma in (mp.mpf(0.3), mp.mpf(1.1), mp.mpf(2.9)):
+                    want = sup * mp.gegenbauer(l, nu, mp.cos(gamma)) / mp.gegenbauer(l, nu, 1)
+                    got = mp.fsum(c * mp.cos(k * gamma) for k, c in enumerate(coeffs))
+                    assert abs(got - want) <= 1e-15 * sup
 
     def test_leading_modes_round_trip(self, tmp_path):
         spec = leading_modes(sphere_spectrum(3, c=-0.24), 2)
@@ -636,10 +652,9 @@ class TestSavedBytes:
 
     def test_sphere(self, tmp_path):
         assert self._saved(sphere_spectrum(3, mu_cutoff=3.0), tmp_path) == self._bytes(3, "constant:0.0", [
-            {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.07957747154594767, 0.0]},
-            {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.23873241463784295]},
-            {"mu": 2.5, "multiplicity": 5,
-             "addition_coeffs": [0.09947183943243458, 0.0, 0.2984155182973037]}])
+            {"mu": 0.5, "multiplicity": 1, "addition_coeffs": [0.07957747154594767]},
+            {"mu": 1.5, "multiplicity": 3, "addition_coeffs": [0.0, 0.238732414637843]},
+            {"mu": 2.5, "multiplicity": 5, "addition_coeffs": [0.0994718394324346, 0.0, 0.2984155182973038]}])
 
     def test_torus(self, tmp_path):
         assert self._saved(torus_spectrum(3, [1.0, 1.0], mu_cutoff=3.0), tmp_path) == self._bytes(

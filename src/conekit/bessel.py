@@ -35,12 +35,13 @@ takes (:func:`_blocks`), with nu_min = ``_OLVER_NU_MIN`` = 40:
   10.30.2; two of them below order 0.999, DLMF 10.27.4), whose next term
   is then below 3e-18 relative.
 
-Derivatives (``log_scaled`` with ``with_dr``) use
+The engine computes no derivative.  A caller that needs one takes an
+order-shifted partner from the same call (DLMF 10.29.2):
 ``I'_nu = I_{nu+1} + (nu/x) I_nu`` and
-``K'_nu = -(K_{|nu-1|} + K_{nu+1})/2``.  Both are sums of positive terms,
-combined with ``logaddexp``, so no cancellation occurs; each partner order
-takes the method of the order it serves.  Olver's ``U_k`` table is built
-on its first use, by the exact recurrence in floating point.
+``K'_nu = -K_{|nu-1|} - (nu/x) K_nu`` (K_{-nu} = K_nu), each a sum of
+terms of one sign, so no cancellation occurs; every order takes its own
+method.  Olver's ``U_k`` table is built on its first use, by the exact
+recurrence in floating point.
 
 Accuracy: within 1e-12 relative of 40-digit reference values over
 nu <= 200, x in [1e-300, 500], on both sides of every switch above, and
@@ -384,18 +385,28 @@ _METHOD_FNS = {
 }
 
 
-def _log_scaled_values(kind: str, nu: np.ndarray, x, by=None):
-    """(log scaled value, rel error, method index) for one kind, no derivative.
+def log_scaled(kind: str, nu, x):
+    """Logs of I_nu(x) e^{-x} (``kind="i"``) or K_nu(x) e^{x} (``"k"``) over arrays of orders.
+
+    ``x`` is a float or an array that broadcasts against ``nu``.  Returns
+    ``(ln, rel, method)``, arrays of the broadcast shape:
+
+    * ``ln`` -- the log of the scaled function;
+    * ``rel`` -- relative error estimate;
+    * ``method`` -- each entry's index into :data:`METHODS`.
 
     Each block of :func:`_blocks` runs as one vector pass over its
-    entries, chosen by the orders ``by`` (by default ``nu``, which it
-    broadcasts to).  ``x`` is a float or an array of ``nu``'s shape.
+    entries, each taking its own order's method.
     """
+    nu = np.asarray(nu, dtype=float)
+    if np.ndim(x):
+        nu, x = np.broadcast_arrays(nu, np.asarray(x, dtype=float))
+        x = x.ravel()
+    else:
+        x = float(x)
     shape = nu.shape
     nu = nu.ravel()
-    by = nu if by is None else np.broadcast_to(by, shape).ravel()
-    x = np.broadcast_to(x, shape).ravel() if isinstance(x, np.ndarray) else x
-    blocks = _blocks(kind, by, x)
+    blocks = _blocks(kind, nu, x)
     if len(blocks) == 1:  # one method takes every entry
         m = blocks[0][0]
         ln, rel = _METHOD_FNS[m](kind, nu, x)
@@ -409,52 +420,13 @@ def _log_scaled_values(kind: str, nu: np.ndarray, x, by=None):
     return ln.reshape(shape), rel.reshape(shape), method.reshape(shape)
 
 
-def log_scaled(kind: str, nu, x, with_dr: bool = False):
-    """Logs of I_nu(x) e^{-x} (``kind="i"``) or K_nu(x) e^{x} (``"k"``) over arrays of orders.
-
-    ``x`` is a float or an array that broadcasts against ``nu``.  Returns
-    ``(ln, ln_dr, rel, method)``, arrays of the broadcast shape:
-
-    * ``ln`` -- the log of the scaled function;
-    * ``ln_dr`` -- with ``with_dr``, the log of |d/dx| of the function on
-      the same e^{-+x} scale (I' > 0 and K' < 0 throughout), else None;
-    * ``rel`` -- relative error estimate, covering the derivative
-      partners' too;
-    * ``method`` -- each entry's index into :data:`METHODS`.
-    """
-    nu = np.asarray(nu, dtype=float)
-    if np.ndim(x):
-        x = np.asarray(x, dtype=float)
-        nu, x = np.broadcast_arrays(nu, x)
-    else:
-        x = float(x)
-    if not with_dr:
-        ln, rel, method = _log_scaled_values(kind, nu, x)
-        return ln, None, rel, method
-    # Each derivative partner takes its order's method, which serves it as
-    # well (the integral and the series at any order, Olver's expansion
-    # from order 15 on).
-    if kind == "i":
-        ln, rel, method = _log_scaled_values("i", np.stack((nu, nu + 1.0)), x, nu)
-        # nu = 0 drops the second term; nu / x overflows only at x below
-        # nu * 5.6e-309, and those entries take the two logs apart.
-        with np.errstate(divide="ignore", over="ignore"):
-            ln_dr = np.logaddexp(ln[1], np.log(nu / x) + ln[0])
-            if ln_dr.max() == np.inf:
-                ln_dr = np.where(ln_dr == np.inf, np.logaddexp(ln[1], np.log(nu) - np.log(x) + ln[0]), ln_dr)
-    else:
-        ln, rel, method = _log_scaled_values("k", np.stack((nu, np.abs(nu - 1.0), nu + 1.0)), x, nu)
-        ln_dr = np.logaddexp(ln[1], ln[2]) - _LN2
-    return ln[0], ln_dr, rel.max(axis=0), method[0]
-
-
 # ----------------------------------------------------------------------
 # Public scalar evaluations.
 # ----------------------------------------------------------------------
 
 def _scalar(kind: str, nu: float, r: float) -> BesselEval:
     nu, r = _validate(nu, r)
-    ln, _, rel, method = log_scaled(kind, [nu], r)
+    ln, rel, method = log_scaled(kind, [nu], r)
     method = METHODS[method[0]]
     shift = r if kind == "i" else -r
     log_value = float(ln[0]) + shift
@@ -474,22 +446,24 @@ def bessel_k(nu: float, r: float) -> BesselEval:
 
 
 def wronskian_residual(nu, r):
-    """r * |I_nu(r) K'_nu(r) - I'_nu(r) K_nu(r) + 1/r| (should be ~0).
+    """r * |I_nu(r) K_{nu+1}(r) + I_{nu+1}(r) K_nu(r) - 1/r| (should be ~0).
 
-    The exact Wronskian is I K' - I' K = -1/r; the residual is scaled by r
-    so it is a relative-size quantity across the whole range.  On the
-    scaled logs the e^{-+r} factors cancel in both products.  ``nu`` and
-    ``r`` may be arrays that broadcast together, for one vector pass; the
-    result is then an array.
+    The exact Wronskian is I_nu K_{nu+1} + I_{nu+1} K_nu = 1/r (DLMF
+    10.28.2), two positive terms, which the resolvent's tail bounds use;
+    the residual is scaled by r so it is a relative-size quantity across
+    the whole range.  On the scaled logs the e^{-+r} factors cancel in both
+    products.  ``nu`` and ``r`` may be arrays that broadcast together, for
+    one vector pass; the result is then an array.
     """
     nu, r = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(r, dtype=float))
     bad = ~(np.isfinite(nu) & (nu >= 0.0) & np.isfinite(r) & (r > 0.0))
     if bad.any():
         _validate(nu[bad][0], r[bad][0])  # raises, naming the first bad entry
-    li, ldi, _, _ = log_scaled("i", nu, r, True)
-    lk, ldk, _, _ = log_scaled("k", nu, r, True)
+    orders = np.stack((nu, nu + 1.0))
+    (li, li1), _, _ = log_scaled("i", orders, r)
+    (lk, lk1), _, _ = log_scaled("k", orders, r)
     log_r = np.log(r)
-    res = np.abs(1.0 - np.exp(li + ldk + log_r) - np.exp(ldi + lk + log_r))
+    res = np.abs(1.0 - np.exp(li + lk1 + log_r) - np.exp(li1 + lk + log_r))
     return float(res) if res.ndim == 0 else res
 
 

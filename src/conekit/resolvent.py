@@ -101,9 +101,13 @@ the rounding estimate are arrays of the same shape; each chunk's tails
 are the table's ``log_weights`` seeded by one ``log_sum_beyond`` call at
 its top.  The sum stops at the first column that meets every row's
 target; where the table runs out, its last column is the value and the
-tail.  The radial derivative with z inner uses
+tail.  The radial derivative takes an order-shifted partner from the
+same Bessel call (DLMF 10.29.2), never a derivative.  With z inner,
 beta I_mu + lam I'_mu = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu, so the
-two 1/r parts cancel in closed form, not in rounding at tiny r.
+two 1/r parts cancel in closed form, not in rounding at tiny r.  With z
+outer, beta K_mu + lam K'_mu = -[lam K_{|mu-1|} + ((mu + d/2 - 1)/r) K_mu],
+two terms of one sign whose sum is |beta| K_mu + lam |K'_mu|, what the
+tails bound.
 
 The lambda-integral
 -------------------
@@ -363,7 +367,7 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         if counts.size:
             starts = np.cumsum(counts) - counts
             j = np.arange(counts.sum()) - np.repeat(starts, counts)
-            log_e, _, rel, _ = log_scaled("i", mu[j], np.repeat(x[~short], counts))
+            log_e, rel, _ = log_scaled("i", mu[j], np.repeat(x[~short], counts))
             terms = pair_rows[:, j] * np.exp(log_e)
             node[:, ~short] = np.add.reduceat(terms, starts, axis=1)
             fp[:, ~short] = np.add.reduceat(np.abs(terms) * (rel + np.repeat(counts, counts) * _EPS), starts, axis=1)
@@ -437,20 +441,19 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         a, b = lam * a_r, lam * b_r
 
         def factors(mu):
-            """log I K, its radial partner's log, their radial coefficients and relative error."""
-            log_i, _, rel_i, _ = log_scaled("i", mu, a)
-            log_k, log_dk, rel_k, _ = log_scaled("k", mu, b, need_grad and not z_small)
-            rel = rel_i + rel_k
+            """log I K, its radial partner's log, their radial coefficients and relative error.
+
+            The partner is I_{mu+1} K with z inner and I K_{|mu-1|} with z outer (see Evaluation).
+            """
+            i_orders = np.stack((mu, mu + 1.0)) if need_grad and z_small else mu[None]
+            k_orders = np.stack((mu, np.abs(mu - 1.0))) if need_grad and not z_small else mu[None]
+            log_i, rel_i, _ = log_scaled("i", i_orders, a)
+            log_k, rel_k, _ = log_scaled("k", k_orders, b)
+            rel = np.maximum(rel_i[0] + rel_k[0], rel_i[-1] + rel_k[-1])
             if not need_grad:
-                return log_i + log_k, None, None, None, rel
-            # With z inner, beta_r I + lam I' = lam I_{mu+1} + ((mu - (d-2)/2)/r) I_mu:
-            # the two 1/r parts cancel in closed form instead of in rounding.
-            # With z outer, beta_r K and lam K' have the same sign.
-            if z_small:
-                log_1, _, rel_1, _ = log_scaled("i", mu + 1.0, a)
-                return (log_i + log_k, log_1 + log_k, (mu - 0.5 * (spec.d - 2)) / r, lam,
-                        np.maximum(rel, rel_1 + rel_k))
-            return log_i + log_k, log_i + log_dk, beta_r, -lam, rel
+                return log_i[0] + log_k[0], None, None, None, rel
+            coef_ik, coef_1 = ((mu - 0.5 * (spec.d - 2)) / r, lam) if z_small else (-(mu + 0.5 * spec.d - 1.0) / r, -lam)
+            return log_i[0] + log_k[0], log_i[-1] + log_k[-1], coef_ik, coef_1, rel
     shifts = []
 
     def terms(mu, pair, grad):

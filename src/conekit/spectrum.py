@@ -80,6 +80,10 @@ _RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # degrees or torus lattice vectors.  SphereTail keeps its degree table up
 # to the same size.
 TABLE_CEILING = 1 << 16
+# The most entries a base table may enumerate: the default boxes of the
+# (5, 5) and (1, 0.8, 1.2) tori (d = 3 and 4, c = 0) hold 159,201 and 472,815
+# lattice vectors.
+_BASE_TABLE_LIMIT = 1 << 20
 
 
 class TailProfile:
@@ -524,6 +528,12 @@ def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
     return ModeArrays(mu, mult, pair_sup, grad_sup, l, "l={}", pairs)
 
 
+def _box_count(cs: TorusCrossSection, c0: float, mu_max: float) -> float:
+    """The lattice vectors in :func:`_torus_table`'s box of mu_max, in floats: prod_i (2 floor(a_i t) + 1)."""
+    t = math.sqrt(max(mu_max**2 - c0, 0.0))
+    return math.prod((2.0 * np.floor(np.asarray(cs.radii) * t) + 1.0).tolist())
+
+
 def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | None = None):
     """ModeArrays of every lattice cluster with mu <= mu_max, or of every cluster in the largest box of ``limit``.
 
@@ -584,14 +594,21 @@ def _cross_section(d: int, radii=None, **sphere) -> CrossSection:
     return cs
 
 
-def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, lam1: float, mu_cutoff, build, tail):
-    """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth."""
+def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, lam1: float, mu_cutoff, build, size, tail):
+    """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth.
+
+    ``size(mu_max)`` counts the entries ``build(mu_max)`` enumerates; past ``_BASE_TABLE_LIMIT`` it is not built.
+    """
     # mu1 = sqrt(lam1 + c0), lam1 the lowest nonzero eigenvalue of Delta_Y, must round above mu0.
     if math.sqrt(lam1 + c0) == math.sqrt(c0):
         raise DomainError(f"c = {c!r} on {cs.descriptor()}: mu0 = {math.sqrt(c0)!r} and mu1 round to one float")
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise DomainError(f"mu_cutoff must be finite and > 0, got {mu_cutoff!r}")
+    count = size(cutoff)
+    if count > _BASE_TABLE_LIMIT:
+        raise DomainError(f"d = {d}, c = {c!r} on {cs.descriptor()}: the base table up to mu_cutoff = {cutoff!r} "
+                          f"enumerates {count:.6g} entries, more than {_BASE_TABLE_LIMIT}")
     table = build(cutoff)
     if not table.mu.size:
         raise InsufficientSpectrumError(
@@ -626,7 +643,8 @@ def sphere_spectrum(
     c0 = _check_positivity(d, float(c))
     cs = _cross_section(d, radius=radius)
     tail = SphereTail(cs, c0)
-    return _provider_spectrum(d, c, cs, c0, cs.dim / cs.radius**2, mu_cutoff, functools.partial(_sphere_table, tail), tail)
+    return _provider_spectrum(d, c, cs, c0, cs.dim / cs.radius**2, mu_cutoff, functools.partial(_sphere_table, tail),
+                              functools.partial(_degree_count, cs, c0), tail)
 
 
 def torus_spectrum(
@@ -645,7 +663,7 @@ def torus_spectrum(
     cs = _cross_section(d, radii)
     c0 = _check_positivity(d, float(c))
     return _provider_spectrum(d, c, cs, c0, (1.0 / max(cs.radii)) ** 2, mu_cutoff,
-                              functools.partial(_torus_table, cs, c0), TorusTail(cs))
+                              functools.partial(_torus_table, cs, c0), functools.partial(_box_count, cs, c0), TorusTail(cs))
 
 
 def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectionSpectrum:

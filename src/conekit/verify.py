@@ -363,9 +363,9 @@ def _bessel_inequalities():
     b = np.geomspace(1e-6, 1e3, 40)
     s = np.array([1e-3, 0.3, 0.9, 0.999, 0.9999])[:, None, None]
     # On log_scaled's e^{-+b} scales, a product I(b) K(b) needs no unscaling.
-    (i, i1), _, (ri, ri1), _ = log_scaled("i", np.stack((m, m + 1.0)), b)
-    (k, k1), _, (rk, rk1), _ = log_scaled("k", np.stack((m, m + 1.0)), b)
-    i_a, _, ri_a, _ = log_scaled("i", m, s * b)
+    (i, i1), (ri, ri1), _ = log_scaled("i", np.stack((m, m + 1.0)), b)
+    (k, k1), (rk, rk1), _ = log_scaled("k", np.stack((m, m + 1.0)), b)
+    i_a, ri_a, _ = log_scaled("i", m, s * b)
     lg_half, lg_one = (np.array([math.lgamma(v + shift) for v in mu]) for shift in (0.5, 1.0))
     t = np.geomspace(1e-3, 0.9999, 40)
     f, e, rf = map(np.array, zip(*(log_ik_integrals(mu, v) for v in t)))  # one row per t

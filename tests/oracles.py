@@ -33,14 +33,6 @@ def bessel_k_ref(nu: float, r: float) -> float:
     return float(mp.besselk(nu, r))
 
 
-def bessel_i_dr_ref(nu: float, r: float) -> float:
-    return float((mp.besseli(nu - 1, r) + mp.besseli(nu + 1, r)) / 2)
-
-
-def bessel_k_dr_ref(nu: float, r: float) -> float:
-    return float(-(mp.besselk(nu - 1, r) + mp.besselk(nu + 1, r)) / 2)
-
-
 def log_bessel_i_ref(nu: float, r: float) -> float:
     """log I_nu(r), usable where I itself under/overflows float64."""
     return float(mp.log(mp.besseli(nu, r)))

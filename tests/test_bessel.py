@@ -17,6 +17,7 @@ import oracles
 
 NU_GRID = [0.1, 0.5, 1.0, 2.7, 10.0, 29.9, 30.5, 60.0, 120.0, 200.0]
 R_GRID = [1e-6, 1e-3, 0.1, 1.0, 1.9, 2.1, 9.9, 10.1, 35.0, 120.0, 500.0]
+_BELOW_NU_MIN = math.nextafter(_NU_MIN, 0.0)
 
 
 def _rel_log_err(eval_, log_ref: float) -> float:
@@ -33,17 +34,22 @@ def _rel_error_est(ev) -> float:
     return abs(ev.abs_error_est / ev.value) if ev.value != 0.0 else 0.0
 
 
-def _logs_with_dr(kind, nu, r):
-    """Logs of |f_nu(r)| and |f_nu'(r)| (f = I or K), unscaled from ``log_scaled(..., with_dr=True)``.
+def _logs_and_derivative(kind, nu, r):
+    """Logs of |f_nu(r)| and |f_nu'(r)| (f = I or K), the derivative from an order-shifted partner.
 
-    Also their error estimates: the scaled value's rel, plus the rounding
-    of the unscaling (and, for the derivative, of its partner sum).
+    I'_nu = I_{nu+1} + (nu/r) I_nu and |K'_nu| = K_{|nu-1|} + (nu/r) K_nu
+    (DLMF 10.29.2), the order and its partner from one ``log_scaled``
+    call.  Also their error estimates: the scaled values' rel, plus the
+    rounding of the unscaling (and, for the derivative, of its partner sum).
     """
-    ln, ln_dr, rel, _ = log_scaled(kind, [nu], r, True)
+    partner = nu + 1.0 if kind == "i" else abs(nu - 1.0)
+    ln, rel, _ = log_scaled(kind, [nu, partner], r)
     shift = r if kind == "i" else -r
-    log_f, log_df = float(ln[0]) + shift, float(ln_dr[0]) + shift
+    log_f, log_p = float(ln[0]) + shift, float(ln[1]) + shift
+    # nu / r overflows at subnormal r: its log does not.
+    log_df = float(np.logaddexp(log_p, math.log(nu) - math.log(r) + log_f)) if nu else log_p
     rel_f = float(rel[0]) + _EPS * abs(log_f)
-    return log_f, log_df, rel_f, rel_f + 4.0 * _EPS
+    return log_f, log_df, rel_f, float(rel.max()) + 2.0 * _EPS * abs(log_df) + 4.0 * _EPS
 
 
 class TestAccuracy:
@@ -63,8 +69,8 @@ class TestAccuracy:
         worst = 0.0
         for nu in [0.1, 0.5, 2.7, 30.5, 120.0]:
             for r in [1e-5, 0.1, 1.0, 9.9, 35.0]:
-                log_di = _logs_with_dr("i", nu, r)[1]
-                log_dk = _logs_with_dr("k", nu, r)[1]
+                log_di = _logs_and_derivative("i", nu, r)[1]
+                log_dk = _logs_and_derivative("k", nu, r)[1]
                 worst = max(
                     worst,
                     _log_err(log_di, oracles.log_bessel_i_dr_ref(nu, r)),
@@ -115,10 +121,10 @@ class TestScaledRange:
         # I_{1/2}(x) = sqrt(2/(pi x)) sinh x, and e^{-1600} is nothing beside 1.
         np.testing.assert_allclose(i.log_abs, 800.0 - 0.5 * math.log(1600.0 * math.pi), rtol=1e-14)
         assert bessel_k(0.5, 800.0).float_value() == 0.0
-        # K_5(1e-100) and |K_5'(1e-100)| are past float range; their logs are not.
-        log_k, log_dk, _, _ = _logs_with_dr("k", 5.0, 1e-100)
-        assert bessel_k(5.0, 1e-100).float_value() == math.inf
-        assert math.log(sys.float_info.max) < log_k < log_dk < math.inf
+        # K_5(1e-100) is past float range; its log is not.
+        k = bessel_k(5.0, 1e-100)
+        assert k.float_value() == math.inf
+        assert math.log(sys.float_info.max) < k.log_abs < math.inf
 
     def test_plain_range_folds_to_exp2_zero(self):
         ev = bessel_i(1.0, 2.0)
@@ -150,7 +156,7 @@ class TestScaledRange:
                 err = _rel_log_err(got, ref)
                 assert err <= _rel_error_est(got) and err < 1e-12, (nu, r, got)
             for kind, refs in (("k", (log_k, oracles.log_abs_bessel_k_dr_ref(nu, r))), ("i", (log_i, log_di))):
-                log_f, log_df, rel_f, rel_df = _logs_with_dr(kind, nu, r)
+                log_f, log_df, rel_f, rel_df = _logs_and_derivative(kind, nu, r)
                 for got, ref, rel in zip((log_f, log_df), refs, (rel_f, rel_df)):
                     err = _log_err(got, ref)
                     assert err <= rel and err < 1e-12, (kind, nu, r, got)
@@ -175,23 +181,34 @@ class TestIdentities:
         assert wronskian_residual(nu, r).max() < 1e-10  # the same in one vector pass
 
     def test_argument_arrays_match_single_calls(self):
-        # One call over per-entry arguments, derivatives included, gives
-        # each entry what a call of its own (a float x) gives, in every
-        # method; and an order column against an argument row broadcasts.
+        # One call over per-entry arguments gives each entry what a call of
+        # its own (a float x) gives, in every method; and an order column
+        # against an argument row broadcasts.
         rng = np.random.default_rng(7)
         nu, x = rng.uniform(0.0, 80.0, 300), 10.0 ** rng.uniform(-12.0, 2.5, 300)
         for kind in "ik":
-            ln, ln_dr, _, method = log_scaled(kind, nu, x, with_dr=True)
-            grid = log_scaled(kind, nu[:6, None], x[None, :5], with_dr=True)
-            assert grid[0].shape == grid[1].shape == (6, 5)
+            ln, _, method = log_scaled(kind, nu, x)
+            grid = log_scaled(kind, nu[:6, None], x[None, :5])
+            assert grid[0].shape == grid[1].shape == grid[2].shape == (6, 5)
             for j in range(nu.size):
-                one_ln, one_dr, _, one_method = log_scaled(kind, [nu[j]], x[j], with_dr=True)
+                one_ln, _, one_method = log_scaled(kind, [nu[j]], x[j])
                 assert method[j] == one_method[0], (kind, nu[j], x[j])
-                for got, want in ((ln[j], one_ln[0]), (ln_dr[j], one_dr[0])):
-                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (kind, nu[j], x[j], got, want)
+                assert abs(ln[j] - one_ln[0]) <= 1e-14 * max(1.0, abs(one_ln[0])), (kind, nu[j], x[j])
                 if j < 5:  # the grid's diagonal holds the same (order, argument) pairs
                     assert abs(grid[0][j, j] - ln[j]) <= 1e-14 * max(1.0, abs(ln[j]))
             assert len(set(method.tolist())) >= (3 if kind == "k" else 2)
+
+    @pytest.mark.parametrize("nu", [math.nextafter(0.999, 0.0), 0.999, _BELOW_NU_MIN, _NU_MIN])
+    @pytest.mark.parametrize("x", [_X_TINY, math.nextafter(_X_TINY, 1.0), _X_LARGE, math.nextafter(_X_LARGE, 1e3)])
+    def test_k_order_recurrence(self, nu, x):
+        # K_{nu+1} = K_{|nu-1|} + (2 nu/x) K_nu (DLMF 10.29.1), every term
+        # positive, on both sides of each switch of K's methods: the
+        # resolvent's z-outer radial factor takes K_{|nu-1|} beside K_nu.
+        # At x = 1e-10 the logs reach 1082, whose ulp is 2.3e-13: the bound
+        # is 1e-13 relative plus two ulps of the log.
+        ln, _, _ = log_scaled("k", [nu, abs(nu - 1.0), nu + 1.0], x)
+        rhs = np.logaddexp(ln[1], math.log(2.0 * nu / x) + ln[0])
+        assert _log_err(ln[2], rhs) <= 1e-13 + 2.0 * _EPS * abs(rhs), (nu, x, ln)
 
     def test_half_integer_closed_forms(self):
         for r in [1e-4, 0.3, 1.0, 7.0, 80.0]:
@@ -226,7 +243,7 @@ class TestIdentities:
 
 def _log_value(kind, nu, x):
     """(log I_nu(x) or log K_nu(x), its method) from one log_scaled call."""
-    ln, _, _, method = log_scaled(kind, [nu], x)
+    ln, _, method = log_scaled(kind, [nu], x)
     return float(ln[0]) + (x if kind == "i" else -x), METHODS[method[0]]
 
 
@@ -234,7 +251,6 @@ def _log_ref(kind, nu, x):
     return (oracles.log_bessel_i_ref if kind == "i" else oracles.log_bessel_k_ref)(nu, x)
 
 
-_BELOW_NU_MIN = math.nextafter(_NU_MIN, 0.0)
 # Each switch of the dispatch: (kind, nu, x) on its two sides, one ulp
 # apart in the variable it cuts, and the methods on either side.
 _SEAMS = [
@@ -310,15 +326,15 @@ class TestUniformBounds:
     def test_tail_product_bound_is_provable(self):
         # The resolvent's tail bounds must dominate the true products, with
         # s = a/b: I K <= s^mu/(2 mu), I' K <= s^mu (1/(2a) + a/b^2) and
-        # I |K'| <= s^mu / b.
+        # I |K'| <= s^mu / b; I' and |K'| from order-shifted partners.
         rng = np.random.default_rng(8)
         for _ in range(200):
             mu = float(rng.uniform(0.1, 80.0))
             b = float(10.0 ** rng.uniform(-3, 2))
             a = b * float(rng.uniform(0.01, 1.0))
             log_s = mu * math.log(a / b)
-            log_i, log_di, _, _ = _logs_with_dr("i", mu, a)
-            log_k, log_dk, _, _ = _logs_with_dr("k", mu, b)
+            log_i, log_di, _, _ = _logs_and_derivative("i", mu, a)
+            log_k, log_dk, _, _ = _logs_and_derivative("k", mu, b)
             assert log_i + log_k <= log_s - math.log(2.0 * mu) + 1e-12, (mu, a, b)
             assert log_di + log_k <= log_s + math.log(0.5 / a + a / (b * b)) + 1e-12, (mu, a, b)
             assert log_i + log_dk <= log_s - math.log(b) + 1e-12, (mu, a, b)
@@ -330,7 +346,7 @@ class TestUniformBounds:
 
 def _scaled(kind, nu, x):
     """(log of the e^{-+x}-scaled value, rel) at one order and argument."""
-    ln, _, rel, _ = log_scaled(kind, [nu], x)
+    ln, rel, _ = log_scaled(kind, [nu], x)
     return float(ln[0]), float(rel[0])
 
 
@@ -414,14 +430,11 @@ _HIGH_ORDERS = [250.0, 1000.0, 5000.0, 20000.0, 60000.0]
 
 @functools.cache
 def _high_order_refs(nu):
-    """(x, [log I, log I', log K, log |K'|]) at x = 1e-6, nu/8 and 2 nu, by the recurrences
-    I' = I_{nu+1} + (nu/x) I and |K'| = K_{nu+1} - (nu/x) K."""
+    """(x, [(log I_nu, log I_{nu+1}), (log K_nu, log K_{nu+1})]) at x = 1e-6, nu/8 and 2 nu."""
     out = []
     for x in (1e-6, nu / 8.0, 2.0 * nu):
         (li, lk), (li1, lk1) = oracles.log_bessel_ik_quad(nu, x), oracles.log_bessel_ik_quad(nu + 1.0, x)
-        ratio = math.log(nu / x)
-        out.append((x, [li, li1 + math.log1p(math.exp(ratio + li - li1)),
-                        lk, lk1 + math.log1p(-math.exp(ratio + lk - lk1))]))
+        out.append((x, [(li, li1), (lk, lk1)]))
     return out
 
 
@@ -432,11 +445,11 @@ class TestHighOrders:
         # the logs reach 1.5e6 here, where one ulp is 2e-10: the bound is 1e-12
         # times max(1, |log|), the relative bound of the tests up to order 200.
         methods = set()
-        for x, (li, ldi, lk, ldk) in _high_order_refs(nu):
-            for kind, shift, want in (("i", x, (li, ldi)), ("k", -x, (lk, ldk))):
-                ln, ln_dr, _, method = log_scaled(kind, [nu], x, with_dr=True)
-                methods.add((kind, METHODS[method[0]]))
-                for got, ref in zip((ln[0] + shift, ln_dr[0] + shift), want):
+        for x, (want_i, want_k) in _high_order_refs(nu):
+            for kind, shift, want in (("i", x, want_i), ("k", -x, want_k)):
+                ln, _, method = log_scaled(kind, [nu, nu + 1.0], x)  # an order and its partner in one call
+                methods.update((kind, METHODS[m]) for m in method)
+                for got, ref in zip(ln + shift, want):
                     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (kind, nu, x, got, ref)
         if nu >= 1000.0:  # every fallback runs: the I series, Olver's I and K
             assert {("i", "power-series"), ("i", "uniform-asymptotic"), ("k", "uniform-asymptotic")} <= methods

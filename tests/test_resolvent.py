@@ -294,6 +294,27 @@ class TestGradient:
             g.angular.float_value(), dG_dR * rp * math.sin(gamma) / R, rtol=1e-9
         )
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_outer_radial_factor_near_the_face(self, d, tmp_path):
+        # With z outer, one mode's d_r / G is beta_r + lam K'_mu(b)/K_mu(b)
+        # = -[lam K_{|mu-1|}(b)/K_mu(b) + (mu + d/2 - 1)/r].  At mu in
+        # [50, 80] and b <= 0.03 the Bessel logs reach about 850; taking K'
+        # as (K_{mu-1} + K_{mu+1})/2 instead errs by about 1.5e-13 here.
+        worst = 0.0
+        for mu in (50.0, 54.25, 61.5, 67.0, 72.75, 79.5):
+            path = tmp_path / f"mode-{d}-{mu}.json"
+            path.write_text(json.dumps({"d": d, "v0": "file",
+                                        "modes": [{"mu": mu, "multiplicity": 1, "addition_coeffs": [1.0]}]}))
+            spec = load_spectrum(path)
+            for b, s, lam in ((1e-3, 0.9, 1.0), (0.01, 0.5, 2.0), (0.03, 0.9, 0.5)):
+                r = b / lam
+                req = ResolventRequest(spec, *_point_pair(spec, r, s * r, 1.0), lam=lam)
+                got = resolvent_gradient(req).d_r.float_value() / resolvent_kernel(req).float_value()
+                m, bm = mp.mpf(mu), mp.mpf(b)
+                want = -(lam * mp.besselk(abs(m - 1), bm) / mp.besselk(m, bm) + (m + mp.mpf(d) / 2 - 1) / r)
+                worst = max(worst, float(abs(got / want - 1)))
+        assert worst <= 1e-14, worst
+
     def test_angular_vanishes_identically_at_zero_separation(self):
         z, zp = _point_pair(S3_NEG, 0.2, 1.0, 0.0)
         g = resolvent_gradient(ResolventRequest(S3_NEG, z, zp))
@@ -656,10 +677,14 @@ _bessel_i = functools.cache(bessel_i)
 
 
 @functools.cache
-def _log_k_with_dr(mu, b):
-    """Logs of K_mu(b) and |K_mu'(b)|, unscaled from ``log_scaled("k", [mu], b, True)``."""
-    ln, ln_dr, _, _ = log_scaled("k", [mu], b, True)
-    return float(ln[0]) - b, float(ln_dr[0]) - b
+def _k_logs(mu, b):
+    """Logs of K_mu(b) and |K_mu'(b)| = (K_{|mu-1|}(b) + K_{mu+1}(b))/2 (DLMF 10.29.1).
+
+    The derivative takes both neighbouring orders, not the order shift of
+    conekit's z-outer radial factor, so that the loop checks that form.
+    """
+    (log_k, log_lo, log_hi), _, _ = log_scaled("k", [mu, abs(mu - 1.0), mu + 1.0], b)
+    return float(log_k) - b, float(np.logaddexp(log_lo, log_hi)) - math.log(2.0) - b
 
 
 def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
@@ -702,7 +727,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
         for i, (mu, _, _) in enumerate(modes):
             p, g = all_pairs[used]
             ik_i = _bessel_i(mu, a)
-            log_k, log_dk = _log_k_with_dr(mu, b)
+            log_k, log_dk = _k_logs(mu, b)
             ik = math.exp(ik_i.log_abs + log_k)
             terms = [p * ik]
             if need_grad and z_small:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -171,6 +172,23 @@ class TestInvariants:
     def test_cutoff_must_be_finite_and_positive(self, build, cutoff):
         with pytest.raises(DomainError, match="mu_cutoff"):
             build(cutoff)
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: torus_spectrum(3, [1.0, 1.3], c=1e10), "d = 3, c = 10000000000.0 on torus(radii=(1.0, 1.3)): "
+         "the base table up to mu_cutoff = 100030.00000125 enumerates 3.12017e+07 entries"),
+        (lambda: sphere_spectrum(3, radius=1e6), "d = 3, c = 0.0 on sphere(dim=2, radius=1e+06): "
+         "the base table up to mu_cutoff = 40.0 enumerates 3.99969e+07 entries"),
+    ], ids=["torus-c1e10", "sphere-radius1e6"])
+    def test_base_table_past_the_limit_is_refused(self, build, named):
+        # The entries are counted before any is built: the refusal allocates no table.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=re.escape(named)):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_pair_functions_need_a_tail_profile(self):
         for spec in (sphere_spectrum(3), torus_spectrum(3, [1.0, 1.3])):

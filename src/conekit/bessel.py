@@ -511,11 +511,16 @@ def log_ik_integrals(mu, s: float):
     # lowest for s > 1/e, where it rises with mu, the highest below).
     n = int(math.asinh(math.sqrt(45.0 / float((c * (2.0 * mu + 1.0)).min()))) / _TAU_STEP) + 1
     tau = (np.arange(n) + 0.5) * _TAU_STEP
-    u = c * np.sinh(tau) ** 2
-    q = -np.expm1(-2.0 * (eta + u))
-    w = (c * np.sinh(2.0 * tau)) * np.exp(-(2.0 * mu + 0.5) * u) / np.sqrt(q * np.sinh(u))
+    sums = np.empty((2, mu.shape[0]))
+    rows = max((1 << 16) // n, 1)  # orders per pass: the node arrays stay small near s = 1
+    for lo in range(0, mu.shape[0], rows):
+        c_rows = c[lo:lo + rows]
+        u = c_rows * np.sinh(tau) ** 2
+        q = -np.expm1(-2.0 * (eta + u))
+        w = (c_rows * np.sinh(2.0 * tau)) * np.exp(-(2.0 * mu[lo:lo + rows] + 0.5) * u) / np.sqrt(q * np.sinh(u))
+        sums[:, lo:lo + rows] = w.sum(axis=1), (w * np.exp(-2.0 * u) / q).sum(axis=1)
     log_p = math.log(_TAU_STEP / math.sqrt(2.0)) - eta * mu[:, 0]
-    log_f = log_p + np.log(w.sum(axis=1))
-    log_e = log_p - 2.0 * eta + np.log((w * np.exp(-2.0 * u) / q).sum(axis=1))
+    log_f = log_p + np.log(sums[0])
+    log_e = log_p - 2.0 * eta + np.log(sums[1])
     return log_f, log_e, 16.0 * _EPS * (1.0 + n + np.abs(log_f))
 

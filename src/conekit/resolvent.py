@@ -425,23 +425,25 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     # The components, one row each: the kernel, or with need_grad the radial
     # and (unless it is exactly zero) the angular derivative.
     n_comp = 2 if need_grad and not ang_exact_zero else 1
-    beta_r = (1.0 - 0.5 * spec.d) / r
+    # The gradient rows hold r times the derivatives; their scales carry the 1/r,
+    # which overflows at subnormal r.
+    log_r = math.log(r)
 
     if lam is None:
         a = b = 0.0  # the closed forms leave out no e^{a-b} factor
         log_b = math.log(b_r)
 
         def factors(mu):
-            """log F, log E, their radial coefficients and relative error: the terms' lambda-integrals."""
+            """log F, log E, r times their radial coefficients, and relative error: the terms' lambda-integrals."""
             log_f, log_e, rel = log_ik_integrals(mu, s)
             if z_small:
-                return log_f - log_b, log_e - log_b, (mu - 0.5 * (spec.d - 2)) / r, 1.0 / r, rel
-            return log_f - log_b, log_e - log_b, -(mu + 0.5 * spec.d) / r, -1.0 / r, rel
+                return log_f - log_b, log_e - log_b, mu - 0.5 * (spec.d - 2), 1.0, rel
+            return log_f - log_b, log_e - log_b, -(mu + 0.5 * spec.d), -1.0, rel
     else:
         a, b = lam * a_r, lam * b_r
 
         def factors(mu):
-            """log I K, its radial partner's log, their radial coefficients and relative error.
+            """log I K, its radial partner's log, r times their radial coefficients, and relative error.
 
             The partner is I_{mu+1} K with z inner and I K_{|mu-1|} with z outer (see Evaluation).
             """
@@ -452,7 +454,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             rel = np.maximum(rel_i[0] + rel_k[0], rel_i[-1] + rel_k[-1])
             if not need_grad:
                 return log_i[0] + log_k[0], None, None, None, rel
-            coef_ik, coef_1 = ((mu - 0.5 * (spec.d - 2)) / r, lam) if z_small else (-(mu + 0.5 * spec.d - 1.0) / r, -lam)
+            coef_ik, coef_1 = (mu - 0.5 * (spec.d - 2), a) if z_small else (-(mu + 0.5 * spec.d - 1.0), -b)
             return log_i[0] + log_k[0], log_i[-1] + log_k[-1], coef_ik, coef_1, rel
     shifts = []
 
@@ -461,8 +463,8 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
 
         Row i times e^scales[i] is a series term; the scale is chunk 0's
         max shift plus the factor e^{a-b} that the exponentially scaled
-        Bessel logs leave out.  The radial factor is
-        coef_ik e^{log_ik} + coef_1 e^{log_1}.
+        Bessel logs leave out, and 1/r on a gradient row.  The radial
+        factor times r is coef_ik e^{log_ik} + coef_1 e^{log_1}.
         """
         log_ik, log_1, coef_ik, coef_1, rel = factors(mu)
         if not shifts:
@@ -472,7 +474,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         if len(shifts) == 1:
             shifts.append(max(shifts[0], log_1.max()))
         radial = pair * (coef_ik * np.exp(log_ik - shifts[1]) + coef_1 * np.exp(log_1 - shifts[1]))
-        return np.array([radial, grad / r * np.exp(log_ik - shifts[0])][:n_comp]), rel
+        return np.array([radial, grad * np.exp(log_ik - shifts[0])][:n_comp]), rel
 
     # Sum chunk after chunk; stop at the first j whose remainder is below
     # rel_tol * |partial sum| in every component (0 <= 0 counts).
@@ -487,15 +489,15 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         x = s * s
         kinds = _INTEGRAL_KINDS
         log_a = math.log(0.5 * math.sqrt(math.pi)) - 0.5 * math.log1p(-x) - log_b
-        log_ar = log_a - math.log(r)
+        log_ar = log_a - log_r
         excess = 0.5 * (spec.d - 2) if z_small else 0.5 * spec.d
         log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
     else:
-        # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail
-        # (a / b / b, since b * b underflows at tiny radii)
+        # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail, with
+        # lam * deriv_factor = lam (1/(2a) + a/b^2) = (1 + 2 s^2)/(2r) (z inner) or lam/b = 1/r (z outer)
         kinds = _RESOLVENT_KINDS
-        deriv_factor = (1.0 / (2.0 * a) + a / b / b) if z_small else 1.0 / b
-        log_coefs = (0.0, math.log(abs(beta_r)), math.log(lam * deriv_factor), -math.log(r))
+        log_deriv = math.log1p(2.0 * s * s) - _LN2 if z_small else 0.0
+        log_coefs = (0.0, math.log(0.5 * spec.d - 1.0) - log_r, log_deriv - log_r, -log_r)
     if not need_grad:
         kinds = slice(kinds.start, kinds.start + 1)
 
@@ -543,7 +545,7 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     for mu, pair, grad, tail in chunks():
         T, rel = terms(mu, pair, grad)
         if not used:
-            scale_list = [shift + a - b for shift in (shifts[-1], shifts[0])[:n_comp]]
+            scale_list = [shift + a - b - (log_r if need_grad else 0.0) for shift in (shifts[-1], shifts[0])[:n_comp]]
             scales = np.array(scale_list)
         size = T.shape[1]
         sums = T.cumsum(axis=1)

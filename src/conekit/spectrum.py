@@ -11,8 +11,8 @@ table of modes, a :class:`ModeArrays` ``table``: mu_j, multiplicity and
 exact sup bounds as arrays, and ``pairs``, which returns for a range of
 modes at once the eigenspace sum  sum_m u_{j,m}(y) conj(u_{j,m}(y'))  and
 its derivative along the cross-section.  The sup bounds plus a tail
-profile (closed-form control of all modes beyond the table) are what make
-certified kernel truncation possible.
+profile (closed-form control of all modes beyond the table, finite for
+every s < 1) are what make certified kernel truncation possible.
 
 Providers: round spheres (Gegenbauer addition theorem, exact
 multiplicities) and flat tori (lattice enumeration).  JSON files carrying
@@ -20,12 +20,15 @@ precomputed mode tables for abstract cross-sections are read and written
 by :mod:`conekit.specfile`.
 
 Each mode quantity has one vector formula: :func:`_sphere_modes` maps an
-array of degrees to mu, multiplicity, sup bounds and Gegenbauer norms,
-for the sphere's table and for its tail alike; the torus table is one
-numpy enumeration of the lattice box, sorted and split into clusters;
-:meth:`TailProfile.weights` defines the per-mode weight of each tail
-kind (three for the resolvent, three for its lambda-integral), and
-``log_sum_beyond`` sums the kinds in use beyond the table in one pass.
+array of degrees to mu, multiplicity, sup bounds and Gegenbauer norms;
+the torus table is one numpy enumeration of the lattice box, sorted and
+split into clusters; :meth:`TailProfile.weights` defines the per-mode
+weight of each tail kind (three for the resolvent, three for its
+lambda-integral).  ``log_sum_beyond`` bounds the kinds in use beyond a
+table without reading one: each weight is at most a polynomial in the
+degree (spheres) or shell (tori) past the table, and s**mu at most a
+geometric sequence in it, so each tail is at most a positive combination
+of the sums  sum_k C(k, j) q**k = q**j/(1-q)**(j+1)  (:func:`_log_poly_sums`).
 
 Sphere and torus tables grow: the provider's table closure, which built
 the base table ``table``, is kept as ``CrossSectionSpectrum.grow``, and
@@ -48,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import _OLVER_NU_MIN
+from .bessel import _EPS, _LN2, _OLVER_NU_MIN
 from .errors import (
     DomainError,
     InsufficientSpectrumError,
@@ -77,8 +80,7 @@ _TAIL_KINDS = ("pair_over_2mu", "pair", "grad_over_2mu", "pair_over_sqrt_mu", "p
 # The kernel, radial and angular kinds of the series at one lambda, and of its lambda-integral.
 _RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # The most entries a table grown past the base table enumerates: sphere
-# degrees or torus lattice vectors.  SphereTail keeps its degree table up
-# to the same size.
+# degrees or torus lattice vectors.
 TABLE_CEILING = 1 << 16
 # The most entries a base table may enumerate: the default boxes of the
 # (5, 5) and (1, 0.8, 1.2) tori (d = 3 and 4, c = 0) hold 159,201 and 472,815
@@ -93,8 +95,8 @@ class TailProfile:
     the slice ``kinds`` of ``_TAIL_KINDS`` (by default the resolvent's
     three), the log of a proven upper bound for the sum over all modes with
     mu > mu_from of weight(mode) * s**mu, where :meth:`weights` gives the
-    weight of each kind.  The logs stay finite where s**mu underflows.
-    The kinds:
+    weight of each kind.  It needs 0 < s < 1 (:class:`DomainError`
+    otherwise), and the logs stay finite where s**mu underflows.  The kinds:
 
     * ``"pair_over_2mu"``: sup|pair| / (2 mu)   (kernel tails),
     * ``"pair"``:          sup|pair|            (radial-derivative tails),
@@ -106,6 +108,16 @@ class TailProfile:
     * ``"pair_over_sqrt_mu"``: sup|pair| / sqrt(mu),
     * ``"pair_sqrt_mu"``:      sup|pair| sqrt(mu),
     * ``"grad_over_sqrt_mu"``: sup|grad pair| / sqrt(mu).
+
+    A provider's bound is a closed form, finite for every s < 1.  Its
+    :meth:`_series` bounds, for the modes past mu_from in some order
+    k = 0, 1, ..., each mu below by m + k g and the weights sup|pair|/(2 mu),
+    sup|pair|, sup|grad pair|/(2 mu), sup|pair| mu and sup|grad pair| above
+    by e^{c_j} P_j(k), P_j polynomials with nonnegative coefficients in the
+    basis C(k, j), so each sum is at most s**m e^{c_j} sum_k P_j(k) q**k,
+    q = s**g (:func:`_log_poly_sums`).  The sqrt(mu) kinds follow by
+    Cauchy-Schwarz: sum w s**mu mu**(-+1/2) <= (sum w s**mu * sum w s**mu
+    mu**(-+1))**(1/2).
     """
 
     @staticmethod
@@ -116,6 +128,18 @@ class TailProfile:
                          pair_sup * root, grad_sup / root])
 
     def log_sum_beyond(self, s: float, mu_from: float, kinds=_RESOLVENT_KINDS) -> tuple[float, ...]:
+        if not 0.0 < s < 1.0:
+            raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
+        m, g, polys, consts = self._series(float(mu_from))
+        log_s = math.log(s)
+        kernel, pair, grad_kernel, pair_mu, grad = (v + c for v, c in zip(_log_poly_sums(g * log_s, polys), consts))
+        # 1e-12 covers the rounding of sums of positive terms, the rest 4 ulps of log s**m.
+        pad = m * log_s + 1e-12 + 4.0 * _EPS * abs(m * log_s)
+        return tuple(pad + v for v in (kernel, pair, grad_kernel, (pair + kernel + _LN2) / 2.0, (pair + pair_mu) / 2.0,
+                                        (grad + grad_kernel + _LN2) / 2.0)[kinds])
+
+    def _series(self, mu_from: float) -> tuple[float, float, list, list]:
+        """m, g, the five polynomials P_j and their log factors c_j past mu_from."""
         raise NotImplementedError
 
 
@@ -126,46 +150,26 @@ class CompleteTail(TailProfile):
         return (-math.inf,) * len(_TAIL_KINDS[kinds])
 
 
-class _MajorantTail(TailProfile):
-    """Term-by-term tail sums, stopped by a geometric majorant.
+def _times_linear(poly: list, c: float) -> list:
+    """poly(k) (k + c) in the basis C(k, j), by (k + c) C(k, j) = (j+1) C(k, j+1) + (j + c) C(k, j).
 
-    A subclass gives, for a block of n terms from index ``start`` past
-    mu_from, each kind's weights, the exponents log(s**mu), and ratio caps
-    rho with term(i+1) <= term(i) * rho(i) for every later i too.  A
-    kind's sum stops at the first term with a positive weight whose
-    majorant term * rho/(1 - rho) of all later terms is below 1e-6 of the
-    running total (and is added to the bound), or which underflows to 0
-    (the rest is then below float resolution).  The terms are summed
-    relative to the first, s**mu of which is put back as a log, so a tail
-    far below double range keeps its digits.  Blocks double in length up
-    to 2**15 terms, so memory stays bounded as s approaches 1.
+    For c >= 0 nonnegative coefficients stay nonnegative.
     """
+    return [(j + c) * x + j * y for j, (x, y) in enumerate(zip(poly + [0.0], [0.0] + poly))]
 
-    def _terms(self, s, mu_from, start, n, kinds):
-        """(weights, log s**mu, ratio caps) of terms start .. start+n-1, a row per tail kind in ``kinds``."""
-        raise NotImplementedError
 
-    def log_sum_beyond(self, s, mu_from, kinds=_RESOLVENT_KINDS):
-        if not 0.0 < s < 1.0:
-            raise DomainError(f"tail bounds need 0 < s < 1, got {s!r}")
-        bounds, carry, start, n, shift = {}, 0.0, 0, 64, None
-        while start < 10_000_000:
-            coef, log_term, rho = self._terms(s, mu_from, start, n, kinds)
-            if shift is None:
-                shift = float(log_term[0])
-            term = coef * np.exp(log_term - shift)
-            total = term.cumsum(axis=-1) + carry
-            # term * rho <= 1e-6 * total * (1 - rho) with term > 0 implies rho < 1.
-            stop = (coef > 0.0) & ((term == 0.0) | (term * rho <= 1e-6 * total * (1.0 - rho)))
-            for k, i in enumerate(stop.argmax(axis=-1).tolist()):
-                if k not in bounds and stop[k, i]:  # total, plus the majorant unless it underflowed
-                    t, r = term[k, i], rho[k, i]
-                    bounds[k] = float(total[k, i] + (t * r / (1.0 - r) if t > 0.0 else 0.0))
-            if len(bounds) == len(term):
-                return tuple(math.log(bounds[k]) + shift if bounds[k] > 0.0 else -math.inf
-                             for k in range(len(term)))
-            carry, start, n = total[:, -1:], start + n, min(2 * n, 1 << 15)
-        raise ArithmeticError("tail failed to converge")  # pragma: no cover
+def _log_poly_sums(log_q: float, polys) -> list[float]:
+    """log sum_{k >= 0} P(k) q^k, q = e^log_q < 1, for each P = sum_j p_j C(k, j) with p_j >= 0.
+
+    sum_k C(k, j) q^k = q^j / (1-q)^{j+1}: a sum of positive terms, taken in
+    logs, where 1 - q = -expm1(log q) keeps its digits as q approaches 1.
+    """
+    log_gap, out = math.log(-math.expm1(log_q)), []
+    for poly in polys:
+        logs = [j * log_q - (j + 1) * log_gap + math.log(p) for j, p in enumerate(poly) if p > 0.0]
+        peak = max(logs)
+        out.append(peak + math.log(sum(math.exp(v - peak) for v in logs)))
+    return out
 
 
 def _sphere_modes(cross_section: SphereCrossSection, c0: float, l: np.ndarray):
@@ -196,96 +200,80 @@ def _degree_count(cross_section: SphereCrossSection, c0: float, mu: float) -> in
     return int(cross_section.radius * math.sqrt(max(mu * mu - c0, 0.0))) + 1
 
 
-class SphereTail(_MajorantTail):
-    """Exact enumeration of sphere modes past the table.
+class SphereTail(TailProfile):
+    """Closed-form bound on the sphere modes past the table.
 
-    Multiplicities and eigenvalues have closed forms for every l
-    (:func:`_sphere_modes`), so the tail is summed term by term with
-    ratio caps
+    With nu = (d-2)/2 and kappa = a^2 c0 - nu^2, a mu_l = sqrt((l+nu)^2 + kappa).
+    Let l = L + k past mu_from, m = mu_L.  The gaps mu_{l+1} - mu_l tend to
+    1/a, rising for kappa > 0 and falling for kappa < 0, so mu_l >= m + k g
+    with g = min(mu_{L+1} - mu_L, 1/a).  With N_l = 2 (l+nu) C(l+d-3, d-3)
+    /(d-2), each weight is at most a polynomial in k with nonnegative
+    coefficients: 1/mu_l <= rho a/(l+nu) with rho = max(1, (L+nu)/(a m)),
+    as (l+nu)/(a mu_l) is below 1 for kappa >= 0 and falls in l for
+    kappa < 0; mu_l <= (l + nu + sqrt(max(kappa, 0)))/a; and grad_sup =
+    N_l l(l+d-2)/((d-1) a vol).
 
-        rho(l) = (coefficient growth cap at l) * s**min(gap(l), 1/a).
-
-    The cap is N_{l+1}/N_l, and for the gradient kinds the growth of
-    grad_sup.  Both ratios are decreasing in l, and the eigenvalue gap
-    mu_{l+1}-mu_l is monotone toward its limit 1/a from one side (the side
-    depends only on sign(c)), so rho(l) caps every later ratio.  Weights
-    falling with mu need no more; ``pair_sqrt_mu`` takes the cap times
-    sup_{l' >= l} (mu_{l'+1}/mu_{l'})^{1/2}.  With t = l + (d-2)/2 and
-    kappa = a^2 mu_l^2 - t^2, (mu_{l+1}/mu_l)^2 = 1 + (2t+1)/(t^2+kappa),
-    whose t-derivative has the sign of kappa - t - t^2: it falls from
-    t* = (sqrt(1 + 4 kappa) - 1)/2 on, where it is 1 + 1/t*.  The
-    s-independent arrays are built once and extended on demand; the
-    sphere's mode table (:func:`_sphere_table`) is sliced from the same
-    kept table, so each degree is built and stored once.
+    For c = 0 on the unit sphere (kappa = 0) the first three kinds are
+    exact; past the default tables they are within 1% elsewhere, and the
+    sqrt(mu) kinds within 12% (Cauchy-Schwarz).
     """
 
     def __init__(self, cross_section: SphereCrossSection, c0: float):
         self.cross_section = cross_section
         self.c0 = c0
-        self._table = None  # _build(0, n) for the lowest n <= TABLE_CEILING degrees asked for so far
 
-    def _build(self, lo: int, hi: int) -> np.ndarray:
-        """Rows of the degrees lo .. hi-1: the 6 of :func:`_sphere_modes`, the 6 weights, the 6 ratio caps, the gap."""
-        cs = self.cross_section
-        rows = _sphere_modes(cs, self.c0, np.arange(lo, hi + 1))
-        mu, mult, pair_sup, grad_sup = rows[:4]
-        growth = mult[1:] / mult[:-1]
-        # Degree 0 has grad_sup = 0, so it never stops the gradient sum and needs no cap.
-        grad_growth = np.divide(grad_sup[1:], grad_sup[:-1], out=growth.copy(), where=grad_sup[:-1] > 0.0)
-        nu = (cs.dim - 1) / 2.0
-        kappa = cs.radius**2 * self.c0 - nu * nu
-        t = np.maximum(np.arange(lo, hi) + nu, (math.sqrt(1.0 + 4.0 * kappa) - 1.0) / 2.0 if kappa > 0.0 else 0.0)
-        root_growth = growth * (1.0 + (2.0 * t + 1.0) / (t * t + kappa)) ** 0.25
-        return np.vstack([np.array(rows)[:, :-1], self.weights(mu, pair_sup, grad_sup)[:, :-1], growth, growth,
-                          grad_growth, growth, root_growth, grad_growth, np.minimum(np.diff(mu), 1.0 / cs.radius)])
+    @functools.lru_cache(maxsize=256)  # s-free: sweeps reuse a few chunk tops
+    def _series(self, mu_from):
+        d, a, c0 = self.cross_section.dim + 1, self.cross_section.radius, self.c0
+        nu, kappa = (d - 2) / 2.0, a * a * c0 - ((d - 2) / 2.0) ** 2
 
-    def _degrees(self, lo: int, hi: int) -> np.ndarray:
-        """_build(lo, hi), sliced from the kept table below TABLE_CEILING degrees."""
-        if hi > TABLE_CEILING:
-            return self._build(lo, hi)
-        if self._table is None or self._table.shape[1] < hi:
-            self._table = self._build(0, 1 << (hi - 1).bit_length())  # each extension at least doubles
-        return self._table[:, lo:hi]
+        def mu(l):  # _sphere_modes' formula, to the bit
+            return math.sqrt(l * (l + d - 2) / a**2 + c0)
 
-    def _terms(self, s, mu_from, start, n, kinds):
-        top = mu_from * (1.0 + 1e-15)
-        # Every degree l <= count - 1 - (d-2)/2 has mu_l <= top, and degree
-        # count has mu_l > top, so the first degree past top lies between.
-        count = _degree_count(self.cross_section, self.c0, top)
-        lo = max(count - 2 - math.ceil((self.cross_section.dim - 1) / 2.0), 0)
-        l0 = lo + int(self._degrees(lo, count + 1)[0].searchsorted(top, side="right")) + start
-        table = self._degrees(l0, l0 + n)
-        return table[6:12][kinds], table[0] * math.log(s), table[12:18][kinds] * s ** table[18]
+        top = mu_from * (1.0 + 1e-15)  # mu_l = top at l + nu = sqrt(a^2 (top^2 - c0) + nu^2)
+        l = max(int(math.sqrt(max(a * a * (top * top - c0) + nu * nu, 0.0)) - nu) - 2, 0)
+        while mu(l) <= top:
+            l += 1
+        m = mu(l)
+        # mu_{l+1} - mu_l = (2l + d - 1) / (a^2 (mu_{l+1} + mu_l)), rounded down
+        g = min((2 * l + d - 1) / (a * a * (m + mu(l + 1))) * (1.0 - 8.0 * _EPS), 1.0 / a)
+        # b = (d-3)! C(l+d-3, d-3); with the (d-2)! of N_l = 2 (l+nu) b/(d-2)!, the weights
+        # are at most b rho a, 2 b (l+nu), b rho l (l+d-2)/(d-1), 2 b (l+nu) (l+nu+sqrt(kappa))/a
+        # and 2 b (l+nu) l (l+d-2)/((d-1) a), over (d-2)! vol.
+        b = functools.reduce(_times_linear, range(l + 1, l + d - 2), [1.0])
+        bx = _times_linear(b, l + nu)
+        bll = _times_linear(_times_linear(b, l), l + d - 2)
+        polys = [b, bx, bll, _times_linear(bx, l + nu + math.sqrt(max(kappa, 0.0))), _times_linear(bll, l + nu)]
+        log_vol, rho = math.log(self.cross_section.volume) + math.lgamma(d - 1), max(1.0, (l + nu) / (a * m))
+        return m, g, polys, [math.log(rho * a) - log_vol, _LN2 - log_vol, math.log(rho / (d - 1)) - log_vol,
+                              _LN2 - log_vol - math.log(a), _LN2 - log_vol - math.log((d - 1) * a)]
 
 
-class TorusTail(_MajorantTail):
+class TorusTail(TailProfile):
     """Counting bound for torus modes past the table.
 
-    Modes with mu in (M+m-1, M+m] are overcounted by the lattice box bound
-    count(mu <= x) <= prod_i (2 a_i x + 3), each contributing at most
-    s**(M+m-1).  Per mode, pair_sup <= 1/vol and grad_sup <= sqrt(lambda)/vol
-    <= mu/vol, so each kind's weight is at most its value at pair_sup =
-    1/vol and grad_sup = mu/vol, a power of mu: with mu in (M, M+m] that is
-    the value at mu = M for the kinds it does not rise in, and at the shell
-    top for the others.  The shell ratio cap is s * box(M+m+1)/box(M+m)
-    times the kind's weight ratio between the shells, both falling in m.
-    Crude but rigorous, and negligible for s <= 1/4 past any default cutoff.
+    Modes with mu in (M+k, M+k+1], M = mu_from, are overcounted by the
+    lattice box bound count(mu <= x) <= prod_i (2 a_i x + 3), a polynomial
+    in k at the shell top x = M+k+1, each contributing at most s**(M+k).
+    Per mode, pair_sup <= 1/vol and grad_sup <= sqrt(lambda)/vol <= mu/vol,
+    so each kind's weight is at most its value at pair_sup = 1/vol and
+    grad_sup = mu/vol: at mu = M for the kinds it does not rise in, and at
+    x for the two it rises in, as sqrt(x).  Crude but rigorous, and
+    negligible for s <= 1/4 past any default cutoff.
     """
 
-    # The kinds whose weight rises with mu at pair_sup = 1/vol, grad_sup = mu/vol.
-    rising = (TailProfile.weights(2.0, 1.0, 2.0) > TailProfile.weights(1.0, 1.0, 1.0))[:, None]
-
     def __init__(self, cross_section: TorusCrossSection):
-        self.radii = np.asarray(cross_section.radii)[:, None]
+        self.radii = tuple(cross_section.radii)
         self.volume = cross_section.volume
 
-    def _terms(self, s, mu_from, start, n, kinds):
-        x = mu_from + np.arange(start + 1.0, start + n + 2.0)  # shell tops, one more for the last ratio
-        box = np.prod(2.0 * self.radii * x + 3.0, axis=0)
-        weights = np.where(self.rising, self.weights(x, np.full_like(x, 1.0 / self.volume), x / self.volume),
-                           self.weights(mu_from, 1.0 / self.volume, mu_from / self.volume)[:, None])
-        rho = s * box[1:] / box[:-1] * (weights[:, 1:] / weights[:, :-1])
-        return weights[kinds, :-1] * box[:-1], (x[:-1] - 1.0) * math.log(s), rho[kinds]
+    @functools.lru_cache(maxsize=256)
+    def _series(self, mu_from):
+        top = mu_from + 1.0  # box(top + k) = prod_i 2 a_i (k + top + 3/(2 a_i))
+        box = functools.reduce(_times_linear, (top + 1.5 / a for a in self.radii), [1.0])
+        log_box = math.log(math.prod(2.0 * a for a in self.radii) / self.volume)
+        box_top = _times_linear(box, top)  # box times the shell top, for the kinds rising in mu
+        return (mu_from, 1.0, [box, box, box, box_top, box_top],
+                [log_box - math.log(2.0 * mu_from), log_box, log_box - _LN2, log_box, log_box])
 
 
 @dataclass(frozen=True)
@@ -490,23 +478,22 @@ def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
     return np.array(out), (d, p)
 
 
-def _sphere_table(tail: SphereTail, mu_max: float, limit: int | None = None):
+def _sphere_table(cs: SphereCrossSection, c0: float, mu_max: float, limit: int | None = None):
     """ModeArrays of every degree with mu_l <= mu_max, at most the first ``limit``.
 
-    The arrays are views of the tail's kept degree table.  Pair functions
+    The rows are :func:`_sphere_modes`'.  Pair functions
     come from the Gegenbauer addition theorem,
     pair_l = norm_l C_l^nu(cos(gamma/a)) with nu = (d-2)/2, and
     d/d(arc) pair_l = -(2 nu/a) sin(gamma/a) norm_l C_{l-1}^{nu+1}(cos(gamma/a)),
     both by :func:`_gegenbauer_ratios` at the one separation gamma, times
     C_l^nu(1) = C(l+d-3, d-3) and C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).
     """
-    cs = tail.cross_section
-    count = _degree_count(cs, tail.c0, mu_max)
+    count = _degree_count(cs, c0, mu_max)
     if limit is not None:
         count = min(count, limit)
-    rows = tail._degrees(0, count)
+    rows = _sphere_modes(cs, c0, np.arange(count))
     count = int(np.searchsorted(rows[0], mu_max, side="right"))
-    mu, mult, pair_sup, grad_sup, norms, c_one = rows[:6, :count]
+    mu, mult, pair_sup, grad_sup, norms, c_one = (row[:count] for row in rows)
     d, a = cs.dim + 1, cs.radius
     nu = (d - 2) / 2.0
     l = np.arange(count)
@@ -642,9 +629,8 @@ def sphere_spectrum(
     d = check_dimension(d)
     c0 = _check_positivity(d, float(c))
     cs = _cross_section(d, radius=radius)
-    tail = SphereTail(cs, c0)
-    return _provider_spectrum(d, c, cs, c0, cs.dim / cs.radius**2, mu_cutoff, functools.partial(_sphere_table, tail),
-                              functools.partial(_degree_count, cs, c0), tail)
+    return _provider_spectrum(d, c, cs, c0, cs.dim / cs.radius**2, mu_cutoff, functools.partial(_sphere_table, cs, c0),
+                              functools.partial(_degree_count, cs, c0), SphereTail(cs, c0))
 
 
 def torus_spectrum(

@@ -22,8 +22,9 @@ Suites
     kernel and not certified, must match their closed forms to rel_tol.
 ``bessel``
     The inequalities the certificates use, on one grid (the check named
-    ``bessel.uniform-bounds``), Wronskian residuals, half-integer closed
-    forms.
+    ``bessel.uniform-bounds``), the closed-form tail sums past a table
+    against brute-force sums (``bessel.tail-sums``), Wronskian residuals,
+    half-integer closed forms.
 ``compatibility``
     Zero-front limits against the indicial kernel, with convergence
     rates min(2, 2 mu0).
@@ -66,7 +67,7 @@ from .lpcheck import (
 )
 from .resolvent import ResolventRequest, _b_half, resolvent_gradient, resolvent_kernel
 from .riesz import riesz_kernel
-from .spectrum import TABLE_CEILING, CrossSectionSpectrum, _mu0_squared, sphere_spectrum
+from .spectrum import TABLE_CEILING, CrossSectionSpectrum, TailProfile, _mu0_squared, sphere_spectrum, torus_spectrum
 
 __all__ = [
     "CheckResult",
@@ -383,17 +384,64 @@ def _bessel_inequalities():
     }
 
 
-def _suite_bessel(seed: int):
-    def bounds():
-        ratios, broken = [], []
-        for name, (value, bound, rel) in _bessel_inequalities().items():
-            excess = value - bound
-            ratios.append(f"{name} {math.exp(excess.max()):.6f}")
-            if (excess > rel).any():
-                broken.append(name)
-        head = f"broken: {', '.join(broken)}" if broken else f"{len(ratios)} inequalities hold within rel on one grid"
-        return not broken, f"{head}; worst value/bound: " + ", ".join(ratios)
+def _tail_sums():
+    """{name: (log brute, log bound, rel)}, rows the six tail kinds, columns s = 0.3, 0.9, 0.99 of each case.
 
+    The bound is the tail profile's ``log_sum_beyond`` past a table's top
+    mu.  Spheres of radius != 1, d = 3 .. 6 with c < 0, = 0 and > 0: the
+    brute force sums each mode's weights (:meth:`TailProfile.weights`)
+    times s^mu over a grown table, until s^mu is below e^{-100} of the
+    first term's.  The (1, 1.3) torus: its modes past mu = 20 up to the
+    grown table's top (part of the tail, so a lower bound too), and the
+    shell series that its bound sums in closed form, shell by shell.
+    ``rel`` allows for the brute force's rounding.
+    """
+    s = np.array([0.3, 0.9, 0.99])
+    reach = 100.0 / -math.log(s.max())
+
+    def case(spec, mu_from, log_weights, mu):
+        """The terms e^{log_weights} s^mu summed, and the bound past mu_from."""
+        return (np.logaddexp.reduce(log_weights[:, :, None] + mu[:, None] * np.log(s), axis=1),
+                np.array([spec.tail_profile.log_sum_beyond(v, mu_from, slice(0, 6)) for v in s.tolist()]).T)
+
+    def past(spec, table, mu_from):
+        keep = table.mu > mu_from
+        return case(spec, mu_from, table.log_weights[:, keep], table.mu[keep])
+
+    spheres = []
+    for d, c_neg in ((3, -0.15), (4, -0.6), (5, -1.2), (6, -2.4)):
+        for c, radius in ((c_neg, 0.7), (0.0, 2.0), (1.0, 1.5)):
+            spec = sphere_spectrum(d, radius=radius, c=c)
+            mu_from = float(spec.table.mu[-1])
+            spheres.append(past(spec, spec.grown(mu_from + reach), mu_from))
+    torus = torus_spectrum(3, (1.0, 1.3), mu_cutoff=20.0)
+    mu_from, vol = float(torus.table.mu[-1]), torus.cross_section.volume
+    # Shell k holds at most box(top) = prod_i (2 a_i top + 3) modes, top = mu_from + k + 1, each at most
+    # s^(mu_from + k) times its kind's weight at pair_sup = 1/vol, grad_sup = mu/vol: at mu = top for
+    # the two kinds that rise with mu, at mu = mu_from for the others.
+    top = mu_from + 1.0 + np.arange(0.0, reach)
+    weights = np.where(np.arange(6)[:, None] >= 4, TailProfile.weights(top, np.full_like(top, 1.0 / vol), top / vol),
+                       TailProfile.weights(mu_from, 1.0 / vol, mu_from / vol)[:, None])
+    shells = np.log(weights * (2.0 * top + 3.0) * (2.6 * top + 3.0))
+    cases = {"spheres": tuple(np.hstack(part) for part in zip(*spheres)),
+             "torus (1, 1.3) modes": past(torus, torus.grown(1e12), mu_from),
+             "torus (1, 1.3) shells": case(torus, mu_from, shells, top - 1.0)}
+    return {name: (*pair, 1e-10) for name, pair in cases.items()}
+
+
+def _bounds_check(cases, holds: str):
+    """(passed, detail) for {name: (log value, log bound, rel)}: each value at most its bound times e^rel."""
+    ratios, broken = [], []
+    for name, (value, bound, rel) in cases.items():
+        excess = value - bound
+        ratios.append(f"{name} {math.exp(excess.max()):.6f}")
+        if (excess > rel).any():
+            broken.append(name)
+    head = f"broken: {', '.join(broken)}" if broken else f"{len(ratios)} {holds}"
+    return not broken, f"{head}; worst value/bound: " + ", ".join(ratios)
+
+
+def _suite_bessel(seed: int):
     def wronskian():
         rng = random.Random(seed)
         nu, r = np.array([(10.0 ** rng.uniform(-1, math.log10(150)), 10.0 ** rng.uniform(-5, 2.5))
@@ -414,7 +462,9 @@ def _suite_bessel(seed: int):
         return worst < 1e-12, f"half-integer closed forms: worst rel err {worst:.2e}"
 
     return [
-        _timed("bessel.uniform-bounds", bounds),
+        _timed("bessel.uniform-bounds",
+               lambda: _bounds_check(_bessel_inequalities(), "inequalities hold within rel on one grid")),
+        _timed("bessel.tail-sums", lambda: _bounds_check(_tail_sums(), "tail sums within their closed-form bounds")),
         _timed("bessel.wronskian", wronskian),
         _timed("bessel.half-integer", half_integer),
     ]

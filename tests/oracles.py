@@ -114,6 +114,18 @@ def yukawa_kernel(r: float, rp: float, gamma: float, lam: float = 1.0) -> float:
     return math.exp(-lam * R) / (4.0 * math.pi * R)
 
 
+def yukawa_flat(d: int, r: float, rp: float, gamma: float, lam: float = 1.0):
+    """Flat R^d (d = 3, 5) resolvent kernel and its (radial, angular) gradient in z."""
+    R = euclid_distance(r, rp, gamma)
+    if d == 3:
+        value = math.exp(-lam * R) / (4.0 * math.pi * R)
+        d_dR = -(1.0 + lam * R) * math.exp(-lam * R) / (4.0 * math.pi * R * R)
+    else:  # (2 pi)^{-5/2} (lam/R)^{3/2} K_{3/2}(lam R)
+        value = math.exp(-lam * R) * (1.0 + lam * R) / (8.0 * math.pi ** 2 * R ** 3)
+        d_dR = -math.exp(-lam * R) * (3.0 + 3.0 * lam * R + (lam * R) ** 2) / (8.0 * math.pi ** 2 * R ** 4)
+    return value, d_dR * (r - rp * math.cos(gamma)) / R, d_dR * rp * math.sin(gamma) / R
+
+
 def riesz_r3(r: float, rp: float, gamma: float):
     """Riesz kernel components on R^3: T = -grad_z R / (pi^2 R^3).
 

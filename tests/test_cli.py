@@ -229,6 +229,16 @@ class TestKernel:
         assert got["value"] == "inf" and got["certified"] == "true"
         assert math.isfinite(float(got["tail_bound"]))
 
+    @pytest.mark.parametrize("command", ["kernel", "riesz"])
+    def test_within_a_hair_of_the_diagonal(self, capsys, command):
+        # 1 - s = 1e-7, past where the tail sum once raised ArithmeticError:
+        # the value comes back flagged, with a finite bound.
+        code, out, err = run_cli(capsys, command, "--d", "3", "--r", "0.9999999", "--rp", "1", "--gamma", "1")
+        assert code == 0 and err == ""
+        got = _parsed(out)
+        bound = got["tail_bound" if command == "kernel" else "quad_error_est"]
+        assert got["certified"] == "false" and math.isfinite(float(bound)), out
+
     def test_b_half_gauge(self, capsys):
         # The riemannian value times (r r')^{d/2-1}.  At these radii the
         # riemannian value is past float range and the b-half one is not.
@@ -447,13 +457,13 @@ class TestVerifyCommand:
         assert code == 0
         lines = out.splitlines()
         assert all(line.startswith("PASS ") for line in lines[:-1])
-        assert "3/3 checks passed" in lines[-1]
+        assert "4/4 checks passed" in lines[-1]
 
     def test_every_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all")
         lines = out.splitlines()
         assert code == 0 and all(line.startswith("PASS ") for line in lines[:-1])
-        assert lines[-1] == "25/25 checks passed in suite 'all'"
+        assert lines[-1] == "26/26 checks passed in suite 'all'"
 
     def test_failures_exit_two(self, capsys, monkeypatch):
         # The command looks run_suite up when it runs, and passes no seed it was not given.

@@ -88,24 +88,30 @@ class TestEuclideanOracle:
             # rounding noise on top.
             assert abs(kv.float_value() - ref) <= kv.float_tail_bound() + 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("r, rp", [(1e-170, 2e-170), (2e-170, 1e-170), (1e-300, 3e-300), (3e-300, 1e-300)])
-    def test_tiny_radii(self, r, rp):
-        # (lam r_>)^2 underflows here, and the gradients leave double range.
-        # Every length is t = min(r, r') times an O(1) one, so the closed
-        # forms are written in logs (lam = 1).
-        gamma, t = 1.0, min(r, rp)
+    @staticmethod
+    def _tiny_radii_logs(r, rp, gamma):
+        """(sign, log |.|) of e^{-R}/(4 pi R) and its radial and angular derivatives, in logs (lam = 1).
+
+        Every length is t = min(r, r') times an O(1) one, so no length
+        leaves double range on the way.
+        """
+        t = min(r, rp)
         x, xp = r / t, rp / t
         R1 = oracles.euclid_distance(x, xp, gamma)
         log_R, R = math.log(t) + math.log(R1), t * R1
         log_dg = math.log1p(R) - R - math.log(4.0 * math.pi) - 2.0 * log_R  # log |dG/dR|, dG/dR < 0
-        want = [(1.0, -R - math.log(4.0 * math.pi) - log_R),
+        return [(1.0, -R - math.log(4.0 * math.pi) - log_R),
                 (-math.copysign(1.0, x - xp * math.cos(gamma)),
                  log_dg + math.log(abs(x - xp * math.cos(gamma))) - math.log(R1)),
                 (-1.0, log_dg + math.log(xp * math.sin(gamma)) - math.log(R1))]
-        z, zp = _point_pair(S3, r, rp, gamma)
+
+    @pytest.mark.parametrize("r, rp", [(1e-170, 2e-170), (2e-170, 1e-170), (1e-300, 3e-300), (3e-300, 1e-300)])
+    def test_tiny_radii(self, r, rp):
+        # (lam r_>)^2 underflows here, and the gradients leave double range.
+        z, zp = _point_pair(S3, r, rp, 1.0)
         req = ResolventRequest(S3, z, zp)
         g = resolvent_gradient(req)
-        for kv, (sign, log_want) in zip((resolvent_kernel(req), g.d_r, g.angular), want):
+        for kv, (sign, log_want) in zip((resolvent_kernel(req), g.d_r, g.angular), self._tiny_radii_logs(r, rp, 1.0)):
             assert kv.certified and math.copysign(1.0, kv.value) == sign, (r, rp, kv)
             assert abs(kv.log_abs - log_want) <= _rel_tail(kv) + 1e-13, (r, rp, kv, log_want)
 
@@ -117,6 +123,18 @@ class TestEuclideanOracle:
         log_want = -math.log(4.0 * math.pi) - math.log(r) - math.log(oracles.euclid_distance(1.0, rp / r, 1.0))
         assert kv.certified and kv.float_value() == math.inf
         assert abs(kv.log_abs - log_want) <= _rel_tail(kv) + 1e-12, (kv, log_want)
+        # The gradient and the Riesz kernel at both point orders: their 1/r
+        # factors overflow as floats, so they stay in log space.
+        for r, rp in ((1e-310, 3e-310), (3e-310, 1e-310)):
+            z, zp = _point_pair(S3, r, rp, 1.0)
+            g = resolvent_gradient(ResolventRequest(S3, z, zp))
+            want = self._tiny_radii_logs(r, rp, 1.0)[1:]
+            for kv, (sign, log_want) in zip((g.d_r, g.angular), want):
+                assert kv.certified and math.copysign(1.0, kv.value) == sign, (r, rp, kv)
+                assert abs(kv.log_abs - log_want) <= _rel_tail(kv) + 1e-12, (r, rp, kv, log_want)
+            # -grad R/(pi^2 R^3) passes float range: signed infinities, the signs of the gradient's.
+            t = riesz_kernel(S3, z, zp)
+            assert t.certified and (t.d_r, t.angular) == tuple(sign * math.inf for sign, _ in want), (r, rp, t)
         # Past float range on either side, and below it.
         assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_value() == -math.inf
         assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_tail_bound() == math.inf
@@ -469,7 +487,7 @@ class TestDiagonal:
             req = ResolventRequest(spec, z, zp, lam=lam)
             got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
             close = d == 3 and lam * oracles.euclid_distance(r, r, gamma) <= 10.0
-            for kv, ref in zip(got, _closed_form(d, r, r, gamma, lam)):
+            for kv, ref in zip(got, oracles.yukawa_flat(d, r, r, gamma, lam)):
                 err = abs(kv.float_value() - ref)
                 assert not kv.certified and kv.tail_kind == "quadrature", (d, r, gamma, lam)
                 assert err <= kv.float_tail_bound() + 1e-10 * abs(ref), (d, r, gamma, lam, err)
@@ -800,18 +818,6 @@ class TestLoopReference:
                         assert g.angular.float_value() == 0.0 and g.angular.tail_kind == "exact"
 
 
-def _closed_form(d, r, rp, gamma, lam=1.0):
-    """Flat R^d (d = 3, 5) resolvent kernel and its (radial, angular) gradient in z."""
-    R = oracles.euclid_distance(r, rp, gamma)
-    if d == 3:
-        value = math.exp(-lam * R) / (4.0 * math.pi * R)
-        d_dR = -(1.0 + lam * R) * math.exp(-lam * R) / (4.0 * math.pi * R * R)
-    else:  # (2 pi)^{-5/2} (lam/R)^{3/2} K_{3/2}(lam R)
-        value = math.exp(-lam * R) * (1.0 + lam * R) / (8.0 * math.pi ** 2 * R ** 3)
-        d_dR = -math.exp(-lam * R) * (3.0 + 3.0 * lam * R + (lam * R) ** 2) / (8.0 * math.pi ** 2 * R ** 4)
-    return value, d_dR * (r - rp * math.cos(gamma)) / R, d_dR * rp * math.sin(gamma) / R
-
-
 class TestGrownTables:
     """Past the base table: 1/4 < s < 1, where the mode table grows on demand."""
 
@@ -822,7 +828,7 @@ class TestGrownTables:
             z, zp = _point_pair(spec, s, 1.0, 1.0)
             req = ResolventRequest(spec, z, zp)
             got = [*resolvent_gradient(req).__dict__.values()] if grad else [resolvent_kernel(req)]
-            want = _closed_form(d, s, 1.0, 1.0)
+            want = oracles.yukawa_flat(d, s, 1.0, 1.0)
             for kv, ref in zip(got, want[1:] if grad else want[:1]):
                 assert kv.certified and kv.tail_kind == "rigorous", (d, s, grad)
                 assert kv.modes_used > len(spec.table.mu) or s == 0.5
@@ -875,6 +881,31 @@ class TestGrownTables:
         assert kv.modes_used == TABLE_CEILING
         ref = oracles.yukawa_kernel(0.9999, 1.0, 1.0)
         assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-15])
+    def test_values_within_a_hair_of_the_diagonal(self, d, gap):
+        # At 1 - s far below 1/TABLE_CEILING the tail past the ceiling is a
+        # closed form (the term-by-term bound raised ArithmeticError here):
+        # the kernel, its gradient and the Riesz kernel come back finite and
+        # flagged, each bound covering the closed-form error.
+        spec = sphere_spectrum(d)
+        r = 1.0 - gap
+        z, zp = _point_pair(spec, r, 1.0, 1.0)
+        req = ResolventRequest(spec, z, zp)
+        got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+        for kv, ref in zip(got, oracles.yukawa_flat(d, r, 1.0, 1.0)):
+            assert not kv.certified and kv.tail_kind == "rigorous" and kv.modes_used == TABLE_CEILING, (d, gap)
+            assert abs(kv.float_value() - ref) <= kv.float_tail_bound() < math.inf, (d, gap, kv, ref)
+        t = riesz_kernel(spec, z, zp)
+        ref_r, ref_a = oracles.riesz_flat(d, r, 1.0, 1.0)
+        assert not t.certified and t.tail_kind == "rigorous" and math.isfinite(t.magnitude), (d, gap)
+        assert abs(t.d_r - ref_r) + abs(t.angular - ref_a) <= t.quad_error_est < math.inf, (d, gap, t)
+
+    def test_torus_value_within_a_hair_of_the_diagonal(self):
+        kv = _value(torus_spectrum(3, [1.0, 1.3]), 1.0 - 1e-9, 1.0, 1.0)
+        assert not kv.certified and kv.tail_kind == "rigorous"
+        assert math.isfinite(kv.float_value()) and math.isfinite(kv.float_tail_bound()), kv
 
     def test_sphere_table_runs_to_the_ceiling(self):
         # The last chunk takes every degree up to TABLE_CEILING, not only up

@@ -30,7 +30,7 @@ Let s = r_</r_> = a/b < 1.  Three elementary inequalities bound every
 discarded term:
 
     I_mu(a) K_mu(b)      <= s^mu / (2 mu),
-    I'_mu(a) K_mu(b)     <= s^mu (1/(2a) + a/b^2),
+    I'_mu(a) K_mu(b)     <= s^mu (1/(2a) + a/(2b^2)),
     I_mu(a) |K'_mu(b)|   <= s^mu / b.
 
 For the first, I_mu(x)/x^mu increases, so I_mu(a) <= s^mu I_mu(b), and
@@ -38,7 +38,8 @@ Nicholson's formula gives I_mu(b) K_mu(b) <= 1/(2 mu).  For the second,
 I'_mu = I_{mu+1} + (mu/a) I_mu; the (mu/a) I_mu piece is bounded by the
 first inequality, and the I_{mu+1} piece by order-(mu+1) monotonicity
 plus the Wronskian I_mu K_{mu+1} + I_{mu+1} K_mu = 1/b, whose terms are
-all positive, so I_{mu+1}(b) K_mu(b) <= 1/b.  For the third,
+all positive; since I_{mu+1} < I_mu and K_mu < K_{mu+1}, the second is the
+smaller, so I_{mu+1}(b) K_mu(b) <= 1/(2b).  For the third,
 |K'_mu| = (K_{mu-1} + K_{mu+1})/2 <= K_{mu+1}, since K increases in
 |order| and |mu-1| <= mu+1; then I_mu(b) K_{mu+1}(b) <= 1/b by the same
 Wronskian.  The check ``bessel.uniform-bounds`` (``conekit verify --suite
@@ -494,9 +495,9 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         log_coefs = (log_a, log_ar + math.log(excess + x / (1.0 - x)), log_ar, log_ar)
     else:
         # radial tail = |1-d/2|/r * kernel tail + lam * deriv_factor * pair tail, with
-        # lam * deriv_factor = lam (1/(2a) + a/b^2) = (1 + 2 s^2)/(2r) (z inner) or lam/b = 1/r (z outer)
+        # lam * deriv_factor = lam (1/(2a) + a/(2b^2)) = (1 + s^2)/(2r) (z inner) or lam/b = 1/r (z outer)
         kinds = _RESOLVENT_KINDS
-        log_deriv = math.log1p(2.0 * s * s) - _LN2 if z_small else 0.0
+        log_deriv = math.log1p(s * s) - _LN2 if z_small else 0.0
         log_coefs = (0.0, math.log(0.5 * spec.d - 1.0) - log_r, log_deriv - log_r, -log_r)
     if not need_grad:
         kinds = slice(kinds.start, kinds.start + 1)

@@ -20,11 +20,12 @@ precomputed mode tables for abstract cross-sections are read and written
 by :mod:`conekit.specfile`.
 
 Each mode quantity has one vector formula: :func:`_sphere_modes` maps an
-array of degrees to mu, multiplicity, sup bounds and Gegenbauer norms;
-the torus table is one numpy enumeration of the lattice box, sorted and
-split into clusters; :meth:`TailProfile.weights` defines the per-mode
-weight of each tail kind (three for the resolvent, three for its
-lambda-integral).  ``log_sum_beyond`` bounds the kinds in use beyond a
+array of degrees to mu, multiplicity and sup bounds, and a degree's pair
+function and its derivative are ``pair_sup`` times one Gegenbauer pass
+and its x-derivative; the torus table is one numpy enumeration of the
+lattice box, sorted and split into clusters; :meth:`TailProfile.weights`
+defines the per-mode weight of each tail kind (three for the resolvent,
+three for its lambda-integral).  ``log_sum_beyond`` bounds the kinds in use beyond a
 table without reading one: each weight is at most a polynomial in the
 degree (spheres) or shell (tori) past the table, and s**mu at most a
 geometric sequence in it, so each tail is at most a positive combination
@@ -172,27 +173,28 @@ def _log_poly_sums(log_q: float, polys) -> list[float]:
     return out
 
 
+def _sphere_mu(d: int, a: float, c0: float, l):
+    """mu_l = sqrt(l(l+d-2)/a^2 + c0) of the degree-l harmonics: of one degree, or of an array of degrees."""
+    return (np.sqrt if isinstance(l, np.ndarray) else math.sqrt)(l * (l + d - 2) / a**2 + c0)
+
+
 def _sphere_modes(cross_section: SphereCrossSection, c0: float, l: np.ndarray):
     """Eigendata of the degree-l harmonics, for an array of degrees l.
 
-    Returns (mu_l, N_l, pair_sup, grad_sup, norm, C_l(1)) with
-    mu_l = sqrt(l(l+d-2)/a^2 + c0); N_l the dimension of the degree-l
-    harmonics, as floats (exact while (2l+d-2) C(l+d-3, d-3) < 2^53);
-    pair_sup = N_l/vol, the pair function at coincidence; grad_sup its
-    derivative bound pair_sup * l(l+d-2)/((d-1) a); the Gegenbauer norm
-    N_l/(vol C_l(1)) = (2l+d-2)/((d-2) vol); and C_l(1) = C(l+d-3, d-3),
-    the Gegenbauer polynomial C_l^{(d-2)/2} at 1.
+    Returns (mu_l, N_l, pair_sup, grad_sup) with mu_l by :func:`_sphere_mu`;
+    N_l the dimension of the degree-l harmonics, as floats (exact while
+    (2l+d-2) C(l+d-3, d-3) < 2^53); pair_sup = N_l/vol, the pair function
+    at coincidence; and grad_sup its derivative bound
+    pair_sup * l(l+d-2)/((d-1) a).
     """
     d, a, vol = cross_section.dim + 1, cross_section.radius, cross_section.volume
     l = np.asarray(l, dtype=float)
-    mu = np.sqrt(l * (l + d - 2) / a**2 + c0)
     binom = np.ones_like(l)  # C(l+k, k) = C(l+k-1, k-1) (l+k)/k, exact integers
     for k in range(1, d - 2):
         binom = binom * (l + k) / k
     mult = (2 * l + d - 2) * binom / (d - 2)
     pair_sup = mult / vol
-    return (mu, mult, pair_sup, pair_sup * l * (l + d - 2) / ((d - 1) * a), (2 * l + d - 2) / ((d - 2) * vol),
-            binom)
+    return _sphere_mu(d, a, c0, l), mult, pair_sup, pair_sup * l * (l + d - 2) / ((d - 1) * a)
 
 
 def _degree_count(cross_section: SphereCrossSection, c0: float, mu: float) -> int:
@@ -226,10 +228,7 @@ class SphereTail(TailProfile):
     def _series(self, mu_from):
         d, a, c0 = self.cross_section.dim + 1, self.cross_section.radius, self.c0
         nu, kappa = (d - 2) / 2.0, a * a * c0 - ((d - 2) / 2.0) ** 2
-
-        def mu(l):  # _sphere_modes' formula, to the bit
-            return math.sqrt(l * (l + d - 2) / a**2 + c0)
-
+        mu = functools.partial(_sphere_mu, d, a, c0)
         top = mu_from * (1.0 + 1e-15)  # mu_l = top at l + nu = sqrt(a^2 (top^2 - c0) + nu^2)
         l = max(int(math.sqrt(max(a * a * (top * top - c0) + nu * nu, 0.0)) - nu) - 2, 0)
         while mu(l) <= top:
@@ -448,71 +447,70 @@ def _check_positivity(d: int, c: float) -> float:
     return c0
 
 
-def _gegenbauer_steps(alpha: float, count: int) -> tuple[list, list]:
-    """The coefficients 2(k+alpha)/(k+2 alpha) and k/(k+2 alpha), k = 0 .. count-1, of :func:`_gegenbauer_ratios`."""
-    k = np.arange(float(count))
-    return (2.0 * (k + alpha) / (k + 2.0 * alpha)).tolist(), (k / (k + 2.0 * alpha)).tolist()
-
-
-def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None):
-    """C_l^alpha(x) / C_l^alpha(1) at one point x for the degrees l = lo .. hi-1, and the state at hi-1.
+def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None, with_grad: bool = False):
+    """p_l = C_l^nu(x) / C_l^nu(1) at one point x for l = lo .. hi-1, p'_l (None without ``with_grad``), and a state.
 
     The normalized three-term recurrence p_l = p_{l-1} + d_l with
-    d_l = 2(k+alpha)/(k+2 alpha) (x-1) p_{l-1} + k/(k+2 alpha) d_{l-1},
-    k = l-1, from p_0 = 1, p_1 = x and d_1 = x-1; ``steps`` are
-    :func:`_gegenbauer_steps` for at least hi-1 values of k.  It is the
-    form scipy's ``eval_gegenbauer`` runs at integer degree, so the two
-    agree to the last bit (except within 1e-5 of x = 0, where scipy sums a
-    series).  ``state`` is (d, p) at degree lo-1, needed for lo >= 2.
+    d_l = a_k (x-1) p_{l-1} + b_k d_{l-1}, k = l-1, from p_0 = 1, p_1 = x
+    and d_1 = x-1; ``steps`` are the lists of a_k = 2(k+nu)/(k+2 nu) and
+    b_k = k/(k+2 nu) for at least k < hi-1.  It is the form scipy's
+    ``eval_gegenbauer`` runs at integer degree, so the two agree to the
+    last bit (except within 1e-5 of x = 0, where scipy sums a series).
+    With ``with_grad`` the same loop carries the x-derivative,
+    d'_l = a_k (p_{l-1} + (x-1) p'_{l-1}) + b_k d'_{l-1} and
+    p'_l = p'_{l-1} + d'_l from p'_0 = 0 and p'_1 = d'_1 = 1; without it
+    the loop carries p alone.  The state is (d, p) at degree hi-1, then
+    (d', p') with ``with_grad``; the call for degrees from lo >= 2 on needs
+    the one at lo-1.
     """
+    xm1, top = x - 1.0, max(hi - 1, 0)  # hi = 0 (no degree) must not wrap to the last step
+    out, out_dx = [], []
     if lo <= 1:
-        out, (d, p), lo = [1.0, x][lo:hi], (x - 1.0, x), 2
-    else:
-        out, (d, p) = [], state
-    xm1, append = x - 1.0, out.append
-    top = max(hi - 1, 0)  # hi = 0 (no degree) must not wrap to the last step
-    for a, b in zip(steps[0][lo - 1:top], steps[1][lo - 1:top]):
+        out, out_dx, state, lo = [1.0, x][lo:hi], [0.0, 1.0][lo:hi], (xm1, x, 1.0, 1.0), 2
+    append, a_k, b_k = out.append, steps[0][lo - 1:top], steps[1][lo - 1:top]
+    if not with_grad:
+        d, p = state[:2]
+        for a, b in zip(a_k, b_k):
+            d = a * xm1 * p + b * d
+            p = d + p
+            append(p)
+        return np.array(out), None, (d, p)
+    d, p, d_dx, p_dx = state
+    append_dx = out_dx.append
+    for a, b in zip(a_k, b_k):
+        d_dx = a * (p + xm1 * p_dx) + b * d_dx
         d = a * xm1 * p + b * d
         p = d + p
+        p_dx = d_dx + p_dx
         append(p)
-    return np.array(out), (d, p)
+        append_dx(p_dx)
+    return np.array(out), np.array(out_dx), (d, p, d_dx, p_dx)
 
 
 def _sphere_table(cs: SphereCrossSection, c0: float, mu_max: float, limit: int | None = None):
     """ModeArrays of every degree with mu_l <= mu_max, at most the first ``limit``.
 
-    The rows are :func:`_sphere_modes`'.  Pair functions
-    come from the Gegenbauer addition theorem,
-    pair_l = norm_l C_l^nu(cos(gamma/a)) with nu = (d-2)/2, and
-    d/d(arc) pair_l = -(2 nu/a) sin(gamma/a) norm_l C_{l-1}^{nu+1}(cos(gamma/a)),
-    both by :func:`_gegenbauer_ratios` at the one separation gamma, times
-    C_l^nu(1) = C(l+d-3, d-3) and C_{l-1}^{nu+1}(1) = C(l+d-2, d-1).
+    The rows are :func:`_sphere_modes`'.  By the Gegenbauer addition
+    theorem, pair_l = pair_sup_l p_l(x) and d/d(arc) pair_l =
+    -(sin(gamma/a)/a) pair_sup_l p'_l(x), with p_l = C_l^nu(x) / C_l^nu(1),
+    nu = (d-2)/2 and x = cos(gamma/a): both from one pass of
+    :func:`_gegenbauer_ratios` at the one separation gamma.
     """
     count = _degree_count(cs, c0, mu_max)
     if limit is not None:
         count = min(count, limit)
     rows = _sphere_modes(cs, c0, np.arange(count))
     count = int(np.searchsorted(rows[0], mu_max, side="right"))
-    mu, mult, pair_sup, grad_sup, norms, c_one = (row[:count] for row in rows)
-    d, a = cs.dim + 1, cs.radius
-    nu = (d - 2) / 2.0
-    l = np.arange(count)
-    c_one_grad = c_one * (l + d - 2) * l / ((d - 2) * (d - 1))
-    steps, steps_grad = _gegenbauer_steps(nu, count), _gegenbauer_steps(nu + 1.0, count)
+    mu, mult, pair_sup, grad_sup = (row[:count] for row in rows)
+    a, nu, k = cs.radius, (cs.dim - 1) / 2.0, np.arange(float(count))
+    steps = (2.0 * (k + nu) / (k + 2.0 * nu)).tolist(), (k / (k + 2.0 * nu)).tolist()
 
     def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
-        x = math.cos(gamma / a)
-        pair, state_pair = _gegenbauer_ratios(steps, x, lo, hi, state and state[0])
-        if not with_grad:
-            return norms[lo:hi] * (c_one[lo:hi] * pair), None, (state_pair, None)
-        g_lo = max(lo, 1)  # degree 0 has no gradient
-        grad_ratio, state_grad = _gegenbauer_ratios(steps_grad, x, g_lo - 1, hi - 1, state and state[1])
-        grad = np.zeros(hi - lo)
-        grad[g_lo - lo:] = (-2.0 * nu / a * math.sin(gamma / a)) * norms[g_lo:hi] \
-            * (c_one_grad[g_lo:hi] * grad_ratio)
-        return norms[lo:hi] * (c_one[lo:hi] * pair), grad, (state_pair, state_grad)
+        p, p_dx, state = _gegenbauer_ratios(steps, math.cos(gamma / a), lo, hi, state, with_grad)
+        sup = pair_sup[lo:hi]
+        return sup * p, None if p_dx is None else (-math.sin(gamma / a) / a) * sup * p_dx, state
 
-    return ModeArrays(mu, mult, pair_sup, grad_sup, l, "l={}", pairs)
+    return ModeArrays(mu, mult, pair_sup, grad_sup, np.arange(count), "l={}", pairs)
 
 
 def _box_count(cs: TorusCrossSection, c0: float, mu_max: float) -> float:

@@ -375,7 +375,7 @@ def _bessel_inequalities():
     return {
         "I_mu(b)K_mu(b)<=1/(2mu)": (i + k, -np.log(2.0 * m), ri + rk),
         "I_mu(sb)<=s^mu*I_mu(b)": (i_a - i - (1.0 - s) * b, m * np.log(s), ri_a + ri),
-        "I_mu+1(b)K_mu(b)<=1/b": (i1 + k, -np.log(b), ri1 + rk),
+        "I_mu+1(b)K_mu(b)<=1/(2b)": (i1 + k, -np.log(2.0 * b), ri1 + rk),
         "I_mu(b)K_mu+1(b)<=1/b": (i + k1, -np.log(b), ri + rk1),
         "Gamma(mu+1/2)/Gamma(mu+1)<=mu^-1/2": (lg_half - lg_one, -0.5 * np.log(mu),
                                                2.0 * _EPS * (np.abs(lg_half) + np.abs(lg_one))),

@@ -362,6 +362,12 @@ def _wronskian(mu, b):
     return b * mp.besseli(mu, b) * mp.besselk(mu + 1, b), li + lk + math.log(b), ri + rk
 
 
+def _wronskian_half(mu, b):
+    """I_{mu+1}(b) K_mu(b) <= 1/(2b): the smaller Wronskian term, as I_{mu+1} < I_mu and K_mu < K_{mu+1}."""
+    (li, ri), (lk, rk) = _scaled("i", mu + 1.0, b), _scaled("k", mu, b)
+    return 2 * b * mp.besseli(mu + 1, b) * mp.besselk(mu, b), li + lk + math.log(2.0 * b), ri + rk
+
+
 def _monotone(mu, b, s=0.999):
     """I_mu(s b) <= s^mu I_mu(b)."""
     (la, ra), (lb, rb) = _scaled("i", mu, s * b), _scaled("i", mu, b)
@@ -393,6 +399,9 @@ _TIGHT_ENDS = [
       for mu, b in ((200.0, 1e-4), (1000.0, 1e-3), (5000.0, 1e-2))],
     *[pytest.param(_wronskian, (mu, b), 1e-9, id=f"wronskian-mu{mu:g}-b{b:g}")
       for mu, b in ((0.5, 1e-6), (5.0, 1e-4), (60.0, 1e-3))],
+    # 1 - ratio is about (2 mu + 1)/(2b), so the bound is tight at large b.
+    *[pytest.param(_wronskian_half, (mu, b), 1e-3, id=f"wronskian-half-mu{mu:g}-b{b:g}")
+      for mu, b in ((1e-3, 1e3), (5.0, 1e4), (2.0, 1e5))],
     *[pytest.param(_monotone, (mu, b), 1e-12, id=f"monotone-s0.999-mu{mu:g}-b{b:g}")
       for mu, b in ((200.0, 2e-4), (5.0, 1e-5))],
     pytest.param(_wendel, (200.0,), 1.0 / 1600.0, id="wendel-mu200"),

@@ -724,7 +724,7 @@ def _loop_reference(spec, ref, r, rp, gamma, lam, rel_tol, need_grad):
     ang = need_grad and gamma != 0.0
     n_comp = 1 + need_grad + ang
     first = 1 if need_grad else 0  # a gradient returns no kernel component
-    deriv = (1 / (2 * a) + a / b ** 2) if z_small else 1 / b
+    deriv = (1 / (2 * a) + a / (2 * b ** 2)) if z_small else 1 / b
     modes = list(zip(spec.table.mu.tolist(), spec.table.pair_sup.tolist(), spec.table.grad_sup.tolist()))
     all_pairs = pairs(gamma)
     acc = [0.0] * n_comp

@@ -115,7 +115,7 @@ def _key_values(pairs: dict) -> str:
 
 
 def _emit(args, text: str) -> None:
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with open(args.out, "w") if args.out is not None else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(text + "\n")
 
 
@@ -140,14 +140,14 @@ def _add_source_args(sub, need_point=False):
 
 def _torus_radii(args):
     """The radii of ``--torus``, which reads no ``--radius``; None for a sphere."""
-    if not args.torus:
+    if args.torus is None:
         return None
     _refuse(args, "--torus", "radius")
     return _numbers(args.torus)
 
 
 def _spectrum_from(args):
-    if args.spectrum_file:
+    if args.spectrum_file is not None:
         _refuse(args, "--spectrum-file", "d", "c", "radius", "torus", "mu_cutoff")
         from .specfile import load_spectrum
 
@@ -166,7 +166,7 @@ def _spectrum_from(args):
 
 def _cmd_spectrum(args) -> int:
     spec = _spectrum_from(args)
-    if args.save:
+    if args.save is not None:
         from .specfile import save_spectrum
 
         save_spectrum(spec, args.save)
@@ -202,7 +202,7 @@ def _cmd_thresholds(args) -> int:
             raise _UsageError("--mu0 needs --d")
         _refuse(args, "--mu0", "c", "radius", "torus", "mu_cutoff", "spectrum_file")
         iv = threshold_interval(args.d, args.mu0)
-    elif args.spectrum_file or getattr(args, "c", 0.0) == 0.0:
+    elif args.spectrum_file is not None or getattr(args, "c", 0.0) == 0.0:
         spec = _spectrum_from(args)
         c = spec.v0_constant
         if c is None:

@@ -55,8 +55,9 @@ reversed ``np.logaddexp.accumulate`` of the log weights, seeded with
 ``tail_profile.log_sum_beyond`` at the top of the table summed so far, one
 row per tail kind in use.  The sum stops at the first term after which
 that remainder is below ``rel_tol * |partial sum|``.  Where the base
-table runs out first, sphere and torus tables grow (see Evaluation), up
-to ``spectrum.TABLE_CEILING`` entries.
+table runs out first, the sum reads the chunks of grown sphere and torus
+tables (:meth:`conekit.spectrum.CrossSectionSpectrum.chunks`; see
+Evaluation) until one stops at its ceiling.
 
 A result is *certified* when s < 1 and the rigorous stop rule fired; the
 ``tail_bound`` field then satisfies ``tail_bound <= rel_tol * |value|``
@@ -83,15 +84,14 @@ floating-point error (~1e-13 relative) is not included.
 
 Evaluation
 ----------
-The series is summed in chunks, one numpy pass each, and every chunk is
-read the same way from a mode table (:class:`conekit.spectrum.ModeArrays`):
-chunk 0 is the spectrum's ``table``, and chunk k >= 1 a grown table's
-modes past chunk k-1 up to ``mu_cutoff * _GROWTH**k`` (the last chunk
-runs to where the table stops at its ceiling), built only when the sum
-has not stopped before, and summed in blocks that at most double the
-modes summed.  The table's ``pairs`` gives pair_j (and its derivative)
-from one cross-section distance, continuing the chunk before;
-:func:`conekit.bessel.log_scaled` gives
+The series is summed in the chunks of
+:meth:`conekit.spectrum.CrossSectionSpectrum.chunks`, which owns the
+growth schedule: chunk 0 is the spectrum's ``table``, and each later
+chunk a grown table's next modes, built only when the sum has not
+stopped before and summed in blocks that at most double the modes
+summed.  Every chunk is read the same way, one numpy pass each: its
+pair_j (and derivatives), from one cross-section distance, continue the
+chunk before; :func:`conekit.bessel.log_scaled` gives
 L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component returned
 (the kernel, or the radial and angular derivatives: a gradient sums no
 kernel row) is one row of a (components x modes) array of terms
@@ -173,7 +173,7 @@ import numpy as np
 from .bessel import _EPS, _LN2, _ldexp, _Scaled, log_ik_integrals, log_scaled, split_log
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
-from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, TABLE_CEILING, CompleteTail, CrossSectionSpectrum
+from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, CompleteTail, CrossSectionSpectrum
 
 __all__ = [
     "ResolventRequest",
@@ -184,8 +184,6 @@ __all__ = [
 ]
 
 _KERNEL_REL_TOL = 1e-8  # ResolventRequest's default relative tolerance
-# Each chunk past the base table ends at this many times the cutoff of the one before.
-_GROWTH = 4
 # A rigorous value's rounding estimate joins its tail bound from a tenth of rel_tol * |value| on.
 _LOG_FP_SHARE = math.log(1e-1)
 # The tau rule at r = r': its first step, halved at most _DIAG_HALVINGS times,
@@ -336,8 +334,8 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
     if lr > 0.0:
         v_hi = min(v_hi, math.log(log_small) - 2.0 * math.log(lr))
     size = math.ceil((v_hi - v_lo) / _DIAG_STEP) + 1
-    if table.mu[-1] < need_top and spec.grow is not None:
-        table = spec.grown(need_top)
+    if table.mu[-1] < need_top:
+        table = spec.grown(need_top) or table
     mu = table.mu[:max(int(table.mu.searchsorted(need_top, side="right")), 1)]
     pair, grad, _ = table.pairs(z.y, zp.y, gamma, 0, mu.size, None, need_grad)
     # One row of node factors per component: the pairs for the kernel, or the
@@ -510,40 +508,25 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         return np.array([np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
                          log_coefs[3] + rows[2]][:n_comp])
 
-    def chunks():
-        """The series' modes, block by block: (mu, pair, grad, tails) for consecutive entries of a table.
+    def blocks():
+        """The series' modes, block by block: (mu, pair, grad, tails) for consecutive entries.
 
-        Chunk 0 is the base table, one block.  Chunk k >= 1 holds the grown
-        table's modes up to mu_cutoff * _GROWTH**k (the base table's top mu
-        in place of a missing cutoff); it is built only when the sum has not
-        stopped before, its tails come from one pass, and it is read in
-        blocks that at most double the modes summed.  No grown table runs
-        past TABLE_CEILING entries (a sphere's stops there), so once the
-        chunks reach it none adds an entry.
+        Each chunk of :meth:`CrossSectionSpectrum.chunks` takes its tails
+        from one pass.  Chunk 0, the base table, is one block; a later
+        chunk, built only when the sum has not stopped before, is read in
+        blocks that at most double the modes summed.
         """
-        cutoff = spec.mu_cutoff if spec.mu_cutoff is not None else float(base.mu[-1])
-        table, state, start, end, level = base, None, 0, base.mu.size, 0
-        while True:
-            pair, grad, state = table.pairs(z.y, zp.y, gamma, start, end, state, need_grad)
-            mu, lo = table.mu[start:end], 0
-            tail = tails(mu, table.log_weights[:, start:end])
+        start = 0
+        for mu, pair, grad, log_weights in spec.chunks(z.y, zp.y, gamma, need_grad):
+            tail, lo = tails(mu, log_weights), 0
             while lo < mu.size:
                 hi = min(mu.size, 2 * lo + start) if start else mu.size
                 yield mu[lo:hi], pair[lo:hi], grad[lo:hi] if need_grad else None, tail[:, lo:hi + 1].copy()
                 lo = hi
-            if spec.grow is None or end >= TABLE_CEILING:
-                return
-            start = end
-            while end <= start:
-                level += 1
-                top = cutoff * _GROWTH**level
-                table = spec.grown(top)
-                if table.mu.size <= start:  # a table cut at the ceiling: nothing past the modes read
-                    return
-                end = int(table.mu.searchsorted(top, side="right"))
+            start += mu.size
 
     used, mag, wmag = 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
-    for mu, pair, grad, tail in chunks():
+    for mu, pair, grad, tail in blocks():
         T, rel = terms(mu, pair, grad)
         if not used:
             scale_list = [shift + a - b - (log_r if need_grad else 0.0) for shift in (shifts[-1], shifts[0])[:n_comp]]

@@ -31,15 +31,15 @@ degree (spheres) or shell (tori) past the table, and s**mu at most a
 geometric sequence in it, so each tail is at most a positive combination
 of the sums  sum_k C(k, j) q**k = q**j/(1-q)**(j+1)  (:func:`_log_poly_sums`).
 
-Sphere and torus tables grow: the provider's table closure, which built
-the base table ``table``, is kept as ``CrossSectionSpectrum.grow``, and
-:meth:`CrossSectionSpectrum.grown` builds a deeper table on demand (kept
-on the spectrum, up to ``TABLE_CEILING`` entries) whose ``pairs``
-continue the base table's chunk by chunk; a sphere's stops at
-``TABLE_CEILING`` degrees, a torus's at the complete clusters of the
-largest lattice box of ``TABLE_CEILING`` vectors.  ``table`` and
-everything read from it (mu0, mu1, the descriptor, files) stay the base
-table.
+A provider is its tail profile (:class:`SphereTail`, :class:`TorusTail`):
+one object holding the cross-section and c0 that builds the tables and
+bounds the modes past them.  :meth:`CrossSectionSpectrum.grown` asks it
+for a deeper table on demand (kept on the spectrum, up to
+``TABLE_CEILING`` entries: a sphere's degrees, a torus's complete
+clusters of the largest lattice box of that many vectors), and
+:meth:`CrossSectionSpectrum.chunks` reads the base table, then grown
+tables to cutoffs ``_GROWTH`` times apart.  ``table`` and everything
+read from it (mu0, mu1, the descriptor, files) stay the base table.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ _RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # The most entries a table grown past the base table enumerates: sphere
 # degrees or torus lattice vectors.
 TABLE_CEILING = 1 << 16
+# Each chunk past the base table ends at this many times the cutoff of the one before.
+_GROWTH = 4
 # The most entries a base table may enumerate: the default boxes of the
 # (5, 5) and (1, 0.8, 1.2) tori (d = 3 and 4, c = 0) hold 159,201 and 472,815
 # lattice vectors.
@@ -197,13 +199,48 @@ def _sphere_modes(cross_section: SphereCrossSection, c0: float, l: np.ndarray):
     return _sphere_mu(d, a, c0, l), mult, pair_sup, pair_sup * l * (l + d - 2) / ((d - 1) * a)
 
 
-def _degree_count(cross_section: SphereCrossSection, c0: float, mu: float) -> int:
-    """A count of degrees from 0 that covers every l with mu_l <= mu (as mu_l^2 >= l^2/a^2 + c0)."""
-    return int(cross_section.radius * math.sqrt(max(mu * mu - c0, 0.0))) + 1
+def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None, with_grad: bool = False):
+    """p_l = C_l^nu(x) / C_l^nu(1) at one point x for l = lo .. hi-1, p'_l (None without ``with_grad``), and a state.
+
+    The normalized three-term recurrence p_l = p_{l-1} + d_l with
+    d_l = a_k (x-1) p_{l-1} + b_k d_{l-1}, k = l-1, from p_0 = 1, p_1 = x
+    and d_1 = x-1; ``steps`` are the lists of a_k = 2(k+nu)/(k+2 nu) and
+    b_k = k/(k+2 nu) for at least k < hi-1.  It is the form scipy's
+    ``eval_gegenbauer`` runs at integer degree, so the two agree to the
+    last bit (except within 1e-5 of x = 0, where scipy sums a series).
+    With ``with_grad`` the same loop carries the x-derivative,
+    d'_l = a_k (p_{l-1} + (x-1) p'_{l-1}) + b_k d'_{l-1} and
+    p'_l = p'_{l-1} + d'_l from p'_0 = 0 and p'_1 = d'_1 = 1; without it
+    the loop carries p alone.  The state is (d, p) at degree hi-1, then
+    (d', p') with ``with_grad``; the call for degrees from lo >= 2 on needs
+    the one at lo-1.
+    """
+    xm1, top = x - 1.0, max(hi - 1, 0)  # hi = 0 (no degree) must not wrap to the last step
+    out, out_dx = [], []
+    if lo <= 1:
+        out, out_dx, state, lo = [1.0, x][lo:hi], [0.0, 1.0][lo:hi], (xm1, x, 1.0, 1.0), 2
+    append, a_k, b_k = out.append, steps[0][lo - 1:top], steps[1][lo - 1:top]
+    if not with_grad:
+        d, p = state[:2]
+        for a, b in zip(a_k, b_k):
+            d = a * xm1 * p + b * d
+            p = d + p
+            append(p)
+        return np.array(out), None, (d, p)
+    d, p, d_dx, p_dx = state
+    append_dx = out_dx.append
+    for a, b in zip(a_k, b_k):
+        d_dx = a * (p + xm1 * p_dx) + b * d_dx
+        d = a * xm1 * p + b * d
+        p = d + p
+        p_dx = d_dx + p_dx
+        append(p)
+        append_dx(p_dx)
+    return np.array(out), np.array(out_dx), (d, p, d_dx, p_dx)
 
 
 class SphereTail(TailProfile):
-    """Closed-form bound on the sphere modes past the table.
+    """The round-sphere provider: its mode tables, and a closed-form bound on the modes past one.
 
     With nu = (d-2)/2 and kappa = a^2 c0 - nu^2, a mu_l = sqrt((l+nu)^2 + kappa).
     Let l = L + k past mu_from, m = mu_L.  The gaps mu_{l+1} - mu_l tend to
@@ -221,8 +258,35 @@ class SphereTail(TailProfile):
     """
 
     def __init__(self, cross_section: SphereCrossSection, c0: float):
-        self.cross_section = cross_section
-        self.c0 = c0
+        self.cross_section, self.c0 = cross_section, c0
+        self.lam1 = cross_section.dim / cross_section.radius**2  # the lowest nonzero eigenvalue of Delta_Y
+
+    def count(self, mu_max: float) -> int:
+        """A count of degrees from 0 that covers every l with mu_l <= mu_max (as mu_l^2 >= l^2/a^2 + c0)."""
+        return int(self.cross_section.radius * math.sqrt(max(mu_max * mu_max - self.c0, 0.0))) + 1
+
+    def table(self, mu_max: float, limit: int | None = None) -> ModeArrays:
+        """ModeArrays of every degree with mu_l <= mu_max, at most the first ``limit``.
+
+        The rows are :func:`_sphere_modes`'.  By the Gegenbauer addition
+        theorem, pair_l = pair_sup_l p_l(x) and d/d(arc) pair_l =
+        -(sin(gamma/a)/a) pair_sup_l p'_l(x), with p_l = C_l^nu(x) / C_l^nu(1),
+        nu = (d-2)/2 and x = cos(gamma/a): both from one pass of
+        :func:`_gegenbauer_ratios` at the one separation gamma.
+        """
+        cs, count = self.cross_section, self.count(mu_max)
+        rows = _sphere_modes(cs, self.c0, np.arange(count if limit is None else min(count, limit)))
+        count = int(np.searchsorted(rows[0], mu_max, side="right"))
+        mu, mult, pair_sup, grad_sup = (row[:count] for row in rows)
+        a, nu, k = cs.radius, (cs.dim - 1) / 2.0, np.arange(float(count))
+        steps = (2.0 * (k + nu) / (k + 2.0 * nu)).tolist(), (k / (k + 2.0 * nu)).tolist()
+
+        def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
+            p, p_dx, state = _gegenbauer_ratios(steps, math.cos(gamma / a), lo, hi, state, with_grad)
+            sup = pair_sup[lo:hi]
+            return sup * p, None if p_dx is None else (-math.sin(gamma / a) / a) * sup * p_dx, state
+
+        return ModeArrays(mu, mult, pair_sup, grad_sup, np.arange(count), "l={}", pairs)
 
     @functools.lru_cache(maxsize=256)  # s-free: sweeps reuse a few chunk tops
     def _series(self, mu_from):
@@ -249,7 +313,7 @@ class SphereTail(TailProfile):
 
 
 class TorusTail(TailProfile):
-    """Counting bound for torus modes past the table.
+    """The flat-torus provider: its mode tables, and a counting bound on the modes past one.
 
     Modes with mu in (M+k, M+k+1], M = mu_from, are overcounted by the
     lattice box bound count(mu <= x) <= prod_i (2 a_i x + 3), a polynomial
@@ -261,15 +325,73 @@ class TorusTail(TailProfile):
     negligible for s <= 1/4 past any default cutoff.
     """
 
-    def __init__(self, cross_section: TorusCrossSection):
-        self.radii = tuple(cross_section.radii)
-        self.volume = cross_section.volume
+    def __init__(self, cross_section: TorusCrossSection, c0: float):
+        self.cross_section, self.c0 = cross_section, c0
+        self.lam1 = (1.0 / max(cross_section.radii)) ** 2  # the lowest nonzero eigenvalue of Delta_Y
+
+    def count(self, mu_max: float) -> float:
+        """The lattice vectors in :meth:`table`'s box of mu_max, in floats: prod_i (2 floor(a_i t) + 1)."""
+        t = math.sqrt(max(mu_max**2 - self.c0, 0.0))
+        return math.prod((2.0 * np.floor(np.asarray(self.cross_section.radii) * t) + 1.0).tolist())
+
+    def table(self, mu_max: float, limit: int | None = None) -> ModeArrays:
+        """ModeArrays of every lattice cluster with mu <= mu_max, or of every cluster in the largest box of ``limit``.
+
+        The lattice box, rows in itertools.product order, stably sorted by
+        lambda; a new cluster starts where lambda jumps by more than
+        1e-9 (1 + lambda), and its rows are contiguous.  Where the box of
+        mu_max holds more than ``limit`` lattice vectors, its outermost layer
+        is dropped until it fits; the box then holds every vector with
+        sqrt(lambda) below the dropped layer's t = max_i k_i/a_i, and the table
+        every cluster with lambda < t^2.  A cluster's pair function sums the
+        cosines of its lattice frequencies against the angle difference (one
+        product, then ``np.add.reduceat``).
+        """
+        cs, c0 = self.cross_section, self.c0
+        lam_max = mu_max**2 - c0
+        radii = np.asarray(cs.radii)
+        t = math.sqrt(max(lam_max, 0.0))
+        if limit is not None:
+            # Past this t every side holds more than limit**(1/n) vectors: the box passes limit.
+            t = min(t, (limit ** (1.0 / radii.size) + 3.0) / (2.0 * float(radii.min())))
+        kmax = np.floor(radii * t)
+        while limit is not None and math.prod((2.0 * kmax + 1.0).tolist()) > limit:  # in floats: no int64 wrap
+            t = float((kmax / radii).max())
+            kmax = np.minimum(np.ceil(radii * t) - 1.0, kmax - (kmax / radii == t))
+            lam_max = t * t - 1e-9 * (1.0 + t * t)  # the clusters at t^2 may reach past the box
+        kmax = kmax.astype(int)
+        ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
+        ks = ks.reshape(-1, len(radii))
+        lam = sum((ks[:, i] / a) ** 2 for i, a in enumerate(cs.radii))
+        keep = np.flatnonzero(lam <= lam_max * (1.0 + 1e-12))
+        keep = keep[np.argsort(lam[keep], kind="stable")]
+        ks, lam = ks[keep], lam[keep]
+        starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e-9 * (1.0 + lam))
+        mult, lam = np.diff(starts, append=lam.size), lam[starts]
+        vol = cs.volume
+        freqs = ks / radii  # one row per lattice vector: its frequencies k_i/a_i
+
+        def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
+            rows = freqs[starts[lo]:starts[hi] if hi < len(starts) else len(freqs)]
+            at = starts[lo:hi] - starts[lo]
+            delta = TorusCrossSection._wrap(cs._angles(y) - cs._angles(yp))
+            phase = rows @ delta
+            pair = np.add.reduceat(np.cos(phase), at) / vol
+            if not with_grad:
+                return pair, None, None
+            if gamma == 0.0:
+                return pair, np.zeros(hi - lo), None
+            speed = rows @ (delta / gamma)  # d(k.delta)/d arclength
+            return pair, -np.add.reduceat(np.sin(phase) * speed, at) / vol, None
+
+        return ModeArrays(np.sqrt(lam + c0), mult, mult / vol, mult * np.sqrt(lam) / vol, lam, "lambda={:.6g}", pairs)
 
     @functools.lru_cache(maxsize=256)
     def _series(self, mu_from):
+        radii = self.cross_section.radii
         top = mu_from + 1.0  # box(top + k) = prod_i 2 a_i (k + top + 3/(2 a_i))
-        box = functools.reduce(_times_linear, (top + 1.5 / a for a in self.radii), [1.0])
-        log_box = math.log(math.prod(2.0 * a for a in self.radii) / self.volume)
+        box = functools.reduce(_times_linear, (top + 1.5 / a for a in radii), [1.0])
+        log_box = math.log(math.prod(2.0 * a for a in radii) / self.cross_section.volume)
         box_top = _times_linear(box, top)  # box times the shell top, for the kinds rising in mu
         return (mu_from, 1.0, [box, box, box, box_top, box_top],
                 [log_box - math.log(2.0 * mu_from), log_box, log_box - _LN2, log_box, log_box])
@@ -331,9 +453,10 @@ class CrossSectionSpectrum:
     table with pair functions has a tail profile (a norms-only one may
     have none), so every kernel value off r = r' bounds its truncation
     rigorously; the constructor raises :class:`DomainError` otherwise.
-    ``grow`` is the provider's table closure, mu_max ->
-    :class:`ModeArrays` (see :meth:`grown`), which built ``table`` too;
-    spectra without one (files, sub-spectra) never grow.
+    A provider's tail profile (:class:`SphereTail`, :class:`TorusTail`)
+    built ``table`` and builds the deeper tables of :meth:`grown`; a
+    spectrum whose table is the whole spectrum (``CompleteTail``: files,
+    sub-spectra) never grows.
     """
 
     d: int
@@ -343,7 +466,6 @@ class CrossSectionSpectrum:
     v0_constant: float | None = None
     tail_profile: TailProfile | None = None
     mu_cutoff: float | None = None
-    grow: Callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dimension(self.d))
@@ -392,15 +514,41 @@ class CrossSectionSpectrum:
         stops at ``TABLE_CEILING`` entries: a sphere's at that many
         degrees, a torus's at the complete clusters of the largest lattice
         box of that many vectors.  The largest table built so far is kept
-        and serves every smaller mu_max.  None when the spectrum does not
-        grow.
+        and serves every smaller mu_max.  None for a norms-only table and
+        for a ``CompleteTail``, which builds no table.
         """
-        if self.grow is None:
+        if self.tail_profile is None or isinstance(self.tail_profile, CompleteTail):
             return None
         kept = self._grown
         if not kept or kept[0] < mu_max:
-            kept[:] = [mu_max, self.grow(mu_max, TABLE_CEILING)]
+            kept[:] = [mu_max, self.tail_profile.table(mu_max, TABLE_CEILING)]
         return kept[1]
+
+    def chunks(self, y, yp, gamma: float, with_grad: bool):
+        """The series' modes at (y, y'), chunk by chunk: (mu, pair, grad, log_weights) of consecutive entries.
+
+        Chunk 0 is ``table``; chunk k >= 1, built only when asked for, a
+        grown table's modes up to ``mu_cutoff * _GROWTH**k`` (the base
+        table's top mu in place of a missing cutoff), the last one up to
+        where the table stops at its ceiling.  Pair values (grad None
+        without ``with_grad``) continue the chunk before.
+        """
+        table = self.pair_table
+        cutoff = self.mu_cutoff if self.mu_cutoff is not None else float(table.mu[-1])
+        state, start, end, level = None, 0, table.mu.size, 0
+        while True:
+            pair, grad, state = table.pairs(y, yp, gamma, start, end, state, with_grad)
+            yield table.mu[start:end], pair, grad, table.log_weights[:, start:end]
+            if end >= TABLE_CEILING:
+                return
+            start = end
+            while end <= start:
+                level += 1
+                top = cutoff * _GROWTH**level
+                table = self.grown(top)
+                if table is None or table.mu.size <= start:  # no growth, or a table cut at the ceiling
+                    return
+                end = int(table.mu.searchsorted(top, side="right"))
 
     def pair_values(self, y, yp, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
@@ -447,130 +595,6 @@ def _check_positivity(d: int, c: float) -> float:
     return c0
 
 
-def _gegenbauer_ratios(steps, x, lo: int, hi: int, state=None, with_grad: bool = False):
-    """p_l = C_l^nu(x) / C_l^nu(1) at one point x for l = lo .. hi-1, p'_l (None without ``with_grad``), and a state.
-
-    The normalized three-term recurrence p_l = p_{l-1} + d_l with
-    d_l = a_k (x-1) p_{l-1} + b_k d_{l-1}, k = l-1, from p_0 = 1, p_1 = x
-    and d_1 = x-1; ``steps`` are the lists of a_k = 2(k+nu)/(k+2 nu) and
-    b_k = k/(k+2 nu) for at least k < hi-1.  It is the form scipy's
-    ``eval_gegenbauer`` runs at integer degree, so the two agree to the
-    last bit (except within 1e-5 of x = 0, where scipy sums a series).
-    With ``with_grad`` the same loop carries the x-derivative,
-    d'_l = a_k (p_{l-1} + (x-1) p'_{l-1}) + b_k d'_{l-1} and
-    p'_l = p'_{l-1} + d'_l from p'_0 = 0 and p'_1 = d'_1 = 1; without it
-    the loop carries p alone.  The state is (d, p) at degree hi-1, then
-    (d', p') with ``with_grad``; the call for degrees from lo >= 2 on needs
-    the one at lo-1.
-    """
-    xm1, top = x - 1.0, max(hi - 1, 0)  # hi = 0 (no degree) must not wrap to the last step
-    out, out_dx = [], []
-    if lo <= 1:
-        out, out_dx, state, lo = [1.0, x][lo:hi], [0.0, 1.0][lo:hi], (xm1, x, 1.0, 1.0), 2
-    append, a_k, b_k = out.append, steps[0][lo - 1:top], steps[1][lo - 1:top]
-    if not with_grad:
-        d, p = state[:2]
-        for a, b in zip(a_k, b_k):
-            d = a * xm1 * p + b * d
-            p = d + p
-            append(p)
-        return np.array(out), None, (d, p)
-    d, p, d_dx, p_dx = state
-    append_dx = out_dx.append
-    for a, b in zip(a_k, b_k):
-        d_dx = a * (p + xm1 * p_dx) + b * d_dx
-        d = a * xm1 * p + b * d
-        p = d + p
-        p_dx = d_dx + p_dx
-        append(p)
-        append_dx(p_dx)
-    return np.array(out), np.array(out_dx), (d, p, d_dx, p_dx)
-
-
-def _sphere_table(cs: SphereCrossSection, c0: float, mu_max: float, limit: int | None = None):
-    """ModeArrays of every degree with mu_l <= mu_max, at most the first ``limit``.
-
-    The rows are :func:`_sphere_modes`'.  By the Gegenbauer addition
-    theorem, pair_l = pair_sup_l p_l(x) and d/d(arc) pair_l =
-    -(sin(gamma/a)/a) pair_sup_l p'_l(x), with p_l = C_l^nu(x) / C_l^nu(1),
-    nu = (d-2)/2 and x = cos(gamma/a): both from one pass of
-    :func:`_gegenbauer_ratios` at the one separation gamma.
-    """
-    count = _degree_count(cs, c0, mu_max)
-    if limit is not None:
-        count = min(count, limit)
-    rows = _sphere_modes(cs, c0, np.arange(count))
-    count = int(np.searchsorted(rows[0], mu_max, side="right"))
-    mu, mult, pair_sup, grad_sup = (row[:count] for row in rows)
-    a, nu, k = cs.radius, (cs.dim - 1) / 2.0, np.arange(float(count))
-    steps = (2.0 * (k + nu) / (k + 2.0 * nu)).tolist(), (k / (k + 2.0 * nu)).tolist()
-
-    def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
-        p, p_dx, state = _gegenbauer_ratios(steps, math.cos(gamma / a), lo, hi, state, with_grad)
-        sup = pair_sup[lo:hi]
-        return sup * p, None if p_dx is None else (-math.sin(gamma / a) / a) * sup * p_dx, state
-
-    return ModeArrays(mu, mult, pair_sup, grad_sup, np.arange(count), "l={}", pairs)
-
-
-def _box_count(cs: TorusCrossSection, c0: float, mu_max: float) -> float:
-    """The lattice vectors in :func:`_torus_table`'s box of mu_max, in floats: prod_i (2 floor(a_i t) + 1)."""
-    t = math.sqrt(max(mu_max**2 - c0, 0.0))
-    return math.prod((2.0 * np.floor(np.asarray(cs.radii) * t) + 1.0).tolist())
-
-
-def _torus_table(cs: TorusCrossSection, c0: float, mu_max: float, limit: int | None = None):
-    """ModeArrays of every lattice cluster with mu <= mu_max, or of every cluster in the largest box of ``limit``.
-
-    The lattice box, rows in itertools.product order, stably sorted by
-    lambda; a new cluster starts where lambda jumps by more than
-    1e-9 (1 + lambda), and its rows are contiguous.  Where the box of
-    mu_max holds more than ``limit`` lattice vectors, its outermost layer
-    is dropped until it fits; the box then holds every vector with
-    sqrt(lambda) below the dropped layer's t = max_i k_i/a_i, and the table
-    every cluster with lambda < t^2.  A cluster's pair function sums the
-    cosines of its lattice frequencies against the angle difference (one
-    product, then ``np.add.reduceat``).
-    """
-    lam_max = mu_max**2 - c0
-    radii = np.asarray(cs.radii)
-    t = math.sqrt(max(lam_max, 0.0))
-    if limit is not None:
-        # Past this t every side holds more than limit**(1/n) vectors: the box passes limit.
-        t = min(t, (limit ** (1.0 / radii.size) + 3.0) / (2.0 * float(radii.min())))
-    kmax = np.floor(radii * t)
-    while limit is not None and math.prod((2.0 * kmax + 1.0).tolist()) > limit:  # in floats: no int64 wrap
-        t = float((kmax / radii).max())
-        kmax = np.minimum(np.ceil(radii * t) - 1.0, kmax - (kmax / radii == t))
-        lam_max = t * t - 1e-9 * (1.0 + t * t)  # the clusters at t^2 may reach past the box
-    kmax = kmax.astype(int)
-    ks = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in kmax], indexing="ij"), axis=-1)
-    ks = ks.reshape(-1, len(radii))
-    lam = sum((ks[:, i] / a) ** 2 for i, a in enumerate(cs.radii))
-    keep = np.flatnonzero(lam <= lam_max * (1.0 + 1e-12))
-    keep = keep[np.argsort(lam[keep], kind="stable")]
-    ks, lam = ks[keep], lam[keep]
-    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > 1e-9 * (1.0 + lam))
-    mult, lam = np.diff(starts, append=lam.size), lam[starts]
-    vol = cs.volume
-    freqs = ks / radii  # one row per lattice vector: its frequencies k_i/a_i
-
-    def pairs(y, yp, gamma, lo, hi, state, with_grad=True):
-        rows = freqs[starts[lo]:starts[hi] if hi < len(starts) else len(freqs)]
-        at = starts[lo:hi] - starts[lo]
-        delta = TorusCrossSection._wrap(cs._angles(y) - cs._angles(yp))
-        phase = rows @ delta
-        pair = np.add.reduceat(np.cos(phase), at) / vol
-        if not with_grad:
-            return pair, None, None
-        if gamma == 0.0:
-            return pair, np.zeros(hi - lo), None
-        speed = rows @ (delta / gamma)  # d(k.delta)/d arclength
-        return pair, -np.add.reduceat(np.sin(phase) * speed, at) / vol, None
-
-    return ModeArrays(np.sqrt(lam + c0), mult, mult / vol, mult * np.sqrt(lam) / vol, lam, "lambda={:.6g}", pairs)
-
-
 def _cross_section(d: int, radii=None, **sphere) -> CrossSection:
     """The cross-section of a d-cone, d an integer >= 3: the flat torus of ``radii``, else the round sphere of ``sphere``."""
     cs = SphereCrossSection(d - 1, **sphere) if radii is None else TorusCrossSection(radii)
@@ -579,22 +603,20 @@ def _cross_section(d: int, radii=None, **sphere) -> CrossSection:
     return cs
 
 
-def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, lam1: float, mu_cutoff, build, size, tail):
-    """The spectrum of the modes ``build`` tabulates up to the cutoff; ``build`` stays as its growth.
-
-    ``size(mu_max)`` counts the entries ``build(mu_max)`` enumerates; past ``_BASE_TABLE_LIMIT`` it is not built.
-    """
-    # mu1 = sqrt(lam1 + c0), lam1 the lowest nonzero eigenvalue of Delta_Y, must round above mu0.
-    if math.sqrt(lam1 + c0) == math.sqrt(c0):
+def _provider_spectrum(d: int, c: float, provider: SphereTail | TorusTail, mu_cutoff) -> CrossSectionSpectrum:
+    """The spectrum of the modes ``provider`` tabulates up to the cutoff, refused past ``_BASE_TABLE_LIMIT`` entries."""
+    cs, c0 = provider.cross_section, provider.c0
+    # mu1 = sqrt(lam1 + c0) must round above mu0.
+    if math.sqrt(provider.lam1 + c0) == math.sqrt(c0):
         raise DomainError(f"c = {c!r} on {cs.descriptor()}: mu0 = {math.sqrt(c0)!r} and mu1 round to one float")
     cutoff = float(mu_cutoff) if mu_cutoff is not None else _default_cutoff(math.sqrt(c0))
     if not (math.isfinite(cutoff) and cutoff > 0.0):
         raise DomainError(f"mu_cutoff must be finite and > 0, got {mu_cutoff!r}")
-    count = size(cutoff)
+    count = provider.count(cutoff)
     if count > _BASE_TABLE_LIMIT:
         raise DomainError(f"d = {d}, c = {c!r} on {cs.descriptor()}: the base table up to mu_cutoff = {cutoff!r} "
                           f"enumerates {count:.6g} entries, more than {_BASE_TABLE_LIMIT}")
-    table = build(cutoff)
+    table = provider.table(cutoff)
     if not table.mu.size:
         raise InsufficientSpectrumError(
             f"mu_cutoff = {cutoff} lies below the bottom mode mu0 = {math.sqrt(c0)}"
@@ -605,9 +627,8 @@ def _provider_spectrum(d: int, c: float, cs: CrossSection, c0: float, lam1: floa
         v0_descriptor=f"constant:{float(c)!r}",
         cross_section=cs,
         v0_constant=float(c),
-        tail_profile=tail,
+        tail_profile=provider,
         mu_cutoff=cutoff,
-        grow=build,
     )
 
 
@@ -626,9 +647,7 @@ def sphere_spectrum(
     """
     d = check_dimension(d)
     c0 = _check_positivity(d, float(c))
-    cs = _cross_section(d, radius=radius)
-    return _provider_spectrum(d, c, cs, c0, cs.dim / cs.radius**2, mu_cutoff, functools.partial(_sphere_table, cs, c0),
-                              functools.partial(_degree_count, cs, c0), SphereTail(cs, c0))
+    return _provider_spectrum(d, c, SphereTail(_cross_section(d, radius=radius), c0), mu_cutoff)
 
 
 def torus_spectrum(
@@ -645,9 +664,7 @@ def torus_spectrum(
     """
     d = check_dimension(d)
     cs = _cross_section(d, radii)
-    c0 = _check_positivity(d, float(c))
-    return _provider_spectrum(d, c, cs, c0, (1.0 / max(cs.radii)) ** 2, mu_cutoff,
-                              functools.partial(_torus_table, cs, c0), functools.partial(_box_count, cs, c0), TorusTail(cs))
+    return _provider_spectrum(d, c, TorusTail(cs, _check_positivity(d, float(c))), mu_cutoff)
 
 
 def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectionSpectrum:
@@ -667,5 +684,4 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
         tail_profile=CompleteTail(),
         v0_descriptor=f"{spectrum.v0_descriptor}|leading:{int(count)}",
         mu_cutoff=float(table.mu[-1]),
-        grow=None,
     )

@@ -732,6 +732,21 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (["spectrum", "--d", "3", "--torus", ""], "torus radii must be finite and > 0, got ()"),
+        (["kernel", "--spectrum-file", "", "--d", "3", "--r", "0.2", "--rp", "1", "--gamma", "1"],
+         "--spectrum-file does not read --d"),
+        (["spectrum", "--d", "3", "--save", ""], "[Errno 2] No such file or directory: ''"),
+        (["thresholds", "--d", "3", "--out", ""], "[Errno 2] No such file or directory: ''"),
+    ], ids=["torus", "spectrum-file", "save", "out"])
+    def test_empty_option_value_is_refused(self, capsys, argv, named):
+        # An empty value is the option given, not unset: each was read as
+        # unset and printed the sphere, evaluated on it, saved nothing or
+        # wrote to stdout, exiting 0.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
+
     def test_largest_coupling_with_two_lowest_modes_apart_evaluates(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--d", "3", "--c", "1e16", "--r", "0.5", "--rp", "1", "--gamma", "0.3")
         assert code == 0 and _parsed(out)["tail_kind"] == "rigorous"

@@ -5,6 +5,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -95,6 +96,24 @@ def test_the_kernel_core_imports_no_lazy_layer():
     assert set(CORE) | set(LAZY_LAYERS) == set(MODULES)
     wrong = {name: sorted(_imported_modules(name) & set(LAZY_LAYERS)) for name in CORE}
     assert not any(wrong.values()), wrong
+
+
+def test_the_resolvent_knows_no_growth_schedule():
+    # The growth schedule lives in spectrum (CrossSectionSpectrum.chunks):
+    # resolvent names none of its constants, fields or the cutoff, in code
+    # or in text.
+    source = (pathlib.Path(conekit.__file__).parent / "resolvent.py").read_text()
+    schedule = {"_GROWTH", "TABLE_CEILING", "mu_cutoff", "grow"}
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    assert not named & schedule, named & schedule
+    assert not re.findall(r"_GROWTH|TABLE_CEILING|mu_cutoff|\.grow\b", source)
 
 
 def test_lazy_names_in_a_fresh_interpreter():

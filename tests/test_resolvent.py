@@ -28,8 +28,8 @@ from conekit import (
     boundary_order_probe,
 )
 from conekit.bessel import bessel_i, log_scaled
-from conekit.resolvent import _GROWTH, _KERNEL_REL_TOL, _b_half
-from conekit.spectrum import TABLE_CEILING
+from conekit.resolvent import _KERNEL_REL_TOL, _b_half
+from conekit.spectrum import _GROWTH, TABLE_CEILING
 
 import oracles
 
@@ -456,17 +456,14 @@ class TestTorusCone:
         np.testing.assert_allclose(kv.float_value(), ref, rtol=1e-12)
 
     def test_tail_past_double_range_is_infinite(self):
-        # Far out at s = 1e-6 the value is about e^{-1000015}.  Without growth
-        # the tail after the base table is e^{-558}, past double range on the
-        # value's scale: the bound is infinite, not a raise.  Grown to the
+        # Far out at s = 1e-6 the value is about e^{-1000015}.  Grown to the
         # ceiling (12770 clusters, top mu 112.3) the remainder, about
-        # e^{-1550}, is as far out; it once underflowed to 0 and certified
-        # the value on rounding alone.
-        spec = torus_spectrum(3, [1.0, 1.3])
-        for s in (spec, replace(spec, grow=None)):
-            kv = _value(s, 1e6, 1.0, 0.4)
-            assert math.isfinite(kv.value) and -1.1e6 < kv.log_abs < -1e6
-            assert kv.tail_bound == math.inf and not kv.certified and kv.tail_kind == "rigorous"
+        # e^{-1550}, is past double range on the value's scale: the bound is
+        # infinite, not a raise.  It once underflowed to 0 and certified the
+        # value on rounding alone.
+        kv = _value(torus_spectrum(3, [1.0, 1.3]), 1e6, 1.0, 0.4)
+        assert math.isfinite(kv.value) and -1.1e6 < kv.log_abs < -1e6
+        assert kv.tail_bound == math.inf and not kv.certified and kv.tail_kind == "rigorous"
 
 
 class TestDiagonal:
@@ -917,15 +914,14 @@ class TestGrownTables:
         assert abs(kv.float_value() - ref) <= _KERNEL_REL_TOL * abs(ref)
 
     def test_spectrum_without_cutoff(self):
-        # A spectrum built directly, without mu_cutoff or growth, stops at
-        # the end of its table: rigorous and uncertified.  Given growth, the
-        # chunks run from the base table's top mu.
+        # A spectrum built directly from a provider's table and tail, without
+        # mu_cutoff, grows as the provider's does: its chunks run from the
+        # base table's top mu, the same value bit for bit as the provider's
+        # spectrum with its cutoff unset.
         direct = CrossSectionSpectrum(d=3, table=S3.table, v0_descriptor=S3.v0_descriptor,
                                       cross_section=S3.cross_section, tail_profile=S3.tail_profile)
+        assert _value(direct, 0.9, 1.0, 1.0) == _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
         ref = oracles.yukawa_kernel(0.9, 1.0, 1.0)
-        kv = _value(direct, 0.9, 1.0, 1.0)
-        assert not kv.certified and kv.tail_kind == "rigorous" and kv.modes_used == len(S3.table.mu)
-        assert abs(kv.float_value() - ref) <= kv.float_tail_bound()
         kv = _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
         assert kv.certified and kv.modes_used > len(S3.table.mu)
         assert abs(kv.float_value() - ref) <= _rel_tail(kv) * abs(ref) + 1e-12 * abs(ref)

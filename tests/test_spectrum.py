@@ -25,7 +25,7 @@ from conekit import (
     torus_spectrum,
 )
 from conekit import spectrum, verify
-from conekit.spectrum import TABLE_CEILING, CompleteTail, SphereTail, TailProfile, _mu0_squared, _torus_table
+from conekit.spectrum import TABLE_CEILING, CompleteTail, SphereTail, TailProfile, _mu0_squared
 
 import oracles
 
@@ -856,7 +856,7 @@ class TestGrownTables:
         cut = spec.grown(1e12)
         assert cut.mult.sum() <= TABLE_CEILING and cut.mu[-1] > 19.9
         assert torus_spectrum(len(radii) + 1, radii).grown(spec.mu_cutoff * 4).mu.tolist() == cut.mu.tolist()
-        whole = _torus_table(spec.cross_section, spec.mu0 ** 2, float(cut.mu[-1]))
+        whole = spec.tail_profile.table(float(cut.mu[-1]))
         assert whole.mu.tolist() == cut.mu.tolist() and whole.mult.tolist() == cut.mult.tolist()
         # One layer more would pass the ceiling.
         lam_top = float(cut.mu[-1]) ** 2 - spec.mu0 ** 2

@@ -78,6 +78,8 @@ def _numbers(text: str, kind=float):
 
 def _broadcast(columns):
     """Zip-broadcast sweep columns: scalars repeat to the longest length."""
+    if not all(columns):
+        raise _UsageError(f"sweep lists need at least one number each (got lengths {[len(c) for c in columns]})")
     n = max(len(c) for c in columns)
     out = []
     for c in columns:

@@ -55,9 +55,9 @@ reversed ``np.logaddexp.accumulate`` of the log weights, seeded with
 ``tail_profile.log_sum_beyond`` at the top of the table summed so far, one
 row per tail kind in use.  The sum stops at the first term after which
 that remainder is below ``rel_tol * |partial sum|``.  Where the base
-table runs out first, the sum reads the chunks of grown sphere and torus
-tables (:meth:`conekit.spectrum.CrossSectionSpectrum.chunks`; see
-Evaluation) until one stops at its ceiling.
+table runs out first, the sum reads on in the chunks of
+:meth:`conekit.spectrum.CrossSectionSpectrum.chunks` (see Evaluation),
+which grow sphere and torus tables, until a table stops at its ceiling.
 
 A result is *certified* when s < 1 and the rigorous stop rule fired; the
 ``tail_bound`` field then satisfies ``tail_bound <= rel_tol * |value|``
@@ -85,13 +85,13 @@ floating-point error (~1e-13 relative) is not included.
 Evaluation
 ----------
 The series is summed in the chunks of
-:meth:`conekit.spectrum.CrossSectionSpectrum.chunks`, which owns the
-growth schedule: chunk 0 is the spectrum's ``table``, and each later
-chunk a grown table's next modes, built only when the sum has not
-stopped before and summed in blocks that at most double the modes
-summed.  Every chunk is read the same way, one numpy pass each: its
-pair_j (and derivatives), from one cross-section distance, continue the
-chunk before; :func:`conekit.bessel.log_scaled` gives
+:meth:`conekit.spectrum.CrossSectionSpectrum.chunks`, the one read
+schedule: chunk 0 is the spectrum's ``table``, and each later chunk the
+next modes of a grown table, at most as many as all chunks before it
+hold, built only when the sum has not stopped before.  Every chunk is
+read the same way, one numpy pass each: its pair_j (and derivatives),
+from one cross-section distance, continue the chunk before;
+:func:`conekit.bessel.log_scaled` gives
 L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component returned
 (the kernel, or the radial and angular derivatives: a gradient sums no
 kernel row) is one row of a (components x modes) array of terms
@@ -260,10 +260,6 @@ class GradientValue:
 
     d_r: KernelValue
     angular: KernelValue
-
-    @property
-    def modes_used(self) -> int:
-        return self.d_r.modes_used
 
 
 def _gauge_log_factor(d: int, r: float, rp: float) -> float:
@@ -508,26 +504,10 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
         return np.array([np.logaddexp(log_coefs[1] + rows[0], log_coefs[2] + rows[1]),
                          log_coefs[3] + rows[2]][:n_comp])
 
-    def blocks():
-        """The series' modes, block by block: (mu, pair, grad, tails) for consecutive entries.
-
-        Each chunk of :meth:`CrossSectionSpectrum.chunks` takes its tails
-        from one pass.  Chunk 0, the base table, is one block; a later
-        chunk, built only when the sum has not stopped before, is read in
-        blocks that at most double the modes summed.
-        """
-        start = 0
-        for mu, pair, grad, log_weights in spec.chunks(z.y, zp.y, gamma, need_grad):
-            tail, lo = tails(mu, log_weights), 0
-            while lo < mu.size:
-                hi = min(mu.size, 2 * lo + start) if start else mu.size
-                yield mu[lo:hi], pair[lo:hi], grad[lo:hi] if need_grad else None, tail[:, lo:hi + 1].copy()
-                lo = hi
-            start += mu.size
-
     used, mag, wmag = 0, np.zeros(n_comp), np.zeros(n_comp)  # sums of |term|, |term| * rel
-    for mu, pair, grad, tail in blocks():
+    for mu, pair, grad, log_weights in spec.chunks(z.y, zp.y, gamma, need_grad):
         T, rel = terms(mu, pair, grad)
+        tail = tails(mu, log_weights)
         if not used:
             scale_list = [shift + a - b - (log_r if need_grad else 0.0) for shift in (shifts[-1], shifts[0])[:n_comp]]
             scales = np.array(scale_list)
@@ -550,11 +530,11 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
             # term j sums each term's |term| times its Bessel factors'
             # relative error, plus about one rounding per summed term
             # times the sum of |terms|.  It is bounded first, cheaply,
-            # at the truncation's stop: every term of the block at the
+            # at the truncation's stop: every term of the chunk at the
             # largest relative error, the sum of their sizes bounded by
             # the tail's first entry.  More modes cannot make up for
             # rounding, so where it keeps the target out of reach in
-            # this block, the sum stops there, uncertified.
+            # this chunk, the sum stops there, uncertified.
             rel_max = float(rel.max()) + (used + size + 8) * _EPS
             log_rel_max = math.log(rel_max)
             # The bound row by row in floats: on at most two rows they beat numpy's calls.

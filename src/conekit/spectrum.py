@@ -37,9 +37,11 @@ bounds the modes past them.  :meth:`CrossSectionSpectrum.grown` asks it
 for a deeper table on demand (kept on the spectrum, up to
 ``TABLE_CEILING`` entries: a sphere's degrees, a torus's complete
 clusters of the largest lattice box of that many vectors), and
-:meth:`CrossSectionSpectrum.chunks` reads the base table, then grown
-tables to cutoffs ``_GROWTH`` times apart.  ``table`` and everything
-read from it (mu0, mu1, the descriptor, files) stay the base table.
+:meth:`CrossSectionSpectrum.chunks`, the one read schedule, reads the
+base table, then chunks that at most double the entries read, growing
+the table ``_GROWTH``-fold in mu where it is too short.  ``table`` and
+everything read from it (mu0, mu1, the descriptor, files) stay the base
+table.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ _RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # The most entries a table grown past the base table enumerates: sphere
 # degrees or torus lattice vectors.
 TABLE_CEILING = 1 << 16
-# Each chunk past the base table ends at this many times the cutoff of the one before.
+# A chunk that passes a table's end grows it to this many times the table's top mu.
 _GROWTH = 4
 # The most entries a base table may enumerate: the default boxes of the
 # (5, 5) and (1, 0.8, 1.2) tori (d = 3 and 4, c = 0) hold 159,201 and 472,815
@@ -527,28 +529,26 @@ class CrossSectionSpectrum:
     def chunks(self, y, yp, gamma: float, with_grad: bool):
         """The series' modes at (y, y'), chunk by chunk: (mu, pair, grad, log_weights) of consecutive entries.
 
-        Chunk 0 is ``table``; chunk k >= 1, built only when asked for, a
-        grown table's modes up to ``mu_cutoff * _GROWTH**k`` (the base
-        table's top mu in place of a missing cutoff), the last one up to
-        where the table stops at its ceiling.  Pair values (grad None
-        without ``with_grad``) continue the chunk before.
+        Chunk 0 is ``table``; each later chunk, built only when asked for,
+        holds entries start .. 2 start - 1, so that no chunk more than
+        doubles the modes read.  Where the table is shorter, the chunk
+        first asks :meth:`grown` for ``_GROWTH`` times the table's top mu,
+        and it ends early where a grown table stops at its ceiling.  Pair
+        values (grad None without ``with_grad``) continue the chunk before.
         """
         table = self.pair_table
-        cutoff = self.mu_cutoff if self.mu_cutoff is not None else float(table.mu[-1])
-        state, start, end, level = None, 0, table.mu.size, 0
+        state, start, end = None, 0, table.mu.size
         while True:
             pair, grad, state = table.pairs(y, yp, gamma, start, end, state, with_grad)
             yield table.mu[start:end], pair, grad, table.log_weights[:, start:end]
             if end >= TABLE_CEILING:
                 return
-            start = end
-            while end <= start:
-                level += 1
-                top = cutoff * _GROWTH**level
-                table = self.grown(top)
+            start, end = end, 2 * end
+            if table.mu.size < end:
+                table = self.grown(_GROWTH * float(table.mu[-1]))
                 if table is None or table.mu.size <= start:  # no growth, or a table cut at the ceiling
                     return
-                end = int(table.mu.searchsorted(top, side="right"))
+                end = min(end, table.mu.size)
 
     def pair_values(self, y, yp, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.

@@ -428,6 +428,8 @@ class TestValidation:
             bessel_i(nu, r)
         with pytest.raises(DomainError):
             bessel_k(nu, r)
+        with pytest.raises(DomainError, match="order" if nu < 0.0 or math.isnan(nu) else "argument"):
+            wronskian_residual(nu, r)
 
 
 # Orders the growing mode tables reach, with x from 1e-6 to 2 nu: the

@@ -774,6 +774,17 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "tau rule" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["riesz", "--d", "3", "--r", "", "--rp", "", "--gamma", ""],
+        ["kernel", "--d", "3", "--r", "", "--rp", "", "--gamma", "", "--lambda", ""],
+    ], ids=["riesz", "kernel"])
+    def test_sweep_without_numbers(self, capsys, argv, fmt):
+        # Each was a traceback (text) or a header with no rows, exiting 0 (csv).
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: sweep lists need at least one number each") and len(err.splitlines()) == 1
+
     def test_bad_number_list(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--d", "3", "--c", "0",
                                "--r", "abc", "--rp", "1", "--gamma", "1")

@@ -99,13 +99,14 @@ def test_the_kernel_core_imports_no_lazy_layer():
 
 
 def test_the_resolvent_knows_no_growth_schedule():
-    # The growth schedule lives in spectrum (CrossSectionSpectrum.chunks):
-    # resolvent names none of its constants, fields or the cutoff, in code
-    # or in text.
+    # The growth schedule and the read schedule live in spectrum
+    # (CrossSectionSpectrum.chunks): resolvent names none of its constants,
+    # fields or the cutoff, in code or in text, and yields no chunks of its own.
     source = (pathlib.Path(conekit.__file__).parent / "resolvent.py").read_text()
     schedule = {"_GROWTH", "TABLE_CEILING", "mu_cutoff", "grow"}
     named = set()
     for node in ast.walk(ast.parse(source)):
+        assert not isinstance(node, (ast.Yield, ast.YieldFrom)), node.lineno
         if isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -113,7 +114,7 @@ def test_the_resolvent_knows_no_growth_schedule():
         elif isinstance(node, ast.alias):
             named.add(node.asname or node.name)
     assert not named & schedule, named & schedule
-    assert not re.findall(r"_GROWTH|TABLE_CEILING|mu_cutoff|\.grow\b", source)
+    assert not re.findall(r"_GROWTH|TABLE_CEILING|mu_cutoff|\.grow\b|yield", source)
 
 
 def test_lazy_names_in_a_fresh_interpreter():

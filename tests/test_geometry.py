@@ -155,6 +155,22 @@ class TestSeparationCrossSection:
         assert cs.dim is None and cs.volume is None
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SphereCrossSection(2).distance([1.0, 0.0], [1.0, 0.0, 0.0]),
+     "sphere point must be a vector of length 3, got shape (2,)"),
+    (lambda: TorusCrossSection([1.0, 1.3]).distance([[0.0, 0.0]], [0.0, 0.0]),
+     "torus point must be a vector of 2 angles, got shape (1, 2)"),
+    (lambda: TorusCrossSection([1.0, 1.3]).points_at_separation(3.5),
+     f"separation 3.5 outside [0, {math.pi}] along the first circle"),
+    (lambda: SeparationCrossSection().distance(math.inf, 0.0), "separation coordinates must be finite"),
+    (lambda: SeparationCrossSection().points_at_separation(-0.5), "separation must be >= 0, got -0.5"),
+], ids=["sphere-point-length", "torus-angles-shape", "torus-separation-past-pi-a1",
+        "non-finite-coordinate", "negative-separation"])
+def test_malformed_points_and_separations_are_refused(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
 class TestConeDistance:
     def test_distance_matches_r3_embedding(self):
         cs = SphereCrossSection(2)

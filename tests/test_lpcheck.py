@@ -182,6 +182,11 @@ class TestNormProbe:
         with pytest.raises(DomainError):
             lp_norm_probe(self.UP.kernel, 3, 2.0, k_values=())
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_empty_grid_is_refused(self, m):
+        with pytest.raises(DomainError, match="points_per_octave must be positive"):
+            lp_norm_probe(self.UP.kernel, 3, 2.0, k_values=(4,), points_per_octave=m)
+
     @pytest.mark.parametrize("k_values, m", [
         ((4.9,), 2), ((4,), 2.7), ((4.9,), 2.7), ((4, math.nan), 2), ((4,), math.inf),
     ])

@@ -29,7 +29,7 @@ from conekit import (
 )
 from conekit.bessel import bessel_i, log_scaled
 from conekit.resolvent import _KERNEL_REL_TOL, _b_half
-from conekit.spectrum import _GROWTH, TABLE_CEILING
+from conekit.spectrum import TABLE_CEILING
 
 import oracles
 
@@ -575,8 +575,8 @@ class TestDiagonal:
 # ----------------------------------------------------------------------
 # Term-by-term reference: the scalar Bessel API and closed-form pair
 # functions, summed one mode at a time with the documented stop rules.
-# Past the base table the sum runs on in chunks, each up to _GROWTH times
-# the previous chunk's cutoff (_GROWTH**level times the base's), with each
+# Past the base table of n entries the sum runs on in chunks, chunk
+# ``level`` holding entries n 2**(level-1) .. n 2**level - 1, with each
 # chunk's remainder seeded by log_sum_beyond at its top.
 # ----------------------------------------------------------------------
 
@@ -591,15 +591,15 @@ def _sphere_reference(spec, levels=2):
         return math.sqrt(l * (l + d - 2) + c0), math.comb(l + d - 1, d - 1) - math.comb(l + d - 3, d - 1)
 
     assert spec.table.mult.tolist() == [degree(l)[1] for l in range(len(spec.table.mu))]
-    count = int(spec.mu_cutoff * _GROWTH ** levels) + 1
+    base = len(spec.table.mu)
+    count = base * 2 ** levels
     degrees = [degree(l) for l in range(count)]
 
     def chunk(level):
         """The (mu, pair_sup, grad_sup) of chunk ``level`` >= 1."""
-        lo, hi = spec.mu_cutoff * _GROWTH ** (level - 1), spec.mu_cutoff * _GROWTH ** level
         assert level <= levels
         return [(mu, n / float(vol), n / float(vol) * l * (l + d - 2) / (d - 1))
-                for l, (mu, n) in enumerate(degrees) if lo < mu <= hi]
+                for l, (mu, n) in enumerate(degrees) if base * 2 ** (level - 1) <= l < base * 2 ** level]
 
     @functools.cache
     def pairs(gamma):
@@ -648,12 +648,12 @@ def _torus_reference(spec, radii):
     assert mults[:n].tolist() == spec.table.mult.tolist()
 
     def chunk(level):
-        # One growth chunk: the grown table stops short of the first chunk's cutoff.
-        assert math.sqrt(top ** 2 + c0) < spec.mu_cutoff * _GROWTH
-        if level > 1:
+        # Entries n 2**(level-1) .. n 2**level - 1, cut where the grown table stops.
+        lo, hi = n * 2 ** (level - 1), min(n * 2 ** level, values.size)
+        if lo >= values.size:
             return None
         return [(math.sqrt(v + c0), m / vol, m * math.sqrt(v) / vol)
-                for v, m in zip(values[n:].tolist(), mults[n:].tolist())]
+                for v, m in zip(values[lo:hi].tolist(), mults[lo:hi].tolist())]
 
     @functools.cache
     def pairs(gamma):
@@ -906,7 +906,7 @@ class TestGrownTables:
 
     def test_sphere_table_runs_to_the_ceiling(self):
         # The last chunk takes every degree up to TABLE_CEILING, not only up
-        # to the last mu_cutoff * 4**k below it (40960 degrees here).
+        # to the last chunk end n 2**k below it (n = 40: 40960 degrees here).
         kv = _value(S3, 0.9995, 1.0, 1.0)
         assert kv.certified and kv.tail_kind == "rigorous"
         assert 40960 < kv.modes_used <= TABLE_CEILING
@@ -915,12 +915,13 @@ class TestGrownTables:
 
     def test_spectrum_without_cutoff(self):
         # A spectrum built directly from a provider's table and tail, without
-        # mu_cutoff, grows as the provider's does: its chunks run from the
-        # base table's top mu, the same value bit for bit as the provider's
-        # spectrum with its cutoff unset.
+        # mu_cutoff, grows as the provider's does: the chunks read no cutoff,
+        # so the value is the provider's spectrum's bit for bit, with its
+        # cutoff set or unset.
         direct = CrossSectionSpectrum(d=3, table=S3.table, v0_descriptor=S3.v0_descriptor,
                                       cross_section=S3.cross_section, tail_profile=S3.tail_profile)
         assert _value(direct, 0.9, 1.0, 1.0) == _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
+        assert _value(direct, 0.9, 1.0, 1.0) == _value(S3, 0.9, 1.0, 1.0)
         ref = oracles.yukawa_kernel(0.9, 1.0, 1.0)
         kv = _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
         assert kv.certified and kv.modes_used > len(S3.table.mu)

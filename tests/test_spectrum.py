@@ -191,6 +191,20 @@ class TestInvariants:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: replace(sphere_spectrum(3), table=sphere_spectrum(3).table.head(0)), InsufficientSpectrumError,
+         "spectrum has no modes"),
+        (lambda: replace(sphere_spectrum(3), table=replace(sphere_spectrum(3).table, mu=np.arange(3.0, 0.0, -1.0))),
+         DomainError, "modes must be sorted strictly ascending in mu"),
+        (lambda: sphere_spectrum(3, mu_cutoff=0.25), InsufficientSpectrumError,
+         "mu_cutoff = 0.25 lies below the bottom mode mu0 = 0.5"),
+        (lambda: torus_spectrum(3, [1.0, 1.3], mu_cutoff=0.25), InsufficientSpectrumError,
+         "mu_cutoff = 0.25 lies below the bottom mode mu0 = 0.5"),
+    ], ids=["no-modes", "unsorted-modes", "sphere-cutoff-below-mu0", "torus-cutoff-below-mu0"])
+    def test_a_table_without_an_ordered_bottom_mode_is_refused(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+
     def test_pair_functions_need_a_tail_profile(self):
         for spec in (sphere_spectrum(3), torus_spectrum(3, [1.0, 1.3])):
             with pytest.raises(DomainError, match="tail profile"):
@@ -704,6 +718,8 @@ class TestFileErrors:
         {"d": 3, "modes": [{"mu": 1.0, "multiplicity": -1}]},
         {"d": 3, "v0": "constant:inf", "modes": [{"mu": 0.5, "multiplicity": 1}]},
         {"d": 3, "v0": "constant:nan", "modes": [{"mu": 0.5, "multiplicity": 1}]},
+        {"d": 3, "v0": "constant:abc", "modes": [{"mu": 0.5, "multiplicity": 1}]},
+        {"d": 3, "modes": [{"mu": 0.5, "multiplicity": 1}, 1.5]},       # a mode that is not an object
     ])
     def test_malformed_payloads(self, tmp_path, payload):
         p = tmp_path / "bad.json"
@@ -764,6 +780,28 @@ class TestDerivedTables:
 
 
 class TestGrownTables:
+    @pytest.mark.parametrize("build", [lambda: sphere_spectrum(3), lambda: sphere_spectrum(3, c=-0.24),
+                                       lambda: torus_spectrum(3, [1.0, 1.3])], ids=["R3", "S2-c-0.24", "torus"])
+    def test_chunks_at_most_double_the_modes_read(self, build):
+        # Chunk 0 is the base table; the chunks are consecutive, each later
+        # one holds at most as many entries as all before it, and the last
+        # ends at the ceiling or where the grown table stops.  Read together,
+        # they are one pairs pass over the grown table.
+        spec = build()
+        gamma = 1.0
+        y, yp = spec.cross_section.points_at_separation(gamma)
+        chunks = list(spec.chunks(y, yp, gamma, True))
+        sizes = [mu.size for mu, *_ in chunks]
+        assert sizes[0] == spec.table.mu.size
+        assert all(0 < size <= sum(sizes[:k]) for k, size in enumerate(sizes) if k), sizes
+        table, total = spec.grown(float(chunks[-1][0][-1])), sum(sizes)
+        assert total == TABLE_CEILING or total == table.mu.size, (total, table.mu.size)
+        pair, grad, _ = table.pairs(y, yp, gamma, 0, total, None, True)
+        mu, pairs, grads = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
+        assert mu.tolist() == table.mu[:total].tolist()
+        assert np.concatenate([chunk[3] for chunk in chunks], axis=1).tolist() == table.log_weights[:, :total].tolist()
+        assert pairs.tolist() == pair.tolist() and grads.tolist() == grad.tolist()
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_gegenbauer_recurrence_against_mpmath(self, d):
         # 2500 degrees by the recurrence, chunk after chunk, against 40-digit

@@ -86,12 +86,12 @@ Evaluation
 ----------
 The series is summed in the chunks of
 :meth:`conekit.spectrum.CrossSectionSpectrum.chunks`, the one read
-schedule: chunk 0 is the spectrum's ``table``, and each later chunk the
-next modes of a grown table, at most as many as all chunks before it
-hold, built only when the sum has not stopped before.  Every chunk is
-read the same way, one numpy pass each: its pair_j (and derivatives),
-from one cross-section distance, continue the chunk before;
-:func:`conekit.bessel.log_scaled` gives
+schedule (on the diagonal too): chunk 0 is the spectrum's ``table``, and
+each later chunk the next modes of a grown table, at most as many as all
+chunks before it hold, built only when the sum has not stopped before.
+Every chunk is read the same way, one numpy pass each: its pair_j (and
+derivatives), from one cross-section distance, continue the chunk
+before; :func:`conekit.bessel.log_scaled` gives
 L_j = log(I_mu(a) e^{-a}) + log(K_mu(b) e^{b}).  Each component returned
 (the kernel, or the radial and angular derivatives: a gradient sums no
 kernel row) is one row of a (components x modes) array of terms
@@ -148,19 +148,20 @@ weight tau e^{-lam^2 tau}, or -(d-1)/(2r) times the lambda-integral,
 which is homogeneous of degree 1 - d.  The grid ends where the flat heat
 kernel's e^{-R^2/4tau} (R the cone distance) is negligible and where the
 weight or the bottom mode's power decay is; a node at x sums the modes
-with mu <= 9 sqrt(x) + 12, and one needing modes past the table is left
-out.  A complete table (``CompleteTail``) is a finite sum: each node sums
-all of it and none is left out, its F falls only as e^{v/2}, so the grid
-starts where that is negligible, and its lambda-integral diverges
-(``DomainError``).  The step halves from 1/2 until two grids agree to
-rel_tol in each component returned (for the lambda-integral's gradient,
-rel_tol times its length).  The estimate adds their difference, the
-rounding (as for s < 1), and twice the flat heat kernel
-(4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau for the angular row) over
-the nodes left out.  It is not a proof: at large lam R the terms outgrow
-the value by up to e^{lam R}, and it grows too.  Below R/r of about
-1e-153 the grid's largest x passes double range, and the value is refused
-(``DomainError``).
+with mu <= 9 sqrt(x) + 12, read in chunks (see Evaluation) up to the
+first that holds the largest x's, and one needing modes past the last
+chunk is left out.  A complete table (``CompleteTail``) is a finite sum:
+each node sums all of it and none is left out, its F falls only as
+e^{v/2}, so the grid starts where that is negligible, and its
+lambda-integral diverges (``DomainError``).  The step halves from 1/2
+until two grids agree to rel_tol in each component returned (for the
+lambda-integral's gradient, rel_tol times its length).  The estimate
+adds their difference, the rounding (as for s < 1), and twice the flat
+heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau for the
+angular row) over the nodes left out.  It is not a proof: at large lam R
+the terms outgrow the value by up to e^{lam R}, and it grows too.  Below
+R/r of about 1e-153 the grid's largest x passes double range, and the
+value is refused (``DomainError``).
 """
 
 from __future__ import annotations
@@ -305,8 +306,8 @@ def _b_half(kv: KernelValue, d: int, r: float, rp: float) -> KernelValue:
     return _pack(kv.value, log_scale, _log(kv.tail_bound) + log_scale, kv.modes_used, kv.certified, kv.tail_kind)
 
 
-def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoint, gamma: float,
-                   need_grad: bool, lam, rel_tol: float):
+def _heat_diagonal(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, gamma: float, need_grad: bool,
+                   lam, rel_tol: float):
     """The values of :func:`_prepare_series` at r = r' (see "On the diagonal"), in v = log(tau/r^2)."""
     d, r = spec.d, z.r
     rho = cone_distance(1.0, 1.0, gamma)  # R / r
@@ -326,18 +327,21 @@ def _heat_diagonal(spec: CrossSectionSpectrum, table, z: ConePoint, zp: ConePoin
         need_top = _DIAG_MU_SLOPE * math.sqrt(0.5 * math.exp(-v_lo)) + _DIAG_MU_FLOOR
     except (ValueError, OverflowError):  # (R/r)^2 underflows, or the grid's largest x = r^2/2tau overflows
         raise DomainError(f"cone distance R/r = {rho!r} at r = r' is too small for the tau rule") from None
-    v_hi = (_DIAG_LOG_SMALL + d) / (table.mu[0] + (0.5 if lam is None else 0.0))
+    v_hi = (_DIAG_LOG_SMALL + d) / (spec.mu0 + (0.5 if lam is None else 0.0))
     if lr > 0.0:
         v_hi = min(v_hi, math.log(log_small) - 2.0 * math.log(lr))
     size = math.ceil((v_hi - v_lo) / _DIAG_STEP) + 1
-    if table.mu[-1] < need_top:
-        table = spec.grown(need_top) or table
-    mu = table.mu[:max(int(table.mu.searchsorted(need_top, side="right")), 1)]
-    pair, grad, _ = table.pairs(z.y, zp.y, gamma, 0, mu.size, None, need_grad)
+    parts = []  # the chunks up to the first that reaches need_top, or all of them
+    for mu, pair, grad, _ in spec.chunks(z.y, zp.y, gamma, need_grad):
+        parts.append((mu, pair, grad)[:3 if need_grad else 2])
+        if mu[-1] >= need_top:
+            break
+    mu, *rows = (np.concatenate(part) for part in zip(*parts))
+    mu = mu[:max(int(mu.searchsorted(need_top, side="right")), 1)]
     # One row of node factors per component: the pairs for the kernel, or the
     # pairs for the radial and the gradient pairs for the angular component.
     # Each scale carries the powers of r that the weights leave out.
-    pair_rows = np.array([pair, grad] if need_grad else [pair])
+    pair_rows = np.array([row[:mu.size] for row in rows])
     r_power = -1.0 if lam is None else 0.0
     log_scales = [_gauge_log_factor(d, r, r) + math.log(0.5) + power * math.log(r)
                   for power in ((r_power - 1.0,) * 2 if need_grad else (r_power,))]
@@ -407,12 +411,11 @@ def _prepare_series(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, nee
     only their tails decide where the sum stops.
     """
     gamma = spec.cross_section.distance(z.y, zp.y)
-    base = spec.pair_table
     r, rp = z.r, zp.r
     if r == rp:
         if gamma == 0.0:
             raise DomainError("resolvent kernel is singular on the diagonal z = z'")
-        return _heat_diagonal(spec, base, z, zp, gamma, need_grad, lam, rel_tol)
+        return _heat_diagonal(spec, z, zp, gamma, need_grad, lam, rel_tol)
     z_small = r < rp
     a_r, b_r = (r, rp) if z_small else (rp, r)
     s = a_r / b_r

@@ -34,14 +34,14 @@ of the sums  sum_k C(k, j) q**k = q**j/(1-q)**(j+1)  (:func:`_log_poly_sums`).
 A provider is its tail profile (:class:`SphereTail`, :class:`TorusTail`):
 one object holding the cross-section and c0 that builds the tables and
 bounds the modes past them.  :meth:`CrossSectionSpectrum.grown` asks it
-for a deeper table on demand (kept on the spectrum, up to
-``TABLE_CEILING`` entries: a sphere's degrees, a torus's complete
-clusters of the largest lattice box of that many vectors), and
-:meth:`CrossSectionSpectrum.chunks`, the one read schedule, reads the
-base table, then chunks that at most double the entries read, growing
-the table ``_GROWTH``-fold in mu where it is too short.  ``table`` and
-everything read from it (mu0, mu1, the descriptor, files) stay the base
-table.
+for a deeper table on demand, kept on the spectrum, up to
+``TABLE_CEILING`` entries (a sphere's degrees, a torus's largest box);
+a table the ceiling cut serves every later request.
+:meth:`CrossSectionSpectrum.chunks`, the one read schedule, off r = r'
+and on it, reads the base table, then chunks that at most double the
+entries read, growing the table ``_GROWTH``-fold in mu where it is too
+short.  ``table`` and what is read from it (mu0, mu1, the descriptor,
+files) stay the base table.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ _RESOLVENT_KINDS, _INTEGRAL_KINDS = slice(0, 3), slice(3, 6)
 # The most entries a table grown past the base table enumerates: sphere
 # degrees or torus lattice vectors.
 TABLE_CEILING = 1 << 16
-# A chunk that passes a table's end grows it to this many times the table's top mu.
+# A chunk past a table's end grows it to this many times the mu one gap past its top.
 _GROWTH = 4
 # The most entries a base table may enumerate: the default boxes of the
 # (5, 5) and (1, 0.8, 1.2) tori (d = 3 and 4, c = 0) hold 159,201 and 472,815
@@ -267,6 +267,10 @@ class SphereTail(TailProfile):
         """A count of degrees from 0 that covers every l with mu_l <= mu_max (as mu_l^2 >= l^2/a^2 + c0)."""
         return int(self.cross_section.radius * math.sqrt(max(mu_max * mu_max - self.c0, 0.0))) + 1
 
+    def cut(self, mu_max: float, limit: int) -> bool:
+        """Whether ``limit`` cuts the table of mu_max: it then holds ``limit`` degrees, as for every larger mu_max."""
+        return _sphere_mu(self.cross_section.dim + 1, self.cross_section.radius, self.c0, limit - 1) <= mu_max
+
     def table(self, mu_max: float, limit: int | None = None) -> ModeArrays:
         """ModeArrays of every degree with mu_l <= mu_max, at most the first ``limit``.
 
@@ -335,6 +339,10 @@ class TorusTail(TailProfile):
         """The lattice vectors in :meth:`table`'s box of mu_max, in floats: prod_i (2 floor(a_i t) + 1)."""
         t = math.sqrt(max(mu_max**2 - self.c0, 0.0))
         return math.prod((2.0 * np.floor(np.asarray(self.cross_section.radii) * t) + 1.0).tolist())
+
+    def cut(self, mu_max: float, limit: int) -> bool:
+        """Whether ``limit`` cuts the table of mu_max: it is then the largest box's, as for every larger mu_max."""
+        return self.count(mu_max) > limit
 
     def table(self, mu_max: float, limit: int | None = None) -> ModeArrays:
         """ModeArrays of every lattice cluster with mu <= mu_max, or of every cluster in the largest box of ``limit``.
@@ -450,15 +458,15 @@ class CrossSectionSpectrum:
     The provider promises completeness: every eigenvalue with mu at or
     below ``mu_cutoff`` appears (equal-mu clusters merged).  ``table``
     holds the modes, their sup bounds the tails read and the pair
-    functions behind :meth:`pair_values`; without pair functions the
-    spectrum is norms-only.  Every spectrum has a cross-section, and every
-    table with pair functions has a tail profile (a norms-only one may
-    have none), so every kernel value off r = r' bounds its truncation
-    rigorously; the constructor raises :class:`DomainError` otherwise.
-    A provider's tail profile (:class:`SphereTail`, :class:`TorusTail`)
-    built ``table`` and builds the deeper tables of :meth:`grown`; a
-    spectrum whose table is the whole spectrum (``CompleteTail``: files,
-    sub-spectra) never grows.
+    functions that :meth:`chunks` reads for every kernel value; without
+    pair functions the spectrum is norms-only.  Every spectrum has a
+    cross-section, and every table with pair functions has a tail profile
+    (a norms-only one may have none), so every kernel value off r = r'
+    bounds its truncation rigorously; the constructor raises
+    :class:`DomainError` otherwise.  A provider's tail profile
+    (:class:`SphereTail`, :class:`TorusTail`) built ``table`` and builds
+    the deeper tables of :meth:`grown`; a spectrum whose table is the
+    whole spectrum (``CompleteTail``: files, sub-spectra) never grows.
     """
 
     d: int
@@ -495,19 +503,9 @@ class CrossSectionSpectrum:
             )
         return float(self.table.mu[1])
 
-    @property
-    def pair_table(self) -> ModeArrays:
-        """``table``; a norms-only spectrum raises :class:`NormsOnlyError`."""
-        if self.table.pairs is None:
-            raise NormsOnlyError(
-                "spectrum carries mode norms only (no pair functions); "
-                "kernel evaluation is impossible"
-            )
-        return self.table
-
     @cached_property
     def _grown(self) -> list:
-        return []  # [mu_max, table] of the largest table grown so far, once there is one
+        return []  # [mu_max served, table] of the largest table grown so far, once there is one
 
     def grown(self, mu_max: float) -> ModeArrays | None:
         """A table of every mode with mu <= mu_max, past ``table`` too.
@@ -516,14 +514,15 @@ class CrossSectionSpectrum:
         stops at ``TABLE_CEILING`` entries: a sphere's at that many
         degrees, a torus's at the complete clusters of the largest lattice
         box of that many vectors.  The largest table built so far is kept
-        and serves every smaller mu_max.  None for a norms-only table and
-        for a ``CompleteTail``, which builds no table.
+        and serves every smaller mu_max, or every one once the ceiling cut
+        it.  None for a norms-only table and for a ``CompleteTail``.
         """
-        if self.tail_profile is None or isinstance(self.tail_profile, CompleteTail):
+        provider, kept = self.tail_profile, self._grown
+        if provider is None or isinstance(provider, CompleteTail):
             return None
-        kept = self._grown
         if not kept or kept[0] < mu_max:
-            kept[:] = [mu_max, self.tail_profile.table(mu_max, TABLE_CEILING)]
+            kept[:] = [math.inf if provider.cut(mu_max, TABLE_CEILING) else mu_max,
+                       provider.table(mu_max, TABLE_CEILING)]
         return kept[1]
 
     def chunks(self, y, yp, gamma: float, with_grad: bool):
@@ -532,11 +531,15 @@ class CrossSectionSpectrum:
         Chunk 0 is ``table``; each later chunk, built only when asked for,
         holds entries start .. 2 start - 1, so that no chunk more than
         doubles the modes read.  Where the table is shorter, the chunk
-        first asks :meth:`grown` for ``_GROWTH`` times the table's top mu,
-        and it ends early where a grown table stops at its ceiling.  Pair
-        values (grad None without ``with_grad``) continue the chunk before.
+        first asks :meth:`grown` for ``_GROWTH`` times the mu one gap past
+        the table's top, and it ends early where a grown table stops at its
+        ceiling.  Pair values (grad None without ``with_grad``) continue
+        the chunk before.  A norms-only spectrum raises
+        :class:`NormsOnlyError`.
         """
-        table = self.pair_table
+        if (table := self.table).pairs is None:
+            raise NormsOnlyError("spectrum carries mode norms only (no pair functions); "
+                                 "kernel evaluation is impossible")
         state, start, end = None, 0, table.mu.size
         while True:
             pair, grad, state = table.pairs(y, yp, gamma, start, end, state, with_grad)
@@ -545,7 +548,7 @@ class CrossSectionSpectrum:
                 return
             start, end = end, 2 * end
             if table.mu.size < end:
-                table = self.grown(_GROWTH * float(table.mu[-1]))
+                table = self.grown(_GROWTH * float(2.0 * table.mu[-1] - table.mu[max(table.mu.size - 2, 0)]))
                 if table is None or table.mu.size <= start:  # no growth, or a table cut at the ceiling
                     return
                 end = min(end, table.mu.size)
@@ -553,12 +556,11 @@ class CrossSectionSpectrum:
     def pair_values(self, y, yp, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
 
-        Both arrays are aligned with ``table``.  The derivative is per unit
-        cross-section arc length, along the direction of increasing
+        Both arrays are chunk 0 of :meth:`chunks`.  The derivative is per
+        unit cross-section arc length, along the direction of increasing
         separation from y' (None without ``with_grad``).
         """
-        table = self.pair_table
-        return table.pairs(y, yp, self.cross_section.distance(y, yp), 0, table.mu.size, None, with_grad)[:2]
+        return next(self.chunks(y, yp, self.cross_section.distance(y, yp), with_grad))[1:3]
 
     def descriptor(self) -> str:
         return (

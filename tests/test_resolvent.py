@@ -29,7 +29,7 @@ from conekit import (
 )
 from conekit.bessel import bessel_i, log_scaled
 from conekit.resolvent import _KERNEL_REL_TOL, _b_half
-from conekit.spectrum import TABLE_CEILING
+from conekit.spectrum import TABLE_CEILING, TorusTail
 
 import oracles
 
@@ -229,9 +229,12 @@ class TestCertification:
         ]}))
         from conekit import load_spectrum
         spec = load_spectrum(p)
-        z, zp = ConePoint(0.2, 0.0), ConePoint(1.0, 0.7)
-        with pytest.raises(NormsOnlyError):
-            resolvent_kernel(ResolventRequest(spec, z, zp))
+        # Off and on r = r': the first chunk read refuses, before any tau rule.
+        for z, zp in ((ConePoint(0.2, 0.0), ConePoint(1.0, 0.7)), (ConePoint(1.0, 0.0), ConePoint(1.0, 0.7))):
+            req = ResolventRequest(spec, z, zp)
+            for evaluate in (resolvent_kernel, resolvent_gradient, lambda _: riesz_kernel(spec, z, zp)):
+                with pytest.raises(NormsOnlyError):
+                    evaluate(req)
 
     def test_coincident_points_rejected(self):
         z, _ = _point_pair(S3, 1.0, 1.0, 0.0)
@@ -489,6 +492,56 @@ class TestDiagonal:
                 assert not kv.certified and kv.tail_kind == "quadrature", (d, r, gamma, lam)
                 assert err <= kv.float_tail_bound() + 1e-10 * abs(ref), (d, r, gamma, lam, err)
                 assert err <= req.rel_tol * abs(ref) or not close, (d, r, gamma, lam, err)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_small_separation_reads_many_chunks(self, d):
+        # At gamma = 0.01 the nodes at small tau want modes far past the base
+        # table: the tau rule reads on through more chunks than the first
+        # three, and each component meets rel_tol of the closed form, within
+        # its estimate.
+        spec = sphere_spectrum(d)
+        for r, lam in ((1.0, 1.0), (0.5, 2.0)):
+            z, zp = _point_pair(spec, r, r, 0.01)
+            req = ResolventRequest(spec, z, zp, lam=lam)
+            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+            for kv, ref in zip(got, oracles.yukawa_flat(d, r, r, 0.01, lam)):
+                err = abs(kv.float_value() - ref)
+                assert kv.modes_used > 4 * spec.table.mu.size, (d, r, lam, kv.modes_used)
+                assert err <= kv.float_tail_bound() and err <= req.rel_tol * abs(ref), (d, r, lam, err)
+
+    def test_reads_the_base_table_past_a_smaller_cut_table(self, monkeypatch):
+        # The (1, 0.8, 1.2) torus's base table holds 15136 clusters, its table
+        # cut at the ceiling 2893: the nodes read the base table, not the
+        # smaller one, and each estimate still covers a refined rule.
+        spec = torus_spectrum(4, [1.0, 0.8, 1.2])
+        cut = spec.grown(1e12).mu.size
+        assert cut < spec.table.mu.size
+        z, zp = _point_pair(spec, 1.0, 1.0, 0.5)
+        req = ResolventRequest(spec, z, zp)
+        got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+        monkeypatch.setattr("conekit.resolvent._DIAG_STEP", 0.25)
+        finer = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+        for a, b in zip(got, finer):
+            assert a.modes_used > cut, (a.modes_used, cut)
+            assert abs(a.float_value() - b.float_value()) <= a.float_tail_bound(), (a, b)
+
+    def test_a_table_cut_at_the_ceiling_is_built_once(self, monkeypatch):
+        # An s = 0.999 value grows the (1, 1.3) torus table until the ceiling
+        # cuts it; the r = r' values after it, whose nodes want modes further
+        # out, read that table and build no other.
+        builds, table = [], TorusTail.table
+
+        def counted(self, mu_max, limit=None):
+            if limit == TABLE_CEILING:
+                builds.append(mu_max)
+            return table(self, mu_max, limit)
+
+        monkeypatch.setattr(TorusTail, "table", counted)
+        spec = torus_spectrum(3, [1.0, 1.3])
+        _value(spec, 0.999, 1.0, 1.0)
+        for gamma in (0.96, 0.3, 0.1):
+            _value(spec, 1.0, 1.0, gamma)
+        assert len(builds) == 1, builds
 
     @pytest.mark.parametrize("gamma", [1e-153, 1e-160, 1e-161])
     def test_separation_too_small_for_the_tau_rule(self, gamma):

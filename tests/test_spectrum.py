@@ -884,6 +884,35 @@ class TestGrownTables:
         assert spec.grown(70000.0).mu.size == TABLE_CEILING
         assert sphere_spectrum(3).grown(1e12).mu.size == TABLE_CEILING
 
+    def test_a_sphere_growth_serves_two_doublings(self, monkeypatch):
+        # A grown sphere table holds at least four times the degrees of the
+        # table before it (its top is one gap past the old top, times four),
+        # so one build serves two chunks: reading 2**8 times the 40 degrees
+        # of the base table takes four builds, not one per chunk.
+        spec, builds, table = sphere_spectrum(3), [], SphereTail.table
+        monkeypatch.setattr(SphereTail, "table", lambda self, mu_max, limit=None:
+                            builds.append(mu_max) or table(self, mu_max, limit))
+        y, yp = spec.cross_section.points_at_separation(1.0)
+        sizes = [mu.size for mu, *_ in itertools.islice(spec.chunks(y, yp, 1.0, False), 9)]
+        assert sum(sizes) == 40 * 2 ** 8 and len(builds) == 4, (sizes, builds)
+
+    def test_a_cut_table_serves_every_larger_mu_max(self, monkeypatch):
+        # The provider says when the ceiling cut its table: a sphere's then
+        # holds TABLE_CEILING degrees, a torus's is the largest box's.  The
+        # table kept then serves every mu_max without a build; one a hair
+        # short of the sphere's cut is complete below it, and not kept so.
+        sphere, torus = sphere_spectrum(3), torus_spectrum(3, [1.0, 1.3])
+        top = spectrum._sphere_mu(3, 1.0, sphere.tail_profile.c0, TABLE_CEILING - 1)
+        below = math.nextafter(top, 0.0)
+        assert not sphere.tail_profile.cut(below, TABLE_CEILING)
+        assert sphere.grown(below).mu.size == TABLE_CEILING - 1
+        assert sphere.tail_profile.cut(top, TABLE_CEILING) and torus.tail_profile.cut(200.0, TABLE_CEILING)
+        cut = sphere.grown(top), torus.grown(200.0)
+        assert cut[0].mu.size == TABLE_CEILING
+        for provider in (SphereTail, spectrum.TorusTail):
+            monkeypatch.setattr(provider, "table", None)  # a build would raise TypeError
+        assert sphere.grown(1e12) is cut[0] and torus.grown(1e12) is cut[1]
+
     @pytest.mark.parametrize("radii", [[1.0, 1.0, 1.0], [1.0, 1.3]])
     def test_torus_table_stops_at_the_largest_box(self, radii):
         # A torus table whose lattice box would pass the ceiling holds the

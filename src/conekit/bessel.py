@@ -122,10 +122,14 @@ def split_log(ln_x: float) -> tuple[float, int]:
     ``e`` is zero while the plain float is comfortably representable
     (|log2| <= ``_FOLD_EXP2``); otherwise m lies in [1, 2).  The
     log 2 is split (Cody-Waite), so the folding stays accurate to about an
-    ulp even for |ln_x| in the thousands.
+    ulp even for |ln_x| in the thousands.  From |ln_x| = 2**52 on, the
+    log's own ulp is 1 or more, so m would carry no digit: a DomainError.
     """
     if ln_x == -math.inf:
         return 0.0, 0
+    if abs(ln_x) >= 2.0**52:
+        raise DomainError(f"log {float(ln_x)!r} lies past 2**52 in magnitude: its ulp is a factor of e or more, "
+                          "so no digit of the value is known")
     e = math.floor(ln_x / _LN2)
     if abs(e) <= _FOLD_EXP2:
         return math.exp(ln_x), 0

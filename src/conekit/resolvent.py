@@ -147,21 +147,20 @@ derivative along the diagonal: (2-d)/(2r) G - (lam^2/r) G_1, G_1 with
 weight tau e^{-lam^2 tau}, or -(d-1)/(2r) times the lambda-integral,
 which is homogeneous of degree 1 - d.  The grid ends where the flat heat
 kernel's e^{-R^2/4tau} (R the cone distance) is negligible and where the
-weight or the bottom mode's power decay is; a node at x sums the modes
-with mu <= 9 sqrt(x) + 12, read in chunks (see Evaluation) up to the
-first that holds the largest x's, and one needing modes past the last
-chunk is left out.  A complete table (``CompleteTail``) is a finite sum:
-each node sums all of it and none is left out, its F falls only as
-e^{v/2}, so the grid starts where that is negligible, and its
-lambda-integral diverges (``DomainError``).  The step halves from 1/2
-until two grids agree to rel_tol in each component returned (for the
-lambda-integral's gradient, rel_tol times its length).  The estimate
-adds their difference, the rounding (as for s < 1), and twice the flat
-heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau for the
-angular row) over the nodes left out.  It is not a proof: at large lam R
-the terms outgrow the value by up to e^{lam R}, and it grows too.  Below
-R/r of about 1e-153 the grid's largest x passes double range, and the
-value is refused (``DomainError``).
+weight or the bottom mode's power decay is.  The nodes' F and their
+rounding come from :meth:`conekit.spectrum.CrossSectionSpectrum.node_sums`,
+which cuts each node's modes and leaves out the nodes its chunks cannot
+serve.  A complete table (``CompleteTail``) is a finite sum: no node is
+left out, its F falls only as e^{v/2}, so the grid starts where that is
+negligible, and its lambda-integral diverges (``DomainError``).  The step
+halves from 1/2 until two grids agree to rel_tol in each component
+returned (for the lambda-integral's gradient, rel_tol times its length).
+The estimate adds their difference, the rounding (as for s < 1), and
+twice the flat heat kernel (4 pi tau)^{-d/2} e^{-R^2/4tau} (times R/2tau
+for the angular row) over the nodes left out.  It is not a proof: at
+large lam R the terms outgrow the value by up to e^{lam R}, and it grows
+too.  Below R/r of about 1e-153 the grid's largest x passes double
+range, and the value is refused (``DomainError``).
 """
 
 from __future__ import annotations
@@ -189,10 +188,8 @@ _KERNEL_REL_TOL = 1e-8  # ResolventRequest's default relative tolerance
 _LOG_FP_SHARE = math.log(1e-1)
 # The tau rule at r = r': its first step, halved at most _DIAG_HALVINGS times,
 # and the ends of its grid, where the integrand is below e^{-_DIAG_LOG_SMALL} of
-# the value.  Past mu = 9 sqrt(x) + 12 every term of a node is below e^{-40} of
-# its largest (measured, not proved).
+# the value.
 _DIAG_STEP, _DIAG_HALVINGS, _DIAG_LOG_SMALL = 0.5, 5, 40.0
-_DIAG_MU_SLOPE, _DIAG_MU_FLOOR = 9.0, 12.0
 
 
 def _check_rel_tol(rel_tol) -> float:
@@ -324,30 +321,23 @@ def _heat_diagonal(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, gamm
     try:
         v_lo = -2.0 * (_DIAG_LOG_SMALL + max(math.log(lr), 0.0)) if complete else \
             math.log(rho * rho / (4.0 * (log_small + 0.5 * d * math.log(4.0 * log_small))))
-        need_top = _DIAG_MU_SLOPE * math.sqrt(0.5 * math.exp(-v_lo)) + _DIAG_MU_FLOOR
+        x_max = 0.5 * math.exp(-v_lo)
     except (ValueError, OverflowError):  # (R/r)^2 underflows, or the grid's largest x = r^2/2tau overflows
         raise DomainError(f"cone distance R/r = {rho!r} at r = r' is too small for the tau rule") from None
     v_hi = (_DIAG_LOG_SMALL + d) / (spec.mu0 + (0.5 if lam is None else 0.0))
     if lr > 0.0:
         v_hi = min(v_hi, math.log(log_small) - 2.0 * math.log(lr))
     size = math.ceil((v_hi - v_lo) / _DIAG_STEP) + 1
-    parts = []  # the chunks up to the first that reaches need_top, or all of them
-    for mu, pair, grad, _ in spec.chunks(z.y, zp.y, gamma, need_grad):
-        parts.append((mu, pair, grad)[:3 if need_grad else 2])
-        if mu[-1] >= need_top:
-            break
-    mu, *rows = (np.concatenate(part) for part in zip(*parts))
-    mu = mu[:max(int(mu.searchsorted(need_top, side="right")), 1)]
-    # One row of node factors per component: the pairs for the kernel, or the
+    node_sums = spec.node_sums(z.y, zp.y, gamma, x_max, need_grad)
+    # One row of node sums per component: the pairs for the kernel, or the
     # pairs for the radial and the gradient pairs for the angular component.
     # Each scale carries the powers of r that the weights leave out.
-    pair_rows = np.array([row[:mu.size] for row in rows])
     r_power = -1.0 if lam is None else 0.0
     log_scales = [_gauge_log_factor(d, r, r) + math.log(0.5) + power * math.log(r)
                   for power in ((r_power - 1.0,) * 2 if need_grad else (r_power,))]
 
     def grid(v):
-        """Per component, sums over the nodes v: of the weighted node factors, of |weight| times their
+        """Per component, sums over the nodes v: of the weighted node sums, of |weight| times their
         rounding, of their sizes, and of twice the flat bound over the nodes left out; and the most
         modes a node summed."""
         sigma, x = np.exp(v), 0.5 * np.exp(-v)
@@ -355,21 +345,12 @@ def _heat_diagonal(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, gamm
             w = 0.5 * math.sqrt(math.pi) / np.sqrt(sigma)
             radial = -0.5 * (d - 1) * w
         else:
-            w = np.exp(-(lr * lr) * sigma)
-            radial = ((1.0 - 0.5 * d) - lr * lr * sigma) * w
+            # (lam r)^2 sigma: past lam r ~ 1.3e154 (lam r)^2 overflows, and lr (lr sigma) stays finite.
+            decay = lr * lr * sigma if lr * lr < math.inf else lr * (lr * sigma)
+            w = np.exp(-decay)
+            radial = ((1.0 - 0.5 * d) - decay) * w if need_grad else None
         weights = np.array([radial, w] if need_grad else [w])
-        # A complete table is summed whole at every node, and no node is left out.
-        need = np.full(v.size, mu[-1]) if complete else _DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR
-        short = need > mu[-1]
-        node, fp = np.zeros((2, len(pair_rows), v.size))
-        counts = np.maximum(mu.searchsorted(need[~short], side="right"), 1)
-        if counts.size:
-            starts = np.cumsum(counts) - counts
-            j = np.arange(counts.sum()) - np.repeat(starts, counts)
-            log_e, rel, _ = log_scaled("i", mu[j], np.repeat(x[~short], counts))
-            terms = pair_rows[:, j] * np.exp(log_e)
-            node[:, ~short] = np.add.reduceat(terms, starts, axis=1)
-            fp[:, ~short] = np.add.reduceat(np.abs(terms) * (rel + np.repeat(counts, counts) * _EPS), starts, axis=1)
+        node, fp, short, most = node_sums(x)
         # The flat heat kernel on the series' scale; at tiny R/r its bound runs past float range (inf).
         with np.errstate(divide="ignore", over="ignore"):
             flat = np.where(short, np.exp(np.log(2.0 * sigma) - 0.5 * d * np.log(4.0 * math.pi * sigma)
@@ -377,8 +358,7 @@ def _heat_diagonal(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, gamm
             flat = np.array([flat, flat * rho / (2.0 * sigma)] if need_grad else [flat])
             flat_sum = 2.0 * (np.abs(weights) * flat).sum(axis=1)
         wf = weights * node
-        return (wf.sum(axis=1), (np.abs(weights) * fp).sum(axis=1), np.abs(wf).sum(axis=1),
-                flat_sum, int(counts.max(initial=0)))
+        return (wf.sum(axis=1), (np.abs(weights) * fp).sum(axis=1), np.abs(wf).sum(axis=1), flat_sum, most)
 
     step = _DIAG_STEP
     *first, used = grid(v_lo + step * np.arange(size))

@@ -149,7 +149,6 @@ def load_spectrum(path) -> CrossSectionSpectrum:
         cross_section=SeparationCrossSection(),
         v0_constant=v0_constant,
         tail_profile=CompleteTail() if table.pairs is not None else None,
-        mu_cutoff=float(table.mu[-1]),
     )
 
 

@@ -41,7 +41,9 @@ a table the ceiling cut serves every later request.
 and on it, reads the base table, then chunks that at most double the
 entries read, growing the table ``_GROWTH``-fold in mu where it is too
 short.  ``table`` and what is read from it (mu0, mu1, the descriptor,
-files) stay the base table.
+files) stay the base table.  At r = r' the resolvent's tau rule reads the
+modes only through :meth:`CrossSectionSpectrum.node_sums`, the heat
+kernel's mode sums at its nodes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import _EPS, _LN2, _OLVER_NU_MIN
+from .bessel import _EPS, _LN2, _OLVER_NU_MIN, log_scaled
 from .errors import (
     DomainError,
     InsufficientSpectrumError,
@@ -91,6 +93,9 @@ _GROWTH = 4
 # (5, 5) and (1, 0.8, 1.2) tori (d = 3 and 4, c = 0) hold 159,201 and 472,815
 # lattice vectors.
 _BASE_TABLE_LIMIT = 1 << 20
+# The heat kernel's node sums: past mu = 9 sqrt(x) + 12 every term of a node
+# is below e^{-40} of its largest (measured, not proved).
+_DIAG_MU_SLOPE, _DIAG_MU_FLOOR = 9.0, 12.0
 
 
 class TailProfile:
@@ -455,11 +460,12 @@ class ModeArrays:
 class CrossSectionSpectrum:
     """Mode table of L_Y for one cone, sorted by mu ascending.
 
-    The provider promises completeness: every eigenvalue with mu at or
-    below ``mu_cutoff`` appears (equal-mu clusters merged).  ``table``
-    holds the modes, their sup bounds the tails read and the pair
-    functions that :meth:`chunks` reads for every kernel value; without
-    pair functions the spectrum is norms-only.  Every spectrum has a
+    The provider promises completeness: every eigenvalue up to the
+    table's top mu appears (equal-mu clusters merged).  ``table`` holds
+    the modes, their sup bounds the tails read and the pair functions
+    that :meth:`chunks` reads for every kernel value, and
+    :meth:`node_sums` for the heat kernel's nodes at r = r'; without pair
+    functions the spectrum is norms-only.  Every spectrum has a
     cross-section, and every table with pair functions has a tail profile
     (a norms-only one may have none), so every kernel value off r = r'
     bounds its truncation rigorously; the constructor raises
@@ -475,7 +481,6 @@ class CrossSectionSpectrum:
     cross_section: CrossSection
     v0_constant: float | None = None
     tail_profile: TailProfile | None = None
-    mu_cutoff: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dimension(self.d))
@@ -552,6 +557,45 @@ class CrossSectionSpectrum:
                 if table is None or table.mu.size <= start:  # no growth, or a table cut at the ceiling
                     return
                 end = min(end, table.mu.size)
+
+    def node_sums(self, y, yp, gamma: float, x_max: float, with_grad: bool):
+        """The heat kernel's node sums at (y, y'): a function of an array of nodes x <= x_max.
+
+        It returns one row per component of sum_j row_j e^{-x} I_{mu_j}(x),
+        the pairs, then with ``with_grad`` the gradient pairs; their
+        rounding, sum |term| (rel + count eps); a mask of the nodes left out
+        (summed as 0); and the most modes a node summed.  A node sums the
+        modes with mu <= 9 sqrt(x) + 12, or every mode of a ``CompleteTail``
+        table.  The modes are read from :meth:`chunks` up to x_max's cut, or
+        to the last chunk; a node whose cut passes the last mode read is
+        left out (the node at x_max too, unless a mode lies on its cut).
+        """
+        need_top = _DIAG_MU_SLOPE * math.sqrt(x_max) + _DIAG_MU_FLOOR
+        parts = []  # the chunks up to the first that reaches need_top, or all of them
+        for mu, pair, grad, _ in self.chunks(y, yp, gamma, with_grad):
+            parts.append((mu, pair, grad)[:3 if with_grad else 2])
+            if mu[-1] >= need_top:
+                break
+        mu, *rows = (np.concatenate(part) for part in zip(*parts))
+        mu = mu[:max(int(mu.searchsorted(need_top, side="right")), 1)]
+        pair_rows = np.array([row[:mu.size] for row in rows])
+        complete = isinstance(self.tail_profile, CompleteTail)
+
+        def sums(x):
+            need = np.full(x.size, mu[-1]) if complete else _DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR
+            short = need > mu[-1]
+            node, fp = np.zeros((2, len(pair_rows), x.size))
+            counts = np.maximum(mu.searchsorted(need[~short], side="right"), 1)
+            if counts.size:
+                starts = np.cumsum(counts) - counts
+                j = np.arange(counts.sum()) - np.repeat(starts, counts)
+                log_e, rel, _ = log_scaled("i", mu[j], np.repeat(x[~short], counts))
+                terms = pair_rows[:, j] * np.exp(log_e)
+                node[:, ~short] = np.add.reduceat(terms, starts, axis=1)
+                fp[:, ~short] = np.add.reduceat(np.abs(terms) * (rel + np.repeat(counts, counts) * _EPS), starts, axis=1)
+            return node, fp, short, int(counts.max(initial=0))
+
+        return sums
 
     def pair_values(self, y, yp, with_grad: bool = True):
         """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
@@ -630,7 +674,6 @@ def _provider_spectrum(d: int, c: float, provider: SphereTail | TorusTail, mu_cu
         cross_section=cs,
         v0_constant=float(c),
         tail_profile=provider,
-        mu_cutoff=cutoff,
     )
 
 
@@ -685,5 +728,4 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
         table=table,
         tail_profile=CompleteTail(),
         v0_descriptor=f"{spectrum.v0_descriptor}|leading:{int(count)}",
-        mu_cutoff=float(table.mu[-1]),
     )

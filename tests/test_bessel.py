@@ -10,7 +10,7 @@ import pytest
 
 from conekit import DomainError, bessel_i, bessel_k
 from conekit.bessel import (_EPS, _OLVER_TERMS, _X_LARGE, _X_TINY, METHODS, _gen_olver_polys, _olver_grid,
-                            log_ik_integrals, log_scaled, wronskian_residual)
+                            log_ik_integrals, log_scaled, split_log, wronskian_residual)
 from conekit.bessel import _OLVER_NU_MIN as _NU_MIN
 
 import oracles
@@ -160,6 +160,16 @@ class TestScaledRange:
                 for got, ref, rel in zip((log_f, log_df), refs, (rel_f, rel_df)):
                     err = _log_err(got, ref)
                     assert err <= rel and err < 1e-12, (kind, nu, r, got)
+
+    def test_split_log_refuses_a_log_without_digits(self):
+        # Below 2**52 in magnitude the log's ulp is below 1 and m lies in
+        # [1, 2); from 2**52 on no digit of the value is known: a DomainError.
+        for ln_x in (2.0 ** 52 - 1.0, -(2.0 ** 52 - 1.0), 1e15, -1e15):
+            m, e = split_log(ln_x)
+            assert 1.0 <= m < 2.0 and abs(e - ln_x / math.log(2.0)) <= 2.0, ln_x
+        for ln_x in (2.0 ** 52, -(2.0 ** 52), -1.97e53, -3.3e256, math.inf):
+            with pytest.raises(DomainError, match="past 2\\*\\*52"):
+                split_log(ln_x)
 
     def test_large_argument_decay(self):
         ev = bessel_k(0.5, 500.0)

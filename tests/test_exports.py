@@ -120,6 +120,23 @@ def test_the_resolvent_knows_no_growth_schedule():
     assert not re.findall(r"_GROWTH|TABLE_CEILING|mu_cutoff|\.grow\b|yield", source)
 
 
+def test_the_tau_rule_reads_no_modes():
+    # At r = r' the resolvent reaches the modes only through
+    # CrossSectionSpectrum.node_sums: resolvent names none of the node cut's
+    # constants, and _heat_diagonal reads no chunk, no mu and no pair row
+    # and runs no Bessel pass of its own.
+    source = (pathlib.Path(conekit.__file__).parent / "resolvent.py").read_text()
+    tree = ast.parse(source)
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert not named & {"_DIAG_MU_SLOPE", "_DIAG_MU_FLOOR"}
+    assert not re.findall(r"_DIAG_MU_SLOPE|_DIAG_MU_FLOOR", source)
+    body, = (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_heat_diagonal")
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(body)}
+    reads = named & {"chunks", "log_scaled", "mu", "pair", "pair_rows"}
+    assert not reads, reads
+    assert "node_sums" in named
+
+
 def test_lazy_names_in_a_fresh_interpreter():
     # Before any lazy module loads, dir() lists every exported name, and
     # `from conekit import *` binds each.

@@ -3,7 +3,7 @@
 import functools
 import json
 import math
-from dataclasses import replace
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -139,6 +139,15 @@ class TestEuclideanOracle:
         assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_value() == -math.inf
         assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_tail_bound() == math.inf
         assert KernelValue(1.5, 1.0, 1, exp2=-2000).float_value() == 0.0
+
+    def test_value_whose_log_has_no_digit_is_refused(self):
+        # log G is about -2.7e96 here: past 2**52 the log's ulp is 1 or more,
+        # so no digit of the value is known, and it is refused.
+        z, zp = _point_pair(S3, 5.68, 6.48, 0.5)
+        req = ResolventRequest(S3, z, zp, lam=3.38e96)
+        for evaluate in (resolvent_kernel, resolvent_gradient):
+            with pytest.raises(DomainError, match="past 2\\*\\*52"):
+                evaluate(req)
 
 
 class TestSymmetries:
@@ -543,6 +552,19 @@ class TestDiagonal:
             _value(spec, 1.0, 1.0, gamma)
         assert len(builds) == 1, builds
 
+    @pytest.mark.parametrize("r, lam", [(1.0, 1e150), (1.0, 1e160), (1e160, 1.0), (1.0, 1e300)])
+    def test_huge_lambda_r_underflows_every_weight(self, r, lam):
+        # Every weight e^{-(lam r)^2 tau/r^2} underflows at every node: each
+        # component is 0, with no warning, past lam r ~ 1.3e154 too, where
+        # (lam r)^2 overflows.
+        z, zp = _point_pair(S3, r, r, 0.5)
+        req = ResolventRequest(S3, z, zp, lam=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+        for kv in got:
+            assert (kv.value, kv.tail_bound, kv.tail_kind) == (0.0, 0.0, "quadrature"), (r, lam, kv)
+
     @pytest.mark.parametrize("gamma", [1e-153, 1e-160, 1e-161])
     def test_separation_too_small_for_the_tau_rule(self, gamma):
         # R/r = gamma here.  The grid's largest x = r^2/2tau passes float
@@ -571,9 +593,9 @@ class TestDiagonal:
         # table stops short of the modes the nodes at small tau need (at
         # gamma = 0.4 those with x > 121): the flat heat kernel's bound over
         # those nodes carries it.
-        refinements = [{"_DIAG_STEP": 0.25}]
+        refinements = [{"resolvent._DIAG_STEP": 0.25}]
         if more_modes:
-            refinements.append({"_DIAG_MU_SLOPE": 18.0, "_DIAG_MU_FLOOR": 24.0})
+            refinements.append({"spectrum._DIAG_MU_SLOPE": 18.0, "spectrum._DIAG_MU_FLOOR": 24.0})
         for r, gamma, lam in ((1.0, 0.4, 1.0), (0.2, 2.9, 2.5))[:2 if more_modes else 1]:
             z, zp = _point_pair(spec, r, r, gamma)
             req = ResolventRequest(spec, z, zp, lam=lam)
@@ -581,7 +603,7 @@ class TestDiagonal:
             for refine in refinements:
                 with monkeypatch.context() as m:
                     for name, value in refine.items():
-                        m.setattr(f"conekit.resolvent.{name}", value)
+                        m.setattr(f"conekit.{name}", value)
                     finer = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
                 for a, b in zip(got, finer):
                     assert abs(a.float_value() - b.float_value()) <= a.float_tail_bound(), (r, gamma, lam, refine)
@@ -967,15 +989,13 @@ class TestGrownTables:
         assert abs(kv.float_value() - ref) <= _KERNEL_REL_TOL * abs(ref)
 
     def test_spectrum_without_cutoff(self):
-        # A spectrum built directly from a provider's table and tail, without
-        # mu_cutoff, grows as the provider's does: the chunks read no cutoff,
-        # so the value is the provider's spectrum's bit for bit, with its
-        # cutoff set or unset.
+        # A spectrum built directly from a provider's table and tail grows as
+        # the provider's does: the chunks read no cutoff, so the value is the
+        # provider's spectrum's bit for bit.
         direct = CrossSectionSpectrum(d=3, table=S3.table, v0_descriptor=S3.v0_descriptor,
                                       cross_section=S3.cross_section, tail_profile=S3.tail_profile)
-        assert _value(direct, 0.9, 1.0, 1.0) == _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
         assert _value(direct, 0.9, 1.0, 1.0) == _value(S3, 0.9, 1.0, 1.0)
         ref = oracles.yukawa_kernel(0.9, 1.0, 1.0)
-        kv = _value(replace(S3, mu_cutoff=None), 0.9, 1.0, 1.0)
+        kv = _value(direct, 0.9, 1.0, 1.0)
         assert kv.certified and kv.modes_used > len(S3.table.mu)
         assert abs(kv.float_value() - ref) <= _rel_tail(kv) * abs(ref) + 1e-12 * abs(ref)

@@ -459,10 +459,11 @@ class TestDiagonal:
         near, nearer = self._eval(spec, 0.995, 1.0, 0.5), self._eval(spec, 0.999, 1.0, 0.5)
         line = [b + (b - a) / 4.0 for a, b in ((near.d_r, nearer.d_r), (near.angular, nearer.angular))]
         assert abs(kv.d_r - line[0]) + abs(kv.angular - line[1]) <= 1e-4 * kv.magnitude
-        for refine in ({"_DIAG_STEP": 0.25}, {"_DIAG_MU_SLOPE": 18.0, "_DIAG_MU_FLOOR": 24.0}):
+        for refine in ({"resolvent._DIAG_STEP": 0.25},
+                       {"spectrum._DIAG_MU_SLOPE": 18.0, "spectrum._DIAG_MU_FLOOR": 24.0}):
             with monkeypatch.context() as m:
                 for name, value in refine.items():
-                    m.setattr(f"conekit.resolvent.{name}", value)
+                    m.setattr(f"conekit.{name}", value)
                 finer = self._eval(spec, 1.0, 1.0, 0.5)
             assert abs(finer.d_r - kv.d_r) + abs(finer.angular - kv.angular) <= kv.quad_error_est, refine
 

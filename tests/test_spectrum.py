@@ -16,6 +16,7 @@ from scipy.special import comb, eval_gegenbauer
 from conekit import (
     DomainError,
     InsufficientSpectrumError,
+    NormsOnlyError,
     PositivityError,
     SpectrumFormatError,
     leading_modes,
@@ -25,7 +26,9 @@ from conekit import (
     torus_spectrum,
 )
 from conekit import spectrum, verify
-from conekit.spectrum import TABLE_CEILING, CompleteTail, SphereTail, TailProfile, _mu0_squared
+from conekit.bessel import log_scaled
+from conekit.spectrum import (_DIAG_MU_FLOOR, _DIAG_MU_SLOPE, TABLE_CEILING, CompleteTail, SphereTail, TailProfile,
+                              _default_cutoff, _mu0_squared)
 
 import oracles
 
@@ -496,7 +499,8 @@ class TestReferenceAlgorithms:
     def test_sphere_tables(self, d, c, radius):
         for cutoff in (None, 9.0, 100.0):
             spec = sphere_spectrum(d, radius=radius, c=c, mu_cutoff=cutoff)
-            _assert_table(spec, *_ref_sphere_table(d, radius, c, spec.mu_cutoff, 1.1), 1.1)
+            want = _default_cutoff(spec.mu0) if cutoff is None else cutoff  # every mode up to it
+            _assert_table(spec, *_ref_sphere_table(d, radius, c, want, 1.1), 1.1)
 
     @pytest.mark.parametrize("radii", _TORI)
     def test_torus_tables(self, radii):
@@ -841,7 +845,7 @@ class TestGrownTables:
 
     def test_base_table_is_the_grown_prefix(self):
         for spec in (sphere_spectrum(4, radius=0.7, c=0.3), torus_spectrum(3, [1.0, 1.3])):
-            table = spec.grown(2.0 * spec.mu_cutoff)
+            table = spec.grown(2.0 * float(spec.table.mu[-1]))
             n = len(spec.table.mu)
             assert table.mu.size > n
             assert table.mu[:n].tolist() == spec.table.mu.tolist()
@@ -922,7 +926,7 @@ class TestGrownTables:
         spec = torus_spectrum(len(radii) + 1, radii)
         cut = spec.grown(1e12)
         assert cut.mult.sum() <= TABLE_CEILING and cut.mu[-1] > 19.9
-        assert torus_spectrum(len(radii) + 1, radii).grown(spec.mu_cutoff * 4).mu.tolist() == cut.mu.tolist()
+        assert torus_spectrum(len(radii) + 1, radii).grown(float(spec.table.mu[-1]) * 4).mu.tolist() == cut.mu.tolist()
         whole = spec.tail_profile.table(float(cut.mu[-1]))
         assert whole.mu.tolist() == cut.mu.tolist() and whole.mult.tolist() == cut.mult.tolist()
         # One layer more would pass the ceiling.
@@ -951,3 +955,58 @@ class TestGrownTables:
             assert spec.tail_profile.log_sum_beyond(s, mu_from) == every[:3]
             for kinds in (slice(0, 1), slice(0, 2), slice(3, 6), slice(4, 5)):
                 assert spec.tail_profile.log_sum_beyond(s, mu_from, kinds) == every[kinds]
+
+
+class TestNodeSums:
+    """The heat kernel's node sums at r = r' (CrossSectionSpectrum.node_sums)."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_flat_closed_form(self, d):
+        # On the cone over the unit S^{d-1} with c = 0 (flat R^d) at r = r' = 1
+        # the heat kernel is (4 pi tau)^{-d/2} e^{-(2 - 2 cos gamma)/4 tau}, so
+        # F(x) = x^{-1} (x/2 pi)^{d/2} e^{-x (1 - cos gamma)} and the gradient
+        # row is -x sin(gamma) F(x).  Every node's error lies within its
+        # rounding.  The modes are read up to x_max's cut, past the largest
+        # node's, so no node is left out.
+        spec = sphere_spectrum(d)
+        x = np.geomspace(0.01, 3000.0, 40)
+        for gamma in (0.01, 0.1, 1.0, 2.0, 3.0):
+            y, yp = spec.cross_section.points_at_separation(gamma)
+            node, fp, short, most = spec.node_sums(y, yp, gamma, 2.0 * float(x[-1]), True)(x)
+            flat = (x / (2.0 * math.pi)) ** (0.5 * d) / x * np.exp(-x * (1.0 - math.cos(gamma)))
+            assert not short.any() and most > spec.table.mu.size
+            err = np.abs(node - np.array([flat, -x * math.sin(gamma) * flat]))
+            assert (err <= fp).all(), (d, gamma, float((err / fp).max()))
+
+    def test_complete_table_sums_every_mode(self):
+        # A complete table: every node sums all of it, and none is left out.
+        lead = leading_modes(sphere_spectrum(3), 3)
+        y, yp = lead.cross_section.points_at_separation(0.7)
+        x = np.geomspace(1e-3, 1e6, 12)
+        node, fp, short, most = lead.node_sums(y, yp, 0.7, float(x[-1]), False)(x)
+        assert most == 3 and not short.any()
+        pair, _ = lead.pair_values(y, yp, with_grad=False)
+        want = [sum(p * math.exp(log_scaled("i", mu, xi)[0]) for p, mu in zip(pair, lead.table.mu))
+                for xi in x.tolist()]
+        assert (np.abs(node[0] - want) <= 2.0 * fp[0]).all()  # the rounding of both sums
+
+    def test_nodes_past_the_last_chunk_are_left_out(self):
+        # A node is left out exactly where 9 sqrt(x) + 12 passes the top of
+        # the last chunk: here the (1, 1.3) torus table cut at the ceiling.
+        spec = torus_spectrum(3, [1.0, 1.3])
+        y, yp = spec.cross_section.points_at_separation(0.5)
+        top = float([mu for mu, *_ in spec.chunks(y, yp, 0.5, False)][-1][-1])
+        edge = ((top - _DIAG_MU_FLOOR) / _DIAG_MU_SLOPE) ** 2
+        x = np.array([1.0, 0.5 * edge, edge * (1.0 - 1e-12), edge * (1.0 + 1e-12), 2.0 * edge])
+        node, fp, short, most = spec.node_sums(y, yp, 0.5, float(x[-1]), False)(x)
+        assert short.tolist() == (_DIAG_MU_SLOPE * np.sqrt(x) + _DIAG_MU_FLOOR > top).tolist() \
+            == [False, False, False, True, True]
+        assert (node[:, short] == 0.0).all() and (fp[:, short] == 0.0).all()
+        assert most == np.searchsorted(spec.grown(1e12).mu, _DIAG_MU_SLOPE * math.sqrt(x[2]) + _DIAG_MU_FLOOR, "right")
+
+    def test_norms_only_spectrum_has_no_node_sums(self):
+        spec = sphere_spectrum(3)
+        norms = replace(spec, table=replace(spec.table, pairs=None))
+        y, yp = spec.cross_section.points_at_separation(0.5)
+        with pytest.raises(NormsOnlyError):
+            norms.node_sums(y, yp, 0.5, 10.0, False)

@@ -442,20 +442,26 @@ class NormProbeResult:
     iterations: tuple
 
 
+def _p_norm(v: np.ndarray, p: float) -> float:
+    """The p-norm of a nonnegative vector, over its maximum: no |v|^p overflows, and not all underflow."""
+    top = float(v.max())
+    return top * float(np.linalg.norm(v / top, p)) if top > 0.0 else 0.0
+
+
 def _matrix_p_norm(B: np.ndarray, p: float):
-    """Power iteration for the p-norm of a nonnegative matrix, to ``_POWER_TOL``."""
+    """Power iteration for the p-norm of a nonnegative matrix, to ``_POWER_TOL``; powers of vectors over their max."""
     q = p / (p - 1.0)
     n = B.shape[1]
     x = np.full(n, n ** (-1.0 / p))
     lam_prev = 0.0
     for it in range(1, _POWER_ITER_CAP + 1):
         y = B @ x
-        lam = float(np.linalg.norm(y, p))
+        lam = _p_norm(y, p)
         if lam == 0.0:
             return 0.0, it
-        z = B.T @ (y / lam) ** (p - 1.0)
-        x = z ** (q - 1.0)
-        x /= np.linalg.norm(x, p)
+        z = B.T @ (y / y.max()) ** (p - 1.0)
+        x = (z / z.max()) ** (q - 1.0)
+        x /= _p_norm(x, p)
         if abs(lam - lam_prev) <= _POWER_TOL * lam:
             return lam, it
         lam_prev = lam

@@ -204,8 +204,9 @@ def _check_rel_tol(rel_tol) -> float:
 class ResolventRequest:
     """One kernel evaluation: spectrum, endpoints, spectral parameter.
 
-    ``lam`` is the lambda in (H + lambda^2)^{-1}; ``rel_tol`` the target
-    relative truncation error (must lie in (0, 0.1]).
+    ``lam`` is the lambda in (H + lambda^2)^{-1}, and lambda r must stay
+    in float range at both radii; ``rel_tol`` the target relative
+    truncation error (must lie in (0, 0.1]).
     """
 
     spectrum: CrossSectionSpectrum
@@ -218,6 +219,8 @@ class ResolventRequest:
         lam = float(self.lam)
         if not math.isfinite(lam) or lam <= 0.0:
             raise DomainError(f"spectral parameter lambda must be finite and > 0, got {self.lam!r}")
+        if lam * max(self.z.r, self.zp.r) == math.inf:
+            raise DomainError(f"lambda r = {lam!r} * {max(self.z.r, self.zp.r)!r} passes float range")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rel_tol", _check_rel_tol(self.rel_tol))
 

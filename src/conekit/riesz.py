@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .bessel import _ldexp
+from .errors import DomainError
 from .geometry import ConePoint
 from .resolvent import _check_rel_tol, _prepare_series
 from .spectrum import CrossSectionSpectrum
@@ -96,16 +97,22 @@ def riesz_kernel(
     scalar H^{-1/2} series is not summed.  At r = r' the value comes from
     the cone heat kernel, its tau rule refined until two grids agree to
     rel_tol / 2 of |T| in each component.  A complete table (a finite mode
-    sum) diverges there, and raises ``DomainError``.
+    sum) diverges there, and raises ``DomainError``, as does a component
+    or an estimate past float range (on R^3 at r, r' = 1e-110, 3e-110).
     """
     d_r, angular = _prepare_series(spectrum, z, zp, True, None, 0.5 * _check_rel_tol(rel_tol))
     # 2/pi scales each mantissa before its 2**exp2, since it may bring a
     # value just past float range back into it.
     scale = 2.0 / math.pi
+    values = [_ldexp(scale * kv.value, kv.exp2) for kv in (d_r, angular)]
+    est = scale * (d_r.float_tail_bound() + angular.float_tail_bound())
+    # An infinite tail_bound says no digit is known; an infinite value or estimate from finite ones overflowed.
+    if any(map(math.isinf, values)) or (est == math.inf and max(d_r.tail_bound, angular.tail_bound) < math.inf):
+        raise DomainError(f"the Riesz kernel at r = {z.r!r}, r' = {zp.r!r} passes float range")
     return RieszKernelValue(
-        d_r=_ldexp(scale * d_r.value, d_r.exp2),
-        angular=_ldexp(scale * angular.value, angular.exp2),
-        quad_error_est=scale * (d_r.float_tail_bound() + angular.float_tail_bound()),
+        d_r=values[0],
+        angular=values[1],
+        quad_error_est=est,
         certified=d_r.certified and angular.certified,
         tail_kind=d_r.tail_kind,
         modes_used=d_r.modes_used,

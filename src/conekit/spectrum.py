@@ -597,15 +597,6 @@ class CrossSectionSpectrum:
 
         return sums
 
-    def pair_values(self, y, yp, with_grad: bool = True):
-        """Every mode's eigenspace kernel at (y, y'), and its derivative at y.
-
-        Both arrays are chunk 0 of :meth:`chunks`.  The derivative is per
-        unit cross-section arc length, along the direction of increasing
-        separation from y' (None without ``with_grad``).
-        """
-        return next(self.chunks(y, yp, self.cross_section.distance(y, yp), with_grad))[1:3]
-
     def descriptor(self) -> str:
         return (
             f"d={self.d} cross_section={self.cross_section.descriptor()} v0={self.v0_descriptor} "

@@ -3,7 +3,8 @@
 The probes are the indicial (zero-front limit) kernel
 :func:`indicial_kernel`, the zero-front compatibility check
 :func:`zf_compatibility_check` and the boundary decay exponents
-:func:`boundary_order_probe`; no kernel value runs them.
+:func:`boundary_order_probe`; no kernel value runs them.  The indicial
+kernel reads the spectrum's chunks to a proven tail, at any ratio s but 1.
 
 Each suite runs a family of checks whose expected values come from
 independent mathematics (flat-space closed forms, proven inequalities,
@@ -117,26 +118,22 @@ def indicial_kernel(spectrum: CrossSectionSpectrum, s: float, y, yp) -> float:
     """Zero-front limit kernel: (1/2) sum_j pair_j(y,y') t^{mu_j} / mu_j.
 
     ``t = min(s, 1/s)`` makes the expression symmetric under s -> 1/s,
-    matching the two zero-boundary faces.  Singular at s = 1.  The sum runs
-    over the base table only (it does not grow), so accuracy is set by the
-    base cutoff: the neglected remainder is of order t^{mu_cutoff},
-    negligible for t <= 1/4 and degrading as t -> 1 (build the spectrum
-    with a larger ``mu_cutoff`` if needed there).
+    matching the two zero-boundary faces.  Singular at s = 1.  The sum reads
+    :meth:`CrossSectionSpectrum.chunks` one whole chunk at a time, up to the
+    first past whose top the tail profile's proven ``pair_over_2mu`` bound
+    at t is at most eps |sum|; where the chunks end first, DomainError.
     """
-    pair, _ = spectrum.pair_values(y, yp, with_grad=False)
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"radial ratio s must be finite and > 0, got {s!r}")
     if s == 1.0:
         raise DomainError("indicial kernel is singular at s = 1")
-    mu = spectrum.table.mu
-    return float(np.sum(pair * np.exp(mu * math.log(min(s, 1.0 / s))) / (2.0 * mu)))
-
-
-# The indicial kernel sums the base table alone, so its neglected remainder
-# is of order t^{mu_cutoff}; the cutoff margin of 30 above mu0 makes that
-# negligible (below 4^{-30} ~ 1e-18 relative) for t <= 1/4 only.
-_ZF_MAX_RATIO = 0.25
+    t, total = min(s, 1.0 / s), 0.0
+    for mu, pair, _, _ in spectrum.chunks(y, yp, spectrum.cross_section.distance(y, yp), False):
+        total += float(np.sum(pair * np.exp(mu * math.log(t)) / (2.0 * mu)))
+        if math.exp(spectrum.tail_profile.log_sum_beyond(t, float(mu[-1]))[0]) <= _EPS * abs(total):
+            return total
+    raise DomainError(f"indicial kernel at t = {t!r}: the table ends at its ceiling before the tail is below eps")
 
 
 @dataclass(frozen=True)
@@ -163,12 +160,8 @@ class ZfCompatibilityReport:
 
 
 def zf_compatibility_check(spectrum: CrossSectionSpectrum, s: float, y, yp) -> ZfCompatibilityReport:
-    """Check that the kernel's zero-front limit matches the indicial kernel, at 9 values of r' from 1e-1 to 1e-3."""
+    """Check that the kernel's zero-front limit matches the indicial kernel at s, at 9 r' from 1e-1 to 1e-3."""
     s = float(s)
-    if not (0.0 < s <= _ZF_MAX_RATIO):
-        raise DomainError(
-            f"compatibility check runs at radii ratios 0 < s <= {_ZF_MAX_RATIO}, got {s!r}"
-        )
     rprimes = tuple(np.geomspace(1e-1, 1e-3, 9).tolist())
     ind = indicial_kernel(spectrum, s, y, yp)
     if ind == 0.0:
@@ -302,17 +295,14 @@ def _suite_euclid(seed: int):
             f"12 points at 1/4 < s <= 0.99 vs -grad R/(pi^2 R^3): worst rel err {worst:.2e}, certified {n_cert}/12"
 
     def indicial_legendre():
-        # t = 0.9 needs a mode table far past the default cutoff: the
-        # neglected remainder is of order t^mu_cutoff.
-        deep = sphere_spectrum(3, mu_cutoff=260.0)
         worst = 0.0
         for t in (0.1, 0.5, 0.9):
             for gam in (0.3, 1.2, 2.9):
                 y, yp = cs.points_at_separation(gam)
-                got = indicial_kernel(deep, t, y, yp)
+                got = indicial_kernel(spec, t, y, yp)
                 want = math.sqrt(t) / (4.0 * math.pi * math.sqrt(1.0 - 2.0 * t * math.cos(gam) + t * t))
                 worst = max(worst, abs(got - want) / want)
-        return worst < 1e-9, f"indicial vs Legendre generating function: worst rel err {worst:.2e}"
+        return worst < 1e-14, f"indicial vs Legendre generating function: worst rel err {worst:.2e}"
 
     def diagonal_points():
         # r = r' and lam R <= 6: past lam R ~ 10 the heat kernel's terms

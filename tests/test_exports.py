@@ -137,6 +137,20 @@ def test_the_tau_rule_reads_no_modes():
     assert "node_sums" in named
 
 
+def test_every_mode_sum_reads_the_chunks():
+    # One read path: only spectrum.py calls a table's pair functions (in
+    # CrossSectionSpectrum.chunks), and no module names the base-table-only
+    # read pair_values, in code or in text.
+    wrong = []
+    for name in MODULES:
+        source = (pathlib.Path(conekit.__file__).parent / f"{name}.py").read_text()
+        wrong += [f"{name}.py:{node.lineno} calls pairs" for node in ast.walk(ast.parse(source))
+                  if name != "spectrum" and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "pairs"]
+        wrong += [f"{name}.py names pair_values"] if "pair_values" in source else []
+    assert not wrong, wrong
+
+
 def test_lazy_names_in_a_fresh_interpreter():
     # Before any lazy module loads, dir() lists every exported name, and
     # `from conekit import *` binds each.

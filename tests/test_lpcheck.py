@@ -156,6 +156,15 @@ class TestNormProbe:
                             homogeneous_degree=-3.0)
         assert res.verdict == "growing"
 
+    @pytest.mark.parametrize("p, verdict", [(1.0 + 1e-7, "stable"), (1e6, "growing")])
+    def test_extreme_exponents_stay_finite(self, p, verdict):
+        # Unscaled, the powers p - 1 and q - 1 of the power iteration and
+        # |y|^p in the norm overflow here: nan near p = 1, inf at 1e6.
+        res = lp_norm_probe(HomogeneousKernelSpec(3, 1.0, "upper").kernel, 3, p)
+        assert all(math.isfinite(n) and n > 0.0 for n in res.norms), res
+        assert res.verdict == verdict
+        assert max(res.iterations) < 10, res.iterations
+
     def test_monotone_in_k(self):
         res = lp_norm_probe(self.UP.kernel, 3, 1.7, k_values=(2, 6, 10, 14),
                             homogeneous_degree=-3.0)

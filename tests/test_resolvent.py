@@ -38,6 +38,11 @@ S3_NEG = sphere_spectrum(3, c=-0.24)
 S3_POS = sphere_spectrum(3, c=1.0)
 
 
+def _chunk0(spec, y, yp, with_grad=True):
+    """The base table's pairs at (y, y') and, with ``with_grad``, their derivatives: chunk 0 of ``chunks``."""
+    return next(spec.chunks(y, yp, spec.cross_section.distance(y, yp), with_grad))[1:3]
+
+
 def _point_pair(spec, r, rp, gamma):
     y, yp = spec.cross_section.points_at_separation(gamma)
     return ConePoint(r, y), ConePoint(rp, yp)
@@ -132,9 +137,9 @@ class TestEuclideanOracle:
             for kv, (sign, log_want) in zip((g.d_r, g.angular), want):
                 assert kv.certified and math.copysign(1.0, kv.value) == sign, (r, rp, kv)
                 assert abs(kv.log_abs - log_want) <= _rel_tail(kv) + 1e-12, (r, rp, kv, log_want)
-            # -grad R/(pi^2 R^3) passes float range: signed infinities, the signs of the gradient's.
-            t = riesz_kernel(S3, z, zp)
-            assert t.certified and (t.d_r, t.angular) == tuple(sign * math.inf for sign, _ in want), (r, rp, t)
+            # -grad R/(pi^2 R^3) passes float range, and a Riesz value holds plain floats: it is refused.
+            with pytest.raises(DomainError, match="passes float range"):
+                riesz_kernel(S3, z, zp)
         # Past float range on either side, and below it.
         assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_value() == -math.inf
         assert KernelValue(-1.5, 1.0, 1, exp2=2000).float_tail_bound() == math.inf
@@ -355,13 +360,32 @@ class TestGradient:
 
 class TestIndicialKernel:
     def test_matches_generating_function(self):
+        # At t = 0.9 the sum reads past the base table, to its tail bound.
         cs = S3.cross_section
-        for s in (0.05, 0.2, 0.6):
+        for s in (0.05, 0.2, 0.6, 0.9):
             for gamma in (0.3, 1.2, 2.9):
                 y, yp = cs.points_at_separation(gamma)
                 got = indicial_kernel(S3, s, y, yp)
                 np.testing.assert_allclose(got, oracles.indicial_r3(s, gamma),
-                                           rtol=1e-9)
+                                           rtol=1e-13)
+
+    def test_table_cut_at_the_ceiling_is_refused(self):
+        # On the (1, 1.3) torus at t = 0.9 the tail past the ceiling-cut
+        # table is still about e^-3 of the sum.
+        spec = torus_spectrum(3, [1.0, 1.3])
+        y, yp = spec.cross_section.points_at_separation(0.5)
+        assert math.isfinite(indicial_kernel(spec, 0.5, y, yp))
+        with pytest.raises(DomainError, match="ends at its ceiling"):
+            indicial_kernel(spec, 0.9, y, yp)
+
+    def test_complete_table_sums_its_modes(self):
+        # A CompleteTail table has no tail: its one chunk is the whole sum.
+        lead = leading_modes(S3, 3)
+        y, yp = S3.cross_section.points_at_separation(1.0)
+        pair, _ = _chunk0(lead, y, yp)
+        mu = lead.table.mu
+        assert indicial_kernel(lead, 0.9, y, yp) == pytest.approx(float(np.sum(pair * 0.9 ** mu / (2.0 * mu))),
+                                                                  rel=1e-15)
 
     def test_inversion_symmetry(self):
         cs = S3_NEG.cross_section
@@ -412,10 +436,16 @@ class TestZeroFrontCompatibility:
         rep = zf_compatibility_check(S3_NEG, 0.1, y, yp)
         assert rep.final_deviation < 1e-4 and abs(rep.rate - 2.0) <= 0.2
 
-    def test_requires_small_ratio(self):
+    def test_rates_hold_at_large_ratio(self):
+        # The indicial kernel sums to eps at every ratio but 1, so the rate
+        # windows of acceptance criterion 4 hold at s = 0.6 and 0.9 too.
         y, yp = S3.cross_section.points_at_separation(0.7)
-        with pytest.raises(DomainError):
-            zf_compatibility_check(S3, 0.6, y, yp)
+        for spec, want_rate, window in ((S3_POS, 2.0, 0.2), (S3, 1.0, 0.1), (S3_NEG, 0.2, 0.05)):
+            for s in (0.6, 0.9):
+                rate = zf_compatibility_check(spec, s, y, yp).rate
+                assert rate == pytest.approx(want_rate, abs=window), (spec.v0_descriptor, s)
+        with pytest.raises(DomainError, match="singular at s = 1"):
+            zf_compatibility_check(S3, 1.0, y, yp)
 
     def test_report_carries_grid(self):
         y, yp = S3_POS.cross_section.points_at_separation(0.7)
@@ -565,6 +595,16 @@ class TestDiagonal:
         for kv in got:
             assert (kv.value, kv.tail_bound, kv.tail_kind) == (0.0, 0.0, "quadrature"), (r, lam, kv)
 
+    @pytest.mark.parametrize("rp", [2e10, 1e10], ids=["off", "on"])
+    def test_lambda_r_past_float_range_is_refused(self, rp):
+        # lam r = 1e310 is refused when the request is built, with no warning
+        # and no blame on the cone distance; lam r = 1e300 is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lambda r = .* passes float range"):
+                ResolventRequest(S3, *_point_pair(S3, 1e10, rp, 0.5), lam=1e300)
+            assert ResolventRequest(S3, *_point_pair(S3, 1.0, rp * 1e-10, 0.5), lam=1e300).lam == 1e300
+
     @pytest.mark.parametrize("gamma", [1e-153, 1e-160, 1e-161])
     def test_separation_too_small_for_the_tau_rule(self, gamma):
         # R/r = gamma here.  The grid's largest x = r^2/2tau passes float
@@ -627,7 +667,7 @@ class TestDiagonal:
         for r, gamma, lam in ((1.0, 1.0, 1.0), (2.0, 0.3, 0.3), (0.5, 2.5, 3.0), (1.0, 1e-3, 400.0)):
             z, zp = _point_pair(lead, r, r, gamma)
             req = ResolventRequest(lead, z, zp, lam=lam)
-            pair, grad = lead.pair_values(z.y, zp.y)
+            pair, grad = _chunk0(lead, z.y, zp.y)
             t = lam * r
             value = r ** (2 - d) * mp.fsum(p * ik(mu, t) for p, mu in zip(pair, mus))
             radial = (1 - d / 2) / r * value + lam / 2 * r ** (2 - d) * mp.fsum(

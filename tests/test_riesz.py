@@ -225,19 +225,31 @@ class TestRieszKernel:
     @pytest.mark.parametrize("t", [3.5e-104, 3.2e-104, 3.1e-104])
     def test_values_at_the_edge_of_float_range(self, t):
         # |T| ~ 1/t^3 is 1.3e308 to 1.7e308 at the first two t, and past
-        # float range at the third.
+        # float range at the third, where the value is refused.
+        wants = [ref / t / t / t for ref in oracles.riesz_r3(1.0, 3.0, 1.0)]
+        if any(map(math.isinf, wants)):
+            with pytest.raises(DomainError, match="passes float range"):
+                self._eval(S3, t, 3.0 * t, 1.0)
+            return
         kv = self._eval(S3, t, 3.0 * t, 1.0)
-        for got, ref in zip((kv.d_r, kv.angular), oracles.riesz_r3(1.0, 3.0, 1.0)):
-            want = ref / t / t / t
-            assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-6), (got, want)
+        for got, want in zip((kv.d_r, kv.angular), wants):
+            assert got == pytest.approx(want, rel=1e-6), (got, want)
 
     def test_components_past_float_range_where_the_distance_underflows(self):
         # The cone distance R ~ 1.7e-170 underflows to 0 in floats, and
-        # |T| ~ 1/R^3 passes float range: each component is an infinity of
-        # the closed form's sign.
-        kv = self._eval(S3, 1e-170, 2e-170, 1.0)
-        want = oracles.riesz_r3(1.0, 2.0, 1.0)
-        assert (kv.d_r, kv.angular) == tuple(math.copysign(math.inf, w) for w in want)
+        # |T| ~ 1/R^3 passes float range: the value is refused.
+        with pytest.raises(DomainError, match="passes float range"):
+            self._eval(S3, 1e-170, 2e-170, 1.0)
+
+    @pytest.mark.parametrize("r, rp", [(1e-110, 3e-110), (1e-300, 2e-300), (1e-200, 1e-200)])
+    def test_infinities_are_refused(self, r, rp):
+        # |T| passes float range here, and a RieszKernelValue holds plain
+        # floats: no infinity is returned, certified or not.  At 1e-100 it fits.
+        with pytest.raises(DomainError, match="passes float range"):
+            self._eval(S3, r, rp, 1.0)
+        kv = self._eval(S3, 1e-100, 1e-100 * (rp / r), 1.0)
+        assert math.isfinite(kv.d_r) and math.isfinite(kv.angular) and math.isfinite(kv.quad_error_est)
+        assert kv.certified == (r != rp)
 
     def test_angular_component_vanishes_at_zero_separation(self):
         kv = self._eval(S3_NEG, 0.2, 1.0, 0.0)

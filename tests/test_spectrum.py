@@ -33,6 +33,11 @@ from conekit.spectrum import (_DIAG_MU_FLOOR, _DIAG_MU_SLOPE, TABLE_CEILING, Com
 import oracles
 
 
+def _chunk0(spec, y, yp, with_grad=True):
+    """The base table's pairs at (y, y') and, with ``with_grad``, their derivatives: chunk 0 of ``chunks``."""
+    return next(spec.chunks(y, yp, spec.cross_section.distance(y, yp), with_grad))[1:3]
+
+
 class TestMu0Squared:
     # Huge, subnormal and integral floats too.
     C_GRID = [*np.linspace(-6.0, 6.0, 97).tolist(), -0.24, 0.1, 2.0 / 3.0, 1e-300, -1e-300, 1e300, 0.1 + 1e-17,
@@ -117,7 +122,7 @@ class TestSphereEigendata:
             spec = sphere_spectrum(d, mu_cutoff=8.0)
             vol = spec.cross_section.volume
             y, _ = spec.cross_section.points_at_separation(0.0)
-            pair, _ = spec.pair_values(y, y)
+            pair, _ = _chunk0(spec, y, y)
             for j, mult in enumerate(spec.table.mult):
                 np.testing.assert_allclose(
                     pair[j] * vol, mult, rtol=1e-12
@@ -129,7 +134,7 @@ class TestSphereEigendata:
         cs = spec.cross_section
         for gamma in [0.0, 0.3, 1.1, 2.6, math.pi]:
             y, yp = cs.points_at_separation(gamma)
-            pair, _ = spec.pair_values(y, yp)
+            pair, _ = _chunk0(spec, y, yp)
             assert len(pair) == len(spec.table.mu)
             for l in range(len(spec.table.mu)):
                 ref = (2 * l + 1) / (4 * math.pi) * float(mp.legendre(l, math.cos(gamma)))
@@ -141,9 +146,9 @@ class TestSphereEigendata:
         cs = spec.cross_section
         h = 1e-6
         for gamma in [0.4, 1.3, 2.2]:
-            _, got = spec.pair_values(*cs.points_at_separation(gamma))
-            lo, _ = spec.pair_values(*cs.points_at_separation(gamma - h))
-            hi, _ = spec.pair_values(*cs.points_at_separation(gamma + h))
+            _, got = _chunk0(spec, *cs.points_at_separation(gamma))
+            lo, _ = _chunk0(spec, *cs.points_at_separation(gamma - h))
+            hi, _ = _chunk0(spec, *cs.points_at_separation(gamma + h))
             for j in range(len(spec.table.mu)):
                 np.testing.assert_allclose(got[j], (hi[j] - lo[j]) / (2 * h),
                                            rtol=1e-7, atol=1e-9)
@@ -152,7 +157,7 @@ class TestSphereEigendata:
         spec = sphere_spectrum(4, c=-0.2, mu_cutoff=9.0)
         cs = spec.cross_section
         gammas = np.linspace(0.0, math.pi, 181)
-        values = [spec.pair_values(*cs.points_at_separation(g)) for g in gammas]
+        values = [_chunk0(spec, *cs.points_at_separation(g)) for g in gammas]
         worst_pair = np.max([np.abs(pair) for pair, _ in values], axis=0)
         worst_grad = np.max([np.abs(grad) for _, grad in values], axis=0)
         for j, (pair_sup, grad_sup) in enumerate(zip(spec.table.pair_sup, spec.table.grad_sup)):
@@ -258,7 +263,7 @@ class TestTorusEigendata:
         spec = torus_spectrum(4, [1.0, 1.3, 0.7], c=0.3, mu_cutoff=4.0)
         vol = spec.cross_section.volume
         y, _ = spec.cross_section.points_at_separation(0.0)
-        pair, _ = spec.pair_values(y, y)
+        pair, _ = _chunk0(spec, y, y)
         for j, mult in enumerate(spec.table.mult):
             np.testing.assert_allclose(pair[j] * vol, mult,
                                        rtol=1e-12)
@@ -483,7 +488,7 @@ _TAIL_S = (0.01, 0.3, 0.6, 0.9, 0.99, 0.999)
 
 
 def _assert_table(spec, modes, pairs, grads, gamma):
-    got_pair, got_grad = spec.pair_values(*spec.cross_section.points_at_separation(gamma))
+    got_pair, got_grad = _chunk0(spec, *spec.cross_section.points_at_separation(gamma))
     table = spec.table
     assert len(table.mu) == len(modes)
     for j, (mu, mult, pair_sup, grad_sup, label) in enumerate(modes):
@@ -553,8 +558,8 @@ class TestFileRoundTrip:
         # Pair functions agree as functions of the separation.
         cs, lcs = spec.cross_section, loaded.cross_section
         for gamma in [0.0, 0.5, 1.7, 3.0]:
-            want, _ = spec.pair_values(*cs.points_at_separation(gamma))
-            got, _ = loaded.pair_values(*lcs.points_at_separation(gamma))
+            want, _ = _chunk0(spec, *cs.points_at_separation(gamma))
+            got, _ = _chunk0(loaded, *lcs.points_at_separation(gamma))
             for j in range(len(spec.table.mu)):
                 np.testing.assert_allclose(got[j], want[j], rtol=1e-10, atol=1e-14)
 
@@ -580,8 +585,8 @@ class TestFileRoundTrip:
         save_spectrum(spec, path)
         loaded = load_spectrum(path)
         for gamma in [0.0, 0.3, 0.9, 1.4, 2.0, 2.6, math.pi]:
-            want, _ = spec.pair_values(*spec.cross_section.points_at_separation(gamma))
-            got, _ = loaded.pair_values(*loaded.cross_section.points_at_separation(gamma))
+            want, _ = _chunk0(spec, *spec.cross_section.points_at_separation(gamma))
+            got, _ = _chunk0(loaded, *loaded.cross_section.points_at_separation(gamma))
             assert (np.abs(got - want) <= 1e-13 * spec.table.pair_sup).all()
 
     @pytest.mark.parametrize("d", [3, 4, 5, 7])
@@ -851,7 +856,7 @@ class TestGrownTables:
             assert table.mu[:n].tolist() == spec.table.mu.tolist()
             assert table.mult[:n].tolist() == spec.table.mult.tolist()
             y, yp = spec.cross_section.points_at_separation(0.9)
-            pair, grad = spec.pair_values(y, yp)
+            pair, grad = _chunk0(spec, y, yp)
             got = table.pairs(y, yp, spec.cross_section.distance(y, yp), 0, n, None)
             assert (got[0] == pair).all() and (got[1] == grad).all()
 
@@ -985,7 +990,7 @@ class TestNodeSums:
         x = np.geomspace(1e-3, 1e6, 12)
         node, fp, short, most = lead.node_sums(y, yp, 0.7, float(x[-1]), False)(x)
         assert most == 3 and not short.any()
-        pair, _ = lead.pair_values(y, yp, with_grad=False)
+        pair, _ = _chunk0(lead, y, yp, with_grad=False)
         want = [sum(p * math.exp(log_scaled("i", mu, xi)[0]) for p, mu in zip(pair, lead.table.mu))
                 for xi in x.tolist()]
         assert (np.abs(node[0] - want) <= 2.0 * fp[0]).all()  # the rounding of both sums

@@ -77,6 +77,7 @@ _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01  # Cody-Waite split of log 2
 _LN2_LO = 1.90821492927058770002e-10
 _FOLD_EXP2 = 600  # split_log keeps a plain float while |log2| <= this
+_NO_DIGIT = 2.0**52  # from here on a float's ulp is 1 or more: as a log, or as lambda r, it leaves no digit
 
 
 def _ldexp(m: float, e: int) -> float:
@@ -123,11 +124,12 @@ def split_log(ln_x: float) -> tuple[float, int]:
     (|log2| <= ``_FOLD_EXP2``); otherwise m lies in [1, 2).  The
     log 2 is split (Cody-Waite), so the folding stays accurate to about an
     ulp even for |ln_x| in the thousands.  From |ln_x| = 2**52 on, the
-    log's own ulp is 1 or more, so m would carry no digit: a DomainError.
+    log's own ulp is 1 or more, so m would carry no digit: a DomainError,
+    as for lambda r in :class:`conekit.resolvent.ResolventRequest`.
     """
     if ln_x == -math.inf:
         return 0.0, 0
-    if abs(ln_x) >= 2.0**52:
+    if abs(ln_x) >= _NO_DIGIT:
         raise DomainError(f"log {float(ln_x)!r} lies past 2**52 in magnitude: its ulp is a factor of e or more, "
                           "so no digit of the value is known")
     e = math.floor(ln_x / _LN2)

@@ -146,6 +146,14 @@ def _check_mu0(mu0) -> float:
     return mu0
 
 
+def _check_p(p) -> float:
+    """p as a float; a DomainError unless it lies in (1, inf)."""
+    p = float(p)
+    if not (1.0 < p < math.inf):
+        raise DomainError(f"p must lie in (1, inf), got {p!r}")
+    return p
+
+
 def threshold_interval(d: int, mu0: float) -> PInterval:
     """Exact L^p interval of the Riesz transform for a general potential.
 
@@ -178,13 +186,9 @@ def threshold_interval_zero_v(d: int, mu1: float) -> PInterval:
 
 
 def _exact_mu(d: int, c) -> Fraction | None:
-    """sqrt(c + (d-2)^2/4) as an exact Fraction, when it is one."""
+    """sqrt(c + (d-2)^2/4) as an exact Fraction, when it is one (a float c is read exactly)."""
     from fractions import Fraction
 
-    if isinstance(c, float):
-        if not c.is_integer():
-            return None
-        c = int(c)
     try:
         c_frac = Fraction(c)
     except (TypeError, ValueError):
@@ -296,10 +300,7 @@ def schur_norm(spec: HomogeneousKernelSpec, p: float) -> float:
     operator to multiplication by the integral over the ratio t = r/r',
     which evaluates in closed form on either triangle.
     """
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise DomainError(f"p must lie in (1, inf), got {p!r}")
-    gap = spec.d / p - spec.alpha
+    gap = spec.d / _check_p(p) - spec.alpha
     if spec.region == "upper":
         return 1.0 / gap if gap > 0.0 else math.inf
     return -1.0 / gap if gap < 0.0 else math.inf
@@ -486,10 +487,7 @@ def lp_norm_probe(
     for every grid, which matters when each evaluation is itself a mode
     sum (the Riesz kernel).
     """
-    d = check_dimension(d)
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise DomainError(f"p must lie in (1, inf), got {p!r}")
+    d, p = check_dimension(d), _check_p(p)
     k_values, m = tuple(k_values), points_per_octave
     if not all(float(v).is_integer() for v in (*k_values, m)):
         raise DomainError(f"k_values and points_per_octave must be integers, got {k_values} and {m!r}")

@@ -11,7 +11,10 @@ pair function of the j-th cross-sectional mode, and mu_j > 0 are the
 shifted square-rooted eigenvalues.  The lambda prefactors of the exact
 scaling identity G_lambda(z, z') = lambda^{d-2} G_1(lambda z, lambda z')
 cancel against the (r r')^{1 - d/2} prefactor, so the series above is
-valid verbatim for every lambda > 0.
+valid verbatim for every lambda > 0.  A request has one scale, lambda r,
+refused (``DomainError``) from lambda max(r, r') = 2**52 on: off r = r'
+a value's log or tail leaves range there, and at r = r' every weight of
+the tau rule underflows.
 
 Density
 -------
@@ -170,7 +173,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _EPS, _LN2, _ldexp, _Scaled, log_ik_integrals, log_scaled, split_log
+from .bessel import _EPS, _LN2, _NO_DIGIT, _ldexp, _Scaled, log_ik_integrals, log_scaled, split_log
 from .errors import DomainError
 from .geometry import ConePoint, cone_distance
 from .spectrum import _INTEGRAL_KINDS, _RESOLVENT_KINDS, CompleteTail, CrossSectionSpectrum
@@ -204,9 +207,9 @@ def _check_rel_tol(rel_tol) -> float:
 class ResolventRequest:
     """One kernel evaluation: spectrum, endpoints, spectral parameter.
 
-    ``lam`` is the lambda in (H + lambda^2)^{-1}, and lambda r must stay
-    in float range at both radii; ``rel_tol`` the target relative
-    truncation error (must lie in (0, 0.1]).
+    ``lam`` is the lambda in (H + lambda^2)^{-1}, and lambda r must lie
+    below 2**52 at both radii, where its ulp reaches 1; ``rel_tol`` the
+    target relative truncation error (must lie in (0, 0.1]).
     """
 
     spectrum: CrossSectionSpectrum
@@ -219,8 +222,8 @@ class ResolventRequest:
         lam = float(self.lam)
         if not math.isfinite(lam) or lam <= 0.0:
             raise DomainError(f"spectral parameter lambda must be finite and > 0, got {self.lam!r}")
-        if lam * max(self.z.r, self.zp.r) == math.inf:
-            raise DomainError(f"lambda r = {lam!r} * {max(self.z.r, self.zp.r)!r} passes float range")
+        if lam * max(self.z.r, self.zp.r) >= _NO_DIGIT:
+            raise DomainError(f"lambda r = {lam!r} * {max(self.z.r, self.zp.r)!r} must lie below 2**52 (its ulp is 1)")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rel_tol", _check_rel_tol(self.rel_tol))
 
@@ -348,8 +351,7 @@ def _heat_diagonal(spec: CrossSectionSpectrum, z: ConePoint, zp: ConePoint, gamm
             w = 0.5 * math.sqrt(math.pi) / np.sqrt(sigma)
             radial = -0.5 * (d - 1) * w
         else:
-            # (lam r)^2 sigma: past lam r ~ 1.3e154 (lam r)^2 overflows, and lr (lr sigma) stays finite.
-            decay = lr * lr * sigma if lr * lr < math.inf else lr * (lr * sigma)
+            decay = lr * lr * sigma
             w = np.exp(-decay)
             radial = ((1.0 - 0.5 * d) - decay) * w if need_grad else None
         weights = np.array([radial, w] if need_grad else [w])

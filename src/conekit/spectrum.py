@@ -448,13 +448,6 @@ class ModeArrays:
         """Each mode's label: ``label`` formatted with its tag."""
         return [self.label.format(t) for t in self.tag.tolist()]
 
-    def head(self, count: int) -> ModeArrays:
-        """The first ``count`` modes: views of these arrays, with the same ``pairs`` and log weights."""
-        head = replace(self, mu=self.mu[:count], mult=self.mult[:count], pair_sup=self.pair_sup[:count],
-                       grad_sup=self.grad_sup[:count], tag=self.tag[:count])
-        head.__dict__["log_weights"] = self.log_weights[:, :count]
-        return head
-
 
 @dataclass(frozen=True)
 class CrossSectionSpectrum:
@@ -708,15 +701,16 @@ def leading_modes(spectrum: CrossSectionSpectrum, count: int = 1) -> CrossSectio
 
     The result is exact for that sub-kernel (its tail is empty), which is
     what refined single-mode estimates evaluate.  Its table is the
-    parent's first ``count`` entries (:meth:`ModeArrays.head`).
+    parent's first ``count`` entries, with the same pair functions.
     """
-    size = spectrum.table.mu.size
-    if not 1 <= count <= size or int(count) != count:
-        raise DomainError(f"count must be an integer in [1, {size}], got {count!r}")
-    table = spectrum.table.head(int(count))
+    table = spectrum.table
+    if not 1 <= count <= table.mu.size or int(count) != count:
+        raise DomainError(f"count must be an integer in [1, {table.mu.size}], got {count!r}")
+    n = int(count)
     return replace(
         spectrum,
-        table=table,
+        table=replace(table, mu=table.mu[:n], mult=table.mult[:n], pair_sup=table.pair_sup[:n],
+                      grad_sup=table.grad_sup[:n], tag=table.tag[:n]),
         tail_profile=CompleteTail(),
-        v0_descriptor=f"{spectrum.v0_descriptor}|leading:{int(count)}",
+        v0_descriptor=f"{spectrum.v0_descriptor}|leading:{n}",
     )

@@ -69,6 +69,12 @@ class TestThresholds:
         assert got["p_lo_exact"] == "4/3"
         assert got["p_hi_exact"] == "2"
 
+    def test_float_coupling_with_rational_mu0_prints_exact_endpoints(self, capsys):
+        # c = 0.75 on R^3 has mu0 = 1: the endpoints 1 and 6 are exact.
+        code, out, _ = run_cli(capsys, "thresholds", "--d", "3", "--c", "0.75")
+        assert code == 0
+        assert out.splitlines() == ["basis=constant-c", "p_lo=1", "p_hi=6", "p_lo_exact=1", "p_hi_exact=6"]
+
     def test_subprocess_bytes_are_deterministic(self):
         cmd = [sys.executable, "-m", "conekit.cli", "thresholds", "--d", "4",
                "--c", "-1"]

@@ -151,6 +151,26 @@ def test_every_mode_sum_reads_the_chunks():
     assert not wrong, wrong
 
 
+def test_the_p_range_is_checked_once():
+    # lpcheck's two p entry points read one check (_check_p): the p-range
+    # message is raised in exactly one place in the package.
+    root = pathlib.Path(conekit.__file__).parent
+    raised = [f"{name}.py:{node.lineno}" for name in MODULES
+              for node in ast.walk(ast.parse((root / f"{name}.py").read_text()))
+              if isinstance(node, ast.Raise) and "p must lie in (1, inf)" in ast.unparse(node)]
+    assert len(raised) == 1, raised
+
+
+def test_the_tau_rule_has_no_overflow_branch():
+    # ResolventRequest refuses lambda r from 2**52 on, so (lam r)^2 stays
+    # finite: _heat_diagonal compares nothing with math.inf.
+    tree = ast.parse((pathlib.Path(conekit.__file__).parent / "resolvent.py").read_text())
+    body, = (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_heat_diagonal")
+    compared = [node.lineno for node in ast.walk(body) if isinstance(node, ast.Compare)
+                and "math.inf" in {ast.unparse(side) for side in (node.left, *node.comparators)}]
+    assert not compared, compared
+
+
 def test_lazy_names_in_a_fresh_interpreter():
     # Before any lazy module loads, dir() lists every exported name, and
     # `from conekit import *` binds each.

@@ -1,6 +1,8 @@
 """Exact Schur norms and the numerical L^p operator-norm probe."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conekit import (
     schur_norm,
     sphere_spectrum,
     threshold_interval,
+    threshold_interval_constant,
 )
 
 from conekit.lpcheck import _riesz_models, offdiag_envelope
@@ -83,6 +86,29 @@ class TestSchurNorm:
         assert up.kernel(2.0, 1.0) == 0.0
         assert up.kernel(1.0, 2.0) == pytest.approx(2.0 ** (1.4 - 3.0))
         assert up.d - up.alpha == pytest.approx(1.6)
+
+
+class TestExactEndpoints:
+    @pytest.mark.parametrize("c, exact", [
+        (0.75, (Fraction(1), Fraction(6))),              # mu0 = 1
+        (-0.1875, (Fraction(12, 11), Fraction(12, 5))),  # mu0 = 1/4
+        (0.1, (None, None)), (-0.24, (None, None)),      # mu0 irrational
+    ])
+    def test_float_coupling(self, c, exact):
+        # A float c is a dyadic fraction, read exactly: where mu0 is rational
+        # the endpoints are exact, and equal to the float ones.
+        iv = threshold_interval_constant(3, c)
+        assert (iv.p_lo_exact, iv.p_hi_exact) == exact
+        assert exact == (None, None) or (iv.p_lo, iv.p_hi) == tuple(map(float, exact))
+
+
+class TestPRange:
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_both_entry_points_refuse_the_ends(self, p):
+        up = HomogeneousKernelSpec(3, 1.0, "upper")
+        for evaluate in (lambda: schur_norm(up, p), lambda: lp_norm_probe(up.kernel, 3, p, k_values=(4,))):
+            with pytest.raises(DomainError, match=re.escape(f"p must lie in (1, inf), got {p!r}")):
+                evaluate()
 
 
 class TestModelIntervals:

@@ -36,6 +36,9 @@ import oracles
 S3 = sphere_spectrum(3)          # d = 3, V0 = 0: the flat cone R^3
 S3_NEG = sphere_spectrum(3, c=-0.24)
 S3_POS = sphere_spectrum(3, c=1.0)
+S5_POS = sphere_spectrum(5, c=0.3)
+# ResolventRequest's refusal from lambda max(r, r') = 2**52 on.
+_NO_DIGIT_LAMBDA_R = "lambda r = .* must lie below 2\\*\\*52"
 
 
 def _chunk0(spec, y, yp, with_grad=True):
@@ -146,13 +149,42 @@ class TestEuclideanOracle:
         assert KernelValue(1.5, 1.0, 1, exp2=-2000).float_value() == 0.0
 
     def test_value_whose_log_has_no_digit_is_refused(self):
-        # log G is about -2.7e96 here: past 2**52 the log's ulp is 1 or more,
-        # so no digit of the value is known, and it is refused.
+        # log G is about -2.7e96 here, and lam r' about 2.2e97: past 2**52
+        # lam r's ulp is 1 or more, so no digit of the value is known, and the
+        # request is refused when it is built.
         z, zp = _point_pair(S3, 5.68, 6.48, 0.5)
-        req = ResolventRequest(S3, z, zp, lam=3.38e96)
-        for evaluate in (resolvent_kernel, resolvent_gradient):
-            with pytest.raises(DomainError, match="past 2\\*\\*52"):
-                evaluate(req)
+        with pytest.raises(DomainError, match=_NO_DIGIT_LAMBDA_R):
+            ResolventRequest(S3, z, zp, lam=3.38e96)
+
+    @pytest.mark.parametrize("spec, r, rp, lam", [
+        (S3, 1.0, 0.5, 1e303), (S3, 0.5, 1.0, 1e303), (S5_POS, 1.0, 0.5, 1e299), (S5_POS, 0.5, 1.0, 1e299),
+        (S3, 1.0, 0.5, 1e308), (S3, 1.0, 1.0, 6e307), (S3, 1.0, 1.0, 1e308), (S3, 1.0, 0.5, 2.0 ** 52),
+        (S3, 0.5, 1.0, 2.0 ** 52), (S3, 1.0, 1.0, 2.0 ** 52),
+    ])
+    def test_lambda_r_from_2_to_the_52_is_refused(self, spec, r, rp, lam):
+        # One rule for every value, when the request is built.  Unguarded,
+        # the gradient's sums overflow at these points, the kernel's at
+        # lam r' = 1e308, and at r = r' the tau rule's grid, which blames the
+        # cone distance.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=_NO_DIGIT_LAMBDA_R):
+                ResolventRequest(spec, *_point_pair(spec, r, rp, 1.0), lam=lam)
+
+    @pytest.mark.parametrize("r, rp", [(1.0, 0.5), (0.5, 1.0), (1.0, 1.0)])
+    def test_lambda_r_just_below_2_to_the_52_is_evaluated(self, r, rp):
+        # Off r = r' the tail passes double range on the value's scale (no
+        # digit is known: an infinite bound); at r = r' every weight of the
+        # tau rule underflows, and each component is 0 +- 0.  No warning.
+        req = ResolventRequest(S3, *_point_pair(S3, r, rp, 1.0), lam=math.nextafter(2.0 ** 52, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
+        for kv in got:
+            if r == rp:
+                assert (kv.value, kv.tail_bound, kv.tail_kind) == (0.0, 0.0, "quadrature"), kv
+            else:
+                assert kv.tail_bound == math.inf and not kv.certified, kv
 
 
 class TestSymmetries:
@@ -584,26 +616,25 @@ class TestDiagonal:
 
     @pytest.mark.parametrize("r, lam", [(1.0, 1e150), (1.0, 1e160), (1e160, 1.0), (1.0, 1e300)])
     def test_huge_lambda_r_underflows_every_weight(self, r, lam):
-        # Every weight e^{-(lam r)^2 tau/r^2} underflows at every node: each
-        # component is 0, with no warning, past lam r ~ 1.3e154 too, where
-        # (lam r)^2 overflows.
-        z, zp = _point_pair(S3, r, r, 0.5)
-        req = ResolventRequest(S3, z, zp, lam=lam)
+        # Every weight e^{-(lam r)^2 tau/r^2} would underflow at every node,
+        # leaving 0 +- 0: lam r lies past 2**52, and the request is refused
+        # when it is built, with no warning.  Below that edge the weights
+        # still underflow (``test_lambda_r_just_below_2_to_the_52_is_evaluated``).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [resolvent_kernel(req), *resolvent_gradient(req).__dict__.values()]
-        for kv in got:
-            assert (kv.value, kv.tail_bound, kv.tail_kind) == (0.0, 0.0, "quadrature"), (r, lam, kv)
+            with pytest.raises(DomainError, match=_NO_DIGIT_LAMBDA_R):
+                ResolventRequest(S3, *_point_pair(S3, r, r, 0.5), lam=lam)
 
     @pytest.mark.parametrize("rp", [2e10, 1e10], ids=["off", "on"])
     def test_lambda_r_past_float_range_is_refused(self, rp):
-        # lam r = 1e310 is refused when the request is built, with no warning
-        # and no blame on the cone distance; lam r = 1e300 is not.
+        # lam r = 1e310 overflows and lam r = 1e300 does not, but both lie
+        # past 2**52: each is refused when the request is built, with no
+        # warning and no blame on the cone distance.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="lambda r = .* passes float range"):
-                ResolventRequest(S3, *_point_pair(S3, 1e10, rp, 0.5), lam=1e300)
-            assert ResolventRequest(S3, *_point_pair(S3, 1.0, rp * 1e-10, 0.5), lam=1e300).lam == 1e300
+            for scale in (1.0, 1e-10):
+                with pytest.raises(DomainError, match=_NO_DIGIT_LAMBDA_R):
+                    ResolventRequest(S3, *_point_pair(S3, 1e10 * scale, rp * scale, 0.5), lam=1e300)
 
     @pytest.mark.parametrize("gamma", [1e-153, 1e-160, 1e-161])
     def test_separation_too_small_for_the_tau_rule(self, gamma):

@@ -186,13 +186,13 @@ def threshold_interval_zero_v(d: int, mu1: float) -> PInterval:
 
 
 def _exact_mu(d: int, c) -> Fraction | None:
-    """sqrt(c + (d-2)^2/4) as an exact Fraction, when it is one (a float c is read exactly)."""
+    """sqrt(c + (d-2)^2/4) as an exact Fraction, when it is one (c read exactly, as float(c) if Fraction refuses c)."""
     from fractions import Fraction
 
     try:
         c_frac = Fraction(c)
     except (TypeError, ValueError):
-        return None
+        c_frac = Fraction(float(c))
     val = _mu0_squared(d, c_frac)
     if val < 0:
         return None

@@ -101,6 +101,15 @@ class TestExactEndpoints:
         assert (iv.p_lo_exact, iv.p_hi_exact) == exact
         assert exact == (None, None) or (iv.p_lo, iv.p_hi) == tuple(map(float, exact))
 
+    @pytest.mark.parametrize("c, exact", [
+        (np.float32(0.75), (Fraction(1), Fraction(6))),
+        (np.float32(-0.1875), (Fraction(12, 11), Fraction(12, 5))),
+    ])
+    def test_numpy_coupling(self, c, exact):
+        # Fraction refuses a numpy scalar; its float is read exactly instead.
+        iv = threshold_interval_constant(3, c)
+        assert (iv.p_lo_exact, iv.p_hi_exact) == exact
+
 
 class TestPRange:
     @pytest.mark.parametrize("p", [1.0, math.inf])
